@@ -1,11 +1,13 @@
 //! Criterion benchmarks of the optimizer's hot paths: memoized vs
-//! from-scratch cost estimation (Fig. 15's mechanism) and the clustering vs
-//! brute-force split search (Fig. 16's mechanism).
+//! from-scratch cost estimation (Fig. 15's mechanism), one subplan
+//! simulation, and the clustering vs brute-force split search (Fig. 16's
+//! mechanism).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ishare_common::{CostWeights, QueryId, QuerySet, Result, SubplanId, TableId, Value};
 use ishare_core::decompose::{brute_force_split, cluster_split, LocalProblem};
 use ishare_core::find_pace_configuration;
+use ishare_cost::simulate::simulate_subplan;
 use ishare_cost::{PlanEstimator, StreamEstimate};
 use ishare_expr::Expr;
 use ishare_mqo::{build_shared_dag, normalize, MqoConfig};
@@ -79,6 +81,63 @@ fn bench_estimation(c: &mut Criterion) {
             }
         })
     });
+    g.finish();
+}
+
+/// One simulation of a join + aggregate subplan shared by three queries —
+/// what every memo miss (and all of Fig. 15's `w/o memo` column) pays.
+fn bench_simulate_subplan(c: &mut Criterion) {
+    let queries = QuerySet::first_n(3);
+    let side = |table: u32| {
+        OpTree::node(
+            TreeOp::Select {
+                branches: (0..3)
+                    .map(|i| SelectBranch {
+                        queries: QuerySet::single(QueryId(i)),
+                        predicate: Expr::col(1).lt(Expr::lit(200 + 300 * i64::from(i))),
+                    })
+                    .collect(),
+            },
+            vec![OpTree::input(InputSource::Base(TableId(table)))],
+        )
+    };
+    let sp = Subplan {
+        id: SubplanId(0),
+        root: OpTree::node(
+            TreeOp::Aggregate {
+                group_by: vec![(Expr::col(0), "k".into())],
+                aggs: vec![
+                    AggExpr::new(AggFunc::Sum, Expr::col(1), "s"),
+                    AggExpr::new(AggFunc::Max, Expr::col(3), "m"),
+                ],
+            },
+            vec![OpTree::node(
+                TreeOp::Join { keys: vec![(Expr::col(0), Expr::col(0))] },
+                vec![side(0), side(1)],
+            )],
+        ),
+        queries,
+        output_queries: QuerySet::EMPTY,
+    };
+    let mut input = StreamEstimate::insert_only(
+        20_000.0,
+        queries,
+        vec![
+            ColumnStats::ndv(100.0),
+            ColumnStats::with_range(1000.0, Value::Int(0), Value::Int(999)),
+        ],
+    );
+    input.delete_frac = 0.2;
+    let mut inputs = ishare_cost::LeafInputs::new();
+    inputs.insert(vec![0, 0, 0], input.clone());
+    inputs.insert(vec![0, 1, 0], input);
+    let weights = CostWeights::default();
+    let mut g = c.benchmark_group("simulate_subplan");
+    for pace in [1u32, 10, 100] {
+        g.bench_with_input(BenchmarkId::new("join_agg", pace), &pace, |b, &pace| {
+            b.iter(|| simulate_subplan(&sp, pace, &inputs, &weights).unwrap())
+        });
+    }
     g.finish();
 }
 
@@ -228,7 +287,7 @@ fn bench_decomposition_ablation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_estimation, bench_pace_search, bench_split_search,
+    targets = bench_estimation, bench_simulate_subplan, bench_pace_search, bench_split_search,
         bench_decomposition_ablation
 }
 criterion_main!(benches);

@@ -15,10 +15,11 @@
 //!   regressing any query's missed work.
 
 use crate::constraint::ConstraintMap;
-use crate::incrementability::{benefit, incrementability};
+use crate::incrementability::incrementability;
 use crate::pace::PaceConfiguration;
-use ishare_common::{Error, Result, SubplanId};
+use ishare_common::{Error, QuerySet, Result, SubplanId};
 use ishare_cost::{CostReport, PlanEstimator};
+use ishare_plan::SharedPlan;
 use std::cmp::Ordering;
 
 /// Result of a pace search.
@@ -32,6 +33,21 @@ pub struct SearchOutcome {
     pub feasible: bool,
     /// Greedy steps taken.
     pub steps: usize,
+}
+
+/// The plan's `(parent, child)` subplan edges, taken once per search: a
+/// candidate is checked per group per step, and
+/// [`PaceConfiguration::respects_plan`] walks every operator tree to find
+/// them (1.7 µs per call on a 23-subplan plan, beside a 3 µs memoized
+/// estimate).
+fn plan_edges(plan: &SharedPlan) -> Vec<(SubplanId, SubplanId)> {
+    plan.subplans.iter().flat_map(|sp| sp.children().into_iter().map(move |c| (sp.id, c))).collect()
+}
+
+/// [`PaceConfiguration::respects_plan`] over [`plan_edges`], for a
+/// configuration of the plan's length: no parent paces above a child.
+fn respects(edges: &[(SubplanId, SubplanId)], paces: &PaceConfiguration) -> bool {
+    edges.iter().all(|&(parent, child)| paces.pace(parent) <= paces.pace(child))
 }
 
 fn is_feasible(report: &CostReport, constraints: &ConstraintMap) -> bool {
@@ -152,9 +168,8 @@ fn grouped_search(
     max_pace: u32,
 ) -> Result<SearchOutcome> {
     check_constraints(constraints)?;
-    let plan = est.plan().clone();
-    let paces = PaceConfiguration::batch(plan.len());
-    search_upward(est, &plan, groups, constraints, max_pace, paces)
+    let paces = PaceConfiguration::batch(est.plan().len());
+    search_upward(est, groups, constraints, max_pace, paces)
 }
 
 /// The paper's greedy loop: raise the pace of the group with the highest
@@ -167,12 +182,12 @@ fn grouped_search(
 /// restricted to groups serving at least one unmet query.
 fn search_upward(
     est: &mut PlanEstimator,
-    plan: &ishare_plan::SharedPlan,
     groups: &[Vec<SubplanId>],
     constraints: &ConstraintMap,
     max_pace: u32,
     mut paces: PaceConfiguration,
 ) -> Result<SearchOutcome> {
+    let edges = plan_edges(est.plan());
     let mut report = est.estimate(paces.as_slice())?;
     let mut steps = 0;
 
@@ -180,43 +195,43 @@ fn search_upward(
         if is_feasible(&report, constraints) || paces.maxed(max_pace) {
             break;
         }
-        let unmet: ishare_common::QuerySet = constraints
+        let unmet: QuerySet = constraints
             .iter()
             .filter(|(q, l)| report.final_of(**q).get() > **l + 1e-9)
             .map(|(q, _)| *q)
             .collect();
-        // Evaluate one candidate per group: bump every member by one.
-        let mut best: Option<(f64, f64, PaceConfiguration, CostReport)> = None;
+        // Evaluate one candidate per group: bump every member by one, in
+        // place, and take the bump back once the candidate is costed.
+        let mut best: Option<(f64, f64, &[SubplanId], CostReport)> = None;
         for g in groups {
             if g.iter().any(|id| paces.pace(*id) >= max_pace) {
                 continue;
             }
+            let plan = est.plan();
             let serves_unmet =
                 g.iter().any(|id| plan.subplans[id.index()].queries.intersects(unmet));
             if !serves_unmet {
                 continue;
             }
-            let mut cand = paces.clone();
-            for &id in g {
-                cand.set(id, cand.pace(id) + 1);
-            }
-            if cand.respects_plan(plan).is_err() {
+            bump(&mut paces, g, 1);
+            let cand_report = respects(&edges, &paces).then(|| est.estimate(paces.as_slice()));
+            bump(&mut paces, g, -1);
+            let Some(cand_report) = cand_report.transpose()? else {
                 continue;
-            }
-            let cand_report = est.estimate(cand.as_slice())?;
+            };
             debug_assert!(
                 cand_report.total_work.get().is_finite(),
-                "non-finite estimated total work for {cand}"
+                "non-finite estimated total work for a bump of {g:?} on {paces}"
             );
             let inc = incrementability(&cand_report, &report, constraints);
             let extra = cand_report.total_work.get() - report.total_work.get();
             if upward_better((inc, extra), best.as_ref().map(|(bi, be, _, _)| (*bi, *be))) {
-                best = Some((inc, extra, cand, cand_report));
+                best = Some((inc, extra, g, cand_report));
             }
         }
         match best {
-            Some((_, _, cand, cand_report)) => {
-                paces = cand;
+            Some((_, _, g, cand_report)) => {
+                bump(&mut paces, g, 1);
                 report = cand_report;
                 steps += 1;
             }
@@ -226,6 +241,14 @@ fn search_upward(
     }
     let feasible = is_feasible(&report, constraints);
     Ok(SearchOutcome { paces, report, feasible, steps })
+}
+
+/// Move every member of `group` by `by` paces.
+fn bump(paces: &mut PaceConfiguration, group: &[SubplanId], by: i32) {
+    for &id in group {
+        let pace = paces.pace(id).checked_add_signed(by).expect("paces stay within 1..=max_pace");
+        paces.set(id, pace);
+    }
 }
 
 /// The decomposition follow-up: lazy-ward relaxation from an eager initial
@@ -240,7 +263,7 @@ pub fn relax_pace_configuration(
     max_pace: u32,
 ) -> Result<SearchOutcome> {
     check_constraints(constraints)?;
-    let plan = est.plan().clone();
+    let edges = plan_edges(est.plan());
     let mut paces = init;
     let mut report = est.estimate(paces.as_slice())?;
     let mut steps = 0;
@@ -249,8 +272,9 @@ pub fn relax_pace_configuration(
     // increasing first (the regenerated plan's costs differ slightly from
     // the donor configuration's).
     if !is_feasible(&report, constraints) {
-        let repaired =
-            grouped_search_from(est, constraints, max_pace, paces.clone(), report.clone())?;
+        let groups: Vec<Vec<SubplanId>> =
+            (0..paces.len()).map(|i| vec![SubplanId(i as u32)]).collect();
+        let repaired = search_upward(est, &groups, constraints, max_pace, paces)?;
         paces = repaired.paces;
         report = repaired.report;
         steps += repaired.steps;
@@ -260,18 +284,20 @@ pub fn relax_pace_configuration(
         constraints.iter().map(|(q, l)| (*q, (report.final_of(*q).get() - l).max(0.0))).collect();
 
     loop {
-        let mut best: Option<(f64, f64, PaceConfiguration, CostReport)> = None;
-        for i in 0..plan.len() {
+        let mut best: Option<(f64, f64, SubplanId, CostReport)> = None;
+        for i in 0..paces.len() {
             let id = SubplanId(i as u32);
             let p = paces.pace(id);
             if p <= 1 {
                 continue;
             }
-            let cand = paces.with_pace(id, p - 1);
-            if cand.respects_plan(&plan).is_err() {
+            // One pace down, in place; taken back once costed.
+            paces.set(id, p - 1);
+            let cand_report = respects(&edges, &paces).then(|| est.estimate(paces.as_slice()));
+            paces.set(id, p);
+            let Some(cand_report) = cand_report.transpose()? else {
                 continue;
-            }
-            let cand_report = est.estimate(cand.as_slice())?;
+            };
             let saved = report.total_work.get() - cand_report.total_work.get();
             // Zero-saving decreases are admissible too: a stateless parent's
             // total work is pace-independent, but lowering its pace unblocks
@@ -291,12 +317,12 @@ pub fn relax_pace_configuration(
             // relax: it pays the most total work for the least benefit.
             let inc = incrementability(&report, &cand_report, constraints);
             if relax_better((inc, saved), best.as_ref().map(|(bi, bs, _, _)| (*bi, *bs))) {
-                best = Some((inc, saved, cand, cand_report));
+                best = Some((inc, saved, id, cand_report));
             }
         }
         match best {
-            Some((_, _, cand, cand_report)) => {
-                paces = cand;
+            Some((_, _, id, cand_report)) => {
+                paces.set(id, paces.pace(id) - 1);
                 report = cand_report;
                 steps += 1;
             }
@@ -306,24 +332,6 @@ pub fn relax_pace_configuration(
     let feasible = is_feasible(&report, constraints);
     Ok(SearchOutcome { paces, report, feasible, steps })
 }
-
-/// Increase-greedy starting from an arbitrary configuration (used to repair
-/// infeasible initial configurations before relaxing).
-fn grouped_search_from(
-    est: &mut PlanEstimator,
-    constraints: &ConstraintMap,
-    max_pace: u32,
-    paces: PaceConfiguration,
-    _report: CostReport,
-) -> Result<SearchOutcome> {
-    let plan = est.plan().clone();
-    let groups: Vec<Vec<SubplanId>> = (0..plan.len()).map(|i| vec![SubplanId(i as u32)]).collect();
-    search_upward(est, &plan, &groups, constraints, max_pace, paces)
-}
-
-// `benefit` is re-exported at the crate root; keep the import used.
-#[allow(unused_imports)]
-use benefit as _benefit;
 
 #[cfg(test)]
 mod tests {

@@ -8,12 +8,13 @@
 //! differ in a single subplan's pace; with the memo only that subplan and
 //! its ancestors are re-simulated.
 
-use crate::simulate::{simulate_subplan, SubplanSim};
+use crate::simulate::{SimProgram, SimScratch, SubplanSim};
 use crate::stats::StreamEstimate;
-use ishare_common::{CostWeights, Error, QueryId, Result, SubplanId, TableId, WorkUnits};
+use ishare_common::{CostWeights, Error, QueryId, QuerySet, Result, SubplanId, TableId, WorkUnits};
 use ishare_plan::{InputSource, SharedPlan};
 use ishare_storage::Catalog;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Leaf input estimates per subplan, keyed by leaf path. A `BTreeMap` so
 /// every iteration over the inputs (decomposition, debugging output) is
@@ -36,8 +37,9 @@ pub struct CostReport {
     /// Full-trigger input estimate per subplan leaf (the Fig. 7 input
     /// cardinalities the decomposition algorithm consumes).
     pub subplan_inputs: Vec<LeafInputs>,
-    /// Full-trigger output estimate per subplan.
-    pub subplan_output: Vec<StreamEstimate>,
+    /// Simulation result per subplan, shared with the estimator's memo; its
+    /// `output` is the subplan's full-trigger output estimate.
+    pub subplan_output: Vec<Arc<SubplanSim>>,
 }
 
 impl CostReport {
@@ -78,14 +80,22 @@ pub struct PlanEstimator {
     /// Per subplan: sorted list of (that subplan + descendants) — the key
     /// domain of its private pace configuration.
     descendants: Vec<Vec<SubplanId>>,
-    /// Per subplan: its leaves (path, source).
-    leaves: Vec<Vec<(Vec<usize>, InputSource)>>,
+    /// Per subplan: its compiled simulation program.
+    programs: Vec<SimProgram>,
+    /// Per subplan: the base tables its input cone reads (its own and its
+    /// descendants'), sorted — what [`PlanEstimator::refresh_base`]
+    /// invalidates by.
+    cone_tables: Vec<Vec<TableId>>,
     /// Base-table full-trigger stream estimates (`BTreeMap` so refresh and
     /// drift scans iterate in a deterministic order).
     base: BTreeMap<TableId, StreamEstimate>,
     /// Per subplan: memo from private pace configuration to simulation
     /// (Arc so hits are O(1), not a deep clone of the stream estimate).
-    memo: Vec<HashMap<Vec<u32>, std::sync::Arc<SubplanSim>>>,
+    memo: Vec<HashMap<Vec<u32>, Arc<SubplanSim>>>,
+    /// The memo key under construction, and the simulator's buffers: reused
+    /// across calls so the hit path allocates only the report.
+    key: Vec<u32>,
+    scratch: SimScratch,
     /// Hit/miss counters.
     pub counters: EstimatorCounters,
     /// When `false`, [`PlanEstimator::estimate`] behaves like
@@ -100,16 +110,18 @@ impl PlanEstimator {
         let topo = plan.topo_order()?;
         let n = plan.subplans.len();
 
-        // Leaves per subplan.
-        let mut leaves = Vec::with_capacity(n);
-        for sp in &plan.subplans {
-            let mut out = Vec::new();
-            collect_leaves(&sp.root, &mut Vec::new(), &mut out);
-            leaves.push(out);
-        }
+        let programs: Vec<SimProgram> = plan.subplans.iter().map(SimProgram::compile).collect();
+        let tables_of = |i: usize| {
+            programs[i].leaves().iter().filter_map(|(_, src)| match src {
+                InputSource::Base(t) => Some(*t),
+                InputSource::Subplan(_) => None,
+            })
+        };
 
-        // Descendant closure (children-first order makes one pass enough).
+        // Descendant closure and the tables under it (children-first order
+        // makes one pass enough).
         let mut descendants: Vec<Vec<SubplanId>> = vec![Vec::new(); n];
+        let mut cone_tables: Vec<Vec<TableId>> = vec![Vec::new(); n];
         for &id in &topo {
             let mut set: Vec<SubplanId> = vec![id];
             for c in plan.subplans[id.index()].children() {
@@ -120,15 +132,19 @@ impl PlanEstimator {
                 }
             }
             set.sort();
+            let mut tables: Vec<TableId> = set.iter().flat_map(|d| tables_of(d.index())).collect();
+            tables.sort();
+            tables.dedup();
             descendants[id.index()] = set;
+            cone_tables[id.index()] = tables;
         }
 
         // Base streams: every row of a base table is valid for every query
         // of the whole plan (leaf narrowing restricts per subplan).
         let queries = plan.queries();
         let mut base = BTreeMap::new();
-        for sp in &plan.subplans {
-            for t in sp.root.referenced_tables() {
+        for i in 0..n {
+            for t in tables_of(i) {
                 if let std::collections::btree_map::Entry::Vacant(e) = base.entry(t) {
                     let def = catalog.table(t)?;
                     e.insert(StreamEstimate::insert_only(
@@ -145,9 +161,12 @@ impl PlanEstimator {
             weights,
             topo,
             descendants,
-            leaves,
+            programs,
+            cone_tables,
             base,
             memo: vec![HashMap::new(); n],
+            key: Vec::new(),
+            scratch: SimScratch::default(),
             counters: EstimatorCounters::default(),
             memo_enabled: true,
         })
@@ -215,12 +234,9 @@ impl PlanEstimator {
         est.delete_frac = new_delete_frac;
         // Cone-scoped invalidation: subplan `i` depends on `t` iff `t` is
         // referenced by `i` or any of its descendants.
-        for i in 0..self.plan.subplans.len() {
-            let cone_refs_t = self.descendants[i]
-                .iter()
-                .any(|d| self.plan.subplans[d.index()].root.referenced_tables().contains(&t));
-            if cone_refs_t {
-                self.memo[i].clear();
+        for (memo, tables) in self.memo.iter_mut().zip(&self.cone_tables) {
+            if tables.binary_search(&t).is_ok() {
+                memo.clear();
             }
         }
         Ok(true)
@@ -262,7 +278,7 @@ impl PlanEstimator {
         if let Some(&bad) = paces.iter().find(|&&p| p == 0) {
             return Err(Error::InvalidConfig(format!("pace {bad} must be >= 1")));
         }
-        let mut outputs: Vec<Option<StreamEstimate>> = vec![None; n];
+        let mut sims: Vec<Option<Arc<SubplanSim>>> = vec![None; n];
         let mut report = CostReport {
             total_work: WorkUnits::ZERO,
             final_work: BTreeMap::new(),
@@ -271,67 +287,59 @@ impl PlanEstimator {
             subplan_inputs: vec![LeafInputs::new(); n],
             subplan_output: Vec::new(),
         };
-        for &id in &self.topo.clone() {
+        for &id in &self.topo {
             let i = id.index();
-            // Assemble this subplan's leaf inputs from children's outputs.
-            let mut inputs = LeafInputs::new();
-            for (path, src) in &self.leaves[i] {
-                let est = match src {
-                    InputSource::Base(t) => self
-                        .base
-                        .get(t)
-                        .ok_or_else(|| Error::NotFound(format!("base stream {t}")))?
-                        .clone(),
-                    InputSource::Subplan(c) => outputs[c.index()].clone().ok_or_else(|| {
-                        Error::InvalidPlan(format!("child {c} output missing for {id}"))
-                    })?,
-                };
-                inputs.insert(path.clone(), est);
-            }
-            let key: Vec<u32> = self.descendants[i].iter().map(|d| paces[d.index()]).collect();
-            let sim: std::sync::Arc<SubplanSim> = if use_memo {
-                if let Some(hit) = self.memo[i].get(&key) {
+            let program = &self.programs[i];
+            self.key.clear();
+            self.key.extend(self.descendants[i].iter().map(|d| paces[d.index()]));
+            let hit = if use_memo { self.memo[i].get(self.key.as_slice()).cloned() } else { None };
+            let sim = match hit {
+                Some(sim) => {
                     self.counters.memo_hits += 1;
-                    hit.clone()
-                } else {
-                    self.counters.simulations += 1;
-                    let sim = std::sync::Arc::new(simulate_subplan(
-                        &self.plan.subplans[i],
-                        paces[i],
-                        &inputs,
-                        &self.weights,
-                    )?);
-                    self.memo[i].insert(key, sim.clone());
                     sim
                 }
-            } else {
-                self.counters.simulations += 1;
-                std::sync::Arc::new(simulate_subplan(
-                    &self.plan.subplans[i],
-                    paces[i],
-                    &inputs,
-                    &self.weights,
-                )?)
+                // Only a miss reads the leaf inputs: children's outputs are
+                // borrowed from their simulations, never copied.
+                None => {
+                    self.counters.simulations += 1;
+                    let inputs = leaf_inputs(program, &self.base, &sims, id)?;
+                    let sim =
+                        Arc::new(program.run(paces[i], &inputs, &self.weights, &mut self.scratch));
+                    if use_memo {
+                        self.memo[i].insert(self.key.clone(), sim.clone());
+                    }
+                    sim
+                }
             };
             report.total_work += WorkUnits(sim.private_total);
             report.subplan_total[i] = sim.private_total;
             report.subplan_final[i] = sim.private_final;
             if collect_inputs {
-                report.subplan_inputs[i] = inputs;
+                let inputs = leaf_inputs(program, &self.base, &sims, id)?;
+                report.subplan_inputs[i] = program
+                    .leaves()
+                    .iter()
+                    .zip(inputs)
+                    .map(|((path, _), est)| (path.clone(), est.clone()))
+                    .collect();
             }
-            outputs[i] = Some(sim.output.clone());
+            sims[i] = Some(sim);
         }
+        // Per query, its subplans' final work summed in subplan order.
+        let mut finals = [0.0f64; QuerySet::MAX_QUERIES];
+        let mut queries = QuerySet::EMPTY;
         for sp in &self.plan.subplans {
+            queries = queries.union(sp.queries);
             for q in sp.queries.iter() {
-                *report.final_work.entry(q).or_insert(WorkUnits::ZERO) +=
-                    WorkUnits(report.subplan_final[sp.id.index()]);
+                finals[q.index()] += report.subplan_final[sp.id.index()];
             }
         }
-        report.subplan_output = outputs
+        report.final_work = queries.iter().map(|q| (q, WorkUnits(finals[q.index()]))).collect();
+        report.subplan_output = sims
             .into_iter()
             .enumerate()
-            .map(|(i, o)| {
-                o.ok_or_else(|| {
+            .map(|(i, sim)| {
+                sim.ok_or_else(|| {
                     Error::InvalidPlan(format!(
                         "subplan {i} missing from topological order (malformed DAG)"
                     ))
@@ -342,19 +350,27 @@ impl PlanEstimator {
     }
 }
 
-fn collect_leaves(
-    t: &ishare_plan::OpTree,
-    path: &mut Vec<usize>,
-    out: &mut Vec<(Vec<usize>, InputSource)>,
-) {
-    if let ishare_plan::TreeOp::Input(src) = &t.op {
-        out.push((path.clone(), *src));
-    }
-    for (i, c) in t.inputs.iter().enumerate() {
-        path.push(i);
-        collect_leaves(c, path, out);
-        path.pop();
-    }
+/// One subplan's full-trigger leaf estimates, in its program's leaf order:
+/// base streams, and the outputs of the children simulated so far.
+fn leaf_inputs<'a>(
+    program: &SimProgram,
+    base: &'a BTreeMap<TableId, StreamEstimate>,
+    sims: &'a [Option<Arc<SubplanSim>>],
+    id: SubplanId,
+) -> Result<Vec<&'a StreamEstimate>> {
+    program
+        .leaves()
+        .iter()
+        .map(|(_, src)| match src {
+            InputSource::Base(t) => {
+                base.get(t).ok_or_else(|| Error::NotFound(format!("base stream {t}")))
+            }
+            InputSource::Subplan(c) => sims[c.index()]
+                .as_deref()
+                .map(|sim| &sim.output)
+                .ok_or_else(|| Error::InvalidPlan(format!("child {c} output missing for {id}"))),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -525,22 +541,65 @@ mod tests {
         );
     }
 
+    /// Every float of a report, as bits.
+    fn report_bits(r: &CostReport) -> Vec<u64> {
+        let mut bits = vec![r.total_work.get().to_bits()];
+        bits.extend(r.final_work.iter().flat_map(|(q, w)| [u64::from(q.0), w.get().to_bits()]));
+        for (i, sim) in r.subplan_output.iter().enumerate() {
+            assert_eq!(r.subplan_total[i].to_bits(), sim.private_total.to_bits());
+            assert_eq!(r.subplan_final[i].to_bits(), sim.private_final.to_bits());
+            bits.extend([sim.private_total, sim.private_final].map(f64::to_bits));
+            let out = &sim.output;
+            bits.extend([out.rows.total, out.delete_frac].map(f64::to_bits));
+            bits.extend(out.rows.per_query.iter().flat_map(|(&q, n)| [u64::from(q), n.to_bits()]));
+            bits.extend(out.cols.iter().map(|c| c.ndv.to_bits()));
+        }
+        bits
+    }
+
     #[test]
     fn memoized_equals_unmemoized() {
-        let c = catalog();
-        let plan = fig2_plan(&c);
-        let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
-        let n = plan.len();
-        for trial in 0..4u32 {
-            let paces: Vec<u32> = (0..n as u32).map(|i| 1 + (i + trial) % 4).collect();
-            // Clamp to parent<=child validity is not required by the
-            // estimator itself; it costs any configuration.
-            let a = est.estimate(&paces).unwrap();
-            let b = est.estimate_unmemoized(&paces).unwrap();
-            assert!((a.total_work.get() - b.total_work.get()).abs() < 1e-6, "trial {trial}");
-            for (q, w) in &a.final_work {
-                assert!((w.get() - b.final_work[q].get()).abs() < 1e-6);
+        // The 22-query TPC-H plan, seeded plan-respecting pace vectors drawn
+        // from a small range so the memo hits often, and a base-table refresh
+        // every few trials: a hit on an entry the refresh should have dropped
+        // would differ from the from-scratch estimate.
+        let data = ishare_tpch::generate(0.002, 7).unwrap();
+        let queries: Vec<_> = ishare_tpch::all_queries(&data.catalog)
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .map(|(i, q)| (QueryId(i as u16), ishare_mqo::normalize(&q.plan)))
+            .collect();
+        let dag =
+            ishare_mqo::build_shared_dag(&queries, &data.catalog, &Default::default()).unwrap();
+        let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
+        let mut est = PlanEstimator::new(&plan, &data.catalog, CostWeights::default()).unwrap();
+        let tables = est.base_tables();
+        let topo = plan.topo_order().unwrap();
+        let mut state = 7u64;
+        let mut draw = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for trial in 0..60 {
+            if trial % 4 == 3 {
+                let t = tables[draw(tables.len() as u64) as usize];
+                let rows =
+                    est.base_estimate(t).unwrap().rows.total * (0.5 + draw(100) as f64 / 64.0);
+                let delete_frac = draw(30) as f64 / 100.0;
+                est.refresh_base(t, ObservedBase { rows, delete_frac }).unwrap();
             }
+            let mut paces = vec![1u32; plan.len()];
+            for id in &topo {
+                let children = plan.subplans[id.index()].children();
+                let cap = children.iter().map(|c| paces[c.index()]).min().unwrap_or(6);
+                paces[id.index()] = 1 + draw(u64::from(cap)) as u32;
+            }
+            let hits = est.counters.memo_hits;
+            let memoized = est.estimate(&paces).unwrap();
+            let scratch = est.estimate_unmemoized(&paces).unwrap();
+            assert_eq!(report_bits(&memoized), report_bits(&scratch), "trial {trial}: {paces:?}");
+            assert!(trial == 0 || est.counters.memo_hits > hits, "trial {trial} never hit");
         }
     }
 
@@ -554,7 +613,7 @@ mod tests {
         assert_eq!(rep.subplan_output.len(), plan.len());
         // The shared subplan's output feeds two parents; its estimate must
         // track per-query cardinalities for both.
-        let shared = &rep.subplan_output[0];
+        let shared = &rep.subplan_output[0].output;
         assert!(shared.rows.query(QueryId(0)) > 0.0);
         assert!(shared.rows.query(QueryId(1)) > 0.0);
         assert!(shared.delete_frac > 0.0, "pace 2 aggregate churns");

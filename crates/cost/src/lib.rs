@@ -13,7 +13,10 @@
 //!   estimates and a pace `k`, simulate `k` incremental executions, mirroring
 //!   the engine's work charges (including aggregate retract+insert churn and
 //!   MIN/MAX rescans), and produce the subplan's *private total work*,
-//!   *private final work* and output stream estimate.
+//!   *private final work* and output stream estimate. A subplan is compiled
+//!   once into a flat program over dense query slots; estimates are
+//!   reproducible to the bit, which the pace searches' exact tie-breaks rely
+//!   on.
 //! * [`estimator`] — the whole-plan estimator with the **memoization
 //!   algorithm** of Sec. 3.2 (Algorithm 1): each subplan memoizes
 //!   `(private total work, private final work, output estimate)` keyed by its

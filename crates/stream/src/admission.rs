@@ -63,6 +63,7 @@ use ishare_common::{
     WorkUnits,
 };
 use ishare_core::constraint::batch_final_works;
+use ishare_core::pace_search::SearchOutcome;
 use ishare_core::{find_pace_configuration, resolve_constraints, FinalWorkConstraint};
 use ishare_cost::PlanEstimator;
 use ishare_exec::executor::StateBundle;
@@ -267,8 +268,7 @@ pub fn execute_churn_from_source(
     sharer.seal();
     let (plan, roots) = SharedPlan::from_dag_with_roots(sharer.dag(), |_| false, &[])?;
     let budgets = resolve_constraints(initial, constraints, catalog, weights)?;
-    let mut est = PlanEstimator::new(&plan, catalog, weights)?;
-    let outcome = find_pace_configuration(&mut est, &budgets, opts.max_pace())?;
+    let outcome = search_from_batch(&plan, catalog, weights, &budgets, opts.max_pace())?;
     let paces = outcome.paces.as_slice().to_vec();
 
     let exec_opts = opts.source.exec_options();
@@ -624,8 +624,8 @@ impl Runner<'_> {
 
         let mut cons = self.residual_constraints();
         cons.insert(q, l);
-        let mut est = PlanEstimator::new(&plan2, self.catalog, self.weights)?;
-        let outcome = find_pace_configuration(&mut est, &cons, self.opts.max_pace())?;
+        let outcome =
+            search_from_batch(&plan2, self.catalog, self.weights, &cons, self.opts.max_pace())?;
         if !outcome.feasible {
             return Err(Error::Churn(format!(
                 "admission of query {q} is infeasible under final-work budget {l} given the \
@@ -684,8 +684,8 @@ impl Runner<'_> {
         };
         // Best effort: the remaining queries' residuals may already be
         // exhausted; removal itself is never rejected for pace reasons.
-        let mut est = PlanEstimator::new(&plan2, self.catalog, self.weights)?;
-        let outcome = find_pace_configuration(&mut est, &cons, self.opts.max_pace())?;
+        let outcome =
+            search_from_batch(&plan2, self.catalog, self.weights, &cons, self.opts.max_pace())?;
 
         let (reclaimed, _) = self.reconcile(&plan2, &roots2, None, Some(q))?;
 
@@ -1150,6 +1150,19 @@ impl Runner<'_> {
             quiesce_ticks: self.quiesce_ticks,
         })
     }
+}
+
+/// The pace search a churn boundary runs: a fresh estimator for the re-cut
+/// plan, searched from batch under the live queries' budgets.
+fn search_from_batch(
+    plan: &SharedPlan,
+    catalog: &Catalog,
+    weights: CostWeights,
+    budgets: &BTreeMap<QueryId, f64>,
+    max_pace: u32,
+) -> Result<SearchOutcome> {
+    let mut est = PlanEstimator::new(plan, catalog, weights)?;
+    find_pace_configuration(&mut est, budgets, max_pace)
 }
 
 /// Find the old consumer registered at `path`, marking it claimed.
