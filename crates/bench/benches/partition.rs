@@ -20,7 +20,7 @@ use ishare_common::{CostWeights, DataType, QueryId, QuerySet, TableId, Value};
 use ishare_expr::Expr;
 use ishare_plan::{AggExpr, AggFunc, DagOp, SharedDag, SharedPlan};
 use ishare_storage::{Catalog, Field, Row, Schema, TableStats};
-use ishare_stream::{execute_planned_deltas, execute_planned_deltas_partitioned};
+use ishare_stream::{execute_planned_deltas, execute_planned_deltas_with, SourceOptions};
 use std::collections::HashMap;
 
 fn quick() -> bool {
@@ -107,8 +107,8 @@ fn bench_partitioned_run(c: &mut Criterion) {
         for parts in [1usize, 2, 4] {
             g.bench_with_input(BenchmarkId::new(format!("partitioned_p{parts}"), n), &n, |b, _| {
                 b.iter(|| {
-                    execute_planned_deltas_partitioned(&plan, &paces, &cat, &feeds, weights, parts)
-                        .unwrap()
+                    let opts = SourceOptions { partitions: parts, ..Default::default() };
+                    execute_planned_deltas_with(&plan, &paces, &cat, &feeds, weights, opts).unwrap()
                 })
             });
         }

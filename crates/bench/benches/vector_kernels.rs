@@ -71,11 +71,8 @@ fn bench_predicate(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("vectorized", n), &n, |b, _| {
             b.iter(|| {
                 let counter = WorkCounter::new();
-                let delta = VecDelta::Cols {
-                    batch: cb.clone(),
-                    sel: sel.clone(),
-                    masks: masks.clone(),
-                };
+                let delta =
+                    VecDelta::Cols { batch: cb.clone(), sel: sel.clone(), masks: masks.clone() };
                 select_columnar(delta, &branches, &compiled, &weights, &counter).unwrap()
             })
         });

@@ -29,8 +29,8 @@ use ishare_core::{
     plan_workload, Approach, FinalWorkConstraint, PlannedExecution, PlanningOptions,
 };
 use ishare_stream::{
-    execute_adaptive_from_source_obs, execute_adaptive_from_source_parallel_obs,
-    execute_from_source_obs, CommitLog, RunResult, Source, SourceOptions, SourceOutcome,
+    execute_adaptive_from_source_obs, execute_from_source_obs, CommitLog, RunResult, Source,
+    SourceOptions, SourceOutcome,
 };
 use ishare_tpch::updates::DeltaFeed;
 use ishare_tpch::{generate, query_by_name, with_updates, TpchData};
@@ -68,26 +68,15 @@ fn adaptive_run(
     let mut ctrl =
         AdaptController::from_planned(planned, &data.catalog, w, AdaptOptions::default())?;
     let mut source = Source::in_order(feeds);
-    let out = if threads == 1 {
-        execute_adaptive_from_source_obs(
-            &planned.plan,
-            &data.catalog,
-            &mut source,
-            w,
-            opts,
-            &mut ctrl,
-        )
-    } else {
-        execute_adaptive_from_source_parallel_obs(
-            &planned.plan,
-            &data.catalog,
-            &mut source,
-            w,
-            threads,
-            opts,
-            &mut ctrl,
-        )
-    }?;
+    let opts = SourceOptions { workers: threads, ..opts };
+    let out = execute_adaptive_from_source_obs(
+        &planned.plan,
+        &data.catalog,
+        &mut source,
+        w,
+        opts,
+        &mut ctrl,
+    )?;
     Ok((out, ctrl))
 }
 

@@ -10,14 +10,17 @@
 //! * the incremental sharer's DAG equals the from-scratch batch build for
 //!   the initial set (merge-equivalence smoke; the full property is pinned
 //!   by `crates/mqo/tests/churn_props.rs`),
-//! * every run of the matrix — obs off/on, partitions 1/2/4, 1/2 partition
-//!   workers — agrees **to the bit** on charged total work, per-query
-//!   final work, execution counts, churn records, and result multisets,
-//! * a run killed after two wavefronts resumes deterministically: the
-//!   commit log (churn records included) verifies on replay and the
-//!   resumed trajectory reproduces the uninterrupted run exactly,
-//! * admitted queries' results match their standalone batch oracle, and
-//!   the removed query is gone from the output.
+//! * every run of the matrix — obs off/on × partitions 1/2/4 × 1/2
+//!   partition workers × 1/2 wavefront workers — agrees **to the bit** on
+//!   charged total work, per-query final work, execution counts, churn
+//!   records, and result multisets,
+//! * a run killed after two wavefronts — on two workers — resumes
+//!   deterministically: its commit log (churn records included) is a prefix
+//!   of the one-worker reference's, verifies on replay, and the resumed
+//!   trajectory reproduces the uninterrupted run exactly,
+//! * every query live at the end — survivors of the initial set as well
+//!   as the admitted ones — matches its standalone batch oracle, and the
+//!   removed query is gone from the output.
 //!
 //! With `--out`, writes the reference run's summary in the same shape
 //! `examples/streaming.rs --out` produces, so two invocations can be
@@ -25,14 +28,14 @@
 //!
 //! Exits 0 on exact agreement, 1 with the first difference otherwise.
 
-use ishare_common::{CostWeights, QueryId, TableId};
+use ishare_common::{CostWeights, QueryId};
 use ishare_core::FinalWorkConstraint;
 use ishare_mqo::{build_shared_dag, normalize, IncrementalSharer, MqoConfig};
 use ishare_plan::LogicalPlan;
 use ishare_storage::Row;
 use ishare_stream::{
-    execute_churn_from_source, ChurnEvent, ChurnOp, ChurnOptions, ChurnOutcome, ChurnRunResult,
-    ObsConfig, Source,
+    execute_churn_from_source, insert_feeds, ChurnEvent, ChurnOp, ChurnOptions, ChurnOutcome,
+    ChurnRunResult, ObsConfig, Source,
 };
 use ishare_tpch::{generate, queries::sharing_friendly_queries};
 use std::collections::{BTreeMap, HashMap};
@@ -216,11 +219,7 @@ fn main() {
         },
         ChurnEvent { num: 3, den: 4, op: ChurnOp::Remove { query: QueryId(1) } },
     ]);
-    let feeds: HashMap<TableId, Vec<(Row, i64)>> = tpch
-        .data
-        .iter()
-        .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-        .collect();
+    let feeds = insert_feeds(&tpch.data);
 
     // Merge-equivalence smoke: incremental admissions == batch build.
     {
@@ -283,8 +282,9 @@ fn main() {
         fail("removed query still has a result");
     }
 
-    // Admitted queries' results must equal their standalone batch oracle.
-    for q in [QueryId(3), QueryId(4)] {
+    // Every live query's result must equal its standalone batch oracle:
+    // the admitted ones (state handed off) and the survivors (state kept).
+    for q in reference.live.iter() {
         let single = vec![(q, pool[q.0 as usize].clone())];
         let mut source = Source::in_order(&feeds);
         let solo = execute_churn_from_source(
@@ -300,31 +300,36 @@ fn main() {
         .into_result()
         .unwrap_or_else(|e| fail(&format!("solo run {q}: {e}")));
         if !results_approx_equal(&reference.run.results[&q], &solo.run.results[&q]) {
-            fail(&format!("admitted query {q}: churn result != standalone oracle"));
+            fail(&format!("live query {q}: churn result != standalone oracle"));
         }
     }
-    println!("validate_churn: admitted queries match their standalone oracles");
+    println!("validate_churn: all live queries match their standalone oracles");
 
-    // Bit-identity matrix: obs on, partitioned state, partition workers.
-    let mut obs_opts = base_opts();
-    obs_opts.source.obs = Some(ObsConfig::default());
-    check("obs-on vs obs-off", &reference, &complete(run(&obs_opts)).0);
-    for partitions in [1usize, 2, 4] {
-        for partition_threads in [1usize, 2] {
-            let mut o = base_opts();
-            o.source.partitions = partitions;
-            o.source.partition_threads = partition_threads;
-            check(
-                &format!("{partitions}-partition {partition_threads}-worker vs reference"),
-                &reference,
-                &complete(run(&o)).0,
-            );
+    // Bit-identity matrix: obs, partitioned state, partition workers,
+    // wavefront workers.
+    for obs in [None, Some(ObsConfig::default())] {
+        for partitions in [1usize, 2, 4] {
+            for (partition_threads, workers) in [(1usize, 1usize), (2, 1), (1, 2), (2, 2)] {
+                let mut o = base_opts();
+                o.source.obs = obs;
+                o.source.partitions = partitions;
+                o.source.partition_threads = partition_threads;
+                o.source.workers = workers;
+                let label = format!(
+                    "obs-{} {partitions}-partition {partition_threads}-partition-worker \
+                     {workers}-worker vs reference",
+                    if obs.is_some() { "on" } else { "off" },
+                );
+                check(&label, &reference, &complete(run(&o)).0);
+            }
         }
     }
 
-    // Kill after two wavefronts, then replay under log verification: the
-    // churn trajectory (records included) must reproduce bit-for-bit.
+    // Kill after two wavefronts, then replay under log verification — both
+    // on two workers: the churn trajectory (records included) must
+    // reproduce the one-worker reference bit-for-bit.
     let mut kill = base_opts();
+    kill.source.workers = 2;
     kill.source.stop_after = Some(2);
     let partial = match run(&kill) {
         ChurnOutcome::Suspended { log } => log,
@@ -334,6 +339,7 @@ fn main() {
         fail("suspended run's commit log is not a prefix of the full log");
     }
     let mut resume = base_opts();
+    resume.source.workers = 2;
     resume.source.verify = Some(log.clone());
     check("kill/resume replay vs reference", &reference, &complete(run(&resume)).0);
     if !log.entries.iter().any(|e| !e.churn.is_empty()) {

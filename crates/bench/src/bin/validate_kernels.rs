@@ -21,15 +21,13 @@
 //!
 //! Exits 0 on exact agreement, 1 with the first difference otherwise.
 
-use ishare_common::{CostWeights, QueryId, TableId};
+use ishare_common::{CostWeights, QueryId};
 use ishare_core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
-use ishare_storage::Row;
 use ishare_stream::{
-    execute_planned_deltas, execute_planned_deltas_parallel, execute_planned_deltas_reference,
-    execute_planned_deltas_vectorized, RunResult,
+    execute_planned_deltas_with, insert_feeds, ExecMode, RunResult, SourceOptions,
 };
 use ishare_tpch::{generate, queries::sharing_friendly_queries};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 fn fail(msg: &str) -> ! {
     eprintln!("validate_kernels: {msg}");
@@ -141,54 +139,31 @@ fn main() {
     let opts = PlanningOptions { max_pace: 8, ..Default::default() };
     let planned = plan_workload(Approach::IShare, &queries, &cons, &tpch.catalog, &opts)
         .unwrap_or_else(|e| fail(&format!("planning: {e}")));
-    let feeds: HashMap<TableId, Vec<(Row, i64)>> = tpch
-        .data
-        .iter()
-        .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-        .collect();
+    let feeds = insert_feeds(&tpch.data);
     println!(
         "validate_kernels: sf {sf}, seed {seed}, {} queries, {} subplans",
         queries.len(),
         planned.plan.len()
     );
 
-    let weights = CostWeights::default;
-    let reference = execute_planned_deltas_reference(
-        &planned.plan,
-        planned.paces.as_slice(),
-        &tpch.catalog,
-        &feeds,
-        weights(),
-    )
-    .unwrap_or_else(|e| fail(&format!("reference run: {e}")));
-    let kernels = execute_planned_deltas(
-        &planned.plan,
-        planned.paces.as_slice(),
-        &tpch.catalog,
-        &feeds,
-        weights(),
-    )
-    .unwrap_or_else(|e| fail(&format!("kernel run: {e}")));
-    check("kernels sequential vs reference", &reference, &kernels);
-    let vectorized = execute_planned_deltas_vectorized(
-        &planned.plan,
-        planned.paces.as_slice(),
-        &tpch.catalog,
-        &feeds,
-        weights(),
-    )
-    .unwrap_or_else(|e| fail(&format!("vectorized run: {e}")));
-    check("vectorized sequential vs reference", &reference, &vectorized);
-    for threads in [2usize, 4] {
-        let par = execute_planned_deltas_parallel(
+    let run = |label: &str, mode: ExecMode, workers: usize| {
+        execute_planned_deltas_with(
             &planned.plan,
             planned.paces.as_slice(),
             &tpch.catalog,
             &feeds,
-            weights(),
-            threads,
+            CostWeights::default(),
+            SourceOptions { mode, workers, ..Default::default() },
         )
-        .unwrap_or_else(|e| fail(&format!("parallel run ({threads} threads): {e}")));
+        .unwrap_or_else(|e| fail(&format!("{label}: {e}")))
+    };
+    let reference = run("reference run", ExecMode::Reference, 1);
+    let kernels = run("kernel run", ExecMode::Kernels, 1);
+    check("kernels sequential vs reference", &reference, &kernels);
+    let vectorized = run("vectorized run", ExecMode::Vectorized, 1);
+    check("vectorized sequential vs reference", &reference, &vectorized);
+    for threads in [2usize, 4] {
+        let par = run(&format!("parallel run ({threads} threads)"), ExecMode::Kernels, threads);
         check(&format!("kernels {threads}-thread vs reference"), &reference, &par);
     }
 

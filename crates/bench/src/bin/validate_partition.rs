@@ -20,15 +20,11 @@
 //!
 //! Exits 0 on exact agreement, 1 with the first difference otherwise.
 
-use ishare_common::{CostWeights, QueryId, TableId};
+use ishare_common::{CostWeights, QueryId};
 use ishare_core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
-use ishare_storage::Row;
-use ishare_stream::{
-    execute_planned_deltas, execute_planned_deltas_parallel_partitioned_obs,
-    execute_planned_deltas_partitioned_obs, RunResult,
-};
+use ishare_stream::{execute_planned_deltas_with, insert_feeds, RunResult, SourceOptions};
 use ishare_tpch::{generate, queries::sharing_friendly_queries};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 fn fail(msg: &str) -> ! {
     eprintln!("validate_partition: {msg}");
@@ -141,43 +137,33 @@ fn main() {
     let opts = PlanningOptions { max_pace: 8, ..Default::default() };
     let planned = plan_workload(Approach::IShare, &queries, &cons, &tpch.catalog, &opts)
         .unwrap_or_else(|e| fail(&format!("planning: {e}")));
-    let feeds: HashMap<TableId, Vec<(Row, i64)>> = tpch
-        .data
-        .iter()
-        .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-        .collect();
+    let feeds = insert_feeds(&tpch.data);
     println!(
         "validate_partition: sf {sf}, seed {seed}, {} queries, {} subplans",
         queries.len(),
         planned.plan.len()
     );
 
-    let weights = CostWeights::default;
-    let reference = execute_planned_deltas(
-        &planned.plan,
-        planned.paces.as_slice(),
-        &tpch.catalog,
-        &feeds,
-        weights(),
-    )
-    .unwrap_or_else(|e| fail(&format!("sequential run: {e}")));
+    let run = |label: &str, opts: SourceOptions| {
+        execute_planned_deltas_with(
+            &planned.plan,
+            planned.paces.as_slice(),
+            &tpch.catalog,
+            &feeds,
+            CostWeights::default(),
+            opts,
+        )
+        .unwrap_or_else(|e| fail(&format!("{label}: {e}")))
+    };
+    let reference = run("sequential run", SourceOptions::default());
 
     let mut four_partition: Option<RunResult> = None;
     for partitions in [1usize, 2, 4] {
         for partition_threads in [1usize, 2] {
-            let part = execute_planned_deltas_partitioned_obs(
-                &planned.plan,
-                planned.paces.as_slice(),
-                &tpch.catalog,
-                &feeds,
-                weights(),
-                partitions,
-                partition_threads,
-                None,
-            )
-            .unwrap_or_else(|e| {
-                fail(&format!("partitioned run (P={partitions}, pt={partition_threads}): {e}"))
-            });
+            let part = run(
+                &format!("partitioned run (P={partitions}, pt={partition_threads})"),
+                SourceOptions { partitions, partition_threads, ..Default::default() },
+            );
             check(
                 &format!("{partitions}-partition {partition_threads}-worker vs sequential"),
                 &reference,
@@ -188,21 +174,12 @@ fn main() {
             }
         }
     }
-    // Intra-subplan partitioning stacked on the inter-subplan parallel
-    // driver.
+    // Intra-subplan partitioning stacked on inter-subplan workers.
     for partitions in [2usize, 4] {
-        let stacked = execute_planned_deltas_parallel_partitioned_obs(
-            &planned.plan,
-            planned.paces.as_slice(),
-            &tpch.catalog,
-            &feeds,
-            weights(),
-            2,
-            partitions,
-            2,
-            None,
-        )
-        .unwrap_or_else(|e| fail(&format!("stacked run (P={partitions}): {e}")));
+        let stacked = run(
+            &format!("stacked run (P={partitions})"),
+            SourceOptions { workers: 2, partitions, partition_threads: 2, ..Default::default() },
+        );
         check(&format!("2-thread {partitions}-partition vs sequential"), &reference, &stacked);
     }
 

@@ -39,8 +39,8 @@ use ishare_core::{
     plan_workload, Approach, FinalWorkConstraint, PlannedExecution, PlanningOptions,
 };
 use ishare_stream::{
-    execute_from_source_obs, execute_from_source_parallel_obs, ObsConfig, RunResult, SlackLedger,
-    Source, SourceOptions, SourceOutcome,
+    execute_from_source_obs, insert_feeds, ObsConfig, RunResult, SlackLedger, Source,
+    SourceOptions, SourceOutcome,
 };
 use ishare_tpch::updates::DeltaFeed;
 use ishare_tpch::{generate, query_by_name, TpchData};
@@ -73,15 +73,6 @@ fn plan(data: &TpchData) -> Result<PlannedExecution> {
     plan_workload(Approach::IShare, &queries, &cons, &data.catalog, &opts)
 }
 
-/// Clean insert-only feeds (no drift — the planned configuration stays
-/// feasible, so the zero-miss assertion is meaningful).
-fn clean_feeds(data: &TpchData) -> HashMap<TableId, DeltaFeed> {
-    data.data
-        .iter()
-        .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-        .collect()
-}
-
 fn run_once(
     planned: &PlannedExecution,
     data: &TpchData,
@@ -91,26 +82,14 @@ fn run_once(
 ) -> Result<SourceOutcome> {
     let w = CostWeights::default();
     let mut source = Source::in_order(feeds);
-    if threads == 1 {
-        execute_from_source_obs(
-            &planned.plan,
-            planned.paces.as_slice(),
-            &data.catalog,
-            &mut source,
-            w,
-            opts,
-        )
-    } else {
-        execute_from_source_parallel_obs(
-            &planned.plan,
-            planned.paces.as_slice(),
-            &data.catalog,
-            &mut source,
-            w,
-            threads,
-            opts,
-        )
-    }
+    execute_from_source_obs(
+        &planned.plan,
+        planned.paces.as_slice(),
+        &data.catalog,
+        &mut source,
+        w,
+        SourceOptions { workers: threads, ..opts },
+    )
 }
 
 fn completed(out: SourceOutcome, label: &str) -> RunResult {
@@ -302,7 +281,9 @@ fn run(
 ) -> Result<()> {
     let data = generate(sf, seed)?;
     let planned = plan(&data)?;
-    let feeds = clean_feeds(&data);
+    // Clean insert-only feeds: no drift, so the planned configuration stays
+    // feasible and the zero-miss assertion is meaningful.
+    let feeds = insert_feeds(&data.data);
 
     // 1. Sequential obs-on run with SLO budgets: the reference ledger.
     let run_seq =

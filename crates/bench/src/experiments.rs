@@ -743,10 +743,7 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
     use ishare_expr::{CompiledPredicate, Expr};
     use ishare_plan::{AggExpr, AggFunc, SelectBranch};
     use ishare_storage::{ColumnarBatch, DeltaBatch, DeltaRow, Row};
-    use ishare_stream::{
-        execute_planned_deltas, execute_planned_deltas_reference, execute_planned_deltas_vectorized,
-    };
-    use std::collections::HashMap;
+    use ishare_stream::{execute_planned_deltas_with, insert_feeds, ExecMode, SourceOptions};
 
     let weights = CostWeights::default();
     const REPS: usize = 5;
@@ -895,33 +892,20 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
         queries.iter().map(|(q, _)| (*q, FinalWorkConstraint::Relative(0.2))).collect();
     let planned =
         plan_workload(Approach::NoShareNonuniform, &queries, &cons, &env.data.catalog, &opts(p))?;
-    let feeds: HashMap<_, Vec<(Row, i64)>> = env
-        .data
-        .data
-        .iter()
-        .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-        .collect();
-    let kernel_run = execute_planned_deltas(
-        &planned.plan,
-        planned.paces.as_slice(),
-        &env.data.catalog,
-        &feeds,
-        CostWeights::default(),
-    )?;
-    let reference_run = execute_planned_deltas_reference(
-        &planned.plan,
-        planned.paces.as_slice(),
-        &env.data.catalog,
-        &feeds,
-        CostWeights::default(),
-    )?;
-    let vectorized_run = execute_planned_deltas_vectorized(
-        &planned.plan,
-        planned.paces.as_slice(),
-        &env.data.catalog,
-        &feeds,
-        CostWeights::default(),
-    )?;
+    let feeds = insert_feeds(&env.data.data);
+    let run_in = |mode: ExecMode| {
+        execute_planned_deltas_with(
+            &planned.plan,
+            planned.paces.as_slice(),
+            &env.data.catalog,
+            &feeds,
+            CostWeights::default(),
+            SourceOptions { mode, ..Default::default() },
+        )
+    };
+    let kernel_run = run_in(ExecMode::Kernels)?;
+    let reference_run = run_in(ExecMode::Reference)?;
+    let vectorized_run = run_in(ExecMode::Vectorized)?;
     assert_eq!(
         kernel_run.total_work.get().to_bits(),
         reference_run.total_work.get().to_bits(),
@@ -938,36 +922,10 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
         "vectorized datapath must agree on results"
     );
     const ENGINE_REPS: usize = 5;
-    let kernel_secs = time_min_secs(ENGINE_REPS, || {
-        execute_planned_deltas(
-            &planned.plan,
-            planned.paces.as_slice(),
-            &env.data.catalog,
-            &feeds,
-            CostWeights::default(),
-        )
-        .unwrap();
-    });
-    let reference_secs = time_min_secs(ENGINE_REPS, || {
-        execute_planned_deltas_reference(
-            &planned.plan,
-            planned.paces.as_slice(),
-            &env.data.catalog,
-            &feeds,
-            CostWeights::default(),
-        )
-        .unwrap();
-    });
-    let vectorized_secs = time_min_secs(ENGINE_REPS, || {
-        execute_planned_deltas_vectorized(
-            &planned.plan,
-            planned.paces.as_slice(),
-            &env.data.catalog,
-            &feeds,
-            CostWeights::default(),
-        )
-        .unwrap();
-    });
+    let kernel_secs = time_min_secs(ENGINE_REPS, || drop(run_in(ExecMode::Kernels).unwrap()));
+    let reference_secs = time_min_secs(ENGINE_REPS, || drop(run_in(ExecMode::Reference).unwrap()));
+    let vectorized_secs =
+        time_min_secs(ENGINE_REPS, || drop(run_in(ExecMode::Vectorized).unwrap()));
     let engine_speedup = reference_secs / kernel_secs;
     let vectorized_speedup = reference_secs / vectorized_secs;
 
@@ -1200,9 +1158,7 @@ pub fn partition(p: &Params) -> Result<()> {
     use ishare_expr::Expr;
     use ishare_plan::{AggExpr, AggFunc, DagOp, SharedDag, SharedPlan};
     use ishare_storage::{Catalog, Field, Row, Schema, TableStats};
-    use ishare_stream::{
-        execute_planned_deltas_obs, execute_planned_deltas_partitioned_obs, ObsConfig, RunResult,
-    };
+    use ishare_stream::{execute_planned_deltas_with, ObsConfig, RunResult, SourceOptions};
     use std::collections::HashMap;
 
     // Workload size scales with --sf relative to the default 0.005.
@@ -1316,25 +1272,20 @@ pub fn partition(p: &Params) -> Result<()> {
         Ok((run.unwrap(), best))
     };
 
-    let (baseline, base_secs) = time_run(&|| {
-        execute_planned_deltas_obs(&plan, &paces, &c, &feeds, w, Some(ObsConfig::default()))
-    })?;
+    let with_obs = SourceOptions { obs: Some(ObsConfig::default()), ..Default::default() };
+    let run_with = |opts| execute_planned_deltas_with(&plan, &paces, &c, &feeds, w, opts);
+    let (baseline, base_secs) = time_run(&|| run_with(with_obs.clone()))?;
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut points = Vec::new();
     let mut rows_out = Vec::new();
     for parts in [1usize, 2, 4, 8] {
         let (run, secs) = time_run(&|| {
-            execute_planned_deltas_partitioned_obs(
-                &plan,
-                &paces,
-                &c,
-                &feeds,
-                w,
-                parts,
-                parts.min(cores.max(2)),
-                Some(ObsConfig::default()),
-            )
+            run_with(SourceOptions {
+                partitions: parts,
+                partition_threads: parts.min(cores.max(2)),
+                ..with_obs.clone()
+            })
         })?;
         assert_eq!(baseline.results, run.results, "P={parts}: results differ");
         assert_eq!(
@@ -1449,7 +1400,9 @@ pub fn partition(p: &Params) -> Result<()> {
 /// cost (bounded) time but never changes a measured quantity. Writes
 /// `results/BENCH_obs.json`.
 pub fn obs_overhead(p: &Params) -> Result<()> {
-    use ishare_stream::{execute_from_source_obs, ObsConfig, RunResult, Source, SourceOptions};
+    use ishare_stream::{
+        execute_planned_deltas_with, insert_feeds, ObsConfig, RunResult, SourceOptions,
+    };
 
     let env = Env::new(p.sf, p.seed)?;
     let queries = named_ten(&env)?;
@@ -1471,25 +1424,18 @@ pub fn obs_overhead(p: &Params) -> Result<()> {
     };
     let planned =
         plan_workload(Approach::IShare, &planner_queries, &cons, &env.data.catalog, &opts(p))?;
-    let feeds: std::collections::HashMap<_, Vec<_>> = env
-        .data
-        .data
-        .iter()
-        .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-        .collect();
+    let feeds = insert_feeds(&env.data.data);
     let w = CostWeights::default();
 
     let run_once = |opts: SourceOptions| -> Result<RunResult> {
-        let mut source = Source::in_order(&feeds);
-        execute_from_source_obs(
+        execute_planned_deltas_with(
             &planned.plan,
             planned.paces.as_slice(),
             &env.data.catalog,
-            &mut source,
+            &feeds,
             w,
             opts,
-        )?
-        .into_result()
+        )
     };
     let obs_opts = || SourceOptions {
         obs: Some(ObsConfig::default()),
@@ -1597,7 +1543,8 @@ pub fn churn(p: &Params) -> Result<()> {
     use crate::harness::time_min_secs;
     use ishare_mqo::{build_shared_dag, normalize, IncrementalSharer, MqoConfig};
     use ishare_stream::{
-        execute_churn_from_source, ChurnEvent, ChurnOp, ChurnOptions, ChurnScript, Source,
+        execute_churn_from_source, insert_feeds, ChurnEvent, ChurnOp, ChurnOptions, ChurnScript,
+        Source,
     };
     use std::collections::HashMap;
 
@@ -1614,12 +1561,7 @@ pub fn churn(p: &Params) -> Result<()> {
         ));
     }
     let w = CostWeights::default();
-    let feeds: HashMap<_, Vec<_>> = env
-        .data
-        .data
-        .iter()
-        .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-        .collect();
+    let feeds = insert_feeds(&env.data.data);
 
     // 1 — merge microbench: admit the 5th query into a sealed 4-query
     // sharer (clone included, as the runtime admission path pays it) vs a

@@ -5,9 +5,8 @@ use ishare_common::{CostWeights, QueryId, Result};
 use ishare_core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
 use ishare_plan::LogicalPlan;
 use ishare_stream::{
-    execute_from_source_obs, execute_from_source_parallel_obs, execute_planned_obs,
-    execute_planned_parallel_obs, missed_latency_stats, MissedLatencyStats, ObsConfig, ObsReport,
-    Source, SourceConfig, SourceOptions,
+    execute_from_source_obs, execute_planned, insert_feeds, missed_latency_stats,
+    MissedLatencyStats, ObsConfig, ObsReport, Source, SourceConfig, SourceOptions,
 };
 use ishare_tpch::{generate, TpchData};
 use std::collections::BTreeMap;
@@ -52,13 +51,12 @@ impl Env {
         let opts = PlanningOptions { max_pace: 1, ..Default::default() };
         let planned =
             plan_workload(Approach::NoShareUniform, &queries, &cons, &self.data.catalog, &opts)?;
-        let run = execute_planned_obs(
+        let run = execute_planned(
             &planned.plan,
             planned.paces.as_slice(),
             &self.data.catalog,
             &self.data.data,
             CostWeights::default(),
-            None,
         )?;
         let w = run.final_work[&QueryId(0)];
         let s = run.latency[&QueryId(0)].as_secs_f64();
@@ -194,57 +192,20 @@ pub fn run_approach_full(
 ) -> Result<(ApproachRun, Option<ObsReport>)> {
     let (queries, cons) = workload.planner_inputs();
     let planned = plan_workload(approach, &queries, &cons, &env.data.catalog, opts)?;
-    let mut run = match ingest {
-        None if threads == 1 => execute_planned_obs(
-            &planned.plan,
-            planned.paces.as_slice(),
-            &env.data.catalog,
-            &env.data.data,
-            CostWeights::default(),
-            obs,
-        )?,
-        None => execute_planned_parallel_obs(
-            &planned.plan,
-            planned.paces.as_slice(),
-            &env.data.catalog,
-            &env.data.data,
-            CostWeights::default(),
-            threads,
-            obs,
-        )?,
-        Some(cfg) => {
-            let feeds = env
-                .data
-                .data
-                .iter()
-                .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-                .collect();
-            let mut source = Source::new(&feeds, cfg)?;
-            let sopts = SourceOptions { obs, ..Default::default() };
-            if threads == 1 {
-                execute_from_source_obs(
-                    &planned.plan,
-                    planned.paces.as_slice(),
-                    &env.data.catalog,
-                    &mut source,
-                    CostWeights::default(),
-                    sopts,
-                )?
-                .into_result()?
-            } else {
-                execute_from_source_parallel_obs(
-                    &planned.plan,
-                    planned.paces.as_slice(),
-                    &env.data.catalog,
-                    &mut source,
-                    CostWeights::default(),
-                    threads,
-                    sopts,
-                )?
-                .into_result()?
-            }
-        }
+    let feeds = insert_feeds(&env.data.data);
+    let mut source = match ingest {
+        Some(cfg) => Source::new(&feeds, cfg)?,
+        None => Source::in_order(&feeds),
     };
+    let mut run = execute_from_source_obs(
+        &planned.plan,
+        planned.paces.as_slice(),
+        &env.data.catalog,
+        &mut source,
+        CostWeights::default(),
+        SourceOptions { obs, workers: threads, ..Default::default() },
+    )?
+    .into_result()?;
 
     // Latency goals from measured batch baselines.
     let mut goals_work = BTreeMap::new();

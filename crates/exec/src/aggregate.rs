@@ -472,9 +472,7 @@ impl AggState {
             for class in &mut group.classes {
                 if class.mask.is_subset_of(mask) {
                     class.rows += weight;
-                    for ((acc, arg), src) in
-                        class.accums.iter_mut().zip(&spec.args).zip(&arg_src)
-                    {
+                    for ((acc, arg), src) in class.accums.iter_mut().zip(&spec.args).zip(&arg_src) {
                         match src {
                             Some(c) => acc.update(
                                 &view.batch.columns[*c].value_at(i),

@@ -285,17 +285,7 @@ impl SubplanExecutor {
     /// same source through two leaves, each with its own cursor).
     pub fn leaf_paths(&self) -> Vec<(Vec<usize>, InputSource)> {
         let mut out = Vec::new();
-        fn go(t: &OpTree, path: &mut Vec<usize>, out: &mut Vec<(Vec<usize>, InputSource)>) {
-            if let TreeOp::Input(src) = &t.op {
-                out.push((path.clone(), *src));
-            }
-            for (i, child) in t.inputs.iter().enumerate() {
-                path.push(i);
-                go(child, path, out);
-                path.pop();
-            }
-        }
-        go(&self.subplan.root, &mut Vec::new(), &mut out);
+        collect_leaves(&self.subplan.root, &mut Vec::new(), &mut out);
         out
     }
 
@@ -373,12 +363,15 @@ impl SubplanExecutor {
     /// Swap this subplan description (and its lowered kernels) for a
     /// structurally identical successor produced by a churn re-cut, keeping
     /// all operator state in place. "Structurally identical" means the same
-    /// tree shape with stateful operators at the same paths — only select
-    /// branch membership, the query sets, and expression lists may differ
-    /// (e.g. an admitted query joined an existing predicate branch, or a
-    /// removed query's branch disappeared). Rejects shape changes with
-    /// [`Error::Churn`]; splits must go through [`Self::take_state_bundle`]
-    /// instead.
+    /// tree shape with stateful operators *and leaves* at the same paths —
+    /// only select branch membership, the query sets, and expression lists
+    /// may differ (e.g. an admitted query joined an existing predicate
+    /// branch, or a removed query's branch disappeared). A re-cut that
+    /// excises even a stateless subtree (scan → select/project) moves a
+    /// leaf: the cut-away child then has to inherit this subplan's cursors,
+    /// or it would replay the whole history into state that already holds
+    /// it. Rejects shape changes with [`Error::Churn`]; splits must go
+    /// through [`Self::take_state_bundle`] instead.
     pub fn refresh_subplan(
         &mut self,
         subplan: &Subplan,
@@ -398,7 +391,15 @@ impl SubplanExecutor {
             &mut fresh_states,
             &mut compiled,
         )?;
-        if fresh_states.len() != self.states.len()
+        // Leaf *paths* only: the re-cut renumbers the `SubplanId`s behind
+        // them.
+        let leaf_paths = |root: &OpTree| -> Vec<Vec<usize>> {
+            let mut out = Vec::new();
+            collect_leaves(root, &mut Vec::new(), &mut out);
+            out.into_iter().map(|(path, _)| path).collect()
+        };
+        if leaf_paths(&subplan.root) != leaf_paths(&self.subplan.root)
+            || fresh_states.len() != self.states.len()
             || fresh_states.iter().any(|(path, st)| {
                 self.states
                     .get(path)
@@ -664,6 +665,18 @@ impl SubplanExecutor {
     }
 }
 
+/// Pre-order leaves of `t` with their tree paths.
+fn collect_leaves(t: &OpTree, path: &mut Vec<usize>, out: &mut Vec<(Vec<usize>, InputSource)>) {
+    if let TreeOp::Input(src) = &t.op {
+        out.push((path.clone(), *src));
+    }
+    for (i, child) in t.inputs.iter().enumerate() {
+        path.push(i);
+        collect_leaves(child, path, out);
+        path.pop();
+    }
+}
+
 fn churn_unsupported() -> Error {
     Error::Churn("reference-mode executors do not support state surgery".into())
 }
@@ -900,8 +913,7 @@ fn exec_node_vec(
             })?;
             // Selects pass the batch through unchanged, so the parent's
             // needed set still applies below — plus our own fast-path reads.
-            let child_needed =
-                union_cols(needed, preds.iter().filter_map(|p| p.fast_path_col()));
+            let child_needed = union_cols(needed, preds.iter().filter_map(|p| p.fast_path_col()));
             let input = child(0, inputs, path, states, stats, &child_needed)?;
             let columnar = matches!(input, VecDelta::Cols { .. });
             let scanned = input.len();

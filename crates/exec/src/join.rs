@@ -176,7 +176,15 @@ impl JoinState {
             key_rows(&left_delta, keys.side(false), stride, &mut self.interner, &mut self.scratch)?;
         let right_keyed =
             key_rows(&right_delta, keys.side(true), stride, &mut self.interner, &mut self.scratch)?;
-        self.execute_with_keys(left_delta, left_keyed, right_delta, right_keyed, weights, counter, trace)
+        self.execute_with_keys(
+            left_delta,
+            left_keyed,
+            right_delta,
+            right_keyed,
+            weights,
+            counter,
+            trace,
+        )
     }
 
     /// Columnar-input execution for `ExecMode::Vectorized`: keys are encoded
@@ -213,7 +221,15 @@ impl JoinState {
             &mut self.interner,
             &mut self.scratch,
         )?;
-        self.execute_with_keys(left_rows, left_keyed, right_rows, right_keyed, weights, counter, None)
+        self.execute_with_keys(
+            left_rows,
+            left_keyed,
+            right_rows,
+            right_keyed,
+            weights,
+            counter,
+            None,
+        )
     }
 
     /// The probe → insert-left → probe → insert-right → emit body shared by

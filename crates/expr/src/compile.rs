@@ -305,12 +305,7 @@ impl CompiledPredicate {
     /// [`Ordering`] lookup table, instead of per-row enum dispatch. Callers
     /// must not pass an empty `sel` expecting bounds errors: a batch with no
     /// selected rows evaluates nothing, exactly like the row path.
-    pub fn eval_batch(
-        &self,
-        batch: &ColumnarBatch,
-        sel: &[u32],
-        out: &mut Vec<u32>,
-    ) -> Result<()> {
+    pub fn eval_batch(&self, batch: &ColumnarBatch, sel: &[u32], out: &mut Vec<u32>) -> Result<()> {
         if sel.is_empty() {
             return Ok(());
         }

@@ -263,9 +263,7 @@ pub struct ColumnarBatch {
 /// identically-valued assembled one compare equal.
 impl PartialEq for ColumnarBatch {
     fn eq(&self, other: &Self) -> bool {
-        self.columns == other.columns
-            && self.weights == other.weights
-            && self.masks == other.masks
+        self.columns == other.columns && self.weights == other.weights && self.masks == other.masks
     }
 }
 
@@ -405,7 +403,11 @@ impl ColumnarBatch {
     pub fn to_rows(&self) -> DeltaBatch {
         let mut out = DeltaBatch::new();
         for i in 0..self.len {
-            out.push(DeltaRow { row: self.row_at(i), weight: self.weights[i], mask: self.masks[i] });
+            out.push(DeltaRow {
+                row: self.row_at(i),
+                weight: self.weights[i],
+                mask: self.masks[i],
+            });
         }
         out
     }
@@ -497,9 +499,7 @@ mod tests {
             .prop_map(|(arity, tags, rows)| {
                 rows.into_iter()
                     .map(|(raw, w, m)| DeltaRow {
-                        row: Row::new(
-                            (0..arity).map(|c| mk_value(tags[c], raw[c])).collect(),
-                        ),
+                        row: Row::new((0..arity).map(|c| mk_value(tags[c], raw[c])).collect()),
                         weight: w,
                         mask: mask_from_bits(m),
                     })

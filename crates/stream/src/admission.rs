@@ -1,12 +1,13 @@
 //! Online query churn: live admission and removal with incremental
 //! re-sharing (DESIGN.md §14).
 //!
-//! The batch drivers fix the query set before the first row arrives. This
+//! A fixed-plan run fixes the query set before the first row arrives. This
 //! module lifts that restriction: a [`ChurnScript`] names queries to admit
-//! or remove at arrival fractions, and [`execute_churn_from_source`] applies
-//! each event at the first *wavefront boundary* at or after its fraction —
-//! never mid-front, so every decision point is a deterministic position in
-//! the schedule.
+//! or remove at arrival fractions, and the wavefront loop
+//! ([`crate::driver`]) applies each event at the first *wavefront boundary*
+//! at or after its fraction — never mid-front, so every decision point is
+//! a deterministic position in the schedule. This module is the surgery
+//! the loop calls at such a boundary; it runs no ticks of its own.
 //!
 //! ## Admission
 //!
@@ -47,34 +48,37 @@
 //!
 //! ## Determinism
 //!
-//! Every churn event is applied on a *quiesced* boundary: the runner first
+//! Every churn event is applied on a *quiesced* boundary: the loop first
 //! drains all delta buffers with one children-first execution sweep, so
 //! operator state, buffers, and consumer cursors agree exactly when state
 //! is snapshotted or transplanted. Events are recorded in the ingest commit
 //! log as [`ChurnRecord`]s, so a killed run replays the exact churn
 //! trajectory (replay verification compares whole commit entries, churn
-//! included). Results and all measured work numbers are bit-identical
-//! across obs on/off, partition counts, worker threads, and kill/resume.
+//! included). The surgery itself runs on the coordinating thread between
+//! two fronts, and a churn run's fronts go through the same tick function
+//! and the same fold as any other run's — so results and all measured work
+//! numbers are bit-identical across obs on/off, partition counts, worker
+//! threads ([`SourceOptions::workers`]), and kill/resume.
 
-use crate::driver::{feed_from_source, setup_engine, EngineState, RunResult, SourceOptions};
-use crate::schedule::{build_schedule, front_at, Tick};
+use crate::driver::{run_wavefronts, Live, RunResult, SourceOptions, SourceOutcome};
+use crate::engine::Seeds;
+use crate::fold::Fold;
 use ishare_common::{
-    CostWeights, Error, NodeId, OpKind, QueryId, QuerySet, Result, SubplanId, TableId, WorkCounter,
-    WorkUnits,
+    CostWeights, Error, NodeId, QueryId, QuerySet, Result, SubplanId, TableId, WorkCounter,
 };
 use ishare_core::constraint::batch_final_works;
 use ishare_core::pace_search::SearchOutcome;
 use ishare_core::{find_pace_configuration, resolve_constraints, FinalWorkConstraint};
 use ishare_cost::PlanEstimator;
 use ishare_exec::executor::StateBundle;
-use ishare_exec::{query_result, ExecMode, ExecOptions, SubplanExecutor};
+use ishare_exec::{ExecMode, ExecOptions, SubplanExecutor};
 use ishare_ingest::{ChurnKind, ChurnRecord, CommitLog, Source};
 use ishare_mqo::{normalize, IncrementalSharer, MqoConfig};
-use ishare_obs::{ExecCounts, FrontCharge, MetricsRegistry, ObsReport, SlackLedger};
 use ishare_plan::{DagOp, InputSource, LogicalPlan, SharedDag, SharedPlan};
 use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer, Retain, Schema};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One churn operation.
 #[derive(Debug, Clone)]
@@ -197,11 +201,6 @@ impl ChurnOutcome {
     }
 }
 
-/// `a/b > c/d`, exact in `u64`.
-fn frac_gt(a: u32, b: u32, c: u32, d: u32) -> bool {
-    u64::from(a) * u64::from(d) > u64::from(c) * u64::from(b)
-}
-
 /// `a/b <= c/d`, exact in `u64`.
 fn frac_le(a: u32, b: u32, c: u32, d: u32) -> bool {
     u64::from(a) * u64::from(d) <= u64::from(c) * u64::from(b)
@@ -269,313 +268,108 @@ pub fn execute_churn_from_source(
     let (plan, roots) = SharedPlan::from_dag_with_roots(sharer.dag(), |_| false, &[])?;
     let budgets = resolve_constraints(initial, constraints, catalog, weights)?;
     let outcome = search_from_batch(&plan, catalog, weights, &budgets, opts.max_pace())?;
-    let paces = outcome.paces.as_slice().to_vec();
 
-    let exec_opts = opts.source.exec_options();
-    let mut engine = setup_engine(&plan, catalog, weights, exec_opts)?;
-    // Churn mode: base buffers keep their full stream so an admitted
-    // query's private cone can replay history from offset 0.
-    for b in engine.base_buffers.values_mut() {
-        b.set_retention(Retain::All);
-    }
-    let seeds: Vec<HashMap<Vec<usize>, DeltaBatch>> =
-        (0..plan.len()).map(|_| HashMap::new()).collect();
-
-    let ledger = opts.source.obs.is_some().then(|| SlackLedger::new(&budgets));
-    let runner = Runner {
+    let mut live =
+        Live::new(Cow::Owned(plan), outcome.paces.as_slice(), catalog, weights, &opts.source)?;
+    live.started = started;
+    let mut runner = Runner {
         catalog,
         weights,
-        opts,
-        exec_opts,
+        max_pace: opts.max_pace(),
+        exec_opts: opts.source.exec_options(),
+        pending: script.events.iter().cloned().collect(),
         sharer,
-        plan,
         roots,
         forced: Vec::new(),
-        paces,
         budgets,
-        engine,
-        seeds,
-        total_work: 0.0,
-        total_wall: Duration::ZERO,
-        executions: 0,
-        counts: BTreeMap::new(),
-        charged_total: BTreeMap::new(),
-        charged_final: BTreeMap::new(),
-        final_wall: BTreeMap::new(),
         removed: Vec::new(),
         churn: Vec::new(),
         reclaimed_total: 0,
         handoff_total: 0,
         quiesce_ticks: 0,
-        admissions: 0,
-        removals: 0,
         merge_reused: 0,
         merge_created: 0,
-        ledger,
     };
-    runner.run(script, source, started)
+    match run_wavefronts(live, source, &opts.source, None, Some(&mut runner))? {
+        SourceOutcome::Suspended { log } => Ok(ChurnOutcome::Suspended { log }),
+        SourceOutcome::Completed { result, log } => {
+            Ok(ChurnOutcome::Completed { result: Box::new(runner.finish(*result)), log })
+        }
+    }
 }
 
-struct Runner<'a> {
+/// The churn state of a run: the live sharer and budgets, the script's
+/// pending events, and what the applied ones added up to. The wavefront
+/// loop owns plan, paces and engine ([`Live`]); [`Runner::apply`] swaps
+/// them at a boundary.
+pub(crate) struct Runner<'a> {
     catalog: &'a Catalog,
     weights: CostWeights,
-    opts: &'a ChurnOptions,
+    max_pace: u32,
     exec_opts: ExecOptions,
+    /// Script events not yet applied, in application order.
+    pending: VecDeque<ChurnEvent>,
     sharer: IncrementalSharer,
-    plan: SharedPlan,
     /// Per subplan: the DAG node its root came from (stable identity across
     /// re-cuts).
     roots: Vec<NodeId>,
     /// Sticky forced cuts: every node that has ever been a subplan root or
     /// an admission frontier. Re-cutting never fuses live subplans.
     forced: Vec<NodeId>,
-    paces: Vec<u32>,
     /// Absolute final-work budgets `L(q)` of the live queries.
     budgets: BTreeMap<QueryId, f64>,
-    engine: EngineState,
-    /// Per subplan: one-shot leaf input batches (state handoff for admitted
-    /// queries), merged ahead of the pulled rows at the next execution.
-    seeds: Vec<HashMap<Vec<usize>, DeltaBatch>>,
-    total_work: f64,
-    total_wall: Duration,
-    executions: usize,
-    counts: BTreeMap<QueryId, ExecCounts>,
-    charged_total: BTreeMap<QueryId, f64>,
-    charged_final: BTreeMap<QueryId, f64>,
-    final_wall: BTreeMap<QueryId, Duration>,
     removed: Vec<QueryId>,
     churn: Vec<ChurnRecord>,
     reclaimed_total: u64,
     handoff_total: u64,
-    quiesce_ticks: usize,
-    admissions: u64,
-    removals: u64,
+    /// Extra drain executions the loop ran to quiesce churn boundaries.
+    pub(crate) quiesce_ticks: usize,
     merge_reused: u64,
     merge_created: u64,
-    ledger: Option<SlackLedger>,
 }
 
 impl Runner<'_> {
-    fn run(
-        mut self,
-        script: &ChurnScript,
-        source: &mut Source,
-        started: Instant,
-    ) -> Result<ChurnOutcome> {
-        let mut pending: VecDeque<ChurnEvent> = script.events.iter().cloned().collect();
-        let mut wf = 0usize;
-        let mut bound = (0u32, 1u32);
-        'epochs: loop {
-            // A churn event re-cuts the plan and re-searches paces, so each
-            // epoch runs the suffix of a freshly built schedule: only ticks
-            // strictly past the last committed boundary. Every subplan's
-            // final tick sits at 1/1 in every build, so the last epoch
-            // always runs all finals.
-            let ticks: Vec<Tick> = build_schedule(&self.plan, &self.paces)?
-                .into_iter()
-                .filter(|t| frac_gt(t.num, t.den, bound.0, bound.1))
-                .collect();
-            if ticks.is_empty() {
-                break;
-            }
-            let mut pos = 0;
-            while pos < ticks.len() {
-                let front = front_at(&ticks, pos);
-                let head = ticks[front.start];
-                {
-                    let EngineState { base_tables, base_buffers, .. } = &mut self.engine;
-                    feed_from_source(
-                        source,
-                        base_tables,
-                        head.num,
-                        head.den,
-                        self.plan.queries(),
-                        |t, dr| base_buffers.get_mut(&t).expect("registered table").push(dr),
-                    )?;
-                }
-                let mut front_work: BTreeMap<QueryId, f64> = BTreeMap::new();
-                for tick in &ticks[front.clone()] {
-                    let (w, wall) = exec_once(
-                        tick.sp.index(),
-                        &mut self.engine,
-                        &mut self.seeds,
-                        &self.weights,
-                    )?;
-                    self.attribute(tick.sp, w, wall, tick.is_final, &mut front_work);
-                }
-                for b in self.engine.base_buffers.values_mut() {
-                    b.compact();
-                }
-                for b in &mut self.engine.sp_buffers {
-                    b.compact();
-                }
-
-                // Churn events due at this boundary.
-                let mut due = Vec::new();
-                while pending.front().is_some_and(|ev| frac_le(ev.num, ev.den, head.num, head.den))
-                {
-                    due.push(pending.pop_front().expect("front checked"));
-                }
-                let committed_paces = self.paces.clone();
-                let mut records = Vec::new();
-                if !due.is_empty() {
-                    if head.num == head.den {
-                        return Err(Error::Churn(format!(
-                            "churn due at fraction {}/{} but the only remaining boundary is \
-                             final; lower the event fraction or raise a pace",
-                            due[0].num, due[0].den
-                        )));
-                    }
-                    self.quiesce(&mut front_work)?;
-                    self.record_front(wf, head.num, head.den, &front_work);
-                    for ev in due {
-                        records.push(self.apply(ev)?);
-                    }
-                } else {
-                    self.record_front(wf, head.num, head.den, &front_work);
-                }
-
-                // Commit with the paces that were in effect *during* this
-                // wavefront (an event's new paces only govern the next
-                // epoch), plus the churn records applied at its boundary.
-                let entry = source.commit_with_churn(
-                    wf,
-                    head.num,
-                    head.den,
-                    &committed_paces,
-                    records.clone(),
-                );
-                if let Some(expect) =
-                    self.opts.source.verify.as_ref().and_then(|log| log.entries.get(wf))
-                {
-                    if expect != entry {
-                        let what = if expect.churn != entry.churn {
-                            "the churn trajectory"
-                        } else if expect.paces != entry.paces {
-                            "pace decisions"
-                        } else {
-                            "the source"
-                        };
-                        return Err(Error::InvalidDelta(format!(
-                            "replay diverged from commit log at wavefront {wf} (fraction \
-                             {}/{}): {what} did not replay deterministically",
-                            head.num, head.den
-                        )));
-                    }
-                }
-                if self.opts.source.stop_after == Some(wf + 1) {
-                    return Ok(ChurnOutcome::Suspended { log: source.log().clone() });
-                }
-                wf += 1;
-                bound = (head.num, head.den);
-                if !records.is_empty() {
-                    self.churn.extend(records);
-                    continue 'epochs;
-                }
-                pos = front.end;
-            }
-            break;
-        }
-        let log = source.log().clone();
-        Ok(ChurnOutcome::Completed { result: Box::new(self.finish(started)?), log })
+    pub(crate) fn budgets(&self) -> &BTreeMap<QueryId, f64> {
+        &self.budgets
     }
 
-    /// Charge one execution to the accumulators, in deterministic order.
-    fn attribute(
-        &mut self,
-        sp: SubplanId,
-        w: WorkUnits,
-        wall: Duration,
-        is_final: bool,
-        front_work: &mut BTreeMap<QueryId, f64>,
-    ) {
-        self.total_work += w.get();
-        self.total_wall += wall;
-        self.executions += 1;
-        for q in self.plan.subplans[sp.index()].queries.iter() {
-            let c = self.counts.entry(q).or_default();
-            *self.charged_total.entry(q).or_insert(0.0) += w.get();
-            *front_work.entry(q).or_insert(0.0) += w.get();
-            if is_final {
-                c.finals += 1;
-                *self.charged_final.entry(q).or_insert(0.0) += w.get();
-                *self.final_wall.entry(q).or_insert(Duration::ZERO) += wall;
-            } else {
-                c.incremental += 1;
-            }
+    /// Pop the events due at the boundary with arrival fraction `num/den`.
+    pub(crate) fn take_due(&mut self, num: u32, den: u32) -> Vec<ChurnEvent> {
+        let mut due = Vec::new();
+        while self.pending.front().is_some_and(|ev| frac_le(ev.num, ev.den, num, den)) {
+            due.extend(self.pending.pop_front());
         }
-    }
-
-    fn record_front(&mut self, wf: usize, num: u32, den: u32, front_work: &BTreeMap<QueryId, f64>) {
-        let Some(ledger) = self.ledger.as_mut() else { return };
-        let mut charges = BTreeMap::new();
-        for q in self.plan.queries().iter() {
-            charges.insert(
-                q,
-                FrontCharge {
-                    front_work: front_work.get(&q).copied().unwrap_or(0.0),
-                    charged_total: self.charged_total.get(&q).copied().unwrap_or(0.0),
-                    consumed: self.charged_final.get(&q).copied().unwrap_or(0.0),
-                },
-            );
-        }
-        ledger.record_front(wf as u32, num, den, &charges);
-    }
-
-    /// Drain every buffer with one children-first sweep so operator state
-    /// and buffers agree exactly at the churn boundary.
-    fn quiesce(&mut self, front_work: &mut BTreeMap<QueryId, f64>) -> Result<()> {
-        for sp in self.plan.topo_order()? {
-            let i = sp.index();
-            let mut has_input = !self.seeds[i].is_empty();
-            if !has_input {
-                for (_, src, cid) in &self.engine.leaf_consumers[i] {
-                    let pending = match src {
-                        InputSource::Base(t) => self
-                            .engine
-                            .base_buffers
-                            .get(t)
-                            .ok_or_else(|| Error::NotFound(format!("base buffer {t:?}")))?
-                            .pending(*cid)?,
-                        InputSource::Subplan(c) => {
-                            self.engine.sp_buffers[c.index()].pending(*cid)?
-                        }
-                    };
-                    if pending > 0 {
-                        has_input = true;
-                        break;
-                    }
-                }
-            }
-            if !has_input {
-                continue;
-            }
-            let (w, wall) = exec_once(i, &mut self.engine, &mut self.seeds, &self.weights)?;
-            self.quiesce_ticks += 1;
-            self.attribute(sp, w, wall, false, front_work);
-        }
-        Ok(())
+        due
     }
 
     /// Live queries' budgets minus final work already charged.
-    fn residual_constraints(&self) -> BTreeMap<QueryId, f64> {
-        self.budgets
-            .iter()
-            .map(|(&q, &l)| (q, (l - self.charged_final.get(&q).copied().unwrap_or(0.0)).max(0.0)))
-            .collect()
+    fn residual_constraints(&self, plan: &SharedPlan, fold: &Fold) -> BTreeMap<QueryId, f64> {
+        self.budgets.iter().map(|(&q, &l)| (q, (l - fold.final_work(plan, q)).max(0.0))).collect()
     }
 
-    fn apply(&mut self, ev: ChurnEvent) -> Result<ChurnRecord> {
-        match ev.op {
+    /// Apply one event on the quiesced engine: validate on a clone of the
+    /// sharer, re-cut, re-search, reconcile `live`'s engine, then swap
+    /// plan and paces and tell `fold` about the re-cut.
+    pub(crate) fn apply(
+        &mut self,
+        live: &mut Live<'_>,
+        fold: &mut Fold,
+        ev: ChurnEvent,
+    ) -> Result<ChurnRecord> {
+        let record = match ev.op {
             ChurnOp::Admit { query, plan, constraint } => {
-                self.apply_admit(query, &plan, constraint)
+                self.apply_admit(live, fold, query, &plan, constraint)?
             }
-            ChurnOp::Remove { query } => self.apply_remove(query),
-        }
+            ChurnOp::Remove { query } => self.apply_remove(live, fold, query)?,
+        };
+        self.churn.push(record.clone());
+        Ok(record)
     }
 
     fn apply_admit(
         &mut self,
+        live: &mut Live<'_>,
+        fold: &mut Fold,
         q: QueryId,
         lp: &LogicalPlan,
         constraint: FinalWorkConstraint,
@@ -622,10 +416,9 @@ impl Runner<'_> {
             }
         }
 
-        let mut cons = self.residual_constraints();
+        let mut cons = self.residual_constraints(&live.plan, fold);
         cons.insert(q, l);
-        let outcome =
-            search_from_batch(&plan2, self.catalog, self.weights, &cons, self.opts.max_pace())?;
+        let outcome = search_from_batch(&plan2, self.catalog, self.weights, &cons, self.max_pace)?;
         if !outcome.feasible {
             return Err(Error::Churn(format!(
                 "admission of query {q} is infeasible under final-work budget {l} given the \
@@ -634,7 +427,7 @@ impl Runner<'_> {
         }
 
         let (handoff_rows, handoff_work) =
-            self.reconcile(&plan2, &roots2, Some((&witnesses, q, &diff.created)), None)?;
+            self.reconcile(live, &plan2, &roots2, Some((&witnesses, q, &diff.created)), None)?;
 
         let record = ChurnRecord {
             kind: ChurnKind::Admit,
@@ -647,22 +440,27 @@ impl Runner<'_> {
             handoff_work_bits: handoff_work.to_bits(),
         };
         self.sharer = trial;
-        self.plan = plan2;
         self.roots = roots2;
         self.forced = forced;
-        self.paces = outcome.paces.as_slice().to_vec();
         self.budgets.insert(q, l);
         self.handoff_total += handoff_rows;
-        self.admissions += 1;
         self.merge_reused += u64::from(record.nodes_reused);
         self.merge_created += u64::from(record.nodes_created);
-        if let Some(ledger) = self.ledger.as_mut() {
+        fold.recut(&live.plan, &plan2);
+        if let Some(ledger) = fold.ledger.as_mut() {
             ledger.add_query(q, l);
         }
+        live.plan = Cow::Owned(plan2);
+        live.paces = outcome.paces.as_slice().to_vec();
         Ok(record)
     }
 
-    fn apply_remove(&mut self, q: QueryId) -> Result<ChurnRecord> {
+    fn apply_remove(
+        &mut self,
+        live: &mut Live<'_>,
+        fold: &mut Fold,
+        q: QueryId,
+    ) -> Result<ChurnRecord> {
         let mut trial = self.sharer.clone();
         let diff = trial.remove(q)?;
         if trial.queries().is_empty() {
@@ -677,17 +475,13 @@ impl Runner<'_> {
             }
         }
         let (plan2, roots2) = SharedPlan::from_dag_with_roots(trial.dag(), |_| false, &forced)?;
-        let cons = {
-            let mut c = self.residual_constraints();
-            c.remove(&q);
-            c
-        };
+        let mut cons = self.residual_constraints(&live.plan, fold);
+        cons.remove(&q);
         // Best effort: the remaining queries' residuals may already be
         // exhausted; removal itself is never rejected for pace reasons.
-        let outcome =
-            search_from_batch(&plan2, self.catalog, self.weights, &cons, self.opts.max_pace())?;
+        let outcome = search_from_batch(&plan2, self.catalog, self.weights, &cons, self.max_pace)?;
 
-        let (reclaimed, _) = self.reconcile(&plan2, &roots2, None, Some(q))?;
+        let (reclaimed, _) = self.reconcile(live, &plan2, &roots2, None, Some(q))?;
 
         let record = ChurnRecord {
             kind: ChurnKind::Remove,
@@ -700,17 +494,17 @@ impl Runner<'_> {
             handoff_work_bits: 0,
         };
         self.sharer = trial;
-        self.plan = plan2;
         self.roots = roots2;
         self.forced = forced;
-        self.paces = outcome.paces.as_slice().to_vec();
         self.budgets.remove(&q);
         self.removed.push(q);
         self.reclaimed_total += reclaimed;
-        self.removals += 1;
-        if let Some(ledger) = self.ledger.as_mut() {
+        fold.recut(&live.plan, &plan2);
+        if let Some(ledger) = fold.ledger.as_mut() {
             ledger.drop_query(q);
         }
+        live.plan = Cow::Owned(plan2);
+        live.paces = outcome.paces.as_slice().to_vec();
         Ok(record)
     }
 
@@ -721,6 +515,7 @@ impl Runner<'_> {
     #[allow(clippy::type_complexity)]
     fn reconcile(
         &mut self,
+        live: &mut Live<'_>,
         plan2: &SharedPlan,
         roots2: &[NodeId],
         admit: Option<(&[Option<QueryId>], QueryId, &Vec<NodeId>)>,
@@ -732,13 +527,14 @@ impl Runner<'_> {
             self.roots.iter().enumerate().map(|(i, r)| (r.0, i)).collect();
         let created: Option<&Vec<NodeId>> = admit.as_ref().map(|(_, _, c)| *c);
 
+        let engine = &mut live.engine;
         let mut old_execs: Vec<Option<SubplanExecutor>> =
-            std::mem::take(&mut self.engine.executors).into_iter().map(Some).collect();
+            std::mem::take(&mut engine.executors).into_iter().map(Some).collect();
         let mut old_bufs: Vec<Option<DeltaBuffer>> =
-            std::mem::take(&mut self.engine.sp_buffers).into_iter().map(Some).collect();
+            std::mem::take(&mut engine.sp_buffers).into_iter().map(Some).collect();
         let old_cons: Vec<Vec<(Vec<usize>, InputSource, ConsumerId)>> =
-            std::mem::take(&mut self.engine.leaf_consumers);
-        let mut old_seeds: Vec<HashMap<Vec<usize>, DeltaBatch>> = std::mem::take(&mut self.seeds);
+            std::mem::take(&mut engine.leaf_consumers);
+        let mut old_seeds: Vec<Seeds> = std::mem::take(&mut engine.seeds);
 
         let mut origin: Vec<Option<Origin>> = vec![None; n2];
         let mut new_execs: Vec<Option<SubplanExecutor>> = (0..n2).map(|_| None).collect();
@@ -829,8 +625,7 @@ impl Runner<'_> {
         let mut claimed: Vec<Vec<bool>> = old_cons.iter().map(|v| vec![false; v.len()]).collect();
         let mut new_cons: Vec<Vec<(Vec<usize>, InputSource, ConsumerId)>> =
             (0..n2).map(|_| Vec::new()).collect();
-        let mut new_seeds: Vec<HashMap<Vec<usize>, DeltaBatch>> =
-            (0..n2).map(|_| HashMap::new()).collect();
+        let mut new_seeds: Vec<Seeds> = (0..n2).map(|_| Seeds::new()).collect();
         for j in 0..n2 {
             let leaves = new_execs[j].as_ref().expect("all executors placed").leaf_paths();
             let o = origin[j].clone().expect("all origins placed");
@@ -857,7 +652,7 @@ impl Runner<'_> {
                     None => match src {
                         InputSource::Base(t) => {
                             self.catalog.table(t)?;
-                            let b = self.engine.base_buffers.entry(t).or_default();
+                            let b = engine.base_buffers.entry(t).or_default();
                             b.set_retention(Retain::All);
                             // Offset 0 on a Retain::All buffer = replay the
                             // full base history (an admitted query's
@@ -893,7 +688,7 @@ impl Runner<'_> {
                 }
                 match src {
                     InputSource::Base(t) => {
-                        if let Some(b) = self.engine.base_buffers.get_mut(t) {
+                        if let Some(b) = engine.base_buffers.get_mut(t) {
                             b.retire_consumer(*cid)?;
                         }
                     }
@@ -923,28 +718,27 @@ impl Runner<'_> {
 
         // Install the new engine before widening/seeding so the helpers
         // see consistent state.
-        self.engine.executors =
+        engine.executors =
             new_execs.into_iter().map(|e| e.expect("all executors placed")).collect();
-        self.engine.sp_buffers =
-            new_bufs.into_iter().map(|b| b.expect("all buffers placed")).collect();
-        self.engine.leaf_consumers = new_cons;
-        self.seeds = new_seeds;
-        let mut tables: Vec<TableId> = self.engine.base_buffers.keys().copied().collect();
+        engine.sp_buffers = new_bufs.into_iter().map(|b| b.expect("all buffers placed")).collect();
+        engine.leaf_consumers = new_cons;
+        engine.seeds = new_seeds;
+        let mut tables: Vec<TableId> = engine.base_buffers.keys().copied().collect();
         tables.sort();
-        self.engine.base_tables = tables;
+        engine.base_tables = tables;
 
         // Pass 7 — removal: drop the query's mask column from surviving
-        // operator state. (`self.plan` is still the pre-churn plan here.)
+        // operator state. (`live.plan` is still the pre-churn plan here.)
         if let Some(q) = remove {
             for (j, org) in origin.iter().enumerate().take(n2) {
                 let served = match org {
                     Some(Origin::Survivor(i)) | Some(Origin::Split { old: i, .. }) => {
-                        self.plan.subplans[*i].queries.contains(q)
+                        live.plan.subplans[*i].queries.contains(q)
                     }
                     _ => false,
                 };
                 if served {
-                    reclaimed += self.engine.executors[j].retire_query(q)? as u64;
+                    reclaimed += engine.executors[j].retire_query(q)? as u64;
                 }
             }
             return Ok((reclaimed, 0.0));
@@ -960,7 +754,7 @@ impl Runner<'_> {
         for (j, org) in origin.iter().enumerate().take(n2) {
             if plan2.subplans[j].queries.contains(q_new) && !matches!(org, Some(Origin::Fresh)) {
                 let q_ref = witnesses[j].expect("witness validated for shared subplan");
-                self.engine.executors[j].widen_query(q_ref, q_new)?;
+                engine.executors[j].widen_query(q_ref, q_new)?;
             }
         }
         // Widen resident (in-flight) buffer rows only where a carried
@@ -973,7 +767,7 @@ impl Runner<'_> {
             if matches!(org, Some(Origin::Fresh)) || !plan2.subplans[j].queries.contains(q_new) {
                 continue;
             }
-            for (_, src) in self.engine.executors[j].leaf_paths() {
+            for (_, src) in engine.executors[j].leaf_paths() {
                 if let InputSource::Subplan(c) = src {
                     widen_child[c.index()] = true;
                 }
@@ -983,14 +777,14 @@ impl Runner<'_> {
         for (j, widen) in widen_child.iter().enumerate() {
             if *widen && Some(j) != new_root {
                 let q_ref = witnesses[j].expect("witness validated for widened child");
-                self.engine.sp_buffers[j].widen_where(q_ref, q_new);
+                engine.sp_buffers[j].widen_where(q_ref, q_new);
             }
         }
         // Base buffers re-mark their whole retained stream: correct for a
         // re-admitted id, and what the private cone's replay-from-zero
         // cursors rely on.
-        for t in self.engine.base_tables.clone() {
-            self.engine.base_buffers.get_mut(&t).expect("registered table").widen_all(q_new);
+        for t in engine.base_tables.clone() {
+            engine.base_buffers.get_mut(&t).expect("registered table").widen_all(q_new);
         }
         // Seed every fresh subplan's shared-child leaves with the
         // child's reconstructed, re-masked history.
@@ -998,7 +792,7 @@ impl Runner<'_> {
             if !matches!(origin[j], Some(Origin::Fresh)) {
                 continue;
             }
-            for (path, src) in self.engine.executors[j].leaf_paths() {
+            for (path, src) in engine.executors[j].leaf_paths() {
                 let InputSource::Subplan(c) = src else { continue };
                 if matches!(origin[c.index()], Some(Origin::Fresh)) {
                     continue;
@@ -1006,14 +800,14 @@ impl Runner<'_> {
                 let q_ref = witnesses[c.index()].expect("witness validated for shared child");
                 let batch = snapshot_subplan(
                     c.index(),
-                    &self.engine.executors,
-                    &self.engine.base_buffers,
+                    &engine.executors,
+                    &engine.base_buffers,
                     q_ref,
                     q_new,
                     &counter,
                 )?;
                 handoff_rows += batch.rows.len() as u64;
-                self.seeds[j].insert(path, batch);
+                engine.seeds[j].insert(path, batch);
             }
         }
         // A fully shared root: the new query's results are served by an
@@ -1025,14 +819,14 @@ impl Runner<'_> {
                 let q_ref = witnesses[r.index()].expect("witness validated for shared root");
                 let batch = snapshot_subplan(
                     r.index(),
-                    &self.engine.executors,
-                    &self.engine.base_buffers,
+                    &engine.executors,
+                    &engine.base_buffers,
                     q_ref,
                     q_new,
                     &counter,
                 )?;
                 handoff_rows += batch.rows.len() as u64;
-                self.engine.sp_buffers[r.index()].append(&batch);
+                engine.sp_buffers[r.index()].append(&batch);
             }
         }
         Ok((handoff_rows, counter.total().get()))
@@ -1090,65 +884,32 @@ impl Runner<'_> {
         Ok(())
     }
 
-    fn finish(self, started: Instant) -> Result<ChurnRunResult> {
-        let live = self.plan.queries();
-        let mut results = BTreeMap::new();
-        let mut final_work = BTreeMap::new();
-        let mut latency = BTreeMap::new();
-        let mut counts = BTreeMap::new();
-        for q in live.iter() {
-            let root = self
-                .plan
-                .query_root(q)
-                .ok_or_else(|| Error::InvalidPlan(format!("live query {q} has no root")))?;
-            results.insert(q, query_result(self.engine.sp_buffers[root.index()].all_rows(), q));
-            final_work.insert(q, self.charged_final.get(&q).copied().unwrap_or(0.0));
-            latency.insert(q, self.final_wall.get(&q).copied().unwrap_or(Duration::ZERO));
-            counts.insert(q, self.counts.get(&q).copied().unwrap_or_default());
+    /// Attach the churn totals (and, when obs is on, the `churn.*`
+    /// metrics) to the measured run.
+    fn finish(self, mut run: RunResult) -> ChurnRunResult {
+        let live = self.sharer.queries();
+        if let Some(report) = run.obs.as_mut() {
+            let admissions = self.churn.iter().filter(|r| r.kind == ChurnKind::Admit).count();
+            let m = &mut report.metrics;
+            m.counter_add("churn.admissions", admissions as f64);
+            m.counter_add("churn.removals", (self.churn.len() - admissions) as f64);
+            m.counter_add("churn.merge_nodes_reused", self.merge_reused as f64);
+            m.counter_add("churn.merge_nodes_created", self.merge_created as f64);
+            m.counter_add("churn.quiesce_ticks", self.quiesce_ticks as f64);
+            m.gauge_set("churn.reclaimed_rows", self.reclaimed_total as f64);
+            m.gauge_set("churn.handoff_rows", self.handoff_total as f64);
+            m.gauge_set("churn.live_queries", live.len() as f64);
+            m.gauge_set("churn.subplans", self.roots.len() as f64);
         }
-        let obs = self.opts.source.obs.as_ref().map(|_| {
-            let mut metrics = MetricsRegistry::new();
-            metrics.counter_add("churn.admissions", self.admissions as f64);
-            metrics.counter_add("churn.removals", self.removals as f64);
-            metrics.counter_add("churn.merge_nodes_reused", self.merge_reused as f64);
-            metrics.counter_add("churn.merge_nodes_created", self.merge_created as f64);
-            metrics.counter_add("churn.quiesce_ticks", self.quiesce_ticks as f64);
-            metrics.gauge_set("churn.reclaimed_rows", self.reclaimed_total as f64);
-            metrics.gauge_set("churn.handoff_rows", self.handoff_total as f64);
-            metrics.gauge_set("churn.live_queries", live.len() as f64);
-            metrics.gauge_set("churn.subplans", self.plan.len() as f64);
-            // NOTE: unlike the fixed-set drivers, the churn ledger is not
-            // `verify()`-able — mid-run admissions start sampling at their
-            // admission front, which the whole-run invariants don't model.
-            if let Some(ledger) = self.ledger.as_ref() {
-                ledger.record_metrics(&mut metrics);
-            }
-            ObsReport {
-                total_work: self.total_work,
-                metrics,
-                slack: self.ledger.clone(),
-                ..ObsReport::default()
-            }
-        });
-        Ok(ChurnRunResult {
-            run: RunResult {
-                total_work: WorkUnits(self.total_work),
-                total_wall: self.total_wall,
-                final_work,
-                latency,
-                results,
-                executions: self.executions,
-                executions_per_query: counts,
-                elapsed: started.elapsed(),
-                obs,
-            },
+        ChurnRunResult {
+            run,
             churn: self.churn,
             live,
             removed: self.removed,
             reclaimed_rows: self.reclaimed_total,
             handoff_rows: self.handoff_total,
             quiesce_ticks: self.quiesce_ticks,
-        })
+        }
     }
 }
 
@@ -1177,41 +938,6 @@ fn claim(
     }
     claimed[k] = true;
     Some(entries[k].2)
-}
-
-/// Pull every leaf (merging any pending seed batch ahead of the pulled
-/// rows), execute, and materialize — the churn twin of the driver's
-/// `run_tick`.
-fn exec_once(
-    i: usize,
-    engine: &mut EngineState,
-    seeds: &mut [HashMap<Vec<usize>, DeltaBatch>],
-    weights: &CostWeights,
-) -> Result<(WorkUnits, Duration)> {
-    let EngineState { base_buffers, sp_buffers, executors, leaf_consumers, .. } = engine;
-    let counter = WorkCounter::new();
-    let started = Instant::now();
-    let mut inputs = HashMap::new();
-    for (path, src, consumer) in &leaf_consumers[i] {
-        let pulled = match src {
-            InputSource::Base(t) => {
-                base_buffers.get_mut(t).expect("registered table").pull(*consumer)?
-            }
-            InputSource::Subplan(c) => sp_buffers[c.index()].pull(*consumer)?,
-        };
-        let batch = match seeds[i].remove(path) {
-            Some(mut seed) => {
-                seed.rows.extend(pulled.rows);
-                seed
-            }
-            None => pulled,
-        };
-        inputs.insert(path.clone(), batch);
-    }
-    let out = executors[i].execute(&mut inputs, &counter)?;
-    counter.charge(OpKind::Materialize, weights.materialize, out.len());
-    sp_buffers[i].append(&out);
-    Ok((counter.total(), started.elapsed()))
 }
 
 /// Per-subplan witness queries for an admission of `q_new`.
@@ -1311,7 +1037,7 @@ mod tests {
     use ishare_common::{DataType, Value};
     use ishare_exec::batch_ref::run_logical;
     use ishare_expr::Expr;
-    use ishare_obs::ObsConfig;
+    use ishare_obs::{ObsConfig, SlackLedger};
     use ishare_plan::PlanBuilder;
     use ishare_storage::{ColumnStats, Field, Row, Schema, TableStats};
 
@@ -1646,110 +1372,145 @@ mod tests {
         assert_eq!(report.metrics.gauge("churn.live_queries"), Some(1.0));
     }
 
+    /// Three live queries (so a dependency level holds several ticks), a
+    /// split-inducing admission at 1/3 and a removal at 2/3.
+    fn churny(c: &Catalog) -> (Vec<(QueryId, LogicalPlan)>, ChurnScript) {
+        let lt = |cutoff: i64| {
+            PlanBuilder::scan(c, "t")
+                .unwrap()
+                .select(|x| Ok(x.col("v")?.lt(Expr::lit(cutoff))))
+                .unwrap()
+                .aggregate(&["k"], |x| Ok(vec![x.sum("v", "s")?]))
+                .unwrap()
+                .build()
+        };
+        let initial = vec![(QueryId(0), q_all(c)), (QueryId(2), lt(30)), (QueryId(3), lt(70))];
+        let script = ChurnScript::new(vec![
+            ChurnEvent {
+                num: 1,
+                den: 3,
+                op: ChurnOp::Admit {
+                    query: QueryId(1),
+                    plan: q_sel(c),
+                    constraint: FinalWorkConstraint::Relative(1.0),
+                },
+            },
+            ChurnEvent { num: 2, den: 3, op: ChurnOp::Remove { query: QueryId(0) } },
+        ]);
+        (initial, script)
+    }
+
+    fn run_churny(c: &Catalog, source: SourceOptions) -> ChurnOutcome {
+        try_churny(c, source).unwrap()
+    }
+
+    fn try_churny(c: &Catalog, source: SourceOptions) -> Result<ChurnOutcome> {
+        let f = feed(c, 120);
+        let (initial, script) = churny(c);
+        let mut src = Source::in_order(&f);
+        let o = ChurnOptions { source, max_pace: 8, ..Default::default() };
+        // Tight enough for intermediate boundaries, loose enough that the
+        // admission stays feasible next to three live queries.
+        let cons: BTreeMap<QueryId, FinalWorkConstraint> =
+            (0..4).map(|q| (QueryId(q), FinalWorkConstraint::Relative(0.6))).collect();
+        execute_churn_from_source(&initial, &cons, &script, c, &mut src, CostWeights::default(), &o)
+    }
+
+    fn completed(out: ChurnOutcome) -> (ChurnRunResult, CommitLog) {
+        match out {
+            ChurnOutcome::Completed { result, log } => (*result, log),
+            ChurnOutcome::Suspended { .. } => panic!("run completed"),
+        }
+    }
+
+    /// Results, every measured work number, the churn records (handoff work
+    /// bits included) and the commit log agree to the bit.
+    fn assert_same_run(
+        a: &(ChurnRunResult, CommitLog),
+        b: &(ChurnRunResult, CommitLog),
+        label: &str,
+    ) {
+        let bits = |m: &BTreeMap<QueryId, f64>| -> Vec<(QueryId, u64)> {
+            m.iter().map(|(q, w)| (*q, w.to_bits())).collect()
+        };
+        assert_eq!(a.0.run.results, b.0.run.results, "{label}: results");
+        assert_eq!(
+            a.0.run.total_work.get().to_bits(),
+            b.0.run.total_work.get().to_bits(),
+            "{label}: total_work"
+        );
+        assert_eq!(bits(&a.0.run.final_work), bits(&b.0.run.final_work), "{label}: final_work");
+        assert_eq!(a.0.run.executions_per_query, b.0.run.executions_per_query, "{label}");
+        assert_eq!(a.0.churn, b.0.churn, "{label}: churn records");
+        assert_eq!(a.0.quiesce_ticks, b.0.quiesce_ticks, "{label}: quiesce ticks");
+        assert_eq!(a.1, b.1, "{label}: commit log");
+    }
+
     #[test]
     fn partitioned_run_is_bit_identical() {
         let c = catalog();
-        let f = feed(&c, 120);
-        let script = ChurnScript::new(vec![ChurnEvent {
-            num: 1,
-            den: 3,
-            op: ChurnOp::Admit {
-                query: QueryId(1),
-                plan: q_sel(&c),
-                constraint: FinalWorkConstraint::Relative(1.0),
-            },
-        }]);
-        let run = |partitions: usize, threads: usize| {
-            let mut source = Source::in_order(&f);
-            let mut o = opts();
-            o.source.partitions = partitions;
-            o.source.partition_threads = threads;
-            execute_churn_from_source(
-                &[(QueryId(0), q_all(&c))],
-                &tight(),
-                &script,
-                &c,
-                &mut source,
-                CostWeights::default(),
-                &o,
-            )
-            .unwrap()
-            .into_result()
-            .unwrap()
-        };
-        let base = run(0, 0);
-        for (p, th) in [(2, 1), (4, 2)] {
-            let alt = run(p, th);
-            assert_eq!(base.run.results, alt.run.results, "P={p} threads={th}");
-            assert_eq!(
-                base.run.total_work.get().to_bits(),
-                alt.run.total_work.get().to_bits(),
-                "P={p} threads={th}"
-            );
-            assert_eq!(base.run.final_work, alt.run.final_work);
-            assert_eq!(base.churn, alt.churn);
+        let base = completed(run_churny(&c, SourceOptions::default()));
+        assert_eq!(base.0.churn.len(), 2);
+        assert!(base.0.churn[0].nodes_created > 0, "the admission splits a survivor");
+        assert!(base.0.quiesce_ticks > 0, "churn boundaries drain in-flight deltas");
+        // The slack ledger of a churn run is deterministic too: every obs
+        // run must carry the first one's, sample for sample.
+        let mut ledger: Option<SlackLedger> = None;
+        for workers in [1usize, 2, 4] {
+            for (partitions, partition_threads) in [(1usize, 1usize), (4, 2)] {
+                for obs in [None, Some(ObsConfig::default())] {
+                    let alt = completed(run_churny(
+                        &c,
+                        SourceOptions {
+                            workers,
+                            partitions,
+                            partition_threads,
+                            obs,
+                            ..Default::default()
+                        },
+                    ));
+                    let label = format!("workers={workers} P={partitions} obs={}", obs.is_some());
+                    assert_same_run(&base, &alt, &label);
+                    if let Some(slack) = alt.0.run.obs.and_then(|r| r.slack) {
+                        assert!(slack.fronts() > 0, "{label}: ledger sampled");
+                        assert_eq!(ledger.get_or_insert_with(|| slack.clone()), &slack, "{label}");
+                    }
+                }
+            }
         }
+        assert!(ledger.is_some(), "obs runs carry a slack ledger");
     }
 
     #[test]
     fn replay_verifies_churn_trajectory() {
         let c = catalog();
-        let f = feed(&c, 120);
-        let script = ChurnScript::new(vec![ChurnEvent {
-            num: 1,
-            den: 3,
-            op: ChurnOp::Admit {
-                query: QueryId(1),
-                plan: q_sel(&c),
-                constraint: FinalWorkConstraint::Relative(1.0),
-            },
-        }]);
-        let initial = vec![(QueryId(0), q_all(&c))];
-        let go = |o: ChurnOptions| {
-            let mut source = Source::in_order(&f);
-            execute_churn_from_source(
-                &initial,
-                &tight(),
-                &script,
-                &c,
-                &mut source,
-                CostWeights::default(),
-                &o,
-            )
-        };
-        let (first, log) = match go(opts()).unwrap() {
-            ChurnOutcome::Completed { result, log } => (*result, log),
-            ChurnOutcome::Suspended { .. } => panic!("run completed"),
-        };
+        let base = completed(run_churny(&c, SourceOptions::default()));
+        let log = &base.1;
         assert!(log.entries.iter().any(|e| !e.churn.is_empty()), "log records churn");
 
-        // Kill after the first wavefront: the partial log is a prefix.
-        let mut kill = opts();
-        kill.source.stop_after = Some(1);
-        let partial = match go(kill).unwrap() {
-            ChurnOutcome::Suspended { log } => log,
-            ChurnOutcome::Completed { .. } => panic!("run suspended"),
-        };
-        assert_eq!(partial.entries.len(), 1);
-        assert_eq!(partial.entries[0], log.entries[0]);
+        for (workers, partitions) in [(1usize, 1usize), (2, 4), (4, 1)] {
+            let at = |o: SourceOptions| SourceOptions { workers, partitions, ..o };
+            // Kill after the first churn boundary has committed: the partial
+            // log is a prefix of the one-worker log.
+            let cut = 1 + log.entries.iter().position(|e| !e.churn.is_empty()).unwrap();
+            let kill = at(SourceOptions { stop_after: Some(cut), ..Default::default() });
+            let partial = match run_churny(&c, kill) {
+                ChurnOutcome::Suspended { log } => log,
+                ChurnOutcome::Completed { .. } => panic!("run suspended"),
+            };
+            assert_eq!(partial.entries, log.entries[..cut], "workers={workers}");
 
-        // Resume = replay under verification; the rerun is bit-identical.
-        let mut verify = opts();
-        verify.source.verify = Some(log.clone());
-        let second = match go(verify).unwrap() {
-            ChurnOutcome::Completed { result, .. } => *result,
-            ChurnOutcome::Suspended { .. } => panic!("run completed"),
-        };
-        assert_eq!(first.run.results, second.run.results);
-        assert_eq!(first.run.total_work.get().to_bits(), second.run.total_work.get().to_bits());
-        assert_eq!(first.churn, second.churn);
+            // Resume = replay under verification; the rerun is bit-identical.
+            let resume = at(SourceOptions { verify: Some(partial), ..Default::default() });
+            let label = format!("killed+resumed workers={workers} P={partitions}");
+            assert_same_run(&base, &completed(run_churny(&c, resume)), &label);
+        }
 
         // A tampered churn trajectory is caught, not silently diverged.
         let mut tampered = log.clone();
         let wf = tampered.entries.iter().position(|e| !e.churn.is_empty()).unwrap();
         tampered.entries[wf].churn[0].nodes_reused += 1;
-        let mut bad = opts();
-        bad.source.verify = Some(tampered);
-        assert!(matches!(go(bad), Err(Error::InvalidDelta(_))));
+        let bad = SourceOptions { verify: Some(tampered), workers: 2, ..Default::default() };
+        assert!(matches!(try_churny(&c, bad), Err(Error::InvalidDelta(_))));
     }
 }

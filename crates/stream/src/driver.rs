@@ -1,26 +1,40 @@
-//! The paced execution driver (sequential reference implementation).
+//! The wavefront loop and the entry points onto it.
 //!
-//! [`execute_planned`] / [`execute_planned_deltas`] run every scheduled tick
-//! on the calling thread, in global schedule order. This path is the
-//! correctness oracle: the parallel driver in [`crate::parallel`] must
-//! produce bit-identical work totals and results for any thread count.
+//! Every run — fixed-plan, adaptive, live churn, one worker or many — goes
+//! through `run_wavefronts`: poll the source to the front's arrival
+//! fraction, run the front's ticks (`engine.rs`), compact, then the
+//! boundary steps in one fixed order:
+//!
+//! 1. **churn** due at this fraction — quiesce sweep, then each event's
+//!    surgery swaps plan, paces, engine and the schedule suffix;
+//! 2. **commit** the consumed offsets with the paces that were in effect
+//!    *during* the front and the boundary's churn records, and **verify**
+//!    the entry against [`SourceOptions::verify`];
+//! 3. **stop** if [`SourceOptions::stop_after`] says so;
+//! 4. **adapt** — the controller observes the committed front and may
+//!    install new paces for the fronts after it.
+//!
+//! Commit precedes adapt so the log entry records the paces a front ran
+//! under; a switch only governs subsequent fronts, and a resumed run
+//! re-derives it from the same observation.
+//!
+//! With `workers <= 1` every tick runs on the calling thread in global
+//! schedule order: that configuration is the reference the multi-worker
+//! ones must match to the bit (see `engine.rs` for why they do).
 
+use crate::admission::Runner;
+use crate::engine::{EngineState, TickRec};
+use crate::fold::{adapt_gauges, engine_gauges, ingest_gauges, AdaptRec, Fold, FrontRec, PollRec};
 use crate::schedule::{build_schedule, front_at, reschedule_after, Tick};
-use ishare_common::{
-    CostWeights, Error, OpKind, QueryId, QuerySet, Result, TableId, WorkBreakdown, WorkCounter,
-    WorkUnits,
-};
+use ishare_common::{CostWeights, Error, QueryId, Result, TableId, WorkUnits};
 use ishare_core::adapt::{AdaptController, ObservedTable, WavefrontObservation};
-use ishare_exec::{query_result, ExecMode, ExecOptions, QueryResult, SubplanExecutor};
-use ishare_ingest::{CommitLog, Source, TopicStats};
-use ishare_obs::{
-    AuxKind, AuxSpan, ExecCounts, FrontCharge, ObsConfig, ObsReport, SlackLedger, SlackPoint, Span,
-    SpanKind, TraceBuffer,
-};
-use ishare_plan::{InputSource, SharedPlan};
-use ishare_storage::{Catalog, ConsumerId, DeltaBuffer, DeltaRow, Retain, Row};
+use ishare_exec::{query_result, ExecMode, ExecOptions, QueryResult};
+use ishare_ingest::{CommitLog, Source};
+use ishare_obs::{ExecCounts, ObsConfig, ObsReport, SlackLedger};
+use ishare_plan::SharedPlan;
+use ishare_storage::{Catalog, DeltaRow, Retain, Row};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Measured outcome of one paced run.
@@ -29,8 +43,8 @@ pub struct RunResult {
     /// Measured total work: Σ work of all incremental executions.
     pub total_work: WorkUnits,
     /// Wall-clock spent inside executions, summed over all of them (the
-    /// paper's "total execution time"; equals CPU time on the sequential
-    /// driver, and aggregate across-worker CPU time on the parallel one).
+    /// paper's "total execution time"; CPU time on one worker, aggregate
+    /// across-worker CPU time on several).
     pub total_wall: Duration,
     /// Per query: measured final work (Σ work of the final executions of
     /// the query's subplans).
@@ -48,509 +62,21 @@ pub struct RunResult {
     pub executions_per_query: BTreeMap<QueryId, ExecCounts>,
     /// End-to-end wall clock of the whole run — setup, feeding, execution,
     /// and result extraction. Unlike `total_wall` this does not double-count
-    /// concurrent work, so it is the number to compare across thread counts.
+    /// concurrent work, so it is the number to compare across worker counts.
     pub elapsed: Duration,
-    /// Observability report; present iff the run was started with an
-    /// [`ObsConfig`] (the `*_obs` entry points).
+    /// Observability report; present iff the run was started with
+    /// [`SourceOptions::obs`].
     pub obs: Option<ObsReport>,
 }
 
-/// Everything a driver needs to run a schedule: buffers, executors, and the
-/// consumer registrations wiring them together.
-pub(crate) struct EngineState {
-    pub(crate) base_buffers: HashMap<TableId, DeltaBuffer>,
-    /// Registered base tables in deterministic (sorted) order: the order
-    /// both drivers advance the ingest topics in.
-    pub(crate) base_tables: Vec<TableId>,
-    pub(crate) sp_buffers: Vec<DeltaBuffer>,
-    pub(crate) executors: Vec<SubplanExecutor>,
-    /// Per subplan: `(leaf path, source, consumer)` for each leaf input.
-    pub(crate) leaf_consumers: Vec<Vec<(Vec<usize>, InputSource, ConsumerId)>>,
-}
-
-/// Build executors, buffers, and consumer registrations for `plan`.
-///
-/// Retention policy is decided here, once: query-root buffers keep their
-/// full stream ([`Retain::All`] — it backs the final result views), every
-/// other buffer drops its consumed prefix on `compact`. The drivers then
-/// compact all buffers uniformly between wavefronts.
-pub(crate) fn setup_engine(
-    plan: &SharedPlan,
-    catalog: &Catalog,
-    weights: CostWeights,
-    options: ExecOptions,
-) -> Result<EngineState> {
-    let schemas = plan.schemas(catalog)?;
-    let mut base_buffers: HashMap<TableId, DeltaBuffer> = HashMap::new();
-    let mut sp_buffers: Vec<DeltaBuffer> = (0..plan.len()).map(|_| DeltaBuffer::new()).collect();
-    for q in plan.queries().iter() {
-        if let Some(root) = plan.query_root(q) {
-            sp_buffers[root.index()].set_retention(Retain::All);
-        }
-    }
-    let mut executors: Vec<SubplanExecutor> = Vec::with_capacity(plan.len());
-    let mut leaf_consumers: Vec<Vec<(Vec<usize>, InputSource, ConsumerId)>> =
-        Vec::with_capacity(plan.len());
-    for sp in &plan.subplans {
-        let ex = SubplanExecutor::new_with_options(sp, catalog, &schemas, weights, options)?;
-        let mut regs = Vec::new();
-        for (path, src) in ex.leaf_paths() {
-            let consumer = match src {
-                InputSource::Base(t) => {
-                    catalog.table(t)?; // existence check
-                    base_buffers.entry(t).or_default().register_consumer()?
-                }
-                InputSource::Subplan(c) => sp_buffers[c.index()].register_consumer()?,
-            };
-            regs.push((path, src, consumer));
-        }
-        executors.push(ex);
-        leaf_consumers.push(regs);
-    }
-    let mut base_tables: Vec<TableId> = base_buffers.keys().copied().collect();
-    base_tables.sort();
-    Ok(EngineState { base_buffers, base_tables, sp_buffers, executors, leaf_consumers })
-}
-
-/// Advance every registered base table's topic to arrival fraction
-/// `num/den`, handing each released delta to `push` in event-time order.
-/// Tables are independent topics, so iterating them in sorted order is
-/// deterministic and does not affect any downstream state.
-pub(crate) fn feed_from_source(
-    source: &mut Source,
-    base_tables: &[TableId],
-    num: u32,
-    den: u32,
-    all_queries: QuerySet,
-    mut push: impl FnMut(TableId, DeltaRow),
-) -> Result<()> {
-    for &t in base_tables {
-        source.advance_to(t, num, den, |row, weight| {
-            push(t, DeltaRow { row, weight, mask: all_queries })
-        })?;
-    }
-    Ok(())
-}
-
-/// Fold per-subplan final-tick measurements and root buffers into the
-/// per-query views of a [`RunResult`].
-#[allow(clippy::type_complexity)]
-pub(crate) fn per_query_views(
-    plan: &SharedPlan,
-    all_queries: QuerySet,
-    final_sp_work: &[f64],
-    final_sp_wall: &[Duration],
-    sp_buffers: &[DeltaBuffer],
-) -> Result<(BTreeMap<QueryId, f64>, BTreeMap<QueryId, Duration>, BTreeMap<QueryId, QueryResult>)> {
-    let mut final_work = BTreeMap::new();
-    let mut latency = BTreeMap::new();
-    let mut results = BTreeMap::new();
-    for q in all_queries.iter() {
-        let subplans = plan.subplans_of_query(q);
-        final_work.insert(q, subplans.iter().map(|id| final_sp_work[id.index()]).sum());
-        latency.insert(q, subplans.iter().map(|id| final_sp_wall[id.index()]).sum());
-        let root = plan
-            .query_root(q)
-            .ok_or_else(|| Error::InvalidPlan(format!("query {q} has no output subplan")))?;
-        results.insert(q, query_result(sp_buffers[root.index()].all_rows(), q));
-    }
-    Ok((final_work, latency, results))
-}
-
-/// Per-tick measurement taken by either driver: the tick's work/wall plus
-/// the passive observations (per-kind breakdown, start offset from the run's
-/// beginning, worker index) used to build the [`ObsReport`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TickRec {
-    pub(crate) work: WorkUnits,
-    pub(crate) wall: Duration,
-    pub(crate) breakdown: WorkBreakdown,
-    pub(crate) start: Duration,
-    pub(crate) worker: u32,
-}
-
-/// Timing of one wavefront (all ticks at one arrival fraction).
-#[derive(Debug, Clone)]
-pub(crate) struct FrontRec {
-    pub(crate) range: Range<usize>,
-    pub(crate) num: u32,
-    pub(crate) den: u32,
-    pub(crate) start: Duration,
-    pub(crate) dur: Duration,
-}
-
-/// Timing of one per-wavefront ingest cut (the `feed_from_source` call);
-/// becomes an `ingest`-track aux span. `rows` is the deterministic delta
-/// count; the durations are observability-only.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PollRec {
-    pub(crate) start: Duration,
-    pub(crate) dur: Duration,
-    pub(crate) rows: u64,
-}
-
-/// Timing of one adapt-controller evaluation at a wavefront boundary;
-/// becomes an `adapt`-track aux span.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AdaptRec {
-    pub(crate) front: u32,
-    pub(crate) start: Duration,
-    pub(crate) dur: Duration,
-    pub(crate) switched: bool,
-}
-
-/// What [`fold_run`] produces: the deterministic run totals (identical maths
-/// in both drivers — the linchpin of the bit-identical guarantee) plus the
-/// observability report when requested.
-pub(crate) struct FoldedRun {
-    pub(crate) total_work: WorkUnits,
-    pub(crate) total_wall: Duration,
-    pub(crate) final_sp_work: Vec<f64>,
-    pub(crate) final_sp_wall: Vec<Duration>,
-    pub(crate) executions: usize,
-    pub(crate) executions_per_query: BTreeMap<QueryId, ExecCounts>,
-    pub(crate) obs: Option<ObsReport>,
-}
-
-/// Fold per-tick records in global schedule order into run totals, per-query
-/// execution counts, and (when `obs_cfg` is set) the span trace, metrics,
-/// per-subplan work breakdown, and — when `slo` budgets are declared — the
-/// per-query slack ledger. The fold runs after the paced execution on the
-/// coordinating thread, in global schedule order, so every derived number
-/// (including the ledger) is identical across drivers and thread counts.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fold_run(
-    plan: &SharedPlan,
-    all_queries: QuerySet,
-    schedule: &[Tick],
-    depths: &[usize],
-    recs: &[TickRec],
-    fronts: &[FrontRec],
-    polls: &[PollRec],
-    adapt_recs: &[AdaptRec],
-    obs_cfg: Option<ObsConfig>,
-    slo: Option<&BTreeMap<QueryId, f64>>,
-) -> FoldedRun {
-    let mut total_work = WorkUnits::ZERO;
-    let mut total_wall = Duration::ZERO;
-    let mut final_sp_work: Vec<f64> = vec![0.0; plan.len()];
-    let mut final_sp_wall: Vec<Duration> = vec![Duration::ZERO; plan.len()];
-    let mut executions = 0usize;
-    let mut sp_exec: Vec<ExecCounts> = vec![ExecCounts::default(); plan.len()];
-    for (tick, rec) in schedule.iter().zip(recs) {
-        total_work += rec.work;
-        total_wall += rec.wall;
-        executions += 1;
-        let i = tick.sp.index();
-        if tick.is_final {
-            final_sp_work[i] = rec.work.get();
-            final_sp_wall[i] = rec.wall;
-            sp_exec[i].finals += 1;
-        } else {
-            sp_exec[i].incremental += 1;
-        }
-    }
-    let mut executions_per_query = BTreeMap::new();
-    for q in all_queries.iter() {
-        let mut counts = ExecCounts::default();
-        for id in plan.subplans_of_query(q) {
-            counts.incremental += sp_exec[id.index()].incremental;
-            counts.finals += sp_exec[id.index()].finals;
-        }
-        executions_per_query.insert(q, counts);
-    }
-
-    let obs = obs_cfg.map(|cfg| {
-        let mut work_by_subplan: Vec<WorkBreakdown> = vec![WorkBreakdown::default(); plan.len()];
-        let mut trace = TraceBuffer::new(cfg.trace_capacity);
-        let mut metrics = ishare_obs::MetricsRegistry::new();
-        for (tick, rec) in schedule.iter().zip(recs) {
-            let i = tick.sp.index();
-            work_by_subplan[i] += rec.breakdown;
-            trace.push(Span {
-                kind: SpanKind::Tick,
-                sp: tick.sp.0,
-                num: tick.num,
-                den: tick.den,
-                depth: depths[i] as u32,
-                worker: rec.worker,
-                start_us: rec.start.as_micros() as u64,
-                dur_us: rec.wall.as_micros() as u64,
-                work: rec.work.get(),
-                is_final: tick.is_final,
-            });
-            metrics.histogram_record("tick.work", rec.work.get());
-            metrics.histogram_record("tick.wall_us", rec.wall.as_micros() as f64);
-            // Operator spans: subdivide the tick's wall interval
-            // proportionally to its per-kind work breakdown, on the
-            // worker's dedicated ops track.
-            let dur_total = rec.wall.as_micros() as u64;
-            let work_total = rec.work.get();
-            if work_total > 0.0 && dur_total > 0 {
-                let mut cum = 0.0;
-                for kind in OpKind::ALL {
-                    let w = rec.breakdown.get(kind);
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let s = (dur_total as f64 * (cum / work_total)) as u64;
-                    cum += w;
-                    let e = (dur_total as f64 * (cum / work_total)) as u64;
-                    if e > s {
-                        trace.push_aux(AuxSpan {
-                            kind: AuxKind::Operator(kind),
-                            sp: tick.sp.0,
-                            worker: rec.worker,
-                            start_us: rec.start.as_micros() as u64 + s,
-                            dur_us: e - s,
-                            work: w,
-                        });
-                    }
-                }
-            }
-        }
-        for (fi, front) in fronts.iter().enumerate() {
-            let front_work: f64 = recs[front.range.clone()].iter().map(|r| r.work.get()).sum();
-            let is_final = schedule[front.range.clone()].iter().any(|t| t.is_final);
-            trace.push(Span {
-                kind: SpanKind::Wavefront,
-                sp: fi as u32,
-                num: front.num,
-                den: front.den,
-                depth: 0,
-                worker: 0,
-                start_us: front.start.as_micros() as u64,
-                dur_us: front.dur.as_micros() as u64,
-                work: front_work,
-                is_final,
-            });
-        }
-        // Ingest-poll and adapt re-search spans on their own tracks.
-        for (i, p) in polls.iter().enumerate() {
-            trace.push_aux(AuxSpan {
-                kind: AuxKind::IngestPoll,
-                sp: i as u32,
-                worker: 0,
-                start_us: p.start.as_micros() as u64,
-                dur_us: p.dur.as_micros() as u64,
-                work: p.rows as f64,
-            });
-            metrics.histogram_record("ingest.poll.rows", p.rows as f64);
-        }
-        for a in adapt_recs {
-            trace.push_aux(AuxSpan {
-                kind: AuxKind::AdaptSearch,
-                sp: a.front,
-                worker: 0,
-                start_us: a.start.as_micros() as u64,
-                dur_us: a.dur.as_micros() as u64,
-                work: if a.switched { 1.0 } else { 0.0 },
-            });
-        }
-        // Slack ledger: replay the fronts against the L(q) budgets. The
-        // per-query sums iterate `subplans_of_query` in exactly the order
-        // `wavefront_observation` uses, so `consumed` — and therefore
-        // `remaining` — is to_bits-equal to what the adapt controller saw.
-        let mut ledger = match slo {
-            Some(budgets) if !budgets.is_empty() => Some(SlackLedger::new(budgets)),
-            _ => None,
-        };
-        if let Some(ledger) = ledger.as_mut() {
-            let mut sp_total: Vec<f64> = vec![0.0; plan.len()];
-            let mut sp_final: Vec<f64> = vec![0.0; plan.len()];
-            for (fi, front) in fronts.iter().enumerate() {
-                let mut sp_front: Vec<f64> = vec![0.0; plan.len()];
-                for (tick, rec) in
-                    schedule[front.range.clone()].iter().zip(&recs[front.range.clone()])
-                {
-                    let i = tick.sp.index();
-                    let w = rec.work.get();
-                    sp_front[i] += w;
-                    sp_total[i] += w;
-                    if tick.is_final {
-                        sp_final[i] = w;
-                    }
-                }
-                let mut charges: BTreeMap<QueryId, FrontCharge> = BTreeMap::new();
-                for q in all_queries.iter() {
-                    let subplans = plan.subplans_of_query(q);
-                    charges.insert(
-                        q,
-                        FrontCharge {
-                            front_work: subplans.iter().map(|id| sp_front[id.index()]).sum(),
-                            charged_total: subplans.iter().map(|id| sp_total[id.index()]).sum(),
-                            consumed: subplans.iter().map(|id| sp_final[id.index()]).sum(),
-                        },
-                    );
-                }
-                ledger.record_front(fi as u32, front.num, front.den, &charges);
-                let ts_us = (front.start + front.dur).as_micros() as u64;
-                for (q, qs) in ledger.queries() {
-                    if let Some(s) = qs.samples.last() {
-                        trace.push_slack(SlackPoint {
-                            query: q.0,
-                            wavefront: fi as u32,
-                            ts_us,
-                            remaining: s.remaining,
-                            consumed: s.consumed,
-                        });
-                    }
-                }
-            }
-            ledger.record_metrics(&mut metrics);
-        }
-        let mut global = WorkBreakdown::default();
-        for b in &work_by_subplan {
-            global.add(b);
-        }
-        metrics.counter_add("work.total", total_work.get());
-        for kind in OpKind::ALL {
-            let w = global.get(kind);
-            if w != 0.0 {
-                metrics.counter_add(&format!("work.{kind}"), w);
-            }
-        }
-        metrics.counter_add(
-            "executions.incremental",
-            sp_exec.iter().map(|e| e.incremental).sum::<u64>() as f64,
-        );
-        metrics
-            .counter_add("executions.final", sp_exec.iter().map(|e| e.finals).sum::<u64>() as f64);
-        ObsReport {
-            total_work: total_work.get(),
-            work_by_subplan,
-            executions_by_subplan: sp_exec.clone(),
-            metrics,
-            trace,
-            slack: ledger,
-        }
-    });
-
-    FoldedRun {
-        total_work,
-        total_wall,
-        final_sp_work,
-        final_sp_wall,
-        executions,
-        executions_per_query,
-        obs,
-    }
-}
-
-/// Record end-of-run buffer gauges (high-water marks, retained/compacted
-/// rows, consumer lags) into an [`ObsReport`]'s registry.
-pub(crate) fn buffer_gauges(
-    report: &mut ObsReport,
-    base_buffers: &HashMap<TableId, DeltaBuffer>,
-    sp_buffers: &[DeltaBuffer],
-) {
-    let mut tables: Vec<&TableId> = base_buffers.keys().collect();
-    tables.sort();
-    for t in tables {
-        let b = &base_buffers[t];
-        report
-            .metrics
-            .gauge_set(&format!("buffer.base.t{}.high_water", t.0), b.high_water() as f64);
-        report.metrics.gauge_set(&format!("buffer.base.t{}.len", t.0), b.len() as f64);
-    }
-    for (i, b) in sp_buffers.iter().enumerate() {
-        report.metrics.gauge_set(&format!("buffer.sp{i}.high_water"), b.high_water() as f64);
-        report.metrics.gauge_set(&format!("buffer.sp{i}.len"), b.len() as f64);
-        report.metrics.gauge_set(&format!("buffer.sp{i}.compacted"), b.compacted() as f64);
-        for (c, lag) in b.lags().into_iter().enumerate() {
-            report.metrics.gauge_set(&format!("buffer.sp{i}.lag.c{c}"), lag as f64);
-        }
-    }
-}
-
-/// Record end-of-run partition-exchange gauges (per-partition routed rows
-/// and charged work, plus a max/mean skew ratio per subplan) into an
-/// [`ObsReport`]'s registry. No-op for unpartitioned executors.
-pub(crate) fn partition_gauges(report: &mut ObsReport, executors: &[SubplanExecutor]) {
-    for (i, ex) in executors.iter().enumerate() {
-        let stats: Vec<(u64, f64)> =
-            ex.partition_stats().iter().map(|s| (s.rows, s.work)).collect();
-        ishare_obs::record_partition_gauges(&mut report.metrics, i, &stats);
-    }
-}
-
-/// Record end-of-run vectorized batch gauges (per-subplan mean input batch
-/// length and select survival fraction) into an [`ObsReport`]'s registry.
-/// No-op for subplans that saw no batches — i.e. every non-vectorized run.
-pub(crate) fn batch_gauges(report: &mut ObsReport, executors: &[SubplanExecutor]) {
-    for (i, ex) in executors.iter().enumerate() {
-        let s = ex.batch_stats();
-        ishare_obs::record_batch_gauges(&mut report.metrics, i, s.batches, s.mean_fill(), s.selectivity());
-    }
-}
-
-/// Record end-of-run ingest gauges (per-partition ring high-water marks,
-/// producer stall ticks, consumer lag, delivered cuts) into an
-/// [`ObsReport`]'s registry.
-pub(crate) fn ingest_gauges(report: &mut ObsReport, stats: &[TopicStats]) {
-    for s in stats {
-        let t = s.table.0;
-        report.metrics.gauge_set(&format!("ingest.t{t}.delivered"), s.delivered as f64);
-        report.metrics.gauge_set(&format!("ingest.t{t}.stall_ticks"), s.stall_ticks as f64);
-        report.metrics.gauge_set(&format!("ingest.t{t}.polls"), s.polls as f64);
-        report
-            .metrics
-            .gauge_set(&format!("ingest.t{t}.reorder_high_water"), s.reorder_high_water as f64);
-        let lag: u64 = s.partitions.iter().map(|p| p.lag).sum();
-        report.metrics.gauge_set(&format!("ingest.t{t}.lag"), lag as f64);
-        for (i, p) in s.partitions.iter().enumerate() {
-            report.metrics.gauge_set(&format!("ingest.t{t}.p{i}.high_water"), p.high_water as f64);
-        }
-    }
-}
-
-/// Assemble the deterministic per-wavefront observation the adaptation
-/// controller consumes: cumulative delivery tallies per base table
-/// (`(delivered, deletes)` as counted by the feed path) plus per-query
-/// charged final work. Shared by both drivers so the adaptive decision
-/// inputs — and therefore the switch sequences — cannot drift between them.
-pub(crate) fn wavefront_observation(
-    plan: &SharedPlan,
-    all_queries: QuerySet,
-    wavefront: usize,
-    num: u32,
-    den: u32,
-    charged_sp_final: &[f64],
-    tallies: &BTreeMap<TableId, (u64, u64)>,
-) -> WavefrontObservation {
-    let mut charged_final = BTreeMap::new();
-    for q in all_queries.iter() {
-        let sum: f64 =
-            plan.subplans_of_query(q).iter().map(|id| charged_sp_final[id.index()]).sum();
-        charged_final.insert(q, sum);
-    }
-    WavefrontObservation {
-        wavefront,
-        num,
-        den,
-        charged_final,
-        tables: tallies
-            .iter()
-            .map(|(t, &(delivered, deletes))| ObservedTable { table: *t, delivered, deletes })
-            .collect(),
-    }
-}
-
-/// Record end-of-run adaptation counters into an [`ObsReport`]'s registry.
-pub(crate) fn adapt_gauges(report: &mut ObsReport, ctrl: &AdaptController) {
-    let m = ctrl.metrics();
-    report.metrics.counter_add("adapt.evaluations", m.evaluations as f64);
-    report.metrics.counter_add("adapt.triggers", m.triggers as f64);
-    report.metrics.counter_add("adapt.pace_switches", m.switches as f64);
-    report.metrics.gauge_set("adapt.max_drift", m.max_drift);
-    report.metrics.gauge_set("adapt.reopt_time_us", m.reopt_time.as_micros() as f64);
-}
-
-/// Options of a source-fed run ([`execute_from_source_obs`] and its parallel
-/// twin).
+/// Options of a run.
 #[derive(Debug, Clone, Default)]
 pub struct SourceOptions {
-    /// Opt-in observability (see [`execute_planned_deltas_obs`]).
+    /// Opt-in observability: when set, [`RunResult::obs`] carries the
+    /// per-subplan work breakdown, metrics, and a tick/wavefront span trace
+    /// with one track per worker. Instrumentation is passive (it reads
+    /// tick-local counters and the wall clock only), so the run's work
+    /// numbers are bit-identical with `obs` on or off.
     pub obs: Option<ObsConfig>,
     /// Stop (kill) the run after this many wavefronts have completed and
     /// committed, returning [`SourceOutcome::Suspended`] with the commit
@@ -563,8 +89,9 @@ pub struct SourceOptions {
     pub verify: Option<CommitLog>,
     /// Which exec-layer datapath to run ([`ExecMode::Kernels`] by default).
     /// [`ExecMode::Reference`] selects the original interpreter-shaped
-    /// operators — bit-identical results and work, used as the differential
-    /// oracle by the kernel-equivalence suites.
+    /// operators and [`ExecMode::Vectorized`] the columnar batches of
+    /// DESIGN.md §15 — bit-identical results and work, only wall-clock
+    /// differs.
     pub mode: ExecMode,
     /// Hash-partition every join/aggregate's state into this many partitions
     /// (intra-subplan data parallelism; see DESIGN.md §12). `0` and `1` both
@@ -576,12 +103,18 @@ pub struct SourceOptions {
     /// single-threaded exchange). Purely a wall-clock knob: the thread count
     /// never affects routing, merge order, or charged work.
     pub partition_threads: usize,
+    /// Worker threads running the independent subplans of a wavefront
+    /// (`0`/`1` = every tick on the calling thread). Purely a wall-clock
+    /// knob: results and every measured work number are bit-identical at
+    /// any worker count.
+    pub workers: usize,
     /// Per-query final-work budgets `L(q)` for the slack ledger. When set
     /// (and `obs` is on), the report carries a [`SlackLedger`] with one
     /// sample per query per wavefront plus `slo.*` metrics and per-query
-    /// slack counter tracks in the Chrome trace. The adaptive entry points
-    /// default this to the controller's constraints when unset. Purely
-    /// observational: budgets never influence execution.
+    /// slack counter tracks in the Chrome trace. Adaptive runs default this
+    /// to the controller's constraints, churn runs to the live queries'
+    /// resolved budgets. Purely observational: budgets never influence
+    /// execution.
     pub slo: Option<BTreeMap<QueryId, f64>>,
 }
 
@@ -596,12 +129,12 @@ impl SourceOptions {
     }
 }
 
-/// What a source-fed run produced.
+/// What a run produced.
 #[derive(Debug)]
 pub enum SourceOutcome {
     /// The run executed every wavefront.
     Completed {
-        /// The measured run, bit-identical to the `Vec`-fed drivers.
+        /// The measured run.
         result: Box<RunResult>,
         /// Commit log of every wavefront (for later replay verification).
         log: CommitLog,
@@ -630,33 +163,261 @@ impl SourceOutcome {
     }
 }
 
-/// Verify a replayed wavefront's commit against a prior run's log and handle
-/// a requested stop. Returns `Some(Suspended)` when the driver should cut
-/// the run here. Shared by both drivers so kill/replay semantics cannot
-/// drift between them.
-pub(crate) fn commit_wavefront(
+/// What the loop is running right now. A churn event swaps all of it.
+pub(crate) struct Live<'p> {
+    pub(crate) started: Instant,
+    pub(crate) plan: Cow<'p, SharedPlan>,
+    pub(crate) paces: Vec<u32>,
+    pub(crate) engine: EngineState,
+}
+
+impl<'p> Live<'p> {
+    pub(crate) fn new(
+        plan: Cow<'p, SharedPlan>,
+        paces: &[u32],
+        catalog: &Catalog,
+        weights: CostWeights,
+        opts: &SourceOptions,
+    ) -> Result<Live<'p>> {
+        let started = Instant::now();
+        let engine = EngineState::new(&plan, catalog, weights, opts.exec_options())?;
+        Ok(Live { started, plan, paces: paces.to_vec(), engine })
+    }
+}
+
+/// The one wavefront loop (see the module docs). `adapt` and `churn` are
+/// the optional boundary steps; no entry point passes both, because the
+/// controller cannot yet rebind to a re-cut plan.
+pub(crate) fn run_wavefronts(
+    mut live: Live<'_>,
     source: &mut Source,
-    wavefront: usize,
-    num: u32,
-    den: u32,
-    paces: &[u32],
     opts: &SourceOptions,
-) -> Result<Option<SourceOutcome>> {
-    let entry = source.commit(wavefront, num, den, paces);
-    if let Some(expect) = opts.verify.as_ref().and_then(|log| log.entries.get(wavefront)) {
-        if expect != entry {
-            let what =
-                if expect.paces != entry.paces { "adaptive pace decisions" } else { "the source" };
-            return Err(Error::InvalidDelta(format!(
-                "replay diverged from commit log at wavefront {wavefront} \
-                 (fraction {num}/{den}): {what} did not replay deterministically"
-            )));
+    mut adapt: Option<&mut AdaptController>,
+    mut churn: Option<&mut Runner<'_>>,
+) -> Result<SourceOutcome> {
+    let started = live.started;
+    let mut schedule = build_schedule(&live.plan, &live.paces)?;
+    let mut depths = live.plan.depths();
+    if churn.is_some() {
+        // A churn run's base buffers keep their full stream, so an admitted
+        // query's private cone can replay history from offset 0.
+        for b in live.engine.base_buffers.values_mut() {
+            b.set_retention(Retain::All);
         }
     }
-    if opts.stop_after == Some(wavefront + 1) {
-        return Ok(Some(SourceOutcome::Suspended { log: source.log().clone() }));
+    let budgets = opts
+        .slo
+        .clone()
+        .or_else(|| adapt.as_deref().map(|c| c.constraints().clone()))
+        .or_else(|| churn.as_deref().map(|c| c.budgets().clone()));
+    let ledger = match (&opts.obs, budgets) {
+        (Some(_), Some(b)) if !b.is_empty() => Some(SlackLedger::new(&b)),
+        _ => None,
+    };
+    let mut fold = Fold::new(live.plan.len(), ledger);
+
+    // One wavefront (= one arrival fraction) at a time. Fronts are
+    // discovered incrementally because an adaptive pace switch or a churn
+    // event rebuilds the unexecuted tail of the schedule.
+    let mut recs: Vec<TickRec> = Vec::with_capacity(schedule.len());
+    let mut fronts: Vec<FrontRec> = Vec::new();
+    let mut polls: Vec<PollRec> = Vec::new();
+    let mut adapt_recs: Vec<AdaptRec> = Vec::new();
+    let mut tallies: BTreeMap<TableId, (u64, u64)> = BTreeMap::new();
+    let (mut pos, mut wf) = (0, 0);
+    while pos < schedule.len() {
+        let front = front_at(&schedule, pos);
+        let Tick { num, den, .. } = schedule[front.start];
+
+        // Cut every registered topic at the front's fraction. Tables are
+        // independent topics, so sorted order is deterministic and does not
+        // affect any downstream state.
+        let poll_start = started.elapsed();
+        let mut poll_rows = 0u64;
+        let all_queries = live.plan.queries();
+        for &t in &live.engine.base_tables {
+            let buffer = live.engine.base_buffers.get_mut(&t).expect("registered table");
+            let (mut delivered, mut deletes) = (0u64, 0u64);
+            source.advance_to(t, num, den, |row, weight| {
+                delivered += 1;
+                deletes += u64::from(weight < 0);
+                buffer.push(DeltaRow { row, weight, mask: all_queries })
+            })?;
+            if delivered > 0 {
+                let tally = tallies.entry(t).or_insert((0, 0));
+                tally.0 += delivered;
+                tally.1 += deletes;
+                poll_rows += delivered;
+            }
+        }
+        polls.push(PollRec {
+            start: poll_start,
+            dur: started.elapsed() - poll_start,
+            rows: poll_rows,
+        });
+
+        let front_start = started.elapsed();
+        let first = recs.len();
+        live.engine.run_ticks(
+            &schedule[front.clone()],
+            false,
+            &depths,
+            opts.workers,
+            started,
+            &mut recs,
+        )?;
+        live.engine.compact();
+
+        // Churn events due here are applied on a quiesced engine: one
+        // children-first sweep drains every buffer first, and its
+        // executions count as non-final executions of this front.
+        let due = churn.as_deref_mut().map_or_else(Vec::new, |c| c.take_due(num, den));
+        if let (Some(runner), Some(ev)) = (churn.as_deref_mut(), due.first()) {
+            if num == den {
+                return Err(Error::Churn(format!(
+                    "churn due at fraction {}/{} but the only remaining boundary is final; \
+                     lower the event fraction or raise a pace",
+                    ev.num, ev.den
+                )));
+            }
+            let sweep: Vec<Tick> = live
+                .plan
+                .topo_order()?
+                .into_iter()
+                .enumerate()
+                .map(|(topo_rank, sp)| Tick { num, den, topo_rank, sp, is_final: false })
+                .collect();
+            let swept = recs.len();
+            live.engine.run_ticks(&sweep, true, &depths, opts.workers, started, &mut recs)?;
+            runner.quiesce_ticks += recs.len() - swept;
+        }
+        fronts.push(FrontRec {
+            range: first..recs.len(),
+            num,
+            den,
+            start: front_start,
+            dur: started.elapsed() - front_start,
+        });
+        fold.front(&live.plan, wf, &fronts[wf], &recs[first..]);
+
+        let front_paces = (!due.is_empty()).then(|| live.paces.clone());
+        let mut records = Vec::new();
+        if let Some(runner) = churn.as_deref_mut() {
+            for ev in due {
+                records.push(runner.apply(&mut live, &mut fold, ev)?);
+            }
+        }
+        let mut reschedule = !records.is_empty();
+        if reschedule {
+            depths = live.plan.depths();
+        }
+
+        let front_paces = front_paces.as_deref().unwrap_or(&live.paces);
+        let entry = source.commit_with_churn(wf, num, den, front_paces, records);
+        if let Some(expect) = opts.verify.as_ref().and_then(|log| log.entries.get(wf)) {
+            if expect != entry {
+                let what = if expect.churn != entry.churn {
+                    "the churn trajectory"
+                } else if expect.paces != entry.paces {
+                    "pace decisions"
+                } else {
+                    "the source"
+                };
+                return Err(Error::InvalidDelta(format!(
+                    "replay diverged from commit log at wavefront {wf} (fraction {num}/{den}): \
+                     {what} did not replay deterministically"
+                )));
+            }
+        }
+        if opts.stop_after == Some(wf + 1) {
+            return Ok(SourceOutcome::Suspended { log: source.log().clone() });
+        }
+
+        if let Some(ctrl) = adapt.as_deref_mut() {
+            // Deterministic measured quantities only: cumulative delivery
+            // tallies as counted by the feed path, and charged final work.
+            let obs = WavefrontObservation {
+                wavefront: wf,
+                num,
+                den,
+                charged_final: (live.plan.queries().iter())
+                    .map(|q| (q, fold.final_work(&live.plan, q)))
+                    .collect(),
+                tables: (tallies.iter())
+                    .map(|(&table, &(delivered, deletes))| ObservedTable {
+                        table,
+                        delivered,
+                        deletes,
+                    })
+                    .collect(),
+            };
+            let adapt_start = started.elapsed();
+            let switch = ctrl.observe(&obs)?;
+            adapt_recs.push(AdaptRec {
+                front: wf as u32,
+                start: adapt_start,
+                dur: started.elapsed() - adapt_start,
+                switched: switch.is_some(),
+            });
+            if let Some(new_paces) = switch {
+                live.paces = new_paces;
+                reschedule = true;
+            }
+        }
+
+        // A switch or a re-cut only governs the fractions strictly beyond
+        // this boundary; every subplan's final tick sits at 1/1 in every
+        // schedule, so the last front always runs all finals.
+        if reschedule {
+            schedule = reschedule_after(&live.plan, &[], num, den, &live.paces)?;
+            pos = 0;
+        } else {
+            pos = front.end;
+        }
+        wf += 1;
     }
-    Ok(None)
+
+    let mut obs = opts.obs.map(|cfg| fold.report(cfg, &recs, &fronts, &polls, &adapt_recs));
+    if let Some(report) = obs.as_mut() {
+        engine_gauges(report, &live.engine);
+        ingest_gauges(report, &source.stats());
+        if let Some(ctrl) = adapt.as_deref() {
+            adapt_gauges(report, ctrl);
+        }
+    }
+    let plan = &*live.plan;
+    let mut final_work = BTreeMap::new();
+    let mut latency = BTreeMap::new();
+    let mut results = BTreeMap::new();
+    let mut executions_per_query = BTreeMap::new();
+    for q in plan.queries().iter() {
+        final_work.insert(q, fold.final_work(plan, q));
+        latency.insert(q, fold.final_wall(plan, q));
+        executions_per_query.insert(q, fold.exec_counts(plan, q));
+        let root = plan
+            .query_root(q)
+            .ok_or_else(|| Error::InvalidPlan(format!("query {q} has no output subplan")))?;
+        results.insert(q, query_result(live.engine.sp_buffers[root.index()].all_rows(), q));
+    }
+    Ok(SourceOutcome::Completed {
+        result: Box::new(RunResult {
+            total_work: fold.total_work,
+            total_wall: fold.total_wall,
+            final_work,
+            latency,
+            results,
+            executions: fold.executions,
+            executions_per_query,
+            elapsed: started.elapsed(),
+            obs,
+        }),
+        log: source.log().clone(),
+    })
+}
+
+/// Wrap insert-only rows as weight-`+1` delta feeds.
+pub fn insert_feeds(data: &HashMap<TableId, Vec<Row>>) -> HashMap<TableId, Vec<(Row, i64)>> {
+    data.iter().map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect())).collect()
 }
 
 /// Execute `plan` at `paces` over insert-only `data` (each base relation's
@@ -669,27 +430,7 @@ pub fn execute_planned(
     data: &HashMap<TableId, Vec<Row>>,
     weights: CostWeights,
 ) -> Result<RunResult> {
-    let feeds = insert_feeds(data);
-    execute_planned_deltas(plan, paces, catalog, &feeds, weights)
-}
-
-/// [`execute_planned`] with opt-in observability (see
-/// [`execute_planned_deltas_obs`]).
-pub fn execute_planned_obs(
-    plan: &SharedPlan,
-    paces: &[u32],
-    catalog: &Catalog,
-    data: &HashMap<TableId, Vec<Row>>,
-    weights: CostWeights,
-    obs: Option<ObsConfig>,
-) -> Result<RunResult> {
-    let feeds = insert_feeds(data);
-    execute_planned_deltas_obs(plan, paces, catalog, &feeds, weights, obs)
-}
-
-/// Wrap insert-only rows as weight-`+1` delta feeds.
-pub(crate) fn insert_feeds(data: &HashMap<TableId, Vec<Row>>) -> HashMap<TableId, Vec<(Row, i64)>> {
-    data.iter().map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect())).collect()
+    execute_planned_deltas(plan, paces, catalog, &insert_feeds(data), weights)
 }
 
 /// Execute `plan` at `paces` over weighted delta feeds, with deltas arriving
@@ -708,122 +449,22 @@ pub fn execute_planned_deltas(
     data: &HashMap<TableId, Vec<(Row, i64)>>,
     weights: CostWeights,
 ) -> Result<RunResult> {
-    execute_planned_deltas_obs(plan, paces, catalog, data, weights, None)
+    execute_planned_deltas_with(plan, paces, catalog, data, weights, SourceOptions::default())
 }
 
-/// [`execute_planned_deltas`] on the [`ExecMode::Reference`] datapath — the
-/// original interpreter-shaped operators, kept as a differential oracle.
-/// Everything measured (work totals, per-query `final_work`, results) is
-/// bit-identical to the default kernel datapath; only wall-clock differs.
-pub fn execute_planned_deltas_reference(
+/// [`execute_planned_deltas`] under `opts` — observability, datapath,
+/// partitions, workers. A thin adapter over an in-order [`Source`], so there
+/// is exactly one feed path.
+pub fn execute_planned_deltas_with(
     plan: &SharedPlan,
     paces: &[u32],
     catalog: &Catalog,
     data: &HashMap<TableId, Vec<(Row, i64)>>,
     weights: CostWeights,
+    opts: SourceOptions,
 ) -> Result<RunResult> {
     let mut source = Source::in_order(data);
-    execute_from_source_obs(
-        plan,
-        paces,
-        catalog,
-        &mut source,
-        weights,
-        SourceOptions { mode: ExecMode::Reference, ..Default::default() },
-    )?
-    .into_result()
-}
-
-/// [`execute_planned_deltas`] on the [`ExecMode::Vectorized`] datapath —
-/// columnar SoA batches with selection-vector kernels through the
-/// scan/select/project hot path (DESIGN.md §15). Everything measured (work
-/// totals, per-query `final_work`, results) is bit-identical to the default
-/// kernel datapath and the reference; only wall-clock differs.
-pub fn execute_planned_deltas_vectorized(
-    plan: &SharedPlan,
-    paces: &[u32],
-    catalog: &Catalog,
-    data: &HashMap<TableId, Vec<(Row, i64)>>,
-    weights: CostWeights,
-) -> Result<RunResult> {
-    let mut source = Source::in_order(data);
-    execute_from_source_obs(
-        plan,
-        paces,
-        catalog,
-        &mut source,
-        weights,
-        SourceOptions { mode: ExecMode::Vectorized, ..Default::default() },
-    )?
-    .into_result()
-}
-
-/// [`execute_planned_deltas`] with intra-subplan data parallelism: every
-/// join and aggregate's state is hash-partitioned into `partitions` parts
-/// over the operator's encoded key (DESIGN.md §12). Results, work totals,
-/// and every per-query number are bit-identical to the unpartitioned run at
-/// any partition count; `partitions <= 1` is exactly the unpartitioned path.
-pub fn execute_planned_deltas_partitioned(
-    plan: &SharedPlan,
-    paces: &[u32],
-    catalog: &Catalog,
-    data: &HashMap<TableId, Vec<(Row, i64)>>,
-    weights: CostWeights,
-    partitions: usize,
-) -> Result<RunResult> {
-    execute_planned_deltas_partitioned_obs(plan, paces, catalog, data, weights, partitions, 1, None)
-}
-
-/// [`execute_planned_deltas_partitioned`] with a worker-thread count for the
-/// partitioned operators and opt-in observability. `partition_threads` is a
-/// wall-clock knob only; when `obs` is set the report carries per-partition
-/// `partition.sp*.p*.rows`/`.work` gauges and a `partition.sp*.skew` ratio.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_planned_deltas_partitioned_obs(
-    plan: &SharedPlan,
-    paces: &[u32],
-    catalog: &Catalog,
-    data: &HashMap<TableId, Vec<(Row, i64)>>,
-    weights: CostWeights,
-    partitions: usize,
-    partition_threads: usize,
-    obs: Option<ObsConfig>,
-) -> Result<RunResult> {
-    let mut source = Source::in_order(data);
-    execute_from_source_obs(
-        plan,
-        paces,
-        catalog,
-        &mut source,
-        weights,
-        SourceOptions { obs, partitions, partition_threads, ..Default::default() },
-    )?
-    .into_result()
-}
-
-/// [`execute_planned_deltas`] with opt-in observability: when `obs` is set
-/// the returned [`RunResult::obs`] carries the per-subplan work breakdown,
-/// metrics, and tick/wavefront span trace. Instrumentation is passive (it
-/// reads counters and the wall clock only), so the run's work numbers are
-/// bit-identical with `obs` on or off.
-pub fn execute_planned_deltas_obs(
-    plan: &SharedPlan,
-    paces: &[u32],
-    catalog: &Catalog,
-    data: &HashMap<TableId, Vec<(Row, i64)>>,
-    weights: CostWeights,
-    obs: Option<ObsConfig>,
-) -> Result<RunResult> {
-    let mut source = Source::in_order(data);
-    execute_from_source_obs(
-        plan,
-        paces,
-        catalog,
-        &mut source,
-        weights,
-        SourceOptions { obs, ..Default::default() },
-    )?
-    .into_result()
+    execute_from_source_obs(plan, paces, catalog, &mut source, weights, opts)?.into_result()
 }
 
 /// Execute `plan` at `paces` pulling input from an ingest [`Source`] instead
@@ -831,11 +472,11 @@ pub fn execute_planned_deltas_obs(
 ///
 /// The source may deliver out of order (bounded jitter + watermarks) and
 /// exert backpressure; the run's results and every measured work number are
-/// still bit-identical to [`execute_planned_deltas_obs`] over the same
-/// feeds. At every wavefront boundary the consumed offsets are committed to
-/// the source's [`CommitLog`]; [`SourceOptions::stop_after`] kills the run
-/// at a boundary and [`SourceOptions::verify`] replays a killed run against
-/// its log (see [`SourceOutcome`]).
+/// still bit-identical to [`execute_planned_deltas`] over the same feeds. At
+/// every wavefront boundary the consumed offsets are committed to the
+/// source's [`CommitLog`]; [`SourceOptions::stop_after`] kills the run at a
+/// boundary and [`SourceOptions::verify`] replays a killed run against its
+/// log (see [`SourceOutcome`]).
 pub fn execute_from_source_obs(
     plan: &SharedPlan,
     paces: &[u32],
@@ -844,18 +485,38 @@ pub fn execute_from_source_obs(
     weights: CostWeights,
     opts: SourceOptions,
 ) -> Result<SourceOutcome> {
-    run_from_source(plan, paces, catalog, source, weights, opts, None)
+    let live = Live::new(Cow::Borrowed(plan), paces, catalog, weights, &opts)?;
+    run_wavefronts(live, source, &opts, None, None)
+}
+
+/// [`execute_from_source_obs`] with [`SourceOptions::workers`] passed
+/// positionally; `threads == 0` is rejected.
+pub fn execute_from_source_parallel_obs(
+    plan: &SharedPlan,
+    paces: &[u32],
+    catalog: &Catalog,
+    source: &mut Source,
+    weights: CostWeights,
+    threads: usize,
+    opts: SourceOptions,
+) -> Result<SourceOutcome> {
+    if threads == 0 {
+        return Err(Error::InvalidConfig("thread count must be at least 1".into()));
+    }
+    let opts = SourceOptions { workers: threads, ..opts };
+    execute_from_source_obs(plan, paces, catalog, source, weights, opts)
 }
 
 /// [`execute_from_source_obs`] with online re-optimization: after every
 /// committed wavefront the controller sees the cumulative delivery tallies
-/// and charged final work ([`WavefrontObservation`]); when it installs new
+/// and charged final work (`WavefrontObservation`); when it installs new
 /// paces the remaining schedule is rebuilt via
 /// [`reschedule_after`](crate::schedule::reschedule_after) and the switch
 /// takes effect at the next wavefront. The controller's decisions depend
-/// only on deterministic measured quantities, so killed-and-resumed runs
-/// re-derive the identical switch sequence (verified through the commit
-/// log's `paces` field) and parallel runs stay bit-identical to sequential.
+/// only on deterministic measured quantities gathered on the coordinating
+/// thread between wavefronts, so killed-and-resumed runs re-derive the
+/// identical switch sequence (verified through the commit log's `paces`
+/// field) and multi-worker runs stay bit-identical to one worker.
 pub fn execute_adaptive_from_source_obs(
     plan: &SharedPlan,
     catalog: &Catalog,
@@ -864,212 +525,8 @@ pub fn execute_adaptive_from_source_obs(
     opts: SourceOptions,
     ctrl: &mut AdaptController,
 ) -> Result<SourceOutcome> {
-    let paces = ctrl.current_paces().to_vec();
-    run_from_source(plan, &paces, catalog, source, weights, opts, Some(ctrl))
-}
-
-fn run_from_source(
-    plan: &SharedPlan,
-    paces: &[u32],
-    catalog: &Catalog,
-    source: &mut Source,
-    weights: CostWeights,
-    opts: SourceOptions,
-    mut adapt: Option<&mut AdaptController>,
-) -> Result<SourceOutcome> {
-    let run_started = Instant::now();
-    let mut tick_list = build_schedule(plan, paces)?;
-    let mut active_paces: Vec<u32> = paces.to_vec();
-    let all_queries = plan.queries();
-    let depths = plan.depths();
-    // Slack budgets: explicit `opts.slo`, else the adaptive controller's
-    // L(q) constraints (the natural budgets for an adaptive run).
-    let slo_budgets: Option<BTreeMap<QueryId, f64>> =
-        opts.slo.clone().or_else(|| adapt.as_deref().map(|c| c.constraints().clone()));
-    let EngineState {
-        mut base_buffers,
-        base_tables,
-        mut sp_buffers,
-        mut executors,
-        leaf_consumers,
-    } = setup_engine(plan, catalog, weights, opts.exec_options())?;
-
-    // Run, one wavefront (= one arrival fraction) at a time. Ticks still
-    // execute in global schedule order; grouping by front lets the driver
-    // cut the ingest topics once per fraction and compact buffers between
-    // fronts. Fronts are discovered incrementally ([`front_at`]) because an
-    // adaptive pace switch rebuilds the unexecuted tail of the schedule.
-    let mut recs: Vec<TickRec> = Vec::with_capacity(tick_list.len());
-    let mut fronts: Vec<FrontRec> = Vec::new();
-    let mut polls: Vec<PollRec> = Vec::new();
-    let mut adapt_recs: Vec<AdaptRec> = Vec::new();
-    let mut tallies: BTreeMap<TableId, (u64, u64)> = BTreeMap::new();
-    let mut charged_final: Vec<f64> = vec![0.0; plan.len()];
-    let mut pos = 0;
-    let mut wf = 0;
-    while pos < tick_list.len() {
-        let front = front_at(&tick_list, pos);
-        let head = tick_list[front.start];
-        let poll_start = run_started.elapsed();
-        let mut poll_rows = 0u64;
-        feed_from_source(source, &base_tables, head.num, head.den, all_queries, |t, dr| {
-            poll_rows += 1;
-            let tally = tallies.entry(t).or_insert((0, 0));
-            tally.0 += 1;
-            if dr.weight < 0 {
-                tally.1 += 1;
-            }
-            base_buffers.get_mut(&t).expect("registered table").push(dr)
-        })?;
-        polls.push(PollRec {
-            start: poll_start,
-            dur: run_started.elapsed() - poll_start,
-            rows: poll_rows,
-        });
-        let front_start = run_started.elapsed();
-        for tick in &tick_list[front.clone()] {
-            let start = run_started.elapsed();
-            let (work, wall, breakdown) = run_tick(
-                tick,
-                &mut base_buffers,
-                &mut sp_buffers,
-                &mut executors,
-                &leaf_consumers,
-                &weights,
-            )?;
-            if tick.is_final {
-                charged_final[tick.sp.index()] = work.get();
-            }
-            recs.push(TickRec { work, wall, breakdown, start, worker: 0 });
-        }
-        fronts.push(FrontRec {
-            range: front.clone(),
-            num: head.num,
-            den: head.den,
-            start: front_start,
-            dur: run_started.elapsed() - front_start,
-        });
-        // Reclaim fully consumed prefixes. Consumers never re-read below
-        // their cursor, and query roots retain everything ([`Retain::All`],
-        // set at wiring time), so this cannot change what later ticks or the
-        // final result views see.
-        for b in base_buffers.values_mut() {
-            b.compact();
-        }
-        for b in sp_buffers.iter_mut() {
-            b.compact();
-        }
-        // Commit first, then adapt: the log entry records the paces that
-        // were in effect *during* this wavefront; a switch installed below
-        // only governs subsequent fronts.
-        if let Some(out) = commit_wavefront(source, wf, head.num, head.den, &active_paces, &opts)? {
-            return Ok(out);
-        }
-        if let Some(ctrl) = adapt.as_deref_mut() {
-            let obs = wavefront_observation(
-                plan,
-                all_queries,
-                wf,
-                head.num,
-                head.den,
-                &charged_final,
-                &tallies,
-            );
-            let adapt_start = run_started.elapsed();
-            let switch = ctrl.observe(&obs)?;
-            adapt_recs.push(AdaptRec {
-                front: wf as u32,
-                start: adapt_start,
-                dur: run_started.elapsed() - adapt_start,
-                switched: switch.is_some(),
-            });
-            if let Some(new_paces) = switch {
-                tick_list = reschedule_after(
-                    plan,
-                    &tick_list[..front.end],
-                    head.num,
-                    head.den,
-                    &new_paces,
-                )?;
-                active_paces = new_paces;
-            }
-        }
-        pos = front.end;
-        wf += 1;
-    }
-
-    let folded = fold_run(
-        plan,
-        all_queries,
-        &tick_list,
-        &depths,
-        &recs,
-        &fronts,
-        &polls,
-        &adapt_recs,
-        opts.obs,
-        slo_budgets.as_ref(),
-    );
-    let mut obs_report = folded.obs;
-    if let Some(report) = obs_report.as_mut() {
-        buffer_gauges(report, &base_buffers, &sp_buffers);
-        partition_gauges(report, &executors);
-        batch_gauges(report, &executors);
-        ingest_gauges(report, &source.stats());
-        if let Some(ctrl) = adapt.as_deref() {
-            adapt_gauges(report, ctrl);
-        }
-    }
-    let (final_work, latency, results) = per_query_views(
-        plan,
-        all_queries,
-        &folded.final_sp_work,
-        &folded.final_sp_wall,
-        &sp_buffers,
-    )?;
-    Ok(SourceOutcome::Completed {
-        result: Box::new(RunResult {
-            total_work: folded.total_work,
-            total_wall: folded.total_wall,
-            final_work,
-            latency,
-            results,
-            executions: folded.executions,
-            executions_per_query: folded.executions_per_query,
-            elapsed: run_started.elapsed(),
-            obs: obs_report,
-        }),
-        log: source.log().clone(),
-    })
-}
-
-/// One incremental execution: pull every leaf delta, run the subplan,
-/// materialize the output. Returns the tick's (work, wall, breakdown).
-fn run_tick(
-    tick: &Tick,
-    base_buffers: &mut HashMap<TableId, DeltaBuffer>,
-    sp_buffers: &mut [DeltaBuffer],
-    executors: &mut [SubplanExecutor],
-    leaf_consumers: &[Vec<(Vec<usize>, InputSource, ConsumerId)>],
-    weights: &CostWeights,
-) -> Result<(WorkUnits, Duration, WorkBreakdown)> {
-    let i = tick.sp.index();
-    let counter = WorkCounter::new();
-    let started = Instant::now();
-    let mut inputs = HashMap::new();
-    for (path, src, consumer) in &leaf_consumers[i] {
-        let batch = match src {
-            InputSource::Base(t) => {
-                base_buffers.get_mut(t).expect("registered table").pull(*consumer)?
-            }
-            InputSource::Subplan(c) => sp_buffers[c.index()].pull(*consumer)?,
-        };
-        inputs.insert(path.clone(), batch);
-    }
-    let out = executors[i].execute(&mut inputs, &counter)?;
-    counter.charge(OpKind::Materialize, weights.materialize, out.len());
-    sp_buffers[i].append(&out);
-    Ok((counter.total(), started.elapsed(), counter.breakdown()))
+    let live = Live::new(Cow::Borrowed(plan), ctrl.current_paces(), catalog, weights, &opts)?;
+    run_wavefronts(live, source, &opts, Some(ctrl), None)
 }
 
 #[cfg(test)]
@@ -1277,5 +734,246 @@ mod tests {
         let expected = reference(&c, &d);
         let run = execute_planned(&plan, &[7, 7, 7], &c, &d, CostWeights::default()).unwrap();
         assert_eq!(run.results[&QueryId(0)], expected[0]);
+    }
+}
+
+#[cfg(test)]
+mod worker_tests {
+    use super::*;
+    use ishare_common::{DataType, QuerySet, Value};
+    use ishare_expr::Expr;
+    use ishare_plan::{AggExpr, AggFunc, DagOp, SelectBranch, SharedDag};
+    use ishare_storage::{ColumnStats, Field, Schema, TableStats};
+
+    fn qs(ids: &[u16]) -> QuerySet {
+        QuerySet::from_iter(ids.iter().map(|&i| QueryId(i)))
+    }
+
+    /// Catalog with one table and a plan fanning out to `n` independent
+    /// aggregate subplans (one per query) over a shared scan+select trunk.
+    #[allow(clippy::type_complexity)]
+    fn fan_out(n: u16) -> (Catalog, SharedPlan, HashMap<TableId, Vec<(Row, i64)>>) {
+        let mut c = Catalog::new();
+        c.add_table(
+            "t",
+            Schema::new(vec![Field::new("k", DataType::Int), Field::new("v", DataType::Int)]),
+            TableStats {
+                row_count: 120.0,
+                columns: vec![ColumnStats::ndv(12.0), ColumnStats::ndv(100.0)],
+            },
+        )
+        .unwrap();
+        let t = c.table_by_name("t").unwrap().id;
+        let all: Vec<u16> = (0..n).collect();
+        let mut d = SharedDag::new();
+        let scan = d.add_node(DagOp::Scan { table: t }, vec![], qs(&all)).unwrap();
+        for q in 0..n {
+            let sel = d
+                .add_node(
+                    DagOp::Select {
+                        branches: vec![SelectBranch {
+                            queries: qs(&[q]),
+                            predicate: Expr::col(0).lt(Expr::lit(2 + q as i64)),
+                        }],
+                    },
+                    vec![scan],
+                    qs(&[q]),
+                )
+                .unwrap();
+            let agg = d
+                .add_node(
+                    DagOp::Aggregate {
+                        group_by: vec![(Expr::col(0), "k".into())],
+                        aggs: vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "s")],
+                    },
+                    vec![sel],
+                    qs(&[q]),
+                )
+                .unwrap();
+            d.set_query_root(QueryId(q), agg).unwrap();
+        }
+        let plan = SharedPlan::from_dag(&d, |_| false).unwrap();
+        let feed: Vec<(Row, i64)> = (0..120)
+            .map(|i| (Row::new(vec![Value::Int(i % 12), Value::Int(i * 13 % 100)]), 1))
+            .collect();
+        let data = [(t, feed)].into_iter().collect();
+        (c, plan, data)
+    }
+
+    fn run_on(
+        plan: &SharedPlan,
+        paces: &[u32],
+        c: &Catalog,
+        data: &HashMap<TableId, Vec<(Row, i64)>>,
+        workers: usize,
+    ) -> RunResult {
+        let opts = SourceOptions { workers, ..Default::default() };
+        execute_planned_deltas_with(plan, paces, c, data, CostWeights::default(), opts).unwrap()
+    }
+
+    fn assert_bit_identical(a: &RunResult, b: &RunResult, label: &str) {
+        assert_eq!(a.results, b.results, "{label}: results differ");
+        assert_eq!(
+            a.total_work.get().to_bits(),
+            b.total_work.get().to_bits(),
+            "{label}: total_work differs"
+        );
+        assert_eq!(a.final_work, b.final_work, "{label}: final_work differs");
+        for (q, w) in &a.final_work {
+            assert_eq!(
+                w.to_bits(),
+                b.final_work[q].to_bits(),
+                "{label}: final_work bits differ for {q}"
+            );
+        }
+        assert_eq!(a.executions, b.executions, "{label}: executions differ");
+    }
+
+    #[test]
+    fn matches_sequential_across_thread_counts() {
+        let (c, plan, data) = fan_out(6);
+        for paces_seed in [1u32, 3, 5] {
+            let paces: Vec<u32> =
+                (0..plan.len()).map(|i| 1 + (i as u32 + paces_seed) % 5).collect();
+            let seq =
+                execute_planned_deltas(&plan, &paces, &c, &data, CostWeights::default()).unwrap();
+            for threads in [2, 4, 8] {
+                let par = run_on(&plan, &paces, &c, &data, threads);
+                assert_bit_identical(&seq, &par, &format!("threads={threads}"));
+            }
+        }
+    }
+
+    #[test]
+    fn deletes_match_sequential() {
+        let (c, plan, mut data) = fan_out(4);
+        // Retract a third of the rows mid-stream.
+        let feed = data.values_mut().next().unwrap();
+        let dels: Vec<(Row, i64)> = feed.iter().step_by(3).map(|(r, _)| (r.clone(), -1)).collect();
+        feed.extend(dels);
+        let paces: Vec<u32> = (0..plan.len()).map(|i| 1 + i as u32 % 4).collect();
+        let seq = execute_planned_deltas(&plan, &paces, &c, &data, CostWeights::default()).unwrap();
+        for threads in [2, 4] {
+            let par = run_on(&plan, &paces, &c, &data, threads);
+            assert_bit_identical(&seq, &par, &format!("deletes threads={threads}"));
+        }
+    }
+
+    #[test]
+    fn zero_threads_rejected() {
+        let (c, plan, data) = fan_out(2);
+        let paces = vec![1u32; plan.len()];
+        let run = |threads| {
+            let mut source = Source::in_order(&data);
+            let (w, opts) = (CostWeights::default(), SourceOptions::default());
+            execute_from_source_parallel_obs(&plan, &paces, &c, &mut source, w, threads, opts)
+        };
+        assert!(matches!(run(0), Err(Error::InvalidConfig(_))));
+        // The option itself reads `0` like `1`: inline.
+        let inline = run_on(&plan, &paces, &c, &data, 0);
+        assert_bit_identical(&run(1).unwrap().into_result().unwrap(), &inline, "workers=0");
+    }
+
+    fn controller(
+        c: &Catalog,
+        plan: &SharedPlan,
+        paces: &[u32],
+        constraints: ishare_core::ConstraintMap,
+        opts: ishare_core::AdaptOptions,
+    ) -> AdaptController {
+        AdaptController::new(plan, c, CostWeights::default(), paces, constraints, opts).unwrap()
+    }
+
+    #[test]
+    fn adaptive_disabled_is_bit_identical_to_static() {
+        let (c, plan, data) = fan_out(4);
+        let paces: Vec<u32> = (0..plan.len()).map(|i| 1 + i as u32 % 3).collect();
+        let w = CostWeights::default();
+        let static_run = execute_planned_deltas(&plan, &paces, &c, &data, w).unwrap();
+        let opts = ishare_core::AdaptOptions::disabled();
+        for threads in [1usize, 2, 4] {
+            let mut ctrl = controller(&c, &plan, &paces, ishare_core::ConstraintMap::new(), opts);
+            let mut source = Source::in_order(&data);
+            let opts = SourceOptions { workers: threads, ..Default::default() };
+            let run = execute_adaptive_from_source_obs(&plan, &c, &mut source, w, opts, &mut ctrl)
+                .unwrap()
+                .into_result()
+                .unwrap();
+            assert_bit_identical(&static_run, &run, &format!("adaptive off, threads={threads}"));
+            assert_eq!(ctrl.metrics().switches, 0, "disabled controller must never switch");
+            assert!(ctrl.metrics().evaluations > 0, "controller must still observe fronts");
+        }
+    }
+
+    /// A drifted stream (3× the cataloged rows, with deletes) plus an
+    /// unreachable constraint force a pace switch; the switch must replay
+    /// bit-identically sequentially, in parallel, and across kill/resume.
+    #[test]
+    fn adaptive_switch_replays_and_parallelizes_bit_identically() {
+        let (c, plan, mut data) = fan_out(3);
+        let feed = data.values_mut().next().unwrap();
+        let extra: Vec<(Row, i64)> = (120..330)
+            .map(|i| (Row::new(vec![Value::Int(i % 12), Value::Int(i * 13 % 100)]), 1))
+            .collect();
+        let dels: Vec<(Row, i64)> = feed.iter().step_by(4).map(|(r, _)| (r.clone(), -1)).collect();
+        feed.extend(extra);
+        feed.extend(dels);
+        let w = CostWeights::default();
+        let initial = vec![2u32; plan.len()];
+        let cons: ishare_core::ConstraintMap = [(QueryId(0), 1.0)].into_iter().collect();
+        let opts = ishare_core::AdaptOptions { max_pace: 6, ..Default::default() };
+
+        let run = |threads: usize, src_opts: SourceOptions| {
+            let mut ctrl = controller(&c, &plan, &initial, cons.clone(), opts);
+            let mut source = Source::in_order(&data);
+            let opts = SourceOptions { workers: threads, ..src_opts };
+            let out = execute_adaptive_from_source_obs(&plan, &c, &mut source, w, opts, &mut ctrl)
+                .unwrap();
+            (out, ctrl)
+        };
+
+        let (out_seq, ctrl_seq) = run(1, SourceOptions::default());
+        assert!(
+            !ctrl_seq.switches().is_empty(),
+            "3x drift against an unreachable constraint must switch paces"
+        );
+        let (result_seq, log_seq) = match out_seq {
+            SourceOutcome::Completed { result, log } => (*result, log),
+            SourceOutcome::Suspended { .. } => panic!("run must complete"),
+        };
+        // The commit log records the pace trajectory: initial paces on the
+        // first front, switched paces on the last.
+        assert_eq!(log_seq.entries.first().unwrap().paces, initial);
+        assert_eq!(
+            log_seq.entries.last().unwrap().paces,
+            ctrl_seq.current_paces(),
+            "last front must run under the switched configuration"
+        );
+
+        for threads in [2usize, 4] {
+            let (out, ctrl) = run(threads, SourceOptions::default());
+            let result = out.into_result().unwrap();
+            assert_bit_identical(&result_seq, &result, &format!("adaptive threads={threads}"));
+            assert_eq!(ctrl.switches(), ctrl_seq.switches(), "switch log, threads={threads}");
+        }
+
+        // Kill after the first committed wavefront, then resume from scratch
+        // with the partial log: the fresh controller must re-derive the same
+        // switches and the run must verify against — and extend — the log.
+        let (killed, _) = run(1, SourceOptions { stop_after: Some(1), ..Default::default() });
+        let partial = match killed {
+            SourceOutcome::Suspended { log } => log,
+            SourceOutcome::Completed { .. } => panic!("stop_after must suspend"),
+        };
+        assert_eq!(partial.len(), 1);
+        let (resumed, ctrl_res) =
+            run(1, SourceOptions { verify: Some(partial), ..Default::default() });
+        let (result_res, log_res) = match resumed {
+            SourceOutcome::Completed { result, log } => (*result, log),
+            SourceOutcome::Suspended { .. } => panic!("resume must complete"),
+        };
+        assert_bit_identical(&result_seq, &result_res, "killed+resumed");
+        assert_eq!(log_res, log_seq, "resumed commit log (incl. paces) must match");
+        assert_eq!(ctrl_res.switches(), ctrl_seq.switches(), "resumed switch log must match");
     }
 }

@@ -18,31 +18,35 @@
 //!   final executions — the latency proxy of Sec. 2.1), wall-clock
 //!   equivalents, and the final query results.
 //!
-//! Two drivers share that contract: the sequential reference driver
-//! ([`execute_planned`] / [`execute_planned_deltas`]) and the multi-threaded
-//! driver ([`execute_planned_parallel`] /
-//! [`execute_planned_deltas_parallel`]), which runs independent subplans of
-//! a scheduling wavefront concurrently while staying bit-identical to the
-//! sequential driver in every measured work number (see [`parallel`]).
+//! Every run goes through one wavefront loop ([`driver`]): poll the source
+//! to the front's arrival fraction, run the front's ticks level by level on
+//! [`SourceOptions::workers`] threads, compact, then churn → commit/verify
+//! → stop → adapt at the boundary. One worker runs every tick on the
+//! calling thread in global schedule order; more workers run the
+//! independent subplans of a dependency level concurrently and stay
+//! bit-identical to that in every measured work number (see the module docs of
+//! `engine.rs` for why).
 //!
-//! Both drivers also expose *source-fed* entry points
-//! ([`execute_from_source_obs`] / [`execute_from_source_parallel_obs`]) that
-//! pull input from an [`ishare_ingest::Source`] — an in-process Kafka-analog
-//! with partitioned bounded topics, producer backpressure, out-of-order
-//! arrival under event-time watermarks, and offset-commit/replay — instead
-//! of pre-materialized `Vec` feeds. The `Vec`-fed entry points above are
-//! thin adapters over an in-order source, so there is exactly one feed
-//! path, and source-fed runs (jittered or not, killed-and-resumed or not)
-//! stay bit-identical to the `Vec`-fed ones.
+//! Input is pulled from an [`ishare_ingest::Source`] — an in-process
+//! Kafka-analog with partitioned bounded topics, producer backpressure,
+//! out-of-order arrival under event-time watermarks, and offset-commit /
+//! replay ([`execute_from_source_obs`]). The `Vec`-feed conveniences
+//! ([`execute_planned`], [`execute_planned_deltas`],
+//! [`execute_planned_deltas_with`]) are thin adapters over an in-order
+//! source, so there is exactly one feed path, and source-fed runs (jittered
+//! or not, killed-and-resumed or not) stay bit-identical to the `Vec`-fed
+//! ones.
 //!
-//! Source-fed runs can additionally adapt ([`execute_adaptive_from_source_obs`]
-//! / [`execute_adaptive_from_source_parallel_obs`]): an
+//! Two optional boundary steps extend a run. It can adapt
+//! ([`execute_adaptive_from_source_obs`]): an
 //! [`ishare_core::adapt::AdaptController`] watches measured delivery
 //! tallies at every wavefront boundary and, when the live stream drifts
 //! from the catalog statistics the paces were planned against, re-runs the
 //! pace search and installs the new configuration for the remaining
-//! wavefronts — deterministically, so adaptive runs replay and parallelize
-//! bit-identically too.
+//! wavefronts. And its query set can churn ([`execute_churn_from_source`],
+//! see [`admission`]): queries are admitted and removed at boundaries with
+//! incremental re-sharing and state hand-off. Both are deterministic, so
+//! such runs replay and parallelize bit-identically too.
 //!
 //! [`SharedPlan`]: ishare_plan::SharedPlan
 
@@ -50,8 +54,9 @@
 
 pub mod admission;
 pub mod driver;
+mod engine;
+mod fold;
 pub mod measure;
-pub mod parallel;
 pub mod schedule;
 
 pub use admission::{
@@ -59,11 +64,9 @@ pub use admission::{
     ChurnScript,
 };
 pub use driver::{
-    execute_adaptive_from_source_obs, execute_from_source_obs, execute_planned,
-    execute_planned_deltas, execute_planned_deltas_obs, execute_planned_deltas_partitioned,
-    execute_planned_deltas_partitioned_obs, execute_planned_deltas_reference,
-    execute_planned_deltas_vectorized, execute_planned_obs, RunResult, SourceOptions,
-    SourceOutcome,
+    execute_adaptive_from_source_obs, execute_from_source_obs, execute_from_source_parallel_obs,
+    execute_planned, execute_planned_deltas, execute_planned_deltas_with, insert_feeds, RunResult,
+    SourceOptions, SourceOutcome,
 };
 pub use ishare_exec::{ExecMode, ExecOptions};
 pub use ishare_ingest::{ChurnKind, ChurnRecord, CommitLog, Source, SourceConfig};
@@ -72,9 +75,3 @@ pub use ishare_obs::{
     SlackSample,
 };
 pub use measure::{missed_latency_stats, MissedLatencyStats};
-pub use parallel::{
-    execute_adaptive_from_source_parallel_obs, execute_from_source_parallel_obs,
-    execute_planned_deltas_parallel, execute_planned_deltas_parallel_obs,
-    execute_planned_deltas_parallel_partitioned_obs, execute_planned_parallel,
-    execute_planned_parallel_obs,
-};

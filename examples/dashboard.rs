@@ -23,9 +23,9 @@ use ishare::core::{
     plan_workload, resolve_constraints, Approach, FinalWorkConstraint, PlanningOptions,
 };
 use ishare::stream::{
-    execute_churn_from_source, execute_from_source_obs, execute_planned_obs, missed_latency_stats,
-    ChurnEvent, ChurnKind, ChurnOp, ChurnOptions, ChurnScript, ObsConfig, ObsReport, Source,
-    SourceConfig, SourceOptions,
+    execute_churn_from_source, execute_from_source_obs, execute_planned_deltas_with, insert_feeds,
+    missed_latency_stats, ChurnEvent, ChurnKind, ChurnOp, ChurnOptions, ChurnScript, ObsConfig,
+    ObsReport, Source, SourceConfig, SourceOptions,
 };
 use ishare::tpch::{generate, query_by_name};
 use ishare_common::{CostWeights, OpKind, QueryId};
@@ -159,6 +159,7 @@ fn main() -> ishare::Result<()> {
         .collect();
     let goals = resolve_constraints(&queries, &constraints, &data.catalog, CostWeights::default())?;
 
+    let feeds = insert_feeds(&data.data);
     let opts = PlanningOptions { max_pace: 50, ..Default::default() };
     let mut ishare_view: Option<(ObsReport, BTreeMap<QueryId, f64>)> = None;
     for approach in [
@@ -175,11 +176,6 @@ fn main() -> ishare::Result<()> {
             // other approaches use — its work numbers are bit-identical, and
             // the report below gains the ingest gauges (delivery,
             // backpressure stalls, per-topic lag).
-            let feeds = data
-                .data
-                .iter()
-                .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-                .collect();
             let mut source = Source::new(
                 &feeds,
                 SourceConfig { partitions: 2, capacity: 128, jitter: 11, seed: 7 },
@@ -202,13 +198,13 @@ fn main() -> ishare::Result<()> {
             )?
             .into_result()?
         } else {
-            execute_planned_obs(
+            execute_planned_deltas_with(
                 &planned.plan,
                 planned.paces.as_slice(),
                 &data.catalog,
-                &data.data,
+                &feeds,
                 CostWeights::default(),
-                obs,
+                SourceOptions { obs, ..Default::default() },
             )?
         };
         println!(
@@ -259,11 +255,6 @@ fn main() -> ishare::Result<()> {
         },
         ChurnEvent { num: 1, den: 2, op: ChurnOp::Remove { query: QueryId(3) } },
     ]);
-    let feeds = data
-        .data
-        .iter()
-        .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-        .collect();
     let mut source = Source::in_order(&feeds);
     let mut churn_opts = ChurnOptions { max_pace: 16, ..Default::default() };
     churn_opts.source.obs = Some(ObsConfig::default());

@@ -10,8 +10,8 @@
 //! broad daily report that can wait (relative constraint 1.0) and a narrow
 //! alert that cannot (0.1) — lets iShare plan them, and executes the plan
 //! against simulated arrivals, comparing against Share-Uniform. With
-//! `--threads N > 1` the run uses the multi-threaded driver, whose work
-//! numbers are bit-identical to the sequential one. `--trace-out` /
+//! `--threads N > 1` independent subplans of a wavefront run on `N` workers;
+//! the work numbers are bit-identical to one worker's. `--trace-out` /
 //! `--metrics-out` enable observability on the iShare run and write its
 //! Chrome `trace_event` JSON (open in `chrome://tracing` or Perfetto) and
 //! per-operator work/metrics snapshot; a `--metrics-out` path ending in
@@ -19,7 +19,7 @@
 
 use ishare::core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
 use ishare::plan::PlanBuilder;
-use ishare::stream::{execute_planned_obs, execute_planned_parallel_obs, ObsConfig};
+use ishare::stream::{execute_planned_deltas_with, insert_feeds, ObsConfig, SourceOptions};
 use ishare_common::{CostWeights, DataType, QueryId, Value};
 use ishare_expr::Expr;
 use ishare_storage::{Catalog, Field, Row, Schema, TableStats};
@@ -39,7 +39,7 @@ fn write_json(path: &PathBuf, value: &serde_json::Value) -> ishare::Result<()> {
 }
 
 fn main() -> ishare::Result<()> {
-    // 0. Worker threads (1 = sequential reference driver) and optional
+    // 0. Worker threads (1 = every tick on this thread) and optional
     //    observability artifact paths.
     let args: Vec<String> = std::env::args().collect();
     let flag =
@@ -88,7 +88,7 @@ fn main() -> ishare::Result<()> {
     let rows: Vec<Row> = (0..n_rows)
         .map(|i| Row::new(vec![Value::Int((i % 500) as i64), Value::Int(((i * 37) % 1000) as i64)]))
         .collect();
-    let data = [(orders, rows)].into_iter().collect();
+    let feeds = insert_feeds(&[(orders, rows)].into_iter().collect());
 
     // 5. Plan and execute under iShare and Share-Uniform.
     let opts = PlanningOptions { max_pace: 50, ..Default::default() };
@@ -102,26 +102,14 @@ fn main() -> ishare::Result<()> {
         // leaves every measured work number bit-identical.
         let obs = (want_obs && approach == Approach::IShare).then(ObsConfig::default);
         let planned = plan_workload(approach, &queries, &constraints, &catalog, &opts)?;
-        let mut run = if threads == 1 {
-            execute_planned_obs(
-                &planned.plan,
-                planned.paces.as_slice(),
-                &catalog,
-                &data,
-                CostWeights::default(),
-                obs,
-            )?
-        } else {
-            execute_planned_parallel_obs(
-                &planned.plan,
-                planned.paces.as_slice(),
-                &catalog,
-                &data,
-                CostWeights::default(),
-                threads,
-                obs,
-            )?
-        };
+        let mut run = execute_planned_deltas_with(
+            &planned.plan,
+            planned.paces.as_slice(),
+            &catalog,
+            &feeds,
+            CostWeights::default(),
+            SourceOptions { obs, workers: threads, ..Default::default() },
+        )?;
         println!(
             "{:<16} {:>14.0} {:>14.0} {:>14.0} {:>9.3}s   (paces {})",
             approach.label(),

@@ -27,8 +27,7 @@
 
 use ishare::core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
 use ishare::stream::{
-    execute_from_source_obs, execute_from_source_parallel_obs, execute_planned_deltas,
-    execute_planned_deltas_parallel, RunResult, SourceOptions, SourceOutcome,
+    execute_from_source_obs, execute_planned_deltas_with, RunResult, SourceOptions, SourceOutcome,
 };
 use ishare::tpch::{generate, produce_source, query_by_name, with_updates, StreamConfig};
 use ishare_common::{CostWeights, Error, QueryId, Result};
@@ -75,48 +74,26 @@ fn main() -> Result<()> {
         "vec" => {
             // The classic pre-materialized path, as a cross-check target.
             let feeds = with_updates(&data, update_frac, seed)?;
-            let run = if threads == 1 {
-                execute_planned_deltas(
-                    &planned.plan,
-                    planned.paces.as_slice(),
-                    &data.catalog,
-                    &feeds,
-                    weights,
-                )?
-            } else {
-                execute_planned_deltas_parallel(
-                    &planned.plan,
-                    planned.paces.as_slice(),
-                    &data.catalog,
-                    &feeds,
-                    weights,
-                    threads,
-                )?
-            };
+            let run = execute_planned_deltas_with(
+                &planned.plan,
+                planned.paces.as_slice(),
+                &data.catalog,
+                &feeds,
+                weights,
+                SourceOptions { workers: threads, ..Default::default() },
+            )?;
             (run, 0usize)
         }
         "ingest" => {
             let run_once = |source: &mut _, sopts: SourceOptions| -> Result<SourceOutcome> {
-                if threads == 1 {
-                    execute_from_source_obs(
-                        &planned.plan,
-                        planned.paces.as_slice(),
-                        &data.catalog,
-                        source,
-                        weights,
-                        sopts,
-                    )
-                } else {
-                    execute_from_source_parallel_obs(
-                        &planned.plan,
-                        planned.paces.as_slice(),
-                        &data.catalog,
-                        source,
-                        weights,
-                        threads,
-                        sopts,
-                    )
-                }
+                execute_from_source_obs(
+                    &planned.plan,
+                    planned.paces.as_slice(),
+                    &data.catalog,
+                    source,
+                    weights,
+                    SourceOptions { workers: threads, ..sopts },
+                )
             };
             let mut source = produce_source(&data, cfg)?;
             let verify = if kill_after > 0 {

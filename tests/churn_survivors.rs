@@ -114,8 +114,8 @@ fn survivors_and_admitted_queries_match_the_unshared_reference() {
 }
 
 #[test]
-#[ignore = "admitting q18/q20 corrupts surviving aggregates — see CHANGES.md PR 11"]
 fn admitting_q18_q20_leaves_survivors_intact() {
-    // Admit q18, q20, q21; remove q5, q8, q15.
+    // Admit q18, q20, q21; remove q5, q8, q15. q18's and q20's frontier cuts
+    // excise a stateless scan → select subtree from surviving subplans.
     assert_eq!(wrong_at_the_end([7, 8, 9], [1, 3, 5]), Vec::<QueryId>::new());
 }

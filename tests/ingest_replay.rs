@@ -13,8 +13,8 @@
 
 use ishare::core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
 use ishare::stream::{
-    execute_from_source_obs, execute_from_source_parallel_obs, execute_planned_deltas, RunResult,
-    Source, SourceConfig, SourceOptions, SourceOutcome,
+    execute_from_source_obs, execute_planned_deltas, RunResult, Source, SourceConfig,
+    SourceOptions, SourceOutcome,
 };
 use ishare::tpch::{generate, produce_source, queries::sharing_friendly_queries, StreamConfig};
 use ishare_common::{CostWeights, DataType, QueryId, QuerySet, TableId, Value};
@@ -132,20 +132,8 @@ fn run_from_source(
     opts: SourceOptions,
 ) -> SourceOutcome {
     let mut source = Source::new(feeds, cfg).unwrap();
-    if threads == 1 {
-        execute_from_source_obs(plan, paces, c, &mut source, CostWeights::default(), opts).unwrap()
-    } else {
-        execute_from_source_parallel_obs(
-            plan,
-            paces,
-            c,
-            &mut source,
-            CostWeights::default(),
-            threads,
-            opts,
-        )
-        .unwrap()
-    }
+    let opts = SourceOptions { workers: threads, ..opts };
+    execute_from_source_obs(plan, paces, c, &mut source, CostWeights::default(), opts).unwrap()
 }
 
 proptest! {
@@ -265,26 +253,14 @@ fn tpch_source_fed_matches_vec_fed_with_kill_resume() {
     // Jittered source, sequential and parallel.
     for threads in [1usize, 4] {
         let mut source = produce_source(&tpch, stream_cfg).unwrap();
-        let outcome = if threads == 1 {
-            execute_from_source_obs(
-                &planned.plan,
-                planned.paces.as_slice(),
-                &tpch.catalog,
-                &mut source,
-                CostWeights::default(),
-                SourceOptions::default(),
-            )
-        } else {
-            execute_from_source_parallel_obs(
-                &planned.plan,
-                planned.paces.as_slice(),
-                &tpch.catalog,
-                &mut source,
-                CostWeights::default(),
-                threads,
-                SourceOptions::default(),
-            )
-        }
+        let outcome = execute_from_source_obs(
+            &planned.plan,
+            planned.paces.as_slice(),
+            &tpch.catalog,
+            &mut source,
+            CostWeights::default(),
+            SourceOptions { workers: threads, ..Default::default() },
+        )
         .unwrap();
         let run = outcome.into_result().unwrap();
         assert_eq!(reference.results, run.results, "threads={threads}");

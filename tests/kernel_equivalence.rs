@@ -16,10 +16,8 @@
 
 use ishare::core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
 use ishare::stream::{
-    execute_from_source_obs, execute_from_source_parallel_obs, execute_planned_deltas,
-    execute_planned_deltas_parallel, execute_planned_deltas_partitioned,
-    execute_planned_deltas_reference, execute_planned_deltas_vectorized, ExecMode, RunResult,
-    Source, SourceConfig, SourceOptions, SourceOutcome,
+    execute_from_source_obs, execute_planned_deltas, execute_planned_deltas_with, insert_feeds,
+    ExecMode, RunResult, Source, SourceConfig, SourceOptions, SourceOutcome,
 };
 use ishare::tpch::{generate, queries::sharing_friendly_queries};
 use ishare_common::{CostWeights, DataType, QueryId, QuerySet, TableId, Value};
@@ -28,6 +26,21 @@ use ishare_plan::{AggExpr, AggFunc, DagOp, SelectBranch, SharedDag, SharedPlan};
 use ishare_storage::{Catalog, Field, Row, Schema, TableStats};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
+
+/// A `Vec`-fed run under `opts` at default cost weights.
+fn run_with(
+    plan: &SharedPlan,
+    paces: &[u32],
+    c: &Catalog,
+    feeds: &HashMap<TableId, Vec<(Row, i64)>>,
+    opts: SourceOptions,
+) -> RunResult {
+    execute_planned_deltas_with(plan, paces, c, feeds, CostWeights::default(), opts).unwrap()
+}
+
+fn in_mode(mode: ExecMode) -> SourceOptions {
+    SourceOptions { mode, ..Default::default() }
+}
 
 fn qs(ids: &[u16]) -> QuerySet {
     QuerySet::from_iter(ids.iter().map(|&i| QueryId(i)))
@@ -237,36 +250,24 @@ proptest! {
         paces.resize(plan.len(), 1);
         let paces = &paces[..plan.len()];
 
-        let reference =
-            execute_planned_deltas_reference(&plan, paces, &c, &feeds, CostWeights::default())
-                .unwrap();
+        let reference = run_with(&plan, paces, &c, &feeds, in_mode(ExecMode::Reference));
         let kernels =
             execute_planned_deltas(&plan, paces, &c, &feeds, CostWeights::default()).unwrap();
         let shape = if join_shape { "join" } else { "agg" };
         assert_bit_identical(&reference, &kernels, &format!("{shape} sequential"))?;
-        let vectorized =
-            execute_planned_deltas_vectorized(&plan, paces, &c, &feeds, CostWeights::default())
-                .unwrap();
+        let vectorized = run_with(&plan, paces, &c, &feeds, in_mode(ExecMode::Vectorized));
         assert_bit_identical(&reference, &vectorized, &format!("{shape} vectorized"))?;
         for threads in [2usize, 4] {
-            let par = execute_planned_deltas_parallel(
-                &plan, paces, &c, &feeds, CostWeights::default(), threads,
-            )
-            .unwrap();
+            let workers = SourceOptions { workers: threads, ..Default::default() };
+            let par = run_with(&plan, paces, &c, &feeds, workers.clone());
             assert_bit_identical(&reference, &par, &format!("{shape} threads={threads}"))?;
-            let mut source = Source::in_order(&feeds);
-            let vpar = execute_from_source_parallel_obs(
+            let vpar = run_with(
                 &plan,
                 paces,
                 &c,
-                &mut source,
-                CostWeights::default(),
-                threads,
-                SourceOptions { mode: ExecMode::Vectorized, ..Default::default() },
-            )
-            .unwrap()
-            .into_result()
-            .unwrap();
+                &feeds,
+                SourceOptions { mode: ExecMode::Vectorized, ..workers },
+            );
             assert_bit_identical(
                 &reference,
                 &vpar,
@@ -316,20 +317,10 @@ fn tpch_workload_kernels_match_reference() {
         queries.iter().map(|(q, _)| (*q, FinalWorkConstraint::Relative(0.25))).collect();
     let opts = PlanningOptions { max_pace: 8, ..Default::default() };
     let planned = plan_workload(Approach::IShare, &queries, &cons, &tpch.catalog, &opts).unwrap();
-    let feeds: HashMap<TableId, Vec<(Row, i64)>> = tpch
-        .data
-        .iter()
-        .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-        .collect();
+    let feeds = insert_feeds(&tpch.data);
 
-    let reference = execute_planned_deltas_reference(
-        &planned.plan,
-        planned.paces.as_slice(),
-        &tpch.catalog,
-        &feeds,
-        CostWeights::default(),
-    )
-    .unwrap();
+    let run = |opts| run_with(&planned.plan, planned.paces.as_slice(), &tpch.catalog, &feeds, opts);
+    let reference = run(in_mode(ExecMode::Reference));
     let kernels = execute_planned_deltas(
         &planned.plan,
         planned.paces.as_slice(),
@@ -351,25 +342,9 @@ fn tpch_workload_kernels_match_reference() {
         assert_eq!(a.executions, b.executions, "{label}: executions differ");
     };
     check(&reference, &kernels, "sequential");
-    let vectorized = execute_planned_deltas_vectorized(
-        &planned.plan,
-        planned.paces.as_slice(),
-        &tpch.catalog,
-        &feeds,
-        CostWeights::default(),
-    )
-    .unwrap();
-    check(&reference, &vectorized, "vectorized");
+    check(&reference, &run(in_mode(ExecMode::Vectorized)), "vectorized");
     for threads in [2usize, 4] {
-        let par = execute_planned_deltas_parallel(
-            &planned.plan,
-            planned.paces.as_slice(),
-            &tpch.catalog,
-            &feeds,
-            CostWeights::default(),
-            threads,
-        )
-        .unwrap();
+        let par = run(SourceOptions { workers: threads, ..Default::default() });
         check(&reference, &par, &format!("threads={threads}"));
     }
 }
@@ -395,7 +370,7 @@ fn reference_remains_oracle_at_every_partition_count() {
     let paces: Vec<u32> = vec![3; plan.len()];
     let w = CostWeights::default();
 
-    let reference = execute_planned_deltas_reference(&plan, &paces, &c, &feeds, w).unwrap();
+    let reference = run_with(&plan, &paces, &c, &feeds, in_mode(ExecMode::Reference));
     let bit_eq = |a: &RunResult, b: &RunResult, label: &str| {
         assert_eq!(a.results, b.results, "{label}: results differ");
         assert_eq!(
@@ -410,7 +385,7 @@ fn reference_remains_oracle_at_every_partition_count() {
     };
     for partitions in [1usize, 2, 4] {
         let part =
-            execute_planned_deltas_partitioned(&plan, &paces, &c, &feeds, w, partitions).unwrap();
+            run_with(&plan, &paces, &c, &feeds, SourceOptions { partitions, ..Default::default() });
         bit_eq(&reference, &part, &format!("kernels P={partitions}"));
         let mut source = Source::in_order(&feeds);
         let vpart = execute_from_source_obs(
@@ -471,9 +446,7 @@ fn kernels_match_reference_under_jittered_source_kill_resume() {
     let paces: Vec<u32> = vec![4; plan.len()];
     let cfg = SourceConfig { partitions: 3, capacity: 64, jitter: 9, seed: 42 };
 
-    let reference =
-        execute_planned_deltas_reference(&plan, &paces, &c, &feeds, CostWeights::default())
-            .unwrap();
+    let reference = run_with(&plan, &paces, &c, &feeds, in_mode(ExecMode::Reference));
 
     // Kernels, source-fed sequentially, uninterrupted.
     let mut source = Source::new(&feeds, cfg).unwrap();
@@ -503,32 +476,28 @@ fn kernels_match_reference_under_jittered_source_kill_resume() {
 
     // Kill after wavefront 2, rebuild, replay against the log — parallel.
     let mut source = Source::new(&feeds, cfg).unwrap();
-    let SourceOutcome::Suspended { log: partial } = execute_from_source_parallel_obs(
+    let SourceOutcome::Suspended { log: partial } = execute_from_source_obs(
         &plan,
         &paces,
         &c,
         &mut source,
         CostWeights::default(),
-        2,
-        SourceOptions { stop_after: Some(2), ..Default::default() },
+        SourceOptions { workers: 2, stop_after: Some(2), ..Default::default() },
     )
     .unwrap() else {
         panic!("stop_after must suspend");
     };
     assert_eq!(partial.len(), 2);
     let mut source = Source::new(&feeds, cfg).unwrap();
-    let SourceOutcome::Completed { result: resumed, log: resumed_log } =
-        execute_from_source_parallel_obs(
-            &plan,
-            &paces,
-            &c,
-            &mut source,
-            CostWeights::default(),
-            2,
-            SourceOptions { verify: Some(partial), ..Default::default() },
-        )
-        .unwrap()
-    else {
+    let SourceOutcome::Completed { result: resumed, log: resumed_log } = execute_from_source_obs(
+        &plan,
+        &paces,
+        &c,
+        &mut source,
+        CostWeights::default(),
+        SourceOptions { workers: 2, verify: Some(partial), ..Default::default() },
+    )
+    .unwrap() else {
         panic!("resume must complete");
     };
     bit_eq(&reference, &resumed, "resumed kernels");

@@ -4,8 +4,8 @@
 //! parser with its work invariants intact.
 
 use ishare::stream::{
-    execute_from_source_obs, execute_planned_deltas_obs, execute_planned_deltas_parallel_obs,
-    ObsConfig, ObsReport, Source, SourceOptions,
+    execute_from_source_obs, execute_planned_deltas_with, ObsConfig, ObsReport, Source,
+    SourceOptions,
 };
 use ishare_common::{CostWeights, DataType, QueryId, QuerySet, TableId, Value};
 use ishare_expr::Expr;
@@ -56,28 +56,10 @@ fn tiny_workload() -> (Catalog, SharedPlan, DeltaFeeds) {
 fn run_with_obs(threads: usize) -> (f64, ObsReport) {
     let (c, plan, data) = tiny_workload();
     let paces = vec![4u32; plan.len()];
-    let run = if threads == 1 {
-        execute_planned_deltas_obs(
-            &plan,
-            &paces,
-            &c,
-            &data,
-            CostWeights::default(),
-            Some(ObsConfig::default()),
-        )
-        .unwrap()
-    } else {
-        execute_planned_deltas_parallel_obs(
-            &plan,
-            &paces,
-            &c,
-            &data,
-            CostWeights::default(),
-            threads,
-            Some(ObsConfig::default()),
-        )
-        .unwrap()
-    };
+    let opts =
+        SourceOptions { obs: Some(ObsConfig::default()), workers: threads, ..Default::default() };
+    let run = execute_planned_deltas_with(&plan, &paces, &c, &data, CostWeights::default(), opts)
+        .unwrap();
     (run.total_work.get(), run.obs.unwrap())
 }
 

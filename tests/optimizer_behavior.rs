@@ -339,8 +339,7 @@ fn optimize_is_deterministic_across_processes() {
 fn check_disabled_adaptation_invariance(seed: u64, update_frac: f64) {
     use ishare::core::adapt::{AdaptController, AdaptOptions};
     use ishare::stream::{
-        execute_adaptive_from_source_obs, execute_adaptive_from_source_parallel_obs,
-        execute_planned_deltas, Source, SourceOptions,
+        execute_adaptive_from_source_obs, execute_planned_deltas, Source, SourceOptions,
     };
     use ishare::tpch::with_updates;
 
@@ -361,26 +360,14 @@ fn check_disabled_adaptation_invariance(seed: u64, update_frac: f64) {
             AdaptController::from_planned(&planned, &data.catalog, w, AdaptOptions::disabled())
                 .unwrap();
         let mut source = Source::in_order(&feeds);
-        let run = if threads == 1 {
-            execute_adaptive_from_source_obs(
-                &planned.plan,
-                &data.catalog,
-                &mut source,
-                w,
-                SourceOptions::default(),
-                &mut ctrl,
-            )
-        } else {
-            execute_adaptive_from_source_parallel_obs(
-                &planned.plan,
-                &data.catalog,
-                &mut source,
-                w,
-                threads,
-                SourceOptions::default(),
-                &mut ctrl,
-            )
-        }
+        let run = execute_adaptive_from_source_obs(
+            &planned.plan,
+            &data.catalog,
+            &mut source,
+            w,
+            SourceOptions { workers: threads, ..Default::default() },
+            &mut ctrl,
+        )
         .unwrap()
         .into_result()
         .unwrap();

@@ -7,8 +7,7 @@
 //! the engine, Sec. 2.3).
 
 use ishare::stream::{
-    execute_planned_deltas, execute_planned_deltas_obs, execute_planned_deltas_partitioned_obs,
-    ObsConfig,
+    execute_planned_deltas, execute_planned_deltas_with, ObsConfig, SourceOptions,
 };
 use ishare_common::{CostWeights, DataType, OpKind, QueryId, QuerySet, TableId, Value};
 use ishare_expr::Expr;
@@ -143,8 +142,9 @@ proptest! {
         // Observability must be passive: identical results and bitwise-equal
         // work with obs on, and the per-operator breakdown regroups exactly
         // the charged terms, so it sums back to the flat total.
-        let obs = execute_planned_deltas_obs(
-            &plan, paces, &c, &data, CostWeights::default(), Some(ObsConfig::default()),
+        let with_obs = SourceOptions { obs: Some(ObsConfig::default()), ..Default::default() };
+        let obs = execute_planned_deltas_with(
+            &plan, paces, &c, &data, CostWeights::default(), with_obs.clone(),
         )
         .unwrap();
         prop_assert_eq!(&paced.results, &obs.results, "obs-on results, paces {:?}", paces);
@@ -166,8 +166,9 @@ proptest! {
         // exchange; the dyadic cost weights make the split sum *exactly* —
         // every per-subplan, per-kind breakdown cell is bitwise-equal to the
         // unpartitioned run's, not just the flat total.
-        let part = execute_planned_deltas_partitioned_obs(
-            &plan, paces, &c, &data, CostWeights::default(), 4, 1, Some(ObsConfig::default()),
+        let part = execute_planned_deltas_with(
+            &plan, paces, &c, &data, CostWeights::default(),
+            SourceOptions { partitions: 4, ..with_obs },
         )
         .unwrap();
         prop_assert_eq!(

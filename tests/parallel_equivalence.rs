@@ -1,18 +1,19 @@
-//! Differential tests: the parallel driver is bit-identical to the
-//! sequential reference driver.
+//! Differential tests: the wavefront loop on several workers is
+//! bit-identical to the same loop on one (every tick inline on the calling
+//! thread, in global schedule order).
 //!
 //! Random small shared plans (a shared scan+select trunk fanning out to one
 //! aggregate subplan per query, covering SUM/COUNT/MIN/MAX), random delta
 //! feeds with inserts and deletes (including deletes of a group's current
-//! extremum, which trigger MIN/MAX rescans), and random pace vectors: at 1,
-//! 2 and 4 worker threads the parallel driver must produce the same
-//! `QueryResult`s, bitwise-equal `total_work` and per-query `final_work`,
-//! and the same execution count as the sequential driver.
+//! extremum, which trigger MIN/MAX rescans), and random pace vectors: at 2,
+//! 4 and 8 worker threads the run must produce the same `QueryResult`s,
+//! bitwise-equal `total_work` and per-query `final_work`, and the same
+//! execution count as on one.
 
 use ishare::core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
 use ishare::stream::{
-    execute_planned_deltas, execute_planned_deltas_obs, execute_planned_deltas_parallel,
-    execute_planned_deltas_parallel_obs, ObsConfig, RunResult,
+    execute_planned_deltas, execute_planned_deltas_with, insert_feeds, ObsConfig, RunResult,
+    SourceOptions,
 };
 use ishare::tpch::{generate, queries::sharing_friendly_queries};
 use ishare_common::{CostWeights, DataType, QueryId, QuerySet, TableId, Value};
@@ -196,23 +197,18 @@ proptest! {
 
         let seq = execute_planned_deltas(&plan, paces, &c, &data, CostWeights::default())
             .unwrap();
-        let seq_obs = execute_planned_deltas_obs(
-            &plan, paces, &c, &data, CostWeights::default(), Some(ObsConfig::default()),
-        )
-        .unwrap();
+        let run = |workers: usize, obs: Option<ObsConfig>| {
+            let opts = SourceOptions { workers, obs, ..Default::default() };
+            execute_planned_deltas_with(&plan, paces, &c, &data, CostWeights::default(), opts)
+                .unwrap()
+        };
+        let seq_obs = run(1, Some(ObsConfig::default()));
         assert_bit_identical(&seq, &seq_obs, "sequential obs-on")?;
         assert_obs_consistent(&seq_obs, "sequential obs-on")?;
-        for threads in [1usize, 2, 4] {
-            let par = execute_planned_deltas_parallel(
-                &plan, paces, &c, &data, CostWeights::default(), threads,
-            )
-            .unwrap();
+        for threads in [2usize, 4, 8] {
+            let par = run(threads, None);
             assert_bit_identical(&seq, &par, &format!("threads={threads}"))?;
-            let par_obs = execute_planned_deltas_parallel_obs(
-                &plan, paces, &c, &data, CostWeights::default(), threads,
-                Some(ObsConfig::default()),
-            )
-            .unwrap();
+            let par_obs = run(threads, Some(ObsConfig::default()));
             assert_bit_identical(&seq, &par_obs, &format!("threads={threads} obs-on"))?;
             assert_obs_consistent(&par_obs, &format!("threads={threads} obs-on"))?;
         }
@@ -235,11 +231,7 @@ fn tpch_workload_parallel_matches_sequential() {
         queries.iter().map(|(q, _)| (*q, FinalWorkConstraint::Relative(0.25))).collect();
     let opts = PlanningOptions { max_pace: 8, ..Default::default() };
     let planned = plan_workload(Approach::IShare, &queries, &cons, &tpch.catalog, &opts).unwrap();
-    let feeds: HashMap<TableId, Vec<(Row, i64)>> = tpch
-        .data
-        .iter()
-        .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-        .collect();
+    let feeds = insert_feeds(&tpch.data);
 
     let seq = execute_planned_deltas(
         &planned.plan,
@@ -250,14 +242,17 @@ fn tpch_workload_parallel_matches_sequential() {
     )
     .unwrap();
     for threads in [2usize, 4] {
-        let par = execute_planned_deltas_parallel_obs(
+        let par = execute_planned_deltas_with(
             &planned.plan,
             planned.paces.as_slice(),
             &tpch.catalog,
             &feeds,
             CostWeights::default(),
-            threads,
-            Some(ObsConfig::default()),
+            SourceOptions {
+                workers: threads,
+                obs: Some(ObsConfig::default()),
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_eq!(seq.results, par.results, "threads={threads}");

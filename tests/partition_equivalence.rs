@@ -14,9 +14,8 @@
 
 use ishare::core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
 use ishare::stream::{
-    execute_planned_deltas, execute_planned_deltas_obs,
-    execute_planned_deltas_parallel_partitioned_obs, execute_planned_deltas_partitioned,
-    execute_planned_deltas_partitioned_obs, ObsConfig, RunResult,
+    execute_planned_deltas, execute_planned_deltas_with, insert_feeds, ObsConfig, RunResult,
+    SourceOptions,
 };
 use ishare::tpch::{generate, queries::sharing_friendly_queries};
 use ishare_common::{CostWeights, DataType, QueryId, QuerySet, TableId, Value};
@@ -300,24 +299,18 @@ proptest! {
         let shape = if join_shape { "join" } else { "agg" };
 
         let seq = execute_planned_deltas(&plan, paces, &c, &feeds, w).unwrap();
-        let seq_obs = execute_planned_deltas_obs(
-            &plan, paces, &c, &feeds, w, Some(ObsConfig::default()),
-        )
-        .unwrap();
+        let run = |opts| execute_planned_deltas_with(&plan, paces, &c, &feeds, w, opts).unwrap();
+        let with_obs = SourceOptions { obs: Some(ObsConfig::default()), ..Default::default() };
+        let seq_obs = run(with_obs.clone());
         assert_bit_identical(&seq, &seq_obs, &format!("{shape} obs-on"))?;
         assert_obs_consistent(&seq_obs, 1, &format!("{shape} obs-on"))?;
 
         for partitions in [1usize, 2, 4, 8] {
-            let part =
-                execute_planned_deltas_partitioned(&plan, paces, &c, &feeds, w, partitions)
-                    .unwrap();
+            let part = run(SourceOptions { partitions, ..Default::default() });
             assert_bit_identical(&seq, &part, &format!("{shape} P={partitions}"))?;
             for partition_threads in [1usize, 2] {
-                let part_obs = execute_planned_deltas_partitioned_obs(
-                    &plan, paces, &c, &feeds, w, partitions, partition_threads,
-                    Some(ObsConfig::default()),
-                )
-                .unwrap();
+                let part_obs =
+                    run(SourceOptions { partitions, partition_threads, ..with_obs.clone() });
                 let label = format!("{shape} P={partitions} pt={partition_threads} obs-on");
                 assert_bit_identical(&seq, &part_obs, &label)?;
                 assert_obs_consistent(&part_obs, partitions, &label)?;
@@ -325,10 +318,12 @@ proptest! {
         }
         // Intra-subplan parallelism stacked on inter-subplan parallelism.
         for partitions in [2usize, 4] {
-            let stacked = execute_planned_deltas_parallel_partitioned_obs(
-                &plan, paces, &c, &feeds, w, 2, partitions, 2, Some(ObsConfig::default()),
-            )
-            .unwrap();
+            let stacked = run(SourceOptions {
+                workers: 2,
+                partitions,
+                partition_threads: 2,
+                ..with_obs.clone()
+            });
             let label = format!("{shape} threads=2 P={partitions} pt=2");
             assert_bit_identical(&seq, &stacked, &label)?;
             assert_obs_consistent(&stacked, partitions, &label)?;
@@ -352,26 +347,25 @@ fn tpch_workload_partitioned_matches_sequential() {
         queries.iter().map(|(q, _)| (*q, FinalWorkConstraint::Relative(0.25))).collect();
     let opts = PlanningOptions { max_pace: 8, ..Default::default() };
     let planned = plan_workload(Approach::IShare, &queries, &cons, &tpch.catalog, &opts).unwrap();
-    let feeds: HashMap<TableId, Vec<(Row, i64)>> = tpch
-        .data
-        .iter()
-        .map(|(t, rows)| (*t, rows.iter().map(|r| (r.clone(), 1i64)).collect()))
-        .collect();
+    let feeds = insert_feeds(&tpch.data);
     let w = CostWeights::default();
 
     let seq =
         execute_planned_deltas(&planned.plan, planned.paces.as_slice(), &tpch.catalog, &feeds, w)
             .unwrap();
     for partitions in [2usize, 4, 8] {
-        let part = execute_planned_deltas_partitioned_obs(
+        let part = execute_planned_deltas_with(
             &planned.plan,
             planned.paces.as_slice(),
             &tpch.catalog,
             &feeds,
             w,
-            partitions,
-            2,
-            Some(ObsConfig::default()),
+            SourceOptions {
+                partitions,
+                partition_threads: 2,
+                obs: Some(ObsConfig::default()),
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_eq!(seq.results, part.results, "P={partitions}: results differ");

@@ -12,8 +12,7 @@
 use ishare::core::adapt::{AdaptController, AdaptOptions};
 use ishare::core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
 use ishare::stream::{
-    execute_adaptive_from_source_obs, execute_adaptive_from_source_parallel_obs, ObsConfig,
-    RunResult, SlackLedger, Source, SourceOptions,
+    execute_adaptive_from_source_obs, ObsConfig, RunResult, SlackLedger, Source, SourceOptions,
 };
 use ishare::tpch::{generate, query_by_name, with_updates};
 use ishare_common::{CostWeights, QueryId};
@@ -52,28 +51,20 @@ fn run_adaptive(
     let mut source = Source::in_order(&feeds);
     // No explicit `slo`: the adaptive entry points default the ledger's
     // budgets to the controller's constraints — the L(q) the residuals use.
-    let src_opts =
-        SourceOptions { obs: obs.then(ObsConfig::default), partitions, ..Default::default() };
-    let run = if threads == 1 {
-        execute_adaptive_from_source_obs(
-            &planned.plan,
-            &data.catalog,
-            &mut source,
-            w,
-            src_opts,
-            &mut ctrl,
-        )
-    } else {
-        execute_adaptive_from_source_parallel_obs(
-            &planned.plan,
-            &data.catalog,
-            &mut source,
-            w,
-            threads,
-            src_opts,
-            &mut ctrl,
-        )
-    }
+    let src_opts = SourceOptions {
+        obs: obs.then(ObsConfig::default),
+        partitions,
+        workers: threads,
+        ..Default::default()
+    };
+    let run = execute_adaptive_from_source_obs(
+        &planned.plan,
+        &data.catalog,
+        &mut source,
+        w,
+        src_opts,
+        &mut ctrl,
+    )
     .unwrap()
     .into_result()
     .unwrap();
