@@ -12,6 +12,7 @@
 //! samples — a compile-and-run gate, not a measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ishare_bench::harness::skewed_join_input;
 use ishare_common::{CostWeights, QuerySet, Value, WorkCounter};
 use ishare_exec::aggregate::{AggSpec, AggState};
 use ishare_exec::join::{JoinKeys, JoinState};
@@ -69,6 +70,24 @@ fn bench_join_kernel(c: &mut Criterion) {
             })
         });
     }
+    // Key skew (50k rows over 25 keys, one probe per key): what an insert
+    // costs in a long slot, which the sparse sizes above cannot see.
+    let n = if quick() { 5_000 } else { 50_000 };
+    let (left, right) = skewed_join_input(n, 25);
+    g.bench_with_input(BenchmarkId::new("kernel_insert_skewed", n), &n, |b, _| {
+        b.iter(|| {
+            let mut st = JoinState::new();
+            let counter = WorkCounter::new();
+            st.execute(left.clone(), right.clone(), &compiled, &weights, &counter).unwrap()
+        })
+    });
+    g.bench_with_input(BenchmarkId::new("reference_insert_skewed", n), &n, |b, _| {
+        b.iter(|| {
+            let mut st = RefJoinState::new();
+            let counter = WorkCounter::new();
+            st.execute(left.clone(), right.clone(), &key_exprs, &weights, &counter).unwrap()
+        })
+    });
     g.finish();
 }
 

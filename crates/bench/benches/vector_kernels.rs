@@ -141,7 +141,7 @@ fn bench_chain(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("row_kernel", n), &n, |b, _| {
             b.iter(|| {
                 let counter = WorkCounter::new();
-                let narrowed = narrow_input(&input, queries, &weights, &counter);
+                let narrowed = narrow_input(input.clone(), queries, &weights, &counter);
                 apply_select(narrowed, &branches, &compiled, &weights, &counter).unwrap()
             })
         });

@@ -733,7 +733,7 @@ pub fn parallel_scaling(p: &Params) -> Result<()> {
 /// `results/BENCH_kernels.json` — the perf trajectory later PRs regress
 /// against.
 pub fn kernel_bench(p: &Params) -> Result<()> {
-    use crate::harness::{save_kernel_bench, time_min_secs, KernelTiming};
+    use crate::harness::{save_kernel_bench, skewed_join_input, time_min_secs, KernelTiming};
     use ishare_common::{QuerySet, Value, WorkCounter};
     use ishare_exec::aggregate::{AggSpec, AggState};
     use ishare_exec::join::{JoinKeys, JoinState};
@@ -784,6 +784,40 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
                 .unwrap();
         }) * 1e9
             / (N + N / 4) as f64,
+    });
+
+    // Join insert under key skew: 50k left rows over 25 keys, then one probe
+    // per key (see `skewed_join_input`).
+    const SKEW_ROWS: usize = 50_000;
+    const SKEW_KEYS: usize = 25;
+    let (skew_left, skew_right) = skewed_join_input(SKEW_ROWS, SKEW_KEYS);
+    micro.push(KernelTiming {
+        name: "join_insert_skewed".into(),
+        ops: SKEW_ROWS + SKEW_KEYS,
+        kernel_ns_per_op: time_min_secs(REPS, || {
+            let mut st = JoinState::new();
+            st.execute(
+                skew_left.clone(),
+                skew_right.clone(),
+                &join_keys,
+                &weights,
+                &WorkCounter::new(),
+            )
+            .unwrap();
+        }) * 1e9
+            / (SKEW_ROWS + SKEW_KEYS) as f64,
+        reference_ns_per_op: time_min_secs(REPS, || {
+            let mut st = RefJoinState::new();
+            st.execute(
+                skew_left.clone(),
+                skew_right.clone(),
+                &key_exprs,
+                &weights,
+                &WorkCounter::new(),
+            )
+            .unwrap();
+        }) * 1e9
+            / (SKEW_ROWS + SKEW_KEYS) as f64,
     });
 
     // Group update: N rows into 64 SUM groups.

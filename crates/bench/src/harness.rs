@@ -1,9 +1,10 @@
 //! Shared experiment machinery: workloads, latency goals, planned +
 //! measured runs, and table printing.
 
-use ishare_common::{CostWeights, QueryId, Result};
+use ishare_common::{CostWeights, QueryId, QuerySet, Result, Value};
 use ishare_core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
 use ishare_plan::LogicalPlan;
+use ishare_storage::{DeltaBatch, DeltaRow, Row};
 use ishare_stream::{
     execute_from_source_obs, execute_planned, insert_feeds, missed_latency_stats,
     MissedLatencyStats, ObsConfig, ObsReport, Source, SourceConfig, SourceOptions,
@@ -337,6 +338,26 @@ impl KernelTiming {
     pub fn speedup(&self) -> f64 {
         self.reference_ns_per_op / self.kernel_ns_per_op
     }
+}
+
+/// Input of the `join_insert_skewed` micro: `rows` left rows spread over
+/// `keys` join keys — second column scrambled, so arrival order is not slot
+/// order — and one right row per key. One execution inserts every left row
+/// and then probes each slot once: the write-often, probe-seldom shape a lazy
+/// pace produces. The right rows carry another query's bit, so each probe
+/// reads its whole (consolidated) slot but emits nothing — output rows are
+/// built by code every datapath shares and would otherwise be half the time.
+/// A sparse key space (`join_probe_insert`: ≤ 3 entries per slot) cannot see
+/// what an insert costs in a 2,000-entry slot.
+pub fn skewed_join_input(rows: usize, keys: usize) -> (DeltaBatch, DeltaBatch) {
+    let (n, k) = (rows as i64, keys as i64);
+    let row = |a: i64, b: i64, mask: u64| DeltaRow {
+        row: Row::new(vec![Value::Int(a), Value::Int(b)]),
+        weight: 1,
+        mask: QuerySet(mask),
+    };
+    let left = (0..n).map(|i| row(i % k, i * 7919 % n, 0b01)).collect();
+    (left, (0..k).map(|i| row(i, i, 0b10)).collect())
 }
 
 /// Time `f` over `reps` runs (after one warm-up), returning the minimum

@@ -518,8 +518,8 @@ impl SubplanExecutor {
         let mut reclaimed = 0usize;
         for st in self.states.values_mut() {
             reclaimed += match st {
-                OpState::Join(j) => j.retire_query(q),
-                OpState::PartJoin(p) => p.retire_query(q),
+                OpState::Join(j) => j.retire_query(q)?,
+                OpState::PartJoin(p) => p.retire_query(q)?,
                 OpState::Agg(a) => a.retire_query(q),
                 OpState::PartAgg(p) => p.retire_query(q),
                 OpState::RefJoin(_) | OpState::RefAgg(_) => return Err(churn_unsupported()),
@@ -659,7 +659,7 @@ impl SubplanExecutor {
                         });
                     }
                 }
-                Ok(narrow_input(&witnessed, self.subplan.queries, &self.weights, counter))
+                Ok(narrow_input(witnessed, self.subplan.queries, &self.weights, counter))
             }
         }
     }
@@ -735,7 +735,7 @@ fn exec_node(
     match &t.op {
         TreeOp::Input(_) => {
             let batch = inputs.remove(path.as_slice()).unwrap_or_default();
-            Ok(narrow_input(&batch, queries, weights, counter))
+            Ok(narrow_input(batch, queries, weights, counter))
         }
         TreeOp::Select { branches } => {
             let input = child(0, inputs, path, states)?;
@@ -903,7 +903,7 @@ fn exec_node_vec(
             // the per-batch choice never affects results or charges.
             const MIN_COLUMNAR_BATCH: usize = 32;
             if needed == NEEDED_ROWS || needed.is_empty() || batch.len() < MIN_COLUMNAR_BATCH {
-                return Ok(VecDelta::Rows(narrow_input(&batch, queries, weights, counter)));
+                return Ok(VecDelta::Rows(narrow_input(batch, queries, weights, counter)));
             }
             Ok(narrow_columnar(&batch, queries, needed, weights, counter))
         }

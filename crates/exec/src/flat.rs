@@ -17,7 +17,7 @@
 //! operation sequence: FxHash has no per-process seed, and the drivers
 //! guarantee a deterministic operation sequence per operator. Nothing the
 //! engine emits depends on layout anyway — emission order comes from
-//! per-slot sorted entry lists (join) or first-touch lists (aggregation) —
+//! per-slot consolidated entry runs (join) or first-touch lists (aggregation) —
 //! so layout determinism is defense in depth, extending `validate_replay`'s
 //! cross-process guarantee to the state itself.
 

@@ -13,12 +13,21 @@
 //!   with FxHash into a [`FlatTable`] — no `Vec<Value>` hashing, no SipHash,
 //!   and probes reuse one scratch buffer. Both sides share one interner so
 //!   left and right keys encode identically.
-//! * Per-key entries are a `Vec` kept **sorted by `(row, mask)`** — the same
-//!   order the reference's `BTreeMap` iterates in. This is load-bearing:
-//!   emission order feeds downstream float aggregation and MIN/MAX rescan
-//!   triggering, so it must be a pure function of the stored state for the
-//!   work totals to stay bit-identical. (The *outer* key table is
-//!   insertion-ordered and never iterated.)
+//! * A key slot is a consolidated run — sorted by `(row, mask)`, the order
+//!   the reference's `BTreeMap` iterates in, pairs distinct — plus an
+//!   unsorted **pending tail** of raw deltas. An insert is an O(1) push onto
+//!   the tail; the tail is merged into the run (weights of equal pairs
+//!   summed, zeros dropped) only (a) right before the slot is probed, (b) at
+//!   the end of an insert phase that pushed a negative weight into it, so an
+//!   over-retraction is reported by the execution that caused it, (c) when
+//!   the tail outgrows the run, and (d) before churn surgery counts or
+//!   re-keys entries. Probes therefore always see a consolidated slot, and
+//!   that is load-bearing: emission order feeds downstream float aggregation
+//!   and MIN/MAX rescan triggering, so it must be a pure function of the
+//!   stored multiset for the work totals to stay bit-identical. A lazily
+//!   paced subplan writes its join state often and probes it seldom, so a
+//!   slot pays a sort per probe, not an ordered insert per tuple (DESIGN.md
+//!   §10). (The *outer* key table is insertion-ordered and never iterated.)
 //! * Work charges are coalesced per (OpKind, batch). The default cost
 //!   weights are dyadic rationals, so `Σ w·1` and `w·n` produce the same
 //!   f64 bit pattern at any grouping.
@@ -35,32 +44,137 @@ use ishare_expr::compile::CompiledScalar;
 use ishare_expr::Expr;
 use ishare_storage::{DeltaBatch, DeltaRow, Row};
 
-/// One stored join-side entry: `(row, mask, net weight)`, kept sorted by
-/// `(row, mask)` within its key slot.
+/// One stored join-side entry: `(row, mask, net weight)`.
 type Entry = (Row, QuerySet, i64);
+
+/// The `(row, mask)` order of a consolidated slot — the emission order
+/// contract.
+fn entry_order(a: &Entry, b: &Entry) -> std::cmp::Ordering {
+    a.0.cmp(&b.0).then(a.1.cmp(&b.1))
+}
 
 /// A key slot's entries. Most keys hold exactly one `(row, mask)` pair
 /// (e.g. a primary-key join side), so the single-entry case lives inline in
 /// the slot — no per-key `Vec` allocation to create, chase, or free. Slots
-/// spill to a sorted `Vec` only on the second distinct pair.
+/// spill to a `Vec` on the second insert.
 #[derive(Debug)]
 enum EntryList {
     /// Transient: a freshly created slot the caller fills immediately.
     Empty,
+    /// A consolidated run of one pair.
     One(Entry),
-    Many(Vec<Entry>),
+    /// `entries[..sorted_len]` is the consolidated run: sorted by
+    /// `(row, mask)`, pairs distinct, no zero weights. `entries[sorted_len..]`
+    /// is the pending tail: raw deltas in arrival order. Between executions
+    /// a tail holds positive weights only.
+    Many { entries: Vec<Entry>, sorted_len: usize },
 }
 
 impl EntryList {
-    /// Entries in `(row, mask)` order — the emission order contract.
+    /// Every stored entry — in `(row, mask)` order once consolidated.
     #[inline]
     fn as_slice(&self) -> &[Entry] {
         match self {
             EntryList::Empty => &[],
             EntryList::One(e) => std::slice::from_ref(e),
-            EntryList::Many(es) => es,
+            EntryList::Many { entries, .. } => entries,
         }
     }
+
+    /// How many `(row, mask)` pairs the slot holds once consolidated.
+    fn consolidated_len(&self) -> usize {
+        match self {
+            EntryList::Many { entries, sorted_len } if !tail_in_order(entries, *sorted_len) => {
+                let mut copy = entries.clone();
+                let _ = merge_tail(&mut copy, *sorted_len);
+                copy.len()
+            }
+            other => other.as_slice().len(),
+        }
+    }
+}
+
+/// A pending tail shorter than this never triggers consolidation point (c):
+/// small slots would otherwise re-merge at sizes 3, 7, 15, …, paying two
+/// allocations each time for a sort the next probe does anyway.
+const MIN_OUTGROWN_TAIL: usize = 32;
+
+/// Whether the pending tail already extends the run in strict `(row, mask)`
+/// order with positive weights (vacuously so when nothing is pending): the
+/// slot is then consolidated as it stands. Streams that arrive in key order
+/// take this exit — one comparison per pending entry, no sort, no move.
+fn tail_in_order(entries: &[Entry], sorted_len: usize) -> bool {
+    let in_order = |w: &[Entry]| entry_order(&w[0], &w[1]).is_lt() && w[1].2 > 0;
+    sorted_len > 0 && entries[sorted_len - 1..].windows(2).all(in_order)
+}
+
+/// Where `t`'s pair sits in a sorted run (`binary_search_by` semantics),
+/// galloping from the run's head: the bracket doubles until it holds the
+/// place, so a tail as long as the run pays O(1) comparisons per pair and a
+/// short tail O(log gap) — never a comparing walk of a long run.
+fn gallop(run: &[Entry], t: &Entry) -> std::result::Result<usize, usize> {
+    let mut hi = 1;
+    while hi < run.len() && entry_order(&run[hi - 1], t).is_lt() {
+        hi *= 2;
+    }
+    let (lo, hi) = (hi / 2, hi.min(run.len()));
+    run[lo..hi].binary_search_by(|e| entry_order(e, t)).map(|p| lo + p).map_err(|p| lo + p)
+}
+
+/// Consolidate a slot: stable-sort the pending tail, then merge it into the
+/// run, summing the weights of equal pairs and dropping zeros. Each distinct
+/// tail pair is placed by [`gallop`] over what is left of the run, and the
+/// run is moved once, into a buffer of exact capacity. A pair whose net
+/// weight is negative stays stored (the state remains the true net multiset,
+/// as in the reference) and is reported.
+fn merge_tail(entries: &mut Vec<Entry>, sorted_len: usize) -> Result<()> {
+    let mut tail = entries.split_off(sorted_len);
+    tail.sort_by(entry_order);
+    let mut tail = tail.into_iter().peekable();
+    let mut run = std::mem::take(entries).into_iter();
+    entries.reserve_exact(run.len() + tail.len());
+    let mut negative = None;
+    while let Some(mut t) = tail.next() {
+        while let Some(dup) = tail.next_if(|d| entry_order(d, &t).is_eq()) {
+            t.2 += dup.2;
+        }
+        match gallop(run.as_slice(), &t) {
+            Ok(pos) => {
+                entries.extend(run.by_ref().take(pos));
+                t.2 += run.next().expect("found in run").2;
+            }
+            Err(pos) => entries.extend(run.by_ref().take(pos)),
+        }
+        if t.2 < 0 && negative.is_none() {
+            negative = Some(negative_state(t.2, &t.0));
+        }
+        if t.2 != 0 {
+            entries.push(t);
+        }
+    }
+    entries.extend(run);
+    negative.map_or(Ok(()), Err)
+}
+
+/// Consolidate the slot at `id` (a no-op on an inline, consolidated or dead
+/// slot) and drop it from the table if nothing is left.
+fn consolidate_slot(table: &mut FlatTable<EntryList>, id: u32) -> Result<()> {
+    let Some(EntryList::Many { entries, sorted_len }) = table.get_by_id_mut(id) else {
+        return Ok(());
+    };
+    let merged =
+        if tail_in_order(entries, *sorted_len) { Ok(()) } else { merge_tail(entries, *sorted_len) };
+    *sorted_len = entries.len();
+    if entries.is_empty() {
+        table.remove_id(id);
+    }
+    merged
+}
+
+/// Consolidated `(row, mask)` pairs stored on one side.
+fn side_size(table: &FlatTable<EntryList>) -> usize {
+    let slots = table.live_ids().into_iter().filter_map(|id| table.get_by_id(id));
+    slots.map(EntryList::consolidated_len).sum()
 }
 
 /// Compiled join key pairs (left expr, right expr per key column).
@@ -120,9 +234,6 @@ pub struct JoinState {
     /// Shared by both sides: left and right keys must encode identically.
     interner: StrInterner,
     scratch: KeyBuf,
-    /// Total stored entries per side, for diagnostics and state-size stats.
-    left_entries: usize,
-    right_entries: usize,
 }
 
 impl JoinState {
@@ -131,14 +242,16 @@ impl JoinState {
         Self::default()
     }
 
-    /// Stored (row, mask) entries on the left side.
+    /// Stored (row, mask) entries on the left side: the exact consolidated
+    /// count, computed by walking the state (diagnostics and churn
+    /// accounting read it, never the per-execution path).
     pub fn left_size(&self) -> usize {
-        self.left_entries
+        side_size(&self.left)
     }
 
-    /// Stored (row, mask) entries on the right side.
+    /// Stored (row, mask) entries on the right side (see [`Self::left_size`]).
     pub fn right_size(&self) -> usize {
-        self.right_entries
+        side_size(&self.right)
     }
 
     /// Run one incremental execution over the two input deltas.
@@ -259,75 +372,55 @@ impl JoinState {
         counter.charge(OpKind::JoinProbe, weights.join_probe, left_keyed.len());
         for j in 0..left_keyed.len() {
             let before = out.len();
-            if let Some(entries) = self.right.get(left_keyed.key(j)) {
-                emit_matches(&mut out, left_keyed.row(&left_delta, j), entries, false, &mut emits);
-            }
+            let entries = probe(&mut self.right, left_keyed.key(j))?;
+            emit_matches(&mut out, left_keyed.row(&left_delta, j), entries, false, &mut emits);
             if let Some(t) = trace.as_deref_mut() {
                 t.left[left_keyed.rows[j] as usize] = (out.len() - before) as u32;
             }
         }
         // Insert ΔL.
         counter.charge(OpKind::JoinInsert, weights.join_insert, left_keyed.len());
-        for j in 0..left_keyed.len() {
-            insert_side(
-                &mut self.left,
-                &mut self.left_entries,
-                left_keyed.key(j),
-                left_keyed.row(&left_delta, j),
-            )?;
-        }
+        insert_delta(&mut self.left, &left_keyed, &left_delta)?;
         // ΔR ⋈ L_new (covers L_old⋈ΔR and ΔL⋈ΔR).
         counter.charge(OpKind::JoinProbe, weights.join_probe, right_keyed.len());
         for j in 0..right_keyed.len() {
             let before = out.len();
-            if let Some(entries) = self.left.get(right_keyed.key(j)) {
-                emit_matches(&mut out, right_keyed.row(&right_delta, j), entries, true, &mut emits);
-            }
+            let entries = probe(&mut self.left, right_keyed.key(j))?;
+            emit_matches(&mut out, right_keyed.row(&right_delta, j), entries, true, &mut emits);
             if let Some(t) = trace.as_deref_mut() {
                 t.right[right_keyed.rows[j] as usize] = (out.len() - before) as u32;
             }
         }
         counter.charge(OpKind::JoinInsert, weights.join_insert, right_keyed.len());
-        for j in 0..right_keyed.len() {
-            insert_side(
-                &mut self.right,
-                &mut self.right_entries,
-                right_keyed.key(j),
-                right_keyed.row(&right_delta, j),
-            )?;
-        }
+        insert_delta(&mut self.right, &right_keyed, &right_delta)?;
         counter.charge(OpKind::JoinEmit, weights.join_emit, emits);
         self.left.maybe_compact();
         self.right.maybe_compact();
         Ok(out)
     }
 
-    /// Query admission: add `q_new`'s bit to every stored entry whose mask
-    /// contains the witness `q_ref` (those are exactly the tuples `q_new`
-    /// would have stored had it run from the start). Entry lists are
-    /// re-sorted because masks participate in the `(row, mask)` order;
-    /// `q_new` is a fresh bit, so widening never makes two entries equal.
+    /// Query admission: add `q_new`'s bit to every stored entry (pending
+    /// ones included) whose mask contains the witness `q_ref` — those are
+    /// exactly the tuples `q_new` would have stored had it run from the
+    /// start. Masks participate in the `(row, mask)` order, so a widened slot
+    /// is marked wholly pending and re-sorted by its next consolidation;
+    /// `q_new` is a fresh bit, so widening never makes two pairs equal.
     pub fn widen_query(&mut self, q_ref: QueryId, q_new: QueryId) {
         for table in [&mut self.left, &mut self.right] {
             for id in table.live_ids() {
-                let slot = table.get_by_id_mut(id).expect("live slot");
-                match slot {
+                match table.get_by_id_mut(id).expect("live slot") {
                     EntryList::Empty => {}
                     EntryList::One((_, m, _)) => {
                         if m.contains(q_ref) {
                             m.insert(q_new);
                         }
                     }
-                    EntryList::Many(es) => {
-                        let mut widened = false;
-                        for (_, m, _) in es.iter_mut() {
+                    EntryList::Many { entries, sorted_len } => {
+                        for (_, m, _) in entries.iter_mut() {
                             if m.contains(q_ref) {
                                 m.insert(q_new);
-                                widened = true;
+                                *sorted_len = 0;
                             }
-                        }
-                        if widened {
-                            es.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
                         }
                     }
                 }
@@ -337,55 +430,46 @@ impl JoinState {
 
     /// Query removal: clear `q`'s bit from every stored entry, dropping
     /// entries whose mask goes empty and merging entries that become equal
-    /// in `(row, mask)` (their net weights add; both are positive, so the
-    /// merge never cancels to zero). Returns the number of entries freed.
-    pub fn retire_query(&mut self, q: QueryId) -> usize {
+    /// in `(row, mask)` (their net weights add). Each slot is consolidated
+    /// first, so the returned number of entries freed is exact.
+    pub fn retire_query(&mut self, q: QueryId) -> Result<usize> {
         let mut reclaimed = 0usize;
-        for (table, entries) in
-            [(&mut self.left, &mut self.left_entries), (&mut self.right, &mut self.right_entries)]
-        {
+        for table in [&mut self.left, &mut self.right] {
             for id in table.live_ids() {
-                let slot = table.get_by_id_mut(id).expect("live slot");
+                consolidate_slot(table, id)?;
+                let Some(slot) = table.get_by_id_mut(id) else { continue };
                 let mut es: Vec<Entry> = match std::mem::replace(slot, EntryList::Empty) {
                     EntryList::Empty => Vec::new(),
                     EntryList::One(e) => vec![e],
-                    EntryList::Many(es) => es,
+                    EntryList::Many { entries, .. } => entries,
                 };
                 let before = es.len();
                 for (_, m, _) in es.iter_mut() {
                     m.remove(q);
                 }
                 es.retain(|(_, m, _)| !m.is_empty());
-                es.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-                es.dedup_by(|dup, keep| {
-                    if dup.0 == keep.0 && dup.1 == keep.1 {
-                        keep.2 += dup.2;
-                        true
-                    } else {
-                        false
-                    }
-                });
+                let merged = merge_tail(&mut es, 0);
                 reclaimed += before - es.len();
-                *entries -= before - es.len();
-                if es.is_empty() {
+                if es.len() == 1 {
+                    *slot = EntryList::One(es.pop().expect("one entry"));
+                } else if es.is_empty() {
                     table.remove_id(id);
-                } else if es.len() == 1 {
-                    *table.get_by_id_mut(id).expect("live slot") =
-                        EntryList::One(es.pop().expect("one entry"));
                 } else {
-                    *table.get_by_id_mut(id).expect("live slot") = EntryList::Many(es);
+                    *slot = EntryList::Many { sorted_len: es.len(), entries: es };
                 }
+                merged?;
             }
             table.maybe_compact();
         }
-        reclaimed
+        Ok(reclaimed)
     }
 
     /// State handoff for admission: the join output `q_ref` has netted so
     /// far, i.e. the per-key cross product of stored left × right entries
     /// whose masks both contain the witness, re-masked to `{q_new}`.
-    /// Unconsolidated and in storage order — the caller consolidates (and
-    /// thereby becomes partition-count independent).
+    /// Unconsolidated and in storage order, pending tails included raw —
+    /// weights distribute over the product, so the caller's consolidation
+    /// nets them (and thereby becomes partition-count independent).
     pub fn snapshot_product(&self, q_ref: QueryId, q_new: QueryId) -> Vec<DeltaRow> {
         let mut out = Vec::new();
         for lid in self.left.live_ids() {
@@ -522,86 +606,69 @@ fn negative_state(w: i64, row: &Row) -> Error {
     Error::InvalidDelta(format!("join state went negative ({w}) for row {row}"))
 }
 
-fn insert_side(
+/// The consolidated entries stored under `key` — consolidation point (a).
+fn probe<'t>(table: &'t mut FlatTable<EntryList>, key: &[u64]) -> Result<&'t [Entry]> {
+    let Some(id) = table.id_of(key) else { return Ok(&[]) };
+    consolidate_slot(table, id)?;
+    Ok(table.get_by_id(id).map_or(&[], EntryList::as_slice))
+}
+
+/// One side's insert phase: append every keyed delta row to its key slot's
+/// pending tail — no ordered search, no comparison — then settle the slots
+/// that took a negative weight, consolidation point (b), so a retraction is
+/// netted, and an over-retraction reported, by the execution that brought it.
+/// The phase runs to its end even after a slot fails: tails never carry a
+/// negative weight into the next execution.
+fn insert_delta(
     table: &mut FlatTable<EntryList>,
-    entries: &mut usize,
-    key: &[u64],
-    dr: &DeltaRow,
+    keyed: &KeyedRows,
+    delta: &DeltaBatch,
 ) -> Result<()> {
-    if dr.weight == 0 {
-        // A zero-weight delta is a no-op on the stored multiset (engine
-        // streams never carry one; operators drop zero weights).
-        return Ok(());
-    }
-    let id = table.id_or_insert_with(key, || EntryList::Empty);
-    let slot = table.get_by_id_mut(id).expect("live slot");
-    match slot {
-        EntryList::Empty => {
-            if dr.weight < 0 {
-                return Err(negative_state(dr.weight, &dr.row));
-            }
-            *slot = EntryList::One((dr.row.clone(), dr.mask, dr.weight));
-            *entries += 1;
+    let (mut settled, mut retracted) = (Ok(()), Vec::new());
+    for j in 0..keyed.len() {
+        let dr = keyed.row(delta, j);
+        if dr.weight == 0 {
+            // A zero-weight delta is a no-op on the stored multiset (engine
+            // streams never carry one; operators drop zero weights).
+            continue;
         }
-        EntryList::One((r, m, w)) => {
-            match (*r).cmp(&dr.row).then((*m).cmp(&dr.mask)) {
-                std::cmp::Ordering::Equal => {
-                    *w += dr.weight;
-                    let w = *w;
-                    if w == 0 {
-                        *entries -= 1;
-                        table.remove_id(id);
-                    } else if w < 0 {
-                        return Err(negative_state(w, &dr.row));
-                    }
-                }
-                ord => {
-                    if dr.weight < 0 {
-                        return Err(negative_state(dr.weight, &dr.row));
-                    }
-                    let new = (dr.row.clone(), dr.mask, dr.weight);
-                    let old = std::mem::replace(slot, EntryList::Empty);
-                    let old = match old {
-                        EntryList::One(e) => e,
-                        _ => unreachable!("matched One"),
-                    };
-                    // `ord` compares stored vs new: Less keeps the stored
-                    // entry first, Greater puts the new entry first.
-                    *slot = EntryList::Many(if ord == std::cmp::Ordering::Less {
-                        vec![old, new]
-                    } else {
-                        vec![new, old]
-                    });
-                    *entries += 1;
-                }
+        let new = (dr.row.clone(), dr.mask, dr.weight);
+        let id = table.id_or_insert_with(keyed.key(j), || EntryList::Empty);
+        let slot = table.get_by_id_mut(id).expect("live slot");
+        let outgrown = match slot {
+            EntryList::Many { entries, sorted_len } => {
+                entries.push(new);
+                entries.len() - *sorted_len > (*sorted_len).max(MIN_OUTGROWN_TAIL)
             }
+            EntryList::One(_) => {
+                let EntryList::One(old) = std::mem::replace(slot, EntryList::Empty) else {
+                    unreachable!("matched One")
+                };
+                *slot = EntryList::Many { entries: vec![old, new], sorted_len: 1 };
+                false
+            }
+            EntryList::Empty if dr.weight > 0 => {
+                *slot = EntryList::One(new);
+                false
+            }
+            EntryList::Empty => {
+                *slot = EntryList::Many { entries: vec![new], sorted_len: 0 };
+                false
+            }
+        };
+        if outgrown {
+            // Point (c), geometric: pending memory stays within the run's,
+            // and a slot nobody probes costs O(log) sorts per entry.
+            settled = settled.and(consolidate_slot(table, id));
         }
-        EntryList::Many(es) => {
-            match es.binary_search_by(|(r, m, _)| r.cmp(&dr.row).then(m.cmp(&dr.mask))) {
-                Ok(pos) => {
-                    es[pos].2 += dr.weight;
-                    let w = es[pos].2;
-                    if w == 0 {
-                        es.remove(pos);
-                        *entries -= 1;
-                        if es.is_empty() {
-                            table.remove_id(id);
-                        }
-                    } else if w < 0 {
-                        return Err(negative_state(w, &dr.row));
-                    }
-                }
-                Err(pos) => {
-                    es.insert(pos, (dr.row.clone(), dr.mask, dr.weight));
-                    *entries += 1;
-                    if dr.weight < 0 {
-                        return Err(negative_state(dr.weight, &dr.row));
-                    }
-                }
-            }
+        if dr.weight < 0 {
+            retracted.push(id);
         }
     }
-    Ok(())
+    for id in retracted {
+        settled = settled.and(consolidate_slot(table, id));
+    }
+    settled
 }
 
 /// Emit the join of one delta row against a key slot's stored entries, in
@@ -609,11 +676,11 @@ fn insert_side(
 fn emit_matches(
     out: &mut DeltaBatch,
     delta: &DeltaRow,
-    entries: &EntryList,
+    entries: &[Entry],
     delta_is_right: bool,
     emits: &mut usize,
 ) {
-    for (srow, smask, sweight) in entries.as_slice() {
+    for (srow, smask, sweight) in entries {
         let mask = delta.mask.intersect(*smask);
         if mask.is_empty() || *sweight == 0 {
             continue;
@@ -627,8 +694,12 @@ fn emit_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::PartitionedJoin;
+    use crate::reference::RefJoinState;
     use ishare_common::{QueryId, Value};
     use ishare_storage::consolidate;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn qs(ids: &[u16]) -> QuerySet {
         QuerySet::from_iter(ids.iter().map(|&i| QueryId(i)))
@@ -739,18 +810,51 @@ mod tests {
         assert_eq!(out.rows[0].weight, 6);
     }
 
+    fn try_left(st: &mut JoinState, l: Vec<DeltaRow>) -> Result<DeltaBatch> {
+        let (w, c) = (CostWeights::default(), WorkCounter::new());
+        st.execute(DeltaBatch::from_rows(l), DeltaBatch::new(), &keys(), &w, &c)
+    }
+
     #[test]
     fn over_retraction_is_error() {
-        let mut st = JoinState::new();
-        let c = WorkCounter::new();
-        let res = st.execute(
-            DeltaBatch::from_rows(vec![dr(1, 10, -1, &[0])]),
-            DeltaBatch::new(),
-            &keys(),
-            &CostWeights::default(),
-            &c,
-        );
+        let res = try_left(&mut JoinState::new(), vec![dr(1, 10, -1, &[0])]);
         assert!(matches!(res, Err(Error::InvalidDelta(_))));
+    }
+
+    #[test]
+    fn over_retraction_into_populated_slot_is_error() {
+        // The slot already holds two rows; deleting a third, absent one is
+        // reported by that same execute, and the stored pairs are still
+        // counted exactly afterwards.
+        let mut st = JoinState::new();
+        run(&mut st, vec![dr(1, 10, 1, &[0]), dr(1, 20, 1, &[0])], vec![]);
+        let res = try_left(&mut st, vec![dr(1, 30, -1, &[0])]);
+        assert!(matches!(res, Err(Error::InvalidDelta(_))));
+        assert_eq!(st.left_size(), 3, "the net multiset, negative pair included");
+    }
+
+    #[test]
+    fn second_retraction_across_executes_is_error() {
+        for stored in [vec![dr(1, 10, 1, &[0])], vec![dr(1, 10, 1, &[0]), dr(1, 20, 1, &[0])]] {
+            let mut st = JoinState::new();
+            let others = stored.len() - 1;
+            run(&mut st, stored, vec![]);
+            assert!(try_left(&mut st, vec![dr(1, 10, -1, &[0])]).is_ok());
+            assert_eq!(st.left_size(), others);
+            let res = try_left(&mut st, vec![dr(1, 10, -1, &[0])]);
+            assert!(matches!(res, Err(Error::InvalidDelta(_))), "{others} other rows stored");
+        }
+    }
+
+    #[test]
+    fn net_valid_batch_is_accepted() {
+        // The one error-path divergence from the reference: a batch that
+        // retracts a row before inserting it nets to a valid state.
+        let mut st = JoinState::new();
+        let out = try_left(&mut st, vec![dr(1, 10, -1, &[0]), dr(1, 10, 2, &[0])]).unwrap();
+        assert!(out.is_empty());
+        let out = run(&mut st, vec![], vec![dr(1, 20, 1, &[0])]);
+        assert_eq!(out.rows[0].weight, 1);
     }
 
     #[test]
@@ -800,7 +904,7 @@ mod tests {
 
         // Retire q1: its private key-2 entries are freed; shared entries
         // survive with the bit cleared.
-        let freed = st.retire_query(QueryId(1));
+        let freed = st.retire_query(QueryId(1)).unwrap();
         assert_eq!(freed, 2, "key 2's left+right entries are q1-private");
         assert_eq!(st.left_size(), 1);
         let out = run(&mut st, vec![dr(2, 30, 1, &[0])], vec![]);
@@ -819,7 +923,7 @@ mod tests {
         let mut st = JoinState::new();
         run(&mut st, vec![dr(1, 10, 1, &[0]), dr(1, 10, 1, &[0, 1])], vec![]);
         assert_eq!(st.left_size(), 2);
-        let freed = st.retire_query(QueryId(1));
+        let freed = st.retire_query(QueryId(1)).unwrap();
         assert_eq!(freed, 1);
         assert_eq!(st.left_size(), 1);
         let out = run(&mut st, vec![], vec![dr(1, 20, 1, &[0])]);
@@ -832,7 +936,6 @@ mod tests {
         // Bit-identity depends on the kernel emitting probe matches in the
         // reference's BTreeMap (row, mask) order. Store several rows under
         // one key in scrambled arrival order, then probe once.
-        use crate::reference::RefJoinState;
         let stored = vec![
             dr(1, 30, 1, &[0]),
             dr(1, 10, 1, &[1]),
@@ -854,5 +957,127 @@ mod tests {
             refr.execute(DeltaBatch::from_rows(probe), DeltaBatch::new(), &ekeys, &w, &c).unwrap();
 
         assert_eq!(kout.rows, rout.rows, "emission order must match the reference exactly");
+    }
+
+    /// One generated delta: `(key, value, mask bits, weight, delete?, right side?)`.
+    type Op = (i64, i64, u64, i64, bool, bool);
+
+    fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
+        let op = (
+            0i64..4,
+            0i64..40,
+            1u64..8,
+            1i64..3,
+            proptest::bool::weighted(0.3),
+            proptest::bool::ANY,
+        );
+        proptest::collection::vec(op, 1..max)
+    }
+
+    /// Cut `ops` into `(left, right)` delta batches at random boundaries. A
+    /// delete retracts the whole stored weight of its pair, or turns into an
+    /// insert when the pair is absent, so no prefix over-retracts and the
+    /// reference accepts every batch. `keys` folds the key space (1 = every
+    /// row on one slot).
+    fn batches(ops: &[Op], cuts: &[usize], keys: i64) -> Vec<(Vec<DeltaRow>, Vec<DeltaRow>)> {
+        let mut stored: HashMap<(bool, i64, i64, u64), i64> = HashMap::new();
+        let mut out = vec![(Vec::new(), Vec::new())];
+        let mut cuts = cuts.iter().cycle();
+        let mut room = *cuts.next().unwrap();
+        for &(k, v, m, w, delete, right) in ops {
+            if room == 0 {
+                out.push((Vec::new(), Vec::new()));
+                room = *cuts.next().unwrap();
+            }
+            room -= 1;
+            let have = stored.entry((right, k % keys, v, m)).or_insert(0);
+            let weight = if delete && *have > 0 { -*have } else { w };
+            *have += weight;
+            let row = DeltaRow { row: r2(k % keys, v), weight, mask: QuerySet(m) };
+            let batch = out.last_mut().unwrap();
+            if right {
+                batch.1.push(row)
+            } else {
+                batch.0.push(row)
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The kernel join against the `BTreeMap` oracle on the case the
+        /// sparse tests miss: few keys, long slots, duplicate rows, deletes,
+        /// and batch boundaries that leave probes facing pending tails and
+        /// push tails across the geometric threshold.
+        #[test]
+        fn lazy_slots_match_reference(
+            ops in ops(400),
+            cuts in proptest::collection::vec(1usize..120, 8),
+            n_keys in 1i64..5,
+        ) {
+            let ekeys = vec![(Expr::col(0), Expr::col(0))];
+            let (w, kc, rc) = (CostWeights::default(), WorkCounter::new(), WorkCounter::new());
+            let (mut kern, mut refr) = (JoinState::new(), RefJoinState::new());
+            for (l, r) in batches(&ops, &cuts, n_keys) {
+                let (lb, rb) = (DeltaBatch::from_rows(l), DeltaBatch::from_rows(r));
+                let kout = kern.execute(lb.clone(), rb.clone(), &keys(), &w, &kc).unwrap();
+                let rout = refr.execute(lb, rb, &ekeys, &w, &rc).unwrap();
+                prop_assert_eq!(kout.rows, rout.rows);
+                prop_assert_eq!(kern.left_size(), refr.left_size());
+                prop_assert_eq!(kern.right_size(), refr.right_size());
+            }
+            prop_assert_eq!(kc.total().get().to_bits(), rc.total().get().to_bits());
+        }
+
+        /// Churn surgery on a state with pending tails equals the same
+        /// surgery on a state whose every slot was consolidated first.
+        #[test]
+        fn churn_surgery_ignores_pending_tails(
+            ops in ops(300),
+            cuts in proptest::collection::vec(1usize..120, 8),
+            n_keys in 1i64..5,
+            four_partitions in proptest::bool::ANY,
+        ) {
+            let (w, c) = (CostWeights::default(), WorkCounter::new());
+            let jk = keys();
+            let partitions = if four_partitions { 4 } else { 1 };
+            let mut lazy = PartitionedJoin::new(partitions, 1, &jk);
+            let mut eager = PartitionedJoin::new(partitions, 1, &jk);
+            for (l, r) in batches(&ops, &cuts, n_keys) {
+                let (lb, rb) = (DeltaBatch::from_rows(l), DeltaBatch::from_rows(r));
+                lazy.execute(lb.clone(), rb.clone(), &jk, &w, &c).unwrap();
+                eager.execute(lb, rb, &jk, &w, &c).unwrap();
+            }
+            // Probe every key from both sides with rows no stored mask meets
+            // (consolidating each slot), then retract the probe rows (which
+            // settles the slots they sat in).
+            for weight in [1, -1] {
+                let probes = |bit: u16| (0..n_keys).map(|k| dr(k, -1, weight, &[bit])).collect();
+                let out = eager
+                    .execute(DeltaBatch::from_rows(probes(62)), DeltaBatch::from_rows(probes(63)), &jk, &w, &c)
+                    .unwrap();
+                prop_assert!(out.is_empty());
+            }
+            prop_assert_eq!(lazy.left_size(), eager.left_size());
+            prop_assert_eq!(lazy.right_size(), eager.right_size());
+
+            let snapshot = |st: &PartitionedJoin| consolidate(st.snapshot_product(QueryId(0), QueryId(5)));
+            prop_assert_eq!(snapshot(&lazy), snapshot(&eager));
+            lazy.widen_query(QueryId(0), QueryId(5));
+            eager.widen_query(QueryId(0), QueryId(5));
+            prop_assert_eq!(lazy.retire_query(QueryId(1)).unwrap(), eager.retire_query(QueryId(1)).unwrap());
+            prop_assert_eq!(lazy.left_size(), eager.left_size());
+            prop_assert_eq!(lazy.right_size(), eager.right_size());
+            prop_assert_eq!(snapshot(&lazy), snapshot(&eager));
+            // The states now emit the same matches in the same order.
+            let probes = |bits: &[u16]| (0..n_keys).map(|k| dr(k, -1, 1, bits)).collect();
+            for (l, r) in [(probes(&[0, 2, 5]), vec![]), (vec![], probes(&[0, 2, 5]))] {
+                let (lb, rb) = (DeltaBatch::from_rows(l), DeltaBatch::from_rows(r));
+                let lout = lazy.execute(lb.clone(), rb.clone(), &jk, &w, &c).unwrap();
+                prop_assert_eq!(lout.rows, eager.execute(lb, rb, &jk, &w, &c).unwrap().rows);
+            }
+        }
     }
 }

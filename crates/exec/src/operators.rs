@@ -14,26 +14,20 @@ use ishare_storage::{DeltaBatch, DeltaRow, Row};
 
 /// Narrow an input batch to a subplan's query set (the σ_filter at a subplan
 /// boundary, Fig. 2): each row's mask is intersected with `queries` and rows
-/// left with an empty mask are dropped.
+/// left with an empty mask are dropped. The batch is narrowed in place — the
+/// caller hands over rows it would otherwise drop, so no `Row` is cloned.
 pub fn narrow_input(
-    batch: &DeltaBatch,
+    mut batch: DeltaBatch,
     queries: QuerySet,
     weights: &CostWeights,
     counter: &WorkCounter,
 ) -> DeltaBatch {
     counter.charge(OpKind::Scan, weights.scan, batch.len());
+    batch.rows.retain_mut(|r| {
+        r.mask = r.mask.intersect(queries);
+        !r.mask.is_empty()
+    });
     batch
-        .rows
-        .iter()
-        .filter_map(|r| {
-            let mask = r.mask.intersect(queries);
-            if mask.is_empty() {
-                None
-            } else {
-                Some(DeltaRow { row: r.row.clone(), weight: r.weight, mask })
-            }
-        })
-        .collect()
 }
 
 /// Shared marking select (σ*): each branch's predicate is evaluated only for
@@ -135,7 +129,7 @@ mod tests {
         let c = WorkCounter::new();
         let w = CostWeights::default();
         let b = batch(&[(1, 1, &[0, 1]), (2, 1, &[1]), (3, -1, &[2])]);
-        let out = narrow_input(&b, qs(&[0, 2]), &w, &c);
+        let out = narrow_input(b, qs(&[0, 2]), &w, &c);
         assert_eq!(out.len(), 2);
         assert_eq!(out.rows[0].mask, qs(&[0]));
         assert_eq!(out.rows[1].mask, qs(&[2]));

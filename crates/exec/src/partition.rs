@@ -235,7 +235,7 @@ impl PartitionedJoin {
     /// goes empty. Returns the total number of entries reclaimed, summed in
     /// partition-index order (a plain integer sum — partition-count
     /// independent because partitions hold disjoint entries).
-    pub fn retire_query(&mut self, q: QueryId) -> usize {
+    pub fn retire_query(&mut self, q: QueryId) -> Result<usize> {
         self.parts.iter_mut().map(|p| p.retire_query(q)).sum()
     }
 

@@ -363,7 +363,8 @@ mod tests {
 
         let rc = WorkCounter::new();
         let row_out = apply_project(
-            apply_select(narrow_input(&b, qs(&[0, 1]), &w, &rc), &br, &preds, &w, &rc).unwrap(),
+            apply_select(narrow_input(b.clone(), qs(&[0, 1]), &w, &rc), &br, &preds, &w, &rc)
+                .unwrap(),
             &proj,
             &w,
             &rc,
