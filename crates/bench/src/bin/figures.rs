@@ -10,8 +10,7 @@
 //! fig17b, fig17c, scaling (parallel-driver thread sweep), kernels
 //! (datapath kernels vs reference operators → `BENCH_kernels.json`),
 //! adapt (static vs adaptive paces under statistics drift →
-//! `BENCH_adapt.json`), partition (intra-subplan partition scaling →
-//! `BENCH_partition.json`), obs (observability overhead gate →
+//! `BENCH_adapt.json`), obs (observability overhead gate →
 //! `BENCH_obs.json`, fails above 5% overhead), churn (online admission:
 //! incremental merge vs full rebuild and state handoff vs history replay
 //! → `BENCH_churn.json`, fails unless the incremental merge is strictly
@@ -94,7 +93,6 @@ fn main() {
             "scaling" => experiments::parallel_scaling(params),
             "kernels" => experiments::kernel_bench(params),
             "adapt" => experiments::adapt(params),
-            "partition" => experiments::partition(params),
             "obs" => experiments::obs_overhead(params),
             "churn" => experiments::churn(params),
             other => {
@@ -110,21 +108,8 @@ fn main() {
 
     if exp == "all" {
         for name in [
-            "fig10",
-            "table1",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "fig17a",
-            "fig17b",
-            "fig17c",
-            "scaling",
-            "kernels",
-            "adapt",
-            "partition",
-            "obs",
-            "churn",
+            "fig10", "table1", "fig13", "fig14", "fig15", "fig16", "fig17a", "fig17b", "fig17c",
+            "scaling", "kernels", "adapt", "obs", "churn",
         ] {
             run(name, &params);
         }

@@ -10,10 +10,9 @@
 //! * the incremental sharer's DAG equals the from-scratch batch build for
 //!   the initial set (merge-equivalence smoke; the full property is pinned
 //!   by `crates/mqo/tests/churn_props.rs`),
-//! * every run of the matrix — obs off/on × partitions 1/2/4 × 1/2
-//!   partition workers × 1/2 wavefront workers — agrees **to the bit** on
-//!   charged total work, per-query final work, execution counts, churn
-//!   records, and result multisets,
+//! * every run of the matrix — obs off/on × 1/2 wavefront workers — agrees
+//!   **to the bit** on charged total work, per-query final work, execution
+//!   counts, churn records, and result multisets,
 //! * a run killed after two wavefronts — on two workers — resumes
 //!   deterministically: its commit log (churn records included) is a prefix
 //!   of the one-worker reference's, verifies on replay, and the resumed
@@ -305,23 +304,17 @@ fn main() {
     }
     println!("validate_churn: all live queries match their standalone oracles");
 
-    // Bit-identity matrix: obs, partitioned state, partition workers,
-    // wavefront workers.
+    // Bit-identity matrix: obs × wavefront workers.
     for obs in [None, Some(ObsConfig::default())] {
-        for partitions in [1usize, 2, 4] {
-            for (partition_threads, workers) in [(1usize, 1usize), (2, 1), (1, 2), (2, 2)] {
-                let mut o = base_opts();
-                o.source.obs = obs;
-                o.source.partitions = partitions;
-                o.source.partition_threads = partition_threads;
-                o.source.workers = workers;
-                let label = format!(
-                    "obs-{} {partitions}-partition {partition_threads}-partition-worker \
-                     {workers}-worker vs reference",
-                    if obs.is_some() { "on" } else { "off" },
-                );
-                check(&label, &reference, &complete(run(&o)).0);
-            }
+        for workers in [1usize, 2] {
+            let mut o = base_opts();
+            o.source.obs = obs;
+            o.source.workers = workers;
+            let label = format!(
+                "obs-{} {workers}-worker vs reference",
+                if obs.is_some() { "on" } else { "off" },
+            );
+            check(&label, &reference, &complete(run(&o)).0);
         }
     }
 

@@ -22,8 +22,8 @@
 //!   Prometheus exposition,
 //! * the ledger is *identical* (`==`, plus explicit `to_bits` on every
 //!   sample) across: obs-on vs obs-off work numbers, 2- and 4-thread
-//!   parallel runs, a killed run (2 wavefronts) resumed under commit-log
-//!   verification, and a partitioned run (`partitions: 2`),
+//!   parallel runs, and a killed run (2 wavefronts) resumed under
+//!   commit-log verification,
 //! * the run agrees with the committed golden snapshot
 //!   `results/GOLDEN_slo.json` within the tolerance band `--tol` (relative,
 //!   default 1e-6) — the perf-regression gate. `--update-golden` rewrites
@@ -394,21 +394,7 @@ fn run(
     assert_bit_identical(&run_seq, &run_res, "killed+resumed");
     assert_same_ledger(&ledger, ledger_of(&run_res, "killed+resumed"), "killed+resumed");
 
-    // 7. Partitioned operator state (partitions = 2): identical ledger.
-    let run_part = completed(
-        run_once(
-            &planned,
-            &data,
-            &feeds,
-            1,
-            SourceOptions { partitions: 2, ..slo_opts(&planned) },
-        )?,
-        "partitions=2",
-    );
-    assert_bit_identical(&run_seq, &run_part, "partitions=2");
-    assert_same_ledger(&ledger, ledger_of(&run_part, "partitions=2"), "partitions=2");
-
-    // 8. Golden snapshot diff (the perf-regression gate).
+    // 7. Golden snapshot diff (the perf-regression gate).
     let doc = golden_doc(sf, seed, &run_seq, &ledger);
     let golden_path = std::path::Path::new(GOLDEN_PATH);
     if update_golden {

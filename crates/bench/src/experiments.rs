@@ -1173,255 +1173,6 @@ pub fn adapt(p: &Params) -> Result<()> {
     Ok(())
 }
 
-/// Intra-subplan partition scaling (DESIGN.md §12): one heavy join+aggregate
-/// chain over uniformly distributed keys, executed by the sequential oracle
-/// and with its join/aggregate state hash-partitioned into 1/2/4/8 parts
-/// behind the per-operator exchange. Every run must be bit-identical; the
-/// headline number is the *work-based critical-path speedup* — the total
-/// work charged by the partitioned operators divided by the largest single
-/// partition's share. That ratio is deterministic (the dyadic cost weights
-/// make per-partition charges sum exactly) and is the quantity the exchange
-/// design controls; wall-clock is reported honestly alongside it and should
-/// not be expected to improve on a machine without spare cores. Also records
-/// how `find_pace_configuration_partitioned` trades the extra per-partition
-/// headroom for lazier paces. Writes `results/BENCH_partition.json`.
-pub fn partition(p: &Params) -> Result<()> {
-    use ishare_common::{DataType, QuerySet, TableId, Value};
-    use ishare_core::find_pace_configuration_partitioned;
-    use ishare_cost::PlanEstimator;
-    use ishare_expr::Expr;
-    use ishare_plan::{AggExpr, AggFunc, DagOp, SharedDag, SharedPlan};
-    use ishare_storage::{Catalog, Field, Row, Schema, TableStats};
-    use ishare_stream::{execute_planned_deltas_with, ObsConfig, RunResult, SourceOptions};
-    use std::collections::HashMap;
-
-    // Workload size scales with --sf relative to the default 0.005.
-    let scale = (p.sf / 0.005).max(0.1);
-    let n_t = (24_000.0 * scale) as usize;
-    let n_u = (8_000.0 * scale) as usize;
-    let keys = ((4_096.0 * scale) as i64).max(64);
-
-    let mut c = Catalog::new();
-    c.add_table(
-        "pt_t",
-        Schema::new(vec![Field::new("k", DataType::Int), Field::new("v", DataType::Int)]),
-        TableStats::unknown(n_t as f64, 2),
-    )?;
-    c.add_table(
-        "pt_u",
-        Schema::new(vec![Field::new("k", DataType::Int), Field::new("w", DataType::Int)]),
-        TableStats::unknown(n_u as f64, 2),
-    )?;
-    let t = c.table_by_name("pt_t").unwrap().id;
-    let u = c.table_by_name("pt_u").unwrap().id;
-
-    // One query, one heavy subplan: join on k, then group by k with SUM and
-    // MAX — the join partitions on the join key, the aggregate on the group
-    // key, so both exchanges are live.
-    let q0 = QuerySet::from_iter([QueryId(0)]);
-    let mut d = SharedDag::new();
-    let scan_t = d.add_node(DagOp::Scan { table: t }, vec![], q0).unwrap();
-    let scan_u = d.add_node(DagOp::Scan { table: u }, vec![], q0).unwrap();
-    let join = d
-        .add_node(
-            DagOp::Join { keys: vec![(Expr::col(0), Expr::col(0))] },
-            vec![scan_t, scan_u],
-            q0,
-        )
-        .unwrap();
-    let agg = d
-        .add_node(
-            DagOp::Aggregate {
-                group_by: vec![(Expr::col(0), "k".into())],
-                aggs: vec![
-                    AggExpr::new(AggFunc::Sum, Expr::col(1), "sv"),
-                    AggExpr::new(AggFunc::Max, Expr::col(3), "mw"),
-                ],
-            },
-            vec![join],
-            q0,
-        )
-        .unwrap();
-    d.set_query_root(QueryId(0), agg).unwrap();
-    let plan = SharedPlan::from_dag(&d, |_| false)?;
-
-    // Uniform-key delta feeds with ~8% deletes (never over-retracting).
-    let mut rng = StdRng::seed_from_u64(p.seed ^ 0x0a27_7171);
-    let mut feed = |n: usize, vmax: i64| -> Vec<(Row, i64)> {
-        let mut live: Vec<Row> = Vec::new();
-        let mut out = Vec::new();
-        for _ in 0..n {
-            if live.len() > 4 && rng.gen_bool(0.08) {
-                let idx = rng.gen_range(0..live.len());
-                out.push((live.swap_remove(idx), -1));
-            } else {
-                let row = Row::new(vec![
-                    Value::Int(rng.gen_range(0..keys)),
-                    Value::Int(rng.gen_range(0..vmax)),
-                ]);
-                live.push(row.clone());
-                out.push((row, 1));
-            }
-        }
-        out
-    };
-    let feeds: HashMap<TableId, Vec<(Row, i64)>> =
-        [(t, feed(n_t, 1000)), (u, feed(n_u, 500))].into_iter().collect();
-
-    let w = CostWeights::default();
-
-    // Pace search: the partitioned variant divides each subplan's effective
-    // incremental cost by P, so the same final-work constraint admits lazier
-    // paces as partitions are added. Execute every run under the P=1 paces so
-    // all partition counts stay bit-comparable.
-    let mut est = PlanEstimator::new(&plan, &c, w)?;
-    let batch = est.estimate(&vec![1; plan.len()])?;
-    let cons: ishare_core::ConstraintMap =
-        [(QueryId(0), batch.final_of(QueryId(0)).get() * 0.3)].into_iter().collect();
-    let mut pace_json = Vec::new();
-    let mut paces: Vec<u32> = vec![4; plan.len()];
-    for parts in [1usize, 2, 4, 8] {
-        let out = find_pace_configuration_partitioned(&mut est, &cons, p.max_pace, parts)?;
-        if parts == 1 {
-            paces = out.paces.as_slice().to_vec();
-        }
-        pace_json.push(serde_json::json!({
-            "partitions": parts as u64,
-            "paces": out.paces.as_slice().iter().map(|&x| x as u64).collect::<Vec<_>>(),
-            "estimated_total_work": out.report.total_work.get(),
-            "feasible": out.feasible,
-        }));
-    }
-
-    let time_run = |f: &dyn Fn() -> Result<RunResult>| -> Result<(RunResult, f64)> {
-        const REPS: usize = 3;
-        let mut best = f64::INFINITY;
-        let mut run = None;
-        for _ in 0..REPS {
-            let start = Instant::now();
-            let r = f()?;
-            best = best.min(start.elapsed().as_secs_f64());
-            run = Some(r);
-        }
-        Ok((run.unwrap(), best))
-    };
-
-    let with_obs = SourceOptions { obs: Some(ObsConfig::default()), ..Default::default() };
-    let run_with = |opts| execute_planned_deltas_with(&plan, &paces, &c, &feeds, w, opts);
-    let (baseline, base_secs) = time_run(&|| run_with(with_obs.clone()))?;
-
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut points = Vec::new();
-    let mut rows_out = Vec::new();
-    for parts in [1usize, 2, 4, 8] {
-        let (run, secs) = time_run(&|| {
-            run_with(SourceOptions {
-                partitions: parts,
-                partition_threads: parts.min(cores.max(2)),
-                ..with_obs.clone()
-            })
-        })?;
-        assert_eq!(baseline.results, run.results, "P={parts}: results differ");
-        assert_eq!(
-            baseline.total_work.get().to_bits(),
-            run.total_work.get().to_bits(),
-            "P={parts}: total_work not bit-identical"
-        );
-        assert_eq!(baseline.executions, run.executions, "P={parts}: executions differ");
-
-        // Per-partition shares from the passive gauges; charges sum exactly,
-        // so the sum *is* the sequential work of the partitioned operators.
-        let report = run.obs.as_ref().expect("obs enabled");
-        let mut per_sp: BTreeMap<usize, Vec<(usize, f64, f64)>> = BTreeMap::new();
-        let mut max_skew = 1.0f64;
-        for (name, v) in report.metrics.gauges() {
-            let Some(rest) = name.strip_prefix("partition.sp") else { continue };
-            let mut it = rest.split('.');
-            let sp: usize = it.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-            match (it.next(), it.next()) {
-                (Some(pj), Some("work")) => {
-                    let j: usize = pj.trim_start_matches('p').parse().unwrap_or(0);
-                    per_sp.entry(sp).or_default().push((j, v, 0.0));
-                }
-                (Some("skew"), None) => max_skew = max_skew.max(v),
-                _ => {}
-            }
-        }
-        let mut total = 0.0f64;
-        let mut crit = 0.0f64;
-        let mut heavy: Vec<f64> = Vec::new();
-        for works in per_sp.values_mut() {
-            works.sort_by_key(|(j, _, _)| *j);
-            let sum: f64 = works.iter().map(|(_, w, _)| *w).sum();
-            let max: f64 = works.iter().map(|(_, w, _)| *w).fold(0.0, f64::max);
-            total += sum;
-            crit += max;
-            if heavy.iter().sum::<f64>() < sum {
-                heavy = works.iter().map(|(_, w, _)| *w).collect();
-            }
-        }
-        let speedup = if parts == 1 || crit <= 0.0 { 1.0 } else { total / crit };
-        rows_out.push(vec![
-            format!("{parts}"),
-            format!("{speedup:.2}x"),
-            format!("{total:.0}"),
-            format!("{crit:.0}"),
-            format!("{max_skew:.3}"),
-            format!("{secs:.3}"),
-        ]);
-        points.push(serde_json::json!({
-            "partitions": parts as u64,
-            "partition_threads": parts.min(cores.max(2)) as u64,
-            "bit_identical": true,
-            "work_based_speedup": speedup,
-            "partitioned_op_work": total,
-            "critical_path_work": crit,
-            "max_skew": max_skew,
-            "heavy_subplan_per_partition_work": heavy,
-            "wall_secs": secs,
-        }));
-    }
-    print_table(
-        &format!(
-            "Partition scaling — {n_t}+{n_u} rows, {keys} keys, paces {paces:?}, {cores} cores"
-        ),
-        &["partitions", "work speedup", "op work", "critical path", "skew", "wall s"],
-        &rows_out,
-    );
-    println!(
-        "(speedup is deterministic critical-path work division; wall-clock on this \
-         {cores}-core machine is informational)"
-    );
-
-    save_json(
-        "BENCH_partition",
-        &serde_json::json!({
-            "sf": p.sf,
-            "seed": p.seed,
-            "available_cores": cores as u64,
-            "workload": {
-                "t_rows": n_t as u64,
-                "u_rows": n_u as u64,
-                "distinct_keys": keys,
-                "paces": paces.iter().map(|&x| x as u64).collect::<Vec<_>>(),
-            },
-            "baseline": {
-                "total_work": baseline.total_work.get(),
-                "total_work_bits": format!("{:016x}", baseline.total_work.get().to_bits()),
-                "executions": baseline.executions as u64,
-                "wall_secs": base_secs,
-            },
-            "points": points,
-            "pace_search": pace_json,
-            "note": "work_based_speedup = (sum of per-partition operator work) / (max \
-                     per-partition share), read from the partition.sp*.p*.work gauges; \
-                     deterministic because dyadic cost weights split charges exactly. \
-                     Wall-clock is honest and limited by available_cores.",
-        }),
-    );
-    Ok(())
-}
-
 /// Observability overhead gate: the instrumentation (metrics registry, span
 /// trace, slack ledger) must stay effectively free, because the whole design
 /// is fold-after-execute — nothing runs on the hot path. Executes the

@@ -100,9 +100,7 @@ impl Hasher for FxHasher {
 /// Hash a slice of `u64` key words (an encoded [`KeyBuf`]) with [`FxHasher`].
 ///
 /// This is *the* key hash of the engine: flat operator state uses it to
-/// index slots, and the partition exchange uses it (via [`partition_of`]) to
-/// route rows — both sides must agree on every bit, which is why it lives
-/// here rather than as a private helper of either.
+/// index slots.
 ///
 /// [`KeyBuf`]: crate::key::KeyBuf
 #[inline]
@@ -112,16 +110,6 @@ pub fn hash_words(words: &[u64]) -> u64 {
         h.write_u64(w);
     }
     h.finish()
-}
-
-/// The partition owning an encoded key: `hash_words(words) % partitions`.
-///
-/// Value-pure — equal key *values* encode to equal words (per interner), so
-/// they always land in the same partition. `partitions` must be non-zero.
-#[inline]
-pub fn partition_of(words: &[u64], partitions: usize) -> usize {
-    debug_assert!(partitions > 0);
-    (hash_words(words) % partitions as u64) as usize
 }
 
 /// `BuildHasher` producing [`FxHasher`]s — zero-sized, no per-map seed.
@@ -170,19 +158,6 @@ mod tests {
         // Empty key (global aggregate) hashes to a constant.
         assert_eq!(hash_words(&[]), hash_words(&[]));
         assert_ne!(hash_words(&[1, 2]), hash_words(&[2, 1]));
-    }
-
-    #[test]
-    fn partition_of_is_stable_and_in_range() {
-        for n in [1usize, 2, 3, 4, 8] {
-            for k in 0..64u64 {
-                let p = partition_of(&[k, k ^ 0x55], n);
-                assert!(p < n);
-                assert_eq!(p, partition_of(&[k, k ^ 0x55], n));
-            }
-        }
-        // One partition owns everything.
-        assert_eq!(partition_of(&[0x1234], 1), 0);
     }
 
     #[test]

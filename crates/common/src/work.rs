@@ -298,28 +298,6 @@ impl WorkCounter {
         WorkBreakdown(out)
     }
 
-    /// Fold another counter's per-kind totals into this one, kind by kind,
-    /// adding each kind's amount to both its bucket and the chronological
-    /// total.
-    ///
-    /// This is the partition-merge step of the exchange operator: each
-    /// partition charges its own private counter, and the partitions'
-    /// breakdowns are absorbed into the main counter in partition-index
-    /// order. With the default dyadic cost weights every charge — and hence
-    /// every per-kind partial sum — is exact in f64, so absorbing per-kind
-    /// instead of replaying the interleaved charge sequence yields
-    /// bit-identical totals.
-    pub fn absorb(&self, b: &WorkBreakdown) {
-        for kind in OpKind::ALL {
-            let amount = b.get(kind);
-            if amount != 0.0 {
-                self.total.set(self.total.get() + amount);
-                let cell = &self.by_kind[kind.index()];
-                cell.set(cell.get() + amount);
-            }
-        }
-    }
-
     /// Reset to zero and return the previous total (used to carve one
     /// incremental execution's work out of a long-lived counter).
     pub fn take(&self) -> WorkUnits {
@@ -370,49 +348,6 @@ mod tests {
         assert!((b.sum() - c.total().get()).abs() < 1e-9);
         for kind in OpKind::ALL {
             assert_eq!(b.get(kind), c.kind_total(kind).get());
-        }
-    }
-
-    /// The PR 2 invariant extended to the partitioned path: charges split
-    /// across per-partition counters and absorbed back must reproduce the
-    /// sequential counter bit for bit — per kind and in total. Dyadic
-    /// weights (the engine default) make every partial sum exact.
-    #[test]
-    fn partitioned_breakdown_sums_exactly_to_total() {
-        let w = CostWeights::default();
-        // A sequential charge sequence: (kind, count) pairs as one operator
-        // execution would produce them.
-        let charges: Vec<(OpKind, usize)> =
-            (0..200).map(|i| (OpKind::ALL[(i * 7) % OpKind::COUNT], (i * 13) % 9 + 1)).collect();
-        let seq = WorkCounter::new();
-        for &(kind, n) in &charges {
-            seq.charge(kind, w.of(kind), n);
-        }
-        for parts in [1usize, 2, 4, 8] {
-            // Split the same charges round-robin over per-partition
-            // counters, then absorb in partition order.
-            let counters: Vec<WorkCounter> = (0..parts).map(|_| WorkCounter::new()).collect();
-            for (i, &(kind, n)) in charges.iter().enumerate() {
-                counters[i % parts].charge(kind, w.of(kind), n);
-            }
-            let merged = WorkCounter::new();
-            for c in &counters {
-                merged.absorb(&c.breakdown());
-            }
-            assert_eq!(
-                merged.total().get().to_bits(),
-                seq.total().get().to_bits(),
-                "total differs at {parts} partitions"
-            );
-            for kind in OpKind::ALL {
-                assert_eq!(
-                    merged.kind_total(kind).get().to_bits(),
-                    seq.kind_total(kind).get().to_bits(),
-                    "{kind} differs at {parts} partitions"
-                );
-            }
-            let sum: f64 = OpKind::ALL.iter().map(|&k| merged.kind_total(k).get()).sum();
-            assert_eq!(sum.to_bits(), merged.total().get().to_bits());
         }
     }
 

@@ -49,7 +49,4 @@ pub use constraint::{resolve_constraints, ConstraintMap, FinalWorkConstraint};
 pub use incrementability::{benefit, incrementability};
 pub use optimizer::{IShareOptimizer, IShareOptions};
 pub use pace::PaceConfiguration;
-pub use pace_search::{
-    find_grouped_paces, find_pace_configuration, find_pace_configuration_partitioned,
-    relax_pace_configuration,
-};
+pub use pace_search::{find_grouped_paces, find_pace_configuration, relax_pace_configuration};

@@ -125,32 +125,6 @@ pub fn find_pace_configuration(
     grouped_search(est, &groups, constraints, max_pace)
 }
 
-/// [`find_pace_configuration`] for a runtime that executes every subplan
-/// with `partitions`-way intra-subplan data parallelism (the exchange of
-/// DESIGN.md §12).
-///
-/// Under a balanced P-way exchange the per-query latency proxy becomes the
-/// critical-path final work `final / P`, not the charged total, so a latency
-/// constraint `final / P ≤ L` is equivalent to `final ≤ L·P`: each limit is
-/// scaled by the partition count and the ordinary greedy runs unchanged.
-/// More partitions therefore admit lazier (cheaper-in-total-work) pace
-/// configurations — the search never needs to know about the exchange
-/// beyond the effective per-subplan cost division. `partitions == 1` is
-/// exactly [`find_pace_configuration`]; `0` is rejected.
-pub fn find_pace_configuration_partitioned(
-    est: &mut PlanEstimator,
-    constraints: &ConstraintMap,
-    max_pace: u32,
-    partitions: usize,
-) -> Result<SearchOutcome> {
-    if partitions == 0 {
-        return Err(Error::InvalidConfig("partition count must be at least 1".into()));
-    }
-    let scaled: ConstraintMap =
-        constraints.iter().map(|(q, l)| (*q, l * partitions as f64)).collect();
-    find_pace_configuration(est, &scaled, max_pace)
-}
-
 /// The grouped greedy: all subplans in a group move together.
 pub fn find_grouped_paces(
     est: &mut PlanEstimator,
@@ -475,31 +449,6 @@ mod tests {
         assert!(out.paces.as_slice().iter().all(|&p| p == first));
         assert!(out.feasible);
         assert!(first > 1);
-    }
-
-    #[test]
-    fn partitions_admit_lazier_paces() {
-        let c = catalog();
-        let plan = shared_plan(&c);
-        let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
-        let cons = constraints_rel(&mut est, &[(0, 0.2), (1, 0.2)]);
-        let p1 = find_pace_configuration_partitioned(&mut est, &cons, 100, 1).unwrap();
-        let p4 = find_pace_configuration_partitioned(&mut est, &cons, 100, 4).unwrap();
-        assert!(p1.feasible && p4.feasible);
-        // P=1 is exactly the unpartitioned search.
-        let base = find_pace_configuration(&mut est, &cons, 100).unwrap();
-        assert_eq!(p1.paces, base.paces);
-        // Dividing per-subplan cost by 4 must admit a lazier (cheaper in
-        // total work) configuration than the sequential constraint allows.
-        assert!(
-            p4.report.total_work.get() < p1.report.total_work.get(),
-            "4 partitions must buy laziness: {} vs {}",
-            p4.report.total_work.get(),
-            p1.report.total_work.get()
-        );
-        assert!(p4.paces.as_slice().iter().sum::<u32>() < p1.paces.as_slice().iter().sum::<u32>());
-        // Zero partitions is a config error.
-        assert!(find_pace_configuration_partitioned(&mut est, &cons, 100, 0).is_err());
     }
 
     #[test]

@@ -245,26 +245,6 @@ impl AggSpec {
             args: aggs.iter().map(|a| CompiledScalar::compile(&a.arg)).collect(),
         }
     }
-
-    /// Partition-key extractor over the group-by scalars — the exchange
-    /// routes rows by evaluating exactly what the state groups by, so a
-    /// group's rows always share a partition.
-    pub fn group_extractor(&self) -> ishare_expr::KeyExtractor {
-        ishare_expr::KeyExtractor::new(self.group_by.clone())
-    }
-}
-
-/// Per-touched-group flush records of one aggregate execution, in flush
-/// (= first-touch) order: `(first_touch_row, emits)` where `first_touch_row`
-/// is the batch index of the row that first touched the group this execution
-/// and `emits` is how many output rows the group's flush produced. Groups
-/// partition disjointly by key, so each partition's flush order is a
-/// subsequence of the sequential one; merging partition outputs ascending by
-/// `first_touch_row` reconstructs the exact sequential emission order.
-#[derive(Debug, Default)]
-pub struct AggTrace {
-    /// `(first_touch_row, emits)` per touched group, in flush order.
-    pub groups: Vec<(u32, u32)>,
 }
 
 /// One disjoint query-mask class within a group.
@@ -318,24 +298,6 @@ impl AggState {
         weights: &CostWeights,
         counter: &WorkCounter,
     ) -> Result<DeltaBatch> {
-        self.execute_traced(input, spec, agg_int, weights, counter, None)
-    }
-
-    /// [`Self::execute`] that additionally records per-touched-group flush
-    /// records into `trace` (cleared first). The traced and untraced paths
-    /// are byte-for-byte the same computation.
-    pub fn execute_traced(
-        &mut self,
-        input: DeltaBatch,
-        spec: &AggSpec,
-        agg_int: &[bool],
-        weights: &CostWeights,
-        counter: &WorkCounter,
-        mut trace: Option<&mut AggTrace>,
-    ) -> Result<DeltaBatch> {
-        if let Some(t) = trace.as_deref_mut() {
-            t.groups.clear();
-        }
         self.epoch += 1;
         let epoch = self.epoch;
         counter.charge(
@@ -349,9 +311,9 @@ impl AggState {
         // work-unit guarantee relies on it). The key values captured here
         // are the ones the first-touching row evaluated to — the output-row
         // representation, matching the reference exactly.
-        let mut touched: Vec<(u32, Vec<Value>, u32)> = Vec::new();
+        let mut touched: Vec<(u32, Vec<Value>)> = Vec::new();
         let mut key_vals: Vec<Value> = Vec::with_capacity(spec.group_by.len());
-        for (i, dr) in input.rows.iter().enumerate() {
+        for dr in &input.rows {
             key_vals.clear();
             for g in &spec.group_by {
                 key_vals.push(g.eval(dr.row.values())?);
@@ -364,7 +326,7 @@ impl AggState {
             let group = self.groups.get_by_id_mut(id).expect("live group");
             if group.touched_at != epoch {
                 group.touched_at = epoch;
-                touched.push((id, key_vals.clone(), i as u32));
+                touched.push((id, key_vals.clone()));
             }
             refine_classes(group, dr.mask, spec, agg_int);
             for class in &mut group.classes {
@@ -380,7 +342,7 @@ impl AggState {
             }
         }
 
-        self.flush_touched(touched, weights, counter, trace)
+        self.flush_touched(touched, weights, counter)
     }
 
     /// Columnar-input execution for `ExecMode::Vectorized`. Every group-by
@@ -395,7 +357,7 @@ impl AggState {
     /// instead of once per input row; with a computed key the row path's
     /// eval-keys-first order is kept so interner mutations line up. Flush
     /// logic, emission order, and charges are shared with
-    /// [`Self::execute_traced`], so outputs are bit-identical.
+    /// [`Self::execute`], so outputs are bit-identical.
     pub fn execute_columnar(
         &mut self,
         view: crate::vectorized::ColsView<'_>,
@@ -415,10 +377,10 @@ impl AggState {
         self.epoch += 1;
         let epoch = self.epoch;
         counter.charge(OpKind::AggUpdate, weights.agg_update, view.len() * spec.funcs.len().max(1));
-        let mut touched: Vec<(u32, Vec<Value>, u32)> = Vec::new();
+        let mut touched: Vec<(u32, Vec<Value>)> = Vec::new();
         let mut scratch_row: Vec<Value> = Vec::new();
         let mut key_vals: Vec<Value> = Vec::with_capacity(spec.group_by.len());
-        for (j, (&i, &mask)) in view.sel.iter().zip(view.masks).enumerate() {
+        for (&i, &mask) in view.sel.iter().zip(view.masks) {
             let i = i as usize;
             let row_vals: Option<&[Value]> = if needs_rows {
                 Some(match backing {
@@ -465,7 +427,7 @@ impl AggState {
                 } else {
                     key_vals.clone()
                 };
-                touched.push((id, kv, j as u32));
+                touched.push((id, kv));
             }
             let weight = view.batch.weights[i];
             refine_classes(group, mask, spec, agg_int);
@@ -489,7 +451,7 @@ impl AggState {
                 }
             }
         }
-        self.flush_touched(touched, weights, counter, None)
+        self.flush_touched(touched, weights, counter)
     }
 
     /// Flush: per touched group, retract stale output rows and emit new
@@ -499,16 +461,14 @@ impl AggState {
     /// datapaths bit-identical.
     fn flush_touched(
         &mut self,
-        touched: Vec<(u32, Vec<Value>, u32)>,
+        touched: Vec<(u32, Vec<Value>)>,
         weights: &CostWeights,
         counter: &WorkCounter,
-        mut trace: Option<&mut AggTrace>,
     ) -> Result<DeltaBatch> {
         let mut out = DeltaBatch::new();
         let mut emit_units = 0usize;
         let mut canceled: Vec<bool> = Vec::new();
-        for (id, key, first_row) in touched {
-            let flush_start = out.len();
+        for (id, key) in touched {
             let group = self.groups.get_by_id_mut(id).expect("touched group exists");
             for class in &group.classes {
                 if class.rows < 0 {
@@ -556,9 +516,6 @@ impl AggState {
             group.classes.retain(|c| c.rows > 0);
             if group.classes.is_empty() {
                 self.groups.remove_id(id);
-            }
-            if let Some(t) = trace.as_deref_mut() {
-                t.groups.push((first_row, (out.len() - flush_start) as u32));
             }
         }
         counter.charge(OpKind::AggEmit, weights.agg_emit, emit_units);

@@ -19,7 +19,6 @@
 use crate::aggregate::{AggSpec, AggState};
 use crate::join::{JoinKeys, JoinState};
 use crate::operators::{apply_project, apply_select, narrow_input};
-use crate::partition::{PartitionStat, PartitionedAgg, PartitionedJoin};
 use crate::reference::{ref_apply_project, ref_apply_select, RefAggState, RefJoinState};
 use crate::vectorized::{
     narrow_columnar, project_columnar, select_columnar, BatchStats, ColsView, VecDelta,
@@ -48,48 +47,18 @@ pub enum ExecMode {
     /// select/project run as selection-vector kernels over typed columns,
     /// and join/aggregate consume the columnar view directly (encoding keys
     /// straight from columns). Shares all stateful-operator state layouts
-    /// (and the partition exchange) with [`ExecMode::Kernels`]; results and
-    /// charged work are bit-identical to both other modes.
+    /// with [`ExecMode::Kernels`]; results and charged work are bit-identical
+    /// to both other modes.
     ///
     /// [`ColumnarBatch`]: ishare_storage::ColumnarBatch
     Vectorized,
 }
 
-/// How a [`SubplanExecutor`] is built: which datapath, and whether stateful
-/// operators hash-partition their state behind an exchange
-/// ([`crate::partition`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a [`SubplanExecutor`] is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecOptions {
-    /// The datapath. [`ExecMode::Reference`] ignores the partition fields —
-    /// the reference datapath stays the unpartitioned differential oracle at
-    /// every requested partition count.
+    /// The datapath.
     pub mode: ExecMode,
-    /// Hash partitions for join/aggregate state. `0` or `1` = unpartitioned
-    /// (plain [`JoinState`]/[`AggState`], exactly as before).
-    pub partitions: usize,
-    /// Worker threads fanning one partitioned operator's partitions out
-    /// (scoped threads per execution). `0` or `1` = run partitions inline.
-    /// Purely a wall-clock knob — results and charges are thread-count
-    /// independent.
-    pub partition_threads: usize,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { mode: ExecMode::default(), partitions: 1, partition_threads: 1 }
-    }
-}
-
-impl ExecOptions {
-    /// Options for `mode` with unpartitioned state.
-    pub fn with_mode(mode: ExecMode) -> ExecOptions {
-        ExecOptions { mode, ..ExecOptions::default() }
-    }
-
-    /// `true` iff stateful operators should be partitioned.
-    fn partitioned(&self) -> bool {
-        self.mode != ExecMode::Reference && self.partitions > 1
-    }
 }
 
 /// Stateful-operator state, keyed by tree path.
@@ -97,8 +66,6 @@ impl ExecOptions {
 enum OpState {
     Join(JoinState),
     Agg(AggState),
-    PartJoin(PartitionedJoin),
-    PartAgg(PartitionedAgg),
     RefJoin(RefJoinState),
     RefAgg(RefAggState),
 }
@@ -164,7 +131,7 @@ impl StateBundle {
 pub struct SubplanExecutor {
     subplan: Subplan,
     weights: CostWeights,
-    options: ExecOptions,
+    mode: ExecMode,
     /// Per-aggregate-node flags: is each aggregate argument integer-typed?
     agg_int: HashMap<Vec<usize>, Vec<bool>>,
     states: HashMap<Vec<usize>, OpState>,
@@ -184,28 +151,10 @@ impl SubplanExecutor {
         child_schemas: &HashMap<SubplanId, Schema>,
         weights: CostWeights,
     ) -> Result<Self> {
-        Self::new_with_mode(subplan, catalog, child_schemas, weights, ExecMode::default())
+        Self::new_with_options(subplan, catalog, child_schemas, weights, ExecOptions::default())
     }
 
-    /// Build an executor on an explicit datapath (unpartitioned state).
-    pub fn new_with_mode(
-        subplan: &Subplan,
-        catalog: &Catalog,
-        child_schemas: &HashMap<SubplanId, Schema>,
-        weights: CostWeights,
-        mode: ExecMode,
-    ) -> Result<Self> {
-        Self::new_with_options(
-            subplan,
-            catalog,
-            child_schemas,
-            weights,
-            ExecOptions::with_mode(mode),
-        )
-    }
-
-    /// Build an executor with full [`ExecOptions`] — datapath plus
-    /// state-partitioning configuration.
+    /// Build an executor with explicit [`ExecOptions`] (the datapath).
     pub fn new_with_options(
         subplan: &Subplan,
         catalog: &Catalog,
@@ -221,7 +170,7 @@ impl SubplanExecutor {
             &mut Vec::new(),
             catalog,
             child_schemas,
-            options,
+            options.mode,
             &mut agg_int,
             &mut states,
             &mut compiled,
@@ -229,7 +178,7 @@ impl SubplanExecutor {
         Ok(SubplanExecutor {
             subplan: subplan.clone(),
             weights,
-            options,
+            mode: options.mode,
             agg_int,
             states,
             compiled,
@@ -244,40 +193,7 @@ impl SubplanExecutor {
 
     /// The datapath this executor runs.
     pub fn mode(&self) -> ExecMode {
-        self.options.mode
-    }
-
-    /// The full build options.
-    pub fn options(&self) -> ExecOptions {
-        self.options
-    }
-
-    /// Per-partition cumulative load, summed over this subplan's partitioned
-    /// operators: entry `p` is the rows routed to and work charged by
-    /// partition `p`. Empty when no operator is partitioned.
-    pub fn partition_stats(&self) -> Vec<PartitionStat> {
-        let mut acc: Vec<PartitionStat> = Vec::new();
-        let mut fold = |stats: &[PartitionStat]| {
-            if acc.len() < stats.len() {
-                acc.resize(stats.len(), PartitionStat::default());
-            }
-            for (a, s) in acc.iter_mut().zip(stats) {
-                a.rows += s.rows;
-                a.work += s.work;
-            }
-        };
-        // Deterministic order: sort by tree path (HashMap iteration order is
-        // seed-free here but sorting keeps the fold order obvious).
-        let mut paths: Vec<&Vec<usize>> = self.states.keys().collect();
-        paths.sort();
-        for path in paths {
-            match &self.states[path] {
-                OpState::PartJoin(pj) => fold(pj.stats()),
-                OpState::PartAgg(pa) => fold(pa.stats()),
-                _ => {}
-            }
-        }
-        acc
+        self.mode
     }
 
     /// All leaves of the tree with their tree paths, in pre-order. The
@@ -300,7 +216,7 @@ impl SubplanExecutor {
         // `exec_node` borrows the tree and the mutable operator state from
         // disjoint fields, so the tree is walked in place — no per-execution
         // clone of the operator tree and its expression nodes.
-        if self.options.mode == ExecMode::Vectorized {
+        if self.mode == ExecMode::Vectorized {
             // The root reads no columns itself: its output materializes
             // through backing rows, so the needed-column descent starts
             // empty and accumulates reads op by op on the way down.
@@ -324,7 +240,7 @@ impl SubplanExecutor {
             &mut Vec::new(),
             inputs,
             counter,
-            self.options.mode,
+            self.mode,
             self.subplan.queries,
             &self.weights,
             &self.agg_int,
@@ -352,9 +268,7 @@ impl SubplanExecutor {
             .values()
             .map(|s| match s {
                 OpState::Join(j) => j.left_size() + j.right_size(),
-                OpState::PartJoin(p) => p.left_size() + p.right_size(),
                 OpState::Agg(a) => a.state_size(),
-                OpState::PartAgg(p) => p.state_size(),
                 OpState::RefJoin(_) | OpState::RefAgg(_) => 0,
             })
             .sum()
@@ -386,7 +300,7 @@ impl SubplanExecutor {
             &mut Vec::new(),
             catalog,
             child_schemas,
-            self.options,
+            self.mode,
             &mut agg_int,
             &mut fresh_states,
             &mut compiled,
@@ -423,33 +337,15 @@ impl SubplanExecutor {
     /// drop it afterwards. [`Error::Churn`] in [`ExecMode::Reference`]: the
     /// oracle datapath does not support state surgery.
     pub fn take_state_bundle(&mut self) -> Result<StateBundle> {
-        if self.options.mode == ExecMode::Reference {
+        if self.mode == ExecMode::Reference {
             return Err(churn_unsupported());
         }
         let states = std::mem::take(&mut self.states);
-        for (path, keys) in &self.compiled.join_keys {
-            let st = if self.options.partitioned() {
-                OpState::PartJoin(PartitionedJoin::new(
-                    self.options.partitions,
-                    self.options.partition_threads,
-                    keys,
-                ))
-            } else {
-                OpState::Join(JoinState::new())
-            };
-            self.states.insert(path.clone(), st);
+        for path in self.compiled.join_keys.keys() {
+            self.states.insert(path.clone(), OpState::Join(JoinState::new()));
         }
-        for (path, spec) in &self.compiled.agg_specs {
-            let st = if self.options.partitioned() {
-                OpState::PartAgg(PartitionedAgg::new(
-                    self.options.partitions,
-                    self.options.partition_threads,
-                    spec,
-                ))
-            } else {
-                OpState::Agg(AggState::new())
-            };
-            self.states.insert(path.clone(), st);
+        for path in self.compiled.agg_specs.keys() {
+            self.states.insert(path.clone(), OpState::Agg(AggState::new()));
         }
         Ok(StateBundle { states })
     }
@@ -461,7 +357,7 @@ impl SubplanExecutor {
     /// admitted query start cold by design). [`Error::Churn`] on unknown
     /// paths, variant mismatches, or in [`ExecMode::Reference`].
     pub fn install_state_bundle(&mut self, bundle: StateBundle) -> Result<()> {
-        if self.options.mode == ExecMode::Reference {
+        if self.mode == ExecMode::Reference {
             return Err(churn_unsupported());
         }
         for (path, st) in bundle.states {
@@ -492,15 +388,13 @@ impl SubplanExecutor {
     /// no two distinct masks become equal. [`Error::Churn`] in
     /// [`ExecMode::Reference`].
     pub fn widen_query(&mut self, q_ref: QueryId, q_new: QueryId) -> Result<()> {
-        if self.options.mode == ExecMode::Reference {
+        if self.mode == ExecMode::Reference {
             return Err(churn_unsupported());
         }
         for st in self.states.values_mut() {
             match st {
                 OpState::Join(j) => j.widen_query(q_ref, q_new),
-                OpState::PartJoin(p) => p.widen_query(q_ref, q_new),
                 OpState::Agg(a) => a.widen_query(q_ref, q_new),
-                OpState::PartAgg(p) => p.widen_query(q_ref, q_new),
                 OpState::RefJoin(_) | OpState::RefAgg(_) => return Err(churn_unsupported()),
             }
         }
@@ -512,16 +406,14 @@ impl SubplanExecutor {
     /// state entries reclaimed. Called on surviving subplans when a query is
     /// removed. [`Error::Churn`] in [`ExecMode::Reference`].
     pub fn retire_query(&mut self, q: QueryId) -> Result<usize> {
-        if self.options.mode == ExecMode::Reference {
+        if self.mode == ExecMode::Reference {
             return Err(churn_unsupported());
         }
         let mut reclaimed = 0usize;
         for st in self.states.values_mut() {
             reclaimed += match st {
                 OpState::Join(j) => j.retire_query(q)?,
-                OpState::PartJoin(p) => p.retire_query(q)?,
                 OpState::Agg(a) => a.retire_query(q),
-                OpState::PartAgg(p) => p.retire_query(q),
                 OpState::RefJoin(_) | OpState::RefAgg(_) => return Err(churn_unsupported()),
             };
         }
@@ -570,12 +462,13 @@ impl SubplanExecutor {
     /// [`Self::snapshot_leaf_dependencies`]); witness-masked leaf rows are
     /// re-masked to `q_new` and pushed through the spine.
     ///
-    /// Stateful-operator snapshots are canonicalized (sorted by encoded row,
-    /// equal rows merged, zero weights dropped) before the spine re-run, so
-    /// the result is independent of partition count and state insertion
-    /// order. The caller must have [`Self::refresh_subplan`]-ed this
-    /// executor first so `q_new` is in the subplan's query set and select
-    /// branches. [`Error::Churn`] in [`ExecMode::Reference`].
+    /// Stateful-operator snapshots are canonicalized (sorted by row and
+    /// mask, equal pairs merged, zero weights dropped) before the spine
+    /// re-run, so the result is independent of state insertion order (see
+    /// `consolidate_snapshot`). The caller must have
+    /// [`Self::refresh_subplan`]-ed this executor first so `q_new` is in the
+    /// subplan's query set and select branches. [`Error::Churn`] in
+    /// [`ExecMode::Reference`].
     pub fn snapshot_output(
         &self,
         q_ref: QueryId,
@@ -583,7 +476,7 @@ impl SubplanExecutor {
         leaf_history: &mut HashMap<Vec<usize>, DeltaBatch>,
         counter: &WorkCounter,
     ) -> Result<DeltaBatch> {
-        if self.options.mode == ExecMode::Reference {
+        if self.mode == ExecMode::Reference {
             return Err(churn_unsupported());
         }
         self.snap_node(&self.subplan.root, &mut Vec::new(), q_ref, q_new, leaf_history, counter)
@@ -602,7 +495,6 @@ impl SubplanExecutor {
             TreeOp::Join { .. } => {
                 let rows = match self.states.get(path.as_slice()) {
                     Some(OpState::Join(j)) => j.snapshot_product(q_ref, q_new),
-                    Some(OpState::PartJoin(p)) => p.snapshot_product(q_ref, q_new),
                     Some(OpState::RefJoin(_)) | Some(OpState::RefAgg(_)) => {
                         return Err(churn_unsupported())
                     }
@@ -617,7 +509,6 @@ impl SubplanExecutor {
             TreeOp::Aggregate { .. } => {
                 let rows = match self.states.get(path.as_slice()) {
                     Some(OpState::Agg(a)) => a.snapshot_emitted(q_ref, q_new),
-                    Some(OpState::PartAgg(p)) => p.snapshot_emitted(q_ref, q_new),
                     Some(OpState::RefJoin(_)) | Some(OpState::RefAgg(_)) => {
                         return Err(churn_unsupported())
                     }
@@ -683,8 +574,10 @@ fn churn_unsupported() -> Error {
 
 /// Canonicalize a state snapshot: sort by (row, mask), merge equal entries
 /// by summing weights, drop zeros. Makes the snapshot a pure function of
-/// the stored state *set*, independent of partition count and insertion
-/// order.
+/// the stored multiset, independent of insertion order: operators walk
+/// their slots in key first-touch order, and a join's raw product still
+/// holds the pending tails no probe has merged yet, so the same multiset
+/// can be stored in many layouts.
 fn consolidate_snapshot(mut rows: Vec<DeltaRow>) -> Vec<DeltaRow> {
     rows.sort_by(|a, b| a.row.cmp(&b.row).then_with(|| a.mask.cmp(&b.mask)));
     let mut out: Vec<DeltaRow> = Vec::with_capacity(rows.len());
@@ -771,12 +664,6 @@ fn exec_node(
                     })?;
                     js.execute(left, right, ckeys, weights, counter)
                 }
-                Some(OpState::PartJoin(pj)) => {
-                    let ckeys = compiled.join_keys.get(path.as_slice()).ok_or_else(|| {
-                        Error::InvalidPlan(format!("missing compiled join keys at path {path:?}"))
-                    })?;
-                    pj.execute(left, right, ckeys, weights, counter)
-                }
                 Some(OpState::RefJoin(js)) => js.execute(left, right, keys, weights, counter),
                 _ => Err(Error::InvalidPlan(format!("missing join state at path {path:?}"))),
             }
@@ -798,12 +685,6 @@ fn exec_node(
                         Error::InvalidPlan(format!("missing compiled aggregate at path {path:?}"))
                     })?;
                     st.execute(input, spec, int_flags, weights, counter)
-                }
-                Some(OpState::PartAgg(pa)) => {
-                    let spec = compiled.agg_specs.get(path.as_slice()).ok_or_else(|| {
-                        Error::InvalidPlan(format!("missing compiled aggregate at path {path:?}"))
-                    })?;
-                    pa.execute(input, spec, int_flags, weights, counter)
                 }
                 Some(OpState::RefAgg(st)) => {
                     st.execute(input, group_by, aggs, int_flags, weights, counter)
@@ -827,11 +708,9 @@ fn union_cols(base: &[usize], extra: impl IntoIterator<Item = usize>) -> Vec<usi
 /// The vectorized twin of `exec_node`: carries a [`VecDelta`] between
 /// operators instead of a row batch. Scans, selects, and projects stay
 /// columnar (selection vectors, no survivor materialization); joins and
-/// aggregates consume the columnar view directly when unpartitioned — the
-/// partition exchange routes row batches, so partitioned operators (and any
-/// ragged fallback) materialize first. Stateful operators always produce
-/// row outputs, which downstream vectorized operators handle via
-/// [`VecDelta::Rows`].
+/// aggregates consume the columnar view directly (a ragged fallback
+/// materializes first). Stateful operators always produce row outputs,
+/// which downstream vectorized operators handle via [`VecDelta::Rows`].
 ///
 /// `needed` is the late-materialization contract between a node and its
 /// parent: the columns of this node's *output* batch the parent will read
@@ -976,9 +855,6 @@ fn exec_node_vec(
                         .execute(l.into_rows(), r.into_rows(), ckeys, weights, counter)
                         .map(VecDelta::Rows),
                 },
-                Some(OpState::PartJoin(pj)) => pj
-                    .execute(left.into_rows(), right.into_rows(), ckeys, weights, counter)
-                    .map(VecDelta::Rows),
                 _ => Err(Error::InvalidPlan(format!("missing join state at path {path:?}"))),
             }
         }
@@ -1014,9 +890,6 @@ fn exec_node_vec(
                         st.execute(b, spec, int_flags, weights, counter).map(VecDelta::Rows)
                     }
                 },
-                Some(OpState::PartAgg(pa)) => pa
-                    .execute(input.into_rows(), spec, int_flags, weights, counter)
-                    .map(VecDelta::Rows),
                 _ => Err(Error::InvalidPlan(format!("missing aggregate state at path {path:?}"))),
             }
         }
@@ -1029,30 +902,19 @@ fn init_states(
     path: &mut Vec<usize>,
     catalog: &Catalog,
     child_schemas: &HashMap<SubplanId, Schema>,
-    options: ExecOptions,
+    mode: ExecMode,
     agg_int: &mut HashMap<Vec<usize>, Vec<bool>>,
     states: &mut HashMap<Vec<usize>, OpState>,
     compiled: &mut CompiledOps,
 ) -> Result<()> {
-    let mode = options.mode;
     match &t.op {
         TreeOp::Join { keys } => match mode {
             ExecMode::Reference => {
                 states.insert(path.clone(), OpState::RefJoin(RefJoinState::new()));
             }
             _ => {
-                let ckeys = JoinKeys::compile(keys);
-                let state = if options.partitioned() {
-                    OpState::PartJoin(PartitionedJoin::new(
-                        options.partitions,
-                        options.partition_threads,
-                        &ckeys,
-                    ))
-                } else {
-                    OpState::Join(JoinState::new())
-                };
-                compiled.join_keys.insert(path.clone(), ckeys);
-                states.insert(path.clone(), state);
+                compiled.join_keys.insert(path.clone(), JoinKeys::compile(keys));
+                states.insert(path.clone(), OpState::Join(JoinState::new()));
             }
         },
         TreeOp::Aggregate { group_by, aggs } => {
@@ -1068,18 +930,8 @@ fn init_states(
                     states.insert(path.clone(), OpState::RefAgg(RefAggState::new()));
                 }
                 _ => {
-                    let spec = AggSpec::compile(group_by, aggs);
-                    let state = if options.partitioned() {
-                        OpState::PartAgg(PartitionedAgg::new(
-                            options.partitions,
-                            options.partition_threads,
-                            &spec,
-                        ))
-                    } else {
-                        OpState::Agg(AggState::new())
-                    };
-                    compiled.agg_specs.insert(path.clone(), spec);
-                    states.insert(path.clone(), state);
+                    compiled.agg_specs.insert(path.clone(), AggSpec::compile(group_by, aggs));
+                    states.insert(path.clone(), OpState::Agg(AggState::new()));
                 }
             }
         }
@@ -1101,7 +953,7 @@ fn init_states(
     }
     for (i, child) in t.inputs.iter().enumerate() {
         path.push(i);
-        init_states(child, path, catalog, child_schemas, options, agg_int, states, compiled)?;
+        init_states(child, path, catalog, child_schemas, mode, agg_int, states, compiled)?;
     }
     path.pop();
     Ok(())
@@ -1279,75 +1131,6 @@ mod tests {
         assert_eq!(ex.queries(), qs(&[0, 1]));
     }
 
-    /// The partition exchange must be invisible: same output rows in the
-    /// same order and bit-identical charges at every partition/thread
-    /// count, across incremental executions with inserts and deletes —
-    /// through a join AND an aggregate (different partition keys).
-    #[test]
-    fn partitioned_state_matches_unpartitioned_bitwise() {
-        let c = catalog();
-        let sp = sample_subplan(&c);
-        let weights = CostWeights::default();
-        let steps: Vec<(Vec<DeltaRow>, Vec<DeltaRow>)> = vec![
-            (vec![t_row(1, 1), t_row(2, 5), t_row(3, 8)], vec![t_row(1, 100), t_row(2, 50)]),
-            (vec![t_row(4, 9), t_row(1, 3)], vec![t_row(3, 20), t_row(4, 7), t_row(1, 7)]),
-            (
-                vec![DeltaRow {
-                    row: Row::new(vec![Value::Int(1), Value::Int(1)]),
-                    weight: -1,
-                    mask: qs(&[0, 1]),
-                }],
-                vec![],
-            ),
-            (vec![t_row(2, 4), t_row(5, 6)], vec![t_row(5, 11)]),
-        ];
-        let run = |options: ExecOptions| {
-            let mut ex =
-                SubplanExecutor::new_with_options(&sp, &c, &HashMap::new(), weights, options)
-                    .unwrap();
-            let leaves = ex.leaf_paths();
-            let counter = WorkCounter::new();
-            let mut outs = Vec::new();
-            for (ts, us) in &steps {
-                let mut inputs = HashMap::new();
-                inputs.insert(leaves[0].0.clone(), DeltaBatch::from_rows(ts.clone()));
-                inputs.insert(leaves[1].0.clone(), DeltaBatch::from_rows(us.clone()));
-                outs.push(ex.execute(&mut inputs, &counter).unwrap().rows);
-            }
-            (outs, counter.total().get(), counter.breakdown(), ex.partition_stats())
-        };
-        let (base_outs, base_total, base_breakdown, base_stats) = run(ExecOptions::default());
-        assert!(base_stats.is_empty(), "unpartitioned executor reports no partition stats");
-        for partitions in [2usize, 4, 8] {
-            for threads in [1usize, 2] {
-                let opts =
-                    ExecOptions { mode: ExecMode::Kernels, partitions, partition_threads: threads };
-                let (outs, total, breakdown, stats) = run(opts);
-                assert_eq!(
-                    outs, base_outs,
-                    "outputs differ at {partitions} partitions, {threads} threads"
-                );
-                assert_eq!(
-                    total.to_bits(),
-                    base_total.to_bits(),
-                    "total work differs at {partitions} partitions, {threads} threads"
-                );
-                for kind in ishare_common::OpKind::ALL {
-                    assert_eq!(
-                        breakdown.get(kind).to_bits(),
-                        base_breakdown.get(kind).to_bits(),
-                        "{kind} charges differ at {partitions} partitions"
-                    );
-                }
-                assert_eq!(stats.len(), partitions);
-                let routed: u64 = stats.iter().map(|s| s.rows).sum();
-                assert!(routed > 0, "exchange must have routed rows");
-                let split: f64 = stats.iter().map(|s| s.work).sum();
-                assert!(split > 0.0, "partitions must have charged work");
-            }
-        }
-    }
-
     /// The aggregate-rooted snapshot must equal the witness query's net
     /// accumulated output, re-masked to the admitted query.
     #[test]
@@ -1516,12 +1299,12 @@ mod tests {
     fn reference_mode_rejects_churn_ops() {
         let c = catalog();
         let sp = sample_subplan(&c);
-        let mut ex = SubplanExecutor::new_with_mode(
+        let mut ex = SubplanExecutor::new_with_options(
             &sp,
             &c,
             &HashMap::new(),
             CostWeights::default(),
-            ExecMode::Reference,
+            ExecOptions { mode: ExecMode::Reference },
         )
         .unwrap();
         let counter = WorkCounter::new();
@@ -1546,9 +1329,9 @@ mod tests {
         let weights = CostWeights::default();
 
         let mut kern = SubplanExecutor::new(&sp, &c, &HashMap::new(), weights).unwrap();
+        let opts = ExecOptions { mode: ExecMode::Reference };
         let mut refr =
-            SubplanExecutor::new_with_mode(&sp, &c, &HashMap::new(), weights, ExecMode::Reference)
-                .unwrap();
+            SubplanExecutor::new_with_options(&sp, &c, &HashMap::new(), weights, opts).unwrap();
         let leaves = kern.leaf_paths();
         let kc = WorkCounter::new();
         let rc = WorkCounter::new();
@@ -1586,9 +1369,9 @@ mod tests {
         let weights = CostWeights::default();
 
         let mut kern = SubplanExecutor::new(&sp, &c, &HashMap::new(), weights).unwrap();
+        let opts = ExecOptions { mode: ExecMode::Vectorized };
         let mut vect =
-            SubplanExecutor::new_with_mode(&sp, &c, &HashMap::new(), weights, ExecMode::Vectorized)
-                .unwrap();
+            SubplanExecutor::new_with_options(&sp, &c, &HashMap::new(), weights, opts).unwrap();
         let leaves = kern.leaf_paths();
         let kc = WorkCounter::new();
         let vc = WorkCounter::new();
@@ -1628,43 +1411,5 @@ mod tests {
         assert!(stats.batches > 0 && stats.rows > 0, "vectorized run must record batch stats");
         assert!(stats.scanned >= stats.kept);
         assert_eq!(kern.batch_stats(), crate::vectorized::BatchStats::default());
-    }
-
-    #[test]
-    fn vectorized_partitioned_matches_unpartitioned_bitwise() {
-        let c = catalog();
-        let sp = sample_subplan(&c);
-        let weights = CostWeights::default();
-        let mut plain =
-            SubplanExecutor::new_with_mode(&sp, &c, &HashMap::new(), weights, ExecMode::Vectorized)
-                .unwrap();
-        let mut part = SubplanExecutor::new_with_options(
-            &sp,
-            &c,
-            &HashMap::new(),
-            weights,
-            ExecOptions { mode: ExecMode::Vectorized, partitions: 4, partition_threads: 2 },
-        )
-        .unwrap();
-        let leaves = plain.leaf_paths();
-        let pc = WorkCounter::new();
-        let qc = WorkCounter::new();
-        let steps: Vec<(Vec<DeltaRow>, Vec<DeltaRow>)> = vec![
-            (vec![t_row(1, 1), t_row(2, 5), t_row(3, 9)], vec![t_row(1, 100), t_row(3, 4)]),
-            (vec![t_row(2, 9)], vec![t_row(2, 20), t_row(1, 7)]),
-        ];
-        for (ts, us) in steps {
-            let mut pi = HashMap::new();
-            pi.insert(leaves[0].0.clone(), DeltaBatch::from_rows(ts.clone()));
-            pi.insert(leaves[1].0.clone(), DeltaBatch::from_rows(us.clone()));
-            let mut qi = HashMap::new();
-            qi.insert(leaves[0].0.clone(), DeltaBatch::from_rows(ts));
-            qi.insert(leaves[1].0.clone(), DeltaBatch::from_rows(us));
-            let pout = plain.execute(&mut pi, &pc).unwrap();
-            let qout = part.execute(&mut qi, &qc).unwrap();
-            assert_eq!(pout.rows, qout.rows, "partitioned vectorized must keep emission order");
-            assert_eq!(pc.total().get().to_bits(), qc.total().get().to_bits());
-        }
-        assert!(!part.partition_stats().is_empty(), "partitioned ops must report stats");
     }
 }

@@ -21,7 +21,7 @@
 //! so layout determinism is defense in depth, extending `validate_replay`'s
 //! cross-process guarantee to the state itself.
 
-use ishare_common::fxhash::{hash_words, partition_of};
+use ishare_common::fxhash::hash_words;
 use ishare_common::{FxHashMap, KeyBuf};
 
 /// Slot ids sharing one 64-bit hash. Almost always exactly one; the `Many`
@@ -196,45 +196,6 @@ impl<V> FlatTable<V> {
         }
         self.tombstones = 0;
     }
-
-    /// Split this table into `partitions` tables by key hash
-    /// ([`partition_of`] over each slot's stored key words), consuming it.
-    ///
-    /// Live entries are distributed in slot (= insertion) order, so each
-    /// partition's insertion order is the subsequence of the original's that
-    /// it owns — the invariant the exchange's deterministic merge relies on.
-    /// Tombstones are dropped; slot ids are renumbered per partition.
-    pub fn split_by(self, partitions: usize) -> Vec<FlatTable<V>> {
-        assert!(partitions > 0, "split_by needs at least one partition");
-        let mut parts: Vec<FlatTable<V>> = (0..partitions).map(|_| FlatTable::new()).collect();
-        for slot in self.slots.into_iter().flatten() {
-            let (key, value) = slot;
-            let p = partition_of(key.as_words(), partitions);
-            let mut value = Some(value);
-            parts[p].id_or_insert_with(key.as_words(), || value.take().expect("fresh key"));
-            debug_assert!(value.is_none(), "duplicate key within one table");
-        }
-        parts
-    }
-
-    /// Rebuild one table from partitioned tables (inverse of
-    /// [`Self::split_by`] up to slot renumbering), consuming them.
-    ///
-    /// Entries are inserted in partition-index order, and within each
-    /// partition in its insertion order — deterministic regardless of how
-    /// the partitions were populated concurrently.
-    pub fn merge(parts: Vec<FlatTable<V>>) -> FlatTable<V> {
-        let mut out = FlatTable::new();
-        for part in parts {
-            for slot in part.slots.into_iter().flatten() {
-                let (key, value) = slot;
-                let mut value = Some(value);
-                out.id_or_insert_with(key.as_words(), || value.take().expect("fresh key"));
-                debug_assert!(value.is_none(), "key owned by two partitions");
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -296,106 +257,6 @@ mod tests {
         t.remove_id(id0);
         t.maybe_compact(); // 1 tombstone vs 3 live: keep ids stable
         assert_eq!(t.id_of(key(3).as_words()), Some(3));
-    }
-
-    /// Split distributes every entry to its hash-owner and merge restores
-    /// the full table with a deterministic insertion order: partition-index
-    /// order, then per-partition insertion order. Running split→merge twice
-    /// must produce identical slot numbering.
-    #[test]
-    fn split_merge_roundtrip_is_deterministic() {
-        let build = || {
-            let mut t: FlatTable<i64> = FlatTable::new();
-            for i in 0..40 {
-                t.id_or_insert_with(key(i).as_words(), || i * 10);
-            }
-            t
-        };
-        for partitions in [1usize, 2, 4, 8] {
-            let parts = build().split_by(partitions);
-            assert_eq!(parts.len(), partitions);
-            let total: usize = parts.iter().map(|p| p.len()).sum();
-            assert_eq!(total, 40, "no entry lost or duplicated");
-            for (p, part) in parts.iter().enumerate() {
-                for i in 0..40 {
-                    if part.get(key(i).as_words()).is_some() {
-                        assert_eq!(partition_of(key(i).as_words(), partitions), p);
-                    }
-                }
-            }
-            let merged = FlatTable::merge(parts);
-            assert_eq!(merged.len(), 40);
-            let merged2 = FlatTable::merge(build().split_by(partitions));
-            for i in 0..40 {
-                assert_eq!(merged.get(key(i).as_words()), Some(&(i * 10)));
-                assert_eq!(
-                    merged.id_of(key(i).as_words()),
-                    merged2.id_of(key(i).as_words()),
-                    "merge order must be deterministic"
-                );
-            }
-        }
-    }
-
-    /// Each partition compacts its tombstones independently without
-    /// disturbing the other partitions' live entries.
-    #[test]
-    fn per_partition_tombstone_compaction() {
-        let mut t: FlatTable<i64> = FlatTable::new();
-        for i in 0..32 {
-            t.id_or_insert_with(key(i).as_words(), || i);
-        }
-        let mut parts = t.split_by(4);
-        // Tombstone most of partition 0, none of the others.
-        let victims: Vec<u32> = (0..32)
-            .filter_map(|i| parts[0].id_of(key(i).as_words()))
-            .take(parts[0].len().saturating_sub(1))
-            .collect();
-        let survivors_before: usize = parts.iter().map(|p| p.len()).sum();
-        for id in victims {
-            parts[0].remove_id(id);
-        }
-        let removed = survivors_before - parts.iter().map(|p| p.len()).sum::<usize>();
-        for p in parts.iter_mut() {
-            p.maybe_compact();
-        }
-        assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), 32 - removed);
-        let merged = FlatTable::merge(parts);
-        let mut live = 0;
-        for i in 0..32 {
-            if let Some(v) = merged.get(key(i).as_words()) {
-                assert_eq!(*v, i);
-                live += 1;
-            }
-        }
-        assert_eq!(live, 32 - removed);
-    }
-
-    /// Skew pin: when every key hashes to one partition, that partition
-    /// holds everything, the rest stay empty, and the roundtrip is still
-    /// correct and ordered.
-    #[test]
-    fn skewed_split_pins_one_partition() {
-        // A single repeated key value obviously pins; use many distinct keys
-        // that share an owner instead, by filtering for a fixed partition.
-        let partitions = 4;
-        let target = partition_of(key(0).as_words(), partitions);
-        let pinned: Vec<i64> =
-            (0..500).filter(|&i| partition_of(key(i).as_words(), partitions) == target).collect();
-        assert!(pinned.len() >= 8, "need a few keys owned by one partition");
-        let mut t: FlatTable<i64> = FlatTable::new();
-        for &i in &pinned {
-            t.id_or_insert_with(key(i).as_words(), || i);
-        }
-        let parts = t.split_by(partitions);
-        for (p, part) in parts.iter().enumerate() {
-            assert_eq!(part.len(), if p == target { pinned.len() } else { 0 });
-        }
-        let merged = FlatTable::merge(parts);
-        for (pos, &i) in pinned.iter().enumerate() {
-            assert_eq!(merged.get(key(i).as_words()), Some(&i));
-            assert_eq!(merged.id_of(key(i).as_words()), Some(pos as u32), "insertion order kept");
-        }
     }
 
     #[test]

@@ -202,28 +202,6 @@ impl JoinKeys {
     pub(crate) fn stride(&self) -> usize {
         2 * self.pairs.len()
     }
-
-    /// Partition-key extractor for one side: the exchange routes each side's
-    /// rows by the *same* compiled key scalars the join probes with, so a
-    /// left row and its matching right rows always share a partition.
-    pub fn extractor(&self, right: bool) -> ishare_expr::KeyExtractor {
-        ishare_expr::KeyExtractor::new(self.side(right).cloned().collect())
-    }
-}
-
-/// Per-input-row emission counts of one join execution: `left[i]` /
-/// `right[i]` is how many output rows the `i`-th left / right delta row
-/// produced when probing (NULL-keyed rows produce 0). Since an execution
-/// emits all left-probe output before any right-probe output, and within a
-/// phase strictly in batch-row order, these counts let the partition
-/// exchange splice per-partition outputs back into the exact sequential
-/// emission order.
-#[derive(Debug, Default)]
-pub struct JoinTrace {
-    /// Emissions per left delta row, in batch order.
-    pub left: Vec<u32>,
-    /// Emissions per right delta row, in batch order.
-    pub right: Vec<u32>,
 }
 
 /// Persistent state of one join operator across incremental executions.
@@ -263,41 +241,20 @@ impl JoinState {
         weights: &CostWeights,
         counter: &WorkCounter,
     ) -> Result<DeltaBatch> {
-        self.execute_traced(left_delta, right_delta, keys, weights, counter, None)
-    }
-
-    /// [`Self::execute`] that additionally records per-input-row emission
-    /// counts into `trace` (cleared and resized to the batch lengths first).
-    /// The traced and untraced paths are byte-for-byte the same computation.
-    pub fn execute_traced(
-        &mut self,
-        left_delta: DeltaBatch,
-        right_delta: DeltaBatch,
-        keys: &JoinKeys,
-        weights: &CostWeights,
-        counter: &WorkCounter,
-        trace: Option<&mut JoinTrace>,
-    ) -> Result<DeltaBatch> {
         // Both sides' keys are encoded up front. This is safe because
-        // `insert_side` never touches the interner: encoding the right keys
-        // before the left inserts evolves the interner identically to
-        // encoding them after (the original interleaving). Only the point at
-        // which a right-side key *error* surfaces moves — acceptable
-        // error-path divergence, as with the partition exchange.
+        // `insert_delta` takes keys already encoded and never touches the
+        // interner: encoding the right keys before the left insert phase
+        // evolves the interner identically to encoding them after (the
+        // reference's interleaving). Only the point at which a right-side key
+        // *error* surfaces moves — before the left phases instead of after.
+        // Like `insert_delta` accepting a batch whose net effect is valid,
+        // that divergence is confined to error paths.
         let stride = keys.stride();
         let left_keyed =
             key_rows(&left_delta, keys.side(false), stride, &mut self.interner, &mut self.scratch)?;
         let right_keyed =
             key_rows(&right_delta, keys.side(true), stride, &mut self.interner, &mut self.scratch)?;
-        self.execute_with_keys(
-            left_delta,
-            left_keyed,
-            right_delta,
-            right_keyed,
-            weights,
-            counter,
-            trace,
-        )
+        self.execute_with_keys(left_delta, left_keyed, right_delta, right_keyed, weights, counter)
     }
 
     /// Columnar-input execution for `ExecMode::Vectorized`: keys are encoded
@@ -305,7 +262,7 @@ impl JoinState {
     /// bare column reference (the common case), skipping per-row
     /// `Arc<[Value]>` traversal; anything fancier falls back to row-keying
     /// the materialized batch. Probe/insert/emit share
-    /// [`Self::execute_traced`]'s body, so order, weights, masks, and
+    /// [`Self::execute`]'s body, so order, weights, masks, and
     /// charges are bit-identical.
     pub fn execute_columnar(
         &mut self,
@@ -334,21 +291,12 @@ impl JoinState {
             &mut self.interner,
             &mut self.scratch,
         )?;
-        self.execute_with_keys(
-            left_rows,
-            left_keyed,
-            right_rows,
-            right_keyed,
-            weights,
-            counter,
-            None,
-        )
+        self.execute_with_keys(left_rows, left_keyed, right_rows, right_keyed, weights, counter)
     }
 
     /// The probe → insert-left → probe → insert-right → emit body shared by
     /// the row and columnar entry points. `left_keyed`/`right_keyed` index
     /// into their respective delta batches.
-    #[allow(clippy::too_many_arguments)]
     fn execute_with_keys(
         &mut self,
         left_delta: DeltaBatch,
@@ -357,26 +305,15 @@ impl JoinState {
         right_keyed: KeyedRows,
         weights: &CostWeights,
         counter: &WorkCounter,
-        mut trace: Option<&mut JoinTrace>,
     ) -> Result<DeltaBatch> {
-        if let Some(t) = trace.as_deref_mut() {
-            t.left.clear();
-            t.left.resize(left_delta.len(), 0);
-            t.right.clear();
-            t.right.resize(right_delta.len(), 0);
-        }
         let mut out = DeltaBatch::new();
         let mut emits = 0usize;
 
         // ΔL ⋈ R_old
         counter.charge(OpKind::JoinProbe, weights.join_probe, left_keyed.len());
         for j in 0..left_keyed.len() {
-            let before = out.len();
             let entries = probe(&mut self.right, left_keyed.key(j))?;
             emit_matches(&mut out, left_keyed.row(&left_delta, j), entries, false, &mut emits);
-            if let Some(t) = trace.as_deref_mut() {
-                t.left[left_keyed.rows[j] as usize] = (out.len() - before) as u32;
-            }
         }
         // Insert ΔL.
         counter.charge(OpKind::JoinInsert, weights.join_insert, left_keyed.len());
@@ -384,12 +321,8 @@ impl JoinState {
         // ΔR ⋈ L_new (covers L_old⋈ΔR and ΔL⋈ΔR).
         counter.charge(OpKind::JoinProbe, weights.join_probe, right_keyed.len());
         for j in 0..right_keyed.len() {
-            let before = out.len();
             let entries = probe(&mut self.left, right_keyed.key(j))?;
             emit_matches(&mut out, right_keyed.row(&right_delta, j), entries, true, &mut emits);
-            if let Some(t) = trace.as_deref_mut() {
-                t.right[right_keyed.rows[j] as usize] = (out.len() - before) as u32;
-            }
         }
         counter.charge(OpKind::JoinInsert, weights.join_insert, right_keyed.len());
         insert_delta(&mut self.right, &right_keyed, &right_delta)?;
@@ -469,7 +402,7 @@ impl JoinState {
     /// whose masks both contain the witness, re-masked to `{q_new}`.
     /// Unconsolidated and in storage order, pending tails included raw —
     /// weights distribute over the product, so the caller's consolidation
-    /// nets them (and thereby becomes partition-count independent).
+    /// nets them (and thereby becomes independent of slot layout).
     pub fn snapshot_product(&self, q_ref: QueryId, q_new: QueryId) -> Vec<DeltaRow> {
         let mut out = Vec::new();
         for lid in self.left.live_ids() {
@@ -694,7 +627,6 @@ fn emit_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::PartitionedJoin;
     use crate::reference::RefJoinState;
     use ishare_common::{QueryId, Value};
     use ishare_storage::consolidate;
@@ -1038,13 +970,10 @@ mod tests {
             ops in ops(300),
             cuts in proptest::collection::vec(1usize..120, 8),
             n_keys in 1i64..5,
-            four_partitions in proptest::bool::ANY,
         ) {
             let (w, c) = (CostWeights::default(), WorkCounter::new());
             let jk = keys();
-            let partitions = if four_partitions { 4 } else { 1 };
-            let mut lazy = PartitionedJoin::new(partitions, 1, &jk);
-            let mut eager = PartitionedJoin::new(partitions, 1, &jk);
+            let (mut lazy, mut eager) = (JoinState::new(), JoinState::new());
             for (l, r) in batches(&ops, &cuts, n_keys) {
                 let (lb, rb) = (DeltaBatch::from_rows(l), DeltaBatch::from_rows(r));
                 lazy.execute(lb.clone(), rb.clone(), &jk, &w, &c).unwrap();
@@ -1063,7 +992,7 @@ mod tests {
             prop_assert_eq!(lazy.left_size(), eager.left_size());
             prop_assert_eq!(lazy.right_size(), eager.right_size());
 
-            let snapshot = |st: &PartitionedJoin| consolidate(st.snapshot_product(QueryId(0), QueryId(5)));
+            let snapshot = |st: &JoinState| consolidate(st.snapshot_product(QueryId(0), QueryId(5)));
             prop_assert_eq!(snapshot(&lazy), snapshot(&eager));
             lazy.widen_query(QueryId(0), QueryId(5));
             eager.widen_query(QueryId(0), QueryId(5));

@@ -53,12 +53,10 @@ pub mod executor;
 pub mod flat;
 pub mod join;
 pub mod operators;
-pub mod partition;
 pub mod reference;
 pub mod result;
 pub mod vectorized;
 
 pub use executor::{ExecMode, ExecOptions, SubplanExecutor};
-pub use partition::{PartitionStat, PartitionedAgg, PartitionedJoin};
 pub use result::{approx_result_eq, query_result, QueryResult};
 pub use vectorized::{BatchStats, ColsView, VecDelta};

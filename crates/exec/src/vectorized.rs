@@ -21,13 +21,13 @@
 //! kernels wholesale via [`VecDelta::Rows`]. Error *ordering* is the one
 //! documented divergence: branch-major selects and column-major projections
 //! may surface a different (equally valid) error first; all bit-identity
-//! gates cover non-error runs only, same as the partition exchange.
+//! gates cover non-error runs only.
 //!
 //! Stateful operators (join, aggregate) keep their row-kernel state layout —
-//! the vectorized mode shares `JoinState`/`AggState` (and their partitioned
-//! wrappers) with `ExecMode::Kernels`, so churn surgery, state bundles, and
-//! snapshots work unchanged. Their columnar entry points live with the
-//! operators: [`crate::join::JoinState::execute_columnar`] and
+//! the vectorized mode shares `JoinState`/`AggState` with `ExecMode::Kernels`,
+//! so churn surgery, state bundles, and snapshots work unchanged. Their
+//! columnar entry points live with the operators:
+//! [`crate::join::JoinState::execute_columnar`] and
 //! [`crate::aggregate::AggState::execute_columnar`].
 
 use crate::operators::{apply_project, apply_select};

@@ -539,73 +539,6 @@ impl CompiledScalar {
     }
 }
 
-/// A compiled partition-key extractor: the tuple of scalars an exchange
-/// routes rows by (a join side's key exprs, an aggregate's group-by),
-/// evaluated per row and encoded into a caller-owned [`KeyBuf`].
-///
-/// Routing must be *value-pure*: two rows with equal key values must encode
-/// to equal words so they hash to the same partition. [`KeyBuf::push_value`]
-/// guarantees this per interner — the extractor's caller supplies one
-/// interner for all routing decisions of one operator.
-#[derive(Debug, Clone)]
-pub struct KeyExtractor {
-    scalars: Vec<CompiledScalar>,
-}
-
-impl KeyExtractor {
-    /// Wrap already-compiled scalars (reuses the operator's compiled key
-    /// expressions — no re-lowering).
-    pub fn new(scalars: Vec<CompiledScalar>) -> KeyExtractor {
-        KeyExtractor { scalars }
-    }
-
-    /// Lower a list of key expressions.
-    pub fn compile(exprs: &[Expr]) -> KeyExtractor {
-        KeyExtractor::new(exprs.iter().map(CompiledScalar::compile).collect())
-    }
-
-    /// Number of key columns.
-    pub fn len(&self) -> usize {
-        self.scalars.len()
-    }
-
-    /// `true` iff the key is empty (global aggregate: every row shares the
-    /// one empty key).
-    pub fn is_empty(&self) -> bool {
-        self.scalars.is_empty()
-    }
-
-    /// Evaluate the key of `row` and encode it into `scratch` (cleared
-    /// first). Returns `false` — leaving `scratch` in an unspecified state —
-    /// if any key scalar is NULL (a NULL join key never matches; callers
-    /// route such rows by a fixed rule instead of by value).
-    pub fn encode(
-        &self,
-        row: &[Value],
-        scratch: &mut ishare_common::KeyBuf,
-        interner: &mut ishare_common::StrInterner,
-    ) -> Result<bool> {
-        scratch.clear();
-        for s in &self.scalars {
-            match s.eval_ref(row)? {
-                Ok(v) => {
-                    if v.is_null() {
-                        return Ok(false);
-                    }
-                    scratch.push_value(v, interner);
-                }
-                Err(v) => {
-                    if v.is_null() {
-                        return Ok(false);
-                    }
-                    scratch.push_value(&v, interner);
-                }
-            }
-        }
-        Ok(true)
-    }
-}
-
 /// A compiled projection list.
 #[derive(Debug, Clone)]
 pub struct CompiledProjection {

@@ -20,5 +20,5 @@ pub mod eval;
 pub mod expr;
 pub mod typecheck;
 
-pub use compile::{CompiledPredicate, CompiledProjection, CompiledScalar, KeyExtractor, Program};
+pub use compile::{CompiledPredicate, CompiledProjection, CompiledScalar, Program};
 pub use expr::{BinaryOp, Expr, LikePattern, ScalarFunc};

@@ -40,9 +40,10 @@ impl Default for SourceConfig {
     }
 }
 
-/// Ingest-side gauges for one partition, read at any point of a run.
+/// Ingest-side gauges for one partition's bounded ring, read at any point of
+/// a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionStats {
+pub struct RingStats {
     /// Records ever appended.
     pub appended: u64,
     /// Appended-but-unconsumed records.
@@ -72,7 +73,7 @@ pub struct TopicStats {
     /// one per wavefront per topic, however the run is threaded or resumed.
     pub polls: u64,
     /// Per-partition gauges.
-    pub partitions: Vec<PartitionStats>,
+    pub partitions: Vec<RingStats>,
 }
 
 struct TopicState {
@@ -196,7 +197,7 @@ impl TopicState {
                 .topic
                 .partitions()
                 .iter()
-                .map(|p| PartitionStats {
+                .map(|p| RingStats {
                     appended: p.appended(),
                     lag: p.lag(),
                     high_water: p.high_water(),

@@ -30,9 +30,7 @@ pub mod slack;
 pub mod span;
 pub mod trace;
 
-pub use metrics::{
-    record_batch_gauges, record_partition_gauges, Histogram, MetricsRegistry, DEFAULT_BUCKETS,
-};
+pub use metrics::{record_batch_gauges, Histogram, MetricsRegistry, DEFAULT_BUCKETS};
 pub use prom::{prom_name, prometheus_text};
 pub use report::{ExecCounts, ObsConfig, ObsReport};
 pub use slack::{FrontCharge, QuerySlack, SlackLedger, SlackSample};

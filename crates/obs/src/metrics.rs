@@ -296,30 +296,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Record one subplan's per-partition exchange statistics as gauges:
-/// `partition.sp{sp}.p{j}.rows` / `.work` for each partition `j` (from the
-/// `(routed rows, charged work)` pairs) plus `partition.sp{sp}.skew`, the
-/// max/mean row ratio (1.0 = perfectly balanced; P = everything on one of P
-/// partitions). Passive like every other gauge: the drivers call this once
-/// at end of run from the executors' accumulated stats, never on the
-/// execution path.
-pub fn record_partition_gauges(metrics: &mut MetricsRegistry, sp: usize, stats: &[(u64, f64)]) {
-    if stats.is_empty() {
-        return;
-    }
-    let mut max_rows = 0u64;
-    let mut total_rows = 0u64;
-    for (j, &(rows, work)) in stats.iter().enumerate() {
-        metrics.gauge_set(&format!("partition.sp{sp}.p{j}.rows"), rows as f64);
-        metrics.gauge_set(&format!("partition.sp{sp}.p{j}.work"), work);
-        max_rows = max_rows.max(rows);
-        total_rows += rows;
-    }
-    let mean = total_rows as f64 / stats.len() as f64;
-    let skew = if mean > 0.0 { max_rows as f64 / mean } else { 1.0 };
-    metrics.gauge_set(&format!("partition.sp{sp}.skew"), skew);
-}
-
 /// Record one subplan's vectorized batch statistics as gauges:
 /// `batch.sp{sp}.fill` (mean input batch length across the run — how much
 /// data each columnar conversion amortizes over) and
@@ -430,22 +406,6 @@ mod tests {
         assert!(det["gauges"].get("adapt.reopt_time_us").is_none());
         assert!(det["histograms"].get("tick.wall_us").is_none());
         assert!(det["histograms"].get("tick.work").is_some());
-    }
-
-    #[test]
-    fn partition_gauges_record_rows_work_and_skew() {
-        let mut m = MetricsRegistry::new();
-        // 3 partitions, one carrying double the mean.
-        record_partition_gauges(&mut m, 2, &[(30, 7.5), (60, 15.0), (0, 0.0)]);
-        assert_eq!(m.gauge("partition.sp2.p0.rows"), Some(30.0));
-        assert_eq!(m.gauge("partition.sp2.p1.work"), Some(15.0));
-        assert_eq!(m.gauge("partition.sp2.p2.rows"), Some(0.0));
-        assert_eq!(m.gauge("partition.sp2.skew"), Some(2.0));
-        // Empty stats record nothing; all-zero stats report balanced.
-        record_partition_gauges(&mut m, 3, &[]);
-        assert_eq!(m.gauge("partition.sp3.skew"), None);
-        record_partition_gauges(&mut m, 4, &[(0, 0.0), (0, 0.0)]);
-        assert_eq!(m.gauge("partition.sp4.skew"), Some(1.0));
     }
 
     #[test]

@@ -85,7 +85,7 @@ mod tests {
     fn names_are_sanitized() {
         assert_eq!(prom_name("work.total"), "ishare_work_total");
         assert_eq!(prom_name("slo.q0.slack_remaining"), "ishare_slo_q0_slack_remaining");
-        assert_eq!(prom_name("partition.sp3.skew"), "ishare_partition_sp3_skew");
+        assert_eq!(prom_name("batch.sp3.fill"), "ishare_batch_sp3_fill");
     }
 
     #[test]

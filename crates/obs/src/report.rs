@@ -137,7 +137,7 @@ impl ObsReport {
     /// Prometheus text exposition of the metrics registry (what
     /// `--metrics-out foo.prom` writes). The slack ledger is already folded
     /// into the registry as `slo.*` series, so this single document carries
-    /// work, partition, ingest, adapt, and SLO metrics.
+    /// work, batch, ingest, adapt, and SLO metrics.
     pub fn prometheus(&self) -> String {
         prometheus_text(&self.metrics)
     }

@@ -21,8 +21,7 @@
 //! summation order, so ledger `remaining` is `to_bits`-equal to the adapt
 //! controller's residual budgets `R(q)` at headroom 1 (asserted by
 //! `tests/slack_ledger.rs`). Wall clock never enters: obs-on/obs-off,
-//! thread counts, partitioning, and kill/resume replay all produce the
-//! identical ledger.
+//! worker counts, and kill/resume replay all produce the identical ledger.
 //!
 //! The ledger upholds (and [`SlackLedger::verify`] re-checks) these
 //! invariants on every sample:

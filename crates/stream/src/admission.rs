@@ -57,8 +57,8 @@
 //! included). The surgery itself runs on the coordinating thread between
 //! two fronts, and a churn run's fronts go through the same tick function
 //! and the same fold as any other run's — so results and all measured work
-//! numbers are bit-identical across obs on/off, partition counts, worker
-//! threads ([`SourceOptions::workers`]), and kill/resume.
+//! numbers are bit-identical across obs on/off, worker threads
+//! ([`SourceOptions::workers`]), and kill/resume.
 
 use crate::driver::{run_wavefronts, Live, RunResult, SourceOptions, SourceOutcome};
 use crate::engine::Seeds;
@@ -1447,7 +1447,7 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_run_is_bit_identical() {
+    fn worker_and_obs_runs_are_bit_identical() {
         let c = catalog();
         let base = completed(run_churny(&c, SourceOptions::default()));
         assert_eq!(base.0.churn.len(), 2);
@@ -1457,24 +1457,14 @@ mod tests {
         // run must carry the first one's, sample for sample.
         let mut ledger: Option<SlackLedger> = None;
         for workers in [1usize, 2, 4] {
-            for (partitions, partition_threads) in [(1usize, 1usize), (4, 2)] {
-                for obs in [None, Some(ObsConfig::default())] {
-                    let alt = completed(run_churny(
-                        &c,
-                        SourceOptions {
-                            workers,
-                            partitions,
-                            partition_threads,
-                            obs,
-                            ..Default::default()
-                        },
-                    ));
-                    let label = format!("workers={workers} P={partitions} obs={}", obs.is_some());
-                    assert_same_run(&base, &alt, &label);
-                    if let Some(slack) = alt.0.run.obs.and_then(|r| r.slack) {
-                        assert!(slack.fronts() > 0, "{label}: ledger sampled");
-                        assert_eq!(ledger.get_or_insert_with(|| slack.clone()), &slack, "{label}");
-                    }
+            for obs in [None, Some(ObsConfig::default())] {
+                let alt =
+                    completed(run_churny(&c, SourceOptions { workers, obs, ..Default::default() }));
+                let label = format!("workers={workers} obs={}", obs.is_some());
+                assert_same_run(&base, &alt, &label);
+                if let Some(slack) = alt.0.run.obs.and_then(|r| r.slack) {
+                    assert!(slack.fronts() > 0, "{label}: ledger sampled");
+                    assert_eq!(ledger.get_or_insert_with(|| slack.clone()), &slack, "{label}");
                 }
             }
         }
@@ -1488,8 +1478,8 @@ mod tests {
         let log = &base.1;
         assert!(log.entries.iter().any(|e| !e.churn.is_empty()), "log records churn");
 
-        for (workers, partitions) in [(1usize, 1usize), (2, 4), (4, 1)] {
-            let at = |o: SourceOptions| SourceOptions { workers, partitions, ..o };
+        for workers in [1usize, 2, 4] {
+            let at = |o: SourceOptions| SourceOptions { workers, ..o };
             // Kill after the first churn boundary has committed: the partial
             // log is a prefix of the one-worker log.
             let cut = 1 + log.entries.iter().position(|e| !e.churn.is_empty()).unwrap();
@@ -1502,7 +1492,7 @@ mod tests {
 
             // Resume = replay under verification; the rerun is bit-identical.
             let resume = at(SourceOptions { verify: Some(partial), ..Default::default() });
-            let label = format!("killed+resumed workers={workers} P={partitions}");
+            let label = format!("killed+resumed workers={workers}");
             assert_same_run(&base, &completed(run_churny(&c, resume)), &label);
         }
 

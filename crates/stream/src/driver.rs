@@ -93,16 +93,11 @@ pub struct SourceOptions {
     /// DESIGN.md §15 — bit-identical results and work, only wall-clock
     /// differs.
     pub mode: ExecMode,
-    /// Hash-partition every join/aggregate's state into this many partitions
-    /// (intra-subplan data parallelism; see DESIGN.md §12). `0` and `1` both
-    /// mean unpartitioned. Only effective on the kernel datapath —
-    /// [`ExecMode::Reference`] ignores it and stays the oracle. Results and
-    /// every measured work number are bit-identical at any partition count.
+    /// Ignored: nothing reads it, and any value runs exactly like `1`. The
+    /// per-operator partition exchange it configured was removed (DESIGN.md
+    /// §12); the field survives only because the benchmark package pins it
+    /// (`benchmark/src/api.rs`), and the next `[benchmark]` PR deletes it.
     pub partitions: usize,
-    /// Worker threads per partitioned operator execution (`0`/`1` =
-    /// single-threaded exchange). Purely a wall-clock knob: the thread count
-    /// never affects routing, merge order, or charged work.
-    pub partition_threads: usize,
     /// Worker threads running the independent subplans of a wavefront
     /// (`0`/`1` = every tick on the calling thread). Purely a wall-clock
     /// knob: results and every measured work number are bit-identical at
@@ -121,11 +116,7 @@ pub struct SourceOptions {
 impl SourceOptions {
     /// The exec-layer options this run configures.
     pub(crate) fn exec_options(&self) -> ExecOptions {
-        ExecOptions {
-            mode: self.mode,
-            partitions: self.partitions.max(1),
-            partition_threads: self.partition_threads.max(1),
-        }
+        ExecOptions { mode: self.mode }
     }
 }
 
@@ -453,7 +444,7 @@ pub fn execute_planned_deltas(
 }
 
 /// [`execute_planned_deltas`] under `opts` — observability, datapath,
-/// partitions, workers. A thin adapter over an in-order [`Source`], so there
+/// workers. A thin adapter over an in-order [`Source`], so there
 /// is exactly one feed path.
 pub fn execute_planned_deltas_with(
     plan: &SharedPlan,

@@ -338,9 +338,8 @@ impl Fold {
 
 /// Record end-of-run engine gauges into an [`ObsReport`]'s registry: buffer
 /// high-water marks, retained/compacted rows and consumer lags; per
-/// partitioned subplan, routed rows, charged work and a max/mean skew
-/// ratio; per vectorized subplan, mean input batch length and select
-/// survival fraction.
+/// vectorized subplan, mean input batch length and select survival
+/// fraction.
 pub(crate) fn engine_gauges(report: &mut ObsReport, engine: &EngineState) {
     for t in &engine.base_tables {
         let b = &engine.base_buffers[t];
@@ -358,9 +357,6 @@ pub(crate) fn engine_gauges(report: &mut ObsReport, engine: &EngineState) {
         }
     }
     for (i, ex) in engine.executors.iter().enumerate() {
-        let stats: Vec<(u64, f64)> =
-            ex.partition_stats().iter().map(|s| (s.rows, s.work)).collect();
-        ishare_obs::record_partition_gauges(&mut report.metrics, i, &stats);
         let s = ex.batch_stats();
         ishare_obs::record_batch_gauges(
             &mut report.metrics,

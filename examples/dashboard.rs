@@ -12,7 +12,6 @@
 //! final work, then renders the iShare run's [`ObsReport`]: the
 //! per-operator work breakdown, per-subplan execution counts, delta-buffer
 //! high-water and ingest gauges from the metrics registry, the
-//! partition-skew gauges of the hash-partitioned operator state, the
 //! per-dashboard slack ledger (budget vs consumed final work at every
 //! wavefront, met/missed), and per-dashboard missed-latency statistics
 //! against the resolved goals.
@@ -80,13 +79,6 @@ fn render_report(
     for (name, value) in report.metrics.gauges() {
         if name.starts_with("ingest.") {
             println!("  {name:<28} {value:>8.0}");
-        }
-    }
-
-    println!("\npartition skew (max/mean per-partition work, 1.0 = balanced):");
-    for (name, value) in report.metrics.gauges() {
-        if name.starts_with("partition.sp") && name.ends_with(".skew") {
-            println!("  {name:<28} {value:>8.2}");
         }
     }
 
@@ -186,15 +178,9 @@ fn main() -> ishare::Result<()> {
                 &data.catalog,
                 &mut source,
                 CostWeights::default(),
-                // Partitioned operator state (bit-identical; adds the
-                // partition.sp*.skew gauges) and per-dashboard SLO budgets
-                // (the resolved goals) for the slack ledger.
-                SourceOptions {
-                    obs,
-                    partitions: 2,
-                    slo: Some(goals.clone()),
-                    ..Default::default()
-                },
+                // Per-dashboard SLO budgets (the resolved goals) for the
+                // slack ledger.
+                SourceOptions { obs, slo: Some(goals.clone()), ..Default::default() },
             )?
             .into_result()?
         } else {

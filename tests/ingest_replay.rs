@@ -309,14 +309,13 @@ fn tpch_source_fed_matches_vec_fed_with_kill_resume() {
     assert_eq!(reference.executions, resumed.executions);
 }
 
-/// Kill/resume with intra-subplan data parallelism on (DESIGN.md §12): the
-/// exchange rebuilds hash-partitioned operator state deterministically from
-/// the replayed deltas, so a run killed at a wavefront boundary and resumed
-/// against its commit log at 2/4 partitions — through the jittered source,
-/// on the parallel driver — must land bit-exactly on the unpartitioned
-/// Vec-fed run's numbers.
+/// Kill/resume on the wavefront workers: a run killed at a wavefront
+/// boundary and resumed against its commit log — through the jittered
+/// source, at 2 and 4 workers — must land bit-exactly on the sequential
+/// Vec-fed run's numbers, and its commit log must equal the uninterrupted
+/// run's.
 #[test]
-fn partitioned_kill_resume_replays_bit_exact() {
+fn parallel_kill_resume_replays_bit_exact() {
     let c = catalog();
     let plan = build_plan(&c, 3, &[50, 90, 30, 70], &[0, 2, 3, 1]);
     let t = c.table_by_name("t").unwrap().id;
@@ -328,45 +327,23 @@ fn partitioned_kill_resume_replays_bit_exact() {
     let reference =
         execute_planned_deltas(&plan, &paces, &c, &feeds, CostWeights::default()).unwrap();
 
-    for exec_partitions in [2usize, 4] {
-        let popts = SourceOptions {
-            partitions: exec_partitions,
-            partition_threads: 2,
-            ..Default::default()
-        };
-        let label = format!("exec partitions={exec_partitions}");
+    for workers in [2usize, 4] {
+        let label = format!("workers={workers}");
+        let run = |opts| run_from_source(&plan, &paces, &c, &feeds, cfg, workers, opts);
 
-        // Uninterrupted source-fed partitioned run on the parallel driver.
-        let SourceOutcome::Completed { result: full, log } =
-            run_from_source(&plan, &paces, &c, &feeds, cfg, 2, popts.clone())
-        else {
+        // Uninterrupted source-fed run.
+        let SourceOutcome::Completed { result: full, log } = run(SourceOptions::default()) else {
             panic!("{label}: uninterrupted run must complete");
         };
         assert_bit_identical(&reference, &full, &label).unwrap();
 
         // Kill after wavefront 2, rebuild, replay under verification.
-        let killed = run_from_source(
-            &plan,
-            &paces,
-            &c,
-            &feeds,
-            cfg,
-            2,
-            SourceOptions { stop_after: Some(2), ..popts.clone() },
-        );
+        let killed = run(SourceOptions { stop_after: Some(2), ..Default::default() });
         let SourceOutcome::Suspended { log: partial } = killed else {
             panic!("{label}: stop_after 2 must suspend");
         };
         assert_eq!(partial.len(), 2, "{label}: commit log cut at the stop");
-        let resumed = run_from_source(
-            &plan,
-            &paces,
-            &c,
-            &feeds,
-            cfg,
-            2,
-            SourceOptions { verify: Some(partial), ..popts },
-        );
+        let resumed = run(SourceOptions { verify: Some(partial), ..Default::default() });
         let SourceOutcome::Completed { result: resumed, log: resumed_log } = resumed else {
             panic!("{label}: resume must complete");
         };

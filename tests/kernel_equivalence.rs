@@ -11,7 +11,7 @@
 //! random pace vectors: the kernel datapath must produce the same
 //! `QueryResult`s, bitwise-equal `total_work` and per-query `final_work`,
 //! and the same execution counts as the reference, sequentially and at 2/4
-//! worker threads, and under a jittered partitioned source with
+//! worker threads, and under a jittered multi-partition ingest source with
 //! kill-after-wavefront + replay.
 
 use ishare::core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
@@ -209,9 +209,8 @@ proptest! {
 
     /// Kernels ≡ vectorized ≡ reference over random plans (aggregate-only
     /// and join shaped), random insert+delete feeds, random paces —
-    /// sequentially, at 2/4 worker threads, and (vectorized) at 2/4 state
-    /// partitions. Every datapath/knob combination must land on the
-    /// reference's bits.
+    /// sequentially and at 2/4 worker threads. Every datapath/worker
+    /// combination must land on the reference's bits.
     #[test]
     fn kernels_match_reference(
         n_queries in 2usize..5,
@@ -274,30 +273,6 @@ proptest! {
                 &format!("{shape} vectorized threads={threads}"),
             )?;
         }
-        for partitions in [2usize, 4] {
-            let mut source = Source::in_order(&feeds);
-            let vpart = execute_from_source_obs(
-                &plan,
-                paces,
-                &c,
-                &mut source,
-                CostWeights::default(),
-                SourceOptions {
-                    mode: ExecMode::Vectorized,
-                    partitions,
-                    partition_threads: 2,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .into_result()
-            .unwrap();
-            assert_bit_identical(
-                &reference,
-                &vpart,
-                &format!("{shape} vectorized partitions={partitions}"),
-            )?;
-        }
     }
 }
 
@@ -347,85 +322,6 @@ fn tpch_workload_kernels_match_reference() {
         let par = run(SourceOptions { workers: threads, ..Default::default() });
         check(&reference, &par, &format!("threads={threads}"));
     }
-}
-
-/// The reference datapath remains the oracle at every partition count: the
-/// partitioned kernel exchange (DESIGN.md §12) must land bit-exactly on the
-/// interpreter-shaped reference's numbers at 1/2/4 partitions, and
-/// requesting partitions *on* the reference datapath is a no-op (the
-/// exchange only exists on the kernel path), so it too stays on the same
-/// bits.
-#[test]
-fn reference_remains_oracle_at_every_partition_count() {
-    let c = catalog();
-    let plan = build_join_plan(&c, 3, &[40, 95, 60, 25], &[0, 1, 2, 3]);
-    let t = c.table_by_name("t").unwrap().id;
-    let u = c.table_by_name("u").unwrap().id;
-    let spec_t: Vec<(i64, i64, bool)> =
-        (0..60).map(|i| (i % 5, i * 13 % 100, i % 7 == 3)).collect();
-    let spec_u: Vec<(i64, i64, bool)> =
-        (0..30).map(|i| (i % 5, i * 31 % 100, i % 9 == 4)).collect();
-    let feeds: HashMap<TableId, Vec<(Row, i64)>> =
-        [(t, build_feed(&spec_t)), (u, build_feed(&spec_u))].into_iter().collect();
-    let paces: Vec<u32> = vec![3; plan.len()];
-    let w = CostWeights::default();
-
-    let reference = run_with(&plan, &paces, &c, &feeds, in_mode(ExecMode::Reference));
-    let bit_eq = |a: &RunResult, b: &RunResult, label: &str| {
-        assert_eq!(a.results, b.results, "{label}: results differ");
-        assert_eq!(
-            a.total_work.get().to_bits(),
-            b.total_work.get().to_bits(),
-            "{label}: total_work differs"
-        );
-        for (q, wk) in &a.final_work {
-            assert_eq!(wk.to_bits(), b.final_work[q].to_bits(), "{label}: final_work {q}");
-        }
-        assert_eq!(a.executions, b.executions, "{label}: executions differ");
-    };
-    for partitions in [1usize, 2, 4] {
-        let part =
-            run_with(&plan, &paces, &c, &feeds, SourceOptions { partitions, ..Default::default() });
-        bit_eq(&reference, &part, &format!("kernels P={partitions}"));
-        let mut source = Source::in_order(&feeds);
-        let vpart = execute_from_source_obs(
-            &plan,
-            &paces,
-            &c,
-            &mut source,
-            w,
-            SourceOptions {
-                mode: ExecMode::Vectorized,
-                partitions,
-                partition_threads: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .into_result()
-        .unwrap();
-        bit_eq(&reference, &vpart, &format!("vectorized P={partitions}"));
-    }
-    // Reference mode with partitions requested: the option is ignored, the
-    // oracle keeps its bits.
-    let mut source = Source::in_order(&feeds);
-    let ref_part = execute_from_source_obs(
-        &plan,
-        &paces,
-        &c,
-        &mut source,
-        w,
-        SourceOptions {
-            mode: ExecMode::Reference,
-            partitions: 4,
-            partition_threads: 2,
-            ..Default::default()
-        },
-    )
-    .unwrap()
-    .into_result()
-    .unwrap();
-    bit_eq(&reference, &ref_part, "reference P=4 (ignored)");
 }
 
 /// Kernels under ingest stress: a jittered, partitioned, backpressured

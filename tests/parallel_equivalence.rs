@@ -3,12 +3,13 @@
 //! thread, in global schedule order).
 //!
 //! Random small shared plans (a shared scan+select trunk fanning out to one
-//! aggregate subplan per query, covering SUM/COUNT/MIN/MAX), random delta
-//! feeds with inserts and deletes (including deletes of a group's current
-//! extremum, which trigger MIN/MAX rescans), and random pace vectors: at 2,
-//! 4 and 8 worker threads the run must produce the same `QueryResult`s,
-//! bitwise-equal `total_work` and per-query `final_work`, and the same
-//! execution count as on one.
+//! aggregate subplan per query, covering SUM/COUNT/MIN/MAX, and a join-shaped
+//! variant: select → join → project → aggregate), random delta feeds with
+//! inserts and deletes (including deletes of a group's current extremum,
+//! which trigger MIN/MAX rescans), and random pace vectors: at 2, 4 and 8
+//! worker threads, with observability on or off, the run must produce the
+//! same `QueryResult`s, bitwise-equal `total_work` and per-query
+//! `final_work`, and the same execution count as on one.
 
 use ishare::core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
 use ishare::stream::{
@@ -35,13 +36,26 @@ fn catalog() -> Catalog {
         TableStats::unknown(100.0, 2),
     )
     .unwrap();
+    c.add_table(
+        "u",
+        Schema::new(vec![Field::new("k", DataType::Int), Field::new("w", DataType::Int)]),
+        TableStats::unknown(100.0, 2),
+    )
+    .unwrap();
     c
 }
 
 /// Shared trunk (scan → marking select) feeding one aggregate subplan per
 /// query. `from_dag` cuts at the multi-parent select, yielding `1 + n`
-/// subplans.
-fn build_plan(c: &Catalog, n_queries: usize, cutoffs: &[i64], funcs: &[usize]) -> SharedPlan {
+/// subplans. With `join_shape` the select's output is joined with `u` on
+/// `k` and projected to `[k, v + w]` before the per-query aggregates.
+fn build_plan(
+    c: &Catalog,
+    n_queries: usize,
+    cutoffs: &[i64],
+    funcs: &[usize],
+    join_shape: bool,
+) -> SharedPlan {
     let t = c.table_by_name("t").unwrap().id;
     let all: Vec<u16> = (0..n_queries as u16).collect();
     let mut d = SharedDag::new();
@@ -56,7 +70,15 @@ fn build_plan(c: &Catalog, n_queries: usize, cutoffs: &[i64], funcs: &[usize]) -
             },
         })
         .collect();
-    let sel = d.add_node(DagOp::Select { branches }, vec![scan], qs(&all)).unwrap();
+    let mut trunk = d.add_node(DagOp::Select { branches }, vec![scan], qs(&all)).unwrap();
+    if join_shape {
+        let u = c.table_by_name("u").unwrap().id;
+        let scan_u = d.add_node(DagOp::Scan { table: u }, vec![], qs(&all)).unwrap();
+        let keys = vec![(Expr::col(0), Expr::col(0))];
+        let join = d.add_node(DagOp::Join { keys }, vec![trunk, scan_u], qs(&all)).unwrap();
+        let exprs = vec![(Expr::col(0), "k".into()), (Expr::col(1).add(Expr::col(3)), "vw".into())];
+        trunk = d.add_node(DagOp::Project { exprs }, vec![join], qs(&all)).unwrap();
+    }
     for q in 0..n_queries {
         let func =
             [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max][funcs[q % funcs.len()] % 4];
@@ -66,7 +88,7 @@ fn build_plan(c: &Catalog, n_queries: usize, cutoffs: &[i64], funcs: &[usize]) -
                     group_by: vec![(Expr::col(0), "k".into())],
                     aggs: vec![AggExpr::new(func, Expr::col(1), "a")],
                 },
-                vec![sel],
+                vec![trunk],
                 qs(&[q as u16]),
             )
             .unwrap();
@@ -173,8 +195,9 @@ fn assert_obs_consistent(run: &RunResult, label: &str) -> Result<(), TestCaseErr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel at 1/2/4 threads ≡ sequential, over random plans, random
-    /// insert+delete feeds, and random pace vectors.
+    /// Parallel at 2/4/8 threads ≡ sequential, obs on or off, over random
+    /// plans (aggregate fan-out and join shaped), random insert+delete
+    /// feeds, and random pace vectors.
     #[test]
     fn parallel_matches_sequential(
         n_queries in 2usize..5,
@@ -185,12 +208,23 @@ proptest! {
             1..50,
         ),
         paces_seed in proptest::collection::vec(1u32..7, 8),
+        join_shape in proptest::bool::ANY,
     ) {
         let c = catalog();
-        let plan = build_plan(&c, n_queries, &cutoffs, &funcs);
+        let plan = build_plan(&c, n_queries, &cutoffs, &funcs, join_shape);
         let t = c.table_by_name("t").unwrap().id;
-        let feed = build_feed(&spec);
-        let data: HashMap<TableId, Vec<(Row, i64)>> = [(t, feed)].into_iter().collect();
+        // In the join shape, alternate events between the two base tables so
+        // both join sides stream deltas.
+        let mut data: HashMap<TableId, Vec<(Row, i64)>> = HashMap::new();
+        if join_shape {
+            let u = c.table_by_name("u").unwrap().id;
+            let spec_t: Vec<_> = spec.iter().step_by(2).copied().collect();
+            let spec_u: Vec<_> = spec.iter().skip(1).step_by(2).copied().collect();
+            data.insert(t, build_feed(&spec_t));
+            data.insert(u, build_feed(&spec_u));
+        } else {
+            data.insert(t, build_feed(&spec));
+        }
         let mut paces = paces_seed;
         paces.resize(plan.len(), 1);
         let paces = &paces[..plan.len()];
