@@ -195,9 +195,9 @@ impl PlanEstimator {
 
     /// Refresh one base table's stream statistics from observed quantities.
     ///
-    /// The row estimate is rescaled via [`CardVec::scaled`] so the per-query
-    /// structure (which leaf narrowing established) is preserved; column
-    /// statistics are kept. Exactly the memo entries of subplans whose input
+    /// The row estimate is rescaled via [`crate::stats::CardVec::scaled`] so
+    /// the per-query structure (which leaf narrowing established) is
+    /// preserved; column statistics are kept. Exactly the memo entries of subplans whose input
     /// cone references `t` are invalidated, so re-optimizations after a
     /// refresh still reuse every simulation the change cannot affect.
     ///

@@ -15,10 +15,10 @@
 //! * MIN/MAX rescans driven by upstream retractions, and
 //! * growing operator state (join sides, seen groups) across the k steps.
 //!
-//! A subplan is compiled once into a [`SimProgram`]: its operators in
+//! A subplan is compiled once into a `SimProgram`: its operators in
 //! post-order, its queries mapped to dense slots. A run is a static pass
 //! (batch cardinalities, column statistics, operator domains) followed by
-//! the `k`-step loop over flat `f64` rows in a reused [`SimScratch`]. The
+//! the `k`-step loop over flat `f64` rows in a reused `SimScratch`. The
 //! pace searches compare estimates exactly, so every floating-point
 //! operation and its order are part of the contract: per-query loops run in
 //! ascending `QueryId`, products run over the queries a vector *carries* (an

@@ -20,9 +20,6 @@ use crate::aggregate::{AggSpec, AggState};
 use crate::join::{JoinKeys, JoinState};
 use crate::operators::{apply_project, apply_select, narrow_input};
 use crate::reference::{ref_apply_project, ref_apply_select, RefAggState, RefJoinState};
-use crate::vectorized::{
-    narrow_columnar, project_columnar, select_columnar, BatchStats, ColsView, VecDelta,
-};
 use ishare_common::{
     CostWeights, DataType, Error, QueryId, QuerySet, Result, SubplanId, WorkCounter,
 };
@@ -42,15 +39,10 @@ pub enum ExecMode {
     /// differential oracle ([`crate::reference`]). Results and charged work
     /// are bit-identical to [`ExecMode::Kernels`]; only wall-clock differs.
     Reference,
-    /// The columnar batch-at-a-time datapath ([`crate::vectorized`]): inputs
-    /// are narrowed into SoA [`ColumnarBatch`]es once per execution,
-    /// select/project run as selection-vector kernels over typed columns,
-    /// and join/aggregate consume the columnar view directly (encoding keys
-    /// straight from columns). Shares all stateful-operator state layouts
-    /// with [`ExecMode::Kernels`]; results and charged work are bit-identical
-    /// to both other modes.
-    ///
-    /// [`ColumnarBatch`]: ishare_storage::ColumnarBatch
+    /// Inert: runs exactly as [`ExecMode::Kernels`]. The columnar datapath
+    /// it once selected was deleted because no workload ran faster on it
+    /// (DESIGN.md §15); the variant stays only because the benchmark
+    /// harness still names it, and the next `[benchmark]` PR deletes it.
     Vectorized,
 }
 
@@ -136,9 +128,6 @@ pub struct SubplanExecutor {
     agg_int: HashMap<Vec<usize>, Vec<bool>>,
     states: HashMap<Vec<usize>, OpState>,
     compiled: CompiledOps,
-    /// Cumulative vectorized batch/selection statistics (only advanced in
-    /// [`ExecMode::Vectorized`]; stays zero otherwise).
-    batch_stats: BatchStats,
 }
 
 impl SubplanExecutor {
@@ -182,7 +171,6 @@ impl SubplanExecutor {
             agg_int,
             states,
             compiled,
-            batch_stats: BatchStats::default(),
         })
     }
 
@@ -216,25 +204,6 @@ impl SubplanExecutor {
         // `exec_node` borrows the tree and the mutable operator state from
         // disjoint fields, so the tree is walked in place — no per-execution
         // clone of the operator tree and its expression nodes.
-        if self.mode == ExecMode::Vectorized {
-            // The root reads no columns itself: its output materializes
-            // through backing rows, so the needed-column descent starts
-            // empty and accumulates reads op by op on the way down.
-            return exec_node_vec(
-                &self.subplan.root,
-                &mut Vec::new(),
-                inputs,
-                counter,
-                self.subplan.queries,
-                &self.weights,
-                &self.agg_int,
-                &mut self.states,
-                &self.compiled,
-                &mut self.batch_stats,
-                &[],
-            )
-            .map(VecDelta::into_rows);
-        }
         exec_node(
             &self.subplan.root,
             &mut Vec::new(),
@@ -247,12 +216,6 @@ impl SubplanExecutor {
             &mut self.states,
             &self.compiled,
         )
-    }
-
-    /// Cumulative vectorized batch statistics (input batch fill, select
-    /// selectivity) — all zeros unless running [`ExecMode::Vectorized`].
-    pub fn batch_stats(&self) -> BatchStats {
-        self.batch_stats
     }
 
     /// The queries this subplan serves.
@@ -689,207 +652,6 @@ fn exec_node(
                 Some(OpState::RefAgg(st)) => {
                     st.execute(input, group_by, aggs, int_flags, weights, counter)
                 }
-                _ => Err(Error::InvalidPlan(format!("missing aggregate state at path {path:?}"))),
-            }
-        }
-    }
-}
-
-/// Union a base needed-column set with additional reads, sorted and
-/// deduplicated (indices past a batch's arity are ignored downstream).
-fn union_cols(base: &[usize], extra: impl IntoIterator<Item = usize>) -> Vec<usize> {
-    let mut v: Vec<usize> = base.to_vec();
-    v.extend(extra);
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-/// The vectorized twin of `exec_node`: carries a [`VecDelta`] between
-/// operators instead of a row batch. Scans, selects, and projects stay
-/// columnar (selection vectors, no survivor materialization); joins and
-/// aggregates consume the columnar view directly (a ragged fallback
-/// materializes first). Stateful operators always produce row outputs,
-/// which downstream vectorized operators handle via [`VecDelta::Rows`].
-///
-/// `needed` is the late-materialization contract between a node and its
-/// parent: the columns of this node's *output* batch the parent will read
-/// columnar. Each arm unions in its own columnar reads (predicate fast-path
-/// columns, bare projection outputs, join key / aggregate group-arg
-/// columns) before recursing — schema-preserving selects pass the parent's
-/// set through, schema-changing ops start their children fresh — so the
-/// `Input` arm converts exactly the columns some kernel above will touch.
-/// Sentinel `needed` set: the parent consumes rows directly and no operator
-/// in between reads columns, so the `Input` arm skips columnarization
-/// entirely (a bare scan feeding a join would otherwise pay the
-/// prune + backing + re-materialize detour just to save key-encode
-/// dispatch — a net loss).
-const NEEDED_ROWS: &[usize] = &[usize::MAX];
-
-#[allow(clippy::too_many_arguments)]
-fn exec_node_vec(
-    t: &OpTree,
-    path: &mut Vec<usize>,
-    inputs: &mut HashMap<Vec<usize>, DeltaBatch>,
-    counter: &WorkCounter,
-    queries: QuerySet,
-    weights: &CostWeights,
-    agg_int: &HashMap<Vec<usize>, Vec<bool>>,
-    states: &mut HashMap<Vec<usize>, OpState>,
-    compiled: &CompiledOps,
-    stats: &mut BatchStats,
-    needed: &[usize],
-) -> Result<VecDelta> {
-    let child = |i: usize,
-                 inputs: &mut HashMap<Vec<usize>, DeltaBatch>,
-                 path: &mut Vec<usize>,
-                 states: &mut HashMap<Vec<usize>, OpState>,
-                 stats: &mut BatchStats,
-                 needed: &[usize]|
-     -> Result<VecDelta> {
-        path.push(i);
-        let out = exec_node_vec(
-            &t.inputs[i],
-            path,
-            inputs,
-            counter,
-            queries,
-            weights,
-            agg_int,
-            states,
-            compiled,
-            stats,
-            needed,
-        );
-        path.pop();
-        out
-    };
-    match &t.op {
-        TreeOp::Input(_) => {
-            let batch = inputs.remove(path.as_slice());
-            if let Some(b) = &batch {
-                stats.batches += 1;
-                stats.rows += b.len() as u64;
-            }
-            let batch = batch.unwrap_or_default();
-            // An empty `needed` set means no operator above reads a typed
-            // column — every consumer works over (backing) rows or takes a
-            // row fallback — so the columnar detour is at best break-even
-            // and at worst doubles row materialization. Produce rows. Tiny
-            // (churn-era) batches likewise can't amortize the columnar
-            // setup allocations, so they stay rows too; every vectorized
-            // operator handles `VecDelta::Rows` via its kernel fallback, so
-            // the per-batch choice never affects results or charges.
-            const MIN_COLUMNAR_BATCH: usize = 32;
-            if needed == NEEDED_ROWS || needed.is_empty() || batch.len() < MIN_COLUMNAR_BATCH {
-                return Ok(VecDelta::Rows(narrow_input(batch, queries, weights, counter)));
-            }
-            Ok(narrow_columnar(&batch, queries, needed, weights, counter))
-        }
-        TreeOp::Select { branches } => {
-            let preds = compiled.selects.get(path.as_slice()).ok_or_else(|| {
-                Error::InvalidPlan(format!("missing compiled select at path {path:?}"))
-            })?;
-            // Selects pass the batch through unchanged, so the parent's
-            // needed set still applies below — plus our own fast-path reads.
-            let child_needed = union_cols(needed, preds.iter().filter_map(|p| p.fast_path_col()));
-            let input = child(0, inputs, path, states, stats, &child_needed)?;
-            let columnar = matches!(input, VecDelta::Cols { .. });
-            let scanned = input.len();
-            let out = select_columnar(input, branches, preds, weights, counter)?;
-            if columnar {
-                stats.scanned += scanned as u64;
-                stats.kept += out.len() as u64;
-            }
-            Ok(out)
-        }
-        TreeOp::Project { .. } => {
-            let proj = compiled.projects.get(path.as_slice()).ok_or_else(|| {
-                Error::InvalidPlan(format!("missing compiled project at path {path:?}"))
-            })?;
-            // A non-identity projection emits a fresh batch, so the parent's
-            // needed set refers to *our* output — but whether the runtime
-            // identity fast path fires depends on the batch arity, so keep
-            // the union: covers the pass-through case, and at worst
-            // materializes a few extra columns for the rebuilt one.
-            let child_needed = union_cols(needed, proj.input_cols());
-            let input = child(0, inputs, path, states, stats, &child_needed)?;
-            project_columnar(input, proj, weights, counter)
-        }
-        TreeOp::Join { .. } => {
-            let ckeys = compiled.join_keys.get(path.as_slice()).ok_or_else(|| {
-                Error::InvalidPlan(format!("missing compiled join keys at path {path:?}"))
-            })?;
-            // Join output is rows (materialized via backing), so the
-            // parent's needed set ends here; each side needs its key
-            // columns, and only when every key is a bare column — the same
-            // eligibility test `execute_columnar` applies (a general key
-            // falls back to encoding from materialized rows).
-            let lneed: Vec<usize> =
-                ckeys.side(false).map(|s| s.as_col()).collect::<Option<_>>().unwrap_or_default();
-            let rneed: Vec<usize> =
-                ckeys.side(true).map(|s| s.as_col()).collect::<Option<_>>().unwrap_or_default();
-            // A bare scan feeding a join gains nothing from the columnar
-            // detour (the join materializes rows anyway) — ask for rows.
-            let lneed: &[usize] =
-                if matches!(t.inputs[0].op, TreeOp::Input(_)) { NEEDED_ROWS } else { &lneed };
-            let rneed: &[usize] =
-                if matches!(t.inputs[1].op, TreeOp::Input(_)) { NEEDED_ROWS } else { &rneed };
-            let left = child(0, inputs, path, states, stats, lneed)?;
-            let right = child(1, inputs, path, states, stats, rneed)?;
-            match states.get_mut(path.as_slice()) {
-                Some(OpState::Join(js)) => match (left, right) {
-                    (
-                        VecDelta::Cols { batch: lb, sel: ls, masks: lm },
-                        VecDelta::Cols { batch: rb, sel: rs, masks: rm },
-                    ) => js
-                        .execute_columnar(
-                            ColsView { batch: &lb, sel: &ls, masks: &lm },
-                            ColsView { batch: &rb, sel: &rs, masks: &rm },
-                            ckeys,
-                            weights,
-                            counter,
-                        )
-                        .map(VecDelta::Rows),
-                    (l, r) => js
-                        .execute(l.into_rows(), r.into_rows(), ckeys, weights, counter)
-                        .map(VecDelta::Rows),
-                },
-                _ => Err(Error::InvalidPlan(format!("missing join state at path {path:?}"))),
-            }
-        }
-        TreeOp::Aggregate { aggs, .. } => {
-            let spec = compiled.agg_specs.get(path.as_slice()).ok_or_else(|| {
-                Error::InvalidPlan(format!("missing compiled aggregate at path {path:?}"))
-            })?;
-            // Aggregate output is rows; the child needs exactly the bare
-            // group/arg columns — computed scalars read backing rows.
-            let child_needed = spec.columnar_cols();
-            let input = child(0, inputs, path, states, stats, &child_needed)?;
-            let int_flags = agg_int.get(path.as_slice());
-            let fallback;
-            let int_flags = match int_flags {
-                Some(f) => f.as_slice(),
-                None => {
-                    fallback = vec![false; aggs.len()];
-                    fallback.as_slice()
-                }
-            };
-            match states.get_mut(path.as_slice()) {
-                Some(OpState::Agg(st)) => match input {
-                    VecDelta::Cols { batch, sel, masks } => st
-                        .execute_columnar(
-                            ColsView { batch: &batch, sel: &sel, masks: &masks },
-                            spec,
-                            int_flags,
-                            weights,
-                            counter,
-                        )
-                        .map(VecDelta::Rows),
-                    VecDelta::Rows(b) => {
-                        st.execute(b, spec, int_flags, weights, counter).map(VecDelta::Rows)
-                    }
-                },
                 _ => Err(Error::InvalidPlan(format!("missing aggregate state at path {path:?}"))),
             }
         }
@@ -1360,56 +1122,5 @@ mod tests {
             assert_eq!(kout.rows, rout.rows, "outputs must match in order");
             assert_eq!(kc.total().get().to_bits(), rc.total().get().to_bits());
         }
-    }
-
-    #[test]
-    fn vectorized_mode_matches_kernels_bitwise() {
-        let c = catalog();
-        let sp = sample_subplan(&c);
-        let weights = CostWeights::default();
-
-        let mut kern = SubplanExecutor::new(&sp, &c, &HashMap::new(), weights).unwrap();
-        let opts = ExecOptions { mode: ExecMode::Vectorized };
-        let mut vect =
-            SubplanExecutor::new_with_options(&sp, &c, &HashMap::new(), weights, opts).unwrap();
-        let leaves = kern.leaf_paths();
-        let kc = WorkCounter::new();
-        let vc = WorkCounter::new();
-
-        let steps: Vec<(Vec<DeltaRow>, Vec<DeltaRow>)> = vec![
-            (vec![t_row(1, 1), t_row(1, 5)], vec![t_row(1, 100)]),
-            (vec![t_row(2, 9)], vec![t_row(2, 20), t_row(1, 7)]),
-            (
-                vec![DeltaRow {
-                    row: Row::new(vec![Value::Int(1), Value::Int(5)]),
-                    weight: -1,
-                    mask: qs(&[0, 1]),
-                }],
-                vec![],
-            ),
-        ];
-        for (ts, us) in steps {
-            let mut ki = HashMap::new();
-            ki.insert(leaves[0].0.clone(), DeltaBatch::from_rows(ts.clone()));
-            ki.insert(leaves[1].0.clone(), DeltaBatch::from_rows(us.clone()));
-            let mut vi = HashMap::new();
-            vi.insert(leaves[0].0.clone(), DeltaBatch::from_rows(ts));
-            vi.insert(leaves[1].0.clone(), DeltaBatch::from_rows(us));
-            let kout = kern.execute(&mut ki, &kc).unwrap();
-            let vout = vect.execute(&mut vi, &vc).unwrap();
-            assert_eq!(kout.rows, vout.rows, "outputs must match in order");
-            assert_eq!(kc.total().get().to_bits(), vc.total().get().to_bits());
-            for kind in ishare_common::OpKind::ALL {
-                assert_eq!(
-                    kc.breakdown().get(kind).to_bits(),
-                    vc.breakdown().get(kind).to_bits(),
-                    "charge mismatch for {kind:?}"
-                );
-            }
-        }
-        let stats = vect.batch_stats();
-        assert!(stats.batches > 0 && stats.rows > 0, "vectorized run must record batch stats");
-        assert!(stats.scanned >= stats.kept);
-        assert_eq!(kern.batch_stats(), crate::vectorized::BatchStats::default());
     }
 }

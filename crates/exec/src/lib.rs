@@ -33,15 +33,13 @@
 //! executor used by the test suites to check that incremental execution at
 //! *any* pace produces identical final results.
 //!
-//! The operator implementations come in three interchangeable datapaths
+//! The operator implementations come in two interchangeable datapaths
 //! ([`ExecMode`]): the default *kernel* datapath ([`join`], [`aggregate`],
-//! [`operators`] over [`flat`] state and compiled expressions), the
-//! columnar *vectorized* datapath ([`vectorized`] — SoA batches and
-//! selection-vector kernels through the scan/select/project hot path, with
-//! columnar entry points into the same stateful operators), and the
-//! original interpreter-shaped *reference* datapath ([`reference`]), kept
-//! verbatim as a differential oracle. All three produce bit-identical
-//! outputs and charged work; only wall-clock differs.
+//! [`operators`] over [`flat`] state and compiled expressions) and the
+//! original interpreter-shaped *reference* datapath ([`mod@reference`]), kept
+//! verbatim as a differential oracle. Both produce bit-identical outputs
+//! and charged work; only wall-clock differs. There is no columnar
+//! datapath (DESIGN.md §15).
 //!
 //! [`CostWeights::minmax_rescan`]: ishare_common::CostWeights
 
@@ -55,8 +53,6 @@ pub mod join;
 pub mod operators;
 pub mod reference;
 pub mod result;
-pub mod vectorized;
 
 pub use executor::{ExecMode, ExecOptions, SubplanExecutor};
 pub use result::{approx_result_eq, query_result, QueryResult};
-pub use vectorized::{BatchStats, ColsView, VecDelta};

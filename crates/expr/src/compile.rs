@@ -17,6 +17,10 @@
 //! * [`CompiledScalar`] — join keys / group keys / aggregate arguments,
 //!   where a bare column reference is the overwhelmingly common shape.
 //!
+//! [`CompiledPredicate::eval_batch`], the batch form over a
+//! [`ColumnarBatch`], is a measurement surface that no datapath calls: the
+//! benchmark's `expr.pred_batch_ns` replay times it (DESIGN.md §15).
+//!
 //! Lowering is structure-preserving: evaluation order, NULL semantics,
 //! three-valued short-circuiting, and every error message are identical to
 //! the interpreter (the kernel-equivalence suites assert this bit-for-bit
@@ -25,7 +29,7 @@
 use crate::eval::{eval_arithmetic, eval_comparison, to_tribool};
 use crate::expr::{BinaryOp, Expr, LikePattern, ScalarFunc};
 use ishare_common::{days_to_ymd, norm_f64_bits, Error, Result, Value};
-use ishare_storage::columnar::{Column, ColumnBuilder, ColumnarBatch};
+use ishare_storage::columnar::{Column, ColumnarBatch};
 use std::cmp::Ordering;
 
 /// One lowered expression node; children are arena indices.
@@ -176,17 +180,6 @@ impl Program {
     }
 }
 
-impl Program {
-    /// `Some(i)` iff this program is a bare column reference — the batch
-    /// projection kernel turns such outputs into column gathers.
-    fn as_col(&self) -> Option<usize> {
-        match &self.nodes[self.root as usize] {
-            Node::Col(i) => Some(*i as usize),
-            _ => None,
-        }
-    }
-}
-
 /// Post-order lowering: children first, so every child index is final
 /// before its parent node is pushed.
 fn lower(expr: &Expr, nodes: &mut Vec<Node>) -> u32 {
@@ -255,19 +248,6 @@ impl CompiledPredicate {
         CompiledPredicate::General(Program::compile(expr))
     }
 
-    /// The single column the `ColCmpLit` fast path reads, if this predicate
-    /// compiled to that shape. `True` reads nothing and `General` programs
-    /// evaluate over backing rows — so this is exactly the set of columns
-    /// [`Self::eval_batch`] needs materialized, which late-materializing
-    /// callers feed to `ColumnarBatch::from_rows_pruned`.
-    #[inline]
-    pub fn fast_path_col(&self) -> Option<usize> {
-        match self {
-            CompiledPredicate::ColCmpLit { col, .. } => Some(*col),
-            CompiledPredicate::True | CompiledPredicate::General(_) => None,
-        }
-    }
-
     /// Evaluate as a filter predicate: NULL counts as *not selected*
     /// (identical to [`crate::eval::eval_predicate`]).
     #[inline]
@@ -305,6 +285,9 @@ impl CompiledPredicate {
     /// [`Ordering`] lookup table, instead of per-row enum dispatch. Callers
     /// must not pass an empty `sel` expecting bounds errors: a batch with no
     /// selected rows evaluates nothing, exactly like the row path.
+    ///
+    /// No datapath calls this; it is the measurement surface of the
+    /// benchmark's `expr.pred_batch_ns` replay.
     pub fn eval_batch(&self, batch: &ColumnarBatch, sel: &[u32], out: &mut Vec<u32>) -> Result<()> {
         if sel.is_empty() {
             return Ok(());
@@ -398,9 +381,6 @@ impl CompiledPredicate {
                             Column::Int(_) | Column::Float(_) | Column::Date(_) => 2,
                             Column::Str { .. } => 3,
                             Column::Mixed(_) => unreachable!("handled above"),
-                            Column::Pruned { .. } => {
-                                panic!("read of a pruned column (bad needed-column set)")
-                            }
                         };
                         if tbl_hit(tbl, col_rank.cmp(&value_rank(lit))) {
                             out.extend_from_slice(sel);
@@ -409,24 +389,10 @@ impl CompiledPredicate {
                 }
             }
             CompiledPredicate::General(p) => {
-                // Whole-row programs read the batch's backing rows when it
-                // has them (always, for `from_rows`-family batches — and
-                // required for pruned ones) instead of reassembling scratch
-                // rows cell by cell. Values are identical either way: the
-                // columnar round trip is lossless.
-                let backing = batch.backing_rows();
-                let mut scratch: Vec<Value> = Vec::with_capacity(batch.arity());
+                // Whole-row programs read the batch's source rows.
+                let rows = batch.backing_rows();
                 for &i in sel {
-                    let row: &[Value] = match backing {
-                        Some(rows) => rows[i as usize].values(),
-                        None => {
-                            scratch.clear();
-                            for c in &batch.columns {
-                                scratch.push(c.value_at(i as usize));
-                            }
-                            &scratch
-                        }
-                    };
+                    let row = rows[i as usize].values();
                     match p.eval(row)? {
                         Value::Bool(true) => out.push(i),
                         Value::Bool(false) | Value::Null => {}
@@ -514,17 +480,6 @@ impl CompiledScalar {
         }
     }
 
-    /// The bare column index when this scalar is a plain column reference —
-    /// the eligibility test for columnar key encoding (vectorized join/agg
-    /// read the key straight out of the batch's column).
-    #[inline]
-    pub fn as_col(&self) -> Option<usize> {
-        match self {
-            CompiledScalar::Col(i) => Some(*i),
-            CompiledScalar::General(_) => None,
-        }
-    }
-
     /// Borrowed view for callers that only need to *inspect* the value
     /// (NULL checks, key encoding): avoids the clone on the column path.
     /// Returns `Err(value)` when the scalar had to be computed.
@@ -581,18 +536,6 @@ impl CompiledProjection {
         self.identity == Some(input_arity)
     }
 
-    /// The input columns [`Self::project_batch`] reads *columnar* — bare
-    /// column outputs, which become gathers. Computed outputs evaluate over
-    /// backing rows and need no materialized columns. Late-materializing
-    /// callers union this into the needed set fed to
-    /// `ColumnarBatch::from_rows_pruned`.
-    pub fn input_cols(&self) -> Vec<usize> {
-        match &self.cols {
-            Some(cols) => cols.clone(),
-            None => self.progs.iter().filter_map(Program::as_col).collect(),
-        }
-    }
-
     /// Compute the projected values for one row. Callers should take the
     /// [`Self::is_identity_for`] fast path first.
     #[inline]
@@ -611,72 +554,6 @@ impl CompiledProjection {
         let mut out = Vec::with_capacity(self.progs.len());
         for p in &self.progs {
             out.push(p.eval(row)?);
-        }
-        Ok(out)
-    }
-
-    /// Batch form of [`Self::project`]: compute the output columns for the
-    /// rows of `batch` named by `sel`, in selection order.
-    ///
-    /// All-column projections (and the bare-column outputs of mixed lists)
-    /// become `Column::gather` calls — no `Value` is materialized at all;
-    /// only genuinely computed outputs evaluate row-wise, sharing one
-    /// scratch row per input row across all computed expressions. Value
-    /// semantics per row are identical to `project`; when several outputs
-    /// can error, the *first* error reported may differ from the row path's
-    /// left-to-right order (error runs are outside the bit-identity gates).
-    pub fn project_batch(&self, batch: &ColumnarBatch, sel: &[u32]) -> Result<Vec<Column>> {
-        if sel.is_empty() {
-            return Ok((0..self.arity()).map(|_| Column::Mixed(Vec::new())).collect());
-        }
-        if let Some(cols) = &self.cols {
-            let mut out = Vec::with_capacity(cols.len());
-            for &i in cols {
-                let c = batch
-                    .columns
-                    .get(i)
-                    .ok_or(Error::ColumnOutOfBounds { index: i, arity: batch.arity() })?;
-                out.push(c.gather(sel));
-            }
-            return Ok(out);
-        }
-        // Mixed list: gather the bare-column outputs, row-eval the rest.
-        let shapes: Vec<Option<usize>> = self.progs.iter().map(Program::as_col).collect();
-        let mut builders: Vec<Option<ColumnBuilder>> =
-            shapes.iter().map(|s| s.is_none().then(ColumnBuilder::new)).collect();
-        if builders.iter().any(Option::is_some) {
-            // Same backing-row preference as `eval_batch`'s general arm.
-            let backing = batch.backing_rows();
-            let mut scratch: Vec<Value> = Vec::with_capacity(batch.arity());
-            for &i in sel {
-                let row: &[Value] = match backing {
-                    Some(rows) => rows[i as usize].values(),
-                    None => {
-                        scratch.clear();
-                        for c in &batch.columns {
-                            scratch.push(c.value_at(i as usize));
-                        }
-                        &scratch
-                    }
-                };
-                for (p, b) in self.progs.iter().zip(&mut builders) {
-                    if let Some(b) = b {
-                        b.push(&p.eval(row)?);
-                    }
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(self.progs.len());
-        for (shape, b) in shapes.iter().zip(builders) {
-            out.push(match (shape, b) {
-                (Some(i), _) => batch
-                    .columns
-                    .get(*i)
-                    .ok_or(Error::ColumnOutOfBounds { index: *i, arity: batch.arity() })?
-                    .gather(sel),
-                (None, Some(b)) => b.finish(),
-                (None, None) => unreachable!("computed output without builder"),
-            });
         }
         Ok(out)
     }
@@ -869,36 +746,6 @@ mod tests {
         );
         p.eval_batch(&b, &[], &mut out).unwrap();
         assert!(out.is_empty());
-    }
-
-    /// `project_batch` produces column-for-column what `project` produces
-    /// row-for-row, on gather, mixed, and general projection lists.
-    #[test]
-    fn batch_projection_agrees_with_row_path() {
-        let b = batch();
-        let lists: Vec<Vec<Expr>> = vec![
-            vec![Expr::col(0), Expr::col(1), Expr::col(2), Expr::col(3)],
-            vec![Expr::col(2), Expr::col(0)],
-            vec![Expr::col(0), Expr::col(0).add(Expr::lit(1i64))],
-            vec![Expr::col(0).mul(Expr::col(1))],
-        ];
-        let sel: Vec<u32> = vec![0, 2, 3];
-        for exprs in lists {
-            let proj = CompiledProjection::compile(&exprs);
-            let cols = proj.project_batch(&b, &sel).unwrap();
-            assert_eq!(cols.len(), proj.arity());
-            for (j, &i) in sel.iter().enumerate() {
-                let want = proj.project(b.row_at(i as usize).values()).unwrap();
-                let got: Vec<Value> = cols.iter().map(|c| c.value_at(j)).collect();
-                assert_eq!(got, want, "list {exprs:?} row {i}");
-            }
-        }
-        // Errors propagate (string arithmetic), and bounds are checked.
-        let bad = CompiledProjection::compile(&[Expr::col(2).add(Expr::lit(1i64))]);
-        assert!(bad.project_batch(&b, &sel).is_err());
-        let oob = CompiledProjection::compile(&[Expr::col(9)]);
-        assert!(oob.project_batch(&b, &sel).is_err());
-        assert_eq!(oob.project_batch(&b, &[]).unwrap().len(), 1);
     }
 
     #[test]

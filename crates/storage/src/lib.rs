@@ -7,10 +7,10 @@
 //! * [`DeltaRow`]/[`DeltaBatch`] — *signed, weighted* tuples annotated with a
 //!   query bitvector. Weight `+1` is an insertion, `-1` a deletion, and an
 //!   update is a deletion plus an insertion (Sec. 2.3 of the paper).
-//! * [`ColumnarBatch`]/[`Column`]/[`SelVec`] — the SoA twin of `DeltaBatch`
-//!   used by `ExecMode::Vectorized`: one typed `Vec` per column plus parallel
-//!   weight/mask vectors, with selection vectors so filters never
-//!   materialize survivors.
+//! * [`ColumnarBatch`]/[`Column`] — the SoA twin of `DeltaBatch` (one typed
+//!   `Vec` per column plus parallel weight/mask vectors). A measurement
+//!   surface for the benchmark's conversion and batch-predicate replays; no
+//!   exec datapath uses it.
 //! * [`DeltaBuffer`] — the materialization buffer at a subplan boundary.
 //!   When a subplan's root has two or more parent subplans it materializes
 //!   its output so that each parent can consume the intermediate results *at
@@ -31,6 +31,6 @@ pub mod schema;
 
 pub use buffer::{ConsumerId, DeltaBuffer, Retain};
 pub use catalog::{Catalog, ColumnStats, TableDef, TableStats};
-pub use columnar::{Column, ColumnBuilder, ColumnarBatch, SelVec};
+pub use columnar::{Column, ColumnarBatch};
 pub use row::{consolidate, DeltaBatch, DeltaRow, Row};
 pub use schema::{Field, Schema};

@@ -89,9 +89,9 @@ pub struct SourceOptions {
     pub verify: Option<CommitLog>,
     /// Which exec-layer datapath to run ([`ExecMode::Kernels`] by default).
     /// [`ExecMode::Reference`] selects the original interpreter-shaped
-    /// operators and [`ExecMode::Vectorized`] the columnar batches of
-    /// DESIGN.md §15 — bit-identical results and work, only wall-clock
-    /// differs.
+    /// operators — bit-identical results and work, only wall-clock differs.
+    /// [`ExecMode::Vectorized`] is inert and runs as `Kernels` (DESIGN.md
+    /// §15).
     pub mode: ExecMode,
     /// Ignored: nothing reads it, and any value runs exactly like `1`. The
     /// per-operator partition exchange it configured was removed (DESIGN.md
@@ -502,7 +502,7 @@ pub fn execute_from_source_parallel_obs(
 /// committed wavefront the controller sees the cumulative delivery tallies
 /// and charged final work (`WavefrontObservation`); when it installs new
 /// paces the remaining schedule is rebuilt via
-/// [`reschedule_after`](crate::schedule::reschedule_after) and the switch
+/// [`reschedule_after`] and the switch
 /// takes effect at the next wavefront. The controller's decisions depend
 /// only on deterministic measured quantities gathered on the coordinating
 /// thread between wavefronts, so killed-and-resumed runs re-derive the

@@ -337,9 +337,7 @@ impl Fold {
 }
 
 /// Record end-of-run engine gauges into an [`ObsReport`]'s registry: buffer
-/// high-water marks, retained/compacted rows and consumer lags; per
-/// vectorized subplan, mean input batch length and select survival
-/// fraction.
+/// high-water marks, retained/compacted rows and consumer lags.
 pub(crate) fn engine_gauges(report: &mut ObsReport, engine: &EngineState) {
     for t in &engine.base_tables {
         let b = &engine.base_buffers[t];
@@ -355,16 +353,6 @@ pub(crate) fn engine_gauges(report: &mut ObsReport, engine: &EngineState) {
         for (c, lag) in b.lags().into_iter().enumerate() {
             report.metrics.gauge_set(&format!("buffer.sp{i}.lag.c{c}"), lag as f64);
         }
-    }
-    for (i, ex) in engine.executors.iter().enumerate() {
-        let s = ex.batch_stats();
-        ishare_obs::record_batch_gauges(
-            &mut report.metrics,
-            i,
-            s.batches,
-            s.mean_fill(),
-            s.selectivity(),
-        );
     }
 }
 

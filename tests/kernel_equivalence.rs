@@ -1,8 +1,7 @@
 //! Differential tests: the kernel datapath (`ExecMode::Kernels` — encoded
 //! keys, compiled expressions, flat operator state, batched work charges)
-//! and the columnar datapath (`ExecMode::Vectorized` — SoA batches,
-//! selection-vector kernels) are bit-identical to the original
-//! interpreter-shaped datapath (`ExecMode::Reference`).
+//! is bit-identical to the original interpreter-shaped datapath
+//! (`ExecMode::Reference`).
 //!
 //! Random shared plans — a scan+marking-select trunk fanning out to one
 //! aggregate subplan per query (SUM/COUNT/MIN/MAX), and a join-shaped
@@ -207,10 +206,10 @@ fn assert_bit_identical(a: &RunResult, b: &RunResult, label: &str) -> Result<(),
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Kernels ≡ vectorized ≡ reference over random plans (aggregate-only
-    /// and join shaped), random insert+delete feeds, random paces —
-    /// sequentially and at 2/4 worker threads. Every datapath/worker
-    /// combination must land on the reference's bits.
+    /// Kernels ≡ reference over random plans (aggregate-only and join
+    /// shaped), random insert+delete feeds, random paces — sequentially and
+    /// at 2/4 worker threads. Every worker count must land on the
+    /// reference's bits.
     #[test]
     fn kernels_match_reference(
         n_queries in 2usize..5,
@@ -254,24 +253,10 @@ proptest! {
             execute_planned_deltas(&plan, paces, &c, &feeds, CostWeights::default()).unwrap();
         let shape = if join_shape { "join" } else { "agg" };
         assert_bit_identical(&reference, &kernels, &format!("{shape} sequential"))?;
-        let vectorized = run_with(&plan, paces, &c, &feeds, in_mode(ExecMode::Vectorized));
-        assert_bit_identical(&reference, &vectorized, &format!("{shape} vectorized"))?;
         for threads in [2usize, 4] {
             let workers = SourceOptions { workers: threads, ..Default::default() };
-            let par = run_with(&plan, paces, &c, &feeds, workers.clone());
+            let par = run_with(&plan, paces, &c, &feeds, workers);
             assert_bit_identical(&reference, &par, &format!("{shape} threads={threads}"))?;
-            let vpar = run_with(
-                &plan,
-                paces,
-                &c,
-                &feeds,
-                SourceOptions { mode: ExecMode::Vectorized, ..workers },
-            );
-            assert_bit_identical(
-                &reference,
-                &vpar,
-                &format!("{shape} vectorized threads={threads}"),
-            )?;
         }
     }
 }
@@ -317,7 +302,6 @@ fn tpch_workload_kernels_match_reference() {
         assert_eq!(a.executions, b.executions, "{label}: executions differ");
     };
     check(&reference, &kernels, "sequential");
-    check(&reference, &run(in_mode(ExecMode::Vectorized)), "vectorized");
     for threads in [2usize, 4] {
         let par = run(SourceOptions { workers: threads, ..Default::default() });
         check(&reference, &par, &format!("threads={threads}"));
@@ -414,33 +398,4 @@ fn kernels_match_reference_under_jittered_source_kill_resume() {
         panic!("reference source-fed run must complete");
     };
     bit_eq(&reference, &ref_src, "source-fed reference");
-
-    // So does the vectorized datapath, including kill-after-wavefront +
-    // replay against the commit log.
-    let mut source = Source::new(&feeds, cfg).unwrap();
-    let SourceOutcome::Suspended { log: vpartial } = execute_from_source_obs(
-        &plan,
-        &paces,
-        &c,
-        &mut source,
-        CostWeights::default(),
-        SourceOptions { mode: ExecMode::Vectorized, stop_after: Some(2), ..Default::default() },
-    )
-    .unwrap() else {
-        panic!("vectorized stop_after must suspend");
-    };
-    let mut source = Source::new(&feeds, cfg).unwrap();
-    let SourceOutcome::Completed { result: vec_resumed, log: vec_log } = execute_from_source_obs(
-        &plan,
-        &paces,
-        &c,
-        &mut source,
-        CostWeights::default(),
-        SourceOptions { mode: ExecMode::Vectorized, verify: Some(vpartial), ..Default::default() },
-    )
-    .unwrap() else {
-        panic!("vectorized resume must complete");
-    };
-    bit_eq(&reference, &vec_resumed, "resumed vectorized");
-    assert_eq!(vec_log.entries, log.entries, "vectorized commit log agrees");
 }

@@ -7,7 +7,7 @@
 //! the engine, Sec. 2.3).
 
 use ishare::stream::{
-    execute_planned_deltas, execute_planned_deltas_with, ObsConfig, SourceOptions,
+    execute_planned_deltas, execute_planned_deltas_with, ExecMode, ObsConfig, SourceOptions,
 };
 use ishare_common::{CostWeights, DataType, OpKind, QueryId, QuerySet, TableId, Value};
 use ishare_expr::Expr;
@@ -163,20 +163,21 @@ proptest! {
             total
         );
 
-        // `SourceOptions::partitions` is inert (the benchmark still sets it,
-        // DESIGN.md §12): a run asking for 4 partitions is accepted and is
-        // the `partitions: 1` run, bit for bit — total work and every
+        // `SourceOptions::partitions` and `ExecMode::Vectorized` are inert
+        // (the benchmark still sets both, DESIGN.md §12 and §15): a
+        // `Vectorized` run asking for 4 partitions is accepted and is the
+        // `Kernels`, `partitions: 1` run, bit for bit — total work and every
         // per-subplan × per-kind breakdown cell.
         let inert = execute_planned_deltas_with(
             &plan, paces, &c, &data, CostWeights::default(),
-            SourceOptions { partitions: 4, ..with_obs },
+            SourceOptions { partitions: 4, mode: ExecMode::Vectorized, ..with_obs },
         )
         .unwrap();
-        prop_assert_eq!(&obs.results, &inert.results, "partitions: 4 results");
+        prop_assert_eq!(&obs.results, &inert.results, "inert options: results");
         prop_assert_eq!(
             obs.total_work.get().to_bits(),
             inert.total_work.get().to_bits(),
-            "partitions: 4 total_work not bit-identical"
+            "inert options: total_work not bit-identical"
         );
         let inert_report = inert.obs.as_ref().expect("obs requested");
         prop_assert_eq!(report.work_by_subplan.len(), inert_report.work_by_subplan.len());
@@ -187,7 +188,7 @@ proptest! {
                 prop_assert_eq!(
                     a.get(kind).to_bits(),
                     b.get(kind).to_bits(),
-                    "sp{} {:?}: partitions: 4 charge {} != partitions: 1 {}",
+                    "sp{} {:?}: inert-options charge {} != Kernels charge {}",
                     sp,
                     kind,
                     b.get(kind),
