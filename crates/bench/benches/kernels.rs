@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the datapath kernels against the reference
 //! (interpreter-shaped) operators they replaced: join probe/insert over
-//! encoded keys + flat tables vs `BTreeMap<(Row, QuerySet), i64>`, group
+//! encoded keys + flat tables vs `BTreeMap<(Row, QuerySet), i64>`, join
+//! emission of TPC-H-wide rows through a two-level chain, group
 //! update over flat state vs `HashMap<Vec<Value>, _>`, and compiled
 //! predicate evaluation vs recursive `Expr` eval.
 //!
@@ -12,7 +13,9 @@
 //! samples — a compile-and-run gate, not a measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ishare_bench::harness::skewed_join_input;
+use ishare_bench::harness::{
+    skewed_join_input, wide_join_chain, wide_join_input, WIDE_JOIN_ORDERS,
+};
 use ishare_common::{CostWeights, QuerySet, Value, WorkCounter};
 use ishare_exec::aggregate::{AggSpec, AggState};
 use ishare_exec::join::{JoinKeys, JoinState};
@@ -91,6 +94,20 @@ fn bench_join_kernel(c: &mut Criterion) {
     g.finish();
 }
 
+/// Emission at TPC-H width: orders ⋈ customer, then lineitem ⋈ that — every
+/// match emits a 17- or 33-column row (see `wide_join_input`).
+fn bench_join_emit_wide(c: &mut Criterion) {
+    let n = if quick() { 250 } else { WIDE_JOIN_ORDERS };
+    let wide = wide_join_input(n);
+    let mut g = c.benchmark_group("join_emit_wide");
+    for (name, reference) in [("kernel", false), ("reference", true)] {
+        g.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+            b.iter(|| wide_join_chain(wide.clone(), reference).unwrap())
+        });
+    }
+    g.finish();
+}
+
 fn bench_group_update(c: &mut Criterion) {
     let group_by = vec![(Expr::col(0), "k".to_string())];
     let aggs = vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "s")];
@@ -156,6 +173,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_join_kernel, bench_group_update, bench_predicate
+    targets = bench_join_kernel, bench_join_emit_wide, bench_group_update, bench_predicate
 }
 criterion_main!(benches);

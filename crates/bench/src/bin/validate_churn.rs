@@ -97,8 +97,7 @@ fn results_approx_equal(a: &HashMap<Row, i64>, b: &HashMap<Row, i64>) -> bool {
         _ => x == y,
     };
     let row_close = |x: &Row, y: &Row| {
-        x.values().len() == y.values().len()
-            && x.values().iter().zip(y.values()).all(|(vx, vy)| value_close(vx, vy))
+        x.arity() == y.arity() && x.iter().zip(y.iter()).all(|(vx, vy)| value_close(vx, vy))
     };
     let bs: Vec<(&Row, i64)> = b.iter().map(|(r, w)| (r, *w)).collect();
     let mut used = vec![false; bs.len()];

@@ -724,15 +724,19 @@ pub fn parallel_scaling(p: &Params) -> Result<()> {
     Ok(())
 }
 
-/// Kernel datapath benchmark: per-kernel ns/op for the three hot kernels
-/// (join probe/insert, group update, predicate eval) against the reference
-/// operators they replaced, and the engine-level wall clock of the
+/// Kernel datapath benchmark: per-kernel ns/op for the hot kernels (join
+/// probe/insert, skewed insert and wide emission, group update, predicate
+/// eval) against the reference operators they replaced, and the
+/// engine-level wall clock of the
 /// `scaling` workload on both datapaths. Work numbers are asserted
 /// bit-identical between the datapaths; results land in
 /// `results/BENCH_kernels.json` — the perf trajectory later PRs regress
 /// against.
 pub fn kernel_bench(p: &Params) -> Result<()> {
-    use crate::harness::{save_kernel_bench, skewed_join_input, time_min_secs, KernelTiming};
+    use crate::harness::{
+        save_kernel_bench, skewed_join_input, time_min_secs, wide_join_chain, wide_join_input,
+        KernelTiming, WIDE_JOIN_ORDERS,
+    };
     use ishare_common::{QuerySet, Value, WorkCounter};
     use ishare_exec::aggregate::{AggSpec, AggState};
     use ishare_exec::join::{JoinKeys, JoinState};
@@ -816,6 +820,25 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
             .unwrap();
         }) * 1e9
             / (SKEW_ROWS + SKEW_KEYS) as f64,
+    });
+
+    // Join emission at TPC-H width: a two-level chain (orders ⋈ customer,
+    // then lineitem ⋈ that) whose every match emits a 17- or 33-column row,
+    // per emitted row. Its heap bytes per row come from the `emit_heap`
+    // binary, which counts allocations; this one must not.
+    let wide = wide_join_input(WIDE_JOIN_ORDERS);
+    let emitted = wide_join_chain(wide.clone(), false)?;
+    micro.push(KernelTiming {
+        name: "join_emit_wide".into(),
+        ops: emitted,
+        kernel_ns_per_op: time_min_secs(REPS, || {
+            wide_join_chain(wide.clone(), false).unwrap();
+        }) * 1e9
+            / emitted as f64,
+        reference_ns_per_op: time_min_secs(REPS, || {
+            wide_join_chain(wide.clone(), true).unwrap();
+        }) * 1e9
+            / emitted as f64,
     });
 
     // Group update: N rows into 64 SUM groups.

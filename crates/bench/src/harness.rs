@@ -1,8 +1,11 @@
 //! Shared experiment machinery: workloads, latency goals, planned +
 //! measured runs, and table printing.
 
-use ishare_common::{CostWeights, QueryId, QuerySet, Result, Value};
+use ishare_common::{CostWeights, QueryId, QuerySet, Result, Value, WorkCounter};
 use ishare_core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
+use ishare_exec::join::{JoinKeys, JoinState};
+use ishare_exec::reference::RefJoinState;
+use ishare_expr::Expr;
 use ishare_plan::LogicalPlan;
 use ishare_storage::{DeltaBatch, DeltaRow, Row};
 use ishare_stream::{
@@ -358,6 +361,123 @@ pub fn skewed_join_input(rows: usize, keys: usize) -> (DeltaBatch, DeltaBatch) {
     };
     let left = (0..n).map(|i| row(i % k, i * 7919 % n, 0b01)).collect();
     (left, (0..k).map(|i| row(i, i, 0b10)).collect())
+}
+
+/// Input of the `join_emit_wide` micro: rows as wide as TPC-H's customer
+/// (8 columns), orders (9) and lineitem (16) — `orders / 4` customers with
+/// four orders each and four lineitems per order, carrying strings, floats
+/// and dates like the real tables.
+#[derive(Debug, Clone)]
+pub struct WideJoinInput {
+    /// `c_custkey` first.
+    pub customer: DeltaBatch,
+    /// `o_orderkey`, then `o_custkey`.
+    pub orders: DeltaBatch,
+    /// `l_orderkey` first.
+    pub lineitem: DeltaBatch,
+}
+
+/// Orders in the `join_emit_wide` input that `figures kernels` and
+/// `emit_heap` measure (12,500 emitted rows).
+pub const WIDE_JOIN_ORDERS: usize = 2_500;
+
+/// Generate [`WideJoinInput`] for `orders` orders.
+pub fn wide_join_input(orders: usize) -> WideJoinInput {
+    let batch = |rows: Vec<Vec<Value>>| -> DeltaBatch {
+        rows.into_iter().map(|r| DeltaRow::insert(Row::new(r), QuerySet(0b1))).collect()
+    };
+    let text = |kind: &str, i: i64| Value::str(format!("{kind} #{i:09}"));
+    let customer = (0..(orders / 4).max(1) as i64)
+        .map(|c| {
+            vec![
+                Value::Int(c),
+                text("Customer", c),
+                text("address", c),
+                Value::Int(c % 25),
+                text("phone", c),
+                Value::Float(c as f64 * 1.5),
+                text("segment", c % 5),
+                text("customer comment", c),
+            ]
+        })
+        .collect();
+    let order_rows = (0..orders as i64)
+        .map(|o| {
+            vec![
+                Value::Int(o),
+                Value::Int(o / 4),
+                text("status", o % 3),
+                Value::Float(o as f64 * 10.25),
+                Value::Date(9_000 + (o % 2_000) as i32),
+                text("priority", o % 5),
+                text("Clerk", o % 1_000),
+                Value::Int(0),
+                text("order comment", o),
+            ]
+        })
+        .collect();
+    let lineitem = (0..4 * orders as i64)
+        .map(|l| {
+            let o = l / 4;
+            vec![
+                Value::Int(o),
+                Value::Int(l * 7 % 20_000),
+                Value::Int(l % 1_000),
+                Value::Int(l % 4 + 1),
+                Value::Float((l % 50 + 1) as f64),
+                Value::Float(l as f64 * 3.5),
+                Value::Float(0.05),
+                Value::Float(0.02),
+                text("flag", l % 3),
+                text("status", l % 2),
+                Value::Date(9_000 + (o % 2_000) as i32 + 10),
+                Value::Date(9_000 + (o % 2_000) as i32 + 20),
+                Value::Date(9_000 + (o % 2_000) as i32 + 30),
+                text("instruct", l % 4),
+                text("mode", l % 7),
+                text("lineitem comment", l),
+            ]
+        })
+        .collect();
+    WideJoinInput {
+        customer: batch(customer),
+        orders: batch(order_rows),
+        lineitem: batch(lineitem),
+    }
+}
+
+/// Run the `join_emit_wide` chain once on the kernel (`JoinState`) or the
+/// reference (`RefJoinState`) join: orders ⋈ customer on the customer key,
+/// then lineitem ⋈ that output on the order key, so the second join stores
+/// and emits joined rows. Returns how many rows the two joins emitted.
+pub fn wide_join_chain(input: WideJoinInput, reference: bool) -> Result<usize> {
+    let (weights, counter) = (CostWeights::default(), WorkCounter::new());
+    let customer_key = [(Expr::col(1), Expr::col(0))];
+    let order_key = [(Expr::col(0), Expr::col(0))];
+    let (mid, out) = if reference {
+        let mid = RefJoinState::new().execute(
+            input.orders,
+            input.customer,
+            &customer_key,
+            &weights,
+            &counter,
+        )?;
+        let n = mid.len();
+        (n, RefJoinState::new().execute(input.lineitem, mid, &order_key, &weights, &counter)?)
+    } else {
+        let (customer_key, order_key) =
+            (JoinKeys::compile(&customer_key), JoinKeys::compile(&order_key));
+        let mid = JoinState::new().execute(
+            input.orders,
+            input.customer,
+            &customer_key,
+            &weights,
+            &counter,
+        )?;
+        let n = mid.len();
+        (n, JoinState::new().execute(input.lineitem, mid, &order_key, &weights, &counter)?)
+    };
+    Ok(mid + out.len())
 }
 
 /// Time `f` over `reps` runs (after one warm-up), returning the minimum

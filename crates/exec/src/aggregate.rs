@@ -307,7 +307,7 @@ impl AggState {
         for dr in &input.rows {
             key_vals.clear();
             for g in &spec.group_by {
-                key_vals.push(g.eval(dr.row.values())?);
+                key_vals.push(g.eval(&dr.row)?);
             }
             self.scratch.clear();
             for v in &key_vals {
@@ -324,7 +324,7 @@ impl AggState {
                 if class.mask.is_subset_of(dr.mask) {
                     class.rows += dr.weight;
                     for (acc, arg) in class.accums.iter_mut().zip(&spec.args) {
-                        match arg.eval_ref(dr.row.values())? {
+                        match arg.eval_ref(&dr.row)? {
                             Ok(v) => acc.update(v, dr.weight, weights, counter)?,
                             Err(v) => acc.update(&v, dr.weight, weights, counter)?,
                         }
@@ -713,7 +713,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(out.rows[0].row.values(), &[Value::Int(2)]);
+        assert_eq!(out.rows[0].row.values()[..], [Value::Int(2)]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn eval_plan(
             let rows = eval_plan(input, catalog, data)?;
             let mut out = Vec::new();
             for r in rows {
-                if eval_predicate(predicate, r.values())? {
+                if eval_predicate(predicate, &r)? {
                     out.push(r);
                 }
             }
@@ -54,7 +54,7 @@ fn eval_plan(
             for r in rows {
                 let mut vals = Vec::with_capacity(exprs.len());
                 for (e, _) in exprs {
-                    vals.push(eval(e, r.values())?);
+                    vals.push(eval(e, &r)?);
                 }
                 out.push(Row::new(vals));
             }
@@ -68,7 +68,7 @@ fn eval_plan(
             'right: for r in &rrows {
                 let mut key = Vec::with_capacity(keys.len());
                 for (_, rk) in keys {
-                    let v = eval(rk, r.values())?;
+                    let v = eval(rk, r)?;
                     if v.is_null() {
                         continue 'right;
                     }
@@ -80,7 +80,7 @@ fn eval_plan(
             'left: for l in &lrows {
                 let mut key = Vec::with_capacity(keys.len());
                 for (lk, _) in keys {
-                    let v = eval(lk, l.values())?;
+                    let v = eval(lk, l)?;
                     if v.is_null() {
                         continue 'left;
                     }
@@ -109,7 +109,7 @@ fn eval_plan(
             for r in &rows {
                 let mut key = Vec::with_capacity(group_by.len());
                 for (e, _) in group_by {
-                    key.push(eval(e, r.values())?);
+                    key.push(eval(e, r)?);
                 }
                 let accs = groups.entry(key.clone()).or_insert_with(|| {
                     order.push(key.clone());
@@ -119,7 +119,7 @@ fn eval_plan(
                         .collect()
                 });
                 for (acc, a) in accs.iter_mut().zip(aggs) {
-                    let v = eval(&a.arg, r.values())?;
+                    let v = eval(&a.arg, r)?;
                     acc.update(&v, 1, &weights, &counter)?;
                 }
             }
@@ -229,7 +229,7 @@ mod tests {
         let out = run_logical(&plan, &c, &data).unwrap();
         assert_eq!(out.len(), 1);
         let row = out.keys().next().unwrap();
-        assert_eq!(row.values(), &[Value::Int(4), Value::Int(20)]);
+        assert_eq!(row.values()[..], [Value::Int(4), Value::Int(20)]);
     }
 
     #[test]

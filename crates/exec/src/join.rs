@@ -422,7 +422,7 @@ fn key_rows<'a>(
     'rows: for (i, r) in batch.rows.iter().enumerate() {
         scratch.clear();
         for k in key_scalars.clone() {
-            match k.eval_ref(r.row.values())? {
+            match k.eval_ref(&r.row)? {
                 Ok(v) => {
                     if v.is_null() {
                         continue 'rows;
@@ -513,7 +513,8 @@ fn insert_delta(
 }
 
 /// Emit the join of one delta row against a key slot's stored entries, in
-/// the slot's `(row, mask)` order.
+/// the slot's `(row, mask)` order. An output row shares both inputs' value
+/// segments (`Row::concat` copies no value).
 fn emit_matches(
     out: &mut DeltaBatch,
     delta: &DeltaRow,

@@ -56,7 +56,7 @@ pub fn apply_select(
                 continue;
             }
             evals += 1;
-            if p.matches(r.row.values())? {
+            if p.matches(&r.row)? {
                 mask = mask.union(bits);
             }
         }
@@ -86,7 +86,7 @@ pub fn apply_project(
         let row = if proj.is_identity_for(r.row.arity()) {
             r.row
         } else {
-            Row::new(proj.project(r.row.values())?)
+            Row::new(proj.project(&r.row)?)
         };
         out.push(DeltaRow { row, weight: r.weight, mask: r.mask });
     }
@@ -183,7 +183,7 @@ mod tests {
         let exprs = vec![Expr::col(0).mul(Expr::lit(2i64)), Expr::lit(7i64)];
         let proj = CompiledProjection::compile(&exprs);
         let out = apply_project(batch(&[(4, -2, &[0])]), &proj, &w, &c).unwrap();
-        assert_eq!(out.rows[0].row.values(), &[Value::Int(8), Value::Int(7)]);
+        assert_eq!(out.rows[0].row.values()[..], [Value::Int(8), Value::Int(7)]);
         assert_eq!(out.rows[0].weight, -2);
         assert_eq!(c.total().get(), 2.0 * w.project);
     }
@@ -194,7 +194,7 @@ mod tests {
         let w = CostWeights::default();
         let proj = CompiledProjection::compile(&[Expr::col(0)]);
         let out = apply_project(batch(&[(4, 1, &[0])]), &proj, &w, &c).unwrap();
-        assert_eq!(out.rows[0].row.values(), &[Value::Int(4)]);
+        assert_eq!(out.rows[0].row.values()[..], [Value::Int(4)]);
         // Charged the same as the computing path: unit count is arity × rows.
         assert_eq!(c.total().get(), w.project);
     }

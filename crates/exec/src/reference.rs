@@ -103,7 +103,7 @@ fn key_rows<'a>(
     'rows: for r in &batch.rows {
         let mut key = Vec::new();
         for e in key_exprs.clone() {
-            let v = eval(e, r.row.values())?;
+            let v = eval(e, &r.row)?;
             if v.is_null() {
                 continue 'rows;
             }
@@ -341,7 +341,7 @@ impl RefAggState {
             counter.charge(OpKind::AggUpdate, weights.agg_update, aggs.len().max(1));
             let mut key = Vec::with_capacity(group_by.len());
             for (e, _) in group_by {
-                key.push(eval(e, dr.row.values())?);
+                key.push(eval(e, &dr.row)?);
             }
             let group = self.groups.entry(key.clone()).or_default();
             if touched_set.insert(key.clone()) {
@@ -352,7 +352,7 @@ impl RefAggState {
                 if class.mask.is_subset_of(dr.mask) {
                     class.rows += dr.weight;
                     for (acc, agg) in class.accums.iter_mut().zip(aggs) {
-                        let v = eval(&agg.arg, dr.row.values())?;
+                        let v = eval(&agg.arg, &dr.row)?;
                         acc.update(&v, dr.weight, weights, counter)?;
                     }
                 }
@@ -454,7 +454,7 @@ pub fn ref_apply_select(
                 continue;
             }
             counter.charge(OpKind::Filter, weights.filter, 1);
-            if b.predicate.is_true_lit() || eval_predicate(&b.predicate, r.row.values())? {
+            if b.predicate.is_true_lit() || eval_predicate(&b.predicate, &r.row)? {
                 mask = mask.union(bits);
             }
         }
@@ -477,7 +477,7 @@ pub fn ref_apply_project(
         counter.charge(OpKind::Project, weights.project, exprs.len());
         let mut vals = Vec::with_capacity(exprs.len());
         for (e, _) in exprs {
-            vals.push(eval(e, r.row.values())?);
+            vals.push(eval(e, &r.row)?);
         }
         out.push(DeltaRow { row: Row::new(vals), weight: r.weight, mask: r.mask });
     }

@@ -57,7 +57,7 @@ fn rows_approx_eq(a: &Row, b: &Row, rel_eps: f64) -> bool {
     if a.arity() != b.arity() {
         return false;
     }
-    a.values().iter().zip(b.values()).all(|(x, y)| match (x, y) {
+    a.iter().zip(b.iter()).all(|(x, y)| match (x, y) {
         (Value::Float(p), Value::Float(q)) => {
             let scale = p.abs().max(q.abs()).max(1.0);
             (p - q).abs() <= rel_eps * scale

@@ -26,11 +26,13 @@
 //! the interpreter (the kernel-equivalence suites assert this bit-for-bit
 //! through the engine's work totals and results).
 
-use crate::eval::{eval_arithmetic, eval_comparison, to_tribool};
+use crate::eval::{column, eval_arithmetic, eval_comparison, to_tribool};
 use crate::expr::{BinaryOp, Expr, LikePattern, ScalarFunc};
 use ishare_common::{days_to_ymd, norm_f64_bits, Error, Result, Value};
 use ishare_storage::columnar::{Column, ColumnarBatch};
+use ishare_storage::Columns;
 use std::cmp::Ordering;
+use std::ops::Deref;
 
 /// One lowered expression node; children are arena indices.
 #[derive(Debug, Clone)]
@@ -87,16 +89,13 @@ impl Program {
 
     /// Evaluate against a positional row; semantics identical to
     /// [`crate::eval::eval`].
-    pub fn eval(&self, row: &[Value]) -> Result<Value> {
+    pub fn eval<R: Columns + ?Sized>(&self, row: &R) -> Result<Value> {
         self.eval_node(self.root, row)
     }
 
-    fn eval_node(&self, idx: u32, row: &[Value]) -> Result<Value> {
+    fn eval_node<R: Columns + ?Sized>(&self, idx: u32, row: &R) -> Result<Value> {
         match &self.nodes[idx as usize] {
-            Node::Col(i) => {
-                let i = *i as usize;
-                row.get(i).cloned().ok_or(Error::ColumnOutOfBounds { index: i, arity: row.len() })
-            }
+            Node::Col(i) => column(row, *i as usize).cloned(),
             Node::Lit(v) => Ok(v.clone()),
             Node::Bin { op, l, r } => {
                 let lv = self.eval_node(*l, row)?;
@@ -249,15 +248,16 @@ impl CompiledPredicate {
     }
 
     /// Evaluate as a filter predicate: NULL counts as *not selected*
-    /// (identical to [`crate::eval::eval_predicate`]).
+    /// (identical to [`crate::eval::eval_predicate`]). The row is anything
+    /// that dereferences to [`Columns`]: `&Row`, `&[Value]`, or the
+    /// `Cow<[Value]>` of [`Row::values`](ishare_storage::Row::values).
     #[inline]
-    pub fn matches(&self, row: &[Value]) -> Result<bool> {
+    pub fn matches<R: Deref<Target: Columns>>(&self, row: R) -> Result<bool> {
+        let row = &*row;
         match self {
             CompiledPredicate::True => Ok(true),
             CompiledPredicate::ColCmpLit { col, op, lit } => {
-                let v = row
-                    .get(*col)
-                    .ok_or(Error::ColumnOutOfBounds { index: *col, arity: row.len() })?;
+                let v = column(row, *col)?;
                 if v.is_null() || lit.is_null() {
                     return Ok(false);
                 }
@@ -392,8 +392,7 @@ impl CompiledPredicate {
                 // Whole-row programs read the batch's source rows.
                 let rows = batch.backing_rows();
                 for &i in sel {
-                    let row = rows[i as usize].values();
-                    match p.eval(row)? {
+                    match p.eval(&rows[i as usize])? {
                         Value::Bool(true) => out.push(i),
                         Value::Bool(false) | Value::Null => {}
                         other => {
@@ -471,11 +470,9 @@ impl CompiledScalar {
 
     /// Evaluate to a value; semantics identical to [`crate::eval::eval`].
     #[inline]
-    pub fn eval(&self, row: &[Value]) -> Result<Value> {
+    pub fn eval<R: Columns + ?Sized>(&self, row: &R) -> Result<Value> {
         match self {
-            CompiledScalar::Col(i) => {
-                row.get(*i).cloned().ok_or(Error::ColumnOutOfBounds { index: *i, arity: row.len() })
-            }
+            CompiledScalar::Col(i) => column(row, *i).cloned(),
             CompiledScalar::General(p) => p.eval(row),
         }
     }
@@ -484,11 +481,12 @@ impl CompiledScalar {
     /// (NULL checks, key encoding): avoids the clone on the column path.
     /// Returns `Err(value)` when the scalar had to be computed.
     #[inline]
-    pub fn eval_ref<'a>(&self, row: &'a [Value]) -> Result<std::result::Result<&'a Value, Value>> {
+    pub fn eval_ref<'a, R: Columns + ?Sized>(
+        &self,
+        row: &'a R,
+    ) -> Result<std::result::Result<&'a Value, Value>> {
         match self {
-            CompiledScalar::Col(i) => {
-                row.get(*i).map(Ok).ok_or(Error::ColumnOutOfBounds { index: *i, arity: row.len() })
-            }
+            CompiledScalar::Col(i) => column(row, *i).map(Ok),
             CompiledScalar::General(p) => Ok(Err(p.eval(row)?)),
         }
     }
@@ -539,15 +537,11 @@ impl CompiledProjection {
     /// Compute the projected values for one row. Callers should take the
     /// [`Self::is_identity_for`] fast path first.
     #[inline]
-    pub fn project(&self, row: &[Value]) -> Result<Vec<Value>> {
+    pub fn project<R: Columns + ?Sized>(&self, row: &R) -> Result<Vec<Value>> {
         if let Some(cols) = &self.cols {
             let mut out = Vec::with_capacity(cols.len());
             for &i in cols {
-                out.push(
-                    row.get(i)
-                        .cloned()
-                        .ok_or(Error::ColumnOutOfBounds { index: i, arity: row.len() })?,
-                );
+                out.push(column(row, i)?.clone());
             }
             return Ok(out);
         }
@@ -600,16 +594,16 @@ mod tests {
 
     #[test]
     fn program_agrees_with_interpreter() {
-        let r = row();
+        let r = &row()[..];
         for e in shapes() {
             let p = Program::compile(&e);
-            assert_eq!(p.eval(&r).unwrap(), eval(&e, &r).unwrap(), "expr {e:?}");
+            assert_eq!(p.eval(r).unwrap(), eval(&e, r).unwrap(), "expr {e:?}");
         }
     }
 
     #[test]
     fn program_errors_agree() {
-        let r = row();
+        let r = &row()[..];
         for e in [
             Expr::col(2).add(Expr::lit(1i64)),
             Expr::col(0).like(LikePattern::Prefix("x".into())),
@@ -617,46 +611,46 @@ mod tests {
             Expr::col(9),
         ] {
             let p = Program::compile(&e);
-            let (a, b) = (p.eval(&r), eval(&e, &r));
+            let (a, b) = (p.eval(r), eval(&e, r));
             assert_eq!(a.unwrap_err().to_string(), b.unwrap_err().to_string());
         }
         // Short-circuit skips RHS errors, same as the interpreter.
         let bad = Expr::col(2).add(Expr::lit(1i64)).eq(Expr::lit(1i64));
         let p = Program::compile(&Expr::lit(false).and(bad));
-        assert_eq!(p.eval(&r).unwrap(), Value::Bool(false));
+        assert_eq!(p.eval(r).unwrap(), Value::Bool(false));
     }
 
     #[test]
     fn predicate_fast_paths() {
-        let r = row();
+        let r = &row()[..];
         assert!(matches!(CompiledPredicate::compile(&Expr::true_lit()), CompiledPredicate::True));
         let p = CompiledPredicate::compile(&Expr::col(0).gt(Expr::lit(5i64)));
         assert!(matches!(p, CompiledPredicate::ColCmpLit { .. }));
-        assert!(p.matches(&r).unwrap());
+        assert!(p.matches(r).unwrap());
         // NULL column under the fast path: not selected, like eval_predicate.
         let p = CompiledPredicate::compile(&Expr::col(3).gt(Expr::lit(5i64)));
-        assert!(!p.matches(&r).unwrap());
+        assert!(!p.matches(r).unwrap());
         // Out-of-bounds column errors identically.
         let p = CompiledPredicate::compile(&Expr::col(9).gt(Expr::lit(5i64)));
         assert_eq!(
-            p.matches(&r).unwrap_err().to_string(),
-            eval_predicate(&Expr::col(9).gt(Expr::lit(5i64)), &r).unwrap_err().to_string()
+            p.matches(r).unwrap_err().to_string(),
+            eval_predicate(&Expr::col(9).gt(Expr::lit(5i64)), r).unwrap_err().to_string()
         );
         // NULL-valued fast-path predicate: not selected, like eval_predicate.
         let e = Expr::col(3).eq(Expr::lit(1i64));
         let p = CompiledPredicate::compile(&e);
         assert!(matches!(p, CompiledPredicate::ColCmpLit { .. }));
-        assert_eq!(p.matches(&r).unwrap(), eval_predicate(&e, &r).unwrap());
+        assert_eq!(p.matches(r).unwrap(), eval_predicate(&e, r).unwrap());
         // General predicates agree with eval_predicate on NULL collapse.
         let e = Expr::lit(1i64).eq(Expr::col(3));
         let p = CompiledPredicate::compile(&e);
         assert!(matches!(p, CompiledPredicate::General(_)));
-        assert_eq!(p.matches(&r).unwrap(), eval_predicate(&e, &r).unwrap());
+        assert_eq!(p.matches(r).unwrap(), eval_predicate(&e, r).unwrap());
     }
 
     #[test]
     fn projection_fast_paths() {
-        let r = row();
+        let r = &row()[..];
         let ident = CompiledProjection::compile(&[
             Expr::col(0),
             Expr::col(1),
@@ -666,13 +660,13 @@ mod tests {
         ]);
         assert!(ident.is_identity_for(5));
         assert!(!ident.is_identity_for(4));
-        assert_eq!(ident.project(&r).unwrap(), r);
+        assert_eq!(ident.project(r).unwrap(), r);
         let gather = CompiledProjection::compile(&[Expr::col(2), Expr::col(0)]);
         assert!(!gather.is_identity_for(5));
-        assert_eq!(gather.project(&r).unwrap(), vec![r[2].clone(), r[0].clone()]);
+        assert_eq!(gather.project(r).unwrap(), vec![r[2].clone(), r[0].clone()]);
         assert!(gather.project(&r[..1]).is_err(), "gather bounds-checks");
         let general = CompiledProjection::compile(&[Expr::col(0).add(Expr::lit(1i64))]);
-        assert_eq!(general.project(&r).unwrap(), vec![Value::Int(11)]);
+        assert_eq!(general.project(r).unwrap(), vec![Value::Int(11)]);
         assert_eq!(general.arity(), 1);
     }
 
@@ -750,14 +744,14 @@ mod tests {
 
     #[test]
     fn scalar_fast_path() {
-        let r = row();
+        let r = &row()[..];
         let c = CompiledScalar::compile(&Expr::col(2));
         assert!(matches!(c, CompiledScalar::Col(2)));
-        assert_eq!(c.eval(&r).unwrap(), r[2]);
-        assert!(matches!(c.eval_ref(&r).unwrap(), Ok(v) if *v == r[2]));
+        assert_eq!(c.eval(r).unwrap(), r[2]);
+        assert!(matches!(c.eval_ref(r).unwrap(), Ok(v) if *v == r[2]));
         let g = CompiledScalar::compile(&Expr::col(0).add(Expr::lit(1i64)));
-        assert_eq!(g.eval(&r).unwrap(), Value::Int(11));
-        assert!(matches!(g.eval_ref(&r).unwrap(), Err(Value::Int(11))));
-        assert!(CompiledScalar::compile(&Expr::col(9)).eval(&r).is_err());
+        assert_eq!(g.eval(r).unwrap(), Value::Int(11));
+        assert!(matches!(g.eval_ref(r).unwrap(), Err(Value::Int(11))));
+        assert!(CompiledScalar::compile(&Expr::col(9)).eval(r).is_err());
     }
 }

@@ -8,13 +8,15 @@
 
 use crate::expr::{BinaryOp, Expr, ScalarFunc};
 use ishare_common::{days_to_ymd, Error, Result, Value};
+use ishare_storage::Columns;
 
-/// Evaluate an expression against a positional row.
-pub fn eval(expr: &Expr, row: &[Value]) -> Result<Value> {
+/// Evaluate an expression against a positional row (a [`Row`] or a value
+/// slice).
+///
+/// [`Row`]: ishare_storage::Row
+pub fn eval<R: Columns + ?Sized>(expr: &Expr, row: &R) -> Result<Value> {
     match expr {
-        Expr::Column(i) => {
-            row.get(*i).cloned().ok_or(Error::ColumnOutOfBounds { index: *i, arity: row.len() })
-        }
+        Expr::Column(i) => column(row, *i).cloned(),
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Binary { op, left, right } => {
             if op.is_logical() {
@@ -80,7 +82,18 @@ pub fn eval(expr: &Expr, row: &[Value]) -> Result<Value> {
     }
 }
 
-fn eval_logical(op: BinaryOp, left: &Expr, right: &Expr, row: &[Value]) -> Result<Value> {
+/// Column `i` of `row`, or the out-of-bounds error every evaluator reports.
+#[inline]
+pub(crate) fn column<R: Columns + ?Sized>(row: &R, i: usize) -> Result<&Value> {
+    row.column(i).ok_or_else(|| Error::ColumnOutOfBounds { index: i, arity: row.width() })
+}
+
+fn eval_logical<R: Columns + ?Sized>(
+    op: BinaryOp,
+    left: &Expr,
+    right: &Expr,
+    row: &R,
+) -> Result<Value> {
     let l = to_tribool(eval(left, row)?)?;
     // Short circuit where three-valued logic allows it.
     match (op, l) {
@@ -169,7 +182,7 @@ pub(crate) fn eval_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Valu
 }
 
 /// Evaluate a predicate for filtering: NULL counts as *not selected*.
-pub fn eval_predicate(expr: &Expr, row: &[Value]) -> Result<bool> {
+pub fn eval_predicate<R: Columns + ?Sized>(expr: &Expr, row: &R) -> Result<bool> {
     match eval(expr, row)? {
         Value::Bool(b) => Ok(b),
         Value::Null => Ok(false),
@@ -195,95 +208,93 @@ mod tests {
 
     #[test]
     fn arithmetic_and_comparison() {
-        let r = row();
-        assert_eq!(eval(&Expr::col(0).add(Expr::lit(5i64)), &r).unwrap(), Value::Int(15));
-        assert_eq!(eval(&Expr::col(0).mul(Expr::col(1)), &r).unwrap(), Value::Float(25.0));
-        assert_eq!(eval(&Expr::col(0).div(Expr::lit(0i64)), &r).unwrap(), Value::Null);
-        assert_eq!(eval(&Expr::col(1).div(Expr::lit(0.0)), &r).unwrap(), Value::Null);
-        assert!(eval_predicate(&Expr::col(0).ge(Expr::lit(10i64)), &r).unwrap());
-        assert!(!eval_predicate(&Expr::col(0).lt(Expr::lit(10i64)), &r).unwrap());
+        let r = &row()[..];
+        assert_eq!(eval(&Expr::col(0).add(Expr::lit(5i64)), r).unwrap(), Value::Int(15));
+        assert_eq!(eval(&Expr::col(0).mul(Expr::col(1)), r).unwrap(), Value::Float(25.0));
+        assert_eq!(eval(&Expr::col(0).div(Expr::lit(0i64)), r).unwrap(), Value::Null);
+        assert_eq!(eval(&Expr::col(1).div(Expr::lit(0.0)), r).unwrap(), Value::Null);
+        assert!(eval_predicate(&Expr::col(0).ge(Expr::lit(10i64)), r).unwrap());
+        assert!(!eval_predicate(&Expr::col(0).lt(Expr::lit(10i64)), r).unwrap());
         // Int/Float cross-type comparison.
-        assert!(eval_predicate(&Expr::col(1).lt(Expr::lit(3i64)), &r).unwrap());
+        assert!(eval_predicate(&Expr::col(1).lt(Expr::lit(3i64)), r).unwrap());
     }
 
     #[test]
     fn null_propagation() {
-        let r = row();
-        assert_eq!(eval(&Expr::col(3).add(Expr::lit(1i64)), &r).unwrap(), Value::Null);
-        assert_eq!(eval(&Expr::col(3).eq(Expr::lit(1i64)), &r).unwrap(), Value::Null);
-        assert!(!eval_predicate(&Expr::col(3).eq(Expr::lit(1i64)), &r).unwrap());
-        assert!(eval_predicate(&Expr::IsNull(Box::new(Expr::col(3))), &r).unwrap());
+        let r = &row()[..];
+        assert_eq!(eval(&Expr::col(3).add(Expr::lit(1i64)), r).unwrap(), Value::Null);
+        assert_eq!(eval(&Expr::col(3).eq(Expr::lit(1i64)), r).unwrap(), Value::Null);
+        assert!(!eval_predicate(&Expr::col(3).eq(Expr::lit(1i64)), r).unwrap());
+        assert!(eval_predicate(&Expr::IsNull(Box::new(Expr::col(3))), r).unwrap());
     }
 
     #[test]
     fn three_valued_logic() {
-        let r = row();
+        let r = &row()[..];
         let null_pred = Expr::col(3).eq(Expr::lit(1i64)); // NULL
         let t = Expr::true_lit();
         let f = Expr::lit(false);
         // NULL AND FALSE = FALSE
-        assert_eq!(eval(&null_pred.clone().and(f.clone()), &r).unwrap(), Value::Bool(false));
+        assert_eq!(eval(&null_pred.clone().and(f.clone()), r).unwrap(), Value::Bool(false));
         // NULL AND TRUE = NULL
-        assert_eq!(eval(&null_pred.clone().and(t.clone()), &r).unwrap(), Value::Null);
+        assert_eq!(eval(&null_pred.clone().and(t.clone()), r).unwrap(), Value::Null);
         // NULL OR TRUE = TRUE
-        assert_eq!(eval(&null_pred.clone().or(t), &r).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&null_pred.clone().or(t), r).unwrap(), Value::Bool(true));
         // NULL OR FALSE = NULL
-        assert_eq!(eval(&null_pred.clone().or(f), &r).unwrap(), Value::Null);
+        assert_eq!(eval(&null_pred.clone().or(f), r).unwrap(), Value::Null);
         // NOT NULL = NULL
-        assert_eq!(eval(&null_pred.not(), &r).unwrap(), Value::Null);
+        assert_eq!(eval(&null_pred.not(), r).unwrap(), Value::Null);
     }
 
     #[test]
     fn short_circuit_skips_rhs_errors() {
-        let r = row();
+        let r = &row()[..];
         // RHS would be a type error, but FALSE AND _ short-circuits.
         let bad = Expr::col(2).add(Expr::lit(1i64)); // string arithmetic: error
         let e = Expr::lit(false).and(bad.clone().eq(Expr::lit(1i64)));
         // lhs FALSE → no rhs evaluation under AND.
-        assert_eq!(eval(&e, &r).unwrap(), Value::Bool(false));
+        assert_eq!(eval(&e, r).unwrap(), Value::Bool(false));
         let e = Expr::true_lit().or(bad.eq(Expr::lit(1i64)));
-        assert_eq!(eval(&e, &r).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, r).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn strings_and_funcs() {
-        let r = row();
-        assert!(
-            eval_predicate(&Expr::col(2).like(LikePattern::Prefix("PROMO".into())), &r).unwrap()
-        );
-        assert_eq!(eval(&Expr::col(2).substr(1, 5), &r).unwrap(), Value::str("PROMO"));
-        assert_eq!(eval(&Expr::col(2).substr(7, 100), &r).unwrap(), Value::str("BRUSHED"));
-        assert_eq!(eval(&Expr::col(4).year(), &r).unwrap(), Value::Int(1995));
+        let r = &row()[..];
+        assert!(eval_predicate(&Expr::col(2).like(LikePattern::Prefix("PROMO".into())), r).unwrap());
+        assert_eq!(eval(&Expr::col(2).substr(1, 5), r).unwrap(), Value::str("PROMO"));
+        assert_eq!(eval(&Expr::col(2).substr(7, 100), r).unwrap(), Value::str("BRUSHED"));
+        assert_eq!(eval(&Expr::col(4).year(), r).unwrap(), Value::Int(1995));
         assert_eq!(
-            eval(&Expr::col(0).in_list(vec![Value::Int(9), Value::Int(10)]), &r).unwrap(),
+            eval(&Expr::col(0).in_list(vec![Value::Int(9), Value::Int(10)]), r).unwrap(),
             Value::Bool(true)
         );
-        assert_eq!(eval(&Expr::col(3).in_list(vec![Value::Int(9)]), &r).unwrap(), Value::Null);
+        assert_eq!(eval(&Expr::col(3).in_list(vec![Value::Int(9)]), r).unwrap(), Value::Null);
     }
 
     #[test]
     fn case_expression() {
-        let r = row();
+        let r = &row()[..];
         let e = Expr::col(0).gt(Expr::lit(5i64)).case(Expr::lit(1i64), Expr::lit(0i64));
-        assert_eq!(eval(&e, &r).unwrap(), Value::Int(1));
+        assert_eq!(eval(&e, r).unwrap(), Value::Int(1));
         // NULL condition takes ELSE.
         let e = Expr::col(3).gt(Expr::lit(5i64)).case(Expr::lit(1i64), Expr::lit(0i64));
-        assert_eq!(eval(&e, &r).unwrap(), Value::Int(0));
+        assert_eq!(eval(&e, r).unwrap(), Value::Int(0));
     }
 
     #[test]
     fn type_errors_reported() {
-        let r = row();
-        assert!(eval(&Expr::col(2).add(Expr::lit(1i64)), &r).is_err());
-        assert!(eval(&Expr::col(0).like(LikePattern::Prefix("x".into())), &r).is_err());
-        assert!(eval(&Expr::col(0).year(), &r).is_err());
-        assert!(eval(&Expr::col(9), &r).is_err());
-        assert!(eval_predicate(&Expr::col(0), &r).is_err());
+        let r = &row()[..];
+        assert!(eval(&Expr::col(2).add(Expr::lit(1i64)), r).is_err());
+        assert!(eval(&Expr::col(0).like(LikePattern::Prefix("x".into())), r).is_err());
+        assert!(eval(&Expr::col(0).year(), r).is_err());
+        assert!(eval(&Expr::col(9), r).is_err());
+        assert!(eval_predicate(&Expr::col(0), r).is_err());
     }
 
     #[test]
     fn overflow_is_error_not_panic() {
-        let r = vec![Value::Int(i64::MAX)];
-        assert!(eval(&Expr::col(0).add(Expr::lit(1i64)), &r).is_err());
+        let r = &[Value::Int(i64::MAX)][..];
+        assert!(eval(&Expr::col(0).add(Expr::lit(1i64)), r).is_err());
     }
 }

@@ -73,7 +73,7 @@ proptest! {
             // Well-typed ⇒ evaluation succeeds (NULL is a value, not an
             // error); the value ranges above cannot overflow i64 within
             // depth-3 arithmetic.
-            let v = eval(&e, &r);
+            let v = eval(&e, &r[..]);
             prop_assert!(v.is_ok(), "expr {} failed: {:?}", e, v.err());
         }
     }
@@ -87,8 +87,8 @@ proptest! {
         let shifted = e.shift_columns(2);
         let mut padded = vec![Value::Null, Value::Null];
         padded.extend(r.iter().cloned());
-        let a = eval(&e, &r);
-        let b = eval(&shifted, &padded);
+        let a = eval(&e, &r[..]);
+        let b = eval(&shifted, &padded[..]);
         match (a, b) {
             (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
             (Err(_), Err(_)) => {}

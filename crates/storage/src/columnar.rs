@@ -177,13 +177,13 @@ impl ColumnarBatch {
         let mut weights = Vec::new();
         let mut masks = Vec::new();
         for r in &batch.rows {
-            let values = r.row.values();
-            let builders = builders
-                .get_or_insert_with(|| (0..values.len()).map(|_| ColumnBuilder::new()).collect());
-            if values.len() != builders.len() {
+            let arity = r.row.arity();
+            let builders =
+                builders.get_or_insert_with(|| (0..arity).map(|_| ColumnBuilder::new()).collect());
+            if arity != builders.len() {
                 return None;
             }
-            for (b, v) in builders.iter_mut().zip(values) {
+            for (b, v) in builders.iter_mut().zip(r.row.iter()) {
                 b.push(v);
             }
             weights.push(r.weight);
@@ -307,7 +307,7 @@ mod tests {
                 x.weight == y.weight
                     && x.mask == y.mask
                     && x.row.arity() == y.row.arity()
-                    && x.row.values().iter().zip(y.row.values()).all(|(v, w)| match (v, w) {
+                    && x.row.iter().zip(y.row.iter()).all(|(v, w)| match (v, w) {
                         (Value::Float(f), Value::Float(g)) => f.to_bits() == g.to_bits(),
                         (Value::Int(i), Value::Int(j)) => i == j,
                         (Value::Date(i), Value::Date(j)) => i == j,

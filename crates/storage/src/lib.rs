@@ -3,7 +3,9 @@
 //! The storage substrate under iShare's shared incremental execution engine:
 //!
 //! * [`Schema`]/[`Field`] — positional row schemas.
-//! * [`Row`] — an immutable, cheaply-clonable tuple of [`Value`]s.
+//! * [`Row`] — an immutable, cheaply-clonable tuple of [`Value`]s; a join's
+//!   output row shares its inputs' value segments instead of copying them.
+//!   [`Columns`] reads a column of a row or of a value slice alike.
 //! * [`DeltaRow`]/[`DeltaBatch`] — *signed, weighted* tuples annotated with a
 //!   query bitvector. Weight `+1` is an insertion, `-1` a deletion, and an
 //!   update is a deletion plus an insertion (Sec. 2.3 of the paper).
@@ -32,5 +34,5 @@ pub mod schema;
 pub use buffer::{ConsumerId, DeltaBuffer, Retain};
 pub use catalog::{Catalog, ColumnStats, TableDef, TableStats};
 pub use columnar::{Column, ColumnarBatch};
-pub use row::{consolidate, DeltaBatch, DeltaRow, Row};
+pub use row::{consolidate, Columns, DeltaBatch, DeltaRow, Row};
 pub use schema::{Field, Schema};

@@ -11,52 +11,194 @@
 //! ([`QuerySet`]) saying which queries the tuple is valid for.
 
 use ishare_common::{QuerySet, Value};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// An immutable tuple. Cloning is cheap (`Arc`), which matters because rows
-/// are copied into subplan materialization buffers and join state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Positional read access to a row's columns, shared by value slices and
+/// [`Row`], so expressions evaluate a joined row in place instead of
+/// flattening it first.
+pub trait Columns {
+    /// The value in column `i`; `None` past the last column.
+    fn column(&self, i: usize) -> Option<&Value>;
+    /// Number of columns.
+    fn width(&self) -> usize;
+}
+
+impl Columns for [Value] {
+    #[inline]
+    fn column(&self, i: usize) -> Option<&Value> {
+        self.get(i)
+    }
+
+    #[inline]
+    fn width(&self) -> usize {
+        self.len()
+    }
+}
+
+/// An immutable tuple. Cloning is cheap (`Arc`), and so is joining: a join's
+/// output row holds its inputs' shared value segments rather than a copy of
+/// their values, so a tuple that reaches join state, materialization
+/// buffers and downstream joins is stored once however many rows it is
+/// part of (DESIGN.md §10, "Rows share, never copy").
+///
+/// Every observable behaviour is that of the flattened value sequence:
+/// `Eq`, lexicographic `Ord`, `Hash`, `Debug` and `Display` cannot tell a
+/// joined row from [`Row::new`] over the same values.
+#[derive(Clone)]
 pub struct Row {
-    values: Arc<[Value]>,
+    repr: Repr,
+}
+
+#[derive(Clone)]
+enum Repr {
+    /// One value sequence: base rows, projections, aggregate outputs.
+    Flat(Arc<[Value]>),
+    /// A join output: its inputs' segments, in column order.
+    Joined(Arc<[Arc<[Value]>]>),
 }
 
 impl Row {
     /// Build from values.
     pub fn new(values: Vec<Value>) -> Self {
-        Row { values: values.into() }
+        Row { repr: Repr::Flat(values.into()) }
+    }
+
+    /// The segments whose concatenation is this row (one if it is flat).
+    #[inline]
+    fn segments(&self) -> &[Arc<[Value]>] {
+        match &self.repr {
+            Repr::Flat(values) => std::slice::from_ref(values),
+            Repr::Joined(segments) => segments,
+        }
     }
 
     /// Number of columns.
+    #[inline]
     pub fn arity(&self) -> usize {
-        self.values.len()
+        self.segments().iter().map(|s| s.len()).sum()
     }
 
-    /// All values.
-    pub fn values(&self) -> &[Value] {
-        &self.values
+    /// Every value, in column order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = &Value> {
+        self.segments().iter().flat_map(|s| s.iter())
+    }
+
+    /// All values as one slice: borrowed when the row is flat, a flattened
+    /// copy when it is joined. Because of that copy no per-row path calls
+    /// this; read columns through [`Columns`] or [`Self::iter`] instead.
+    #[inline]
+    pub fn values(&self) -> Cow<'_, [Value]> {
+        match &self.repr {
+            Repr::Flat(values) => Cow::Borrowed(values),
+            Repr::Joined(_) => Cow::Owned(self.iter().cloned().collect()),
+        }
     }
 
     /// Value at position `i` (panics if out of bounds — expression
     /// evaluation validates indices against schemas up front).
+    #[inline]
     pub fn get(&self, i: usize) -> &Value {
-        &self.values[i]
+        self.column(i).unwrap_or_else(|| {
+            panic!("column {i} out of bounds for a row of arity {}", self.arity())
+        })
     }
 
-    /// Concatenate two rows (join output). Collecting the chained slice
-    /// iterators (`TrustedLen`) builds the `Arc<[Value]>` in one exact-size
-    /// allocation — no intermediate `Vec`, which matters because this runs
-    /// once per emitted join match.
+    /// Concatenate two rows (join output). No value is copied: the result
+    /// clones both inputs' segment pointers into one allocation of 16 bytes
+    /// per segment (joining joined rows merges their segment lists).
     pub fn concat(&self, other: &Row) -> Row {
-        Row { values: self.values.iter().chain(other.values.iter()).cloned().collect() }
+        let segments = self.segments().iter().chain(other.segments()).cloned().collect();
+        Row { repr: Repr::Joined(segments) }
+    }
+}
+
+impl Columns for Row {
+    #[inline]
+    fn column(&self, mut i: usize) -> Option<&Value> {
+        match &self.repr {
+            Repr::Flat(values) => values.get(i),
+            Repr::Joined(segments) => {
+                for s in segments.iter() {
+                    if i < s.len() {
+                        return Some(&s[i]);
+                    }
+                    i -= s.len();
+                }
+                None
+            }
+        }
+    }
+
+    #[inline]
+    fn width(&self) -> usize {
+        self.arity()
+    }
+}
+
+impl PartialEq for Row {
+    #[inline]
+    fn eq(&self, other: &Row) -> bool {
+        match (&self.repr, &other.repr) {
+            (Repr::Flat(a), Repr::Flat(b)) => a == b,
+            _ => self.iter().eq(other.iter()),
+        }
+    }
+}
+
+impl Eq for Row {}
+
+impl Ord for Row {
+    #[inline]
+    fn cmp(&self, other: &Row) -> Ordering {
+        match (&self.repr, &other.repr) {
+            (Repr::Flat(a), Repr::Flat(b)) => a[..].cmp(&b[..]),
+            _ => self.iter().cmp(other.iter()),
+        }
+    }
+}
+
+impl PartialOrd for Row {
+    #[inline]
+    fn partial_cmp(&self, other: &Row) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Row {
+    /// What `[Value]::hash` writes for the flattened values: the length
+    /// prefix, then every value.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match &self.repr {
+            Repr::Flat(values) => values.hash(state),
+            Repr::Joined(_) => {
+                // `()` hashes to nothing, so this writes exactly the slice
+                // hash's length prefix, whatever the hasher does with it.
+                vec![(); self.arity()].hash(state);
+                for v in self.iter() {
+                    v.hash(state);
+                }
+            }
+        }
+    }
+}
+
+impl fmt::Debug for Row {
+    /// `Row { values: [..] }`, the derived form of the flat representation.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Row").field("values", &self.values()).finish()
     }
 }
 
 impl fmt::Display for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, v) in self.values.iter().enumerate() {
+        for (i, v) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
