@@ -41,7 +41,7 @@ use ishare_common::{
 use ishare_expr::compile::CompiledScalar;
 use ishare_expr::Expr;
 use ishare_plan::{AggExpr, AggFunc};
-use ishare_storage::{DeltaBatch, DeltaRow, Row};
+use ishare_storage::{prefetch_ahead, DeltaBatch, DeltaRow, Row};
 
 /// One aggregate accumulator.
 #[derive(Debug, Clone)]
@@ -299,70 +299,72 @@ impl AggState {
         // First-touch order, not map order: flush order must be a pure
         // function of the input stream so executions are reproducible and
         // thread-count independent (the parallel driver's bit-identical
-        // work-unit guarantee relies on it). The key values captured here
-        // are the ones the first-touching row evaluated to — the output-row
-        // representation, matching the reference exactly.
-        let mut touched: Vec<(u32, Vec<Value>)> = Vec::new();
-        let mut key_vals: Vec<Value> = Vec::with_capacity(spec.group_by.len());
-        for dr in &input.rows {
-            key_vals.clear();
-            for g in &spec.group_by {
-                key_vals.push(g.eval(&dr.row)?);
-            }
+        // work-unit guarantee relies on it). Group keys are encoded from
+        // borrowed values. Only the first touch of a group evaluates its
+        // output key — the representation the reference emits — into one
+        // arena of `group_by.len()` values per touched group, while the row
+        // is still in cache: re-reading the row at flush time costs a cache
+        // miss per group on large batches.
+        let mut touched: Vec<u32> = Vec::new();
+        let mut keys: Vec<Value> = Vec::new();
+        for (i, dr) in input.rows.iter().enumerate() {
+            prefetch_ahead(&input.rows[i..]);
             self.scratch.clear();
-            for v in &key_vals {
-                self.scratch.push_value(v, &mut self.interner);
+            for g in &spec.group_by {
+                self.scratch.push_value(&*g.eval_ref(&dr.row)?, &mut self.interner);
             }
             let id = self.groups.id_or_insert_with(self.scratch.as_words(), GroupState::default);
             let group = self.groups.get_by_id_mut(id).expect("live group");
             if group.touched_at != epoch {
                 group.touched_at = epoch;
-                touched.push((id, key_vals.clone()));
+                touched.push(id);
+                for g in &spec.group_by {
+                    keys.push(g.eval(&dr.row)?);
+                }
             }
             refine_classes(group, dr.mask, spec, agg_int);
             for class in &mut group.classes {
                 if class.mask.is_subset_of(dr.mask) {
                     class.rows += dr.weight;
                     for (acc, arg) in class.accums.iter_mut().zip(&spec.args) {
-                        match arg.eval_ref(&dr.row)? {
-                            Ok(v) => acc.update(v, dr.weight, weights, counter)?,
-                            Err(v) => acc.update(&v, dr.weight, weights, counter)?,
-                        }
+                        acc.update(&*arg.eval_ref(&dr.row)?, dr.weight, weights, counter)?;
                     }
                 }
             }
         }
 
-        self.flush_touched(touched, weights, counter)
+        self.flush_touched(&touched, &keys, spec.group_by.len(), weights, counter)
     }
 
     /// Flush: per touched group, retract stale output rows and emit new
     /// ones (unchanged pairs cancel). The flush is where emission order and
-    /// `AggEmit` charges are decided.
+    /// `AggEmit` charges are decided. Touched group `k`'s key is
+    /// `keys[k * arity..(k + 1) * arity]`.
     fn flush_touched(
         &mut self,
-        touched: Vec<(u32, Vec<Value>)>,
+        touched: &[u32],
+        keys: &[Value],
+        arity: usize,
         weights: &CostWeights,
         counter: &WorkCounter,
     ) -> Result<DeltaBatch> {
         let mut out = DeltaBatch::new();
         let mut emit_units = 0usize;
         let mut canceled: Vec<bool> = Vec::new();
-        for (id, key) in touched {
+        for (k, &id) in touched.iter().enumerate() {
+            let key = &keys[k * arity..(k + 1) * arity];
             let group = self.groups.get_by_id_mut(id).expect("touched group exists");
-            for class in &group.classes {
-                if class.rows < 0 {
-                    return Err(Error::InvalidDelta(format!(
-                        "group {key:?} class {} retracted below zero",
-                        class.mask
-                    )));
-                }
+            if let Some(c) = group.classes.iter().find(|c| c.rows < 0) {
+                return Err(Error::InvalidDelta(format!(
+                    "group {key:?} class {} retracted below zero",
+                    c.mask
+                )));
             }
             let mut new_pairs: Vec<(QuerySet, Row)> =
                 Vec::with_capacity(group.classes.iter().filter(|c| c.rows > 0).count());
             for c in group.classes.iter().filter(|c| c.rows > 0) {
                 let mut vals = Vec::with_capacity(key.len() + c.accums.len());
-                vals.extend(key.iter().cloned());
+                vals.extend_from_slice(key);
                 vals.extend(c.accums.iter().map(|a| a.value()));
                 new_pairs.push((c.mask, Row::new(vals)));
             }

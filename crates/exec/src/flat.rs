@@ -1,13 +1,15 @@
 //! Insertion-ordered flat hash table for operator state.
 //!
-//! [`FlatTable`] keys dense state slots by encoded [`KeyBuf`]s: an FxHash
-//! index maps the 64-bit hash of a key's `u64` words to a `u32` slot id
-//! into a `Vec` of values, so lookups hash a few words (no `Value` enum
-//! walks, no SipHash seeds) and the values live contiguously in insertion
-//! order. The key itself is materialized exactly once, in the slot — the
-//! index holds only `(hash, id)`, so inserting a fresh key costs one
-//! allocation, not two. Hash collisions (distinct keys, equal 64-bit hash)
-//! are handled by an id overflow list and resolved by comparing the slot's
+//! [`FlatTable`] keys dense state slots by encoded key words (see
+//! [`KeyBuf`]): an FxHash index maps the 64-bit hash of a key's `u64` words
+//! to a `u32` slot id into a `Vec` of values, so lookups hash a few words (no
+//! `Value` enum walks, no SipHash seeds) and the values live contiguously in
+//! insertion order. Every key of one table has the same number of words, so
+//! all keys live in one arena of that fixed stride beside the values: slot
+//! `id`'s key is `keys[id * stride..][..stride]`, and inserting a fresh key
+//! appends words to the arena instead of allocating. The index holds only
+//! `(hash, id)`. Hash collisions (distinct keys, equal 64-bit hash) are
+//! handled by an id overflow list and resolved by comparing the slot's
 //! stored key words. Removal tombstones the slot — ids handed out during
 //! one incremental execution stay valid for its whole duration — and
 //! [`FlatTable::maybe_compact`], called by operators *between* executions,
@@ -20,9 +22,11 @@
 //! per-slot consolidated entry runs (join) or first-touch lists (aggregation) —
 //! so layout determinism is defense in depth, extending `validate_replay`'s
 //! cross-process guarantee to the state itself.
+//!
+//! [`KeyBuf`]: ishare_common::KeyBuf
 
 use ishare_common::fxhash::hash_words;
-use ishare_common::{FxHashMap, KeyBuf};
+use ishare_common::FxHashMap;
 
 /// Slot ids sharing one 64-bit hash. Almost always exactly one; the `Many`
 /// arm exists so a genuine 64-bit collision degrades to a short scan
@@ -50,18 +54,30 @@ impl IdList {
     }
 }
 
-/// A hash-indexed dense table keyed by encoded keys.
+/// A hash-indexed dense table keyed by encoded keys of one fixed width.
 #[derive(Debug, Clone)]
 pub struct FlatTable<V> {
     index: FxHashMap<u64, IdList>,
-    slots: Vec<Option<(KeyBuf, V)>>,
+    /// Words per key, fixed by the first insert into an empty table.
+    stride: usize,
+    /// Slot `id`'s key words are `keys[id * stride..(id + 1) * stride]`;
+    /// a tombstoned slot keeps its words until [`Self::maybe_compact`].
+    keys: Vec<u64>,
+    values: Vec<Option<V>>,
     live: usize,
     tombstones: usize,
 }
 
 impl<V> Default for FlatTable<V> {
     fn default() -> Self {
-        FlatTable { index: FxHashMap::default(), slots: Vec::new(), live: 0, tombstones: 0 }
+        FlatTable {
+            index: FxHashMap::default(),
+            stride: 0,
+            keys: Vec::new(),
+            values: Vec::new(),
+            live: 0,
+            tombstones: 0,
+        }
     }
 }
 
@@ -82,23 +98,23 @@ impl<V> FlatTable<V> {
     }
 
     #[inline]
+    fn key(&self, id: u32) -> &[u64] {
+        let start = id as usize * self.stride;
+        &self.keys[start..start + self.stride]
+    }
+
+    #[inline]
     fn find(&self, key: &[u64], hash: u64) -> Option<u32> {
-        for &id in self.index.get(&hash)?.as_slice() {
-            if let Some((k, _)) = &self.slots[id as usize] {
-                if k.as_words() == key {
-                    return Some(id);
-                }
-            }
-        }
-        None
+        let ids = self.index.get(&hash)?.as_slice();
+        ids.iter().copied().find(|&id| self.values[id as usize].is_some() && self.key(id) == key)
     }
 
     /// Look up by encoded key words (zero-allocation probe from a scratch
-    /// [`KeyBuf`]).
+    /// key buffer).
     #[inline]
     pub fn get(&self, key: &[u64]) -> Option<&V> {
         let id = self.find(key, hash_words(key))?;
-        self.slots[id as usize].as_ref().map(|(_, v)| v)
+        self.values[id as usize].as_ref()
     }
 
     /// Slot id for a key, if present. Ids are stable until the next
@@ -111,53 +127,62 @@ impl<V> FlatTable<V> {
     /// Value at a live slot id.
     #[inline]
     pub fn get_by_id_mut(&mut self, id: u32) -> Option<&mut V> {
-        self.slots[id as usize].as_mut().map(|(_, v)| v)
+        self.values[id as usize].as_mut()
     }
 
     /// Value at a live slot id (shared).
     #[inline]
     pub fn get_by_id(&self, id: u32) -> Option<&V> {
-        self.slots[id as usize].as_ref().map(|(_, v)| v)
+        self.values[id as usize].as_ref()
     }
 
     /// Slot id for `key`, inserting `make()` into a fresh slot when absent.
-    /// The key words are materialized into one owned [`KeyBuf`] only on
-    /// insert (misses), never on the probe path.
+    /// A miss appends the key words to the arena; the probe path copies
+    /// nothing. Every key of a table must have the same number of words.
     #[inline]
     pub fn id_or_insert_with(&mut self, key: &[u64], make: impl FnOnce() -> V) -> u32 {
         let hash = hash_words(key);
         if let Some(id) = self.find(key, hash) {
             return id;
         }
-        let id = u32::try_from(self.slots.len()).expect("flat table overflow");
-        self.slots.push(Some((KeyBuf::from_words(key), make())));
+        if self.values.is_empty() {
+            self.stride = key.len();
+        }
+        assert_eq!(key.len(), self.stride, "flat table keys must have one width");
+        let id = u32::try_from(self.values.len()).expect("flat table overflow");
+        self.keys.extend_from_slice(key);
+        self.values.push(Some(make()));
         self.live += 1;
+        self.index_id(hash, id);
+        id
+    }
+
+    fn index_id(&mut self, hash: u64, id: u32) {
         match self.index.entry(hash) {
             std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(id),
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(IdList::One(id));
             }
         }
-        id
     }
 
     /// Ids of all live slots, in slot (= insertion) order. Stable until the
     /// next [`Self::maybe_compact`]; used by query churn to walk operator
     /// state for mask widening / retirement.
     pub fn live_ids(&self) -> Vec<u32> {
-        (0..self.slots.len() as u32).filter(|&id| self.slots[id as usize].is_some()).collect()
+        (0..self.values.len() as u32).filter(|&id| self.values[id as usize].is_some()).collect()
     }
 
     /// Key words and value at a live slot id.
     #[inline]
     pub fn get_by_id_with_key(&self, id: u32) -> Option<(&[u64], &V)> {
-        self.slots[id as usize].as_ref().map(|(k, v)| (k.as_words(), v))
+        self.values[id as usize].as_ref().map(|v| (self.key(id), v))
     }
 
     /// Remove the entry at `id`, tombstoning its slot. No-op on a dead id.
     pub fn remove_id(&mut self, id: u32) {
-        if let Some((key, _)) = self.slots[id as usize].take() {
-            let hash = hash_words(key.as_words());
+        if self.values[id as usize].take().is_some() {
+            let hash = hash_words(self.key(id));
             match self.index.get_mut(&hash) {
                 Some(IdList::One(_)) => {
                     self.index.remove(&hash);
@@ -182,17 +207,19 @@ impl<V> FlatTable<V> {
         if self.tombstones <= self.live {
             return;
         }
-        self.slots.retain(|s| s.is_some());
-        self.index.clear();
-        for (next, slot) in self.slots.iter().enumerate() {
-            let (key, _) = slot.as_ref().expect("retained slot");
-            let id = next as u32;
-            match self.index.entry(hash_words(key.as_words())) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(id),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(IdList::One(id));
-                }
+        let stride = self.stride;
+        let mut next = 0;
+        for id in 0..self.values.len() {
+            if self.values[id].is_some() {
+                self.keys.copy_within(id * stride..(id + 1) * stride, next * stride);
+                next += 1;
             }
+        }
+        self.keys.truncate(next * stride);
+        self.values.retain(Option::is_some);
+        self.index.clear();
+        for id in 0..next as u32 {
+            self.index_id(hash_words(self.key(id)), id);
         }
         self.tombstones = 0;
     }
@@ -201,7 +228,7 @@ impl<V> FlatTable<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ishare_common::{StrInterner, Value};
+    use ishare_common::{KeyBuf, StrInterner, Value};
 
     fn key(i: i64) -> KeyBuf {
         let mut k = KeyBuf::new();
@@ -234,14 +261,18 @@ mod tests {
         for i in 0..10 {
             t.id_or_insert_with(key(i).as_words(), || i * 100);
         }
-        for i in 0..9 {
+        for i in [0, 1, 2, 4, 5, 6, 8] {
             let id = t.id_of(key(i).as_words()).unwrap();
             t.remove_id(id);
         }
         t.maybe_compact();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(key(9).as_words()), Some(&900));
-        assert_eq!(t.id_of(key(9).as_words()), Some(0), "renumbered to dense prefix");
+        assert_eq!(t.len(), 3);
+        for (id, i) in [3, 7, 9].into_iter().enumerate() {
+            assert_eq!(t.get(key(i).as_words()), Some(&(i * 100)));
+            assert_eq!(t.id_of(key(i).as_words()), Some(id as u32), "dense, in insertion order");
+            let (k, _) = t.get_by_id_with_key(id as u32).unwrap();
+            assert_eq!(k, key(i).as_words(), "key words move with their slot");
+        }
         // And the table keeps working after compaction.
         let id = t.id_or_insert_with(key(42).as_words(), || 7);
         assert_eq!(t.get_by_id(id), Some(&7));

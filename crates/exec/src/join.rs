@@ -15,14 +15,16 @@
 //!   left and right keys encode identically.
 //! * A key slot is a consolidated run — sorted by `(row, mask)`, the order
 //!   the reference's `BTreeMap` iterates in, pairs distinct — plus an
-//!   unsorted **pending tail** of raw deltas. An insert is an O(1) push onto
-//!   the tail; the tail is merged into the run (weights of equal pairs
-//!   summed, zeros dropped) only (a) right before the slot is probed, (b) at
-//!   the end of an insert phase that pushed a negative weight into it, so an
-//!   over-retraction is reported by the execution that caused it, (c) when
-//!   the tail outgrows the run, and (d) before churn surgery counts or
-//!   re-keys entries. Probes therefore always see a consolidated slot, and
-//!   that is load-bearing: emission order feeds downstream float aggregation
+//!   unsorted **pending tail** of raw deltas. An insert moves the delta row
+//!   (never a clone: the operator consumes its input batch) onto the tail
+//!   in O(1), right after that row's probe; the tail is merged into the run
+//!   (weights of equal pairs summed, zeros dropped) only (a) right before
+//!   the slot is probed, (b) at the end of an insert phase that pushed a
+//!   negative weight into it, so an over-retraction is reported by the
+//!   execution that caused it, (c) when the tail outgrows the run, and (d)
+//!   before churn surgery counts or re-keys entries. Probes therefore always
+//!   see a consolidated slot, and that is load-bearing: emission order feeds
+//!   downstream float aggregation
 //!   and MIN/MAX rescan triggering, so it must be a pure function of the
 //!   stored multiset for the work totals to stay bit-identical. A lazily
 //!   paced subplan writes its join state often and probes it seldom, so a
@@ -42,7 +44,7 @@ use ishare_common::{
 };
 use ishare_expr::compile::CompiledScalar;
 use ishare_expr::Expr;
-use ishare_storage::{DeltaBatch, DeltaRow, Row};
+use ishare_storage::{prefetch_ahead, DeltaBatch, DeltaRow, Row};
 
 /// One stored join-side entry: `(row, mask, net weight)`.
 type Entry = (Row, QuerySet, i64);
@@ -258,23 +260,21 @@ impl JoinState {
         let mut out = DeltaBatch::new();
         let mut emits = 0usize;
 
-        // ΔL ⋈ R_old
+        // ΔL ⋈ R_old, each left row moving into L after its probe: the
+        // probes read only R, so this equals probing all of ΔL first.
         counter.charge(OpKind::JoinProbe, weights.join_probe, left_keyed.len());
-        for j in 0..left_keyed.len() {
-            let entries = probe(&mut self.right, left_keyed.key(j))?;
-            emit_matches(&mut out, left_keyed.row(&left_delta, j), entries, false, &mut emits);
-        }
-        // Insert ΔL.
         counter.charge(OpKind::JoinInsert, weights.join_insert, left_keyed.len());
-        insert_delta(&mut self.left, &left_keyed, &left_delta)?;
-        // ΔR ⋈ L_new (covers L_old⋈ΔR and ΔL⋈ΔR).
+        insert_delta(&mut self.left, &left_keyed, left_delta, |key, dr| {
+            emit_matches(&mut out, dr, probe(&mut self.right, key)?, false, &mut emits);
+            Ok(())
+        })?;
+        // ΔR ⋈ L_new (covers L_old⋈ΔR and ΔL⋈ΔR), then ΔR into R.
         counter.charge(OpKind::JoinProbe, weights.join_probe, right_keyed.len());
-        for j in 0..right_keyed.len() {
-            let entries = probe(&mut self.left, right_keyed.key(j))?;
-            emit_matches(&mut out, right_keyed.row(&right_delta, j), entries, true, &mut emits);
-        }
         counter.charge(OpKind::JoinInsert, weights.join_insert, right_keyed.len());
-        insert_delta(&mut self.right, &right_keyed, &right_delta)?;
+        insert_delta(&mut self.right, &right_keyed, right_delta, |key, dr| {
+            emit_matches(&mut out, dr, probe(&mut self.left, key)?, true, &mut emits);
+            Ok(())
+        })?;
         counter.charge(OpKind::JoinEmit, weights.join_emit, emits);
         self.left.maybe_compact();
         self.right.maybe_compact();
@@ -397,12 +397,6 @@ impl KeyedRows {
     fn key(&self, j: usize) -> &[u64] {
         &self.arena[j * self.stride..(j + 1) * self.stride]
     }
-
-    /// The `j`-th kept row of its source batch.
-    #[inline]
-    fn row<'a>(&self, batch: &'a DeltaBatch, j: usize) -> &'a DeltaRow {
-        &batch.rows[self.rows[j] as usize]
-    }
 }
 
 /// Encode join keys for every row; rows with NULL keys are silently excluded
@@ -420,22 +414,14 @@ fn key_rows<'a>(
         rows: Vec::with_capacity(batch.len()),
     };
     'rows: for (i, r) in batch.rows.iter().enumerate() {
+        prefetch_ahead(&batch.rows[i..]);
         scratch.clear();
         for k in key_scalars.clone() {
-            match k.eval_ref(&r.row)? {
-                Ok(v) => {
-                    if v.is_null() {
-                        continue 'rows;
-                    }
-                    scratch.push_value(v, interner);
-                }
-                Err(v) => {
-                    if v.is_null() {
-                        continue 'rows;
-                    }
-                    scratch.push_value(&v, interner);
-                }
+            let v = k.eval_ref(&r.row)?;
+            if v.is_null() {
+                continue 'rows;
             }
+            scratch.push_value(&v, interner);
         }
         out.arena.extend_from_slice(scratch.as_words());
         out.rows.push(i as u32);
@@ -454,27 +440,33 @@ fn probe<'t>(table: &'t mut FlatTable<EntryList>, key: &[u64]) -> Result<&'t [En
     Ok(table.get_by_id(id).map_or(&[], EntryList::as_slice))
 }
 
-/// One side's insert phase: append every keyed delta row to its key slot's
-/// pending tail — no ordered search, no comparison — then settle the slots
-/// that took a negative weight, consolidation point (b), so a retraction is
-/// netted, and an over-retraction reported, by the execution that brought it.
-/// The phase runs to its end even after a slot fails: tails never carry a
+/// One side's insert phase: hand every keyed delta row with its key to
+/// `probe`, then move it onto its key slot's pending tail — no ordered
+/// search, no comparison, no clone — and finally settle the slots that took
+/// a negative weight, consolidation point (b), so a retraction is netted,
+/// and an over-retraction reported, by the execution that brought it. The
+/// phase runs to its end even after a slot fails: tails never carry a
 /// negative weight into the next execution.
 fn insert_delta(
     table: &mut FlatTable<EntryList>,
     keyed: &KeyedRows,
-    delta: &DeltaBatch,
+    delta: DeltaBatch,
+    mut probe: impl FnMut(&[u64], &DeltaRow) -> Result<()>,
 ) -> Result<()> {
     let (mut settled, mut retracted) = (Ok(()), Vec::new());
-    for j in 0..keyed.len() {
-        let dr = keyed.row(delta, j);
-        if dr.weight == 0 {
+    let mut kept = keyed.rows.iter().enumerate().peekable();
+    for (i, dr) in delta.rows.into_iter().enumerate() {
+        let Some((j, _)) = kept.next_if(|(_, &r)| r as usize == i) else { continue };
+        let key = keyed.key(j);
+        probe(key, &dr)?;
+        let DeltaRow { row, weight, mask } = dr;
+        if weight == 0 {
             // A zero-weight delta is a no-op on the stored multiset (engine
             // streams never carry one; operators drop zero weights).
             continue;
         }
-        let new = (dr.row.clone(), dr.mask, dr.weight);
-        let id = table.id_or_insert_with(keyed.key(j), || EntryList::Empty);
+        let new = (row, mask, weight);
+        let id = table.id_or_insert_with(key, || EntryList::Empty);
         let slot = table.get_by_id_mut(id).expect("live slot");
         let outgrown = match slot {
             EntryList::Many { entries, sorted_len } => {
@@ -488,7 +480,7 @@ fn insert_delta(
                 *slot = EntryList::Many { entries: vec![old, new], sorted_len: 1 };
                 false
             }
-            EntryList::Empty if dr.weight > 0 => {
+            EntryList::Empty if weight > 0 => {
                 *slot = EntryList::One(new);
                 false
             }
@@ -502,7 +494,7 @@ fn insert_delta(
             // and a slot nobody probes costs O(log) sorts per entry.
             settled = settled.and(consolidate_slot(table, id));
         }
-        if dr.weight < 0 {
+        if weight < 0 {
             retracted.push(id);
         }
     }

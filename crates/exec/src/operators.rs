@@ -10,7 +10,7 @@
 use ishare_common::{CostWeights, OpKind, QuerySet, Result, WorkCounter};
 use ishare_expr::compile::{CompiledPredicate, CompiledProjection};
 use ishare_plan::SelectBranch;
-use ishare_storage::{DeltaBatch, DeltaRow, Row};
+use ishare_storage::{prefetch_ahead, DeltaBatch, DeltaRow, Row};
 
 /// Narrow an input batch to a subplan's query set (the σ_filter at a subplan
 /// boundary, Fig. 2): each row's mask is intersected with `queries` and rows
@@ -48,7 +48,10 @@ pub fn apply_select(
     debug_assert_eq!(branches.len(), compiled.len());
     let mut out = DeltaBatch::new();
     let mut evals = 0usize;
-    for r in batch.rows {
+    let mut rows = batch.rows.into_iter();
+    loop {
+        prefetch_ahead(rows.as_slice());
+        let Some(r) = rows.next() else { break };
         let mut mask = QuerySet::EMPTY;
         for (b, p) in branches.iter().zip(compiled) {
             let bits = b.queries.intersect(r.mask);

@@ -7,7 +7,10 @@
 //!
 //! * [`Program`] — the general form: the tree flattened into an arena
 //!   (`Vec<Node>` addressed by `u32`), with literals pre-extracted. One
-//!   contiguous allocation per expression, no `Box` pointer chasing.
+//!   contiguous allocation per expression, no `Box` pointer chasing. Nodes
+//!   evaluate to `Cow<Value>`: a column or literal is borrowed, so reading
+//!   a string never touches its reference count; only computed values are
+//!   owned.
 //! * [`CompiledPredicate`] — select-branch fast paths: constant `TRUE`
 //!   (pass-through branches) and the dominant `col ⊕ literal` shape, which
 //!   evaluates with one bounds check and one `Value::cmp` — no tree at all.
@@ -31,6 +34,7 @@ use crate::expr::{BinaryOp, Expr, LikePattern, ScalarFunc};
 use ishare_common::{days_to_ymd, norm_f64_bits, Error, Result, Value};
 use ishare_storage::columnar::{Column, ColumnarBatch};
 use ishare_storage::Columns;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Deref;
 
@@ -90,33 +94,45 @@ impl Program {
     /// Evaluate against a positional row; semantics identical to
     /// [`crate::eval::eval`].
     pub fn eval<R: Columns + ?Sized>(&self, row: &R) -> Result<Value> {
+        self.eval_node(self.root, row).map(Cow::into_owned)
+    }
+
+    /// Evaluate without cloning what the result merely reads: a column or a
+    /// literal comes back borrowed (from `row` or from the program), and
+    /// only a value the program computes is owned.
+    fn eval_cow<'a, R: Columns + ?Sized>(&'a self, row: &'a R) -> Result<Cow<'a, Value>> {
         self.eval_node(self.root, row)
     }
 
-    fn eval_node<R: Columns + ?Sized>(&self, idx: u32, row: &R) -> Result<Value> {
+    fn eval_node<'a, R: Columns + ?Sized>(
+        &'a self,
+        idx: u32,
+        row: &'a R,
+    ) -> Result<Cow<'a, Value>> {
+        let owned = |v: Value| Ok(Cow::Owned(v));
         match &self.nodes[idx as usize] {
-            Node::Col(i) => column(row, *i as usize).cloned(),
-            Node::Lit(v) => Ok(v.clone()),
+            Node::Col(i) => column(row, *i as usize).map(Cow::Borrowed),
+            Node::Lit(v) => Ok(Cow::Borrowed(v)),
             Node::Bin { op, l, r } => {
                 let lv = self.eval_node(*l, row)?;
                 let rv = self.eval_node(*r, row)?;
                 if lv.is_null() || rv.is_null() {
-                    return Ok(Value::Null);
+                    return owned(Value::Null);
                 }
                 if op.is_comparison() {
-                    eval_comparison(*op, &lv, &rv)
+                    eval_comparison(*op, &lv, &rv).map(Cow::Owned)
                 } else {
-                    eval_arithmetic(*op, &lv, &rv)
+                    eval_arithmetic(*op, &lv, &rv).map(Cow::Owned)
                 }
             }
             Node::Logical { op, l, r } => {
-                let lv = to_tribool(self.eval_node(*l, row)?)?;
+                let lv = to_tribool(&*self.eval_node(*l, row)?)?;
                 match (op, lv) {
-                    (BinaryOp::And, Some(false)) => return Ok(Value::Bool(false)),
-                    (BinaryOp::Or, Some(true)) => return Ok(Value::Bool(true)),
+                    (BinaryOp::And, Some(false)) => return owned(Value::Bool(false)),
+                    (BinaryOp::Or, Some(true)) => return owned(Value::Bool(true)),
                     _ => {}
                 }
-                let rv = to_tribool(self.eval_node(*r, row)?)?;
+                let rv = to_tribool(&*self.eval_node(*r, row)?)?;
                 let out = match op {
                     BinaryOp::And => match (lv, rv) {
                         (Some(false), _) | (_, Some(false)) => Some(false),
@@ -130,27 +146,27 @@ impl Program {
                     },
                     _ => unreachable!("Logical node with non-logical op"),
                 };
-                Ok(out.map_or(Value::Null, Value::Bool))
+                owned(out.map_or(Value::Null, Value::Bool))
             }
-            Node::Not(e) => match self.eval_node(*e, row)? {
-                Value::Null => Ok(Value::Null),
-                Value::Bool(b) => Ok(Value::Bool(!b)),
+            Node::Not(e) => match &*self.eval_node(*e, row)? {
+                Value::Null => owned(Value::Null),
+                Value::Bool(b) => owned(Value::Bool(!b)),
                 other => Err(Error::TypeMismatch(format!("NOT applied to {other}"))),
             },
-            Node::IsNull(e) => Ok(Value::Bool(self.eval_node(*e, row)?.is_null())),
+            Node::IsNull(e) => owned(Value::Bool(self.eval_node(*e, row)?.is_null())),
             Node::InList { e, list } => {
                 let v = self.eval_node(*e, row)?;
                 if v.is_null() {
-                    return Ok(Value::Null);
+                    return owned(Value::Null);
                 }
-                Ok(Value::Bool(list.contains(&v)))
+                owned(Value::Bool(list.contains(&v)))
             }
-            Node::Like { e, pattern } => match self.eval_node(*e, row)? {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Bool(pattern.matches(&s))),
+            Node::Like { e, pattern } => match &*self.eval_node(*e, row)? {
+                Value::Null => owned(Value::Null),
+                Value::Str(s) => owned(Value::Bool(pattern.matches(s))),
                 other => Err(Error::TypeMismatch(format!("LIKE applied to {other}"))),
             },
-            Node::Case { when, then, els } => match self.eval_node(*when, row)? {
+            Node::Case { when, then, els } => match &*self.eval_node(*when, row)? {
                 Value::Bool(true) => self.eval_node(*then, row),
                 Value::Bool(false) | Value::Null => self.eval_node(*els, row),
                 other => Err(Error::TypeMismatch(format!("CASE condition evaluated to {other}"))),
@@ -158,21 +174,23 @@ impl Program {
             Node::Func { func, arg } => {
                 let v = self.eval_node(*arg, row)?;
                 if v.is_null() {
-                    return Ok(Value::Null);
+                    return owned(Value::Null);
                 }
-                match func {
-                    ScalarFunc::Year => match v {
-                        Value::Date(d) => Ok(Value::Int(days_to_ymd(d).0 as i64)),
-                        other => Err(Error::TypeMismatch(format!("year() applied to {other}"))),
-                    },
-                    ScalarFunc::Substr { start, len } => match v {
-                        Value::Str(s) => {
-                            let begin = start.saturating_sub(1).min(s.len());
-                            let end = (begin + len).min(s.len());
-                            Ok(Value::str(&s[begin..end]))
-                        }
-                        other => Err(Error::TypeMismatch(format!("substr() applied to {other}"))),
-                    },
+                match (func, &*v) {
+                    (ScalarFunc::Year, Value::Date(d)) => {
+                        owned(Value::Int(days_to_ymd(*d).0 as i64))
+                    }
+                    (ScalarFunc::Year, other) => {
+                        Err(Error::TypeMismatch(format!("year() applied to {other}")))
+                    }
+                    (ScalarFunc::Substr { start, len }, Value::Str(s)) => {
+                        let begin = start.saturating_sub(1).min(s.len());
+                        let end = (begin + len).min(s.len());
+                        owned(Value::str(&s[begin..end]))
+                    }
+                    (ScalarFunc::Substr { .. }, other) => {
+                        Err(Error::TypeMismatch(format!("substr() applied to {other}")))
+                    }
                 }
             }
         }
@@ -266,8 +284,8 @@ impl CompiledPredicate {
                     _ => unreachable!("comparison returned non-bool"),
                 }
             }
-            CompiledPredicate::General(p) => match p.eval(row)? {
-                Value::Bool(b) => Ok(b),
+            CompiledPredicate::General(p) => match &*p.eval_cow(row)? {
+                Value::Bool(b) => Ok(*b),
                 Value::Null => Ok(false),
                 other => Err(Error::TypeMismatch(format!("predicate evaluated to {other}"))),
             },
@@ -392,7 +410,7 @@ impl CompiledPredicate {
                 // Whole-row programs read the batch's source rows.
                 let rows = batch.backing_rows();
                 for &i in sel {
-                    match p.eval(&rows[i as usize])? {
+                    match &*p.eval_cow(&rows[i as usize])? {
                         Value::Bool(true) => out.push(i),
                         Value::Bool(false) | Value::Null => {}
                         other => {
@@ -478,16 +496,13 @@ impl CompiledScalar {
     }
 
     /// Borrowed view for callers that only need to *inspect* the value
-    /// (NULL checks, key encoding): avoids the clone on the column path.
-    /// Returns `Err(value)` when the scalar had to be computed.
+    /// (NULL checks, key encoding, accumulator updates): a column or literal
+    /// comes back borrowed, only a computed value is owned.
     #[inline]
-    pub fn eval_ref<'a, R: Columns + ?Sized>(
-        &self,
-        row: &'a R,
-    ) -> Result<std::result::Result<&'a Value, Value>> {
+    pub fn eval_ref<'a, R: Columns + ?Sized>(&'a self, row: &'a R) -> Result<Cow<'a, Value>> {
         match self {
-            CompiledScalar::Col(i) => column(row, *i).map(Ok),
-            CompiledScalar::General(p) => Ok(Err(p.eval(row)?)),
+            CompiledScalar::Col(i) => column(row, *i).map(Cow::Borrowed),
+            CompiledScalar::General(p) => p.eval_cow(row),
         }
     }
 }
@@ -748,10 +763,10 @@ mod tests {
         let c = CompiledScalar::compile(&Expr::col(2));
         assert!(matches!(c, CompiledScalar::Col(2)));
         assert_eq!(c.eval(r).unwrap(), r[2]);
-        assert!(matches!(c.eval_ref(r).unwrap(), Ok(v) if *v == r[2]));
+        assert!(matches!(c.eval_ref(r).unwrap(), Cow::Borrowed(v) if *v == r[2]));
         let g = CompiledScalar::compile(&Expr::col(0).add(Expr::lit(1i64)));
         assert_eq!(g.eval(r).unwrap(), Value::Int(11));
-        assert!(matches!(g.eval_ref(r).unwrap(), Err(Value::Int(11))));
+        assert!(matches!(g.eval_ref(r).unwrap(), Cow::Owned(Value::Int(11))));
         assert!(CompiledScalar::compile(&Expr::col(9)).eval(r).is_err());
     }
 }

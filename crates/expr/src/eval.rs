@@ -94,14 +94,14 @@ fn eval_logical<R: Columns + ?Sized>(
     right: &Expr,
     row: &R,
 ) -> Result<Value> {
-    let l = to_tribool(eval(left, row)?)?;
+    let l = to_tribool(&eval(left, row)?)?;
     // Short circuit where three-valued logic allows it.
     match (op, l) {
         (BinaryOp::And, Some(false)) => return Ok(Value::Bool(false)),
         (BinaryOp::Or, Some(true)) => return Ok(Value::Bool(true)),
         _ => {}
     }
-    let r = to_tribool(eval(right, row)?)?;
+    let r = to_tribool(&eval(right, row)?)?;
     let out = match op {
         BinaryOp::And => match (l, r) {
             (Some(false), _) | (_, Some(false)) => Some(false),
@@ -118,10 +118,10 @@ fn eval_logical<R: Columns + ?Sized>(
     Ok(out.map_or(Value::Null, Value::Bool))
 }
 
-pub(crate) fn to_tribool(v: Value) -> Result<Option<bool>> {
+pub(crate) fn to_tribool(v: &Value) -> Result<Option<bool>> {
     match v {
         Value::Null => Ok(None),
-        Value::Bool(b) => Ok(Some(b)),
+        Value::Bool(b) => Ok(Some(*b)),
         other => Err(Error::TypeMismatch(format!("boolean operator applied to {other}"))),
     }
 }

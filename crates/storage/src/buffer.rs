@@ -28,7 +28,9 @@ pub enum Retain {
     /// ([`all_rows`](DeltaBuffer::all_rows)).
     All,
     /// Keep only what some registered consumer still has to read; the
-    /// fully-consumed prefix is dropped on `compact`. The default.
+    /// fully-consumed prefix is dropped on `compact`, and by a pull that
+    /// leaves every live cursor at the end (see
+    /// [`pull`](DeltaBuffer::pull)). The default.
     #[default]
     Consumed,
 }
@@ -36,10 +38,17 @@ pub enum Retain {
 /// An append-only delta buffer with independently paced consumers.
 ///
 /// Offsets are *absolute* stream positions; internally the buffer may drop a
-/// prefix that every registered consumer has already read ([`compact`]), in
-/// which case `rows[i]` holds the row at absolute position `base + i`.
+/// prefix that every registered consumer has already read ([`compact`], or a
+/// [`pull`] by the last reader), in which case `rows[i]` holds the row at
+/// absolute position `base + i`.
+///
+/// Rows move through a buffer rather than being copied: [`extend`] takes a
+/// batch by value, and the pull that leaves no live reader behind hands the
+/// resident rows over instead of cloning them.
 ///
 /// [`compact`]: DeltaBuffer::compact
+/// [`pull`]: DeltaBuffer::pull
+/// [`extend`]: DeltaBuffer::extend
 #[derive(Debug, Default)]
 pub struct DeltaBuffer {
     rows: Vec<DeltaRow>,
@@ -65,12 +74,14 @@ impl DeltaBuffer {
 
     /// Register a new consumer starting at the beginning of the stream.
     ///
-    /// Consumers must be registered before any [`compact`] call has dropped
-    /// rows: a consumer registered later would start at position 0, below the
+    /// Consumers must be registered before any rows were dropped — by
+    /// [`compact`], or by a [`pull`] that released the consumed prefix: a
+    /// consumer registered later would start at position 0, below the
     /// compacted base, and silently read from the wrong place. Such late
     /// registration is an error.
     ///
     /// [`compact`]: DeltaBuffer::compact
+    /// [`pull`]: DeltaBuffer::pull
     pub fn register_consumer(&mut self) -> Result<ConsumerId> {
         if self.base != 0 {
             return Err(Error::InvalidDelta(format!(
@@ -204,10 +215,19 @@ impl DeltaBuffer {
         self.high_water = self.high_water.max(self.rows.len());
     }
 
-    /// Append a whole batch.
-    pub fn append(&mut self, batch: &DeltaBatch) {
-        self.rows.extend(batch.rows.iter().cloned());
+    /// Append a whole batch, moving its rows in.
+    pub fn extend(&mut self, batch: DeltaBatch) {
+        if self.rows.is_empty() {
+            self.rows = batch.rows;
+        } else {
+            self.rows.extend(batch.rows);
+        }
         self.high_water = self.high_water.max(self.rows.len());
+    }
+
+    /// Append a copy of a whole batch.
+    pub fn append(&mut self, batch: &DeltaBatch) {
+        self.extend(batch.clone());
     }
 
     /// All rows appended so far (used by batch/one-shot execution, final
@@ -228,11 +248,25 @@ impl DeltaBuffer {
     /// Rows the consumer has not yet seen, advancing its cursor to the end.
     /// This is the pull a parent subplan performs at the start of each of its
     /// incremental executions.
+    ///
+    /// On a [`Retain::Consumed`] buffer, a pull that leaves every live
+    /// cursor at the end is the last read of every resident row: it hands
+    /// the rows over instead of cloning them and drops the prefix the other
+    /// consumers had already read — a [`compact`](Self::compact) done early.
+    /// Afterwards nothing is resident and later registration through
+    /// [`register_consumer`](Self::register_consumer) errors. Any other pull
+    /// copies its rows and keeps them resident for the lagging consumers.
     pub fn pull(&mut self, c: ConsumerId) -> Result<DeltaBatch> {
-        let off = self.offset(c)?;
-        let batch = DeltaBatch::from_rows(self.rows[off - self.base..].to_vec());
-        self.offsets[c.0] = self.len();
-        Ok(batch)
+        let start = self.offset(c)? - self.base;
+        let end = self.len();
+        self.offsets[c.0] = end;
+        if self.retention == Retain::Consumed && self.min_live_offset() == Some(end) {
+            let mut rows = std::mem::take(&mut self.rows);
+            rows.drain(..start);
+            self.base = end;
+            return Ok(DeltaBatch::from_rows(rows));
+        }
+        Ok(DeltaBatch::from_rows(self.rows[start..].to_vec()))
     }
 
     /// Current cursor of a consumer (absolute stream position).
@@ -262,9 +296,17 @@ impl DeltaBuffer {
             .collect()
     }
 
+    /// The lowest cursor among consumers that still read. Retired consumers
+    /// never read again; only active cursors pin rows.
+    fn min_live_offset(&self) -> Option<usize> {
+        self.offsets.iter().zip(&self.retired).filter(|(_, &dead)| !dead).map(|(&off, _)| off).min()
+    }
+
     /// Drop the prefix every registered consumer has already read, returning
     /// the number of rows freed. A consumer never re-reads below its cursor,
-    /// so this cannot change what any future `pull`/`peek` observes.
+    /// so this cannot change what any future `pull`/`peek` observes. A pull
+    /// by the last reader does the same on the spot (see [`Self::pull`]), so
+    /// on a buffer whose consumers all keep up this finds nothing to drop.
     ///
     /// No-op on [`Retain::All`] buffers and on buffers with no consumers
     /// (nothing is known to be consumed), so callers can compact every
@@ -273,15 +315,7 @@ impl DeltaBuffer {
         if self.retention == Retain::All {
             return 0;
         }
-        // Retired consumers never read again; only active cursors pin rows.
-        let Some(min_off) = self
-            .offsets
-            .iter()
-            .zip(&self.retired)
-            .filter(|(_, &dead)| !dead)
-            .map(|(&off, _)| off)
-            .min()
-        else {
+        let Some(min_off) = self.min_live_offset() else {
             return 0;
         };
         let drop = min_off - self.base;
@@ -370,24 +404,24 @@ mod tests {
         assert_eq!(b.compact(), 0);
         assert_eq!(b.retained_len(), 6);
 
+        // c2 overtakes c1, which still has to read rows 6 and 7.
+        b.push(dr(6));
+        b.push(dr(7));
         let got2 = b.pull(c2).unwrap();
-        assert_eq!(got2.len(), 6);
+        assert_eq!(got2.len(), 8);
+        assert_eq!(b.retained_len(), 8, "c1 lags, so the pull copied");
         assert_eq!(b.compact(), 6);
-        assert_eq!(b.retained_len(), 0);
-        assert_eq!(b.len(), 6);
+        assert_eq!(b.retained_len(), 2);
+        assert_eq!(b.len(), 8);
         assert_eq!(b.compacted(), 6);
 
         // The stream continues seamlessly at absolute position 6.
-        b.push(dr(6));
-        b.push(dr(7));
         assert_eq!(b.pending(c1).unwrap(), 2);
         let got1 = b.pull(c1).unwrap();
         assert_eq!(got1.len(), 2);
         assert_eq!(got1.rows[0].row.get(0), &Value::Int(6));
-        assert_eq!(b.compact(), 0); // c2 lags again
-        assert_eq!(b.pull(c2).unwrap().len(), 2);
-        assert_eq!(b.compact(), 2);
-        assert_eq!(b.len(), 8);
+        assert_eq!(b.compact(), 0, "the last reader's pull already released them");
+        assert_eq!(b.compacted(), 8);
     }
 
     #[test]
@@ -452,8 +486,8 @@ mod tests {
         let mut b = DeltaBuffer::new();
         let c = b.register_consumer().unwrap();
         b.push(dr(1));
-        b.pull(c).unwrap();
-        assert_eq!(b.compact(), 1);
+        b.pull(c).unwrap(); // the only reader: releases the row
+        assert_eq!(b.compacted(), 1);
         assert!(b.register_consumer().is_err(), "would silently read from the compacted base");
         // Before any rows are dropped, late registration is still fine.
         let mut fresh = DeltaBuffer::new();
@@ -469,7 +503,7 @@ mod tests {
         b.push(dr(1));
         b.push(dr(2));
         b.pull(c0).unwrap();
-        assert_eq!(b.compact(), 2);
+        assert_eq!(b.compacted(), 2);
         // Plain registration is rejected after compaction, end-registration
         // always works.
         assert!(b.register_consumer().is_err());
@@ -479,6 +513,42 @@ mod tests {
         let got = b.pull(c1).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got.rows[0].row.get(0), &Value::Int(3));
+    }
+
+    #[test]
+    fn last_reader_pull_hands_rows_over() {
+        let mut b = DeltaBuffer::new();
+        let c = b.register_consumer().unwrap();
+        for v in 0..3 {
+            b.push(dr(v));
+        }
+        assert_eq!(b.pull(c).unwrap().len(), 3);
+        assert_eq!(b.retained_len(), 0, "a single consumer's pull releases every row");
+        assert_eq!(b.len(), 3);
+        // A retired sibling does not hold rows back either.
+        let mut b = DeltaBuffer::new();
+        let live = b.register_consumer().unwrap();
+        let dead = b.register_consumer().unwrap();
+        b.push(dr(0));
+        b.retire_consumer(dead).unwrap();
+        b.pull(live).unwrap();
+        assert_eq!(b.retained_len(), 0);
+    }
+
+    #[test]
+    fn retain_all_buffers_never_release() {
+        let mut b = DeltaBuffer::new();
+        b.set_retention(Retain::All);
+        let c = b.register_consumer().unwrap();
+        for v in 0..3 {
+            b.push(dr(v));
+        }
+        assert_eq!(b.pull(c).unwrap().len(), 3);
+        assert_eq!(b.retained_len(), 3);
+        b.push(dr(3));
+        assert_eq!(b.pull(c).unwrap().len(), 1);
+        assert_eq!(b.all_rows().len(), 4, "the full stream stays resident");
+        assert!(b.register_consumer().is_ok());
     }
 
     #[test]

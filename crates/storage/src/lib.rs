@@ -34,5 +34,5 @@ pub mod schema;
 pub use buffer::{ConsumerId, DeltaBuffer, Retain};
 pub use catalog::{Catalog, ColumnStats, TableDef, TableStats};
 pub use columnar::{Column, ColumnarBatch};
-pub use row::{consolidate, Columns, DeltaBatch, DeltaRow, Row};
+pub use row::{consolidate, prefetch_ahead, Columns, DeltaBatch, DeltaRow, Row};
 pub use schema::{Field, Schema};

@@ -7,7 +7,9 @@
 //!   both retention modes — the buffer's bookkeeping (total length, resident
 //!   prefix, compacted count) matches the model exactly, and registering a
 //!   consumer after compaction has dropped rows errors instead of silently
-//!   reading from the compacted base.
+//!   reading from the compacted base. In the model, as in the buffer, a
+//!   `Retain::Consumed` pull that leaves every cursor at the end drops the
+//!   consumed prefix on the spot.
 
 use ishare_common::{QueryId, QuerySet, Value};
 use ishare_storage::{ConsumerId, DeltaBuffer, DeltaRow, Retain, Row};
@@ -91,6 +93,9 @@ proptest! {
                     let got: Vec<i64> = if op == 1 {
                         let batch = buf.pull(consumers[c]).unwrap();
                         offsets[c] = appended.len();
+                        if !retain_all && offsets.iter().all(|&o| o == appended.len()) {
+                            base = appended.len();
+                        }
                         batch.rows.iter().map(|r| r.row.get(0).as_i64().unwrap()).collect()
                     } else {
                         // Peek must not advance the model offset.

@@ -826,7 +826,7 @@ impl Runner<'_> {
                     &counter,
                 )?;
                 handoff_rows += batch.rows.len() as u64;
-                engine.sp_buffers[r.index()].append(&batch);
+                engine.sp_buffers[r.index()].extend(batch);
             }
         }
         Ok((handoff_rows, counter.total().get()))

@@ -130,7 +130,7 @@ impl<'e> FrontView<'e> {
         }
         let out = locked(&self.executors[i]).execute(&mut inputs, &counter)?;
         counter.charge(OpKind::Materialize, self.weights.materialize, out.len());
-        locked(&self.sp[i]).append(&out);
+        locked(&self.sp[i]).extend(out);
         Ok((counter.total(), started.elapsed(), counter.breakdown()))
     }
 }
