@@ -6,8 +6,8 @@
 //! predicate evaluation vs recursive `Expr` eval.
 //!
 //! Both variants of each pair charge identical work to identical counters —
-//! bit-identity is enforced by `tests/kernel_equivalence.rs` and the
-//! `validate_kernels` bin; this bench only measures the wall-clock gap.
+//! bit-identity is enforced by `tests/lattice.rs`; this bench only
+//! measures the wall-clock gap.
 //!
 //! Set `ISHARE_BENCH_QUICK=1` (CI smoke) to run one small size with few
 //! samples — a compile-and-run gate, not a measurement.

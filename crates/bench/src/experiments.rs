@@ -1324,7 +1324,7 @@ pub fn churn(p: &Params) -> Result<()> {
     });
 
     // 2 — live churn run: admit q3 at 1/4 and q4 at 2/4, remove q1 at 3/4
-    // (the validate_churn trajectory).
+    // (the churn scenario of tests/lattice.rs).
     let initial: Vec<(QueryId, LogicalPlan)> = pool[..3].to_vec();
     let cons: BTreeMap<QueryId, FinalWorkConstraint> =
         (0..5).map(|q| (QueryId(q), FinalWorkConstraint::Relative(0.35))).collect();

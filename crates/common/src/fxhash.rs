@@ -9,8 +9,8 @@
 //! silently become seed-dependent. [`FxHasher`] is the fixed-seed
 //! multiply-rotate hash used by rustc (firefox's "Fx" hash): two processes
 //! always agree on every hash, so state layout is a pure function of the
-//! operation sequence — the same guarantee `validate_replay` already checks
-//! end to end.
+//! operation sequence — the same guarantee the golden constants of
+//! `tests/lattice.rs` check end to end.
 //!
 //! Fx is not DoS-resistant; it is only used for engine-internal state keyed
 //! by trusted data, never for user-facing collections.
@@ -134,7 +134,7 @@ mod tests {
     fn deterministic_across_builders() {
         // No per-instance seed: every builder hashes identically. (The
         // cross-*process* half of this guarantee is exercised end to end by
-        // the validate_kernels / validate_replay smoke bins.)
+        // the golden constants of tests/lattice.rs.)
         assert_eq!(fx_of(0x1234_5678_9abc_def0u64), fx_of(0x1234_5678_9abc_def0u64));
         assert_eq!(fx_of("hello"), fx_of("hello"));
         assert_eq!(fx_of(vec![1u64, 2, 3]), fx_of(vec![1u64, 2, 3]));

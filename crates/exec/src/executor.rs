@@ -13,8 +13,8 @@
 //! expressions, flat state — `join`, `aggregate`, `operators`) and the
 //! original [`ExecMode::Reference`] datapath (`reference`), kept as a
 //! differential oracle. Both must produce bit-identical outputs and charged
-//! work on every input — `tests/kernel_equivalence.rs` and the
-//! `validate_kernels` smoke bin enforce it.
+//! work on every input — the differential lattice (`tests/lattice.rs`)
+//! enforces it.
 
 use crate::aggregate::{AggSpec, AggState};
 use crate::join::{JoinKeys, JoinState};

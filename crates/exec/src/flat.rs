@@ -20,8 +20,8 @@
 //! guarantee a deterministic operation sequence per operator. Nothing the
 //! engine emits depends on layout anyway — emission order comes from
 //! per-slot consolidated entry runs (join) or first-touch lists (aggregation) —
-//! so layout determinism is defense in depth, extending `validate_replay`'s
-//! cross-process guarantee to the state itself.
+//! so layout determinism is defense in depth, extending the cross-process
+//! guarantee of `tests/lattice.rs`'s golden constants to the state itself.
 //!
 //! [`KeyBuf`]: ishare_common::KeyBuf
 

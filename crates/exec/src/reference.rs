@@ -6,10 +6,10 @@
 //! SipHash maps, join state in `BTreeMap<(Row, QuerySet), i64>`, and one
 //! `WorkCounter::charge` per tuple. The datapath kernels (`join`,
 //! `aggregate`, `operators`) replace all of it on the hot path; this copy
-//! exists so `tests/kernel_equivalence.rs` and the `validate_kernels` smoke
-//! bin can run the same workload through both datapaths and assert that
-//! charged work units, per-query `final_work`, and `QueryResult`s are
-//! bit-identical — the invariant that makes the kernel rewrite safe.
+//! exists so the differential lattice (`tests/lattice.rs`) can run the
+//! same workloads through both datapaths and assert that charged work
+//! units, per-query `final_work`, and `QueryResult`s are bit-identical —
+//! the invariant that makes the kernel rewrite safe.
 //!
 //! Selected via [`crate::executor::ExecMode::Reference`]; nothing else
 //! should call into this module.

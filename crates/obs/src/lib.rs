@@ -13,8 +13,8 @@
 //! **passive**: recording only *reads* the engine's [`WorkCounter`]s and the
 //! wall clock, never charges work or takes locks on the execution path, so a
 //! run with observability enabled produces bit-identical work numbers to one
-//! without — the `parallel_equivalence` and `pace_invariance` suites assert
-//! exactly that. The one caveat is float association: the flat `total_work`
+//! without — the obs axis of the differential lattice (`tests/lattice.rs`)
+//! asserts exactly that. The one caveat is float association: the flat `total_work`
 //! accumulates in charge order while the breakdown regroups the same terms
 //! by operator kind, so the two agree to ~1e-12 relative, not bitwise; the
 //! test suites assert agreement at 1e-6.

@@ -1,6 +1,7 @@
 //! Live churn must leave *every* query that is live at the end with the
 //! right answer — the survivors of the original set, not only the queries
-//! admitted mid-run (which is all `validate_churn` compares).
+//! admitted mid-run (the churn scenario of `tests/lattice.rs` checks the
+//! same on a smaller script).
 //!
 //! The script shape is the benchmark's `live_churn`: the ten sharing-friendly
 //! TPC-H queries by position, seven live from the start, three admitted at
