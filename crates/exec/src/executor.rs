@@ -73,50 +73,38 @@ struct CompiledOps {
     agg_specs: HashMap<Vec<usize>, AggSpec>,
 }
 
-/// Opaque transplantable operator state of one executor, keyed by tree
-/// path. Produced by [`SubplanExecutor::take_state_bundle`] and consumed by
-/// [`SubplanExecutor::install_state_bundle`] when query churn re-cuts the
-/// shared plan: a surviving subplan hands its join/aggregate state to its
-/// successor executor instead of replaying history.
-/// [`StateBundle::extract_prefix`] supports subplan *splits* — the state
-/// under a forced-cut path moves to the new child subplan with paths
-/// re-rooted at the cut, while the remainder stays with the parent (whose
-/// paths are unchanged: the cut node becomes an `Input` leaf in place).
-#[derive(Debug, Default)]
-pub struct StateBundle {
-    states: HashMap<Vec<usize>, OpState>,
-}
-
-impl StateBundle {
-    /// Number of stateful-operator states carried.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// `true` iff no state is carried.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// Remove every state whose tree path starts with `prefix` and return
-    /// it as a new bundle with the prefix stripped (re-rooted at the cut
-    /// node). States not under `prefix` stay in `self`.
-    pub fn extract_prefix(&mut self, prefix: &[usize]) -> StateBundle {
-        // `retain` cannot move values out, so drain the map and rebuild
-        // `self` while peeling off the prefixed entries.
-        let mut kept = HashMap::new();
-        let mut out = HashMap::new();
-        for (path, st) in std::mem::take(&mut self.states) {
-            if path.starts_with(prefix) {
-                out.insert(path[prefix.len()..].to_vec(), st);
-            } else {
-                kept.insert(path, st);
-            }
+impl OpState {
+    /// Stored entries (see [`SubplanExecutor::state_rows`]).
+    fn rows(&self) -> usize {
+        match self {
+            OpState::Join(j) => j.left_size() + j.right_size(),
+            OpState::Agg(a) => a.state_size(),
+            OpState::RefJoin(_) | OpState::RefAgg(_) => 0,
         }
-        self.states = kept;
-        StateBundle { states: out }
     }
 }
+
+/// The state of one stateful operator (a join or an aggregate), moved out
+/// of an executor by [`SubplanExecutor::into_state_bundle`]. Opaque: query
+/// churn only carries it to whichever executor holds the same DAG node
+/// after a re-cut, or counts it as reclaimed.
+#[derive(Debug)]
+pub struct OperatorState(OpState);
+
+impl OperatorState {
+    /// Stored state entries (see [`SubplanExecutor::state_rows`]).
+    pub fn rows(&self) -> usize {
+        self.0.rows()
+    }
+}
+
+/// An executor's operator states, keyed by tree path. Produced by
+/// [`SubplanExecutor::into_state_bundle`] and consumed by
+/// [`SubplanExecutor::install_state_bundle`]: when query churn re-cuts the
+/// shared plan, each state moves to the path its DAG node holds in the
+/// successor executor (the same path for a surviving subplan, a path
+/// re-rooted at the cut for a split-off one) instead of replaying history.
+pub type StateBundle = HashMap<Vec<usize>, OperatorState>;
 
 /// Executes one subplan incrementally, holding its operator state.
 #[derive(Debug)]
@@ -225,92 +213,20 @@ impl SubplanExecutor {
 
     /// Total stored state entries across this subplan's stateful operators:
     /// join (row, mask) entries on both sides plus aggregate classes and
-    /// outstanding emitted pairs. Feeds the churn reclaimed-rows accounting.
+    /// outstanding emitted pairs.
     pub fn state_rows(&self) -> usize {
-        self.states
-            .values()
-            .map(|s| match s {
-                OpState::Join(j) => j.left_size() + j.right_size(),
-                OpState::Agg(a) => a.state_size(),
-                OpState::RefJoin(_) | OpState::RefAgg(_) => 0,
-            })
-            .sum()
-    }
-
-    /// Swap this subplan description (and its lowered kernels) for a
-    /// structurally identical successor produced by a churn re-cut, keeping
-    /// all operator state in place. "Structurally identical" means the same
-    /// tree shape with stateful operators *and leaves* at the same paths —
-    /// only select branch membership, the query sets, and expression lists
-    /// may differ (e.g. an admitted query joined an existing predicate
-    /// branch, or a removed query's branch disappeared). A re-cut that
-    /// excises even a stateless subtree (scan → select/project) moves a
-    /// leaf: the cut-away child then has to inherit this subplan's cursors,
-    /// or it would replay the whole history into state that already holds
-    /// it. Rejects shape changes with [`Error::Churn`]; splits must go
-    /// through [`Self::take_state_bundle`] instead.
-    pub fn refresh_subplan(
-        &mut self,
-        subplan: &Subplan,
-        catalog: &Catalog,
-        child_schemas: &HashMap<SubplanId, Schema>,
-    ) -> Result<()> {
-        let mut agg_int = HashMap::new();
-        let mut fresh_states = HashMap::new();
-        let mut compiled = CompiledOps::default();
-        init_states(
-            &subplan.root,
-            &mut Vec::new(),
-            catalog,
-            child_schemas,
-            self.mode,
-            &mut agg_int,
-            &mut fresh_states,
-            &mut compiled,
-        )?;
-        // Leaf *paths* only: the re-cut renumbers the `SubplanId`s behind
-        // them.
-        let leaf_paths = |root: &OpTree| -> Vec<Vec<usize>> {
-            let mut out = Vec::new();
-            collect_leaves(root, &mut Vec::new(), &mut out);
-            out.into_iter().map(|(path, _)| path).collect()
-        };
-        if leaf_paths(&subplan.root) != leaf_paths(&self.subplan.root)
-            || fresh_states.len() != self.states.len()
-            || fresh_states.iter().any(|(path, st)| {
-                self.states
-                    .get(path)
-                    .is_none_or(|old| std::mem::discriminant(old) != std::mem::discriminant(st))
-            })
-        {
-            return Err(Error::Churn(format!(
-                "subplan {:?} changed shape across re-cut; state cannot be kept in place",
-                subplan.id
-            )));
-        }
-        self.subplan = subplan.clone();
-        self.agg_int = agg_int;
-        self.compiled = compiled;
-        Ok(())
+        self.states.values().map(OpState::rows).sum()
     }
 
     /// Move all operator state out for transplant into successor executors
-    /// (see [`StateBundle`]). This executor is left with fresh empty state —
-    /// it stays runnable but has forgotten its history, so callers normally
-    /// drop it afterwards. [`Error::Churn`] in [`ExecMode::Reference`]: the
-    /// oracle datapath does not support state surgery.
-    pub fn take_state_bundle(&mut self) -> Result<StateBundle> {
+    /// (see [`StateBundle`]), consuming this executor. [`Error::Churn`] in
+    /// [`ExecMode::Reference`]: the oracle datapath does not support state
+    /// surgery.
+    pub fn into_state_bundle(self) -> Result<StateBundle> {
         if self.mode == ExecMode::Reference {
             return Err(churn_unsupported());
         }
-        let states = std::mem::take(&mut self.states);
-        for path in self.compiled.join_keys.keys() {
-            self.states.insert(path.clone(), OpState::Join(JoinState::new()));
-        }
-        for path in self.compiled.agg_specs.keys() {
-            self.states.insert(path.clone(), OpState::Agg(AggState::new()));
-        }
-        Ok(StateBundle { states })
+        Ok(self.states.into_iter().map(|(path, st)| (path, OperatorState(st))).collect())
     }
 
     /// Install transplanted operator state at matching tree paths, replacing
@@ -323,7 +239,7 @@ impl SubplanExecutor {
         if self.mode == ExecMode::Reference {
             return Err(churn_unsupported());
         }
-        for (path, st) in bundle.states {
+        for (path, OperatorState(st)) in bundle {
             match self.states.get_mut(&path) {
                 Some(slot) if std::mem::discriminant(slot) == std::mem::discriminant(&st) => {
                     *slot = st;
@@ -428,10 +344,9 @@ impl SubplanExecutor {
     /// Stateful-operator snapshots are canonicalized (sorted by row and
     /// mask, equal pairs merged, zero weights dropped) before the spine
     /// re-run, so the result is independent of state insertion order (see
-    /// `consolidate_snapshot`). The caller must have
-    /// [`Self::refresh_subplan`]-ed this executor first so `q_new` is in the
-    /// subplan's query set and select branches. [`Error::Churn`] in
-    /// [`ExecMode::Reference`].
+    /// `consolidate_snapshot`). The executor must have been built from the
+    /// post-admission subplan, so `q_new` is in its query set and select
+    /// branches. [`Error::Churn`] in [`ExecMode::Reference`].
     pub fn snapshot_output(
         &self,
         q_ref: QueryId,
@@ -914,10 +829,14 @@ mod tests {
             inputs.insert(leaves[1].0.clone(), DeltaBatch::from_rows(us));
             acc.extend(ex.execute(&mut inputs, &counter).unwrap().rows);
         }
-        // Admit q2 with q0 as witness: widen the subplan description, then
-        // snapshot. The agg roots the spine, so no leaf history is needed.
+        // Admit q2 with q0 as witness: move the state into an executor of
+        // the widened subplan, then snapshot. The agg roots the spine, so no
+        // leaf history is needed.
         sp.queries = qs(&[0, 1, 2]);
-        ex.refresh_subplan(&sp, &c, &HashMap::new()).unwrap();
+        let bundle = ex.into_state_bundle().unwrap();
+        let mut ex =
+            SubplanExecutor::new(&sp, &c, &HashMap::new(), CostWeights::default()).unwrap();
+        ex.install_state_bundle(bundle).unwrap();
         assert!(ex.snapshot_leaf_dependencies().is_empty());
         let snap =
             ex.snapshot_output(QueryId(0), QueryId(2), &mut HashMap::new(), &counter).unwrap();
@@ -979,7 +898,7 @@ mod tests {
     }
 
     /// Transplanting state through a bundle must continue the stream
-    /// bit-identically, and prefix extraction must re-root subtree state.
+    /// bit-identically.
     #[test]
     fn state_bundle_transplant_preserves_stream() {
         let c = catalog();
@@ -1010,9 +929,10 @@ mod tests {
         let mut a = SubplanExecutor::new(&sp, &c, &HashMap::new(), weights).unwrap();
         let mut out = vec![run_step(&mut a, &steps[0], &tc), run_step(&mut a, &steps[1], &tc)];
         let rows_before = a.state_rows();
-        let bundle = a.take_state_bundle().unwrap();
+        let bundle = a.into_state_bundle().unwrap();
         assert_eq!(bundle.len(), 2, "agg at [] and join at [0]");
-        assert_eq!(a.state_rows(), 0, "donor is left with fresh empty state");
+        let moved: usize = bundle.values().map(OperatorState::rows).sum();
+        assert_eq!(moved, rows_before);
         let mut b = SubplanExecutor::new(&sp, &c, &HashMap::new(), weights).unwrap();
         b.install_state_bundle(bundle).unwrap();
         assert_eq!(b.state_rows(), rows_before);
@@ -1021,10 +941,10 @@ mod tests {
         assert_eq!(tc.total().get().to_bits(), cc.total().get().to_bits());
     }
 
-    /// Splitting at the join: the extracted sub-bundle re-roots at [] and
-    /// installs into an executor whose subplan is the join subtree.
+    /// A cut at the join: the join's state moves from path [0] to the root
+    /// of an executor whose subplan is the join subtree.
     #[test]
-    fn extract_prefix_moves_subtree_state() {
+    fn state_moves_to_the_path_its_node_holds() {
         let c = catalog();
         let sp = sample_subplan(&c);
         let weights = CostWeights::default();
@@ -1035,10 +955,9 @@ mod tests {
         inputs.insert(leaves[1].0.clone(), DeltaBatch::from_rows(vec![t_row(1, 100)]));
         ex.execute(&mut inputs, &counter).unwrap();
 
-        let mut bundle = ex.take_state_bundle().unwrap();
-        let sub = bundle.extract_prefix(&[0]);
-        assert_eq!(sub.len(), 1, "join state re-rooted at []");
-        assert_eq!(bundle.len(), 1, "agg state stays with the parent");
+        let mut bundle = ex.into_state_bundle().unwrap();
+        let join = bundle.remove([0].as_slice()).expect("join state at [0]");
+        let sub = StateBundle::from([(Vec::new(), join)]);
 
         let join_sp = Subplan {
             id: SubplanId(1),
@@ -1073,12 +992,12 @@ mod tests {
         let msg = |e: Error| e.to_string();
         assert!(msg(ex.widen_query(QueryId(0), QueryId(2)).unwrap_err()).contains("churn"));
         assert!(msg(ex.retire_query(QueryId(1)).unwrap_err()).contains("churn"));
-        assert!(msg(ex.take_state_bundle().unwrap_err()).contains("churn"));
-        assert!(msg(ex.install_state_bundle(StateBundle::default()).unwrap_err()).contains("churn"));
+        assert!(msg(ex.install_state_bundle(StateBundle::new()).unwrap_err()).contains("churn"));
         assert!(msg(ex
             .snapshot_output(QueryId(0), QueryId(2), &mut HashMap::new(), &counter)
             .unwrap_err())
         .contains("churn"));
+        assert!(msg(ex.into_state_bundle().unwrap_err()).contains("churn"));
     }
 
     /// The two datapaths must agree bit-for-bit: same output rows in the

@@ -20,15 +20,22 @@
 //!    root plus the admission's attachment frontier — so surviving subplans
 //!    never fuse and the new query's private cone taps shared structure at
 //!    materialized buffers;
-//! 2. runs the pace search over the re-cut plan under the live queries'
-//!    *residual* budgets `R(q) = max(0, L(q) − charged final work)`; an
-//!    infeasible admission is rejected with [`Error::Churn`] before any
-//!    engine state is touched (the merge happens on a clone of the sharer);
-//! 3. reconciles the engine: surviving subplans keep their executors,
-//!    buffers, and consumer cursors (re-compiled in place via
-//!    `refresh_subplan`); a frontier cut *inside* a surviving subplan
-//!    splits it, transplanting operator state path-by-path with
-//!    `StateBundle::extract_prefix`; new private subplans start cold;
+//! 2. runs a fresh pace search over the whole re-cut plan, from batch,
+//!    under the live queries' *residual* budgets
+//!    `R(q) = max(0, L(q) − charged final work)`; an infeasible admission is
+//!    rejected with [`Error::Churn`] before any engine state is touched (the
+//!    merge happens on a clone of the sharer);
+//! 3. reconciles the engine by DAG identity. Every post-edit executor is
+//!    built fresh; each operator state moves to the executor that now holds
+//!    its DAG node, each leaf cursor (with its pending seed) to the leaf
+//!    that reads the same DAG edge (parent node, input index), and each
+//!    buffer to the subplan rooted at its node. A surviving subplan, one
+//!    split off by a frontier cut and the new query's fresh cone are the
+//!    same rule: a split-off piece finds its state and cursors by identity,
+//!    a fresh cone finds none and starts cold. This works because every
+//!    live non-scan node sits at exactly one position of exactly one
+//!    subplan (multi-parent nodes are cut), and the sharer never rewires an
+//!    existing node's children;
 //! 4. hands existing state to the new query where subplans are shared:
 //!    the *witness query* (a query that has seen exactly the rows the new
 //!    query would have seen over the reused structure) indexes operator
@@ -41,9 +48,10 @@
 //!
 //! Removal reverses: the query's bit is cleared everywhere, query-empty
 //! nodes are tombstoned, the re-cut drops subplans whose query set went
-//! empty, their executors and buffers are garbage-collected (reported as
-//! `churn.reclaimed_rows`), surviving operator state drops the query's
-//! mask column via `retire_query`, and the query's slack-ledger entry is
+//! empty, and the same reconciliation counts whatever no live node or edge
+//! claims — a dead cone's operator state, buffers and seeds — as
+//! `churn.reclaimed_rows`. Surviving operator state drops the query's mask
+//! column via `retire_query`, and the query's slack-ledger entry is
 //! released.
 //!
 //! ## Determinism
@@ -51,31 +59,29 @@
 //! Every churn event is applied on a *quiesced* boundary: the loop first
 //! drains all delta buffers with one children-first execution sweep, so
 //! operator state, buffers, and consumer cursors agree exactly when state
-//! is snapshotted or transplanted. Events are recorded in the ingest commit
-//! log as [`ChurnRecord`]s, so a killed run replays the exact churn
-//! trajectory (replay verification compares whole commit entries, churn
-//! included). The surgery itself runs on the coordinating thread between
-//! two fronts, and a churn run's fronts go through the same tick function
-//! and the same fold as any other run's — so results and all measured work
-//! numbers are bit-identical across obs on/off, worker threads
+//! is snapshotted or moved. Events are recorded in the ingest commit log
+//! as [`ChurnRecord`]s, so a killed run replays the exact churn trajectory
+//! (replay verification compares whole commit entries, churn included).
+//! The surgery itself runs on the coordinating thread between two fronts,
+//! and a churn run's fronts go through the same tick function and the same
+//! fold as any other run's — so results and all measured work numbers are
+//! bit-identical across obs on/off, worker threads
 //! ([`SourceOptions::workers`]), and kill/resume.
 
 use crate::driver::{run_wavefronts, Live, RunResult, SourceOptions, SourceOutcome};
-use crate::engine::Seeds;
+use crate::engine::{EngineState, Seeds};
 use crate::fold::Fold;
-use ishare_common::{
-    CostWeights, Error, NodeId, QueryId, QuerySet, Result, SubplanId, TableId, WorkCounter,
-};
+use ishare_common::{CostWeights, Error, NodeId, QueryId, QuerySet, Result, TableId, WorkCounter};
 use ishare_core::constraint::batch_final_works;
 use ishare_core::pace_search::SearchOutcome;
 use ishare_core::{find_pace_configuration, resolve_constraints, FinalWorkConstraint};
 use ishare_cost::PlanEstimator;
-use ishare_exec::executor::StateBundle;
+use ishare_exec::executor::{OperatorState, StateBundle};
 use ishare_exec::{ExecMode, ExecOptions, SubplanExecutor};
-use ishare_ingest::{ChurnKind, ChurnRecord, CommitLog, Source};
+use ishare_ingest::{ChurnKind, ChurnRecord, Source};
 use ishare_mqo::{normalize, IncrementalSharer, MqoConfig};
-use ishare_plan::{DagOp, InputSource, LogicalPlan, SharedDag, SharedPlan};
-use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer, Retain, Schema};
+use ishare_plan::{DagOp, InputSource, LogicalPlan, OpTree, SharedDag, SharedPlan, TreeOp};
+use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer, Retain};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
@@ -129,7 +135,7 @@ impl ChurnScript {
 }
 
 /// Options for a churn run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ChurnOptions {
     /// Ingest/runtime options shared with the plain source drivers
     /// ([`ExecMode::Reference`] is rejected: the oracle datapath has no
@@ -137,17 +143,13 @@ pub struct ChurnOptions {
     pub source: SourceOptions,
     /// MQO configuration for the incremental sharer.
     pub mqo: MqoConfig,
-    /// Pace-search bound (0 falls back to 8).
+    /// Pace-search bound: at least 1, 8 by default.
     pub max_pace: u32,
 }
 
-impl ChurnOptions {
-    fn max_pace(&self) -> u32 {
-        if self.max_pace == 0 {
-            8
-        } else {
-            self.max_pace
-        }
+impl Default for ChurnOptions {
+    fn default() -> Self {
+        ChurnOptions { source: SourceOptions::default(), mqo: MqoConfig::default(), max_pace: 8 }
     }
 }
 
@@ -171,60 +173,13 @@ pub struct ChurnRunResult {
     pub quiesce_ticks: usize,
 }
 
-/// Outcome of a churn run, mirroring [`crate::SourceOutcome`].
-#[derive(Debug)]
-pub enum ChurnOutcome {
-    /// The run executed every wavefront.
-    Completed {
-        /// The measured run.
-        result: Box<ChurnRunResult>,
-        /// Commit log (wavefronts + churn records) for replay verification.
-        log: CommitLog,
-    },
-    /// Stopped by [`SourceOptions::stop_after`].
-    Suspended {
-        /// Commit log of the completed wavefronts.
-        log: CommitLog,
-    },
-}
-
-impl ChurnOutcome {
-    /// Unwrap a completed run's result; errors on `Suspended`.
-    pub fn into_result(self) -> Result<ChurnRunResult> {
-        match self {
-            ChurnOutcome::Completed { result, .. } => Ok(*result),
-            ChurnOutcome::Suspended { log } => Err(Error::InvalidConfig(format!(
-                "churn run suspended after {} wavefronts, no result",
-                log.len()
-            ))),
-        }
-    }
-}
+/// Outcome of a churn run: [`SourceOutcome`] carrying a [`ChurnRunResult`]
+/// (the commit log holds wavefronts and churn records).
+pub type ChurnOutcome = SourceOutcome<ChurnRunResult>;
 
 /// `a/b <= c/d`, exact in `u64`.
 fn frac_le(a: u32, b: u32, c: u32, d: u32) -> bool {
     u64::from(a) * u64::from(d) <= u64::from(c) * u64::from(b)
-}
-
-/// Where a post-churn subplan's executor and buffer came from.
-#[derive(Debug, Clone, PartialEq)]
-enum Origin {
-    /// Same root node as old subplan `i`: executor, buffer, and consumer
-    /// cursors carried over (a split *parent* is also a survivor — it keeps
-    /// the old buffer and the state above the cut).
-    Survivor(usize),
-    /// Root was *interior* to old subplan `old` at tree path `prefix`:
-    /// fresh executor with state transplanted from the donor's bundle,
-    /// fresh buffer, consumer cursors carried from the donor's leaves
-    /// under `prefix`.
-    Split {
-        /// Donor (old) subplan index.
-        old: usize,
-        /// Tree path of this subplan's root inside the donor.
-        prefix: Vec<usize>,
-    },
-    /// Created for an admitted query's private cone: everything cold.
-    Fresh,
 }
 
 /// Run `initial` queries (with optional final-work `constraints`; missing
@@ -243,6 +198,9 @@ pub fn execute_churn_from_source(
         return Err(Error::Churn(
             "the reference datapath does not support live churn (no state surgery)".into(),
         ));
+    }
+    if opts.max_pace == 0 {
+        return Err(Error::InvalidConfig("max_pace must be >= 1".into()));
     }
     if initial.is_empty() {
         return Err(Error::InvalidConfig("churn run needs at least one initial query".into()));
@@ -267,7 +225,7 @@ pub fn execute_churn_from_source(
     sharer.seal();
     let (plan, roots) = SharedPlan::from_dag_with_roots(sharer.dag(), |_| false, &[])?;
     let budgets = resolve_constraints(initial, constraints, catalog, weights)?;
-    let outcome = search_from_batch(&plan, catalog, weights, &budgets, opts.max_pace())?;
+    let outcome = search_from_batch(&plan, catalog, weights, &budgets, opts.max_pace)?;
 
     let mut live =
         Live::new(Cow::Owned(plan), outcome.paces.as_slice(), catalog, weights, &opts.source)?;
@@ -275,31 +233,26 @@ pub fn execute_churn_from_source(
     let mut runner = Runner {
         catalog,
         weights,
-        max_pace: opts.max_pace(),
+        max_pace: opts.max_pace,
         exec_opts: opts.source.exec_options(),
         pending: script.events.iter().cloned().collect(),
         sharer,
         roots,
         forced: Vec::new(),
         budgets,
-        removed: Vec::new(),
         churn: Vec::new(),
-        reclaimed_total: 0,
-        handoff_total: 0,
         quiesce_ticks: 0,
-        merge_reused: 0,
-        merge_created: 0,
     };
-    match run_wavefronts(live, source, &opts.source, None, Some(&mut runner))? {
-        SourceOutcome::Suspended { log } => Ok(ChurnOutcome::Suspended { log }),
+    Ok(match run_wavefronts(live, source, &opts.source, None, Some(&mut runner))? {
+        SourceOutcome::Suspended { log } => SourceOutcome::Suspended { log },
         SourceOutcome::Completed { result, log } => {
-            Ok(ChurnOutcome::Completed { result: Box::new(runner.finish(*result)), log })
+            SourceOutcome::Completed { result: Box::new(runner.finish(*result)), log }
         }
-    }
+    })
 }
 
 /// The churn state of a run: the live sharer and budgets, the script's
-/// pending events, and what the applied ones added up to. The wavefront
+/// pending events, and the records of the applied ones. The wavefront
 /// loop owns plan, paces and engine ([`Live`]); [`Runner::apply`] swaps
 /// them at a boundary.
 pub(crate) struct Runner<'a> {
@@ -318,14 +271,10 @@ pub(crate) struct Runner<'a> {
     forced: Vec<NodeId>,
     /// Absolute final-work budgets `L(q)` of the live queries.
     budgets: BTreeMap<QueryId, f64>,
-    removed: Vec<QueryId>,
+    /// Applied events, in order; every churn total derives from them.
     churn: Vec<ChurnRecord>,
-    reclaimed_total: u64,
-    handoff_total: u64,
     /// Extra drain executions the loop ran to quiesce churn boundaries.
     pub(crate) quiesce_ticks: usize,
-    merge_reused: u64,
-    merge_created: u64,
 }
 
 impl Runner<'_> {
@@ -347,305 +296,205 @@ impl Runner<'_> {
         self.budgets.iter().map(|(&q, &l)| (q, (l - fold.final_work(plan, q)).max(0.0))).collect()
     }
 
-    /// Apply one event on the quiesced engine: validate on a clone of the
-    /// sharer, re-cut, re-search, reconcile `live`'s engine, then swap
-    /// plan and paces and tell `fold` about the re-cut.
+    /// Apply one event on the quiesced engine: edit a clone of the sharer,
+    /// re-cut, re-search and validate; then reconcile `live`'s engine, hand
+    /// off (admission) or retire (removal), swap plan and paces, and tell
+    /// `fold` about the re-cut.
     pub(crate) fn apply(
         &mut self,
         live: &mut Live<'_>,
         fold: &mut Fold,
         ev: ChurnEvent,
     ) -> Result<ChurnRecord> {
-        let record = match ev.op {
-            ChurnOp::Admit { query, plan, constraint } => {
-                self.apply_admit(live, fold, query, &plan, constraint)?
-            }
-            ChurnOp::Remove { query } => self.apply_remove(live, fold, query)?,
-        };
-        self.churn.push(record.clone());
-        Ok(record)
-    }
-
-    fn apply_admit(
-        &mut self,
-        live: &mut Live<'_>,
-        fold: &mut Fold,
-        q: QueryId,
-        lp: &LogicalPlan,
-        constraint: FinalWorkConstraint,
-    ) -> Result<ChurnRecord> {
         // Speculate on a clone: nothing below touches live state until the
-        // admission has fully validated.
+        // event has fully validated.
         let mut trial = self.sharer.clone();
-        let diff = trial.admit(q, &normalize(lp))?;
-        let l = match constraint {
-            FinalWorkConstraint::Absolute(x) => x,
-            FinalWorkConstraint::Relative(r) => {
-                let batch = batch_final_works(&[(q, lp.clone())], self.catalog, self.weights)?;
-                r * batch.get(&q).copied().ok_or_else(|| {
-                    Error::InvalidConfig(format!("no batch baseline for admitted query {q}"))
-                })?
+        let mut cuts = self.roots.clone();
+        let (kind, q, budget, created, nodes) = match ev.op {
+            ChurnOp::Admit { query, plan, constraint } => {
+                let diff = trial.admit(query, &normalize(&plan))?;
+                let l = match constraint {
+                    FinalWorkConstraint::Absolute(x) => x,
+                    FinalWorkConstraint::Relative(r) => {
+                        let batch =
+                            batch_final_works(&[(query, plan)], self.catalog, self.weights)?;
+                        r * batch.get(&query).copied().ok_or_else(|| {
+                            Error::InvalidConfig(format!(
+                                "no batch baseline for admitted query {query}"
+                            ))
+                        })?
+                    }
+                };
+                cuts.extend(diff.frontier);
+                let nodes = (diff.reused.len(), diff.created.len());
+                (ChurnKind::Admit, query, Some(l), diff.created, nodes)
+            }
+            ChurnOp::Remove { query } => {
+                let diff = trial.remove(query)?;
+                if trial.queries().is_empty() {
+                    return Err(Error::Churn(format!(
+                        "cannot remove query {query}: it is the last live query"
+                    )));
+                }
+                let nodes = (diff.shrunk_nodes.len(), diff.removed_nodes.len());
+                (ChurnKind::Remove, query, None, Vec::new(), nodes)
             }
         };
-
         let mut forced = self.forced.clone();
-        for r in self.roots.iter().chain(diff.frontier.iter()) {
-            if !forced.contains(r) {
-                forced.push(*r);
+        for r in cuts {
+            if !forced.contains(&r) {
+                forced.push(r);
             }
         }
         let (plan2, roots2) = SharedPlan::from_dag_with_roots(trial.dag(), |_| false, &forced)?;
-
-        // Witness requirement: any shared (non-fresh) subplan now serving
-        // the new query needs a witness query to index its state by. The
-        // witness is *per subplan* — a global intersection over all reused
-        // nodes is too strict once the new query taps several cones shared
-        // by disjoint query subsets (routine in TPC-H workloads).
-        let old_by_root: HashMap<u32, usize> =
-            self.roots.iter().enumerate().map(|(i, r)| (r.0, i)).collect();
-        let witnesses = subplan_witnesses(trial.dag(), &plan2, &roots2, q, |root| {
-            !old_by_root.contains_key(&root.0) && diff.created.contains(root)
-        });
-        for (j, root) in roots2.iter().enumerate() {
-            let fresh = !old_by_root.contains_key(&root.0) && diff.created.contains(root);
-            if !fresh && plan2.subplans[j].queries.contains(q) && witnesses[j].is_none() {
-                return Err(Error::Churn(format!(
-                    "admission of query {q} shares subplan {j} (root {root}) but no live \
-                     query witnesses its input cone; state handoff would be ambiguous"
-                )));
-            }
-        }
+        // A created node is never an old root, so "fresh" (everything cold)
+        // is exactly "rooted at a node this admission created".
+        let fresh: Vec<bool> = roots2.iter().map(|r| created.contains(r)).collect();
 
         let mut cons = self.residual_constraints(&live.plan, fold);
-        cons.insert(q, l);
+        cons.remove(&q);
+        let mut witnesses = Vec::new();
+        if let Some(l) = budget {
+            // Any shared (non-fresh) subplan now serving the new query needs
+            // a witness query to index its state by — *per subplan*: a
+            // global intersection over all reused nodes is too strict once
+            // the new query taps several cones shared by disjoint query
+            // subsets (routine in TPC-H workloads).
+            witnesses = subplan_witnesses(trial.dag(), &plan2, &roots2, q, &fresh);
+            let shared = |j: usize| !fresh[j] && plan2.subplans[j].queries.contains(q);
+            if let Some(j) = (0..plan2.len()).find(|&j| shared(j) && witnesses[j].is_none()) {
+                return Err(Error::Churn(format!(
+                    "admission of query {q} shares subplan {j} (root {}) but no live query \
+                     witnesses its input cone; state handoff would be ambiguous",
+                    roots2[j]
+                )));
+            }
+            cons.insert(q, l);
+        }
+        // A removal is never rejected for pace reasons: the remaining
+        // queries' residuals may already be exhausted, so its search is best
+        // effort.
         let outcome = search_from_batch(&plan2, self.catalog, self.weights, &cons, self.max_pace)?;
-        if !outcome.feasible {
+        if let Some(l) = budget.filter(|_| !outcome.feasible) {
             return Err(Error::Churn(format!(
                 "admission of query {q} is infeasible under final-work budget {l} given the \
                  live queries' residual budgets"
             )));
         }
 
-        let (handoff_rows, handoff_work) =
-            self.reconcile(live, &plan2, &roots2, Some((&witnesses, q, &diff.created)), None)?;
+        let engine = &mut live.engine;
+        let reclaimed = self.reconcile(engine, trial.dag(), &plan2, &roots2)?;
+        let (handoff_rows, handoff_work, reclaimed_rows) = if budget.is_some() {
+            let (rows, work) = hand_off(engine, &plan2, q, &witnesses, &fresh)?;
+            (rows, work, 0)
+        } else {
+            // Surviving state drops the removed query's mask column.
+            let mut retired = reclaimed;
+            for (ex, root) in engine.executors.iter_mut().zip(&roots2) {
+                if self.sharer.dag().nodes[root.0 as usize].queries.contains(q) {
+                    retired += ex.retire_query(q)? as u64;
+                }
+            }
+            (0, 0.0, retired)
+        };
 
         let record = ChurnRecord {
-            kind: ChurnKind::Admit,
+            kind,
             query: q.0,
-            nodes_reused: diff.reused.len() as u32,
-            nodes_created: diff.created.len() as u32,
+            nodes_reused: nodes.0 as u32,
+            nodes_created: nodes.1 as u32,
             subplans: plan2.len() as u32,
             handoff_rows,
-            reclaimed_rows: 0,
+            reclaimed_rows,
             handoff_work_bits: handoff_work.to_bits(),
         };
         self.sharer = trial;
         self.roots = roots2;
         self.forced = forced;
-        self.budgets.insert(q, l);
-        self.handoff_total += handoff_rows;
-        self.merge_reused += u64::from(record.nodes_reused);
-        self.merge_created += u64::from(record.nodes_created);
         fold.recut(&live.plan, &plan2);
-        if let Some(ledger) = fold.ledger.as_mut() {
-            ledger.add_query(q, l);
-        }
-        live.plan = Cow::Owned(plan2);
-        live.paces = outcome.paces.as_slice().to_vec();
-        Ok(record)
-    }
-
-    fn apply_remove(
-        &mut self,
-        live: &mut Live<'_>,
-        fold: &mut Fold,
-        q: QueryId,
-    ) -> Result<ChurnRecord> {
-        let mut trial = self.sharer.clone();
-        let diff = trial.remove(q)?;
-        if trial.queries().is_empty() {
-            return Err(Error::Churn(format!(
-                "cannot remove query {q}: it is the last live query"
-            )));
-        }
-        let mut forced = self.forced.clone();
-        for r in &self.roots {
-            if !forced.contains(r) {
-                forced.push(*r);
+        match budget {
+            Some(l) => {
+                self.budgets.insert(q, l);
+                if let Some(ledger) = fold.ledger.as_mut() {
+                    ledger.add_query(q, l);
+                }
+            }
+            None => {
+                self.budgets.remove(&q);
+                if let Some(ledger) = fold.ledger.as_mut() {
+                    ledger.drop_query(q);
+                }
             }
         }
-        let (plan2, roots2) = SharedPlan::from_dag_with_roots(trial.dag(), |_| false, &forced)?;
-        let mut cons = self.residual_constraints(&live.plan, fold);
-        cons.remove(&q);
-        // Best effort: the remaining queries' residuals may already be
-        // exhausted; removal itself is never rejected for pace reasons.
-        let outcome = search_from_batch(&plan2, self.catalog, self.weights, &cons, self.max_pace)?;
-
-        let (reclaimed, _) = self.reconcile(live, &plan2, &roots2, None, Some(q))?;
-
-        let record = ChurnRecord {
-            kind: ChurnKind::Remove,
-            query: q.0,
-            nodes_reused: diff.shrunk_nodes.len() as u32,
-            nodes_created: diff.removed_nodes.len() as u32,
-            subplans: plan2.len() as u32,
-            handoff_rows: 0,
-            reclaimed_rows: reclaimed,
-            handoff_work_bits: 0,
-        };
-        self.sharer = trial;
-        self.roots = roots2;
-        self.forced = forced;
-        self.budgets.remove(&q);
-        self.removed.push(q);
-        self.reclaimed_total += reclaimed;
-        fold.recut(&live.plan, &plan2);
-        if let Some(ledger) = fold.ledger.as_mut() {
-            ledger.drop_query(q);
-        }
         live.plan = Cow::Owned(plan2);
         live.paces = outcome.paces.as_slice().to_vec();
+        self.churn.push(record.clone());
         Ok(record)
     }
 
-    /// Rebuild the engine around the re-cut plan, carrying state by root
-    /// node identity. Returns `(rows, handoff_work)`: admissions report
-    /// rows/work seeded into the new query, removals report rows reclaimed
-    /// (work 0).
-    #[allow(clippy::type_complexity)]
+    /// Rebuild `engine` around the re-cut plan by DAG identity (module docs,
+    /// step 3): pool the old executors' operator states by node and their
+    /// leaf cursors and seeds by edge, build every post-edit executor and
+    /// install the pooled state at its new paths, claim cursors by edge and
+    /// register the unclaimed leaves. Returns the rows nothing claimed — a
+    /// dead cone's state, buffers and seeds — which are reclaimed.
     fn reconcile(
-        &mut self,
-        live: &mut Live<'_>,
+        &self,
+        engine: &mut EngineState,
+        dag: &SharedDag,
         plan2: &SharedPlan,
         roots2: &[NodeId],
-        admit: Option<(&[Option<QueryId>], QueryId, &Vec<NodeId>)>,
-        remove: Option<QueryId>,
-    ) -> Result<(u64, f64)> {
-        let n2 = plan2.len();
+    ) -> Result<u64> {
+        let mut states: HashMap<NodeId, OperatorState> = HashMap::new();
+        let mut cursors: HashMap<Edge, (InputSource, ConsumerId, Option<DeltaBatch>)> =
+            HashMap::new();
+        let mut buffers: HashMap<NodeId, DeltaBuffer> = HashMap::new();
+        let old = std::mem::take(&mut engine.executors)
+            .into_iter()
+            .zip(std::mem::take(&mut engine.sp_buffers))
+            .zip(std::mem::take(&mut engine.leaf_consumers))
+            .zip(std::mem::take(&mut engine.seeds));
+        for (i, (((ex, buf), leaves), mut seeds)) in old.enumerate() {
+            let root = self.roots[i];
+            for (path, st) in ex.into_state_bundle()? {
+                states.insert(node_at(dag, root, &path), st);
+            }
+            for (path, src, cid) in leaves {
+                let seed = seeds.remove(&path);
+                cursors.insert(leaf_edge(dag, root, &path), (src, cid, seed));
+            }
+            buffers.insert(root, buf);
+        }
+
         let schemas = plan2.schemas(self.catalog)?;
-        let old_by_root: HashMap<u32, usize> =
-            self.roots.iter().enumerate().map(|(i, r)| (r.0, i)).collect();
-        let created: Option<&Vec<NodeId>> = admit.as_ref().map(|(_, _, c)| *c);
-
-        let engine = &mut live.engine;
-        let mut old_execs: Vec<Option<SubplanExecutor>> =
-            std::mem::take(&mut engine.executors).into_iter().map(Some).collect();
-        let mut old_bufs: Vec<Option<DeltaBuffer>> =
-            std::mem::take(&mut engine.sp_buffers).into_iter().map(Some).collect();
-        let old_cons: Vec<Vec<(Vec<usize>, InputSource, ConsumerId)>> =
-            std::mem::take(&mut engine.leaf_consumers);
-        let mut old_seeds: Vec<Seeds> = std::mem::take(&mut engine.seeds);
-
-        let mut origin: Vec<Option<Origin>> = vec![None; n2];
-        let mut new_execs: Vec<Option<SubplanExecutor>> = (0..n2).map(|_| None).collect();
-        let mut new_bufs: Vec<Option<DeltaBuffer>> = (0..n2).map(|_| None).collect();
-
-        // Pass 1 — survivors: same root node, carry executor + buffer.
-        // A refresh rejection (shape change) marks a split donor.
-        let mut split_parents: Vec<(usize, usize)> = Vec::new();
-        for (j, root) in roots2.iter().enumerate() {
-            let Some(&i) = old_by_root.get(&root.0) else { continue };
-            origin[j] = Some(Origin::Survivor(i));
-            new_bufs[j] = Some(old_bufs[i].take().ok_or_else(|| {
-                Error::InvalidPlan(format!("old subplan {i} buffer claimed twice"))
-            })?);
-            let mut ex = old_execs[i]
-                .take()
-                .ok_or_else(|| Error::InvalidPlan(format!("old subplan {i} claimed twice")))?;
-            match ex.refresh_subplan(&plan2.subplans[j], self.catalog, &schemas) {
-                Ok(()) => new_execs[j] = Some(ex),
-                Err(Error::Churn(_)) => {
-                    old_execs[i] = Some(ex);
-                    split_parents.push((i, j));
-                }
-                Err(e) => return Err(e),
+        let mut sp_buffers: Vec<DeltaBuffer> =
+            roots2.iter().map(|r| buffers.remove(r).unwrap_or_default()).collect();
+        for q in plan2.queries().iter() {
+            if let Some(r) = plan2.query_root(q) {
+                sp_buffers[r.index()].set_retention(Retain::All);
             }
         }
-
-        // Pass 2 — splits: a forced cut landed *inside* a surviving
-        // subplan. Transplant operator state path-by-path from the donor.
-        for &(i, j1) in &split_parents {
-            let mut donor = old_execs[i]
-                .take()
-                .ok_or_else(|| Error::InvalidPlan(format!("split donor {i} missing")))?;
-            let bundle = donor.take_state_bundle()?;
-            self.build_split(
-                plan2,
-                roots2,
-                &schemas,
-                j1,
-                bundle,
-                i,
-                Vec::new(),
-                created,
-                &mut origin,
-                &mut new_execs,
-                &mut new_bufs,
-            )?;
-        }
-
-        // Pass 3 — everything else is a fresh private subplan.
-        for j in 0..n2 {
-            if origin[j].is_some() {
-                continue;
-            }
-            origin[j] = Some(Origin::Fresh);
-            new_execs[j] = Some(SubplanExecutor::new_with_options(
-                &plan2.subplans[j],
+        let (mut executors, mut leaf_consumers, mut new_seeds) =
+            (Vec::new(), Vec::new(), Vec::new());
+        for (sp, &root) in plan2.subplans.iter().zip(roots2) {
+            let mut ex = SubplanExecutor::new_with_options(
+                sp,
                 self.catalog,
                 &schemas,
                 self.weights,
                 self.exec_opts,
-            )?);
-            new_bufs[j] = Some(DeltaBuffer::new());
-        }
-        for q in plan2.queries().iter() {
-            if let Some(r) = plan2.query_root(q) {
-                new_bufs[r.index()]
-                    .as_mut()
-                    .expect("all buffers placed")
-                    .set_retention(Retain::All);
-            }
-        }
-
-        // Old subplan index → new index of the survivor that kept its
-        // buffer (for retiring stale cursors on moved buffers).
-        let old_to_new: HashMap<usize, usize> = origin
-            .iter()
-            .enumerate()
-            .filter_map(|(j, o)| match o {
-                Some(Origin::Survivor(i)) => Some((*i, j)),
-                _ => None,
-            })
-            .collect();
-
-        // Pass 4 — consumers: carry cursors by (old subplan, full leaf
-        // path); register fresh ones for new leaves. Pending seed batches
-        // follow their leaf.
-        let mut claimed: Vec<Vec<bool>> = old_cons.iter().map(|v| vec![false; v.len()]).collect();
-        let mut new_cons: Vec<Vec<(Vec<usize>, InputSource, ConsumerId)>> =
-            (0..n2).map(|_| Vec::new()).collect();
-        let mut new_seeds: Vec<Seeds> = (0..n2).map(|_| Seeds::new()).collect();
-        for j in 0..n2 {
-            let leaves = new_execs[j].as_ref().expect("all executors placed").leaf_paths();
-            let o = origin[j].clone().expect("all origins placed");
-            let mut regs = Vec::with_capacity(leaves.len());
-            for (path, src) in leaves {
-                let carried = match &o {
-                    Origin::Fresh => None,
-                    Origin::Survivor(i) => claim(&old_cons[*i], &mut claimed[*i], &path)
-                        .map(|cid| (*i, cid, path.clone())),
-                    Origin::Split { old, prefix } => {
-                        let mut full = prefix.clone();
-                        full.extend_from_slice(&path);
-                        claim(&old_cons[*old], &mut claimed[*old], &full)
-                            .map(|cid| (*old, cid, full))
-                    }
-                };
-                let cid = match carried {
-                    Some((i, cid, full)) => {
-                        if let Some(batch) = old_seeds[i].remove(&full) {
-                            new_seeds[j].insert(path.clone(), batch);
+            )?;
+            let bundle: StateBundle = operator_paths(&sp.root)
+                .into_iter()
+                .filter_map(|path| states.remove(&node_at(dag, root, &path)).map(|st| (path, st)))
+                .collect();
+            ex.install_state_bundle(bundle)?;
+            let (mut regs, mut seeds) = (Vec::new(), Seeds::new());
+            for (path, src) in ex.leaf_paths() {
+                let cid = match cursors.remove(&leaf_edge(dag, root, &path)) {
+                    Some((_, cid, seed)) => {
+                        if let Some(batch) = seed {
+                            seeds.insert(path.clone(), batch);
                         }
                         cid
                     }
@@ -659,245 +508,74 @@ impl Runner<'_> {
                             // private cone sees every row).
                             b.register_consumer()?
                         }
-                        InputSource::Subplan(c) => {
-                            let fresh_child = matches!(origin[c.index()], Some(Origin::Fresh));
-                            let buf = new_bufs[c.index()].as_mut().expect("all buffers placed");
-                            if matches!(o, Origin::Fresh) && !fresh_child {
-                                // Shared child: its history arrives as a
-                                // seeded snapshot, never by replaying the
-                                // buffer (which may be compacted anyway).
-                                buf.register_consumer_at_end()
-                            } else {
-                                buf.register_consumer()?
-                            }
-                        }
+                        // A split-off or fresh buffer is still empty, and a
+                        // carried one's history arrives as a seeded
+                        // snapshot (`hand_off`), never by replaying the
+                        // buffer (which may be compacted anyway).
+                        InputSource::Subplan(c) => sp_buffers[c.index()].register_consumer_at_end(),
                     },
                 };
                 regs.push((path, src, cid));
             }
-            new_cons[j] = regs;
+            executors.push(ex);
+            leaf_consumers.push(regs);
+            new_seeds.push(seeds);
         }
 
-        // Pass 5 — retire cursors nothing claimed (a dead subplan's reads,
-        // or a split donor's cut-away leaves) so surviving buffers can
-        // compact past them.
-        for (i, entries) in old_cons.iter().enumerate() {
-            for (k, (_, src, cid)) in entries.iter().enumerate() {
-                if claimed[i][k] {
-                    continue;
-                }
-                match src {
-                    InputSource::Base(t) => {
-                        if let Some(b) = engine.base_buffers.get_mut(t) {
-                            b.retire_consumer(*cid)?;
-                        }
+        // Retire the cursors nothing claimed (a dead cone's reads) so the
+        // buffers they read can compact past them; everything else left
+        // over belonged to a dead cone too.
+        let mut reclaimed = 0u64;
+        for (src, cid, seed) in cursors.into_values() {
+            reclaimed += seed.map_or(0, |b| b.rows.len() as u64);
+            match src {
+                InputSource::Base(t) => {
+                    if let Some(b) = engine.base_buffers.get_mut(&t) {
+                        b.retire_consumer(cid)?;
                     }
-                    InputSource::Subplan(c) => {
-                        if let Some(&jn) = old_to_new.get(&c.index()) {
-                            new_bufs[jn]
-                                .as_mut()
-                                .expect("all buffers placed")
-                                .retire_consumer(*cid)?;
-                        }
+                }
+                InputSource::Subplan(c) => {
+                    if let Some(j) = roots2.iter().position(|r| *r == self.roots[c.index()]) {
+                        sp_buffers[j].retire_consumer(cid)?;
                     }
                 }
             }
         }
+        reclaimed += states.values().map(|st| st.rows() as u64).sum::<u64>();
+        reclaimed += buffers.values_mut().map(|b| b.drain() as u64).sum::<u64>();
 
-        // Pass 6 — GC dead subplans (a removed query's private cone).
-        let mut reclaimed: u64 = 0;
-        for i in 0..old_execs.len() {
-            if let Some(ex) = old_execs[i].take() {
-                reclaimed += ex.state_rows() as u64;
-            }
-            if let Some(mut b) = old_bufs[i].take() {
-                reclaimed += b.drain() as u64;
-            }
-            reclaimed += old_seeds[i].values().map(|b| b.rows.len() as u64).sum::<u64>();
-        }
-
-        // Install the new engine before widening/seeding so the helpers
-        // see consistent state.
-        engine.executors =
-            new_execs.into_iter().map(|e| e.expect("all executors placed")).collect();
-        engine.sp_buffers = new_bufs.into_iter().map(|b| b.expect("all buffers placed")).collect();
-        engine.leaf_consumers = new_cons;
+        engine.executors = executors;
+        engine.sp_buffers = sp_buffers;
+        engine.leaf_consumers = leaf_consumers;
         engine.seeds = new_seeds;
         let mut tables: Vec<TableId> = engine.base_buffers.keys().copied().collect();
         tables.sort();
         engine.base_tables = tables;
-
-        // Pass 7 — removal: drop the query's mask column from surviving
-        // operator state. (`live.plan` is still the pre-churn plan here.)
-        if let Some(q) = remove {
-            for (j, org) in origin.iter().enumerate().take(n2) {
-                let served = match org {
-                    Some(Origin::Survivor(i)) | Some(Origin::Split { old: i, .. }) => {
-                        live.plan.subplans[*i].queries.contains(q)
-                    }
-                    _ => false,
-                };
-                if served {
-                    reclaimed += engine.executors[j].retire_query(q)? as u64;
-                }
-            }
-            return Ok((reclaimed, 0.0));
-        }
-
-        // Pass 8 — admission: widen shared state to the new query, then
-        // seed its private cone from witness-indexed snapshots. Every
-        // shared subplan uses its *own* witness (validated in
-        // `apply_admit`), so disjoint shared cones hand off independently.
-        let (witnesses, q_new, _) = admit.expect("reconcile is admit or remove");
-        let mut handoff_rows: u64 = 0;
-        let counter = WorkCounter::new();
-        for (j, org) in origin.iter().enumerate().take(n2) {
-            if plan2.subplans[j].queries.contains(q_new) && !matches!(org, Some(Origin::Fresh)) {
-                let q_ref = witnesses[j].expect("witness validated for shared subplan");
-                engine.executors[j].widen_query(q_ref, q_new)?;
-            }
-        }
-        // Widen resident (in-flight) buffer rows only where a carried
-        // downstream cursor serving the new query will still pull them
-        // — never the new query's own root buffer, whose history is
-        // handed off as a snapshot below (widening both would double
-        // count).
-        let mut widen_child = vec![false; n2];
-        for (j, org) in origin.iter().enumerate().take(n2) {
-            if matches!(org, Some(Origin::Fresh)) || !plan2.subplans[j].queries.contains(q_new) {
-                continue;
-            }
-            for (_, src) in engine.executors[j].leaf_paths() {
-                if let InputSource::Subplan(c) = src {
-                    widen_child[c.index()] = true;
-                }
-            }
-        }
-        let new_root = plan2.query_root(q_new).map(|r| r.index());
-        for (j, widen) in widen_child.iter().enumerate() {
-            if *widen && Some(j) != new_root {
-                let q_ref = witnesses[j].expect("witness validated for widened child");
-                engine.sp_buffers[j].widen_where(q_ref, q_new);
-            }
-        }
-        // Base buffers re-mark their whole retained stream: correct for a
-        // re-admitted id, and what the private cone's replay-from-zero
-        // cursors rely on.
-        for t in engine.base_tables.clone() {
-            engine.base_buffers.get_mut(&t).expect("registered table").widen_all(q_new);
-        }
-        // Seed every fresh subplan's shared-child leaves with the
-        // child's reconstructed, re-masked history.
-        for j in 0..n2 {
-            if !matches!(origin[j], Some(Origin::Fresh)) {
-                continue;
-            }
-            for (path, src) in engine.executors[j].leaf_paths() {
-                let InputSource::Subplan(c) = src else { continue };
-                if matches!(origin[c.index()], Some(Origin::Fresh)) {
-                    continue;
-                }
-                let q_ref = witnesses[c.index()].expect("witness validated for shared child");
-                let batch = snapshot_subplan(
-                    c.index(),
-                    &engine.executors,
-                    &engine.base_buffers,
-                    q_ref,
-                    q_new,
-                    &counter,
-                )?;
-                handoff_rows += batch.rows.len() as u64;
-                engine.seeds[j].insert(path, batch);
-            }
-        }
-        // A fully shared root: the new query's results are served by an
-        // existing subplan whose buffer may have compacted its history.
-        // Reconstruct the witnessed history straight into the root
-        // buffer (which is Retain::All from here on).
-        if let Some(r) = plan2.query_root(q_new) {
-            if !matches!(origin[r.index()], Some(Origin::Fresh)) {
-                let q_ref = witnesses[r.index()].expect("witness validated for shared root");
-                let batch = snapshot_subplan(
-                    r.index(),
-                    &engine.executors,
-                    &engine.base_buffers,
-                    q_ref,
-                    q_new,
-                    &counter,
-                )?;
-                handoff_rows += batch.rows.len() as u64;
-                engine.sp_buffers[r.index()].extend(batch);
-            }
-        }
-        Ok((handoff_rows, counter.total().get()))
-    }
-
-    /// Build a split subplan's executor and, recursively, its split
-    /// children's, moving the transplanted state down to each cut.
-    #[allow(clippy::too_many_arguments)]
-    fn build_split(
-        &self,
-        plan2: &SharedPlan,
-        roots2: &[NodeId],
-        schemas: &HashMap<SubplanId, Schema>,
-        j: usize,
-        mut bundle: StateBundle,
-        old_i: usize,
-        prefix: Vec<usize>,
-        created: Option<&Vec<NodeId>>,
-        origin: &mut [Option<Origin>],
-        new_execs: &mut [Option<SubplanExecutor>],
-        new_bufs: &mut [Option<DeltaBuffer>],
-    ) -> Result<()> {
-        let ex = SubplanExecutor::new_with_options(
-            &plan2.subplans[j],
-            self.catalog,
-            schemas,
-            self.weights,
-            self.exec_opts,
-        )?;
-        for (path, src) in ex.leaf_paths() {
-            let InputSource::Subplan(c) = src else { continue };
-            let c = c.index();
-            if origin[c].is_some() {
-                continue; // survivor or an already-built split child
-            }
-            if created.is_some_and(|cr| cr.contains(&roots2[c])) {
-                continue; // fresh private subplan, built in pass 3
-            }
-            // Interior node of the old subplan, now a forced cut: its
-            // subtree's state lives under `path` in the donor bundle.
-            let sub = bundle.extract_prefix(&path);
-            let mut full = prefix.clone();
-            full.extend_from_slice(&path);
-            origin[c] = Some(Origin::Split { old: old_i, prefix: full.clone() });
-            self.build_split(
-                plan2, roots2, schemas, c, sub, old_i, full, created, origin, new_execs, new_bufs,
-            )?;
-        }
-        let mut ex = ex;
-        ex.install_state_bundle(bundle)?;
-        new_execs[j] = Some(ex);
-        if new_bufs[j].is_none() {
-            new_bufs[j] = Some(DeltaBuffer::new());
-        }
-        Ok(())
+        Ok(reclaimed)
     }
 
     /// Attach the churn totals (and, when obs is on, the `churn.*`
-    /// metrics) to the measured run.
+    /// metrics) to the measured run. Every total is a sum or a filter over
+    /// the records.
     fn finish(self, mut run: RunResult) -> ChurnRunResult {
         let live = self.sharer.queries();
+        let (admits, removes): (Vec<&ChurnRecord>, Vec<&ChurnRecord>) =
+            self.churn.iter().partition(|r| r.kind == ChurnKind::Admit);
+        let removed: Vec<QueryId> = removes.iter().map(|r| QueryId(r.query)).collect();
+        let reclaimed_rows = self.churn.iter().map(|r| r.reclaimed_rows).sum();
+        let handoff_rows = self.churn.iter().map(|r| r.handoff_rows).sum();
         if let Some(report) = run.obs.as_mut() {
-            let admissions = self.churn.iter().filter(|r| r.kind == ChurnKind::Admit).count();
+            let merged = |f: fn(&ChurnRecord) -> u32| {
+                admits.iter().map(|r| u64::from(f(r))).sum::<u64>() as f64
+            };
             let m = &mut report.metrics;
-            m.counter_add("churn.admissions", admissions as f64);
-            m.counter_add("churn.removals", (self.churn.len() - admissions) as f64);
-            m.counter_add("churn.merge_nodes_reused", self.merge_reused as f64);
-            m.counter_add("churn.merge_nodes_created", self.merge_created as f64);
+            m.counter_add("churn.admissions", admits.len() as f64);
+            m.counter_add("churn.removals", removes.len() as f64);
+            m.counter_add("churn.merge_nodes_reused", merged(|r| r.nodes_reused));
+            m.counter_add("churn.merge_nodes_created", merged(|r| r.nodes_created));
             m.counter_add("churn.quiesce_ticks", self.quiesce_ticks as f64);
-            m.gauge_set("churn.reclaimed_rows", self.reclaimed_total as f64);
-            m.gauge_set("churn.handoff_rows", self.handoff_total as f64);
+            m.gauge_set("churn.reclaimed_rows", reclaimed_rows as f64);
+            m.gauge_set("churn.handoff_rows", handoff_rows as f64);
             m.gauge_set("churn.live_queries", live.len() as f64);
             m.gauge_set("churn.subplans", self.roots.len() as f64);
         }
@@ -905,16 +583,120 @@ impl Runner<'_> {
             run,
             churn: self.churn,
             live,
-            removed: self.removed,
-            reclaimed_rows: self.reclaimed_total,
-            handoff_rows: self.handoff_total,
+            removed,
+            reclaimed_rows,
+            handoff_rows,
             quiesce_ticks: self.quiesce_ticks,
         }
     }
 }
 
-/// The pace search a churn boundary runs: a fresh estimator for the re-cut
-/// plan, searched from batch under the live queries' budgets.
+/// The DAG node at tree `path` of the subplan rooted at `root`: tree
+/// inputs are the node's children in [`ishare_plan::DagNode::children`]
+/// order, which is how `SharedPlan::from_dag_with_roots` builds them.
+fn node_at(dag: &SharedDag, root: NodeId, path: &[usize]) -> NodeId {
+    path.iter().fold(root, |n, &k| dag.nodes[n.0 as usize].children[k])
+}
+
+/// The DAG edge a tree leaf reads through: (parent node, input index). The
+/// leaf of a bare-scan subplan has no parent and is keyed by its scan node.
+type Edge = (NodeId, usize);
+
+/// The [`Edge`] the leaf at tree `path` of the subplan rooted at `root`
+/// reads through.
+fn leaf_edge(dag: &SharedDag, root: NodeId, path: &[usize]) -> Edge {
+    match path.split_last() {
+        Some((&k, parent)) => (node_at(dag, root, parent), k),
+        None => (root, usize::MAX),
+    }
+}
+
+/// Tree paths of every operator of `t` (every position but the leaves).
+fn operator_paths(t: &OpTree) -> Vec<Vec<usize>> {
+    fn walk(t: &OpTree, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if matches!(t.op, TreeOp::Input(_)) {
+            return;
+        }
+        out.push(path.clone());
+        for (i, child) in t.inputs.iter().enumerate() {
+            path.push(i);
+            walk(child, path, out);
+            path.pop();
+        }
+    }
+    let mut out = Vec::new();
+    walk(t, &mut Vec::new(), &mut out);
+    out
+}
+
+/// Admission hand-off (module docs, step 4): widen shared state to `q_new`,
+/// then seed its fresh cone from witness-indexed snapshots. Every shared
+/// subplan uses its *own* witness (validated in [`Runner::apply`]), so
+/// disjoint shared cones hand off independently. Returns the rows handed
+/// off and the work charged doing so.
+fn hand_off(
+    engine: &mut EngineState,
+    plan: &SharedPlan,
+    q_new: QueryId,
+    witnesses: &[Option<QueryId>],
+    fresh: &[bool],
+) -> Result<(u64, f64)> {
+    let witness = |j: usize| witnesses[j].expect("witness validated for shared subplan");
+    let n = plan.len();
+    // Widen resident (in-flight) buffer rows only where a carried
+    // downstream cursor serving the new query will still pull them — never
+    // the new query's own root buffer, whose history is handed off as a
+    // snapshot below (widening both would double count).
+    let mut widen_child = vec![false; n];
+    for j in (0..n).filter(|&j| !fresh[j] && plan.subplans[j].queries.contains(q_new)) {
+        engine.executors[j].widen_query(witness(j), q_new)?;
+        for (_, src) in engine.executors[j].leaf_paths() {
+            if let InputSource::Subplan(c) = src {
+                widen_child[c.index()] = true;
+            }
+        }
+    }
+    let new_root = plan.query_root(q_new).map(|r| r.index());
+    for j in (0..n).filter(|&j| widen_child[j] && Some(j) != new_root) {
+        engine.sp_buffers[j].widen_where(witness(j), q_new);
+    }
+    // Base buffers re-mark their whole retained stream: correct for a
+    // re-admitted id, and what the private cone's replay-from-zero cursors
+    // rely on.
+    for b in engine.base_buffers.values_mut() {
+        b.widen_all(q_new);
+    }
+    let counter = WorkCounter::new();
+    let mut rows = 0u64;
+    let snapshot = |engine: &EngineState, c: usize| {
+        snapshot_subplan(c, &engine.executors, &engine.base_buffers, witness(c), q_new, &counter)
+    };
+    // Seed every fresh subplan's shared-child leaves with the child's
+    // reconstructed, re-masked history.
+    for j in (0..n).filter(|&j| fresh[j]) {
+        for (path, src) in engine.executors[j].leaf_paths() {
+            let InputSource::Subplan(c) = src else { continue };
+            if !fresh[c.index()] {
+                let batch = snapshot(engine, c.index())?;
+                rows += batch.rows.len() as u64;
+                engine.seeds[j].insert(path, batch);
+            }
+        }
+    }
+    // A fully shared root: the new query's results are served by an
+    // existing subplan whose buffer may have compacted its history.
+    // Reconstruct the witnessed history straight into the root buffer
+    // (which is Retain::All from here on).
+    if let Some(r) = new_root.filter(|&r| !fresh[r]) {
+        let batch = snapshot(engine, r)?;
+        rows += batch.rows.len() as u64;
+        engine.sp_buffers[r].extend(batch);
+    }
+    Ok((rows, counter.total().get()))
+}
+
+/// The pace search a churn boundary runs: a fresh estimator for the whole
+/// re-cut plan, searched from batch under the live queries' budgets.
 fn search_from_batch(
     plan: &SharedPlan,
     catalog: &Catalog,
@@ -924,20 +706,6 @@ fn search_from_batch(
 ) -> Result<SearchOutcome> {
     let mut est = PlanEstimator::new(plan, catalog, weights)?;
     find_pace_configuration(&mut est, budgets, max_pace)
-}
-
-/// Find the old consumer registered at `path`, marking it claimed.
-fn claim(
-    entries: &[(Vec<usize>, InputSource, ConsumerId)],
-    claimed: &mut [bool],
-    path: &[usize],
-) -> Option<ConsumerId> {
-    let k = entries.iter().position(|(p, _, _)| p == path)?;
-    if claimed[k] {
-        return None;
-    }
-    claimed[k] = true;
-    Some(entries[k].2)
 }
 
 /// Per-subplan witness queries for an admission of `q_new`.
@@ -960,13 +728,13 @@ fn subplan_witnesses(
     plan2: &SharedPlan,
     roots2: &[NodeId],
     q_new: QueryId,
-    is_fresh: impl Fn(&NodeId) -> bool,
+    fresh: &[bool],
 ) -> Vec<Option<QueryId>> {
     roots2
         .iter()
         .enumerate()
         .map(|(j, root)| {
-            if is_fresh(root) || !plan2.subplans[j].queries.contains(q_new) {
+            if fresh[j] || !plan2.subplans[j].queries.contains(q_new) {
                 return None;
             }
             let mut pool = QuerySet(u64::MAX);
@@ -1037,6 +805,7 @@ mod tests {
     use ishare_common::{DataType, Value};
     use ishare_exec::batch_ref::run_logical;
     use ishare_expr::Expr;
+    use ishare_ingest::CommitLog;
     use ishare_obs::{ObsConfig, SlackLedger};
     use ishare_plan::PlanBuilder;
     use ishare_storage::{ColumnStats, Field, Row, Schema, TableStats};
@@ -1254,6 +1023,58 @@ mod tests {
     }
 
     #[test]
+    fn removed_id_readmits_with_another_plan() {
+        // q1 leaves at 1/3 and comes back at 2/3 under a different
+        // predicate: its new private cone replays the base history, whose
+        // rows must all carry the re-admitted bit again — including those
+        // pushed while q1 was gone.
+        let c = catalog();
+        let f = feed(&c, 120);
+        let q_lt70 = PlanBuilder::scan(&c, "t")
+            .unwrap()
+            .select(|x| Ok(x.col("v")?.lt(Expr::lit(70i64))))
+            .unwrap()
+            .aggregate(&["k"], |x| Ok(vec![x.sum("v", "s")?]))
+            .unwrap()
+            .project_cols(&["k", "s"])
+            .unwrap()
+            .build();
+        let e0 = run_logical(&q_all(&c), &c, &rows_of(&f)).unwrap();
+        let e1 = run_logical(&q_lt70, &c, &rows_of(&f)).unwrap();
+        let script = ChurnScript::new(vec![
+            ChurnEvent { num: 1, den: 3, op: ChurnOp::Remove { query: QueryId(1) } },
+            ChurnEvent {
+                num: 2,
+                den: 3,
+                op: ChurnOp::Admit {
+                    query: QueryId(1),
+                    plan: q_lt70,
+                    constraint: FinalWorkConstraint::Relative(1.0),
+                },
+            },
+        ]);
+        let mut source = Source::in_order(&f);
+        let out = execute_churn_from_source(
+            &[(QueryId(0), q_all(&c)), (QueryId(1), q_sel(&c))],
+            &tight(),
+            &script,
+            &c,
+            &mut source,
+            CostWeights::default(),
+            &opts(),
+        )
+        .unwrap()
+        .into_result()
+        .unwrap();
+        let kinds: Vec<ChurnKind> = out.churn.iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, [ChurnKind::Remove, ChurnKind::Admit]);
+        assert!(out.churn[1].nodes_created > 0, "the new predicate gets a private cone");
+        assert_eq!(out.removed, vec![QueryId(1)]);
+        assert_eq!(out.run.results[&QueryId(0)], e0);
+        assert_eq!(out.run.results[&QueryId(1)], e1);
+    }
+
+    #[test]
     fn churn_errors_are_typed() {
         let c = catalog();
         let f = feed(&c, 30);
@@ -1320,6 +1141,10 @@ mod tests {
         assert!(matches!(run(&initial, admit(1, 1, 3), ref_opts), Err(Error::Churn(_))));
         // Empty initial set.
         assert!(matches!(run(&[], admit(1, 1, 3), opts()), Err(Error::InvalidConfig(_))));
+        // A zero pace bound is rejected, not silently replaced.
+        let zero = ChurnOptions { max_pace: 0, ..opts() };
+        assert!(matches!(run(&initial, admit(1, 1, 3), zero), Err(Error::InvalidConfig(_))));
+        assert_eq!(ChurnOptions::default().max_pace, 8);
     }
 
     #[test]

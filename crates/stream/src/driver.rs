@@ -121,13 +121,14 @@ impl SourceOptions {
     }
 }
 
-/// What a run produced.
+/// What a run produced: a [`RunResult`] for the plain drivers, a
+/// [`crate::ChurnRunResult`] for a churn run ([`crate::ChurnOutcome`]).
 #[derive(Debug)]
-pub enum SourceOutcome {
+pub enum SourceOutcome<R = RunResult> {
     /// The run executed every wavefront.
     Completed {
         /// The measured run.
-        result: Box<RunResult>,
+        result: Box<R>,
         /// Commit log of every wavefront (for later replay verification).
         log: CommitLog,
     },
@@ -140,11 +141,11 @@ pub enum SourceOutcome {
     },
 }
 
-impl SourceOutcome {
+impl<R> SourceOutcome<R> {
     /// Unwrap a completed run's result; errors on [`Suspended`].
     ///
     /// [`Suspended`]: SourceOutcome::Suspended
-    pub fn into_result(self) -> Result<RunResult> {
+    pub fn into_result(self) -> Result<R> {
         match self {
             SourceOutcome::Completed { result, .. } => Ok(*result),
             SourceOutcome::Suspended { log } => Err(Error::InvalidConfig(format!(

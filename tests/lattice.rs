@@ -231,6 +231,9 @@ const CHURN: Golden = Golden {
 };
 /// Rows handed to the admitted queries, rows reclaimed by the removal.
 const CHURN_ROWS: (u64, u64) = (10_651, 8_405);
+/// Each churn record's `handoff_work_bits`, in script order (a removal
+/// hands nothing off).
+const CHURN_HANDOFF_WORK: [u64; 3] = [0x40b8_6a00_0000_0000, 0x40cd_7b00_0000_0000, 0];
 
 /// Three sharing-friendly queries live, two admitted at 1/4 and 2/4 and q1
 /// removed at 3/4: the incremental sharer builds the batch DAG; every query
@@ -312,6 +315,8 @@ fn churn_scenario_matches_oracle_and_golden() {
     assert_kill_resume(&churned, 2, &two, run, "churn 2w");
     assert_golden(&churned, &CHURN, "churn");
     assert_eq!((handoff, reclaimed), CHURN_ROWS, "churn: hand-off / reclaimed rows");
+    let handoff_work: Vec<u64> = records.iter().map(|r| r.handoff_work_bits).collect();
+    assert_eq!(handoff_work, CHURN_HANDOFF_WORK, "churn: hand-off work bits per record");
 }
 
 const SLO: Golden = Golden {
