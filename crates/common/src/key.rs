@@ -85,12 +85,6 @@ impl KeyBuf {
         }
     }
 
-    /// Key from already-encoded words (e.g. a probe slice being promoted to
-    /// a stored state-table key).
-    pub fn from_words(words: &[u64]) -> Self {
-        KeyBuf { words: words.to_vec() }
-    }
-
     /// The encoded words.
     pub fn as_words(&self) -> &[u64] {
         &self.words

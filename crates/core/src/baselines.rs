@@ -13,9 +13,7 @@
 //! cost model, so differences come from plan structure and pace freedom
 //! only — exactly the paper's experimental control.
 
-use crate::constraint::{
-    batch_final_works, resolve_constraints, ConstraintMap, FinalWorkConstraint,
-};
+use crate::constraint::{batch_final_works, resolve_against, ConstraintMap, FinalWorkConstraint};
 use crate::optimizer::{IShareOptimizer, IShareOptions};
 use crate::pace::PaceConfiguration;
 use crate::pace_search::{find_grouped_paces, find_pace_configuration};
@@ -175,7 +173,7 @@ fn plan_oneshot(
     let plan = SharedPlan::from_dag(&dag, |_| false)?;
     plan.validate(catalog)?;
     let batch_finals = batch_final_works(&normalized, catalog, weights)?;
-    let resolved = resolve_constraints(&normalized, constraints, catalog, weights)?;
+    let resolved = resolve_against(&normalized, constraints, &batch_finals);
     let paces = crate::pace::PaceConfiguration::new(vec![2; plan.len()])?;
     let mut est = PlanEstimator::new(&plan, catalog, weights)?;
     let report = est.estimate(paces.as_slice())?;
@@ -217,7 +215,7 @@ fn plan_grouped(
     plan.validate(catalog)?;
 
     let batch_finals = batch_final_works(&normalized, catalog, weights)?;
-    let resolved = resolve_constraints(&normalized, constraints, catalog, weights)?;
+    let resolved = resolve_against(&normalized, constraints, &batch_finals);
 
     // Build the pace-knob groups.
     let groups: Vec<Vec<SubplanId>> = match group_by {
@@ -272,7 +270,7 @@ fn plan_nonuniform_noshare(
     plan.validate(catalog)?;
 
     let batch_finals = batch_final_works(&normalized, catalog, weights)?;
-    let resolved = resolve_constraints(&normalized, constraints, catalog, weights)?;
+    let resolved = resolve_against(&normalized, constraints, &batch_finals);
     let mut est = PlanEstimator::new(&plan, catalog, weights)?;
     est.set_memo_enabled(opts.use_memo);
     let outcome = find_pace_configuration(&mut est, &resolved, opts.max_pace)?;

@@ -71,13 +71,23 @@ pub fn resolve_constraints(
         .any(|(q, _)| !matches!(constraints.get(q), Some(FinalWorkConstraint::Absolute(_))));
     let batch =
         if needs_batch { batch_final_works(queries, catalog, weights)? } else { BTreeMap::new() };
-    let mut out = ConstraintMap::new();
-    for (q, _) in queries {
-        let c = constraints.get(q).copied().unwrap_or(FinalWorkConstraint::Relative(1.0));
-        let base = batch.get(q).copied().unwrap_or(0.0);
-        out.insert(*q, c.resolve(base));
-    }
-    Ok(out)
+    Ok(resolve_against(queries, constraints, &batch))
+}
+
+/// [`resolve_constraints`] against batch final works the caller already
+/// computed with [`batch_final_works`].
+pub(crate) fn resolve_against(
+    queries: &[(QueryId, LogicalPlan)],
+    constraints: &BTreeMap<QueryId, FinalWorkConstraint>,
+    batch: &BTreeMap<QueryId, f64>,
+) -> ConstraintMap {
+    queries
+        .iter()
+        .map(|(q, _)| {
+            let c = constraints.get(q).copied().unwrap_or(FinalWorkConstraint::Relative(1.0));
+            (*q, c.resolve(batch.get(q).copied().unwrap_or(0.0)))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -121,27 +121,23 @@ impl LocalProblem<'_> {
             match hi_eval {
                 None => {
                     // Even max pace misses the limit.
-                    let _ = (lo_wpt, lo_wf);
                     let (wpt, wf) = if hi == lo { (lo_wpt, lo_wf) } else { probe(hi)? };
                     PartitionEval { pace: hi, wpt, wf, feasible: false }
                 }
-                Some((mut hi_wpt, mut hi_wf)) => {
+                Some((wpt, wf)) => {
                     // Binary refine: smallest pace in (lo, hi] meeting the
                     // limit.
-                    let mut best = (hi, hi_wpt, hi_wf);
+                    let mut best = (hi, wpt, wf);
                     while hi - lo > 1 {
                         let mid = lo + (hi - lo) / 2;
                         let (wpt, wf) = probe(mid)?;
                         if wf <= limit + 1e-9 {
                             hi = mid;
-                            hi_wpt = wpt;
-                            hi_wf = wf;
                             best = (mid, wpt, wf);
                         } else {
                             lo = mid;
                         }
                     }
-                    let _ = (hi_wpt, hi_wf);
                     PartitionEval { pace: best.0, wpt: best.1, wf: best.2, feasible: true }
                 }
             }

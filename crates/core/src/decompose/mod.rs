@@ -1,15 +1,21 @@
 //! Decomposing shared subplans (Sec. 4).
 //!
+//! Every decomposition is an edit of the optimizer's [`SharedDag`], and
+//! every plan the pass judges is re-derived from the edited DAG by the one
+//! cut rule, [`SharedPlan::from_dag_with_roots`] — the DAG and the rule that
+//! MQO planning and query churn use too ([`DagPlan`]).
+//!
 //! * [`local`] — the local optimization problem, selected paces, and local
 //!   final work constraints (Sec. 4.1.1).
 //! * [`clustering`] — the sharing-benefit clustering algorithm
 //!   (Sec. 4.1.2, Eq. 4).
 //! * [`brute`] — exhaustive split enumeration with a DNF deadline (the
 //!   `iShare (Brute-Force)` variant).
-//! * [`regenerate`](mod@regenerate) — plan regeneration and pace
-//!   initialization (Sec. 4.2).
-//! * [`partial`] — partial decomposition of root-anchored subtrees
-//!   (Sec. 4.3).
+//! * [`regenerate`](mod@regenerate) — the whole split: clone the target's
+//!   and its ancestors' nodes per partition and tombstone the originals, so
+//!   the cut rule regenerates the plan; and pace initialization (Sec. 4.2).
+//! * [`partial`] — partial decomposition: force cuts below a root-anchored
+//!   subtree, then split the top (Sec. 4.3).
 //! * [`try_decompose_subplan`] — the per-subplan driver combining all of
 //!   the above; `ishare-core::optimizer` applies it over the full plan in
 //!   parent-to-child order (Sec. 4.4).
@@ -23,17 +29,23 @@ pub mod regenerate;
 pub use brute::{bell_number, brute_force_split, BruteOutcome};
 pub use clustering::{cluster_split, Split};
 pub use local::{local_constraints_for_subplan, LocalProblem, PartitionEval};
-pub use regenerate::{initial_paces, regenerate, Regenerated};
+pub use regenerate::{initial_paces, regenerate};
 
 use crate::constraint::ConstraintMap;
 use crate::pace::PaceConfiguration;
 use crate::pace_search::{relax_pace_configuration, SearchOutcome};
-use ishare_common::{CostWeights, QueryId, Result, SubplanId};
+use ishare_common::{CostWeights, Error, NodeId, QueryId, Result, SubplanId};
 use ishare_cost::{CostReport, PlanEstimator};
-use ishare_plan::SharedPlan;
+use ishare_plan::{SharedDag, SharedPlan};
 use ishare_storage::Catalog;
 use std::collections::BTreeMap;
 use std::time::Duration;
+
+/// Cap on the number of partial (subtree) candidates tried per subplan.
+/// Candidates are generated closest-to-root first, which is where the
+/// paper's BFS expansion finds its splits; deeper candidates cost a full
+/// clustering run each.
+const MAX_PARTIAL_CANDIDATES: usize = 4;
 
 /// Knobs for the decomposition driver.
 #[derive(Debug, Clone)]
@@ -46,11 +58,6 @@ pub struct DecomposeOptions {
     pub brute_force: bool,
     /// DNF deadline for the brute-force enumeration.
     pub brute_deadline: Duration,
-    /// Cap on the number of partial (subtree) candidates tried per subplan.
-    /// Candidates are generated closest-to-root first, which is where the
-    /// paper's BFS expansion finds its splits; deeper candidates cost a full
-    /// clustering run each.
-    pub max_partial_candidates: usize,
 }
 
 impl Default for DecomposeOptions {
@@ -60,26 +67,62 @@ impl Default for DecomposeOptions {
             partial: true,
             brute_force: false,
             brute_deadline: Duration::from_secs(60),
-            max_partial_candidates: 4,
         }
+    }
+}
+
+/// A shared DAG, its forced cuts, and the plan the cut rule derives from
+/// them. Decomposition edits the DAG (whole splits) and the forced cuts
+/// (partial splits); the plan is only ever derived.
+#[derive(Debug, Clone)]
+pub struct DagPlan {
+    /// The shared DAG, tombstoned nodes included.
+    pub dag: SharedDag,
+    /// Nodes cut even when single-parent.
+    pub forced: Vec<NodeId>,
+    /// `SharedPlan::from_dag_with_roots(&dag, |_| false, &forced)`.
+    pub plan: SharedPlan,
+    /// Per subplan, the DAG node its root came from.
+    pub roots: Vec<NodeId>,
+}
+
+impl DagPlan {
+    /// Cut `dag` into subplans at its multi-parent nodes, its query roots
+    /// and `forced`.
+    pub fn cut(dag: SharedDag, forced: Vec<NodeId>) -> Result<DagPlan> {
+        let (plan, roots) = SharedPlan::from_dag_with_roots(&dag, |_| false, &forced)?;
+        Ok(DagPlan { dag, forced, plan, roots })
+    }
+
+    /// Per DAG node, the subplan holding it as its root or as one of its
+    /// operators; `None` for tombstones and for scans read as base inputs.
+    pub fn holders(&self) -> Vec<Option<SubplanId>> {
+        let mut out = vec![None; self.dag.nodes.len()];
+        for (sp, &root) in self.plan.subplans.iter().zip(&self.roots) {
+            out[root.0 as usize] = Some(sp.id);
+            for path in sp.root.operator_paths() {
+                out[self.dag.node_at(root, &path).0 as usize] = Some(sp.id);
+            }
+        }
+        out
     }
 }
 
 /// A decomposition the driver judged profitable.
 #[derive(Debug)]
 pub struct Adopted {
-    /// The regenerated plan.
-    pub plan: SharedPlan,
+    /// The edited DAG and the plan derived from it.
+    pub edited: DagPlan,
     /// Its relaxed pace configuration and report.
     pub outcome: SearchOutcome,
 }
 
-/// Try to decompose `target` inside `plan`, currently paced by
+/// Try to decompose `target` inside `current.plan`, currently paced by
 /// `paces`/`report`. Returns the best profitable alternative, or `None`
 /// when keeping the shared subplan is better.
 #[allow(clippy::too_many_arguments)]
 pub fn try_decompose_subplan(
-    plan: &SharedPlan,
+    current: &DagPlan,
     paces: &PaceConfiguration,
     report: &CostReport,
     target: SubplanId,
@@ -89,129 +132,75 @@ pub fn try_decompose_subplan(
     weights: CostWeights,
     opts: &DecomposeOptions,
 ) -> Result<Option<Adopted>> {
-    let target_sp = plan.subplan(target)?;
-    if target_sp.queries.len() < 2 {
-        return Ok(None);
-    }
+    let target_sp = current.plan.subplan(target)?;
     // A pace-1 subplan already executes maximally lazily; un-sharing it can
     // only duplicate scan work. (The decomposition exists to *enable*
     // laziness that sharing prevents — there is none to enable here.)
-    if paces.pace(target) <= 1 {
+    if target_sp.queries.len() < 2 || paces.pace(target) <= 1 {
         return Ok(None);
     }
 
-    // The pace searches run with lightweight reports; re-estimate once with
-    // the per-leaf input estimates the local problems need.
-    let detailed = {
-        let mut est = PlanEstimator::new(plan, catalog, weights)?;
-        est.estimate_detailed(paces.as_slice())?
-    };
-
-    let mut best: Option<Adopted> = None;
-    let consider = |cand: Adopted, best: &mut Option<Adopted>| {
-        let better = match best {
-            None => cand.outcome.report.total_work.get() < report.total_work.get() * (1.0 - 1e-6),
-            Some(b) => {
-                cand.outcome.report.total_work.get()
-                    < b.outcome.report.total_work.get() * (1.0 - 1e-6)
-            }
-        };
-        if better {
-            *best = Some(cand);
-        }
-    };
-
-    // Whole-subplan decomposition.
-    if let Some(adopted) = evaluate_candidate(
-        plan,
-        paces,
-        target,
-        &detailed.subplan_inputs[target.index()],
-        constraints,
-        batch_finals,
-        catalog,
-        weights,
-        opts,
-    )? {
-        consider(adopted, &mut best);
-    }
-
-    // Partial decompositions: split only a root-anchored subtree.
+    // Candidates: the whole subplan, then (partial decomposition) the top
+    // of each root-anchored subtree cut off below, every piece keeping the
+    // target's pace.
+    let mut partials = Vec::new();
     if opts.partial {
         for included in
-            partial::subtree_candidates(target_sp).into_iter().take(opts.max_partial_candidates)
+            partial::subtree_candidates(target_sp).into_iter().take(MAX_PARTIAL_CANDIDATES)
         {
-            let plan2 = partial::apply_split_to_plan(plan, target, &included)?;
-            if plan2.validate(catalog).is_err() {
-                continue;
+            let cut = partial::force_cut_points(current, target, &included)?;
+            if cut.plan.validate(catalog).is_ok() {
+                let paces2 = initial_paces(current, paces, &cut, &[])?;
+                partials.push((cut, paces2));
             }
-            // Pace the intermediate plan: old paces for old subplans; the
-            // bottoms (appended at the end) inherit the target's pace.
-            let mut paces2 = paces.as_slice().to_vec();
-            paces2.extend(std::iter::repeat_n(paces.pace(target), plan2.len() - plan.len()));
-            let paces2 = PaceConfiguration::new(paces2)?;
-            let mut est2 = PlanEstimator::new(&plan2, catalog, weights)?;
-            let report2 = est2.estimate_detailed(paces2.as_slice())?;
-            if let Some(adopted) = evaluate_candidate(
-                &plan2,
-                &paces2,
-                target,
-                &report2.subplan_inputs[target.index()],
-                constraints,
-                batch_finals,
-                catalog,
-                weights,
-                opts,
-            )? {
-                consider(adopted, &mut best);
+        }
+    }
+    let root = current.roots[target.index()];
+    let mut best: Option<Adopted> = None;
+    for (cand, cand_paces) in
+        std::iter::once((current, paces)).chain(partials.iter().map(|(c, p)| (c, p)))
+    {
+        // Find a split of the candidate's top, regenerate, re-pace.
+        let top = cand.roots.iter().position(|r| *r == root).map(|i| SubplanId(i as u32));
+        let top = top.ok_or_else(|| Error::InvalidPlan(format!("no subplan roots at {root}")))?;
+        let top_sp = cand.plan.subplan(top)?;
+        // The pace searches run with lightweight reports; re-estimate once
+        // with the per-leaf input estimates the local problem needs.
+        let mut est = PlanEstimator::new(&cand.plan, catalog, weights)?;
+        let detailed = est.estimate_detailed(cand_paces.as_slice())?;
+        let inputs = &detailed.subplan_inputs[top.index()];
+        let local_cons =
+            local_constraints_for_subplan(top_sp, inputs, constraints, batch_finals, weights)?;
+        let problem = LocalProblem {
+            subplan: top_sp,
+            inputs,
+            local_constraints: &local_cons,
+            weights,
+            max_pace: opts.max_pace,
+        };
+        let split = if opts.brute_force {
+            match brute_force_split(&problem, opts.brute_deadline)? {
+                BruteOutcome::Done(s) => s,
+                BruteOutcome::TimedOut(_) => cluster_split(&problem)?,
             }
+        } else {
+            cluster_split(&problem)?
+        };
+        if split.is_trivial() {
+            continue;
+        }
+        let partitions: Vec<_> = split.partitions.iter().map(|(s, _)| *s).collect();
+        let (edited, clone_of) = regenerate(cand, top, &partitions)?;
+        edited.plan.validate(catalog)?;
+        let init = initial_paces(cand, cand_paces, &edited, &clone_of)?;
+        let mut est = PlanEstimator::new(&edited.plan, catalog, weights)?;
+        let outcome = relax_pace_configuration(&mut est, constraints, init, opts.max_pace)?;
+        let bar = best.as_ref().map_or(report, |b| &b.outcome.report).total_work.get();
+        if outcome.report.total_work.get() < bar * (1.0 - 1e-6) {
+            best = Some(Adopted { edited, outcome });
         }
     }
     Ok(best)
-}
-
-/// Evaluate decomposing `target` within `plan` (which may be an
-/// intermediate partial-split plan): find a split, regenerate, re-pace,
-/// and return the outcome if it validates.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_candidate(
-    plan: &SharedPlan,
-    paces: &PaceConfiguration,
-    target: SubplanId,
-    inputs: &ishare_cost::LeafInputs,
-    constraints: &ConstraintMap,
-    batch_finals: &BTreeMap<QueryId, f64>,
-    catalog: &Catalog,
-    weights: CostWeights,
-    opts: &DecomposeOptions,
-) -> Result<Option<Adopted>> {
-    let target_sp = plan.subplan(target)?;
-    let local_cons =
-        local_constraints_for_subplan(target_sp, inputs, constraints, batch_finals, weights)?;
-    let problem = LocalProblem {
-        subplan: target_sp,
-        inputs,
-        local_constraints: &local_cons,
-        weights,
-        max_pace: opts.max_pace,
-    };
-    let split = if opts.brute_force {
-        match brute_force_split(&problem, opts.brute_deadline)? {
-            BruteOutcome::Done(s) => s,
-            BruteOutcome::TimedOut(_) => cluster_split(&problem)?,
-        }
-    } else {
-        cluster_split(&problem)?
-    };
-    if split.is_trivial() {
-        return Ok(None);
-    }
-    let partitions: Vec<_> = split.partitions.iter().map(|(s, _)| *s).collect();
-    let reg = regenerate(plan, target, &partitions, catalog)?;
-    let init = initial_paces(&reg, paces)?;
-    let mut est = PlanEstimator::new(&reg.plan, catalog, weights)?;
-    let outcome = relax_pace_configuration(&mut est, constraints, init, opts.max_pace)?;
-    Ok(Some(Adopted { plan: reg.plan, outcome }))
 }
 
 #[cfg(test)]
@@ -248,7 +237,7 @@ mod tests {
     /// outer MAX sits on the inner aggregate's churny output, so forcing
     /// the shared subplan eager (for the tight query) costs rescans over
     /// the union of both queries' data.
-    fn setup(c: &Catalog, tight_frac: f64) -> (SharedPlan, ConstraintMap, BTreeMap<QueryId, f64>) {
+    fn setup(c: &Catalog, tight_frac: f64) -> (DagPlan, ConstraintMap, BTreeMap<QueryId, f64>) {
         let broad = normalize(
             &PlanBuilder::scan(c, "t")
                 .unwrap()
@@ -271,7 +260,7 @@ mod tests {
         );
         let queries = vec![(QueryId(0), broad), (QueryId(1), narrow)];
         let dag = build_shared_dag(&queries, c, &MqoConfig::default()).unwrap();
-        let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
+        let plan = DagPlan::cut(dag, Vec::new()).unwrap();
         let cons_in: BTreeMap<QueryId, FinalWorkConstraint> = [
             (QueryId(0), FinalWorkConstraint::Relative(1.0)),
             (QueryId(1), FinalWorkConstraint::Relative(tight_frac)),
@@ -284,8 +273,9 @@ mod tests {
         (plan, resolved, batch)
     }
 
-    fn shared_subplan(plan: &SharedPlan) -> SubplanId {
-        plan.subplans
+    fn shared_subplan(plan: &DagPlan) -> SubplanId {
+        plan.plan
+            .subplans
             .iter()
             .find(|sp| sp.queries.len() > 1)
             .map(|sp| sp.id)
@@ -296,7 +286,7 @@ mod tests {
     fn loose_constraints_keep_the_shared_plan() {
         let c = catalog();
         let (plan, cons, batch) = setup(&c, 1.0);
-        let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
+        let mut est = PlanEstimator::new(&plan.plan, &c, CostWeights::default()).unwrap();
         let outcome = find_pace_configuration(&mut est, &cons, 50).unwrap();
         let target = shared_subplan(&plan);
         let adopted = try_decompose_subplan(
@@ -318,7 +308,7 @@ mod tests {
     fn tight_asymmetric_constraints_trigger_unsharing() {
         let c = catalog();
         let (plan, cons, batch) = setup(&c, 0.05);
-        let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
+        let mut est = PlanEstimator::new(&plan.plan, &c, CostWeights::default()).unwrap();
         let outcome = find_pace_configuration(&mut est, &cons, 100).unwrap();
         let target = shared_subplan(&plan);
         let adopted = try_decompose_subplan(
@@ -340,11 +330,13 @@ mod tests {
             adopted.outcome.report.total_work.get(),
             outcome.report.total_work.get()
         );
-        adopted.plan.validate(&c).unwrap();
-        adopted.outcome.paces.respects_plan(&adopted.plan).unwrap();
+        let edited = &adopted.edited;
+        edited.dag.validate(&c).unwrap();
+        edited.plan.validate(&c).unwrap();
+        adopted.outcome.paces.respects_plan(&edited.plan).unwrap();
         // Both queries still have output subplans.
-        assert!(adopted.plan.query_root(QueryId(0)).is_some());
-        assert!(adopted.plan.query_root(QueryId(1)).is_some());
+        assert!(edited.plan.query_root(QueryId(0)).is_some());
+        assert!(edited.plan.query_root(QueryId(1)).is_some());
         // The decomposed plan keeps constraint satisfaction no worse.
         for (q, l) in &cons {
             let before = (outcome.report.final_of(*q).get() - l).max(0.0);
@@ -357,9 +349,9 @@ mod tests {
     fn single_query_subplans_never_decompose() {
         let c = catalog();
         let (plan, cons, batch) = setup(&c, 0.1);
-        let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
+        let mut est = PlanEstimator::new(&plan.plan, &c, CostWeights::default()).unwrap();
         let outcome = find_pace_configuration(&mut est, &cons, 20).unwrap();
-        let private = plan.subplans.iter().find(|sp| sp.queries.len() == 1).map(|sp| sp.id);
+        let private = plan.plan.subplans.iter().find(|sp| sp.queries.len() == 1).map(|sp| sp.id);
         if let Some(target) = private {
             let adopted = try_decompose_subplan(
                 &plan,

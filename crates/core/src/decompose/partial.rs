@@ -6,12 +6,19 @@
 //! itself, and the left/right child subtree of the join operator.
 //! Afterwards, we split the join operator using the clustering algorithm."
 //!
+//! Breaking the subplan is no tree surgery: [`force_cut_points`] adds the
+//! DAG nodes at a candidate's [`cut_points`] to the forced cuts, and the cut
+//! rule re-derives the plan with one bottom subplan per cut point. The
+//! whole split that follows clones only the top and its ancestors, so the
+//! bottoms stay shared.
+//!
 //! Candidates are generated breadth-first from the root, each adding the
 //! not-yet-included operator closest to the root, so there are at most as
 //! many candidates as operators in the subplan.
 
-use ishare_common::{QuerySet, Result, SubplanId};
-use ishare_plan::{InputSource, OpTree, SharedPlan, Subplan, TreeOp};
+use super::DagPlan;
+use ishare_common::{Result, SubplanId};
+use ishare_plan::{OpTree, Subplan, TreeOp};
 use std::collections::HashSet;
 
 /// A candidate cut: the set of tree paths kept in the top (root) subplan.
@@ -24,44 +31,25 @@ pub type IncludedSet = HashSet<Vec<usize>>;
 /// the former is equivalent to whole-subplan decomposition, which the
 /// caller tries separately.
 pub fn subtree_candidates(subplan: &Subplan) -> Vec<IncludedSet> {
-    // All internal (non-leaf) node paths in BFS order.
-    let mut internal: Vec<Vec<usize>> = Vec::new();
-    let mut queue: Vec<(Vec<usize>, &OpTree)> = vec![(Vec::new(), &subplan.root)];
-    let mut qi = 0;
-    while qi < queue.len() {
-        let (path, node) = queue[qi].clone();
-        qi += 1;
-        if !matches!(node.op, TreeOp::Input(_)) {
-            internal.push(path.clone());
-        }
-        for (i, c) in node.inputs.iter().enumerate() {
-            let mut p = path.clone();
-            p.push(i);
-            queue.push((p, c));
-        }
-    }
-    // Sort by depth then path (BFS order is already by depth).
-    let total_internal = internal.len();
+    // Operator paths in BFS order: by depth, then left to right.
+    let mut internal = subplan.root.operator_paths();
+    internal.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    let mut included = IncludedSet::new();
     let mut out = Vec::new();
-    let mut included: IncludedSet = HashSet::new();
-    for (n, path) in internal.into_iter().enumerate() {
-        included.insert(path);
-        // Skip the full tree (== whole-subplan decomposition).
-        if n + 1 == total_internal {
-            break;
-        }
+    // The last prefix is the full tree (== whole-subplan decomposition).
+    for path in internal.iter().take(internal.len().saturating_sub(1)) {
+        included.insert(path.clone());
         // Skip candidates that cut only leaves.
-        if cut_points(subplan, &included).is_empty() {
-            continue;
+        if !cut_points(subplan, &included).is_empty() {
+            out.push(included.clone());
         }
-        out.push(included.clone());
     }
     out
 }
 
 /// The non-leaf subtrees directly below the cut (paths of excluded internal
 /// nodes whose parent is included).
-fn cut_points(subplan: &Subplan, included: &IncludedSet) -> Vec<Vec<usize>> {
+pub fn cut_points(subplan: &Subplan, included: &IncludedSet) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     fn go(t: &OpTree, path: &mut Vec<usize>, included: &IncludedSet, out: &mut Vec<Vec<usize>>) {
         for (i, c) in t.inputs.iter().enumerate() {
@@ -80,114 +68,81 @@ fn cut_points(subplan: &Subplan, included: &IncludedSet) -> Vec<Vec<usize>> {
     out
 }
 
-/// Split `subplan` at `included`: returns the top subplan (keeping the
-/// original id) and one bottom subplan per cut subtree, with ids starting
-/// at `next_id`. Bottoms serve the same queries and produce no query
-/// output.
-pub fn split_at(
-    subplan: &Subplan,
-    included: &IncludedSet,
-    next_id: u32,
-) -> Result<(Subplan, Vec<Subplan>)> {
-    let mut bottoms = Vec::new();
-    let top_root =
-        rebuild(&subplan.root, &mut Vec::new(), included, subplan.queries, next_id, &mut bottoms)?;
-    let top = Subplan {
-        id: subplan.id,
-        root: top_root,
-        queries: subplan.queries,
-        output_queries: subplan.output_queries,
-    };
-    Ok((top, bottoms))
-}
-
-fn rebuild(
-    t: &OpTree,
-    path: &mut Vec<usize>,
-    included: &IncludedSet,
-    queries: QuerySet,
-    next_id: u32,
-    bottoms: &mut Vec<Subplan>,
-) -> Result<OpTree> {
-    let mut inputs = Vec::with_capacity(t.inputs.len());
-    for (i, c) in t.inputs.iter().enumerate() {
-        path.push(i);
-        let keep = included.contains(path.as_slice()) || matches!(c.op, TreeOp::Input(_));
-        let rebuilt = if keep && !matches!(c.op, TreeOp::Input(_)) {
-            rebuild(c, path, included, queries, next_id, bottoms)?
-        } else if keep {
-            c.clone()
-        } else {
-            let id = SubplanId(next_id + bottoms.len() as u32);
-            bottoms.push(Subplan { id, root: c.clone(), queries, output_queries: QuerySet::EMPTY });
-            OpTree::input(InputSource::Subplan(id))
-        };
-        inputs.push(rebuilt);
-        path.pop();
-    }
-    Ok(OpTree { op: t.op.clone(), inputs })
-}
-
-/// Build the intermediate plan where `target` is replaced by its top part
-/// and the bottom subplans are appended; the target id keeps addressing the
-/// top, so existing references stay valid.
-pub fn apply_split_to_plan(
-    plan: &SharedPlan,
+/// Break subplan `target` of `current` at the cut points of `included`:
+/// the plan re-derived with those nodes forced to be subplan roots. The top
+/// keeps the target's root node; each bottom serves the target's queries
+/// and produces no query output.
+pub fn force_cut_points(
+    current: &DagPlan,
     target: SubplanId,
     included: &IncludedSet,
-) -> Result<SharedPlan> {
-    let sp = plan.subplan(target)?;
-    let (top, bottoms) = split_at(sp, included, plan.len() as u32)?;
-    let mut subplans = plan.subplans.clone();
-    subplans[target.index()] = top;
-    subplans.extend(bottoms);
-    Ok(SharedPlan { subplans })
+) -> Result<DagPlan> {
+    let root = current.roots[target.index()];
+    let mut forced = current.forced.clone();
+    let cuts = cut_points(current.plan.subplan(target)?, included);
+    forced.extend(cuts.iter().map(|path| current.dag.node_at(root, path)));
+    DagPlan::cut(current.dag.clone(), forced)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ishare_common::{QueryId, TableId};
+    use ishare_common::{QueryId, QuerySet, TableId};
     use ishare_expr::Expr;
-    use ishare_plan::{AggExpr, AggFunc, SelectBranch};
+    use ishare_plan::{AggExpr, AggFunc, DagOp, InputSource, SelectBranch, SharedDag};
 
     fn qs(ids: &[u16]) -> QuerySet {
         QuerySet::from_iter(ids.iter().map(|&i| QueryId(i)))
     }
 
-    /// agg( join( select(scan t), agg2(scan u) ) ) — two internal levels.
-    fn deep_subplan() -> Subplan {
-        let left = OpTree::node(
-            TreeOp::Select {
-                branches: vec![SelectBranch { queries: qs(&[0, 1]), predicate: Expr::true_lit() }],
-            },
-            vec![OpTree::input(InputSource::Base(TableId(0)))],
-        );
-        let right = OpTree::node(
-            TreeOp::Aggregate {
-                group_by: vec![(Expr::col(0), "k".into())],
-                aggs: vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "s")],
-            },
-            vec![OpTree::input(InputSource::Base(TableId(1)))],
-        );
-        let join = OpTree::node(
-            TreeOp::Join { keys: vec![(Expr::col(0), Expr::col(0))] },
-            vec![left, right],
-        );
-        let root = OpTree::node(
-            TreeOp::Aggregate {
-                group_by: vec![(Expr::col(0), "k".into())],
-                aggs: vec![AggExpr::new(AggFunc::Sum, Expr::col(3), "t")],
-            },
-            vec![join],
-        );
-        Subplan { id: SubplanId(0), root, queries: qs(&[0, 1]), output_queries: qs(&[0, 1]) }
+    /// agg( join( select(scan t), agg2(scan u) ) ) — two internal levels —
+    /// shared by q0 and q1, whose results it computes.
+    fn deep() -> DagPlan {
+        let all = qs(&[0, 1]);
+        let mut d = SharedDag::new();
+        let t = d.add_node(DagOp::Scan { table: TableId(0) }, vec![], all).unwrap();
+        let branches = vec![SelectBranch { queries: all, predicate: Expr::true_lit() }];
+        let left = d.add_node(DagOp::Select { branches }, vec![t], all).unwrap();
+        let u = d.add_node(DagOp::Scan { table: TableId(1) }, vec![], all).unwrap();
+        let right = d
+            .add_node(
+                DagOp::Aggregate {
+                    group_by: vec![(Expr::col(0), "k".into())],
+                    aggs: vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "s")],
+                },
+                vec![u],
+                all,
+            )
+            .unwrap();
+        let keys = vec![(Expr::col(0), Expr::col(0))];
+        let join = d.add_node(DagOp::Join { keys }, vec![left, right], all).unwrap();
+        let root = d
+            .add_node(
+                DagOp::Aggregate {
+                    group_by: vec![(Expr::col(0), "k".into())],
+                    aggs: vec![AggExpr::new(AggFunc::Sum, Expr::col(3), "t")],
+                },
+                vec![join],
+                all,
+            )
+            .unwrap();
+        d.set_query_root(QueryId(0), root).unwrap();
+        d.set_query_root(QueryId(1), root).unwrap();
+        let cut = DagPlan::cut(d, Vec::new()).unwrap();
+        assert_eq!(cut.plan.len(), 1, "one subplan holds the whole tree");
+        cut
+    }
+
+    /// The subplan of `cut` rooted at `node`.
+    fn rooted_at(cut: &DagPlan, node: ishare_common::NodeId) -> &Subplan {
+        &cut.plan.subplans[cut.roots.iter().position(|r| *r == node).unwrap()]
     }
 
     #[test]
     fn candidate_count_bounded_by_operators() {
-        let sp = deep_subplan();
-        let cands = subtree_candidates(&sp);
+        let cut = deep();
+        let sp = &cut.plan.subplans[0];
+        let cands = subtree_candidates(sp);
         // Internal ops: root agg, join, select, agg2 → at most 3 proper
         // candidates (full tree excluded).
         assert!(!cands.is_empty());
@@ -203,45 +158,50 @@ mod tests {
 
     #[test]
     fn split_at_root_creates_bottom_for_join() {
-        let sp = deep_subplan();
+        let cut = deep();
+        let root = cut.roots[0];
         let mut included = IncludedSet::new();
         included.insert(Vec::new()); // root aggregate only
-        let (top, bottoms) = split_at(&sp, &included, 10).unwrap();
-        assert_eq!(bottoms.len(), 1, "the join subtree becomes one bottom");
-        assert_eq!(bottoms[0].id, SubplanId(10));
-        assert_eq!(bottoms[0].root.op.label(), "join");
+        let split = force_cut_points(&cut, SubplanId(0), &included).unwrap();
+        assert_eq!(split.plan.len(), 2, "the join subtree becomes one bottom");
+        let join = cut.dag.node_at(root, &[0]);
+        assert_eq!(split.forced, [join]);
+        let (top, bottom) = (rooted_at(&split, root), rooted_at(&split, join));
+        assert_eq!(bottom.root.op.label(), "join");
         assert_eq!(top.root.op.label(), "aggregate");
-        assert_eq!(top.root.inputs[0].op.label(), "input");
-        assert_eq!(top.children(), vec![SubplanId(10)]);
-        assert_eq!(bottoms[0].queries, sp.queries);
-        assert!(bottoms[0].output_queries.is_empty());
+        assert_eq!(top.root.inputs[0].op, TreeOp::Input(InputSource::Subplan(bottom.id)));
+        assert_eq!(top.children(), vec![bottom.id]);
+        assert_eq!(top.output_queries, qs(&[0, 1]));
+        assert_eq!(bottom.queries, top.queries);
+        assert!(bottom.output_queries.is_empty());
     }
 
     #[test]
     fn split_deeper_keeps_join_cuts_children() {
-        let sp = deep_subplan();
+        let cut = deep();
         let mut included = IncludedSet::new();
         included.insert(Vec::new());
         included.insert(vec![0]); // include the join
-        let (top, bottoms) = split_at(&sp, &included, 5).unwrap();
+        let split = force_cut_points(&cut, SubplanId(0), &included).unwrap();
         // Left child of join is select (internal → bottom), right is agg2
         // (internal → bottom).
-        assert_eq!(bottoms.len(), 2);
+        assert_eq!(split.plan.len(), 3);
+        let top = rooted_at(&split, cut.roots[0]);
         assert_eq!(top.root.inputs[0].op.label(), "join");
-        let kids = top.children();
-        assert_eq!(kids.len(), 2);
+        assert_eq!(top.children().len(), 2);
     }
 
     #[test]
     fn leaf_children_stay_inline() {
-        let sp = deep_subplan();
+        let cut = deep();
         let mut included = IncludedSet::new();
         included.insert(Vec::new());
         included.insert(vec![0]);
         included.insert(vec![0, 0]); // select included; its child is a leaf
-        let (top, bottoms) = split_at(&sp, &included, 5).unwrap();
-        assert_eq!(bottoms.len(), 1, "only agg2 is cut");
+        let split = force_cut_points(&cut, SubplanId(0), &included).unwrap();
+        assert_eq!(split.plan.len(), 2, "only agg2 is cut");
         // The select's base input stays a leaf of the top.
+        let top = rooted_at(&split, cut.roots[0]);
         assert!(top.root.referenced_tables().contains(&TableId(0)));
     }
 }

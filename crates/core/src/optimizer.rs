@@ -12,13 +12,13 @@
 //!    decomposition algorithm for each subplan in this order").
 
 use crate::baselines::PlannedExecution;
-use crate::constraint::{batch_final_works, resolve_constraints, FinalWorkConstraint};
-use crate::decompose::{try_decompose_subplan, DecomposeOptions};
+use crate::constraint::{batch_final_works, resolve_against, FinalWorkConstraint};
+use crate::decompose::{try_decompose_subplan, DagPlan, DecomposeOptions};
 use crate::pace_search::find_pace_configuration;
-use ishare_common::{CostWeights, QueryId, Result};
+use ishare_common::{CostWeights, NodeId, QueryId, Result};
 use ishare_cost::PlanEstimator;
 use ishare_mqo::{build_shared_dag, normalize, MqoConfig};
-use ishare_plan::{LogicalPlan, SharedPlan};
+use ishare_plan::LogicalPlan;
 use ishare_storage::Catalog;
 use std::collections::{BTreeMap, HashSet};
 use std::time::{Duration, Instant};
@@ -85,47 +85,45 @@ impl IShareOptimizer {
         let normalized: Vec<(QueryId, LogicalPlan)> =
             queries.iter().map(|(q, p)| (*q, normalize(p))).collect();
         let dag = build_shared_dag(&normalized, catalog, &self.options.mqo)?;
-        let mut plan = SharedPlan::from_dag(&dag, |_| false)?;
-        plan.validate(catalog)?;
+        let mut current = DagPlan::cut(dag, Vec::new())?;
+        current.plan.validate(catalog)?;
 
         // 2. Constraints.
         let batch_finals = batch_final_works(&normalized, catalog, self.weights)?;
-        let resolved = resolve_constraints(&normalized, constraints, catalog, self.weights)?;
+        let resolved = resolve_against(&normalized, constraints, &batch_finals);
 
         // 3. Nonuniform paces.
-        let mut est = PlanEstimator::new(&plan, catalog, self.weights)?;
+        let mut est = PlanEstimator::new(&current.plan, catalog, self.weights)?;
         est.set_memo_enabled(self.options.use_memo);
         let mut outcome = find_pace_configuration(&mut est, &resolved, self.options.max_pace)?;
         // Counters reflect the initial pace search; the decomposition pass
         // builds its own estimators per candidate plan.
         let counters = est.counters;
 
-        // 4. Decomposition over the full plan, parents first.
+        // 4. Decomposition over the full plan, parents first. Each adopted
+        // split edits the DAG; the plan is re-derived from it.
         if self.options.unshare {
             let dopts = DecomposeOptions {
                 max_pace: self.options.max_pace,
                 partial: self.options.partial,
                 brute_force: self.options.brute_force,
                 brute_deadline: self.options.brute_deadline,
-                ..Default::default()
             };
-            let mut attempted: HashSet<String> = HashSet::new();
+            // Subplans are attempted once each, keyed by their root node:
+            // node ids never move, and a split's pieces root at new nodes.
+            let mut attempted: HashSet<NodeId> = HashSet::new();
             'outer: loop {
                 // Parents-first order = reverse of children-first.
-                let mut order = plan.topo_order()?;
+                let mut order = current.plan.topo_order()?;
                 order.reverse();
                 for target in order {
-                    let sp = plan.subplan(target)?;
-                    if sp.queries.len() < 2 {
+                    if current.plan.subplan(target)?.queries.len() < 2
+                        || !attempted.insert(current.roots[target.index()])
+                    {
                         continue;
                     }
-                    let key = format!("{}|{:?}", sp.queries, sp.root);
-                    if attempted.contains(&key) {
-                        continue;
-                    }
-                    attempted.insert(key);
                     if let Some(adopted) = try_decompose_subplan(
-                        &plan,
+                        &current,
                         &outcome.paces,
                         &outcome.report,
                         target,
@@ -135,7 +133,7 @@ impl IShareOptimizer {
                         self.weights,
                         &dopts,
                     )? {
-                        plan = adopted.plan;
+                        current = adopted.edited;
                         outcome = adopted.outcome;
                         // Plan changed: restart the walk over the new plan.
                         continue 'outer;
@@ -145,7 +143,7 @@ impl IShareOptimizer {
             }
         }
         Ok(PlannedExecution {
-            plan,
+            plan: current.plan,
             paces: outcome.paces,
             report: outcome.report,
             feasible: outcome.feasible,
@@ -154,21 +152,5 @@ impl IShareOptimizer {
             opt_time: start.elapsed(),
             estimator_counters: counters,
         })
-    }
-
-    /// Re-entry point for online re-optimization: re-run the pace search on
-    /// an existing estimator — typically after
-    /// [`PlanEstimator::refresh_base`] folded runtime observations into the
-    /// base-stream stats — under (residual) absolute constraints. The
-    /// estimator's memo carries over, so every simulation the refresh did
-    /// not invalidate is reused. Decomposition is *not* revisited: mid-run
-    /// the plan shape is fixed (operator state exists per subplan); only
-    /// paces may move.
-    pub fn reoptimize_paces(
-        &self,
-        est: &mut PlanEstimator,
-        constraints: &crate::constraint::ConstraintMap,
-    ) -> Result<crate::pace_search::SearchOutcome> {
-        find_pace_configuration(est, constraints, self.options.max_pace)
     }
 }

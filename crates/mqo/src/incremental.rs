@@ -148,11 +148,6 @@ impl IncrementalSharer {
         QuerySet::from_iter(self.dag.query_roots.iter().map(|(q, _)| *q))
     }
 
-    /// `true` once [`seal`](Self::seal) was called.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-
     /// Mark the run live: subsequent admissions use the branch-compatible
     /// merge rule (see module docs). Idempotent.
     pub fn seal(&mut self) {

@@ -162,6 +162,25 @@ impl SharedDag {
         self.nodes.get(id.0 as usize).ok_or_else(|| Error::NotFound(format!("node {id}")))
     }
 
+    /// The node at tree `path` of the subplan rooted at `root`: tree inputs
+    /// are the node's children in [`DagNode::children`] order, which is how
+    /// [`SharedPlan::from_dag_with_roots`](crate::SharedPlan::from_dag_with_roots)
+    /// builds them. This is the one path → node mapping; churn moves state
+    /// by it and decomposition finds the nodes it splits or cuts by it.
+    pub fn node_at(&self, root: NodeId, path: &[usize]) -> NodeId {
+        path.iter().fold(root, |n, &k| self.nodes[n.0 as usize].children[k])
+    }
+
+    /// The DAG edge — (parent node, input index) — that the leaf at tree
+    /// `path` of the subplan rooted at `root` reads through. The leaf of a
+    /// bare-scan subplan has no parent and is keyed by its scan node.
+    pub fn leaf_edge(&self, root: NodeId, path: &[usize]) -> (NodeId, usize) {
+        match path.split_last() {
+            Some((&k, parent)) => (self.node_at(root, parent), k),
+            None => (root, usize::MAX),
+        }
+    }
+
     /// All queries participating in the DAG.
     pub fn all_queries(&self) -> QuerySet {
         self.query_roots.iter().fold(QuerySet::EMPTY, |acc, (q, _)| acc.union(QuerySet::single(*q)))

@@ -144,39 +144,24 @@ impl OpTree {
         }
     }
 
-    /// The subtree at `path` (child indices from the root), if it exists.
-    pub fn subtree_at(&self, path: &[usize]) -> Option<&OpTree> {
-        let mut cur = self;
-        for &i in path {
-            cur = cur.inputs.get(i)?;
+    /// Tree paths (child indices from the root) of every operator — every
+    /// position but the leaves. [`SharedDag::node_at`] maps each to its DAG
+    /// node.
+    pub fn operator_paths(&self) -> Vec<Vec<usize>> {
+        fn walk(t: &OpTree, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if matches!(t.op, TreeOp::Input(_)) {
+                return;
+            }
+            out.push(path.clone());
+            for (i, child) in t.inputs.iter().enumerate() {
+                path.push(i);
+                walk(child, path, out);
+                path.pop();
+            }
         }
-        Some(cur)
-    }
-
-    /// A copy of the tree with the subtree at `path` replaced.
-    pub fn replace_at(&self, path: &[usize], new: OpTree) -> Result<OpTree> {
-        if path.is_empty() {
-            return Ok(new);
-        }
-        let (head, rest) = (path[0], &path[1..]);
-        if head >= self.inputs.len() {
-            return Err(Error::InvalidPlan(format!(
-                "replace_at: child index {head} out of bounds for {} inputs",
-                self.inputs.len()
-            )));
-        }
-        let mut inputs = self.inputs.clone();
-        inputs[head] = inputs[head].replace_at(rest, new)?;
-        Ok(OpTree { op: self.op.clone(), inputs })
-    }
-
-    /// Rewrite every `Input(Subplan(old))` reference through `f`.
-    pub fn remap_subplan_inputs(&self, f: &impl Fn(SubplanId) -> SubplanId) -> OpTree {
-        let op = match &self.op {
-            TreeOp::Input(InputSource::Subplan(id)) => TreeOp::Input(InputSource::Subplan(f(*id))),
-            other => other.clone(),
-        };
-        OpTree { op, inputs: self.inputs.iter().map(|i| i.remap_subplan_inputs(f)).collect() }
+        let mut out = Vec::new();
+        walk(self, &mut Vec::new(), &mut out);
+        out
     }
 
     /// Output schema of this tree, given the catalog and the schemas of
@@ -856,21 +841,24 @@ mod tests {
     }
 
     #[test]
-    fn optree_path_surgery() {
+    fn operator_paths_map_to_dag_nodes() {
         let c = catalog();
-        let plan = SharedPlan::from_dag(&fig2_dag(&c), |_| false).unwrap();
+        let dag = fig2_dag(&c);
+        let (plan, roots) = SharedPlan::from_dag_with_roots(&dag, |_| false, &[]).unwrap();
         let shared = &plan.subplan(SubplanId(0)).unwrap().root;
-        // Root is aggregate, child select, grandchild input.
-        assert_eq!(shared.op.label(), "aggregate");
-        assert_eq!(shared.subtree_at(&[0]).unwrap().op.label(), "select");
-        assert_eq!(shared.subtree_at(&[0, 0]).unwrap().op.label(), "input");
-        assert!(shared.subtree_at(&[0, 0, 0]).is_none());
-        let replaced =
-            shared.replace_at(&[0, 0], OpTree::input(InputSource::Subplan(SubplanId(9)))).unwrap();
-        assert_eq!(replaced.referenced_subplans(), vec![SubplanId(9)]);
-        assert!(shared.replace_at(&[5], OpTree::input(InputSource::Base(TableId(0)))).is_err());
-        let remapped = replaced.remap_subplan_inputs(&|_| SubplanId(2));
-        assert_eq!(remapped.referenced_subplans(), vec![SubplanId(2)]);
+        // Root aggregate, child select; the scan below is a leaf, not an
+        // operator.
+        assert_eq!(shared.operator_paths(), vec![vec![], vec![0]]);
+        let labels: Vec<&str> = shared
+            .operator_paths()
+            .iter()
+            .map(|p| dag.node(dag.node_at(roots[0], p)).unwrap().op.label())
+            .collect();
+        assert_eq!(labels, ["aggregate", "select"]);
+        // The leaf reads the scan through the select's only input.
+        let select = dag.node_at(roots[0], &[0]);
+        assert_eq!(dag.leaf_edge(roots[0], &[0, 0]), (select, 0));
+        assert_eq!(dag.leaf_edge(roots[0], &[]), (roots[0], usize::MAX));
     }
 
     #[test]

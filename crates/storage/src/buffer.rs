@@ -175,11 +175,6 @@ impl DeltaBuffer {
         self.retention
     }
 
-    /// Number of registered consumers.
-    pub fn consumer_count(&self) -> usize {
-        self.offsets.len()
-    }
-
     /// Total rows ever appended (compacted rows included).
     pub fn len(&self) -> usize {
         self.base + self.rows.len()

@@ -72,7 +72,6 @@ use crate::driver::{run_wavefronts, Live, RunResult, SourceOptions, SourceOutcom
 use crate::engine::{EngineState, Seeds};
 use crate::fold::Fold;
 use ishare_common::{CostWeights, Error, NodeId, QueryId, QuerySet, Result, TableId, WorkCounter};
-use ishare_core::constraint::batch_final_works;
 use ishare_core::pace_search::SearchOutcome;
 use ishare_core::{find_pace_configuration, resolve_constraints, FinalWorkConstraint};
 use ishare_cost::PlanEstimator;
@@ -80,7 +79,7 @@ use ishare_exec::executor::{OperatorState, StateBundle};
 use ishare_exec::{ExecMode, ExecOptions, SubplanExecutor};
 use ishare_ingest::{ChurnKind, ChurnRecord, Source};
 use ishare_mqo::{normalize, IncrementalSharer, MqoConfig};
-use ishare_plan::{DagOp, InputSource, LogicalPlan, OpTree, SharedDag, SharedPlan, TreeOp};
+use ishare_plan::{DagOp, InputSource, LogicalPlan, SharedDag, SharedPlan};
 use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer, Retain};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -313,18 +312,9 @@ impl Runner<'_> {
         let (kind, q, budget, created, nodes) = match ev.op {
             ChurnOp::Admit { query, plan, constraint } => {
                 let diff = trial.admit(query, &normalize(&plan))?;
-                let l = match constraint {
-                    FinalWorkConstraint::Absolute(x) => x,
-                    FinalWorkConstraint::Relative(r) => {
-                        let batch =
-                            batch_final_works(&[(query, plan)], self.catalog, self.weights)?;
-                        r * batch.get(&query).copied().ok_or_else(|| {
-                            Error::InvalidConfig(format!(
-                                "no batch baseline for admitted query {query}"
-                            ))
-                        })?
-                    }
-                };
+                let one = BTreeMap::from([(query, constraint)]);
+                let l = resolve_constraints(&[(query, plan)], &one, self.catalog, self.weights)?
+                    [&query];
                 cuts.extend(diff.frontier);
                 let nodes = (diff.reused.len(), diff.created.len());
                 (ChurnKind::Admit, query, Some(l), diff.created, nodes)
@@ -457,11 +447,11 @@ impl Runner<'_> {
         for (i, (((ex, buf), leaves), mut seeds)) in old.enumerate() {
             let root = self.roots[i];
             for (path, st) in ex.into_state_bundle()? {
-                states.insert(node_at(dag, root, &path), st);
+                states.insert(dag.node_at(root, &path), st);
             }
             for (path, src, cid) in leaves {
                 let seed = seeds.remove(&path);
-                cursors.insert(leaf_edge(dag, root, &path), (src, cid, seed));
+                cursors.insert(dag.leaf_edge(root, &path), (src, cid, seed));
             }
             buffers.insert(root, buf);
         }
@@ -484,14 +474,16 @@ impl Runner<'_> {
                 self.weights,
                 self.exec_opts,
             )?;
-            let bundle: StateBundle = operator_paths(&sp.root)
+            let bundle: StateBundle = sp
+                .root
+                .operator_paths()
                 .into_iter()
-                .filter_map(|path| states.remove(&node_at(dag, root, &path)).map(|st| (path, st)))
+                .filter_map(|path| states.remove(&dag.node_at(root, &path)).map(|st| (path, st)))
                 .collect();
             ex.install_state_bundle(bundle)?;
             let (mut regs, mut seeds) = (Vec::new(), Seeds::new());
             for (path, src) in ex.leaf_paths() {
-                let cid = match cursors.remove(&leaf_edge(dag, root, &path)) {
+                let cid = match cursors.remove(&dag.leaf_edge(root, &path)) {
                     Some((_, cid, seed)) => {
                         if let Some(batch) = seed {
                             seeds.insert(path.clone(), batch);
@@ -591,43 +583,8 @@ impl Runner<'_> {
     }
 }
 
-/// The DAG node at tree `path` of the subplan rooted at `root`: tree
-/// inputs are the node's children in [`ishare_plan::DagNode::children`]
-/// order, which is how `SharedPlan::from_dag_with_roots` builds them.
-fn node_at(dag: &SharedDag, root: NodeId, path: &[usize]) -> NodeId {
-    path.iter().fold(root, |n, &k| dag.nodes[n.0 as usize].children[k])
-}
-
-/// The DAG edge a tree leaf reads through: (parent node, input index). The
-/// leaf of a bare-scan subplan has no parent and is keyed by its scan node.
+/// The DAG edge a tree leaf reads through: (parent node, input index).
 type Edge = (NodeId, usize);
-
-/// The [`Edge`] the leaf at tree `path` of the subplan rooted at `root`
-/// reads through.
-fn leaf_edge(dag: &SharedDag, root: NodeId, path: &[usize]) -> Edge {
-    match path.split_last() {
-        Some((&k, parent)) => (node_at(dag, root, parent), k),
-        None => (root, usize::MAX),
-    }
-}
-
-/// Tree paths of every operator of `t` (every position but the leaves).
-fn operator_paths(t: &OpTree) -> Vec<Vec<usize>> {
-    fn walk(t: &OpTree, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if matches!(t.op, TreeOp::Input(_)) {
-            return;
-        }
-        out.push(path.clone());
-        for (i, child) in t.inputs.iter().enumerate() {
-            path.push(i);
-            walk(child, path, out);
-            path.pop();
-        }
-    }
-    let mut out = Vec::new();
-    walk(t, &mut Vec::new(), &mut out);
-    out
-}
 
 /// Admission hand-off (module docs, step 4): widen shared state to `q_new`,
 /// then seed its fresh cone from witness-indexed snapshots. Every shared

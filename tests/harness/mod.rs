@@ -294,7 +294,8 @@ pub fn catalog() -> Catalog {
 /// A shared marking select over `t` fanning out to one aggregate subplan per
 /// query; with `join`, the select joins `u` on `k` and projects `[k, v + w]`
 /// first. Query 0 is a MIN and query 1 a MAX, so extremum deletes rescan.
-fn build_plan(c: &Catalog, rng: &mut SplitMix, join: bool) -> SharedPlan {
+/// Returns the DAG and the plan cut from it.
+pub fn build_plan(c: &Catalog, rng: &mut SplitMix, join: bool) -> (SharedDag, SharedPlan) {
     let n = rng.range(2, 5) as u16;
     let all: Vec<u16> = (0..n).collect();
     let mut d = SharedDag::new();
@@ -327,13 +328,14 @@ fn build_plan(c: &Catalog, rng: &mut SplitMix, join: bool) -> SharedPlan {
         let agg = d.add_node(op, vec![trunk], qs(&[q])).unwrap();
         d.set_query_root(QueryId(q), agg).unwrap();
     }
-    SharedPlan::from_dag(&d, |_| false).unwrap()
+    let plan = SharedPlan::from_dag(&d, |_| false).unwrap();
+    (d, plan)
 }
 
 /// Insert/delete events for `t` (and `u` when `join`). A delete retracts a
 /// live row — the one holding the current max or min of column 1 half of
 /// the time — so no feed ever over-retracts.
-fn build_feeds(c: &Catalog, rng: &mut SplitMix, join: bool) -> HashMap<TableId, DeltaFeed> {
+pub fn build_feeds(c: &Catalog, rng: &mut SplitMix, join: bool) -> HashMap<TableId, DeltaFeed> {
     let tables: Vec<TableId> = ["t", "u"][..1 + usize::from(join)]
         .iter()
         .map(|n| c.table_by_name(n).unwrap().id)
@@ -429,7 +431,7 @@ pub struct Case<'c> {
 impl Case<'_> {
     pub fn new<'c>(catalog: &'c Catalog, rng: &mut SplitMix) -> Case<'c> {
         let join = rng.chance(50);
-        let plan = build_plan(catalog, rng, join);
+        let (_, plan) = build_plan(catalog, rng, join);
         let feeds = build_feeds(catalog, rng, join);
         let paces = (0..plan.len()).map(|_| rng.range(1, 7) as u32).collect();
         let topology = SourceConfig {

@@ -182,6 +182,92 @@ fn decomposition_pass_changes_the_plan_under_pressure() {
     }
 }
 
+/// Decomposition is an edit of the shared DAG: on the lattice's generated
+/// plans (a shared select, or a select → join → project trunk, fanning out
+/// to per-query MIN / MAX / SUM / COUNT), a random query partition of the
+/// trunk — after a random partial cut, or none — re-derives a valid plan
+/// whose results at random paces are exactly the unedited plan's.
+#[test]
+fn decomposition_edits_preserve_results() {
+    use harness::{build_feeds, build_plan, catalog, SplitMix, SEED};
+    use ishare::core::decompose::partial::{cut_points, force_cut_points, subtree_candidates};
+    use ishare::core::decompose::{regenerate, DagPlan};
+    use ishare::stream::{execute_planned_deltas_with, SourceOptions};
+    use ishare_common::{QuerySet, SubplanId};
+
+    let c = catalog();
+    let mut rng = SplitMix(SEED ^ 0xdec0);
+    for case_no in 0..48 {
+        let join = rng.chance(50);
+        let (dag, plan) = build_plan(&c, &mut rng, join);
+        let feeds = build_feeds(&c, &mut rng, join);
+        let mut current = DagPlan::cut(dag, Vec::new()).unwrap();
+        assert_eq!(current.plan, plan);
+        let trunk = current.plan.subplans.iter().find(|sp| sp.queries.len() > 1).unwrap();
+        let (queries, root) = (trunk.queries, current.roots[trunk.id.index()]);
+
+        // A random partial cut of the trunk: its bottoms must stay shared.
+        let mut bottoms = Vec::new();
+        let candidates = subtree_candidates(trunk);
+        if !candidates.is_empty() && rng.chance(60) {
+            let included = &candidates[rng.range(0, candidates.len() as u64) as usize];
+            let paths = cut_points(trunk, included);
+            bottoms = paths.iter().map(|p| current.dag.node_at(root, p)).collect();
+            current = force_cut_points(&current, trunk.id, included).unwrap();
+        }
+        let target = current.roots.iter().position(|r| *r == root).unwrap();
+
+        // A random partition of the trunk's queries into at least two parts.
+        let k = rng.range(2, queries.len() as u64 + 1) as usize;
+        let mut parts = vec![QuerySet::EMPTY; k];
+        for (i, q) in queries.iter().enumerate() {
+            parts[if i < 2 { i } else { rng.range(0, k as u64) as usize }].insert(q);
+        }
+        parts.retain(|p| !p.is_empty());
+
+        let label = format!("case {case_no} (join {join}, parts {parts:?}, bottoms {bottoms:?})");
+        let (edited, clone_of) = regenerate(&current, SubplanId(target as u32), &parts).unwrap();
+        edited.dag.validate(&c).unwrap_or_else(|e| panic!("{label}: edited DAG: {e}"));
+        edited.plan.validate(&c).unwrap_or_else(|e| panic!("{label}: derived plan: {e}"));
+        assert_eq!(edited.plan.queries(), plan.queries(), "{label}");
+        for q in plan.queries().iter() {
+            assert!(edited.plan.query_root(q).is_some(), "{label}: q{} has no output", q.0);
+        }
+        // The pieces — the subplans holding a clone of the trunk's root —
+        // are exactly the partitions.
+        let (n_old, holders) = (current.dag.nodes.len(), edited.holders());
+        let mut pieces: Vec<QuerySet> = clone_of
+            .iter()
+            .enumerate()
+            .filter(|(_, origin)| **origin == root)
+            .map(|(i, _)| edited.plan.subplans[holders[n_old + i].unwrap().index()].queries)
+            .collect();
+        pieces.sort();
+        parts.sort();
+        assert_eq!(pieces, parts, "{label}: pieces");
+        // Nothing left over: every subplan answers a query or feeds one.
+        let parents = edited.plan.parents();
+        for sp in &edited.plan.subplans {
+            let used = !sp.output_queries.is_empty() || !parents[sp.id.index()].is_empty();
+            assert!(used, "{label}: subplan {} feeds nothing", sp.id);
+        }
+        for b in &bottoms {
+            let j = edited.roots.iter().position(|r| r == b);
+            let shared = j.is_some_and(|j| edited.plan.subplans[j].queries == queries);
+            assert!(shared, "{label}: bottom {b} is not a shared subplan");
+        }
+
+        let run = |plan: &ishare::plan::SharedPlan, rng: &mut SplitMix| {
+            let paces: Vec<u32> = (0..plan.len()).map(|_| rng.range(1, 7) as u32).collect();
+            let w = CostWeights::default();
+            let opts = SourceOptions::default();
+            execute_planned_deltas_with(plan, &paces, &c, &feeds, w, opts).unwrap().results
+        };
+        let want = run(&plan, &mut rng);
+        assert!(run(&edited.plan, &mut rng) == want, "{label}: results differ");
+    }
+}
+
 #[test]
 fn q15_tight_constraint_planned_and_met_by_both_noshare_variants() {
     // The Q15 discussion (Sec. 5.3) concerns paper-scale data, where the
