@@ -7,7 +7,7 @@
 //!
 //! Experiments: fig9, fig10, fig11, fig12, table1 (runs fig9+11+12),
 //! fig13 (with table2), fig14 (with table3), fig15, fig16, fig17a,
-//! fig17b, fig17c, scaling (parallel-driver thread sweep), kernels
+//! fig17b, fig17c, kernels
 //! (datapath kernels vs reference operators → `BENCH_kernels.json`),
 //! adapt (static vs adaptive paces under statistics drift →
 //! `BENCH_adapt.json`), obs (observability overhead gate →
@@ -17,14 +17,7 @@
 //! cheaper), all.
 //!
 //! Options: `--sf <f64>`, `--seed <u64>`, `--max-pace <u32>`,
-//! `--random-sets <n>`, `--dnf-secs <n>`, `--trace-out <path>`,
-//! `--metrics-out <path>` (the latter two apply to `scaling`: the widest
-//! thread-count run is re-executed with observability enabled and its
-//! Chrome trace / metrics snapshot written as JSON; a `--metrics-out` path
-//! ending in `.prom` writes the Prometheus text exposition instead),
-//! `--ingest` (the
-//! scaling experiment pulls input through the ingest subsystem instead of
-//! pre-materialized feeds), `--jitter <n>` (arrival jitter for `--ingest`).
+//! `--random-sets <n>`, `--dnf-secs <n>`.
 
 use ishare_bench::experiments::{self, Params};
 
@@ -49,16 +42,6 @@ fn main() {
             "--dnf-secs" => {
                 params.dnf = std::time::Duration::from_secs(value(&args, &mut i, "--dnf-secs <n>"))
             }
-            "--trace-out" => {
-                params.trace_out =
-                    Some(value::<std::path::PathBuf>(&args, &mut i, "--trace-out <path>"))
-            }
-            "--metrics-out" => {
-                params.metrics_out =
-                    Some(value::<std::path::PathBuf>(&args, &mut i, "--metrics-out <path>"))
-            }
-            "--ingest" => params.ingest = true,
-            "--jitter" => params.jitter = value(&args, &mut i, "--jitter <n>"),
             other if !other.starts_with("--") => exp = other.to_string(),
             other => {
                 eprintln!("unknown option {other}");
@@ -90,7 +73,6 @@ fn main() {
             "fig17a" => experiments::fig17(params, 'a'),
             "fig17b" => experiments::fig17(params, 'b'),
             "fig17c" => experiments::fig17(params, 'c'),
-            "scaling" => experiments::parallel_scaling(params),
             "kernels" => experiments::kernel_bench(params),
             "adapt" => experiments::adapt(params),
             "obs" => experiments::obs_overhead(params),
@@ -109,7 +91,7 @@ fn main() {
     if exp == "all" {
         for name in [
             "fig10", "table1", "fig13", "fig14", "fig15", "fig16", "fig17a", "fig17b", "fig17c",
-            "scaling", "kernels", "adapt", "obs", "churn",
+            "kernels", "adapt", "obs", "churn",
         ] {
             run(name, &params);
         }

@@ -1,5 +1,5 @@
-//! Validate observability artifacts emitted by `figures --trace-out
-//! --metrics-out` or `examples/quickstart --trace-out --metrics-out`.
+//! Validate observability artifacts emitted by `examples/quickstart
+//! --trace-out --metrics-out`.
 //!
 //! ```text
 //! cargo run -p ishare-bench --bin validate_obs -- trace.json metrics.json [metrics.prom]
@@ -11,7 +11,7 @@
 //! * the trace has a non-empty `traceEvents` array whose events carry valid
 //!   `ph`/`ts`/`dur` fields (`ph: "X"` spans, `ph: "M"` metadata, `ph: "C"`
 //!   slack counters only),
-//! * spans on the same `tid` (worker track) do not overlap,
+//! * spans on the same `tid` (track) do not overlap,
 //! * the metrics report's `breakdown_total` and the sum of its per-kind
 //!   entries both match `total_work` within 1e-6 relative error,
 //! * with a third argument: the file is a well-formed Prometheus text

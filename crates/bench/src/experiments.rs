@@ -1,8 +1,7 @@
 //! The paper's experiments (Sec. 5), one function per table/figure.
 
 use crate::harness::{
-    print_table, run_approach, run_approach_full, run_to_json, save_json, write_json_file,
-    ApproachRun, Env, Workload,
+    print_table, run_approach, run_to_json, save_json, ApproachRun, Env, Workload,
 };
 use ishare_common::{CostWeights, QueryId, Result};
 use ishare_core::decompose::{
@@ -34,33 +33,11 @@ pub struct Params {
     /// DNF cutoff for the w/o-memo and brute-force runs (the paper used 30
     /// minutes; scaled down).
     pub dnf: Duration,
-    /// Write a Chrome `trace_event` JSON of the scaling experiment's widest
-    /// run here (`--trace-out`).
-    pub trace_out: Option<std::path::PathBuf>,
-    /// Write the same run's metrics/work-breakdown JSON here
-    /// (`--metrics-out`).
-    pub metrics_out: Option<std::path::PathBuf>,
-    /// Pull input through the ingest subsystem (partitioned bounded topics,
-    /// watermark cuts) instead of pre-materialized `Vec` feeds (`--ingest`).
-    pub ingest: bool,
-    /// Arrival jitter for ingest mode: each row's arrival may be displaced
-    /// up to this many positions from its event time (`--jitter`).
-    pub jitter: u64,
 }
 
 impl Default for Params {
     fn default() -> Self {
-        Params {
-            sf: 0.005,
-            seed: 42,
-            max_pace: 100,
-            random_sets: 3,
-            dnf: Duration::from_secs(60),
-            trace_out: None,
-            metrics_out: None,
-            ingest: false,
-            jitter: 0,
-        }
+        Params { sf: 0.005, seed: 42, max_pace: 100, random_sets: 3, dnf: Duration::from_secs(60) }
     }
 }
 
@@ -612,115 +589,6 @@ pub fn fig17(p: &Params, which: char) -> Result<()> {
         &rows,
     );
     save_json(&format!("fig17{which}"), &serde_json::json!({ "points": json }));
-    Ok(())
-}
-
-/// Parallel-driver scaling: the ten sharing-friendly TPC-H queries planned
-/// without sharing (ten independent subplan chains — well over the six
-/// independent subplans needed to keep four workers busy), executed at
-/// worker counts 1/2/4. Work numbers must be bit-identical across thread
-/// counts; only the end-to-end wall clock may change.
-pub fn parallel_scaling(p: &Params) -> Result<()> {
-    let mut env = Env::new(p.sf, p.seed)?;
-    // Ingest mode swaps the Vec feed for a pull-based source (two partitions,
-    // a small ring to exercise backpressure, caller-chosen jitter). The
-    // bit-identity assertion below is unchanged: source-fed runs must match
-    // Vec-fed work numbers exactly, whatever the arrival order.
-    let ingest_cfg = p.ingest.then_some(ishare_stream::SourceConfig {
-        partitions: 2,
-        capacity: 512,
-        jitter: p.jitter,
-        seed: p.seed,
-    });
-    let queries = named_ten(&env)?;
-    let workload = Workload::uniform("parallel-scaling", queries, 0.2);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    let mut baseline: Option<(ApproachRun, f64)> = None;
-    // Observability artifacts come from the widest run (most workers, most
-    // interesting trace); instrumentation is passive, so enabling it does
-    // not disturb the bit-identity assertion below.
-    let want_obs = p.trace_out.is_some() || p.metrics_out.is_some();
-    let mut obs_report = None;
-    const REPS: usize = 3;
-    const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-    for threads in THREAD_COUNTS {
-        // Repeat and keep the fastest wall clock — single-run timings are
-        // noisy on shared machines, and the work numbers are identical by
-        // construction anyway.
-        let obs = (want_obs && threads == THREAD_COUNTS[THREAD_COUNTS.len() - 1])
-            .then(ishare_stream::ObsConfig::default);
-        let mut best: Option<ApproachRun> = None;
-        let mut elapsed_reps = Vec::with_capacity(REPS);
-        for _ in 0..REPS {
-            let (run, report) = run_approach_full(
-                &mut env,
-                &workload,
-                Approach::NoShareNonuniform,
-                &opts(p),
-                threads,
-                obs,
-                ingest_cfg,
-            )?;
-            if report.is_some() {
-                obs_report = report;
-            }
-            elapsed_reps.push(run.elapsed.as_secs_f64());
-            if best.as_ref().map(|b| run.elapsed < b.elapsed).unwrap_or(true) {
-                best = Some(run);
-            }
-        }
-        let run = best.expect("at least one rep");
-        let min_elapsed = run.elapsed.as_secs_f64();
-        if let Some((base, _)) = &baseline {
-            assert_eq!(
-                base.measured_total.to_bits(),
-                run.measured_total.to_bits(),
-                "parallel driver must be bit-identical to sequential"
-            );
-        }
-        let speedup = baseline.as_ref().map(|(_, base_s)| base_s / min_elapsed).unwrap_or(1.0);
-        rows.push(vec![
-            format!("{threads}"),
-            format!("{:.0}", run.measured_total),
-            format!("{}", run.subplans),
-            format!("{min_elapsed:.3}"),
-            format!("{speedup:.2}x"),
-        ]);
-        json.push(serde_json::json!({
-            "threads": threads,
-            "elapsed_secs_min": min_elapsed,
-            "elapsed_secs_reps": elapsed_reps.clone(),
-            "speedup_vs_1": speedup,
-            "run": run_to_json(&run),
-        }));
-        if baseline.is_none() {
-            baseline = Some((run, min_elapsed));
-        }
-    }
-    print_table(
-        &format!("Parallel scaling — NoShare-Nonuniform, 10 queries ({cores} cores available)"),
-        &["threads", "measured work", "subplans", "min elapsed s", "speedup"],
-        &rows,
-    );
-    save_json(
-        "parallel_scaling",
-        &serde_json::json!({
-            "available_cores": cores,
-            "ingest": p.ingest,
-            "jitter": p.jitter,
-            "points": json,
-        }),
-    );
-    if let Some(report) = obs_report {
-        if let Some(path) = &p.trace_out {
-            write_json_file(path, &report.chrome_trace())?;
-        }
-        if let Some(path) = &p.metrics_out {
-            crate::harness::write_metrics_file(path, &report)?;
-        }
-    }
     Ok(())
 }
 

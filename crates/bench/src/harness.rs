@@ -8,10 +8,7 @@ use ishare_exec::reference::RefJoinState;
 use ishare_expr::Expr;
 use ishare_plan::LogicalPlan;
 use ishare_storage::{DeltaBatch, DeltaRow, Row};
-use ishare_stream::{
-    execute_from_source_obs, execute_planned, insert_feeds, missed_latency_stats,
-    MissedLatencyStats, ObsConfig, ObsReport, Source, SourceConfig, SourceOptions,
-};
+use ishare_stream::{execute_planned, missed_latency_stats, MissedLatencyStats};
 use ishare_tpch::{generate, TpchData};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -134,82 +131,26 @@ pub struct ApproachRun {
     pub feasible: bool,
     /// End-to-end wall clock of the run (setup + feeding + execution).
     pub elapsed: Duration,
-    /// Worker threads used (1 = the sequential reference driver).
-    pub threads: usize,
 }
 
 /// Plan and execute one workload under one approach, measuring against the
 /// paper's latency goals (`goal(q) = relative constraint × measured batch
-/// latency of q`, Sec. 5.1). Runs on the sequential reference driver.
+/// latency of q`, Sec. 5.1).
 pub fn run_approach(
     env: &mut Env,
     workload: &Workload,
     approach: Approach,
     opts: &PlanningOptions,
 ) -> Result<ApproachRun> {
-    run_approach_threaded(env, workload, approach, opts, 1)
-}
-
-/// [`run_approach`] with an explicit worker-thread count: `threads == 1`
-/// uses the sequential driver, `threads > 1` the parallel driver (which is
-/// bit-identical in every work number, so approach comparisons are
-/// unaffected by the knob).
-pub fn run_approach_threaded(
-    env: &mut Env,
-    workload: &Workload,
-    approach: Approach,
-    opts: &PlanningOptions,
-    threads: usize,
-) -> Result<ApproachRun> {
-    Ok(run_approach_obs(env, workload, approach, opts, threads, None)?.0)
-}
-
-/// [`run_approach_threaded`] with opt-in observability: when `obs` is set,
-/// the driver also returns an [`ObsReport`] (per-operator × per-subplan work
-/// breakdown, metrics, tick/wavefront span trace) without perturbing any
-/// measured work number.
-pub fn run_approach_obs(
-    env: &mut Env,
-    workload: &Workload,
-    approach: Approach,
-    opts: &PlanningOptions,
-    threads: usize,
-    obs: Option<ObsConfig>,
-) -> Result<(ApproachRun, Option<ObsReport>)> {
-    run_approach_full(env, workload, approach, opts, threads, obs, None)
-}
-
-/// [`run_approach_obs`] with an optional ingest mode: when `ingest` is set,
-/// the run pulls its input through an `ishare-ingest` [`Source`] (partitioned
-/// bounded topics, jittered arrival under watermarks) instead of the
-/// pre-materialized `Vec` feeds. The source path is bit-identical in every
-/// work number, so approach comparisons and the scaling experiment's
-/// identity assertions hold in either mode.
-pub fn run_approach_full(
-    env: &mut Env,
-    workload: &Workload,
-    approach: Approach,
-    opts: &PlanningOptions,
-    threads: usize,
-    obs: Option<ObsConfig>,
-    ingest: Option<SourceConfig>,
-) -> Result<(ApproachRun, Option<ObsReport>)> {
     let (queries, cons) = workload.planner_inputs();
     let planned = plan_workload(approach, &queries, &cons, &env.data.catalog, opts)?;
-    let feeds = insert_feeds(&env.data.data);
-    let mut source = match ingest {
-        Some(cfg) => Source::new(&feeds, cfg)?,
-        None => Source::in_order(&feeds),
-    };
-    let mut run = execute_from_source_obs(
+    let run = execute_planned(
         &planned.plan,
         planned.paces.as_slice(),
         &env.data.catalog,
-        &mut source,
+        &env.data.data,
         CostWeights::default(),
-        SourceOptions { obs, workers: threads, ..Default::default() },
-    )?
-    .into_result()?;
+    )?;
 
     // Latency goals from measured batch baselines.
     let mut goals_work = BTreeMap::new();
@@ -226,63 +167,18 @@ pub fn run_approach_full(
         tested_wall.insert(q, run.latency[&q].as_secs_f64());
     }
 
-    let report = run.obs.take();
-    Ok((
-        ApproachRun {
-            approach,
-            est_total: planned.report.total_work.get(),
-            measured_total: run.total_work.get(),
-            total_wall: run.total_wall,
-            opt_time: planned.opt_time,
-            missed_work: missed_latency_stats(&goals_work, &tested_work),
-            missed_wall: missed_latency_stats(&goals_wall, &tested_wall),
-            subplans: planned.plan.len(),
-            feasible: planned.feasible,
-            elapsed: run.elapsed,
-            threads,
-        },
-        report,
-    ))
-}
-
-/// Write a JSON value to an explicit path (used by `--trace-out` /
-/// `--metrics-out`), creating parent directories as needed.
-pub fn write_json_file(path: &std::path::Path, value: &serde_json::Value) -> Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(|e| {
-                ishare_common::Error::InvalidConfig(format!("mkdir {parent:?}: {e}"))
-            })?;
-        }
-    }
-    let s = serde_json::to_string_pretty(value)
-        .map_err(|e| ishare_common::Error::InvalidConfig(format!("serialize: {e}")))?;
-    std::fs::write(path, s)
-        .map_err(|e| ishare_common::Error::InvalidConfig(format!("write {path:?}: {e}")))?;
-    println!("[saved {}]", path.display());
-    Ok(())
-}
-
-/// Write an [`ObsReport`]'s metrics snapshot to `path`. A `.prom` extension
-/// selects the Prometheus text exposition (`ishare_*` families, 0.0.4 text
-/// format); anything else gets the JSON document `--metrics-out` has always
-/// written.
-pub fn write_metrics_file(path: &std::path::Path, report: &ObsReport) -> Result<()> {
-    if path.extension().and_then(|e| e.to_str()) == Some("prom") {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| {
-                    ishare_common::Error::InvalidConfig(format!("mkdir {parent:?}: {e}"))
-                })?;
-            }
-        }
-        std::fs::write(path, report.prometheus())
-            .map_err(|e| ishare_common::Error::InvalidConfig(format!("write {path:?}: {e}")))?;
-        println!("[saved {}]", path.display());
-        Ok(())
-    } else {
-        write_json_file(path, &report.metrics_json())
-    }
+    Ok(ApproachRun {
+        approach,
+        est_total: planned.report.total_work.get(),
+        measured_total: run.total_work.get(),
+        total_wall: run.total_wall,
+        opt_time: planned.opt_time,
+        missed_work: missed_latency_stats(&goals_work, &tested_work),
+        missed_wall: missed_latency_stats(&goals_wall, &tested_wall),
+        subplans: planned.plan.len(),
+        feasible: planned.feasible,
+        elapsed: run.elapsed,
+    })
 }
 
 /// Print an aligned table.
@@ -539,7 +435,6 @@ pub fn run_to_json(r: &ApproachRun) -> serde_json::Value {
         "subplans": r.subplans,
         "feasible": r.feasible,
         "elapsed_secs": r.elapsed.as_secs_f64(),
-        "threads": r.threads,
     })
 }
 

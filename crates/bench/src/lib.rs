@@ -16,4 +16,4 @@
 pub mod experiments;
 pub mod harness;
 
-pub use harness::{run_approach, run_approach_threaded, ApproachRun, Env, Workload};
+pub use harness::{run_approach, ApproachRun, Env, Workload};

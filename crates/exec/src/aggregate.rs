@@ -297,9 +297,8 @@ impl AggState {
             input.rows.len() * spec.funcs.len().max(1),
         );
         // First-touch order, not map order: flush order must be a pure
-        // function of the input stream so executions are reproducible and
-        // thread-count independent (the parallel driver's bit-identical
-        // work-unit guarantee relies on it). Group keys are encoded from
+        // function of the input stream so executions are reproducible (the
+        // bit-identical work-unit guarantee relies on it). Group keys are encoded from
         // borrowed values. Only the first touch of a group evaluates its
         // output key — the representation the reference emits — into one
         // arena of `group_by.len()` values per touched group, while the row

@@ -34,5 +34,5 @@ pub use metrics::{Histogram, MetricsRegistry, DEFAULT_BUCKETS};
 pub use prom::{prom_name, prometheus_text};
 pub use report::{ExecCounts, ObsConfig, ObsReport};
 pub use slack::{FrontCharge, QuerySlack, SlackLedger, SlackSample};
-pub use span::{AuxKind, AuxSpan, SlackPoint, ADAPT_TID, INGEST_TID, OP_TID_BASE};
+pub use span::{AuxKind, AuxSpan, SlackPoint, ADAPT_TID, INGEST_TID, OP_TID};
 pub use trace::{Span, SpanKind, TraceBuffer, WAVEFRONT_TID};

@@ -42,8 +42,10 @@ impl ExecCounts {
 
 /// Everything observed during one driver run.
 ///
-/// `work_by_subplan[i]` is the per-operator breakdown of subplan `i`'s work;
-/// summing every cell reproduces the run's `total_work` up to float
+/// `work_by_subplan[i]` is the per-operator breakdown of subplan `i`'s work
+/// under the plan in effect at the end of the run; `replaced_work` holds
+/// what plans a churn re-cut replaced were charged. Summing every cell of
+/// both reproduces the run's `total_work` up to float
 /// re-association (the driver accumulates the flat total in charge order,
 /// the breakdown regroups the same terms by kind — identical values, added
 /// in a different order, so equality holds to ~1e-12 relative, asserted at
@@ -56,6 +58,11 @@ pub struct ObsReport {
     pub work_by_subplan: Vec<WorkBreakdown>,
     /// Per-subplan execution counts.
     pub executions_by_subplan: Vec<ExecCounts>,
+    /// Per-operator-kind work charged under plans a churn re-cut replaced
+    /// (zero in a fixed-plan run).
+    pub replaced_work: WorkBreakdown,
+    /// Executions of subplans of replaced plans (zero in a fixed-plan run).
+    pub replaced_executions: ExecCounts,
     /// Named counters/gauges/histograms recorded during the run.
     pub metrics: MetricsRegistry,
     /// Tick/wavefront spans.
@@ -66,24 +73,31 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// Global per-operator breakdown: sum over subplans.
+    /// Global per-operator breakdown: replaced plans, then the sum over
+    /// subplans.
     pub fn breakdown(&self) -> WorkBreakdown {
         let mut total = WorkBreakdown::default();
-        for b in &self.work_by_subplan {
+        for b in std::iter::once(&self.replaced_work).chain(&self.work_by_subplan) {
             total.add(b);
         }
         total
     }
 
-    /// Sum of every breakdown cell; equals [`total_work`](Self::total_work)
-    /// up to float re-association.
+    /// Sum of every breakdown cell, replaced plans included; equals
+    /// [`total_work`](Self::total_work) up to float re-association.
     pub fn breakdown_total(&self) -> f64 {
-        self.work_by_subplan.iter().map(WorkBreakdown::sum).sum()
+        self.replaced_work.sum() + self.work_by_subplan.iter().map(WorkBreakdown::sum).sum::<f64>()
     }
 
-    /// Work charged under one operator kind, across all subplans.
+    /// Work charged under one operator kind over the whole run.
     pub fn kind_total(&self, kind: OpKind) -> f64 {
-        self.work_by_subplan.iter().map(|b| b.get(kind)).sum()
+        self.breakdown().get(kind)
+    }
+
+    /// Executions over the whole run, replaced plans included.
+    pub fn executions(&self) -> u64 {
+        let current: u64 = self.executions_by_subplan.iter().map(ExecCounts::total).sum();
+        self.replaced_executions.total() + current
     }
 
     /// Metrics snapshot plus the work breakdown, as one JSON document

@@ -20,8 +20,8 @@
 //! `core::adapt`'s `WavefrontObservation`, and deliberately the same
 //! summation order, so ledger `remaining` is `to_bits`-equal to the adapt
 //! controller's residual budgets `R(q)` at headroom 1 (asserted by
-//! `tests/slack_ledger.rs`). Wall clock never enters: obs-on/obs-off,
-//! worker counts, and kill/resume replay all produce the identical ledger.
+//! `tests/slack_ledger.rs`). Wall clock never enters: obs-on/obs-off and
+//! kill/resume replay produce the identical ledger.
 //!
 //! The ledger upholds (and [`SlackLedger::verify`] re-checks) these
 //! invariants on every sample:
@@ -30,7 +30,9 @@
 //! 2. `consumed + remaining == budget` whenever the deadline is met;
 //! 3. `consumed` and `charged_total` are non-decreasing across fronts,
 //!    `remaining` is non-increasing;
-//! 4. every query has a sample for every front (same sample count).
+//! 4. every query has one sample per front from the front it joined at
+//!    (0 unless live churn admitted it mid-run) through the last, with
+//!    contiguous wavefront ordinals.
 
 use crate::metrics::MetricsRegistry;
 use ishare_common::QueryId;
@@ -73,7 +75,10 @@ pub struct SlackSample {
 pub struct QuerySlack {
     /// The query's final-work budget `L(q)`.
     pub budget: f64,
-    /// One sample per wavefront, in front order.
+    /// Ordinal of the query's first sampled wavefront: 0, or the front
+    /// after the boundary that admitted it.
+    pub joined: u32,
+    /// One sample per wavefront from `joined` on, in front order.
     pub samples: Vec<SlackSample>,
 }
 
@@ -104,6 +109,7 @@ impl QuerySlack {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SlackLedger {
     queries: BTreeMap<QueryId, QuerySlack>,
+    fronts: u32,
 }
 
 impl SlackLedger {
@@ -111,9 +117,9 @@ impl SlackLedger {
     pub fn new(budgets: &BTreeMap<QueryId, f64>) -> Self {
         let queries = budgets
             .iter()
-            .map(|(&q, &budget)| (q, QuerySlack { budget, samples: Vec::new() }))
+            .map(|(&q, &budget)| (q, QuerySlack { budget, joined: 0, samples: Vec::new() }))
             .collect();
-        Self { queries }
+        Self { queries, fronts: 0 }
     }
 
     /// `true` iff no query has a budget.
@@ -121,9 +127,9 @@ impl SlackLedger {
         self.queries.is_empty()
     }
 
-    /// Number of wavefronts recorded (identical for every query).
+    /// Number of wavefronts recorded.
     pub fn fronts(&self) -> usize {
-        self.queries.values().next().map_or(0, |q| q.samples.len())
+        self.fronts as usize
     }
 
     /// Per-query ledgers in `QueryId` order.
@@ -136,11 +142,11 @@ impl SlackLedger {
         self.queries.get(&q)
     }
 
-    /// Admit a query mid-run (live churn): it starts sampling at the next
-    /// recorded front with budget `l`, with no retroactive samples. Replaces
-    /// any previous ledger for the id (a re-admitted id starts fresh).
+    /// Admit a query mid-run (live churn): it joins at the next recorded
+    /// front with budget `l`, with no retroactive samples. Replaces any
+    /// previous ledger for the id (a re-admitted id starts fresh).
     pub fn add_query(&mut self, q: QueryId, l: f64) {
-        self.queries.insert(q, QuerySlack { budget: l, samples: Vec::new() });
+        self.queries.insert(q, QuerySlack { budget: l, joined: self.fronts, samples: Vec::new() });
     }
 
     /// Release a removed query's ledger (live churn), returning it so the
@@ -177,23 +183,30 @@ impl SlackLedger {
                 remaining: (slot.budget - c.consumed).max(0.0),
             });
         }
+        self.fronts += 1;
     }
 
     /// Re-check every ledger invariant (see the module docs); returns the
     /// first violation as a human-readable message.
     pub fn verify(&self) -> Result<(), String> {
-        let fronts = self.fronts();
         for (q, slot) in &self.queries {
             let i = q.index();
-            if slot.samples.len() != fronts {
+            let expected = self.fronts.saturating_sub(slot.joined) as usize;
+            if slot.samples.len() != expected {
                 return Err(format!(
-                    "q{i}: {} samples, expected {fronts} (one per front)",
-                    slot.samples.len()
+                    "q{i}: {} samples, expected {expected} (one per front from front {})",
+                    slot.samples.len(),
+                    slot.joined
                 ));
             }
             let mut prev: Option<&SlackSample> = None;
-            for s in &slot.samples {
-                let w = s.wavefront;
+            for (s, w) in slot.samples.iter().zip(slot.joined..) {
+                if s.wavefront != w {
+                    return Err(format!(
+                        "q{i}: sample of front {} where front {w} is due",
+                        s.wavefront
+                    ));
+                }
                 let want = (slot.budget - s.consumed).max(0.0);
                 if s.remaining.to_bits() != want.to_bits() {
                     return Err(format!(
@@ -226,9 +239,6 @@ impl SlackLedger {
                     }
                     if s.remaining > p.remaining {
                         return Err(format!("q{i} front {w}: remaining increased"));
-                    }
-                    if s.wavefront <= p.wavefront {
-                        return Err(format!("q{i} front {w}: wavefront ordinals not increasing"));
                     }
                 }
                 prev = Some(s);
@@ -356,6 +366,30 @@ mod tests {
         l.record_front(1, 2, 2, &c);
         let err = l.verify().unwrap_err();
         assert!(err.contains("decreased"), "{err}");
+    }
+
+    #[test]
+    fn admitted_query_is_checked_from_its_join_front() {
+        let mut l = SlackLedger::new(&budgets(&[(0, 10.0)]));
+        let mut c = BTreeMap::new();
+        c.insert(QueryId(0), charge(1.0, 1.0, 0.0));
+        l.record_front(0, 1, 3, &c);
+        l.add_query(QueryId(1), 10.0);
+        c.insert(QueryId(1), charge(2.0, 2.0, 0.0));
+        l.record_front(1, 2, 3, &c);
+        l.record_front(2, 3, 3, &c);
+        assert_eq!(l.query(QueryId(1)).unwrap().joined, 1);
+        l.verify().unwrap();
+        // A missing sample, or one of the wrong front, is caught.
+        let mut bad = l.clone();
+        bad.queries.get_mut(&QueryId(1)).unwrap().samples.pop();
+        assert!(bad.verify().unwrap_err().contains("expected 2"));
+        let mut bad = l.clone();
+        bad.queries.get_mut(&QueryId(1)).unwrap().samples[0].wavefront = 0;
+        assert!(bad.verify().is_err());
+        let mut bad = l.clone();
+        bad.queries.get_mut(&QueryId(0)).unwrap().samples.remove(0);
+        assert!(bad.verify().is_err(), "a query present from front 0 needs every front");
     }
 
     #[test]

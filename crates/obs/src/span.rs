@@ -8,8 +8,8 @@
 //!
 //! * **Operator spans** subdivide one tick's wall interval proportionally to
 //!   the tick's per-[`OpKind`] work breakdown — they live on a dedicated
-//!   `worker N ops` track below the worker's tick track, so the operator mix
-//!   of a straggler tick is visible at a glance.
+//!   `ops` track below the tick track, so the operator mix of a slow tick
+//!   is visible at a glance.
 //! * **Ingest poll spans** cover each per-wavefront cut of the ingest
 //!   topics (the `feed` phase the tick tracks never show), on one `ingest`
 //!   track; `work` carries the number of delta records delivered.
@@ -30,8 +30,8 @@ use ishare_common::OpKind;
 pub const INGEST_TID: u64 = 900;
 /// Track id carrying adapt re-search spans.
 pub const ADAPT_TID: u64 = 901;
-/// Worker `w`'s operator spans ride on track `OP_TID_BASE + w`.
-pub const OP_TID_BASE: u64 = 1000;
+/// Track id carrying operator spans.
+pub const OP_TID: u64 = 1000;
 
 /// What an auxiliary span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,9 +51,6 @@ pub struct AuxSpan {
     pub kind: AuxKind,
     /// Subplan index (operator spans) or wavefront ordinal (poll/adapt).
     pub sp: u32,
-    /// Worker thread that ran the covering tick (0 for poll/adapt spans:
-    /// both run on the single-threaded wavefront boundary path).
-    pub worker: u32,
     /// Start offset from the beginning of the run, microseconds.
     pub start_us: u64,
     /// Duration, microseconds.
@@ -67,7 +64,7 @@ impl AuxSpan {
     /// Chrome track id for this span.
     pub fn tid(&self) -> u64 {
         match self.kind {
-            AuxKind::Operator(_) => OP_TID_BASE + self.worker as u64,
+            AuxKind::Operator(_) => OP_TID,
             AuxKind::IngestPoll => INGEST_TID,
             AuxKind::AdaptSearch => ADAPT_TID,
         }
@@ -123,34 +120,20 @@ mod tests {
         let op = AuxSpan {
             kind: AuxKind::Operator(OpKind::Scan),
             sp: 3,
-            worker: 2,
             start_us: 0,
             dur_us: 5,
             work: 10.0,
         };
-        assert_eq!(op.tid(), OP_TID_BASE + 2);
+        assert_eq!(op.tid(), OP_TID);
         assert_eq!(op.cat(), "operator");
         assert_eq!(op.name(), "sp3 scan");
 
-        let poll = AuxSpan {
-            kind: AuxKind::IngestPoll,
-            sp: 1,
-            worker: 0,
-            start_us: 0,
-            dur_us: 2,
-            work: 40.0,
-        };
+        let poll = AuxSpan { kind: AuxKind::IngestPoll, sp: 1, start_us: 0, dur_us: 2, work: 40.0 };
         assert_eq!(poll.tid(), INGEST_TID);
         assert_eq!(poll.name(), "poll front 1");
 
-        let adapt = AuxSpan {
-            kind: AuxKind::AdaptSearch,
-            sp: 2,
-            worker: 0,
-            start_us: 9,
-            dur_us: 1,
-            work: 1.0,
-        };
+        let adapt =
+            AuxSpan { kind: AuxKind::AdaptSearch, sp: 2, start_us: 9, dur_us: 1, work: 1.0 };
         assert_eq!(adapt.tid(), ADAPT_TID);
         assert_eq!(adapt.name(), "re-search front 2 (switched)");
     }

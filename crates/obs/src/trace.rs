@@ -2,11 +2,10 @@
 //! `trace_event` JSON (loadable in `chrome://tracing` and Perfetto).
 //!
 //! Spans are recorded with microsecond offsets from the start of the run.
-//! Each worker thread gets its own track (`tid`), so the parallel driver's
-//! utilization and stragglers are visible as gaps on worker lanes; wavefront
-//! spans live on a dedicated track above the workers.
+//! Ticks run one at a time, so they share one track (`tid`); wavefront
+//! spans live on a dedicated track above it.
 
-use crate::span::{AuxKind, AuxSpan, SlackPoint, ADAPT_TID, INGEST_TID, OP_TID_BASE};
+use crate::span::{AuxKind, AuxSpan, SlackPoint, ADAPT_TID, INGEST_TID, OP_TID};
 use serde_json::{json, Value};
 
 /// What a [`Span`] covers.
@@ -33,8 +32,6 @@ pub struct Span {
     pub den: u32,
     /// Dependency depth level within the wavefront (0 for wavefront spans).
     pub depth: u32,
-    /// Worker thread index that ran the span (0 in the sequential driver).
-    pub worker: u32,
     /// Start offset from the beginning of the run, microseconds.
     pub start_us: u64,
     /// Duration, microseconds.
@@ -57,8 +54,10 @@ impl Span {
     }
 }
 
-/// Track id carrying wavefront spans; worker `w` maps to track `w + 1`.
+/// Track id carrying wavefront spans.
 pub const WAVEFRONT_TID: u64 = 0;
+/// Track id carrying tick spans.
+pub const TICK_TID: u64 = 1;
 
 /// A bounded append-only span buffer. When full, further spans are counted
 /// in [`dropped`](TraceBuffer::dropped) but not stored, so a long run cannot
@@ -155,48 +154,45 @@ impl TraceBuffer {
 
     /// Export as a Chrome `trace_event` JSON document:
     /// `{"traceEvents": [...], "displayTimeUnit": "ms"}`. Every span becomes
-    /// a complete (`"ph": "X"`) event with `ts`/`dur` in microseconds; each
-    /// worker gets its own `tid` named via `thread_name` metadata events, and
-    /// wavefront spans ride on [`WAVEFRONT_TID`].
+    /// a complete (`"ph": "X"`) event with `ts`/`dur` in microseconds; tick
+    /// spans ride on [`TICK_TID`] and wavefront spans on [`WAVEFRONT_TID`],
+    /// each track named via a `thread_name` metadata event.
     ///
-    /// Auxiliary spans follow on their own tracks — operator spans on
-    /// `worker N ops` ([`OP_TID_BASE`]` + N`), ingest polls on
+    /// Auxiliary spans follow the primary ones on their own tracks —
+    /// operator spans on `ops` ([`OP_TID`]), ingest polls on
     /// [`INGEST_TID`], adapt re-searches on [`ADAPT_TID`] — and slack
-    /// samples render as counter (`"ph": "C"`) events, one `slack q{i}`
-    /// counter per query with `remaining`/`consumed` series. All additions
-    /// are appended after the primary events, so a buffer with no aux spans
-    /// or slack points exports byte-identically to the PR-2 format.
+    /// samples render last as counter (`"ph": "C"`) events, one `slack
+    /// q{i}` counter per query with `remaining`/`consumed` series. Every
+    /// track's metadata event comes first.
     pub fn chrome_trace(&self) -> Value {
         let mut events: Vec<Value> = Vec::with_capacity(self.spans.len() + 8);
-        let mut workers: Vec<u32> = self
-            .spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Tick)
-            .map(|s| s.worker)
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        workers.sort_unstable();
+        let mut name_track = |tid: u64, name: &str| {
+            events.push(json!({
+                "ph": "M", "pid": 1, "tid": tid, "name": "thread_name",
+                "args": { "name": name },
+            }));
+        };
         if self.spans.iter().any(|s| s.kind == SpanKind::Wavefront) {
-            events.push(json!({
-                "ph": "M", "pid": 1, "tid": WAVEFRONT_TID, "name": "thread_name",
-                "args": { "name": "wavefronts" },
-            }));
+            name_track(WAVEFRONT_TID, "wavefronts");
         }
-        for w in workers {
-            events.push(json!({
-                "ph": "M", "pid": 1, "tid": (w as u64) + 1, "name": "thread_name",
-                "args": { "name": format!("worker {w}") },
-            }));
+        if self.spans.iter().any(|s| s.kind == SpanKind::Tick) {
+            name_track(TICK_TID, "ticks");
+        }
+        for (kind, tid, name) in [
+            (AuxKind::IngestPoll, INGEST_TID, "ingest"),
+            (AuxKind::AdaptSearch, ADAPT_TID, "adapt"),
+        ] {
+            if self.aux.iter().any(|s| s.kind == kind) {
+                name_track(tid, name);
+            }
+        }
+        if self.aux.iter().any(|s| matches!(s.kind, AuxKind::Operator(_))) {
+            name_track(OP_TID, "ops");
         }
         for s in &self.spans {
-            let tid = match s.kind {
-                SpanKind::Tick => (s.worker as u64) + 1,
-                SpanKind::Wavefront => WAVEFRONT_TID,
-            };
-            let cat = match s.kind {
-                SpanKind::Tick => "tick",
-                SpanKind::Wavefront => "wavefront",
+            let (tid, cat) = match s.kind {
+                SpanKind::Tick => (TICK_TID, "tick"),
+                SpanKind::Wavefront => (WAVEFRONT_TID, "wavefront"),
             };
             events.push(json!({
                 "ph": "X",
@@ -210,36 +206,9 @@ impl TraceBuffer {
                     "sp": s.sp,
                     "frac": format!("{}/{}", s.num, s.den),
                     "depth": s.depth,
-                    "worker": s.worker,
                     "work": s.work,
                     "is_final": s.is_final,
                 },
-            }));
-        }
-        // Auxiliary tracks: name each one that carries spans, then emit the
-        // spans in insertion order.
-        if self.aux.iter().any(|s| s.kind == AuxKind::IngestPoll) {
-            events.push(json!({
-                "ph": "M", "pid": 1, "tid": INGEST_TID, "name": "thread_name",
-                "args": { "name": "ingest" },
-            }));
-        }
-        if self.aux.iter().any(|s| s.kind == AuxKind::AdaptSearch) {
-            events.push(json!({
-                "ph": "M", "pid": 1, "tid": ADAPT_TID, "name": "thread_name",
-                "args": { "name": "adapt" },
-            }));
-        }
-        let op_workers: std::collections::BTreeSet<u32> = self
-            .aux
-            .iter()
-            .filter(|s| matches!(s.kind, AuxKind::Operator(_)))
-            .map(|s| s.worker)
-            .collect();
-        for w in op_workers {
-            events.push(json!({
-                "ph": "M", "pid": 1, "tid": OP_TID_BASE + w as u64, "name": "thread_name",
-                "args": { "name": format!("worker {w} ops") },
             }));
         }
         for s in &self.aux {
@@ -251,7 +220,7 @@ impl TraceBuffer {
                 "dur": s.dur_us,
                 "name": s.name(),
                 "cat": s.cat(),
-                "args": { "sp": s.sp, "worker": s.worker, "work": s.work },
+                "args": { "sp": s.sp, "work": s.work },
             }));
         }
         // Slack samples: one counter track per query, stepped area chart of
@@ -280,14 +249,13 @@ impl Default for TraceBuffer {
 mod tests {
     use super::*;
 
-    fn tick(sp: u32, worker: u32, start_us: u64, dur_us: u64) -> Span {
+    fn tick(sp: u32, start_us: u64, dur_us: u64) -> Span {
         Span {
             kind: SpanKind::Tick,
             sp,
             num: 1,
             den: 2,
             depth: 0,
-            worker,
             start_us,
             dur_us,
             work: 10.0,
@@ -299,7 +267,7 @@ mod tests {
     fn capacity_bounds_the_buffer() {
         let mut t = TraceBuffer::new(2);
         for i in 0..5 {
-            t.push(tick(0, 0, i * 10, 5));
+            t.push(tick(0, i * 10, 5));
         }
         assert_eq!(t.spans().len(), 2);
         assert_eq!(t.dropped(), 3);
@@ -307,7 +275,7 @@ mod tests {
 
     #[test]
     fn golden_chrome_trace_for_two_subplan_run() {
-        // A tiny 2-subplan run: two wavefronts, two workers. Spans are built
+        // A tiny 2-subplan run: two wavefronts. Spans are built
         // by hand (real drivers stamp wall-clock durations, which are not
         // reproducible) so the exported JSON is byte-stable.
         let mut t = TraceBuffer::new(16);
@@ -317,21 +285,19 @@ mod tests {
             num: 1,
             den: 2,
             depth: 0,
-            worker: 0,
             start_us: 0,
             dur_us: 30,
             work: 25.0,
             is_final: false,
         });
-        t.push(tick(0, 0, 0, 10));
-        t.push(tick(1, 1, 0, 25));
+        t.push(tick(0, 0, 10));
+        t.push(tick(1, 10, 15));
         t.push(Span {
             kind: SpanKind::Wavefront,
             sp: 1,
             num: 2,
             den: 2,
             depth: 0,
-            worker: 0,
             start_us: 30,
             dur_us: 20,
             work: 50.0,
@@ -343,7 +309,6 @@ mod tests {
             num: 2,
             den: 2,
             depth: 0,
-            worker: 0,
             start_us: 30,
             dur_us: 18,
             work: 50.0,
@@ -355,28 +320,26 @@ mod tests {
             "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",",
             "\"args\":{\"name\":\"wavefronts\"}},",
             "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",",
-            "\"args\":{\"name\":\"worker 0\"}},",
-            "{\"ph\":\"M\",\"pid\":1,\"tid\":2,\"name\":\"thread_name\",",
-            "\"args\":{\"name\":\"worker 1\"}},",
+            "\"args\":{\"name\":\"ticks\"}},",
             "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0,\"dur\":30,",
             "\"name\":\"front 0 (1/2)\",\"cat\":\"wavefront\",",
-            "\"args\":{\"sp\":0,\"frac\":\"1/2\",\"depth\":0,\"worker\":0,",
+            "\"args\":{\"sp\":0,\"frac\":\"1/2\",\"depth\":0,",
             "\"work\":25.0,\"is_final\":false}},",
             "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":0,\"dur\":10,",
             "\"name\":\"sp0 1/2\",\"cat\":\"tick\",",
-            "\"args\":{\"sp\":0,\"frac\":\"1/2\",\"depth\":0,\"worker\":0,",
+            "\"args\":{\"sp\":0,\"frac\":\"1/2\",\"depth\":0,",
             "\"work\":10.0,\"is_final\":false}},",
-            "{\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":0,\"dur\":25,",
+            "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":10,\"dur\":15,",
             "\"name\":\"sp1 1/2\",\"cat\":\"tick\",",
-            "\"args\":{\"sp\":1,\"frac\":\"1/2\",\"depth\":0,\"worker\":1,",
+            "\"args\":{\"sp\":1,\"frac\":\"1/2\",\"depth\":0,",
             "\"work\":10.0,\"is_final\":false}},",
             "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":30,\"dur\":20,",
             "\"name\":\"front 1 (2/2)\",\"cat\":\"wavefront\",",
-            "\"args\":{\"sp\":1,\"frac\":\"2/2\",\"depth\":0,\"worker\":0,",
+            "\"args\":{\"sp\":1,\"frac\":\"2/2\",\"depth\":0,",
             "\"work\":50.0,\"is_final\":true}},",
             "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":30,\"dur\":18,",
             "\"name\":\"sp0 2/2 final\",\"cat\":\"tick\",",
-            "\"args\":{\"sp\":0,\"frac\":\"2/2\",\"depth\":0,\"worker\":0,",
+            "\"args\":{\"sp\":0,\"frac\":\"2/2\",\"depth\":0,",
             "\"work\":50.0,\"is_final\":true}}",
             "],\"displayTimeUnit\":\"ms\"}",
         );
@@ -384,8 +347,8 @@ mod tests {
 
         // And the export survives the compat parser.
         let reparsed = serde_json::from_str(&got).unwrap();
-        assert_eq!(reparsed["traceEvents"][3]["ph"], "X");
-        assert_eq!(reparsed["traceEvents"][3]["dur"].as_i64(), Some(30));
+        assert_eq!(reparsed["traceEvents"][2]["ph"], "X");
+        assert_eq!(reparsed["traceEvents"][2]["dur"].as_i64(), Some(30));
     }
 
     #[test]
@@ -394,11 +357,10 @@ mod tests {
         use ishare_common::OpKind;
 
         let mut t = TraceBuffer::new(16);
-        t.push(tick(0, 1, 0, 10));
+        t.push(tick(0, 0, 10));
         t.push_aux(AuxSpan {
             kind: AuxKind::Operator(OpKind::Scan),
             sp: 0,
-            worker: 1,
             start_us: 0,
             dur_us: 6,
             work: 7.0,
@@ -406,7 +368,6 @@ mod tests {
         t.push_aux(AuxSpan {
             kind: AuxKind::IngestPoll,
             sp: 0,
-            worker: 0,
             start_us: 0,
             dur_us: 2,
             work: 40.0,
@@ -414,7 +375,6 @@ mod tests {
         t.push_aux(AuxSpan {
             kind: AuxKind::AdaptSearch,
             sp: 0,
-            worker: 0,
             start_us: 10,
             dur_us: 1,
             work: 0.0,
@@ -428,7 +388,7 @@ mod tests {
         });
         let doc = t.chrome_trace();
         let events = doc["traceEvents"].as_array().unwrap();
-        // Thread-name metadata appears for ingest, adapt, and the op track.
+        // Thread-name metadata appears for ingest, adapt, and the ops track.
         let names: Vec<String> = events
             .iter()
             .filter(|e| e["ph"] == "M")
@@ -436,13 +396,13 @@ mod tests {
             .collect();
         assert!(names.contains(&"ingest".to_string()), "{names:?}");
         assert!(names.contains(&"adapt".to_string()), "{names:?}");
-        assert!(names.contains(&"worker 1 ops".to_string()), "{names:?}");
-        // Operator span rides on OP_TID_BASE + worker.
+        assert!(names.contains(&"ops".to_string()), "{names:?}");
+        // Operator span rides on the ops track.
         let op = events
             .iter()
             .find(|e| e["cat"] == "operator")
             .unwrap_or_else(|| panic!("no operator event"));
-        assert_eq!(op["tid"].as_i64(), Some((OP_TID_BASE + 1) as i64));
+        assert_eq!(op["tid"].as_i64(), Some(OP_TID as i64));
         assert_eq!(op["name"], "sp0 scan");
         // Slack point renders as a counter event with both series.
         let c = events.iter().find(|e| e["ph"] == "C").unwrap();
@@ -453,7 +413,7 @@ mod tests {
         // An empty aux/slack buffer exports no extra events (byte-stability
         // of the primary format is covered by the golden test above).
         let mut plain = TraceBuffer::new(16);
-        plain.push(tick(0, 1, 0, 10));
+        plain.push(tick(0, 0, 10));
         let plain_doc = plain.chrome_trace();
         assert!(plain_doc["traceEvents"]
             .as_array()

@@ -458,8 +458,7 @@ impl SharedPlan {
     /// Dependency depth of every subplan: `depths()[i]` is the longest
     /// child chain below subplan `i` (leaves are 0). A parent is strictly
     /// deeper than each of its children, so subplans sharing a depth never
-    /// read each other's buffers — the parallel driver relies on this to run
-    /// them concurrently within one scheduling wavefront.
+    /// read each other's buffers. Tick spans carry it as their `depth`.
     pub fn depths(&self) -> Vec<usize> {
         let mut memo = HashMap::new();
         (0..self.subplans.len())

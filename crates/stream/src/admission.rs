@@ -62,11 +62,10 @@
 //! is snapshotted or moved. Events are recorded in the ingest commit log
 //! as [`ChurnRecord`]s, so a killed run replays the exact churn trajectory
 //! (replay verification compares whole commit entries, churn included).
-//! The surgery itself runs on the coordinating thread between two fronts,
-//! and a churn run's fronts go through the same tick function and the same
-//! fold as any other run's — so results and all measured work numbers are
-//! bit-identical across obs on/off, worker threads
-//! ([`SourceOptions::workers`]), and kill/resume.
+//! The surgery itself runs between two fronts, and a churn run's fronts go
+//! through the same tick function and the same fold as any other run's — so
+//! results and all measured work numbers are bit-identical across obs
+//! on/off and kill/resume.
 
 use crate::driver::{run_wavefronts, Live, RunResult, SourceOptions, SourceOutcome};
 use crate::engine::{EngineState, Seeds};
@@ -80,7 +79,7 @@ use ishare_exec::{ExecMode, ExecOptions, SubplanExecutor};
 use ishare_ingest::{ChurnKind, ChurnRecord, Source};
 use ishare_mqo::{normalize, IncrementalSharer, MqoConfig};
 use ishare_plan::{DagOp, InputSource, LogicalPlan, SharedDag, SharedPlan};
-use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer, Retain};
+use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
@@ -226,8 +225,8 @@ pub fn execute_churn_from_source(
     let budgets = resolve_constraints(initial, constraints, catalog, weights)?;
     let outcome = search_from_batch(&plan, catalog, weights, &budgets, opts.max_pace)?;
 
-    let mut live =
-        Live::new(Cow::Owned(plan), outcome.paces.as_slice(), catalog, weights, &opts.source)?;
+    let paces = outcome.paces.as_slice();
+    let mut live = Live::new(Cow::Owned(plan), paces, catalog, weights, &opts.source, true)?;
     live.started = started;
     let mut runner = Runner {
         catalog,
@@ -459,11 +458,6 @@ impl Runner<'_> {
         let schemas = plan2.schemas(self.catalog)?;
         let mut sp_buffers: Vec<DeltaBuffer> =
             roots2.iter().map(|r| buffers.remove(r).unwrap_or_default()).collect();
-        for q in plan2.queries().iter() {
-            if let Some(r) = plan2.query_root(q) {
-                sp_buffers[r.index()].set_retention(Retain::All);
-            }
-        }
         let (mut executors, mut leaf_consumers, mut new_seeds) =
             (Vec::new(), Vec::new(), Vec::new());
         for (sp, &root) in plan2.subplans.iter().zip(roots2) {
@@ -493,12 +487,10 @@ impl Runner<'_> {
                     None => match src {
                         InputSource::Base(t) => {
                             self.catalog.table(t)?;
-                            let b = engine.base_buffers.entry(t).or_default();
-                            b.set_retention(Retain::All);
-                            // Offset 0 on a Retain::All buffer = replay the
-                            // full base history (an admitted query's
-                            // private cone sees every row).
-                            b.register_consumer()?
+                            // Offset 0 on a base buffer, which keeps its
+                            // history in a churn run, replays every row to
+                            // an admitted query's private cone.
+                            engine.base_buffers.entry(t).or_default().register_consumer()?
                         }
                         // A split-off or fresh buffer is still empty, and a
                         // carried one's history arrives as a seeded
@@ -540,9 +532,7 @@ impl Runner<'_> {
         engine.sp_buffers = sp_buffers;
         engine.leaf_consumers = leaf_consumers;
         engine.seeds = new_seeds;
-        let mut tables: Vec<TableId> = engine.base_buffers.keys().copied().collect();
-        tables.sort();
-        engine.base_tables = tables;
+        engine.settle(plan2);
         Ok(reclaimed)
     }
 
@@ -763,7 +753,7 @@ mod tests {
     use ishare_exec::batch_ref::run_logical;
     use ishare_expr::Expr;
     use ishare_ingest::CommitLog;
-    use ishare_obs::{ObsConfig, SlackLedger};
+    use ishare_obs::ObsConfig;
     use ishare_plan::PlanBuilder;
     use ishare_storage::{ColumnStats, Field, Row, Schema, TableStats};
 
@@ -1228,6 +1218,8 @@ mod tests {
         assert_eq!(a.1, b.1, "{label}: commit log");
     }
 
+    /// Obs on and off run the same churn, and the obs run's slack ledger
+    /// upholds every invariant, the admitted query's included.
     #[test]
     fn worker_and_obs_runs_are_bit_identical() {
         let c = catalog();
@@ -1235,22 +1227,12 @@ mod tests {
         assert_eq!(base.0.churn.len(), 2);
         assert!(base.0.churn[0].nodes_created > 0, "the admission splits a survivor");
         assert!(base.0.quiesce_ticks > 0, "churn boundaries drain in-flight deltas");
-        // The slack ledger of a churn run is deterministic too: every obs
-        // run must carry the first one's, sample for sample.
-        let mut ledger: Option<SlackLedger> = None;
-        for workers in [1usize, 2, 4] {
-            for obs in [None, Some(ObsConfig::default())] {
-                let alt =
-                    completed(run_churny(&c, SourceOptions { workers, obs, ..Default::default() }));
-                let label = format!("workers={workers} obs={}", obs.is_some());
-                assert_same_run(&base, &alt, &label);
-                if let Some(slack) = alt.0.run.obs.and_then(|r| r.slack) {
-                    assert!(slack.fronts() > 0, "{label}: ledger sampled");
-                    assert_eq!(ledger.get_or_insert_with(|| slack.clone()), &slack, "{label}");
-                }
-            }
-        }
-        assert!(ledger.is_some(), "obs runs carry a slack ledger");
+        let obs = SourceOptions { obs: Some(ObsConfig::default()), ..Default::default() };
+        let alt = completed(run_churny(&c, obs));
+        assert_same_run(&base, &alt, "obs on");
+        let slack = alt.0.run.obs.and_then(|r| r.slack).expect("obs runs carry a slack ledger");
+        assert!(slack.fronts() > 0, "ledger sampled");
+        slack.verify().unwrap();
     }
 
     #[test]
@@ -1260,29 +1242,25 @@ mod tests {
         let log = &base.1;
         assert!(log.entries.iter().any(|e| !e.churn.is_empty()), "log records churn");
 
-        for workers in [1usize, 2, 4] {
-            let at = |o: SourceOptions| SourceOptions { workers, ..o };
-            // Kill after the first churn boundary has committed: the partial
-            // log is a prefix of the one-worker log.
-            let cut = 1 + log.entries.iter().position(|e| !e.churn.is_empty()).unwrap();
-            let kill = at(SourceOptions { stop_after: Some(cut), ..Default::default() });
-            let partial = match run_churny(&c, kill) {
-                ChurnOutcome::Suspended { log } => log,
-                ChurnOutcome::Completed { .. } => panic!("run suspended"),
-            };
-            assert_eq!(partial.entries, log.entries[..cut], "workers={workers}");
+        // Kill after the first churn boundary has committed: the partial
+        // log is a prefix of the full one.
+        let cut = 1 + log.entries.iter().position(|e| !e.churn.is_empty()).unwrap();
+        let kill = SourceOptions { stop_after: Some(cut), ..Default::default() };
+        let partial = match run_churny(&c, kill) {
+            ChurnOutcome::Suspended { log } => log,
+            ChurnOutcome::Completed { .. } => panic!("run suspended"),
+        };
+        assert_eq!(partial.entries, log.entries[..cut]);
 
-            // Resume = replay under verification; the rerun is bit-identical.
-            let resume = at(SourceOptions { verify: Some(partial), ..Default::default() });
-            let label = format!("killed+resumed workers={workers}");
-            assert_same_run(&base, &completed(run_churny(&c, resume)), &label);
-        }
+        // Resume = replay under verification; the rerun is bit-identical.
+        let resume = SourceOptions { verify: Some(partial), ..Default::default() };
+        assert_same_run(&base, &completed(run_churny(&c, resume)), "killed+resumed");
 
         // A tampered churn trajectory is caught, not silently diverged.
         let mut tampered = log.clone();
         let wf = tampered.entries.iter().position(|e| !e.churn.is_empty()).unwrap();
         tampered.entries[wf].churn[0].nodes_reused += 1;
-        let bad = SourceOptions { verify: Some(tampered), workers: 2, ..Default::default() };
+        let bad = SourceOptions { verify: Some(tampered), ..Default::default() };
         assert!(matches!(try_churny(&c, bad), Err(Error::InvalidDelta(_))));
     }
 }

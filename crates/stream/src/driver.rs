@@ -1,9 +1,9 @@
 //! The wavefront loop and the entry points onto it.
 //!
-//! Every run — fixed-plan, adaptive, live churn, one worker or many — goes
-//! through `run_wavefronts`: poll the source to the front's arrival
-//! fraction, run the front's ticks (`engine.rs`), compact, then the
-//! boundary steps in one fixed order:
+//! Every run — fixed-plan, adaptive, live churn — goes through
+//! `run_wavefronts`: poll the source to the front's arrival fraction, run
+//! the front's ticks on the calling thread in schedule order (`engine.rs`),
+//! compact, then the boundary steps in one fixed order:
 //!
 //! 1. **churn** due at this fraction — quiesce sweep, then each event's
 //!    surgery swaps plan, paces, engine and the schedule suffix;
@@ -17,10 +17,6 @@
 //! Commit precedes adapt so the log entry records the paces a front ran
 //! under; a switch only governs subsequent fronts, and a resumed run
 //! re-derives it from the same observation.
-//!
-//! With `workers <= 1` every tick runs on the calling thread in global
-//! schedule order: that configuration is the reference the multi-worker
-//! ones must match to the bit (see `engine.rs` for why they do).
 
 use crate::admission::Runner;
 use crate::engine::{EngineState, TickRec};
@@ -32,7 +28,7 @@ use ishare_exec::{query_result, ExecMode, ExecOptions, QueryResult};
 use ishare_ingest::{CommitLog, Source};
 use ishare_obs::{ExecCounts, ObsConfig, ObsReport, SlackLedger};
 use ishare_plan::SharedPlan;
-use ishare_storage::{Catalog, DeltaRow, Retain, Row};
+use ishare_storage::{Catalog, DeltaRow, Row};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
@@ -43,8 +39,7 @@ pub struct RunResult {
     /// Measured total work: Σ work of all incremental executions.
     pub total_work: WorkUnits,
     /// Wall-clock spent inside executions, summed over all of them (the
-    /// paper's "total execution time"; CPU time on one worker, aggregate
-    /// across-worker CPU time on several).
+    /// paper's "total execution time").
     pub total_wall: Duration,
     /// Per query: measured final work (Σ work of the final executions of
     /// the query's subplans).
@@ -61,8 +56,7 @@ pub struct RunResult {
     /// several queries counts once for each.
     pub executions_per_query: BTreeMap<QueryId, ExecCounts>,
     /// End-to-end wall clock of the whole run — setup, feeding, execution,
-    /// and result extraction. Unlike `total_wall` this does not double-count
-    /// concurrent work, so it is the number to compare across worker counts.
+    /// and result extraction.
     pub elapsed: Duration,
     /// Observability report; present iff the run was started with
     /// [`SourceOptions::obs`].
@@ -73,10 +67,10 @@ pub struct RunResult {
 #[derive(Debug, Clone, Default)]
 pub struct SourceOptions {
     /// Opt-in observability: when set, [`RunResult::obs`] carries the
-    /// per-subplan work breakdown, metrics, and a tick/wavefront span trace
-    /// with one track per worker. Instrumentation is passive (it reads
-    /// tick-local counters and the wall clock only), so the run's work
-    /// numbers are bit-identical with `obs` on or off.
+    /// per-subplan work breakdown, metrics, and a tick/wavefront span trace.
+    /// Instrumentation is passive (it reads tick-local counters and the
+    /// wall clock only), so the run's work numbers are bit-identical with
+    /// `obs` on or off.
     pub obs: Option<ObsConfig>,
     /// Stop (kill) the run after this many wavefronts have completed and
     /// committed, returning [`SourceOutcome::Suspended`] with the commit
@@ -99,11 +93,6 @@ pub struct SourceOptions {
     /// §12); the field survives only because the benchmark package pins it
     /// (`benchmark/src/api.rs`), and the next `[benchmark]` PR deletes it.
     pub partitions: usize,
-    /// Worker threads running the independent subplans of a wavefront
-    /// (`0`/`1` = every tick on the calling thread). Purely a wall-clock
-    /// knob: results and every measured work number are bit-identical at
-    /// any worker count.
-    pub workers: usize,
     /// Per-query final-work budgets `L(q)` for the slack ledger. When set
     /// (and `obs` is on), the report carries a [`SlackLedger`] with one
     /// sample per query per wavefront plus `slo.*` metrics and per-query
@@ -165,15 +154,18 @@ pub(crate) struct Live<'p> {
 }
 
 impl<'p> Live<'p> {
+    /// `base_history` keeps the base buffers' full stream (churn runs, see
+    /// [`EngineState::settle`]).
     pub(crate) fn new(
         plan: Cow<'p, SharedPlan>,
         paces: &[u32],
         catalog: &Catalog,
         weights: CostWeights,
         opts: &SourceOptions,
+        base_history: bool,
     ) -> Result<Live<'p>> {
         let started = Instant::now();
-        let engine = EngineState::new(&plan, catalog, weights, opts.exec_options())?;
+        let engine = EngineState::new(&plan, catalog, weights, opts.exec_options(), base_history)?;
         Ok(Live { started, plan, paces: paces.to_vec(), engine })
     }
 }
@@ -196,13 +188,6 @@ pub(crate) fn run_wavefronts(
     let started = live.started;
     let mut schedule = build_schedule(&live.plan, &live.paces)?;
     let mut depths = live.plan.depths();
-    if churn.is_some() {
-        // A churn run's base buffers keep their full stream, so an admitted
-        // query's private cone can replay history from offset 0.
-        for b in live.engine.base_buffers.values_mut() {
-            b.set_retention(Retain::All);
-        }
-    }
     let budgets = opts
         .slo
         .clone()
@@ -256,14 +241,7 @@ pub(crate) fn run_wavefronts(
 
         let front_start = started.elapsed();
         let first = recs.len();
-        live.engine.run_ticks(
-            &schedule[front.clone()],
-            false,
-            &depths,
-            opts.workers,
-            started,
-            &mut recs,
-        )?;
+        live.engine.run_ticks(&schedule[front.clone()], false, &depths, started, &mut recs)?;
         live.engine.compact();
 
         // Churn events due here are applied on a quiesced engine: one
@@ -286,7 +264,7 @@ pub(crate) fn run_wavefronts(
                 .map(|(topo_rank, sp)| Tick { num, den, topo_rank, sp, is_final: false })
                 .collect();
             let swept = recs.len();
-            live.engine.run_ticks(&sweep, true, &depths, opts.workers, started, &mut recs)?;
+            live.engine.run_ticks(&sweep, true, &depths, started, &mut recs)?;
             runner.quiesce_ticks += recs.len() - swept;
         }
         fronts.push(FrontRec {
@@ -458,7 +436,7 @@ pub fn execute_planned_deltas(
 }
 
 /// [`execute_planned_deltas`] under `opts` — observability, datapath,
-/// workers. A thin adapter over an in-order [`Source`], so there
+/// kill/resume. A thin adapter over an in-order [`Source`], so there
 /// is exactly one feed path.
 pub fn execute_planned_deltas_with(
     plan: &SharedPlan,
@@ -490,12 +468,16 @@ pub fn execute_from_source_obs(
     weights: CostWeights,
     opts: SourceOptions,
 ) -> Result<SourceOutcome> {
-    let live = Live::new(Cow::Borrowed(plan), paces, catalog, weights, &opts)?;
+    let live = Live::new(Cow::Borrowed(plan), paces, catalog, weights, &opts, false)?;
     run_wavefronts(live, source, &opts, None, None)
 }
 
-/// [`execute_from_source_obs`] with [`SourceOptions::workers`] passed
-/// positionally; `threads == 0` is rejected.
+/// [`execute_from_source_obs`] behind a thread count that is checked and
+/// then ignored: `threads == 0` is rejected with [`Error::InvalidConfig`],
+/// and any other count runs the same single-threaded loop, bit for bit. The
+/// wavefront worker pool it once configured was deleted (DESIGN.md §12);
+/// this shim survives only because the benchmark package pins it
+/// (`benchmark/src/api.rs`), and the next `[benchmark]` PR removes it.
 pub fn execute_from_source_parallel_obs(
     plan: &SharedPlan,
     paces: &[u32],
@@ -508,7 +490,6 @@ pub fn execute_from_source_parallel_obs(
     if threads == 0 {
         return Err(Error::InvalidConfig("thread count must be at least 1".into()));
     }
-    let opts = SourceOptions { workers: threads, ..opts };
     execute_from_source_obs(plan, paces, catalog, source, weights, opts)
 }
 
@@ -521,7 +502,7 @@ pub fn execute_from_source_parallel_obs(
 /// only on deterministic measured quantities gathered on the coordinating
 /// thread between wavefronts, so killed-and-resumed runs re-derive the
 /// identical switch sequence (verified through the commit log's `paces`
-/// field) and multi-worker runs stay bit-identical to one worker.
+/// field).
 pub fn execute_adaptive_from_source_obs(
     plan: &SharedPlan,
     catalog: &Catalog,
@@ -530,7 +511,8 @@ pub fn execute_adaptive_from_source_obs(
     opts: SourceOptions,
     ctrl: &mut AdaptController,
 ) -> Result<SourceOutcome> {
-    let live = Live::new(Cow::Borrowed(plan), ctrl.current_paces(), catalog, weights, &opts)?;
+    let live =
+        Live::new(Cow::Borrowed(plan), ctrl.current_paces(), catalog, weights, &opts, false)?;
     run_wavefronts(live, source, &opts, Some(ctrl), None)
 }
 
@@ -805,17 +787,6 @@ mod worker_tests {
         (c, plan, data)
     }
 
-    fn run_on(
-        plan: &SharedPlan,
-        paces: &[u32],
-        c: &Catalog,
-        data: &HashMap<TableId, Vec<(Row, i64)>>,
-        workers: usize,
-    ) -> RunResult {
-        let opts = SourceOptions { workers, ..Default::default() };
-        execute_planned_deltas_with(plan, paces, c, data, CostWeights::default(), opts).unwrap()
-    }
-
     fn assert_bit_identical(a: &RunResult, b: &RunResult, label: &str) {
         assert_eq!(a.results, b.results, "{label}: results differ");
         assert_eq!(
@@ -834,6 +805,8 @@ mod worker_tests {
         assert_eq!(a.executions, b.executions, "{label}: executions differ");
     }
 
+    /// The pinned thread-count shim rejects `0` and runs every other count
+    /// as the inline loop, bit for bit.
     #[test]
     fn zero_threads_rejected() {
         let (c, plan, data) = fan_out(2);
@@ -844,9 +817,12 @@ mod worker_tests {
             execute_from_source_parallel_obs(&plan, &paces, &c, &mut source, w, threads, opts)
         };
         assert!(matches!(run(0), Err(Error::InvalidConfig(_))));
-        // The option itself reads `0` like `1`: inline.
-        let inline = run_on(&plan, &paces, &c, &data, 0);
-        assert_bit_identical(&run(1).unwrap().into_result().unwrap(), &inline, "workers=0");
+        let inline = execute_planned_deltas(&plan, &paces, &c, &data, CostWeights::default());
+        let inline = inline.unwrap();
+        for threads in [1, 2, 4, 8] {
+            let got = run(threads).unwrap().into_result().unwrap();
+            assert_bit_identical(&got, &inline, &format!("threads={threads}"));
+        }
     }
 
     fn controller(
@@ -866,15 +842,16 @@ mod worker_tests {
         let w = CostWeights::default();
         let static_run = execute_planned_deltas(&plan, &paces, &c, &data, w).unwrap();
         let opts = ishare_core::AdaptOptions::disabled();
-        for threads in [1usize, 2, 4] {
+        for obs in [None, Some(ObsConfig::default())] {
             let mut ctrl = controller(&c, &plan, &paces, ishare_core::ConstraintMap::new(), opts);
             let mut source = Source::in_order(&data);
-            let opts = SourceOptions { workers: threads, ..Default::default() };
+            let label = format!("adaptive off, obs {}", obs.is_some());
+            let opts = SourceOptions { obs, ..Default::default() };
             let run = execute_adaptive_from_source_obs(&plan, &c, &mut source, w, opts, &mut ctrl)
                 .unwrap()
                 .into_result()
                 .unwrap();
-            assert_bit_identical(&static_run, &run, &format!("adaptive off, threads={threads}"));
+            assert_bit_identical(&static_run, &run, &label);
             assert_eq!(ctrl.metrics().switches, 0, "disabled controller must never switch");
             assert!(ctrl.metrics().evaluations > 0, "controller must still observe fronts");
         }
@@ -882,7 +859,7 @@ mod worker_tests {
 
     /// A drifted stream (3× the cataloged rows, with deletes) plus an
     /// unreachable constraint force a pace switch; the switch must replay
-    /// bit-identically sequentially, in parallel, and across kill/resume.
+    /// bit-identically with obs on and across kill/resume.
     #[test]
     fn adaptive_switch_replays_and_parallelizes_bit_identically() {
         let (c, plan, mut data) = fan_out(3);
@@ -898,16 +875,16 @@ mod worker_tests {
         let cons: ishare_core::ConstraintMap = [(QueryId(0), 1.0)].into_iter().collect();
         let opts = ishare_core::AdaptOptions { max_pace: 6, ..Default::default() };
 
-        let run = |threads: usize, src_opts: SourceOptions| {
+        let run = |src_opts: SourceOptions| {
             let mut ctrl = controller(&c, &plan, &initial, cons.clone(), opts);
             let mut source = Source::in_order(&data);
-            let opts = SourceOptions { workers: threads, ..src_opts };
-            let out = execute_adaptive_from_source_obs(&plan, &c, &mut source, w, opts, &mut ctrl)
-                .unwrap();
+            let out =
+                execute_adaptive_from_source_obs(&plan, &c, &mut source, w, src_opts, &mut ctrl)
+                    .unwrap();
             (out, ctrl)
         };
 
-        let (out_seq, ctrl_seq) = run(1, SourceOptions::default());
+        let (out_seq, ctrl_seq) = run(SourceOptions::default());
         assert!(
             !ctrl_seq.switches().is_empty(),
             "3x drift against an unreachable constraint must switch paces"
@@ -925,24 +902,22 @@ mod worker_tests {
             "last front must run under the switched configuration"
         );
 
-        for threads in [2usize, 4] {
-            let (out, ctrl) = run(threads, SourceOptions::default());
-            let result = out.into_result().unwrap();
-            assert_bit_identical(&result_seq, &result, &format!("adaptive threads={threads}"));
-            assert_eq!(ctrl.switches(), ctrl_seq.switches(), "switch log, threads={threads}");
-        }
+        let (out, ctrl) =
+            run(SourceOptions { obs: Some(ObsConfig::default()), ..Default::default() });
+        assert_bit_identical(&result_seq, &out.into_result().unwrap(), "adaptive obs on");
+        assert_eq!(ctrl.switches(), ctrl_seq.switches(), "switch log, obs on");
 
         // Kill after the first committed wavefront, then resume from scratch
         // with the partial log: the fresh controller must re-derive the same
         // switches and the run must verify against — and extend — the log.
-        let (killed, _) = run(1, SourceOptions { stop_after: Some(1), ..Default::default() });
+        let (killed, _) = run(SourceOptions { stop_after: Some(1), ..Default::default() });
         let partial = match killed {
             SourceOutcome::Suspended { log } => log,
             SourceOutcome::Completed { .. } => panic!("stop_after must suspend"),
         };
         assert_eq!(partial.len(), 1);
         let (resumed, ctrl_res) =
-            run(1, SourceOptions { verify: Some(partial), ..Default::default() });
+            run(SourceOptions { verify: Some(partial), ..Default::default() });
         let (result_res, log_res) = match resumed {
             SourceOutcome::Completed { result, log } => (*result, log),
             SourceOutcome::Suspended { .. } => panic!("resume must complete"),

@@ -1,13 +1,13 @@
 //! The one accounting fold: per-tick records → run totals, per-query views,
 //! the slack ledger, and the observability report.
 //!
-//! The loop folds each wavefront at its boundary, on the coordinating
-//! thread, in schedule order — so every derived number is identical at any
-//! worker count. Per-subplan accumulators describe the plan in effect; a
-//! churn re-cut renumbers subplans, so [`Fold::recut`] carries what the
-//! outgoing plan charged each surviving query over to per-query totals. A
-//! fixed-plan run never re-cuts: it is the one-epoch case, and every sum it
-//! reports is a plain Σ over `subplans_of_query` of per-subplan numbers.
+//! The loop folds each wavefront at its boundary, in schedule order.
+//! Per-subplan accumulators describe the plan in effect; a churn re-cut
+//! renumbers subplans, so [`Fold::recut`] carries what the outgoing plan
+//! charged each surviving query over to per-query totals, and what it
+//! charged in all over to the report's replaced-plan totals. A fixed-plan
+//! run never re-cuts: it is the one-epoch case, and every sum it reports is
+//! a plain Σ over `subplans_of_query` of per-subplan numbers.
 
 use crate::engine::{EngineState, TickRec};
 use ishare_common::{OpKind, QueryId, WorkBreakdown, WorkUnits};
@@ -78,11 +78,11 @@ pub(crate) struct Fold {
     /// Per live query: executions and total work charged under plans a
     /// churn re-cut has since replaced. Empty in a fixed-plan run.
     carried: BTreeMap<QueryId, (ExecCounts, f64)>,
+    /// Everything charged under replaced plans, by kind, and their
+    /// executions. Zero in a fixed-plan run.
     carried_breakdown: WorkBreakdown,
-    /// Per-query slack ledger, sampled at every folded front. (A churn
-    /// run's ledger is not `verify()`-able: mid-run admissions start
-    /// sampling at their admission front, which the whole-run invariants
-    /// do not model.)
+    carried_exec: ExecCounts,
+    /// Per-query slack ledger, sampled at every folded front.
     pub(crate) ledger: Option<SlackLedger>,
     slack: Vec<SlackPoint>,
 }
@@ -104,6 +104,7 @@ impl Fold {
             sp: vec![Tally::default(); subplans],
             carried: BTreeMap::new(),
             carried_breakdown: WorkBreakdown::default(),
+            carried_exec: ExecCounts::default(),
             ledger,
             slack: Vec::new(),
         }
@@ -198,7 +199,8 @@ impl Fold {
 
     /// A churn event replaces `old` with `new`: move what `old`'s subplans
     /// charged each query that stays live into the per-query carry, and
-    /// start `new`'s per-subplan tallies at zero.
+    /// everything they charged into the run-wide carry; then start `new`'s
+    /// per-subplan tallies at zero.
     pub(crate) fn recut(&mut self, old: &SharedPlan, new: &SharedPlan) {
         let live = new.queries();
         self.carried = old
@@ -209,14 +211,16 @@ impl Fold {
             .collect();
         for sp in &self.sp {
             self.carried_breakdown.add(&sp.breakdown);
+            self.carried_exec.incremental += sp.exec.incremental;
+            self.carried_exec.finals += sp.exec.finals;
         }
         self.sp = vec![Tally::default(); new.len()];
     }
 
     /// The observability report: span trace (ticks, then wavefronts; aux
     /// operator / ingest / adapt tracks; slack counter tracks), metrics,
-    /// and the per-subplan breakdown of the plan in effect at the end (in
-    /// a churn run: counted since the last re-cut).
+    /// the per-subplan breakdown of the plan in effect at the end, and what
+    /// plans a churn re-cut replaced were charged.
     pub(crate) fn report(
         &self,
         cfg: ObsConfig,
@@ -234,7 +238,6 @@ impl Fold {
                 num: rec.tick.num,
                 den: rec.tick.den,
                 depth: rec.depth,
-                worker: rec.worker,
                 start_us: rec.start.as_micros() as u64,
                 dur_us: rec.wall.as_micros() as u64,
                 work: rec.work.get(),
@@ -243,8 +246,8 @@ impl Fold {
             metrics.histogram_record("tick.work", rec.work.get());
             metrics.histogram_record("tick.wall_us", rec.wall.as_micros() as f64);
             // Operator spans: subdivide the tick's wall interval
-            // proportionally to its per-kind work breakdown, on the
-            // worker's dedicated ops track.
+            // proportionally to its per-kind work breakdown, on the ops
+            // track.
             let dur_total = rec.wall.as_micros() as u64;
             let work_total = rec.work.get();
             if work_total > 0.0 && dur_total > 0 {
@@ -261,7 +264,6 @@ impl Fold {
                         trace.push_aux(AuxSpan {
                             kind: AuxKind::Operator(kind),
                             sp: rec.tick.sp.0,
-                            worker: rec.worker,
                             start_us: rec.start.as_micros() as u64 + s,
                             dur_us: e - s,
                             work: w,
@@ -278,7 +280,6 @@ impl Fold {
                 num: front.num,
                 den: front.den,
                 depth: 0,
-                worker: 0,
                 start_us: front.start.as_micros() as u64,
                 dur_us: front.dur.as_micros() as u64,
                 work: recs.iter().map(|r| r.work.get()).sum(),
@@ -289,7 +290,6 @@ impl Fold {
             trace.push_aux(AuxSpan {
                 kind: AuxKind::IngestPoll,
                 sp: i as u32,
-                worker: 0,
                 start_us: p.start.as_micros() as u64,
                 dur_us: p.dur.as_micros() as u64,
                 work: p.rows as f64,
@@ -300,7 +300,6 @@ impl Fold {
             trace.push_aux(AuxSpan {
                 kind: AuxKind::AdaptSearch,
                 sp: a.front,
-                worker: 0,
                 start_us: a.start.as_micros() as u64,
                 dur_us: a.dur.as_micros() as u64,
                 work: if a.switched { 1.0 } else { 0.0 },
@@ -312,10 +311,18 @@ impl Fold {
         if let Some(ledger) = &self.ledger {
             ledger.record_metrics(&mut metrics);
         }
-        let mut global = self.carried_breakdown;
-        for sp in &self.sp {
-            global.add(&sp.breakdown);
-        }
+        let mut report = ObsReport {
+            total_work: self.total_work.get(),
+            work_by_subplan: self.sp.iter().map(|sp| sp.breakdown).collect(),
+            executions_by_subplan: self.sp.iter().map(|sp| sp.exec).collect(),
+            replaced_work: self.carried_breakdown,
+            replaced_executions: self.carried_exec,
+            metrics,
+            trace,
+            slack: self.ledger.clone(),
+        };
+        let global = report.breakdown();
+        let metrics = &mut report.metrics;
         metrics.counter_add("work.total", self.total_work.get());
         for kind in OpKind::ALL {
             let w = global.get(kind);
@@ -325,14 +332,7 @@ impl Fold {
         }
         metrics.counter_add("executions.incremental", self.exec.incremental as f64);
         metrics.counter_add("executions.final", self.exec.finals as f64);
-        ObsReport {
-            total_work: self.total_work.get(),
-            work_by_subplan: self.sp.iter().map(|sp| sp.breakdown).collect(),
-            executions_by_subplan: self.sp.iter().map(|sp| sp.exec).collect(),
-            metrics,
-            trace,
-            slack: self.ledger.clone(),
-        }
+        report
     }
 }
 

@@ -19,13 +19,10 @@
 //!   equivalents, and the final query results.
 //!
 //! Every run goes through one wavefront loop ([`driver`]): poll the source
-//! to the front's arrival fraction, run the front's ticks level by level on
-//! [`SourceOptions::workers`] threads, compact, then churn → commit/verify
-//! → stop → adapt at the boundary. One worker runs every tick on the
-//! calling thread in global schedule order; more workers run the
-//! independent subplans of a dependency level concurrently and stay
-//! bit-identical to that in every measured work number (see the module docs of
-//! `engine.rs` for why).
+//! to the front's arrival fraction, run the front's ticks on the calling
+//! thread in global schedule order, compact, then churn → commit/verify →
+//! stop → adapt at the boundary. The loop has no worker pool; DESIGN.md
+//! §12 gives the measurements that retired it.
 //!
 //! Input is pulled from an [`ishare_ingest::Source`] — an in-process
 //! Kafka-analog with partitioned bounded topics, producer backpressure,
@@ -46,7 +43,7 @@
 //! wavefronts. And its query set can churn ([`execute_churn_from_source`],
 //! see [`admission`]): queries are admitted and removed at boundaries with
 //! incremental re-sharing and state hand-off. Both are deterministic, so
-//! such runs replay and parallelize bit-identically too.
+//! such runs replay bit-identically too.
 //!
 //! [`SharedPlan`]: ishare_plan::SharedPlan
 

@@ -6,11 +6,9 @@
 //! fraction (Sec. 5.1: "the child subplans are executed earlier than their
 //! parent subplans").
 //!
-//! On top of the flat schedule this module exposes the two groupings the
-//! parallel driver needs: [`wavefronts`] (maximal runs of equal fraction —
-//! base relations need feeding only once per front) and [`depth_levels`]
-//! (ticks whose subplans share a dependency depth never read each other's
-//! buffers, so one level may execute concurrently).
+//! On top of the flat schedule this module exposes the grouping the
+//! wavefront loop runs by: [`wavefronts`] (maximal runs of equal fraction —
+//! base relations need feeding only once per front).
 
 use ishare_common::{Error, Result, SubplanId};
 use ishare_plan::SharedPlan;
@@ -162,30 +160,6 @@ pub fn reschedule_after(
         "rescheduled ticks must contain exactly one final tick per subplan"
     );
     Ok(out)
-}
-
-/// Split one wavefront into depth levels: maximal runs of ticks whose
-/// subplans share a dependency depth (`SharedPlan::depths`), as index ranges
-/// into the front. A parent subplan is strictly deeper than each of its
-/// children, so the ticks within one level are mutually independent; levels
-/// must still run in order.
-///
-/// Relies on the front being sorted by topological rank, which orders
-/// subplans by `(depth, id)` — equal depths are therefore contiguous.
-pub fn depth_levels(front: &[Tick], depths: &[usize]) -> Vec<Range<usize>> {
-    debug_assert!(
-        front.windows(2).all(|w| depths[w[0].sp.index()] <= depths[w[1].sp.index()]),
-        "wavefront not sorted by depth"
-    );
-    let mut levels = Vec::new();
-    let mut start = 0;
-    for i in 1..=front.len() {
-        if i == front.len() || depths[front[i].sp.index()] != depths[front[start].sp.index()] {
-            levels.push(start..i);
-            start = i;
-        }
-    }
-    levels
 }
 
 #[cfg(test)]
@@ -355,28 +329,24 @@ mod tests {
 
     #[test]
     fn depth_levels_group_independent_subplans() {
+        // Each front runs children before parents: depths never fall along
+        // a front, and every child tick precedes its parent's tick.
         let (_c, plan) = fixture();
         let depths = plan.depths();
-        let ticks = build_schedule(&plan, &vec![1u32; plan.len()]).unwrap();
-        let fronts = wavefronts(&ticks);
-        assert_eq!(fronts.len(), 1);
-        let front = &ticks[fronts[0].clone()];
-        let levels = depth_levels(front, &depths);
-        // The fixture has one trunk subplan and two project subplans reading
-        // it: two levels, the second holding both independent projects.
-        assert_eq!(levels.len(), 2);
-        assert_eq!(front[levels[0].clone()].len(), 1);
-        assert_eq!(front[levels[1].clone()].len(), 2);
-        for level in &levels {
-            let d0 = depths[front[level.start].sp.index()];
-            for t in &front[level.clone()] {
-                assert_eq!(depths[t.sp.index()], d0);
-            }
-        }
-        // Levels never split a parent/child pair into the same level.
-        for sp in &plan.subplans {
-            for child in sp.children() {
-                assert_ne!(depths[sp.id.index()], depths[child.index()]);
+        let paces: Vec<u32> = (0..plan.len()).map(|i| 1 + i as u32).collect();
+        let ticks = build_schedule(&plan, &paces).unwrap();
+        for range in wavefronts(&ticks) {
+            let front = &ticks[range];
+            assert!(front.windows(2).all(|w| depths[w[0].sp.index()] <= depths[w[1].sp.index()]));
+            let pos = |sp: SubplanId| front.iter().position(|t| t.sp == sp);
+            for sp in &plan.subplans {
+                let Some(parent) = pos(sp.id) else { continue };
+                for child in sp.children() {
+                    assert_ne!(depths[sp.id.index()], depths[child.index()]);
+                    if let Some(c) = pos(child) {
+                        assert!(c < parent, "child {child} after parent {} in a front", sp.id);
+                    }
+                }
             }
         }
     }

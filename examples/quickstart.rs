@@ -2,16 +2,14 @@
 //! end-to-end.
 //!
 //! ```text
-//! cargo run --release --example quickstart [-- --threads N]
-//!     [--trace-out trace.json] [--metrics-out metrics.json]
+//! cargo run --release --example quickstart
+//!     [-- --trace-out trace.json] [--metrics-out metrics.json]
 //! ```
 //!
 //! Builds a tiny catalog, registers two queries over the same stream — a
 //! broad daily report that can wait (relative constraint 1.0) and a narrow
 //! alert that cannot (0.1) — lets iShare plan them, and executes the plan
-//! against simulated arrivals, comparing against Share-Uniform. With
-//! `--threads N > 1` independent subplans of a wavefront run on `N` workers;
-//! the work numbers are bit-identical to one worker's. `--trace-out` /
+//! against simulated arrivals, comparing against Share-Uniform. `--trace-out` /
 //! `--metrics-out` enable observability on the iShare run and write its
 //! Chrome `trace_event` JSON (open in `chrome://tracing` or Perfetto) and
 //! per-operator work/metrics snapshot; a `--metrics-out` path ending in
@@ -39,12 +37,10 @@ fn write_json(path: &PathBuf, value: &serde_json::Value) -> ishare::Result<()> {
 }
 
 fn main() -> ishare::Result<()> {
-    // 0. Worker threads (1 = every tick on this thread) and optional
-    //    observability artifact paths.
+    // 0. Optional observability artifact paths.
     let args: Vec<String> = std::env::args().collect();
     let flag =
         |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
-    let threads = flag("--threads").and_then(|v| v.parse::<usize>().ok()).unwrap_or(1);
     let trace_out = flag("--trace-out").map(PathBuf::from);
     let metrics_out = flag("--metrics-out").map(PathBuf::from);
     let want_obs = trace_out.is_some() || metrics_out.is_some();
@@ -92,7 +88,6 @@ fn main() -> ishare::Result<()> {
 
     // 5. Plan and execute under iShare and Share-Uniform.
     let opts = PlanningOptions { max_pace: 50, ..Default::default() };
-    println!("worker threads: {threads}");
     println!(
         "{:<16} {:>14} {:>14} {:>14} {:>10}",
         "approach", "total work", "report final", "alert final", "elapsed"
@@ -108,7 +103,7 @@ fn main() -> ishare::Result<()> {
             &catalog,
             &feeds,
             CostWeights::default(),
-            SourceOptions { obs, workers: threads, ..Default::default() },
+            SourceOptions { obs, ..Default::default() },
         )?;
         println!(
             "{:<16} {:>14.0} {:>14.0} {:>14.0} {:>9.3}s   (paces {})",

@@ -18,7 +18,7 @@
 //! bit-identical to an uninterrupted one; the example exits with an error
 //! if its total work differs by a single bit.
 //!
-//! Options: `--threads N`, `--sf F`, `--seed N`, `--jitter N`,
+//! Options: `--sf F`, `--seed N`, `--jitter N`,
 //! `--update-frac F`, `--kill-after K` (0 = none).
 //!
 //! [`Source`]: ishare::stream::Source
@@ -34,7 +34,6 @@ fn main() -> Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let flag =
         |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
-    let threads = flag("--threads").and_then(|v| v.parse::<usize>().ok()).unwrap_or(1);
     let sf = flag("--sf").and_then(|v| v.parse::<f64>().ok()).unwrap_or(0.002);
     let seed = flag("--seed").and_then(|v| v.parse::<u64>().ok()).unwrap_or(42);
     let jitter = flag("--jitter").and_then(|v| v.parse::<u64>().ok()).unwrap_or(13);
@@ -60,7 +59,7 @@ fn main() -> Result<()> {
         update_frac,
         source: SourceConfig { partitions: 2, capacity: 256, jitter, seed },
     };
-    println!("{threads} thread(s), sf {sf}, seed {seed}, jitter {jitter}");
+    println!("sf {sf}, seed {seed}, jitter {jitter}");
 
     // Every run pulls from a source rebuilt from the same seed.
     let run_once = |sopts: SourceOptions| -> Result<SourceOutcome> {
@@ -71,7 +70,7 @@ fn main() -> Result<()> {
             &data.catalog,
             &mut source,
             CostWeights::default(),
-            SourceOptions { workers: threads, ..sopts },
+            sopts,
         )
     };
     let SourceOutcome::Completed { result: run, log } = run_once(SourceOptions::default())? else {

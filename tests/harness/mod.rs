@@ -13,9 +13,9 @@ use ishare::core::{
 use ishare::exec::QueryResult;
 use ishare::plan::LogicalPlan;
 use ishare::stream::{
-    execute_adaptive_from_source_obs, execute_from_source_obs, execute_planned_deltas_with,
-    ChurnOutcome, ChurnRecord, CommitLog, ExecCounts, ExecMode, ObsConfig, ObsReport, RunResult,
-    Source, SourceConfig, SourceOptions, SourceOutcome,
+    execute_adaptive_from_source_obs, execute_from_source_obs, execute_from_source_parallel_obs,
+    execute_planned_deltas_with, ChurnOutcome, ChurnRecord, CommitLog, ExecCounts, ExecMode,
+    ObsConfig, ObsReport, RunResult, Source, SourceConfig, SourceOptions, SourceOutcome,
 };
 use ishare::tpch::{generate, queries::sharing_friendly_queries, query_by_name};
 use ishare::tpch::{updates::DeltaFeed, TpchData};
@@ -56,30 +56,19 @@ pub struct Digest {
 
 impl Digest {
     /// Digest a completed run, first checking the run against itself: the
-    /// obs breakdown regroups exactly the charged terms and the ledger
-    /// upholds its invariants.
+    /// obs breakdown regroups exactly the charged terms, replaced plans'
+    /// included, and the ledger upholds its invariants.
     pub fn of(run: &RunResult, log: Option<CommitLog>) -> Digest {
-        if let Some(report) = &run.obs {
-            let total = run.total_work.get();
-            let tol = 1e-6 * total.abs().max(1.0);
-            assert!((report.breakdown_total() - total).abs() <= tol, "breakdown != total_work");
-            let execs: u64 = report.executions_by_subplan.iter().map(ExecCounts::total).sum();
-            assert_eq!(execs as usize, run.executions, "obs execution counts");
-            if let Some(ledger) = &report.slack {
-                ledger.verify().unwrap_or_else(|e| panic!("ledger invariant: {e}"));
-            }
-        }
-        Digest::unchecked(run, log)
-    }
-
-    /// [`Digest::of`] without its checks, which a churn run fails by design:
-    /// its per-subplan breakdown counts since the last re-cut, and a query
-    /// admitted mid-run has no ledger samples before its admission.
-    pub fn unchecked(run: &RunResult, log: Option<CommitLog>) -> Digest {
         let total = run.total_work.get();
         let obs = run.obs.as_ref();
         if let Some(report) = obs {
             assert_eq!(report.total_work.to_bits(), total.to_bits(), "report total != total_work");
+            let tol = 1e-6 * total.abs().max(1.0);
+            assert!((report.breakdown_total() - total).abs() <= tol, "breakdown != total_work");
+            assert_eq!(report.executions() as usize, run.executions, "obs execution counts");
+            if let Some(ledger) = &report.slack {
+                ledger.verify().unwrap_or_else(|e| panic!("ledger invariant: {e}"));
+            }
         }
         Digest {
             results: run.results.clone(),
@@ -172,7 +161,7 @@ impl Ran {
         match out {
             ChurnOutcome::Completed { result, log } => {
                 let extra = (result.churn.clone(), result.handoff_rows, result.reclaimed_rows);
-                let d = Digest::unchecked(&result.run, Some(log));
+                let d = Digest::of(&result.run, Some(log));
                 Ran::Done(Digest { churn: Some(extra), ..d })
             }
             ChurnOutcome::Suspended { log } => Ran::Killed(log),
@@ -370,13 +359,14 @@ pub fn build_feeds(c: &Catalog, rng: &mut SplitMix, join: bool) -> HashMap<Table
 pub enum Mode {
     Kernels,
     Reference,
-    /// `ExecMode::Vectorized` with `partitions: 4`: both inert, so this must
-    /// be the `Kernels` run bit for bit.
+    /// Every inert surface the benchmark pins: `ExecMode::Vectorized`,
+    /// `partitions: 4` and, on source-fed fixed runs, the thread-count shim
+    /// at 4 threads. This must be the `Kernels` run bit for bit.
     Inert,
 }
 
 impl Mode {
-    /// The datapath options of this mode, on one worker.
+    /// The datapath options of this mode.
     pub fn options(self) -> SourceOptions {
         let (mode, partitions) = match self {
             Mode::Kernels => (ExecMode::Kernels, 1),
@@ -398,7 +388,6 @@ pub enum Feed {
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
     pub mode: Mode,
-    pub workers: usize,
     pub obs: bool,
     pub feed: Feed,
     /// Kill after this many fronts (clamped into the schedule), then resume.
@@ -408,14 +397,8 @@ pub struct Point {
 }
 
 /// The oracle point every other point is diffed against.
-pub const ORACLE: Point = Point {
-    mode: Mode::Reference,
-    workers: 1,
-    obs: false,
-    feed: Feed::Vec,
-    kill: None,
-    adaptive: false,
-};
+pub const ORACLE: Point =
+    Point { mode: Mode::Reference, obs: false, feed: Feed::Vec, kill: None, adaptive: false };
 
 pub struct Case<'c> {
     pub catalog: &'c Catalog,
@@ -446,7 +429,6 @@ impl Case<'_> {
 
     pub fn options(&self, p: &Point) -> SourceOptions {
         SourceOptions {
-            workers: p.workers,
             obs: p.obs.then(ObsConfig::default),
             slo: p.obs.then(|| self.budgets.clone()),
             ..p.mode.options()
@@ -476,6 +458,9 @@ impl Case<'_> {
             // and stays out of the digest, which the fixed runs lack.
             assert!(ctrl.switches().is_empty(), "a disabled controller switched paces");
             Ran::fixed(out)
+        } else if p.mode == Mode::Inert {
+            let out = execute_from_source_parallel_obs(plan, paces, c, &mut source, w, 4, opts);
+            Ran::fixed(out.unwrap())
         } else {
             Ran::fixed(execute_from_source_obs(plan, paces, c, &mut source, w, opts).unwrap())
         };
@@ -569,7 +554,7 @@ pub fn kernels_workload(n: usize) -> (TpchData, PlannedExecution) {
 }
 
 /// The kernels workload's six queries over insert-only feeds, run by
-/// `Kernels` on one worker.
+/// `Kernels`.
 pub const KERNELS: Golden = Golden {
     total_work_bits: 0x4121_cf46_0000_0000,
     result_checksum: 0x2dc9_d305_5b99_a3fc,

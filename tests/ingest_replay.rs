@@ -7,19 +7,18 @@
 mod harness;
 
 use harness::*;
-use ishare::stream::{Source, SourceConfig, SourceOptions};
+use ishare::stream::{ObsConfig, Source, SourceConfig, SourceOptions};
 use ishare::tpch::with_updates;
 
-/// Both source feeds, each killed after a drawn front on a drawn worker
-/// count and resumed, against the `Vec`-fed oracle run.
+/// Both source feeds, each killed after a drawn front and resumed, against
+/// the `Vec`-fed oracle run.
 #[test]
 fn source_fed_matches_vec_fed_and_replay_is_exact() {
     let mut kills = 0;
     for_each_case(SEED ^ 0x1e, 16, |case_no, case, reference, rng| {
         for feed in [Feed::InOrder, Feed::Jittered] {
-            let workers = rng.pick(&[1, 2, 4]);
             let kill = Some(rng.range(1, 8) as usize);
-            let p = Point { mode: Mode::Kernels, workers, feed, kill, ..ORACLE };
+            let p = Point { mode: Mode::Kernels, feed, kill, ..ORACLE };
             let label = format!("case {case_no} {p:?} {:?}", case.topology);
             kills += usize::from(case.check(reference, &p, &label).1);
         }
@@ -27,15 +26,14 @@ fn source_fed_matches_vec_fed_and_replay_is_exact() {
     assert!(kills > 0, "no run was killed");
 }
 
-/// The jittered source at 2/4/8 workers, killed after two fronts and
-/// resumed on as many workers.
+/// The jittered source through the thread-count shim, and with obs on,
+/// killed after two fronts and resumed.
 #[test]
 fn parallel_kill_resume_replays_bit_exact() {
     let mut kills = 0;
     for_each_case(SEED ^ 0x1f, 16, |case_no, case, reference, _| {
-        for workers in [2, 4, 8] {
-            let feed = Feed::Jittered;
-            let p = Point { mode: Mode::Kernels, workers, feed, kill: Some(2), ..ORACLE };
+        for (mode, obs) in [(Mode::Inert, false), (Mode::Kernels, true)] {
+            let p = Point { mode, obs, feed: Feed::Jittered, kill: Some(2), ..ORACLE };
             kills += usize::from(case.check(reference, &p, &format!("case {case_no} {p:?}")).1);
         }
     });
@@ -44,8 +42,8 @@ fn parallel_kill_resume_replays_bit_exact() {
 
 /// Four sharing-friendly queries over an update stream (10 % of rows become
 /// delete + insert pairs) pulled from a jittered, partitioned,
-/// backpressured source on one and four workers, and killed after two
-/// fronts and resumed: all land on the `Vec`-fed run's bits.
+/// backpressured source with obs off and on, and killed after two fronts
+/// and resumed: all land on the `Vec`-fed run's bits.
 #[test]
 fn tpch_source_fed_matches_vec_fed_with_kill_resume() {
     let (data, planned) = kernels_workload(4);
@@ -58,6 +56,6 @@ fn tpch_source_fed_matches_vec_fed_with_kill_resume() {
     let full = jittered(SourceOptions::default()).done("jittered");
     assert_same(&reference, &full, "jittered");
     assert_kill_resume(&full, 2, &SourceOptions::default(), jittered, "jittered");
-    let four = SourceOptions { workers: 4, ..Default::default() };
-    assert_same(&full, &jittered(four).done("4w"), "jittered 4w");
+    let obs = SourceOptions { obs: Some(ObsConfig::default()), ..Default::default() };
+    assert_same(&full, &jittered(obs).done("obs on"), "jittered obs on");
 }

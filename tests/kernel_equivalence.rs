@@ -1,27 +1,27 @@
 //! The mode face of the differential lattice (`tests/lattice.rs`): the
-//! `Kernels` datapath and the inert `Vectorized` + `partitions: 4` options
-//! land on the `Reference` datapath's bits at every worker count, `Vec`-fed
-//! and pulled from a jittered source killed and resumed.
+//! `Kernels` datapath and the inert surfaces (`Vectorized`, `partitions: 4`,
+//! the thread-count shim) land on the `Reference` datapath's bits, `Vec`-fed
+//! and pulled from a source, in order or jittered and killed and resumed.
 
 mod harness;
 
 use harness::*;
-use ishare::stream::{insert_feeds, SourceOptions};
+use ishare::stream::insert_feeds;
 
 const MODES: [Mode; 3] = [Mode::Kernels, Mode::Reference, Mode::Inert];
 
-/// Every mode × workers {1, 2, 4, 8}, `Vec`-fed, against the oracle run.
+/// Every mode × feed {`Vec`, in order}, against the oracle run.
 #[test]
 fn kernels_match_reference() {
     let mut joins = 0;
     for_each_case(SEED ^ 0x4b, 16, |case_no, case, reference, _| {
         joins += usize::from(case.join);
         for mode in MODES {
-            for workers in [1, 2, 4, 8] {
-                if (mode, workers) == (Mode::Reference, 1) {
+            for feed in [Feed::Vec, Feed::InOrder] {
+                if (mode, feed) == (Mode::Reference, Feed::Vec) {
                     continue;
                 }
-                let p = Point { mode, workers, ..ORACLE };
+                let p = Point { mode, feed, ..ORACLE };
                 case.check(reference, &p, &format!("case {case_no} {p:?}"));
             }
         }
@@ -29,44 +29,35 @@ fn kernels_match_reference() {
     assert!(joins > 0, "no join plan drawn");
 }
 
-/// `Kernels` and `Reference` pulled from the case's jittered, partitioned,
-/// bounded source on one and two workers, killed after two fronts and
-/// resumed against the commit log: every run lands on the oracle's bits.
+/// Every mode pulled from the case's jittered, partitioned, bounded source,
+/// killed after two fronts and resumed against the commit log: every run
+/// lands on the oracle's bits.
 #[test]
 fn kernels_match_reference_under_jittered_source_kill_resume() {
     let (mut joins, mut kills) = (0, 0);
     for_each_case(SEED ^ 0x4a, 16, |case_no, case, reference, _| {
         joins += usize::from(case.join);
-        for mode in [Mode::Kernels, Mode::Reference] {
-            for workers in [1, 2] {
-                let p = Point { mode, workers, feed: Feed::Jittered, kill: Some(2), ..ORACLE };
-                kills += usize::from(case.check(reference, &p, &format!("case {case_no} {p:?}")).1);
-            }
+        for mode in MODES {
+            let p = Point { mode, feed: Feed::Jittered, kill: Some(2), ..ORACLE };
+            kills += usize::from(case.check(reference, &p, &format!("case {case_no} {p:?}")).1);
         }
     });
     assert!(joins > 0 && kills > 0, "joins {joins}, kills {kills}");
 }
 
-/// The kernels workload on every mode at one and four workers against the
-/// `Reference` one-worker run; the `Kernels` run is the golden one.
+/// The kernels workload on every mode against the `Reference` run; the
+/// `Kernels` run is the golden one.
 #[test]
 fn tpch_workload_kernels_match_reference() {
     let (data, planned) = kernels_workload(6);
     let feeds = insert_feeds(&data.data);
-    let run = |mode: Mode, workers| {
-        run_vec(&planned, &data, &feeds, SourceOptions { workers, ..mode.options() })
-    };
-    let reference = run(Mode::Reference, 1);
-    for mode in MODES {
-        for workers in [1, 4] {
-            if (mode, workers) == (Mode::Reference, 1) {
-                continue;
-            }
-            let got = run(mode, workers);
-            assert_same(&reference, &got, &format!("{mode:?} {workers}w"));
-            if (mode, workers) == (Mode::Kernels, 1) {
-                assert_golden(&got, &KERNELS, "kernels");
-            }
+    let run = |mode: Mode| run_vec(&planned, &data, &feeds, mode.options());
+    let reference = run(Mode::Reference);
+    for mode in [Mode::Kernels, Mode::Inert] {
+        let got = run(mode);
+        assert_same(&reference, &got, &format!("{mode:?}"));
+        if mode == Mode::Kernels {
+            assert_golden(&got, &KERNELS, "kernels");
         }
     }
 }

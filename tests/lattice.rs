@@ -1,7 +1,7 @@
 //! The differential lattice: one seeded harness for the claim every other
-//! result in this repository rests on — a pace configuration, a worker
-//! count, observability, the ingest path, a kill and a replay change what a
-//! run *costs*, never what it *answers* or what it is *charged* (paper
+//! result in this repository rests on — a pace configuration, a datapath,
+//! observability, the ingest path, a kill and a replay change what a run
+//! *costs*, never what it *answers* or what it is *charged* (paper
 //! Sec. 2.3 / 5.1).
 //!
 //! Every run is reduced to one [`Digest`] — results, `total_work` and
@@ -15,8 +15,8 @@
 //! * [`lattice_points_match_the_reference_run`] draws seeded random cases
 //!   (a two-table catalog, aggregate fan-out or join plans, insert/delete
 //!   feeds that never over-retract, random paces) and diffs points sampled
-//!   from mode × workers × obs × feed × kill point × run kind against the
-//!   `Reference`, one-worker, obs-off, `Vec`-fed, uninterrupted run; the
+//!   from mode × obs × feed × kill point × run kind against the
+//!   `Reference`, obs-off, `Vec`-fed, uninterrupted run; the
 //!   all-1-pace batch results are the pace-invariance oracle.
 //! * Four TPC-H scenarios — kernels, adapt, churn, slo — check their
 //!   workload-level contracts and are pinned by golden constants recorded
@@ -50,7 +50,6 @@ const POINTS_PER_CASE: usize = 8;
 #[derive(Debug, Default)]
 struct Coverage {
     modes: [usize; 3],
-    workers: [usize; 4],
     obs: [usize; 2],
     feeds: [usize; 3],
     kills: usize,
@@ -78,7 +77,6 @@ fn lattice_points_match_the_reference_run() {
             let feed = rng.pick(&[Feed::Vec, Feed::InOrder, Feed::Jittered]);
             let p = Point {
                 mode: rng.pick(&[Mode::Kernels, Mode::Reference, Mode::Inert]),
-                workers: rng.pick(&[1, 2, 4, 8]),
                 obs: rng.chance(50),
                 feed,
                 kill: (feed != Feed::Vec && rng.chance(50)).then(|| rng.range(1, 8) as usize),
@@ -95,7 +93,6 @@ fn lattice_points_match_the_reference_run() {
             }
             seen.kills += usize::from(killed);
             seen.modes[p.mode as usize] += 1;
-            seen.workers[p.workers.trailing_zeros() as usize] += 1;
             seen.obs[usize::from(p.obs)] += 1;
             seen.feeds[p.feed as usize] += 1;
             seen.adaptive[usize::from(p.adaptive)] += 1;
@@ -108,7 +105,7 @@ fn lattice_points_match_the_reference_run() {
     });
     // Every axis value was sampled, and the events the lattice exists for
     // happened: kills, join plans, and ledgers whose slack clamped at 0.
-    let axes: [&[usize]; 5] = [&seen.modes, &seen.workers, &seen.obs, &seen.feeds, &seen.adaptive];
+    let axes: [&[usize]; 4] = [&seen.modes, &seen.obs, &seen.feeds, &seen.adaptive];
     let hit = axes.iter().all(|counts| counts.iter().all(|&n| n > 0));
     assert!(hit && seen.kills > 0 && seen.joins > 0 && seen.clamped_slack > 0, "{seen:?}");
 }
@@ -118,29 +115,27 @@ fn lattice_points_match_the_reference_run() {
 // ---------------------------------------------------------------------------
 
 /// Six sharing-friendly queries planned by iShare: the `Reference`
-/// datapath is the oracle for `Kernels` at 1/2/4 workers (obs on at 2 and
-/// 4) and for a jittered, partitioned, backpressured source killed after
-/// two fronts and resumed on four workers.
+/// datapath is the oracle for `Kernels` (obs off and on) and for a
+/// jittered, partitioned, backpressured source killed after two fronts and
+/// resumed.
 #[test]
 fn kernels_scenario_matches_reference_and_golden() {
     let (data, planned) = kernels_workload(6);
     let feeds = insert_feeds(&data.data);
-    let run = |mode, workers, obs: bool| {
+    let run = |mode, obs: bool| {
         let obs = obs.then(ObsConfig::default);
-        run_vec(&planned, &data, &feeds, SourceOptions { mode, workers, obs, ..Default::default() })
+        run_vec(&planned, &data, &feeds, SourceOptions { mode, obs, ..Default::default() })
     };
-    let reference = run(ExecMode::Reference, 1, false);
-    let kernels = run(ExecMode::Kernels, 1, false);
+    let reference = run(ExecMode::Reference, false);
+    let kernels = run(ExecMode::Kernels, false);
     assert_same(&reference, &kernels, "kernels vs reference");
-    for workers in [2, 4] {
-        assert_same(&reference, &run(ExecMode::Kernels, workers, true), &format!("{workers}w"));
-    }
+    assert_same(&reference, &run(ExecMode::Kernels, true), "obs on");
 
     let topology = SourceConfig { partitions: 3, capacity: 32, jitter: 15, seed: 11 };
     let jittered = |opts| {
         Ran::fixed(run_fixed(&planned, &data, &mut Source::new(&feeds, topology).unwrap(), opts))
     };
-    let opts = SourceOptions { workers: 4, ..Default::default() };
+    let opts = SourceOptions::default();
     let full = jittered(opts.clone()).done("jittered");
     assert_same(&reference, &full, "jittered source");
     assert_kill_resume(&full, 2, &opts, jittered, "jittered source");
@@ -159,8 +154,8 @@ const ADAPT_SWITCH: (usize, u64) = (0, 0x3fe9_8e8e_c5fc_1e32);
 /// A drifted stream (40 % of rows become delete + insert pairs) against
 /// plans made from clean statistics: the controller must switch, rescue at
 /// least one deadline the static paces miss and break none; the commit log
-/// records the paces each front ran under; kill/resume and two workers
-/// reproduce the switch log to the drift bit.
+/// records the paces each front ran under; kill/resume and obs on (which
+/// also checks the ledger) reproduce the switch log to the drift bit.
 #[test]
 fn adapt_scenario_rescues_deadlines_and_replays() {
     let data = generate(0.004, 42).unwrap();
@@ -207,11 +202,8 @@ fn adapt_scenario_rescues_deadlines_and_replays() {
     assert!(pending.next().is_none(), "a switch after the last front");
 
     assert_kill_resume(&adaptive, 2, &SourceOptions::default(), run, "adapt");
-    assert_same(
-        &adaptive,
-        &run(SourceOptions { workers: 2, ..Default::default() }).done("2w"),
-        "2w",
-    );
+    let obs = SourceOptions { obs: Some(ObsConfig::default()), ..Default::default() };
+    assert_same(&adaptive, &run(obs).done("obs on"), "obs on");
     assert_golden(&adaptive, &ADAPT, "adapt");
     let pinned: Vec<(usize, u64)> =
         switches.iter().map(|s| (s.wavefront, s.drift.to_bits())).collect();
@@ -238,8 +230,9 @@ const CHURN_HANDOFF_WORK: [u64; 3] = [0x40b8_6a00_0000_0000, 0x40cd_7b00_0000_00
 /// Three sharing-friendly queries live, two admitted at 1/4 and 2/4 and q1
 /// removed at 3/4: the incremental sharer builds the batch DAG; every query
 /// live at the end — survivors and admitted alike — matches the unshared
-/// `Reference` batch oracle; obs × workers {1, 2} and a two-worker
-/// kill/resume reproduce the run, churn records included.
+/// `Reference` batch oracle; obs on (which checks the whole-run breakdown
+/// and the ledger) and a kill/resume reproduce the run, churn records
+/// included.
 #[test]
 fn churn_scenario_matches_oracle_and_golden() {
     let data = generate(0.002, 11).unwrap();
@@ -304,15 +297,9 @@ fn churn_scenario_matches_oracle_and_golden() {
         assert!(approx_result_eq(&churned.results[q], expect, 1e-9), "{q}: churn != oracle");
     }
 
-    for obs in [false, true] {
-        for workers in [1, 2] {
-            let opts =
-                SourceOptions { obs: obs.then(ObsConfig::default), workers, ..Default::default() };
-            assert_same(&churned, &run(opts).done("matrix"), &format!("obs {obs}, {workers}w"));
-        }
-    }
-    let two = SourceOptions { workers: 2, ..Default::default() };
-    assert_kill_resume(&churned, 2, &two, run, "churn 2w");
+    let obs = SourceOptions { obs: Some(ObsConfig::default()), ..Default::default() };
+    assert_same(&churned, &run(obs).done("obs on"), "obs on");
+    assert_kill_resume(&churned, 2, &SourceOptions::default(), run, "churn");
     assert_golden(&churned, &CHURN, "churn");
     assert_eq!((handoff, reclaimed), CHURN_ROWS, "churn: hand-off / reclaimed rows");
     let handoff_work: Vec<u64> = records.iter().map(|r| r.handoff_work_bits).collect();
@@ -337,7 +324,7 @@ const SLO_LEDGER: [[u64; 3]; 3] = [
 /// budgets: the ledger holds its invariants, budgets are the planner's
 /// `L(q)` and consumption the measured final work, bit for bit; a feasible
 /// plan misses nothing; the `slo.*` gauges and the Prometheus text mirror
-/// the ledger; obs off, 2 and 4 workers and kill/resume reproduce it.
+/// the ledger; obs off and kill/resume reproduce it.
 #[test]
 fn slo_scenario_ledger_matches_golden() {
     let data = generate(0.004, 42).unwrap();
@@ -377,10 +364,6 @@ fn slo_scenario_ledger_matches_golden() {
     }
 
     assert_same(&seq, &run(SourceOptions::default()).done("obs off"), "obs off");
-    for workers in [2, 4] {
-        let opts = SourceOptions { workers, ..slo.clone() };
-        assert_same(&seq, &run(opts).done("workers"), &format!("{workers}w"));
-    }
     assert_kill_resume(&seq, 2, &slo, run, "slo");
     assert_golden(&seq, &SLO, "slo");
     assert_eq!(pinned, SLO_LEDGER, "slo: per-query budget / consumed / remaining bits");

@@ -1,7 +1,7 @@
 //! Observability artifacts are well-formed: the Chrome trace produced by a
 //! real run parses, carries valid span events, has non-overlapping spans per
-//! worker track, and the metrics document round-trips through the JSON
-//! parser with its work invariants intact.
+//! track, and the metrics document round-trips through the JSON parser with
+//! its work invariants intact.
 
 use ishare::stream::{
     execute_from_source_obs, execute_planned_deltas_with, ObsConfig, ObsReport, Source,
@@ -53,11 +53,10 @@ fn tiny_workload() -> (Catalog, SharedPlan, DeltaFeeds) {
     (c, plan, [(t, feed)].into_iter().collect())
 }
 
-fn run_with_obs(threads: usize) -> (f64, ObsReport) {
+fn run_with_obs() -> (f64, ObsReport) {
     let (c, plan, data) = tiny_workload();
     let paces = vec![4u32; plan.len()];
-    let opts =
-        SourceOptions { obs: Some(ObsConfig::default()), workers: threads, ..Default::default() };
+    let opts = SourceOptions { obs: Some(ObsConfig::default()), ..Default::default() };
     let run = execute_planned_deltas_with(&plan, &paces, &c, &data, CostWeights::default(), opts)
         .unwrap();
     (run.total_work.get(), run.obs.unwrap())
@@ -103,17 +102,18 @@ fn check_chrome_trace(trace: &serde_json::Value) {
     }
 }
 
+/// Every tick rides on the one tick track, whose spans never overlap.
 #[test]
 fn chrome_trace_is_well_formed_sequential_and_parallel() {
-    for threads in [1usize, 2, 4] {
-        let (_, report) = run_with_obs(threads);
-        check_chrome_trace(&report.chrome_trace());
-    }
+    let trace = run_with_obs().1.chrome_trace();
+    check_chrome_trace(&trace);
+    let ticks = trace["traceEvents"].as_array().unwrap().iter().filter(|e| e["cat"] == "tick");
+    assert!(ticks.map(|e| e["tid"].as_i64()).all(|tid| tid == Some(1)), "ticks off track 1");
 }
 
 #[test]
 fn metrics_json_roundtrips_and_sums() {
-    let (total, report) = run_with_obs(2);
+    let (total, report) = run_with_obs();
     let doc = report.metrics_json();
     let text = serde_json::to_string_pretty(&doc).unwrap();
     let parsed = serde_json::from_str(&text).unwrap();
@@ -131,7 +131,7 @@ fn metrics_json_roundtrips_and_sums() {
 }
 
 /// A source-fed run with SLO budgets grows the trace by the new tracks —
-/// ingest poll spans, per-worker operator spans, per-query slack counters —
+/// ingest poll spans, operator spans, per-query slack counters —
 /// and the whole document still satisfies the well-formedness checks.
 #[test]
 fn slo_run_adds_aux_and_slack_tracks() {
@@ -176,7 +176,7 @@ fn slo_run_adds_aux_and_slack_tracks() {
 /// ordering are what make cross-run diffs meaningful.
 #[test]
 fn deterministic_snapshot_is_byte_identical_across_processes() {
-    let (_, report) = run_with_obs(2);
+    let (_, report) = run_with_obs();
     let snapshot = serde_json::to_string_pretty(&report.metrics.snapshot_deterministic()).unwrap();
     if std::env::var_os("ISHARE_OBS_SNAPSHOT_CHILD").is_some() {
         println!("SNAPSHOT_LEN:{}", snapshot.len());
@@ -216,7 +216,7 @@ fn fnv(s: &str) -> u64 {
 
 #[test]
 fn trace_roundtrips_through_parser() {
-    let (_, report) = run_with_obs(1);
+    let (_, report) = run_with_obs();
     let doc = report.chrome_trace();
     let text = serde_json::to_string_pretty(&doc).unwrap();
     let parsed = serde_json::from_str(&text).unwrap();

@@ -421,15 +421,15 @@ fn optimize_is_deterministic_across_processes() {
 }
 
 /// The adaptive driver with adaptation disabled is the static driver bit
-/// for bit at 1/2/4 workers — the controller still observes every front,
-/// so observation itself perturbs nothing — for three seeded draws of data
-/// seed and update mix (the run-kind × workers face of the differential
-/// lattice, `tests/lattice.rs`, on TPC-H).
+/// for bit with obs off and on — the controller still observes every
+/// front, so observation itself perturbs nothing — for three seeded draws
+/// of data seed and update mix (the run-kind × obs face of the
+/// differential lattice, `tests/lattice.rs`, on TPC-H).
 #[test]
 fn disabled_adaptation_is_invariant_across_thread_counts() {
     use harness::{fig2_and_q6, run_vec, tpch_plan, SplitMix, SEED};
     use ishare::core::adapt::{AdaptController, AdaptOptions};
-    use ishare::stream::{execute_adaptive_from_source_obs, Source, SourceOptions};
+    use ishare::stream::{execute_adaptive_from_source_obs, ObsConfig, Source, SourceOptions};
     use ishare::tpch::with_updates;
 
     let mut rng = SplitMix(SEED ^ 0xad);
@@ -440,11 +440,11 @@ fn disabled_adaptation_is_invariant_across_thread_counts() {
         let feeds = with_updates(&data, update_frac, seed ^ 7).unwrap();
         let baseline = run_vec(&planned, &data, &feeds, SourceOptions::default());
         let w = CostWeights::default();
-        for workers in [1, 2, 4] {
-            let label = format!("seed {seed}, updates {update_frac}, {workers}w");
+        for obs in [None, Some(ObsConfig::default())] {
+            let label = format!("seed {seed}, updates {update_frac}, obs {}", obs.is_some());
             let off = AdaptOptions::disabled();
             let mut ctrl = AdaptController::from_planned(&planned, &data.catalog, w, off).unwrap();
-            let opts = SourceOptions { workers, ..Default::default() };
+            let opts = SourceOptions { obs, ..Default::default() };
             let mut source = Source::in_order(&feeds);
             let out = execute_adaptive_from_source_obs(
                 &planned.plan,
