@@ -1,22 +1,26 @@
-//! The evaluation's comparison systems (Sec. 5.2).
+//! The evaluation's comparison systems (Sec. 5.2), all planned by one
+//! pipeline, [`plan_workload`]: normalize → MQO → cut → resolve
+//! constraints → pace search → optional decomposition. An approach only
+//! picks the recipe:
 //!
-//! | Approach | Plan | Paces |
-//! |---|---|---|
-//! | NoShare-Uniform | each query private | one pace knob per query |
-//! | NoShare-Nonuniform | each query private, cut at blocking operators | one pace knob per subplan (prior work, Tang et al. 2020) |
-//! | Share-Uniform | MQO shared plan(s) | one pace knob per connected shared plan |
-//! | iShare (w/o unshare) | MQO shared plan | one pace knob per subplan |
-//! | iShare (w/ unshare) | MQO shared plan + decomposition | one pace knob per subplan |
-//! | iShare (Brute-Force) | like w/ unshare, exhaustive splits | — |
+//! | Approach | Share (MQO) | Cut at aggregates | Pace knobs | Un-share |
+//! |---|---|---|---|---|
+//! | NoShare-Uniform | no | no | one per query | no |
+//! | NoShare-Nonuniform (prior work, Tang et al. 2020) | no | yes | one per subplan | no |
+//! | Share-Uniform | yes | no | one per connected shared plan | no |
+//! | iShare (w/o unshare) | yes | no | one per subplan | no |
+//! | iShare (w/ unshare) | yes | no | one per subplan | clustering |
+//! | iShare (Brute-Force) | yes | no | one per subplan | exhaustive splits |
+//! | OneShot | no | no | none: every pace fixed at 2 | no |
 //!
 //! Every approach resolves the same final work constraints and uses the same
 //! cost model, so differences come from plan structure and pace freedom
 //! only — exactly the paper's experimental control.
 
 use crate::constraint::{batch_final_works, resolve_against, ConstraintMap, FinalWorkConstraint};
-use crate::optimizer::{IShareOptimizer, IShareOptions};
+use crate::decompose::{decompose_plan, DagPlan};
 use crate::pace::PaceConfiguration;
-use crate::pace_search::{find_grouped_paces, find_pace_configuration};
+use crate::pace_search::find_grouped_paces;
 use ishare_common::{CostWeights, QueryId, Result, SubplanId};
 use ishare_cost::{CostReport, EstimatorCounters, PlanEstimator};
 use ishare_mqo::{build_shared_dag, connected_components, normalize, MqoConfig};
@@ -119,7 +123,8 @@ impl Default for PlanningOptions {
     }
 }
 
-/// Plan a workload under one approach.
+/// Plan a workload under one approach (see the module docs for what each
+/// approach changes in the pipeline).
 pub fn plan_workload(
     approach: Approach,
     queries: &[(QueryId, LogicalPlan)],
@@ -127,104 +132,45 @@ pub fn plan_workload(
     catalog: &Catalog,
     opts: &PlanningOptions,
 ) -> Result<PlannedExecution> {
+    use Approach::*;
+    let start = Instant::now();
     let weights = CostWeights::default();
-    match approach {
-        Approach::IShare | Approach::IShareNoUnshare | Approach::IShareBruteForce => {
-            let optimizer = IShareOptimizer {
-                options: IShareOptions {
-                    max_pace: opts.max_pace,
-                    unshare: approach != Approach::IShareNoUnshare,
-                    partial: opts.partial,
-                    brute_force: approach == Approach::IShareBruteForce,
-                    brute_deadline: opts.brute_deadline,
-                    mqo: MqoConfig::default(),
-                    use_memo: opts.use_memo,
-                },
-                weights,
-            };
-            optimizer.optimize(queries, constraints, catalog)
-        }
-        Approach::NoShareUniform => {
-            plan_grouped(queries, constraints, catalog, opts, weights, false, GroupBy::Query)
-        }
-        Approach::NoShareNonuniform => {
-            plan_nonuniform_noshare(queries, constraints, catalog, opts, weights)
-        }
-        Approach::ShareUniform => {
-            plan_grouped(queries, constraints, catalog, opts, weights, true, GroupBy::Component)
-        }
-        Approach::OneShot => plan_oneshot(queries, constraints, catalog, weights),
-    }
-}
 
-/// OneShot: queries separate, every subplan at pace 2 regardless of
-/// constraints (the first execution happens mid-arrival, the final one at
-/// the trigger point).
-fn plan_oneshot(
-    queries: &[(QueryId, LogicalPlan)],
-    constraints: &BTreeMap<QueryId, FinalWorkConstraint>,
-    catalog: &Catalog,
-    weights: CostWeights,
-) -> Result<PlannedExecution> {
-    let start = Instant::now();
+    // 1. MQO, then the cut rule. NoShare-Nonuniform also cuts at blocking
+    // operators: aggregates materialize, enabling asymmetric paces within
+    // one query.
     let normalized: Vec<(QueryId, LogicalPlan)> =
         queries.iter().map(|(q, p)| (*q, normalize(p))).collect();
-    let dag = build_shared_dag(&normalized, catalog, &MqoConfig::no_sharing())?;
-    let plan = SharedPlan::from_dag(&dag, |_| false)?;
-    plan.validate(catalog)?;
-    let batch_finals = batch_final_works(&normalized, catalog, weights)?;
-    let resolved = resolve_against(&normalized, constraints, &batch_finals);
-    let paces = crate::pace::PaceConfiguration::new(vec![2; plan.len()])?;
-    let mut est = PlanEstimator::new(&plan, catalog, weights)?;
-    let report = est.estimate(paces.as_slice())?;
-    let feasible = resolved.iter().all(|(q, l)| report.final_of(*q).get() <= *l + 1e-9);
-    Ok(PlannedExecution {
-        plan,
-        paces,
-        report,
-        feasible,
-        constraints: resolved,
-        batch_finals,
-        opt_time: start.elapsed(),
-        estimator_counters: est.counters,
-    })
-}
-
-enum GroupBy {
-    /// One pace knob per query (NoShare-Uniform).
-    Query,
-    /// One pace knob per connected shared plan (Share-Uniform).
-    Component,
-}
-
-fn plan_grouped(
-    queries: &[(QueryId, LogicalPlan)],
-    constraints: &BTreeMap<QueryId, FinalWorkConstraint>,
-    catalog: &Catalog,
-    opts: &PlanningOptions,
-    weights: CostWeights,
-    share: bool,
-    group_by: GroupBy,
-) -> Result<PlannedExecution> {
-    let start = Instant::now();
-    let normalized: Vec<(QueryId, LogicalPlan)> =
-        queries.iter().map(|(q, p)| (*q, normalize(p))).collect();
+    let share = matches!(approach, ShareUniform | IShareNoUnshare | IShare | IShareBruteForce);
     let mqo = if share { MqoConfig::default() } else { MqoConfig::no_sharing() };
     let dag = build_shared_dag(&normalized, catalog, &mqo)?;
-    let plan = SharedPlan::from_dag(&dag, |_| false)?;
+    let forced = match approach {
+        NoShareNonuniform => dag
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.op, DagOp::Aggregate { .. }))
+            .map(|n| n.id)
+            .collect(),
+        _ => Vec::new(),
+    };
+    let current = DagPlan::cut(dag, forced)?;
+    let plan = &current.plan;
     plan.validate(catalog)?;
 
+    // 2. Constraints, resolved against each query's separate batch run.
     let batch_finals = batch_final_works(&normalized, catalog, weights)?;
     let resolved = resolve_against(&normalized, constraints, &batch_finals);
 
-    // Build the pace-knob groups.
-    let groups: Vec<Vec<SubplanId>> = match group_by {
-        GroupBy::Query => normalized
+    // 3. Paces: the greedy over the approach's knobs. OneShot ignores
+    // constraints: it starts and is capped at pace 2 (the first execution
+    // mid-arrival, the final one at the trigger point).
+    let groups: Vec<Vec<SubplanId>> = match approach {
+        NoShareUniform => normalized
             .iter()
             .map(|(q, _)| plan.subplans_of_query(*q))
             .filter(|g| !g.is_empty())
             .collect(),
-        GroupBy::Component => connected_components(&plan)
+        ShareUniform => connected_components(plan)
             .into_iter()
             .map(|comp| {
                 plan.subplans
@@ -234,55 +180,42 @@ fn plan_grouped(
                     .collect()
             })
             .collect(),
+        _ => plan.subplans.iter().map(|sp| vec![sp.id]).collect(),
     };
-
-    let mut est = PlanEstimator::new(&plan, catalog, weights)?;
+    let (start_pace, max_pace) = match approach {
+        OneShot => (2, 2),
+        _ => (1, opts.max_pace),
+    };
+    let mut est = PlanEstimator::new(plan, catalog, weights)?;
     est.set_memo_enabled(opts.use_memo);
-    let outcome = find_grouped_paces(&mut est, &groups, &resolved, opts.max_pace)?;
+    let outcome = find_grouped_paces(&mut est, &groups, &resolved, start_pace, max_pace)?;
+    // Counters reflect the pace search; the decomposition pass builds its
+    // own estimators per candidate plan.
+    let estimator_counters = est.counters;
+
+    // 4. Decomposition over the full plan (iShare w/ unshare).
+    let (current, outcome) = match approach {
+        IShare | IShareBruteForce => decompose_plan(
+            current,
+            outcome,
+            &resolved,
+            &batch_finals,
+            catalog,
+            weights,
+            opts,
+            approach == IShareBruteForce,
+        )?,
+        _ => (current, outcome),
+    };
     Ok(PlannedExecution {
-        plan,
+        plan: current.plan,
         paces: outcome.paces,
         report: outcome.report,
         feasible: outcome.feasible,
         constraints: resolved,
         batch_finals,
         opt_time: start.elapsed(),
-        estimator_counters: est.counters,
-    })
-}
-
-/// NoShare-Nonuniform: queries private, cut at blocking operators
-/// (aggregates), free per-subplan paces — the prior-work baseline.
-fn plan_nonuniform_noshare(
-    queries: &[(QueryId, LogicalPlan)],
-    constraints: &BTreeMap<QueryId, FinalWorkConstraint>,
-    catalog: &Catalog,
-    opts: &PlanningOptions,
-    weights: CostWeights,
-) -> Result<PlannedExecution> {
-    let start = Instant::now();
-    let normalized: Vec<(QueryId, LogicalPlan)> =
-        queries.iter().map(|(q, p)| (*q, normalize(p))).collect();
-    let dag = build_shared_dag(&normalized, catalog, &MqoConfig::no_sharing())?;
-    // Cut at blocking operators: aggregates materialize, enabling
-    // asymmetric paces within one query.
-    let plan = SharedPlan::from_dag(&dag, |n| matches!(n.op, DagOp::Aggregate { .. }))?;
-    plan.validate(catalog)?;
-
-    let batch_finals = batch_final_works(&normalized, catalog, weights)?;
-    let resolved = resolve_against(&normalized, constraints, &batch_finals);
-    let mut est = PlanEstimator::new(&plan, catalog, weights)?;
-    est.set_memo_enabled(opts.use_memo);
-    let outcome = find_pace_configuration(&mut est, &resolved, opts.max_pace)?;
-    Ok(PlannedExecution {
-        plan,
-        paces: outcome.paces,
-        report: outcome.report,
-        feasible: outcome.feasible,
-        constraints: resolved,
-        batch_finals,
-        opt_time: start.elapsed(),
-        estimator_counters: est.counters,
+        estimator_counters,
     })
 }
 

@@ -17,8 +17,10 @@
 //! * [`partial`] — partial decomposition: force cuts below a root-anchored
 //!   subtree, then split the top (Sec. 4.3).
 //! * [`try_decompose_subplan`] — the per-subplan driver combining all of
-//!   the above; `ishare-core::optimizer` applies it over the full plan in
-//!   parent-to-child order (Sec. 4.4).
+//!   the above.
+//! * [`decompose_plan`] — the pass over the full plan: every subplan in
+//!   parent-to-child order, each profitable split adopted (Sec. 4.4);
+//!   [`crate::plan_workload`] runs it for the un-sharing approaches.
 
 pub mod brute;
 pub mod clustering;
@@ -31,6 +33,7 @@ pub use clustering::{cluster_split, Split};
 pub use local::{local_constraints_for_subplan, LocalProblem, PartitionEval};
 pub use regenerate::{initial_paces, regenerate};
 
+use crate::baselines::PlanningOptions;
 use crate::constraint::ConstraintMap;
 use crate::pace::PaceConfiguration;
 use crate::pace_search::{relax_pace_configuration, SearchOutcome};
@@ -38,38 +41,13 @@ use ishare_common::{CostWeights, Error, NodeId, QueryId, Result, SubplanId};
 use ishare_cost::{CostReport, PlanEstimator};
 use ishare_plan::{SharedDag, SharedPlan};
 use ishare_storage::Catalog;
-use std::collections::BTreeMap;
-use std::time::Duration;
+use std::collections::{BTreeMap, HashSet};
 
 /// Cap on the number of partial (subtree) candidates tried per subplan.
 /// Candidates are generated closest-to-root first, which is where the
 /// paper's BFS expansion finds its splits; deeper candidates cost a full
 /// clustering run each.
 const MAX_PARTIAL_CANDIDATES: usize = 4;
-
-/// Knobs for the decomposition driver.
-#[derive(Debug, Clone)]
-pub struct DecomposeOptions {
-    /// Pace cap (shared with the pace search).
-    pub max_pace: u32,
-    /// Also try partial (subtree) decompositions.
-    pub partial: bool,
-    /// Use the brute-force split enumeration instead of clustering.
-    pub brute_force: bool,
-    /// DNF deadline for the brute-force enumeration.
-    pub brute_deadline: Duration,
-}
-
-impl Default for DecomposeOptions {
-    fn default() -> Self {
-        DecomposeOptions {
-            max_pace: 100,
-            partial: true,
-            brute_force: false,
-            brute_deadline: Duration::from_secs(60),
-        }
-    }
-}
 
 /// A shared DAG, its forced cuts, and the plan the cut rule derives from
 /// them. Decomposition edits the DAG (whole splits) and the forced cuts
@@ -117,9 +95,60 @@ pub struct Adopted {
     pub outcome: SearchOutcome,
 }
 
+/// Decompose the full plan (Sec. 4.4): "we sort all subplans topologically
+/// from the parent to the child and apply the decomposition algorithm for
+/// each subplan in this order". Every profitable split is adopted; it edits
+/// the DAG, the plan is re-derived from it and the walk restarts over the
+/// new plan. Returns the final plan and its pace configuration.
+#[allow(clippy::too_many_arguments)]
+pub fn decompose_plan(
+    mut current: DagPlan,
+    mut outcome: SearchOutcome,
+    constraints: &ConstraintMap,
+    batch_finals: &BTreeMap<QueryId, f64>,
+    catalog: &Catalog,
+    weights: CostWeights,
+    opts: &PlanningOptions,
+    brute_force: bool,
+) -> Result<(DagPlan, SearchOutcome)> {
+    // Subplans are attempted once each, keyed by their root node: node ids
+    // never move, and a split's pieces root at new nodes.
+    let mut attempted: HashSet<NodeId> = HashSet::new();
+    'outer: loop {
+        // Parents-first order = reverse of children-first.
+        let mut order = current.plan.topo_order()?;
+        order.reverse();
+        for target in order {
+            if current.plan.subplan(target)?.queries.len() < 2
+                || !attempted.insert(current.roots[target.index()])
+            {
+                continue;
+            }
+            if let Some(adopted) = try_decompose_subplan(
+                &current,
+                &outcome.paces,
+                &outcome.report,
+                target,
+                constraints,
+                batch_finals,
+                catalog,
+                weights,
+                opts,
+                brute_force,
+            )? {
+                current = adopted.edited;
+                outcome = adopted.outcome;
+                continue 'outer;
+            }
+        }
+        return Ok((current, outcome));
+    }
+}
+
 /// Try to decompose `target` inside `current.plan`, currently paced by
-/// `paces`/`report`. Returns the best profitable alternative, or `None`
-/// when keeping the shared subplan is better.
+/// `paces`/`report`, splitting by clustering or, with `brute_force`, by
+/// enumeration. Returns the best profitable alternative, or `None` when
+/// keeping the shared subplan is better.
 #[allow(clippy::too_many_arguments)]
 pub fn try_decompose_subplan(
     current: &DagPlan,
@@ -130,7 +159,8 @@ pub fn try_decompose_subplan(
     batch_finals: &BTreeMap<QueryId, f64>,
     catalog: &Catalog,
     weights: CostWeights,
-    opts: &DecomposeOptions,
+    opts: &PlanningOptions,
+    brute_force: bool,
 ) -> Result<Option<Adopted>> {
     let target_sp = current.plan.subplan(target)?;
     // A pace-1 subplan already executes maximally lazily; un-sharing it can
@@ -178,7 +208,7 @@ pub fn try_decompose_subplan(
             weights,
             max_pace: opts.max_pace,
         };
-        let split = if opts.brute_force {
+        let split = if brute_force {
             match brute_force_split(&problem, opts.brute_deadline)? {
                 BruteOutcome::Done(s) => s,
                 BruteOutcome::TimedOut(_) => cluster_split(&problem)?,
@@ -298,7 +328,8 @@ mod tests {
             &batch,
             &c,
             CostWeights::default(),
-            &DecomposeOptions { max_pace: 50, ..Default::default() },
+            &PlanningOptions { max_pace: 50, ..Default::default() },
+            false,
         )
         .unwrap();
         assert!(adopted.is_none(), "batch execution leaves nothing to unshare");
@@ -320,7 +351,8 @@ mod tests {
             &batch,
             &c,
             CostWeights::default(),
-            &DecomposeOptions { max_pace: 100, ..Default::default() },
+            &PlanningOptions { max_pace: 100, ..Default::default() },
+            false,
         )
         .unwrap();
         let adopted = adopted.expect("expected a profitable decomposition");
@@ -362,7 +394,8 @@ mod tests {
                 &batch,
                 &c,
                 CostWeights::default(),
-                &DecomposeOptions::default(),
+                &PlanningOptions::default(),
+                false,
             )
             .unwrap();
             assert!(adopted.is_none());

@@ -18,16 +18,18 @@
 //!    query-set subsumption requirement and the pace relaxation that
 //!    exploits the slack the split created. Partial decomposition
 //!    (Sec. 4.3) splits only a root-anchored subtree.
-//! 3. **Full-plan application** ([`optimizer`], Sec. 4.4) — subplans are
-//!    visited parents-first and each beneficial decomposition is adopted.
+//! 3. **Full-plan application** ([`decompose::decompose_plan`], Sec. 4.4)
+//!    — subplans are visited parents-first and each beneficial
+//!    decomposition is adopted.
 //! 4. **Online re-optimization** ([`adapt`]) — at wavefront boundaries the
 //!    stream drivers feed measured delivery counts back into the cost
 //!    stats; when drift crosses a threshold the pace search re-runs on the
 //!    refreshed estimator (memo reuse) under residual final-work budgets.
 //!
-//! [`baselines`] implements every comparison system of the evaluation
-//! (Sec. 5.2): NoShare-Uniform, NoShare-Nonuniform, Share-Uniform, iShare
-//! with and without unsharing, and the brute-force decomposition variant.
+//! [`baselines`] plans every comparison system of the evaluation (Sec. 5.2)
+//! through one pipeline, [`plan_workload`]: NoShare-Uniform,
+//! NoShare-Nonuniform, Share-Uniform, iShare with and without unsharing,
+//! the brute-force decomposition variant and OneShot.
 
 #![warn(missing_docs)]
 
@@ -36,7 +38,6 @@ pub mod baselines;
 pub mod constraint;
 pub mod decompose;
 pub mod incrementability;
-pub mod optimizer;
 pub mod pace;
 pub mod pace_search;
 
@@ -47,6 +48,5 @@ pub use adapt::{
 pub use baselines::{plan_workload, Approach, PlannedExecution, PlanningOptions};
 pub use constraint::{resolve_constraints, ConstraintMap, FinalWorkConstraint};
 pub use incrementability::{benefit, incrementability};
-pub use optimizer::{IShareOptimizer, IShareOptions};
 pub use pace::PaceConfiguration;
 pub use pace_search::{find_grouped_paces, find_pace_configuration, relax_pace_configuration};

@@ -7,7 +7,8 @@
 //!   requirement are filtered out.
 //! * [`find_grouped_paces`] — the same greedy with *groups* of subplans
 //!   sharing one pace knob: NoShare-Uniform (one group per query) and
-//!   Share-Uniform (one group per connected shared plan) are exactly this.
+//!   Share-Uniform (one group per connected shared plan) are exactly this,
+//!   and OneShot is it started and capped at pace 2.
 //! * [`relax_pace_configuration`] — the decomposition follow-up (Sec. 4.2):
 //!   start from an eager initial configuration and repeatedly *decrease* the
 //!   pace of the subplan with the lowest incrementability — the one that
@@ -114,7 +115,7 @@ pub(crate) fn relax_better(cand: (f64, f64), best: Option<(f64, f64)>) -> bool {
     }
 }
 
-/// The iShare greedy (one pace knob per subplan).
+/// The iShare greedy (one pace knob per subplan), from batch execution.
 pub fn find_pace_configuration(
     est: &mut PlanEstimator,
     constraints: &ConstraintMap,
@@ -122,27 +123,21 @@ pub fn find_pace_configuration(
 ) -> Result<SearchOutcome> {
     let n = est.plan().len();
     let groups: Vec<Vec<SubplanId>> = (0..n).map(|i| vec![SubplanId(i as u32)]).collect();
-    grouped_search(est, &groups, constraints, max_pace)
+    find_grouped_paces(est, &groups, constraints, 1, max_pace)
 }
 
-/// The grouped greedy: all subplans in a group move together.
+/// The grouped greedy: all subplans in a group move together, starting
+/// with every subplan at pace `start`. With `start == max_pace` no group
+/// can move, and the outcome is the estimate at that uniform pace.
 pub fn find_grouped_paces(
     est: &mut PlanEstimator,
     groups: &[Vec<SubplanId>],
     constraints: &ConstraintMap,
-    max_pace: u32,
-) -> Result<SearchOutcome> {
-    grouped_search(est, groups, constraints, max_pace)
-}
-
-fn grouped_search(
-    est: &mut PlanEstimator,
-    groups: &[Vec<SubplanId>],
-    constraints: &ConstraintMap,
+    start: u32,
     max_pace: u32,
 ) -> Result<SearchOutcome> {
     check_constraints(constraints)?;
-    let paces = PaceConfiguration::batch(est.plan().len());
+    let paces = PaceConfiguration::new(vec![start; est.plan().len()])?;
     search_upward(est, groups, constraints, max_pace, paces)
 }
 
@@ -444,7 +439,7 @@ mod tests {
         let cons = constraints_rel(&mut est, &[(0, 0.2), (1, 0.2)]);
         // Single group: everything at one pace (Share-Uniform style).
         let all: Vec<SubplanId> = (0..plan.len()).map(|i| SubplanId(i as u32)).collect();
-        let out = find_grouped_paces(&mut est, &[all], &cons, 100).unwrap();
+        let out = find_grouped_paces(&mut est, &[all], &cons, 1, 100).unwrap();
         let first = out.paces.as_slice()[0];
         assert!(out.paces.as_slice().iter().all(|&p| p == first));
         assert!(out.feasible);

@@ -73,19 +73,15 @@ pub struct AdmitDiff {
     /// attachment frontier where the query's private cone taps into shared
     /// structure. The engine cuts subplans at every non-scan frontier node.
     pub frontier: Vec<NodeId>,
-    /// Queries that witness the reused portion: the intersection of every
-    /// reused node's query set and every joined select branch's query set,
-    /// both taken *before* the admission. Any member has seen exactly the
-    /// rows the new query would have seen over the entire reused structure.
-    /// Meaningless (full) when `reused` is empty.
-    pub witness_pool: QuerySet,
-}
-
-impl AdmitDiff {
-    /// Smallest witness query, if the reused portion has one.
-    pub fn witness(&self) -> Option<QueryId> {
-        self.witness_pool.iter().next()
-    }
+    /// Per consed node, the queries that witness its whole input cone for
+    /// the admitted query: the intersection, over every node of the cone,
+    /// of the node's query set taken *before* the admission, refined at
+    /// each select to the branch the query joined (before
+    /// [`seal`](IncrementalSharer::seal), selects leave it unconstrained).
+    /// Any member has seen exactly the rows the new query would have seen
+    /// there. Never contains the admitted query; full but for it at created
+    /// nodes, which carry no old state.
+    pub pools: HashMap<NodeId, QuerySet>,
 }
 
 /// What one removal did to the shared DAG.
@@ -187,7 +183,17 @@ impl IncrementalSharer {
                 }
             }
         }
-        Ok(AdmitDiff { query: q, root, reused, created, frontier, witness_pool: tr.witness })
+        // A node consed twice (a diamond) already carries the query's bit
+        // on the second visit; a query never witnesses itself.
+        let pools = tr
+            .pools
+            .into_iter()
+            .map(|(n, mut pool)| {
+                pool.remove(q);
+                (NodeId(n), pool)
+            })
+            .collect();
+        Ok(AdmitDiff { query: q, root, reused, created, frontier, pools })
     }
 
     /// Remove `q`: clear its bit everywhere, drop its predicates and query
@@ -368,10 +374,8 @@ impl IncrementalSharer {
                     if pool.is_empty() {
                         continue;
                     }
-                    tr.witness = tr.witness.intersect(joined);
                 }
                 tr.reused.push(id);
-                tr.witness = tr.witness.intersect(self.dag.nodes[id.0 as usize].queries);
                 tr.pools.insert(id.0, if own { QuerySet(u64::MAX) } else { pool });
                 self.dag.nodes[id.0 as usize].queries.insert(q);
                 let preds = self.select_preds.entry(id.0).or_default();
@@ -427,7 +431,6 @@ impl IncrementalSharer {
             };
             if own || !self.sealed || !pool.is_empty() {
                 tr.reused.push(id);
-                tr.witness = tr.witness.intersect(self.dag.nodes[id.0 as usize].queries);
                 tr.pools.insert(id.0, pool);
                 self.dag.nodes[id.0 as usize].queries.insert(q);
                 return Ok(id);
@@ -455,10 +458,10 @@ impl IncrementalSharer {
 }
 
 /// Per-admission bookkeeping threaded through the hash-consing walk.
+#[derive(Default)]
 struct AdmitTrace {
     reused: Vec<NodeId>,
     created: Vec<NodeId>,
-    witness: QuerySet,
     /// Per consed node: the queries that witness the node's whole input
     /// cone for the admitted query (pre-admission query sets, refined to
     /// the joined branch at selects). `u64::MAX` for created nodes — they
@@ -467,18 +470,6 @@ struct AdmitTrace {
     /// Signature → private clone created after a witness decline, so a
     /// diamond inside the admitted plan still shares its own clone.
     private: HashMap<String, NodeId>,
-}
-
-impl Default for AdmitTrace {
-    fn default() -> Self {
-        AdmitTrace {
-            reused: Vec::new(),
-            created: Vec::new(),
-            witness: QuerySet(u64::MAX),
-            pools: HashMap::new(),
-            private: HashMap::new(),
-        }
-    }
 }
 
 impl AdmitTrace {
@@ -572,7 +563,7 @@ mod tests {
         s.seal();
         let diff = s.admit(QueryId(1), &agg_query(&c, Some(p))).unwrap();
         assert!(diff.created.is_empty(), "equal-predicate admission reuses every node");
-        assert_eq!(diff.witness(), Some(QueryId(0)));
+        assert_eq!(diff.pools[&diff.root].iter().next(), Some(QueryId(0)));
         // Root is shared: both queries root at the same node.
         assert_eq!(s.dag().query_roots[0].1, s.dag().query_roots[1].1);
     }

@@ -9,20 +9,11 @@ use crate::trace::TraceBuffer;
 use ishare_common::{OpKind, WorkBreakdown};
 use serde_json::{json, Value};
 
-/// Opt-in observability configuration passed to the drivers. The default is
-/// everything on with a bounded trace; construct via `ObsConfig::default()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// Maximum spans retained by the trace buffer (further spans are counted
-    /// but dropped).
-    pub trace_capacity: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self { trace_capacity: TraceBuffer::DEFAULT_CAPACITY }
-    }
-}
+/// Opt-in observability, passed to the drivers as `Some(ObsConfig::default())`:
+/// everything on, with a trace of at most [`TraceBuffer::DEFAULT_CAPACITY`]
+/// spans (further spans are counted but dropped).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ObsConfig {}
 
 /// Execution counts for one subplan over a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -78,7 +78,7 @@ use ishare_exec::executor::{OperatorState, StateBundle};
 use ishare_exec::{ExecMode, ExecOptions, SubplanExecutor};
 use ishare_ingest::{ChurnKind, ChurnRecord, Source};
 use ishare_mqo::{normalize, IncrementalSharer, MqoConfig};
-use ishare_plan::{DagOp, InputSource, LogicalPlan, SharedDag, SharedPlan};
+use ishare_plan::{InputSource, LogicalPlan, SharedDag, SharedPlan};
 use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -139,15 +139,13 @@ pub struct ChurnOptions {
     /// ([`ExecMode::Reference`] is rejected: the oracle datapath has no
     /// state surgery).
     pub source: SourceOptions,
-    /// MQO configuration for the incremental sharer.
-    pub mqo: MqoConfig,
     /// Pace-search bound: at least 1, 8 by default.
     pub max_pace: u32,
 }
 
 impl Default for ChurnOptions {
     fn default() -> Self {
-        ChurnOptions { source: SourceOptions::default(), mqo: MqoConfig::default(), max_pace: 8 }
+        ChurnOptions { source: SourceOptions::default(), max_pace: 8 }
     }
 }
 
@@ -216,7 +214,7 @@ pub fn execute_churn_from_source(
     }
 
     let started = Instant::now();
-    let mut sharer = IncrementalSharer::new(opts.mqo.clone());
+    let mut sharer = IncrementalSharer::new(MqoConfig::default());
     for (q, lp) in initial {
         sharer.admit(*q, &normalize(lp))?;
     }
@@ -308,7 +306,7 @@ impl Runner<'_> {
         // event has fully validated.
         let mut trial = self.sharer.clone();
         let mut cuts = self.roots.clone();
-        let (kind, q, budget, created, nodes) = match ev.op {
+        let (kind, q, budget, created, pools, nodes) = match ev.op {
             ChurnOp::Admit { query, plan, constraint } => {
                 let diff = trial.admit(query, &normalize(&plan))?;
                 let one = BTreeMap::from([(query, constraint)]);
@@ -316,7 +314,7 @@ impl Runner<'_> {
                     [&query];
                 cuts.extend(diff.frontier);
                 let nodes = (diff.reused.len(), diff.created.len());
-                (ChurnKind::Admit, query, Some(l), diff.created, nodes)
+                (ChurnKind::Admit, query, Some(l), diff.created, diff.pools, nodes)
             }
             ChurnOp::Remove { query } => {
                 let diff = trial.remove(query)?;
@@ -326,7 +324,7 @@ impl Runner<'_> {
                     )));
                 }
                 let nodes = (diff.shrunk_nodes.len(), diff.removed_nodes.len());
-                (ChurnKind::Remove, query, None, Vec::new(), nodes)
+                (ChurnKind::Remove, query, None, Vec::new(), HashMap::new(), nodes)
             }
         };
         let mut forced = self.forced.clone();
@@ -348,9 +346,19 @@ impl Runner<'_> {
             // a witness query to index its state by — *per subplan*: a
             // global intersection over all reused nodes is too strict once
             // the new query taps several cones shared by disjoint query
-            // subsets (routine in TPC-H workloads).
-            witnesses = subplan_witnesses(trial.dag(), &plan2, &roots2, q, &fresh);
+            // subsets (routine in TPC-H workloads). The sharer's pool at the
+            // subplan's root holds the queries whose mask bit equals the new
+            // query's over the root's whole input cone; masks are a pure
+            // function of branch membership, so any of them stands in for
+            // the new query across all handed-off state. The smallest is
+            // taken, which keeps the handoff deterministic.
             let shared = |j: usize| !fresh[j] && plan2.subplans[j].queries.contains(q);
+            witnesses = (0..plan2.len())
+                .map(|j| {
+                    let pool = pools.get(&roots2[j]).filter(|_| shared(j));
+                    pool.and_then(|p| p.iter().next())
+                })
+                .collect();
             if let Some(j) = (0..plan2.len()).find(|&j| shared(j) && witnesses[j].is_none()) {
                 return Err(Error::Churn(format!(
                     "admission of query {q} shares subplan {j} (root {}) but no live query \
@@ -653,62 +661,6 @@ fn search_from_batch(
 ) -> Result<SearchOutcome> {
     let mut est = PlanEstimator::new(plan, catalog, weights)?;
     find_pace_configuration(&mut est, budgets, max_pace)
-}
-
-/// Per-subplan witness queries for an admission of `q_new`.
-///
-/// For each subplan serving the new query whose root pre-dates the
-/// admission, pick a live query whose mask bit equals the new query's
-/// would-be bit over the subplan's **entire input cone**: the intersection,
-/// over every DAG node reachable from the subplan root, of the node's
-/// pre-admission query set, refined at select nodes to the branch(es) the
-/// new query joined (post-seal admission only ever joins an
-/// equal-predicate branch, so any co-member of that branch has seen
-/// exactly the rows the new query would have seen there). Masks are a pure
-/// function of branch membership, so agreement over the whole cone makes
-/// the witness's bit a stand-in for the new query's across all handed-off
-/// state. Fresh subplans, and subplans not serving the new query, get
-/// `None`. The smallest qualifying query id is chosen, which keeps the
-/// handoff deterministic.
-fn subplan_witnesses(
-    dag: &SharedDag,
-    plan2: &SharedPlan,
-    roots2: &[NodeId],
-    q_new: QueryId,
-    fresh: &[bool],
-) -> Vec<Option<QueryId>> {
-    roots2
-        .iter()
-        .enumerate()
-        .map(|(j, root)| {
-            if fresh[j] || !plan2.subplans[j].queries.contains(q_new) {
-                return None;
-            }
-            let mut pool = QuerySet(u64::MAX);
-            let mut seen = vec![false; dag.nodes.len()];
-            let mut stack = vec![*root];
-            while let Some(n) = stack.pop() {
-                if std::mem::replace(&mut seen[n.0 as usize], true) {
-                    continue;
-                }
-                let node = &dag.nodes[n.0 as usize];
-                let mut w = node.queries;
-                w.remove(q_new);
-                if let DagOp::Select { branches } = &node.op {
-                    for b in branches {
-                        if b.queries.contains(q_new) {
-                            let mut bw = b.queries;
-                            bw.remove(q_new);
-                            w = w.intersect(bw);
-                        }
-                    }
-                }
-                pool = pool.intersect(w);
-                stack.extend(node.children.iter().copied());
-            }
-            pool.iter().next()
-        })
-        .collect()
 }
 
 /// Reconstruct subplan `c`'s net witnessed history re-masked to `q_new`,
@@ -1180,7 +1132,7 @@ mod tests {
         let f = feed(c, 120);
         let (initial, script) = churny(c);
         let mut src = Source::in_order(&f);
-        let o = ChurnOptions { source, max_pace: 8, ..Default::default() };
+        let o = ChurnOptions { source, max_pace: 8 };
         // Tight enough for intermediate boundaries, loose enough that the
         // admission stays feasible next to three live queries.
         let cons: BTreeMap<QueryId, FinalWorkConstraint> =

@@ -360,7 +360,7 @@ pub(crate) fn run_wavefronts(
         )));
     }
 
-    let mut obs = opts.obs.map(|cfg| fold.report(cfg, &recs, &fronts, &polls, &adapt_recs));
+    let mut obs = opts.obs.map(|_| fold.report(&recs, &fronts, &polls, &adapt_recs));
     if let Some(report) = obs.as_mut() {
         engine_gauges(report, &live.engine);
         ingest_gauges(report, &source.stats());

@@ -14,8 +14,8 @@ use ishare_common::{OpKind, QueryId, WorkBreakdown, WorkUnits};
 use ishare_core::adapt::AdaptController;
 use ishare_ingest::TopicStats;
 use ishare_obs::{
-    AuxKind, AuxSpan, ExecCounts, FrontCharge, MetricsRegistry, ObsConfig, ObsReport, SlackLedger,
-    SlackPoint, Span, SpanKind, TraceBuffer,
+    AuxKind, AuxSpan, ExecCounts, FrontCharge, MetricsRegistry, ObsReport, SlackLedger, SlackPoint,
+    Span, SpanKind, TraceBuffer,
 };
 use ishare_plan::SharedPlan;
 use std::collections::BTreeMap;
@@ -223,13 +223,12 @@ impl Fold {
     /// plans a churn re-cut replaced were charged.
     pub(crate) fn report(
         &self,
-        cfg: ObsConfig,
         recs: &[TickRec],
         fronts: &[FrontRec],
         polls: &[PollRec],
         adapt_recs: &[AdaptRec],
     ) -> ObsReport {
-        let mut trace = TraceBuffer::new(cfg.trace_capacity);
+        let mut trace = TraceBuffer::new(TraceBuffer::DEFAULT_CAPACITY);
         let mut metrics = MetricsRegistry::new();
         for rec in recs {
             trace.push(Span {

@@ -263,7 +263,7 @@ fn churn_scenario_matches_oracle_and_golden() {
     ]);
     let feeds = insert_feeds(&data.data);
     let run = |source| {
-        let opts = ChurnOptions { source, max_pace: 16, ..Default::default() };
+        let opts = ChurnOptions { source, max_pace: 16 };
         let (c, w) = (&data.catalog, CostWeights::default());
         let mut src = Source::in_order(&feeds);
         Ran::churn(

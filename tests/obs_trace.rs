@@ -120,6 +120,7 @@ fn metrics_json_roundtrips_and_sums() {
     assert_eq!(doc, parsed, "metrics JSON must round-trip through the parser");
 
     let tol = 1e-6 * total.abs().max(1.0);
+    assert_eq!(parsed["total_work"].as_f64(), Some(total), "metrics carry the run's total work");
     let breakdown_total = parsed["breakdown_total"].as_f64().unwrap();
     assert!((breakdown_total - total).abs() <= tol);
     let kinds = match &parsed["work_by_kind"] {
@@ -128,6 +129,43 @@ fn metrics_json_roundtrips_and_sums() {
     };
     let kind_sum: f64 = kinds.iter().map(|(_, v)| v.as_f64().unwrap()).sum();
     assert!((kind_sum - total).abs() <= tol, "kind sum {kind_sum} != total {total}");
+}
+
+/// The Prometheus exposition of a real run: every family `ishare_`-prefixed
+/// and typed by a `# TYPE` header before its first sample (histogram
+/// `_bucket` / `_sum` / `_count` series under their base family), every
+/// sample value numeric, and at least one sample.
+#[test]
+fn prometheus_text_is_well_formed() {
+    let text = run_with_obs().1.prometheus();
+    let mut typed: HashMap<String, String> = HashMap::new();
+    let mut samples = 0;
+    for line in text.lines().filter(|l| !l.is_empty()) {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let fields: Vec<&str> = rest.split_whitespace().collect();
+            let [name, kind] = fields[..] else { panic!("malformed TYPE header {line:?}") };
+            assert!(matches!(kind, "counter" | "gauge" | "histogram"), "unknown type in {line:?}");
+            typed.insert(name.to_string(), kind.to_string());
+            continue;
+        }
+        assert!(!line.starts_with('#'), "unexpected comment {line:?}");
+        let (series, value) = line.rsplit_once(' ').expect("sample line has a value");
+        let name = series.split('{').next().unwrap();
+        assert!(name.starts_with("ishare_"), "family {name:?} lacks the ishare_ prefix");
+        let histogram_base = ["_bucket", "_sum", "_count"]
+            .iter()
+            .filter_map(|suffix| name.strip_suffix(suffix))
+            .find(|base| typed.get(*base).is_some_and(|k| k == "histogram"));
+        let base = histogram_base.unwrap_or(name);
+        assert!(typed.contains_key(base), "sample {name:?} has no preceding TYPE header");
+        assert!(
+            value.parse::<f64>().is_ok() || matches!(value, "+Inf" | "-Inf" | "NaN"),
+            "non-numeric sample value in {line:?}"
+        );
+        samples += 1;
+    }
+    assert!(samples > 0, "no sample lines");
+    assert!(typed.values().any(|k| k == "histogram"), "a run records histograms");
 }
 
 /// A source-fed run with SLO budgets grows the trace by the new tracks —
