@@ -32,6 +32,15 @@ use ishare_storage::Catalog;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+/// After a switch, the controller re-arms only once drift (against the
+/// *refreshed* stats) falls to `drift_threshold * REARM_RATIO`: the
+/// hysteresis band that prevents pace thrash.
+const REARM_RATIO: f64 = 0.5;
+
+/// Wavefronts skipped entirely after a switch before the trigger is
+/// evaluated again (lets the refreshed estimate settle).
+const COOLDOWN_FRONTS: usize = 1;
+
 /// Knobs for the re-optimization trigger rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptOptions {
@@ -39,13 +48,6 @@ pub struct AdaptOptions {
     /// armed). `f64::INFINITY` disables adaptation entirely — the
     /// controller still tallies drift metrics but never re-plans.
     pub drift_threshold: f64,
-    /// After a switch, the controller re-arms only once drift (against the
-    /// *refreshed* stats) falls below `drift_threshold * rearm_ratio`.
-    /// This is the hysteresis band that prevents pace thrash.
-    pub rearm_ratio: f64,
-    /// Wavefronts to skip entirely after a switch before evaluating the
-    /// trigger again (lets the refreshed estimate settle).
-    pub cooldown_fronts: usize,
     /// Hard cap on the number of pace switches per run.
     pub max_switches: usize,
     /// Maximum pace handed to the re-entrant pace search.
@@ -60,14 +62,7 @@ pub struct AdaptOptions {
 
 impl Default for AdaptOptions {
     fn default() -> Self {
-        AdaptOptions {
-            drift_threshold: 0.25,
-            rearm_ratio: 0.5,
-            cooldown_fronts: 1,
-            max_switches: 8,
-            max_pace: 100,
-            headroom: 0.8,
-        }
+        AdaptOptions { drift_threshold: 0.25, max_switches: 8, max_pace: 100, headroom: 0.8 }
     }
 }
 
@@ -83,12 +78,6 @@ impl AdaptOptions {
             return Err(Error::InvalidConfig(format!(
                 "drift_threshold must be >= 0 (or +inf to disable), got {}",
                 self.drift_threshold
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.rearm_ratio) {
-            return Err(Error::InvalidConfig(format!(
-                "rearm_ratio must be in [0, 1], got {}",
-                self.rearm_ratio
             )));
         }
         if self.max_pace == 0 {
@@ -298,18 +287,31 @@ impl AdaptController {
             .collect()
     }
 
+    /// Each planned table's observed statistics: delivered counts
+    /// extrapolated to full-stream size by the exact arrival fraction
+    /// `num/den`, and the observed delete fraction.
+    fn observed_bases(&self, obs: &WavefrontObservation) -> Vec<(TableId, ObservedBase)> {
+        obs.tables
+            .iter()
+            .filter(|t| self.est.base_estimate(t.table).is_some())
+            .map(|t| {
+                let rows = (t.delivered as f64) * (obs.den as f64) / (obs.num as f64);
+                let delete_frac =
+                    if t.delivered > 0 { t.deletes as f64 / t.delivered as f64 } else { 0.0 };
+                (t.table, ObservedBase { rows, delete_frac })
+            })
+            .collect()
+    }
+
     /// Largest relative error between the estimator's base-stream stats and
-    /// the observation, maximized over tables and over (row count, delete
-    /// fraction). Delivered counts are extrapolated to full-stream size by
-    /// the exact arrival fraction `num/den`.
-    fn drift_of(&self, obs: &WavefrontObservation) -> f64 {
+    /// the observed ones, maximized over tables and over (row count, delete
+    /// fraction).
+    fn drift_of(&self, observed: &[(TableId, ObservedBase)]) -> f64 {
         let mut worst: f64 = 0.0;
-        for t in &obs.tables {
-            let Some(est) = self.est.base_estimate(t.table) else { continue };
-            let obs_rows = (t.delivered as f64) * (obs.den as f64) / (obs.num as f64);
-            let row_err = (obs_rows - est.rows.total).abs() / est.rows.total.max(1.0);
-            let obs_df = if t.delivered > 0 { t.deletes as f64 / t.delivered as f64 } else { 0.0 };
-            let df_err = (obs_df - est.delete_frac).abs();
+        for (table, o) in observed {
+            let Some(est) = self.est.base_estimate(*table) else { continue };
+            let row_err = (o.rows - est.rows.total).abs() / est.rows.total.max(1.0);
+            let df_err = (o.delete_frac - est.delete_frac).abs();
             worst = worst.max(row_err).max(df_err);
         }
         worst
@@ -333,7 +335,8 @@ impl AdaptController {
             // Final wavefront: nothing left to reschedule.
             return Ok(None);
         }
-        let drift = self.drift_of(obs);
+        let observed = self.observed_bases(obs);
+        let drift = self.drift_of(&observed);
         if drift > self.metrics.max_drift {
             self.metrics.max_drift = drift;
         }
@@ -342,7 +345,7 @@ impl AdaptController {
             return Ok(None);
         }
         if !self.armed {
-            if drift <= self.opts.drift_threshold * self.opts.rearm_ratio {
+            if drift <= self.opts.drift_threshold * REARM_RATIO {
                 self.armed = true;
             }
             return Ok(None);
@@ -355,20 +358,14 @@ impl AdaptController {
         // pace search under the residual budgets.
         self.metrics.triggers += 1;
         let started = Instant::now();
-        for t in &obs.tables {
-            if self.est.base_estimate(t.table).is_none() {
-                continue;
-            }
-            let rows = (t.delivered as f64) * (obs.den as f64) / (obs.num as f64);
-            let delete_frac =
-                if t.delivered > 0 { t.deletes as f64 / t.delivered as f64 } else { 0.0 };
-            self.est.refresh_base(t.table, ObservedBase { rows, delete_frac })?;
+        for (table, o) in observed {
+            self.est.refresh_base(table, o)?;
         }
         let residual = self.residual_constraints(&obs.charged_final);
         let outcome = find_pace_configuration(&mut self.est, &residual, self.opts.max_pace)?;
         self.metrics.reopt_time += started.elapsed();
         self.armed = false;
-        self.cooldown = self.opts.cooldown_fronts;
+        self.cooldown = COOLDOWN_FRONTS;
         if outcome.paces == self.paces {
             return Ok(None);
         }
@@ -568,15 +565,18 @@ mod tests {
 
     #[test]
     fn max_switches_caps_replanning() {
-        let opts = AdaptOptions { max_switches: 1, cooldown_fronts: 0, ..AdaptOptions::default() };
+        let opts = AdaptOptions { max_switches: 1, ..AdaptOptions::default() };
         let (mut ctrl, _, t) = planned_controller(0.4, opts);
         assert!(ctrl.observe(&drifted_obs(t, 4.0)).unwrap().is_some());
-        // Re-arm via a calm front, then spike again: capped, so no trigger.
-        let mut calm = drifted_obs(t, 4.0);
-        calm.wavefront = 1;
-        assert_eq!(ctrl.observe(&calm).unwrap(), None);
+        // Sit out the cooldown front and re-arm on a calm one, then spike
+        // again: armed but capped, so no trigger.
+        for wavefront in 1..=2 {
+            let mut calm = drifted_obs(t, 4.0);
+            calm.wavefront = wavefront;
+            assert_eq!(ctrl.observe(&calm).unwrap(), None);
+        }
         let mut spike = drifted_obs(t, 20.0);
-        spike.wavefront = 2;
+        spike.wavefront = 3;
         assert_eq!(ctrl.observe(&spike).unwrap(), None);
         assert_eq!(ctrl.metrics().triggers, 1);
         assert_eq!(ctrl.metrics().switches, 1);
@@ -639,7 +639,6 @@ mod tests {
         };
         assert!(mk(AdaptOptions { drift_threshold: f64::NAN, ..AdaptOptions::default() }).is_err());
         assert!(mk(AdaptOptions { drift_threshold: -0.5, ..AdaptOptions::default() }).is_err());
-        assert!(mk(AdaptOptions { rearm_ratio: 1.5, ..AdaptOptions::default() }).is_err());
         assert!(mk(AdaptOptions { max_pace: 0, ..AdaptOptions::default() }).is_err());
         assert!(mk(AdaptOptions { headroom: 0.0, ..AdaptOptions::default() }).is_err());
         assert!(mk(AdaptOptions { headroom: f64::NAN, ..AdaptOptions::default() }).is_err());

@@ -8,6 +8,23 @@
 //! delta (to be materialized into the subplan's buffer, or consumed as final
 //! query results).
 //!
+//! An executor compiles its tree once into a *program*: the operators in
+//! post-order (children before parents, left before right, the root last),
+//! each entry owning what its datapath needs — a leaf its tree path, a
+//! kernel operator its compiled expressions and, for a join or aggregate,
+//! its state, a reference operator the plan expressions the oracle walks and
+//! its state. An execution is one pass over the program with a stack of
+//! batches: a leaf pushes its narrowed input, an operator pops its inputs
+//! and pushes its output, and the root's output is what is left.
+//!
+//! Post-order is the charge order. An operator consumes the deltas its
+//! inputs produce in the same execution, so every input must run before it;
+//! and because charged work is an `f64` sum, the order among siblings must
+//! be fixed too, or the same work would round to different bits. The
+//! children-first, left-to-right order is the one the cost simulator
+//! (`ishare_cost::simulate`) replays, so estimates and measurements add the
+//! same terms in the same order.
+//!
 //! Two interchangeable datapaths implement the operators ([`ExecMode`]):
 //! the default [`ExecMode::Kernels`] datapath (encoded keys, compiled
 //! expressions, flat state — `join`, `aggregate`, `operators`) and the
@@ -24,7 +41,9 @@ use ishare_common::{
     CostWeights, DataType, Error, QueryId, QuerySet, Result, SubplanId, WorkCounter,
 };
 use ishare_expr::compile::{CompiledPredicate, CompiledProjection};
-use ishare_plan::{InputSource, OpTree, Subplan, TreeOp};
+use ishare_expr::typecheck::infer_type;
+use ishare_expr::Expr;
+use ishare_plan::{AggExpr, InputSource, OpTree, SelectBranch, Subplan, TreeOp};
 use ishare_storage::{Catalog, DeltaBatch, DeltaRow, Schema};
 use std::collections::HashMap;
 
@@ -53,35 +72,48 @@ pub struct ExecOptions {
     pub mode: ExecMode,
 }
 
-/// Stateful-operator state, keyed by tree path.
+/// One entry of an executor's post-order program.
+#[derive(Debug)]
+enum Step {
+    /// A leaf: the input delta handed to [`SubplanExecutor::execute`] under
+    /// `path`.
+    Leaf { path: Vec<usize>, src: InputSource },
+    /// Kernel marking select: the plan's branches and their predicates.
+    Select { branches: Vec<SelectBranch>, preds: Vec<CompiledPredicate> },
+    /// Kernel projection.
+    Project(CompiledProjection),
+    /// Kernel join at tree path `path`.
+    Join { path: Vec<usize>, keys: JoinKeys, state: JoinState },
+    /// Kernel aggregate at tree path `path`; `int_flags` tells, per
+    /// aggregate, whether its argument is integer-typed.
+    Aggregate { path: Vec<usize>, spec: AggSpec, int_flags: Vec<bool>, state: AggState },
+    /// A reference-datapath operator.
+    Reference(RefStep),
+}
+
+/// A reference-datapath operator: the plan expressions the oracle walks,
+/// and its state.
+#[derive(Debug)]
+enum RefStep {
+    Select(Vec<SelectBranch>),
+    Project(Vec<(Expr, String)>),
+    Join {
+        keys: Vec<(Expr, Expr)>,
+        state: RefJoinState,
+    },
+    Aggregate {
+        group_by: Vec<(Expr, String)>,
+        aggs: Vec<AggExpr>,
+        int_flags: Vec<bool>,
+        state: RefAggState,
+    },
+}
+
+/// A kernel join's or aggregate's state.
 #[derive(Debug)]
 enum OpState {
     Join(JoinState),
     Agg(AggState),
-    RefJoin(RefJoinState),
-    RefAgg(RefAggState),
-}
-
-/// Expression kernels lowered once at executor construction, keyed by tree
-/// path. Empty in [`ExecMode::Reference`] (the reference datapath walks the
-/// plan's `Expr` trees directly).
-#[derive(Debug, Default)]
-struct CompiledOps {
-    selects: HashMap<Vec<usize>, Vec<CompiledPredicate>>,
-    projects: HashMap<Vec<usize>, CompiledProjection>,
-    join_keys: HashMap<Vec<usize>, JoinKeys>,
-    agg_specs: HashMap<Vec<usize>, AggSpec>,
-}
-
-impl OpState {
-    /// Stored entries (see [`SubplanExecutor::state_rows`]).
-    fn rows(&self) -> usize {
-        match self {
-            OpState::Join(j) => j.left_size() + j.right_size(),
-            OpState::Agg(a) => a.state_size(),
-            OpState::RefJoin(_) | OpState::RefAgg(_) => 0,
-        }
-    }
 }
 
 /// The state of one stateful operator (a join or an aggregate), moved out
@@ -94,7 +126,10 @@ pub struct OperatorState(OpState);
 impl OperatorState {
     /// Stored state entries (see [`SubplanExecutor::state_rows`]).
     pub fn rows(&self) -> usize {
-        self.0.rows()
+        match &self.0 {
+            OpState::Join(j) => j.left_size() + j.right_size(),
+            OpState::Agg(a) => a.state_size(),
+        }
     }
 }
 
@@ -109,13 +144,11 @@ pub type StateBundle = HashMap<Vec<usize>, OperatorState>;
 /// Executes one subplan incrementally, holding its operator state.
 #[derive(Debug)]
 pub struct SubplanExecutor {
-    subplan: Subplan,
+    /// The tree's operators in post-order (see the module docs).
+    program: Vec<Step>,
+    queries: QuerySet,
     weights: CostWeights,
     mode: ExecMode,
-    /// Per-aggregate-node flags: is each aggregate argument integer-typed?
-    agg_int: HashMap<Vec<usize>, Vec<bool>>,
-    states: HashMap<Vec<usize>, OpState>,
-    compiled: CompiledOps,
 }
 
 impl SubplanExecutor {
@@ -139,32 +172,79 @@ impl SubplanExecutor {
         weights: CostWeights,
         options: ExecOptions,
     ) -> Result<Self> {
-        let mut agg_int = HashMap::new();
-        let mut states = HashMap::new();
-        let mut compiled = CompiledOps::default();
-        init_states(
-            &subplan.root,
-            &mut Vec::new(),
-            catalog,
-            child_schemas,
-            options.mode,
-            &mut agg_int,
-            &mut states,
-            &mut compiled,
-        )?;
-        Ok(SubplanExecutor {
-            subplan: subplan.clone(),
+        let mut ex = SubplanExecutor {
+            program: Vec::with_capacity(subplan.root.operator_count()),
+            queries: subplan.queries,
             weights,
             mode: options.mode,
-            agg_int,
-            states,
-            compiled,
-        })
+        };
+        ex.compile(&subplan.root, &mut Vec::new(), catalog, child_schemas)?;
+        Ok(ex)
     }
 
-    /// The executed subplan.
-    pub fn subplan(&self) -> &Subplan {
-        &self.subplan
+    /// Append the subtree `t` at tree path `path` to the program, in
+    /// post-order. Each operator is lowered before its inputs, so a malformed
+    /// tree reports the outermost fault.
+    fn compile(
+        &mut self,
+        t: &OpTree,
+        path: &mut Vec<usize>,
+        catalog: &Catalog,
+        child_schemas: &HashMap<SubplanId, Schema>,
+    ) -> Result<()> {
+        if t.inputs.len() != t.op.expected_inputs() {
+            return Err(Error::InvalidPlan(format!(
+                "{} at path {path:?} has {} inputs, expects {}",
+                t.op.label(),
+                t.inputs.len(),
+                t.op.expected_inputs()
+            )));
+        }
+        let int_flags = |aggs: &[AggExpr]| -> Result<Vec<bool>> {
+            let in_schema = t.inputs[0].schema(catalog, child_schemas)?;
+            aggs.iter().map(|a| Ok(infer_type(&a.arg, &in_schema)? == DataType::Int)).collect()
+        };
+        let kernels = self.mode != ExecMode::Reference;
+        let step = match &t.op {
+            TreeOp::Input(src) => Step::Leaf { path: path.clone(), src: *src },
+            TreeOp::Select { branches } if kernels => Step::Select {
+                preds: branches.iter().map(|b| CompiledPredicate::compile(&b.predicate)).collect(),
+                branches: branches.clone(),
+            },
+            TreeOp::Project { exprs } if kernels => {
+                let list: Vec<Expr> = exprs.iter().map(|(e, _)| e.clone()).collect();
+                Step::Project(CompiledProjection::compile(&list))
+            }
+            TreeOp::Join { keys } if kernels => Step::Join {
+                path: path.clone(),
+                keys: JoinKeys::compile(keys),
+                state: JoinState::new(),
+            },
+            TreeOp::Aggregate { group_by, aggs } if kernels => Step::Aggregate {
+                path: path.clone(),
+                spec: AggSpec::compile(group_by, aggs),
+                int_flags: int_flags(aggs)?,
+                state: AggState::new(),
+            },
+            TreeOp::Select { branches } => Step::Reference(RefStep::Select(branches.clone())),
+            TreeOp::Project { exprs } => Step::Reference(RefStep::Project(exprs.clone())),
+            TreeOp::Join { keys } => {
+                Step::Reference(RefStep::Join { keys: keys.clone(), state: RefJoinState::new() })
+            }
+            TreeOp::Aggregate { group_by, aggs } => Step::Reference(RefStep::Aggregate {
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+                int_flags: int_flags(aggs)?,
+                state: RefAggState::new(),
+            }),
+        };
+        for (i, child) in t.inputs.iter().enumerate() {
+            path.push(i);
+            self.compile(child, path, catalog, child_schemas)?;
+            path.pop();
+        }
+        self.program.push(step);
+        Ok(())
     }
 
     /// The datapath this executor runs.
@@ -172,13 +252,18 @@ impl SubplanExecutor {
         self.mode
     }
 
-    /// All leaves of the tree with their tree paths, in pre-order. The
+    /// All leaves of the tree with their tree paths, in pre-order (the
+    /// program's order: post-order and pre-order visit leaves alike). The
     /// driver registers one buffer consumer per leaf (a self-join reads the
     /// same source through two leaves, each with its own cursor).
     pub fn leaf_paths(&self) -> Vec<(Vec<usize>, InputSource)> {
-        let mut out = Vec::new();
-        collect_leaves(&self.subplan.root, &mut Vec::new(), &mut out);
-        out
+        self.program
+            .iter()
+            .filter_map(|step| match step {
+                Step::Leaf { path, src } => Some((path.clone(), *src)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Run one incremental execution. `inputs` maps leaf paths to the new
@@ -189,33 +274,61 @@ impl SubplanExecutor {
         inputs: &mut HashMap<Vec<usize>, DeltaBatch>,
         counter: &WorkCounter,
     ) -> Result<DeltaBatch> {
-        // `exec_node` borrows the tree and the mutable operator state from
-        // disjoint fields, so the tree is walked in place — no per-execution
-        // clone of the operator tree and its expression nodes.
-        exec_node(
-            &self.subplan.root,
-            &mut Vec::new(),
-            inputs,
-            counter,
-            self.mode,
-            self.subplan.queries,
-            &self.weights,
-            &self.agg_int,
-            &mut self.states,
-            &self.compiled,
-        )
+        let w = &self.weights;
+        let mut stack: Vec<DeltaBatch> = Vec::new();
+        for step in &mut self.program {
+            let out = match step {
+                Step::Leaf { path, .. } => {
+                    let batch = inputs.remove(path.as_slice()).unwrap_or_default();
+                    narrow_input(batch, self.queries, w, counter)
+                }
+                Step::Select { branches, preds } => {
+                    apply_select(pop(&mut stack), branches, preds, w, counter)?
+                }
+                Step::Project(proj) => apply_project(pop(&mut stack), proj, w, counter)?,
+                Step::Join { keys, state, .. } => {
+                    let right = pop(&mut stack);
+                    state.execute(pop(&mut stack), right, keys, w, counter)?
+                }
+                Step::Aggregate { spec, int_flags, state, .. } => {
+                    state.execute(pop(&mut stack), spec, int_flags, w, counter)?
+                }
+                Step::Reference(RefStep::Select(branches)) => {
+                    ref_apply_select(pop(&mut stack), branches, w, counter)?
+                }
+                Step::Reference(RefStep::Project(exprs)) => {
+                    ref_apply_project(pop(&mut stack), exprs, w, counter)?
+                }
+                Step::Reference(RefStep::Join { keys, state }) => {
+                    let right = pop(&mut stack);
+                    state.execute(pop(&mut stack), right, keys, w, counter)?
+                }
+                Step::Reference(RefStep::Aggregate { group_by, aggs, int_flags, state }) => {
+                    state.execute(pop(&mut stack), group_by, aggs, int_flags, w, counter)?
+                }
+            };
+            stack.push(out);
+        }
+        Ok(pop(&mut stack))
     }
 
     /// The queries this subplan serves.
     pub fn queries(&self) -> QuerySet {
-        self.subplan.queries
+        self.queries
     }
 
     /// Total stored state entries across this subplan's stateful operators:
     /// join (row, mask) entries on both sides plus aggregate classes and
-    /// outstanding emitted pairs.
+    /// outstanding emitted pairs. Zero in [`ExecMode::Reference`].
     pub fn state_rows(&self) -> usize {
-        self.states.values().map(OpState::rows).sum()
+        self.program
+            .iter()
+            .map(|step| match step {
+                Step::Join { state, .. } => state.left_size() + state.right_size(),
+                Step::Aggregate { state, .. } => state.state_size(),
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Move all operator state out for transplant into successor executors
@@ -226,7 +339,17 @@ impl SubplanExecutor {
         if self.mode == ExecMode::Reference {
             return Err(churn_unsupported());
         }
-        Ok(self.states.into_iter().map(|(path, st)| (path, OperatorState(st))).collect())
+        Ok(self
+            .program
+            .into_iter()
+            .filter_map(|step| match step {
+                Step::Join { path, state, .. } => Some((path, OperatorState(OpState::Join(state)))),
+                Step::Aggregate { path, state, .. } => {
+                    Some((path, OperatorState(OpState::Agg(state))))
+                }
+                _ => None,
+            })
+            .collect())
     }
 
     /// Install transplanted operator state at matching tree paths, replacing
@@ -239,17 +362,19 @@ impl SubplanExecutor {
         if self.mode == ExecMode::Reference {
             return Err(churn_unsupported());
         }
-        for (path, OperatorState(st)) in bundle {
-            match self.states.get_mut(&path) {
-                Some(slot) if std::mem::discriminant(slot) == std::mem::discriminant(&st) => {
-                    *slot = st;
-                }
-                Some(_) => {
+        for (path, OperatorState(moved)) in bundle {
+            let slot = self.program.iter_mut().find(|step| {
+                matches!(step, Step::Join { path: p, .. } | Step::Aggregate { path: p, .. } if *p == path)
+            });
+            match (slot, moved) {
+                (Some(Step::Join { state, .. }), OpState::Join(moved)) => *state = moved,
+                (Some(Step::Aggregate { state, .. }), OpState::Agg(moved)) => *state = moved,
+                (Some(_), _) => {
                     return Err(Error::Churn(format!(
                         "transplanted state at path {path:?} has a different operator variant"
                     )));
                 }
-                None => {
+                (None, _) => {
                     return Err(Error::Churn(format!(
                         "transplanted state at path {path:?} has no stateful operator here"
                     )));
@@ -270,11 +395,11 @@ impl SubplanExecutor {
         if self.mode == ExecMode::Reference {
             return Err(churn_unsupported());
         }
-        for st in self.states.values_mut() {
-            match st {
-                OpState::Join(j) => j.widen_query(q_ref, q_new),
-                OpState::Agg(a) => a.widen_query(q_ref, q_new),
-                OpState::RefJoin(_) | OpState::RefAgg(_) => return Err(churn_unsupported()),
+        for step in &mut self.program {
+            match step {
+                Step::Join { state, .. } => state.widen_query(q_ref, q_new),
+                Step::Aggregate { state, .. } => state.widen_query(q_ref, q_new),
+                _ => {}
             }
         }
         Ok(())
@@ -289,14 +414,26 @@ impl SubplanExecutor {
             return Err(churn_unsupported());
         }
         let mut reclaimed = 0usize;
-        for st in self.states.values_mut() {
-            reclaimed += match st {
-                OpState::Join(j) => j.retire_query(q)?,
-                OpState::Agg(a) => a.retire_query(q),
-                OpState::RefJoin(_) | OpState::RefAgg(_) => return Err(churn_unsupported()),
+        for step in &mut self.program {
+            reclaimed += match step {
+                Step::Join { state, .. } => state.retire_query(q)?,
+                Step::Aggregate { state, .. } => state.retire_query(q),
+                _ => 0,
             };
         }
         Ok(reclaimed)
+    }
+
+    /// The entry the root spine rests on: walking back from the root (the
+    /// last entry) over kernel selects and projects — unary, so each one's
+    /// input is the entry right before it — to the first leaf, join or
+    /// aggregate (or, in [`ExecMode::Reference`], reference operator).
+    fn spine_base(&self) -> usize {
+        let mut at = self.program.len() - 1;
+        while let Step::Select { .. } | Step::Project(_) = self.program[at] {
+            at -= 1;
+        }
+        at
     }
 
     /// The leaves the snapshot walk of [`Self::snapshot_output`] will read
@@ -305,23 +442,10 @@ impl SubplanExecutor {
     /// state already nets everything below it); at most one entry otherwise,
     /// because stateless operators are unary.
     pub fn snapshot_leaf_dependencies(&self) -> Vec<(Vec<usize>, InputSource)> {
-        let mut out = Vec::new();
-        let mut t = &self.subplan.root;
-        let mut path = Vec::new();
-        loop {
-            match &t.op {
-                TreeOp::Input(src) => {
-                    out.push((path.clone(), *src));
-                    break;
-                }
-                TreeOp::Select { .. } | TreeOp::Project { .. } => {
-                    path.push(0);
-                    t = &t.inputs[0];
-                }
-                TreeOp::Join { .. } | TreeOp::Aggregate { .. } => break,
-            }
+        match &self.program[self.spine_base()] {
+            Step::Leaf { path, src } => vec![(path.clone(), *src)],
+            _ => Vec::new(),
         }
-        out
     }
 
     /// Reconstruct this subplan's *net historical output* as seen by the
@@ -329,8 +453,8 @@ impl SubplanExecutor {
     /// the state handoff that lets a new query sharing this subplan skip
     /// replaying history.
     ///
-    /// The walk descends the root spine to the topmost stateful operator and
-    /// snapshots it — an aggregate's outstanding emitted pairs
+    /// The walk starts at the entry the root spine rests on and snapshots
+    /// it — an aggregate's outstanding emitted pairs
     /// ([`AggState::snapshot_emitted`]) or a join's stored cross product
     /// ([`crate::join::JoinState::snapshot_product`]) — then re-runs the
     /// stateless operators *above* it over the snapshot with the normal
@@ -354,96 +478,42 @@ impl SubplanExecutor {
         leaf_history: &mut HashMap<Vec<usize>, DeltaBatch>,
         counter: &WorkCounter,
     ) -> Result<DeltaBatch> {
-        if self.mode == ExecMode::Reference {
-            return Err(churn_unsupported());
-        }
-        self.snap_node(&self.subplan.root, &mut Vec::new(), q_ref, q_new, leaf_history, counter)
-    }
-
-    fn snap_node(
-        &self,
-        t: &OpTree,
-        path: &mut Vec<usize>,
-        q_ref: QueryId,
-        q_new: QueryId,
-        leaf_history: &mut HashMap<Vec<usize>, DeltaBatch>,
-        counter: &WorkCounter,
-    ) -> Result<DeltaBatch> {
-        match &t.op {
-            TreeOp::Join { .. } => {
-                let rows = match self.states.get(path.as_slice()) {
-                    Some(OpState::Join(j)) => j.snapshot_product(q_ref, q_new),
-                    Some(OpState::RefJoin(_)) | Some(OpState::RefAgg(_)) => {
-                        return Err(churn_unsupported())
-                    }
-                    _ => {
-                        return Err(Error::InvalidPlan(format!(
-                            "missing join state at path {path:?}"
-                        )))
-                    }
-                };
-                Ok(DeltaBatch::from_rows(consolidate_snapshot(rows)))
-            }
-            TreeOp::Aggregate { .. } => {
-                let rows = match self.states.get(path.as_slice()) {
-                    Some(OpState::Agg(a)) => a.snapshot_emitted(q_ref, q_new),
-                    Some(OpState::RefJoin(_)) | Some(OpState::RefAgg(_)) => {
-                        return Err(churn_unsupported())
-                    }
-                    _ => {
-                        return Err(Error::InvalidPlan(format!(
-                            "missing aggregate state at path {path:?}"
-                        )))
-                    }
-                };
-                Ok(DeltaBatch::from_rows(consolidate_snapshot(rows)))
-            }
-            TreeOp::Select { branches } => {
-                path.push(0);
-                let input = self.snap_node(&t.inputs[0], path, q_ref, q_new, leaf_history, counter);
-                path.pop();
-                let preds = self.compiled.selects.get(path.as_slice()).ok_or_else(|| {
-                    Error::InvalidPlan(format!("missing compiled select at path {path:?}"))
-                })?;
-                apply_select(input?, branches, preds, &self.weights, counter)
-            }
-            TreeOp::Project { .. } => {
-                path.push(0);
-                let input = self.snap_node(&t.inputs[0], path, q_ref, q_new, leaf_history, counter);
-                path.pop();
-                let proj = self.compiled.projects.get(path.as_slice()).ok_or_else(|| {
-                    Error::InvalidPlan(format!("missing compiled project at path {path:?}"))
-                })?;
-                apply_project(input?, proj, &self.weights, counter)
-            }
-            TreeOp::Input(_) => {
-                let batch = leaf_history.remove(path.as_slice()).unwrap_or_default();
-                let mut witnessed = DeltaBatch::new();
-                for dr in batch.rows {
-                    if dr.mask.contains(q_ref) {
-                        witnessed.push(DeltaRow {
-                            row: dr.row,
-                            weight: dr.weight,
-                            mask: QuerySet::single(q_new),
-                        });
-                    }
+        let w = &self.weights;
+        let mut batch = DeltaBatch::new();
+        for step in &self.program[self.spine_base()..] {
+            batch = match step {
+                Step::Join { state, .. } => {
+                    consolidate_snapshot(state.snapshot_product(q_ref, q_new))
                 }
-                Ok(narrow_input(witnessed, self.subplan.queries, &self.weights, counter))
-            }
+                Step::Aggregate { state, .. } => {
+                    consolidate_snapshot(state.snapshot_emitted(q_ref, q_new))
+                }
+                Step::Leaf { path, .. } => {
+                    let mut history = leaf_history.remove(path.as_slice()).unwrap_or_default();
+                    history.rows.retain_mut(|dr| {
+                        let witnessed = dr.mask.contains(q_ref);
+                        dr.mask = QuerySet::single(q_new);
+                        witnessed
+                    });
+                    narrow_input(history, self.queries, w, counter)
+                }
+                Step::Select { branches, preds } => {
+                    apply_select(batch, branches, preds, w, counter)?
+                }
+                Step::Project(proj) => apply_project(batch, proj, w, counter)?,
+                // The spine of a reference program rests on its root.
+                Step::Reference(_) => return Err(churn_unsupported()),
+            };
         }
+        Ok(batch)
     }
 }
 
-/// Pre-order leaves of `t` with their tree paths.
-fn collect_leaves(t: &OpTree, path: &mut Vec<usize>, out: &mut Vec<(Vec<usize>, InputSource)>) {
-    if let TreeOp::Input(src) = &t.op {
-        out.push((path.clone(), *src));
-    }
-    for (i, child) in t.inputs.iter().enumerate() {
-        path.push(i);
-        collect_leaves(child, path, out);
-        path.pop();
-    }
+/// An operator's input: the batch its nearest preceding unconsumed entry
+/// pushed. Always present — the program is a post-order walk of a tree
+/// whose arities `compile` checked, so every input precedes its operator.
+fn pop(stack: &mut Vec<DeltaBatch>) -> DeltaBatch {
+    stack.pop().expect("post-order program: an operator's inputs precede it")
 }
 
 fn churn_unsupported() -> Error {
@@ -456,7 +526,7 @@ fn churn_unsupported() -> Error {
 /// their slots in key first-touch order, and a join's raw product still
 /// holds the pending tails no probe has merged yet, so the same multiset
 /// can be stored in many layouts.
-fn consolidate_snapshot(mut rows: Vec<DeltaRow>) -> Vec<DeltaRow> {
+fn consolidate_snapshot(mut rows: Vec<DeltaRow>) -> DeltaBatch {
     rows.sort_by(|a, b| a.row.cmp(&b.row).then_with(|| a.mask.cmp(&b.mask)));
     let mut out: Vec<DeltaRow> = Vec::with_capacity(rows.len());
     for dr in rows {
@@ -466,183 +536,15 @@ fn consolidate_snapshot(mut rows: Vec<DeltaRow>) -> Vec<DeltaRow> {
         }
     }
     out.retain(|dr| dr.weight != 0);
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_node(
-    t: &OpTree,
-    path: &mut Vec<usize>,
-    inputs: &mut HashMap<Vec<usize>, DeltaBatch>,
-    counter: &WorkCounter,
-    mode: ExecMode,
-    queries: QuerySet,
-    weights: &CostWeights,
-    agg_int: &HashMap<Vec<usize>, Vec<bool>>,
-    states: &mut HashMap<Vec<usize>, OpState>,
-    compiled: &CompiledOps,
-) -> Result<DeltaBatch> {
-    let child = |i: usize,
-                 inputs: &mut HashMap<Vec<usize>, DeltaBatch>,
-                 path: &mut Vec<usize>,
-                 states: &mut HashMap<Vec<usize>, OpState>|
-     -> Result<DeltaBatch> {
-        path.push(i);
-        let out = exec_node(
-            &t.inputs[i],
-            path,
-            inputs,
-            counter,
-            mode,
-            queries,
-            weights,
-            agg_int,
-            states,
-            compiled,
-        );
-        path.pop();
-        out
-    };
-    match &t.op {
-        TreeOp::Input(_) => {
-            let batch = inputs.remove(path.as_slice()).unwrap_or_default();
-            Ok(narrow_input(batch, queries, weights, counter))
-        }
-        TreeOp::Select { branches } => {
-            let input = child(0, inputs, path, states)?;
-            match mode {
-                ExecMode::Reference => ref_apply_select(input, branches, weights, counter),
-                _ => {
-                    let preds = compiled.selects.get(path.as_slice()).ok_or_else(|| {
-                        Error::InvalidPlan(format!("missing compiled select at path {path:?}"))
-                    })?;
-                    apply_select(input, branches, preds, weights, counter)
-                }
-            }
-        }
-        TreeOp::Project { exprs } => {
-            let input = child(0, inputs, path, states)?;
-            match mode {
-                ExecMode::Reference => ref_apply_project(input, exprs, weights, counter),
-                _ => {
-                    let proj = compiled.projects.get(path.as_slice()).ok_or_else(|| {
-                        Error::InvalidPlan(format!("missing compiled project at path {path:?}"))
-                    })?;
-                    apply_project(input, proj, weights, counter)
-                }
-            }
-        }
-        TreeOp::Join { keys } => {
-            let left = child(0, inputs, path, states)?;
-            let right = child(1, inputs, path, states)?;
-            match states.get_mut(path.as_slice()) {
-                Some(OpState::Join(js)) => {
-                    let ckeys = compiled.join_keys.get(path.as_slice()).ok_or_else(|| {
-                        Error::InvalidPlan(format!("missing compiled join keys at path {path:?}"))
-                    })?;
-                    js.execute(left, right, ckeys, weights, counter)
-                }
-                Some(OpState::RefJoin(js)) => js.execute(left, right, keys, weights, counter),
-                _ => Err(Error::InvalidPlan(format!("missing join state at path {path:?}"))),
-            }
-        }
-        TreeOp::Aggregate { group_by, aggs } => {
-            let input = child(0, inputs, path, states)?;
-            let int_flags = agg_int.get(path.as_slice());
-            let fallback;
-            let int_flags = match int_flags {
-                Some(f) => f.as_slice(),
-                None => {
-                    fallback = vec![false; aggs.len()];
-                    fallback.as_slice()
-                }
-            };
-            match states.get_mut(path.as_slice()) {
-                Some(OpState::Agg(st)) => {
-                    let spec = compiled.agg_specs.get(path.as_slice()).ok_or_else(|| {
-                        Error::InvalidPlan(format!("missing compiled aggregate at path {path:?}"))
-                    })?;
-                    st.execute(input, spec, int_flags, weights, counter)
-                }
-                Some(OpState::RefAgg(st)) => {
-                    st.execute(input, group_by, aggs, int_flags, weights, counter)
-                }
-                _ => Err(Error::InvalidPlan(format!("missing aggregate state at path {path:?}"))),
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn init_states(
-    t: &OpTree,
-    path: &mut Vec<usize>,
-    catalog: &Catalog,
-    child_schemas: &HashMap<SubplanId, Schema>,
-    mode: ExecMode,
-    agg_int: &mut HashMap<Vec<usize>, Vec<bool>>,
-    states: &mut HashMap<Vec<usize>, OpState>,
-    compiled: &mut CompiledOps,
-) -> Result<()> {
-    match &t.op {
-        TreeOp::Join { keys } => match mode {
-            ExecMode::Reference => {
-                states.insert(path.clone(), OpState::RefJoin(RefJoinState::new()));
-            }
-            _ => {
-                compiled.join_keys.insert(path.clone(), JoinKeys::compile(keys));
-                states.insert(path.clone(), OpState::Join(JoinState::new()));
-            }
-        },
-        TreeOp::Aggregate { group_by, aggs } => {
-            let in_schema = t.inputs[0].schema(catalog, child_schemas)?;
-            let mut flags = Vec::with_capacity(aggs.len());
-            for a in aggs {
-                let ty = ishare_expr::typecheck::infer_type(&a.arg, &in_schema)?;
-                flags.push(ty == DataType::Int);
-            }
-            agg_int.insert(path.clone(), flags);
-            match mode {
-                ExecMode::Reference => {
-                    states.insert(path.clone(), OpState::RefAgg(RefAggState::new()));
-                }
-                _ => {
-                    compiled.agg_specs.insert(path.clone(), AggSpec::compile(group_by, aggs));
-                    states.insert(path.clone(), OpState::Agg(AggState::new()));
-                }
-            }
-        }
-        TreeOp::Select { branches } => {
-            if mode != ExecMode::Reference {
-                compiled.selects.insert(
-                    path.clone(),
-                    branches.iter().map(|b| CompiledPredicate::compile(&b.predicate)).collect(),
-                );
-            }
-        }
-        TreeOp::Project { exprs } => {
-            if mode != ExecMode::Reference {
-                let list: Vec<_> = exprs.iter().map(|(e, _)| e.clone()).collect();
-                compiled.projects.insert(path.clone(), CompiledProjection::compile(&list));
-            }
-        }
-        TreeOp::Input(_) => {}
-    }
-    for (i, child) in t.inputs.iter().enumerate() {
-        path.push(i);
-        init_states(child, path, catalog, child_schemas, mode, agg_int, states, compiled)?;
-    }
-    path.pop();
-    Ok(())
+    DeltaBatch::from_rows(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ishare_common::{QueryId, Value};
-    use ishare_expr::Expr;
-    use ishare_plan::{AggExpr, AggFunc, SelectBranch};
-    use ishare_storage::{consolidate, DeltaRow, Field, Row, TableStats};
+    use ishare_common::Value;
+    use ishare_plan::AggFunc;
+    use ishare_storage::{consolidate, Field, Row, TableStats};
 
     fn qs(ids: &[u16]) -> QuerySet {
         QuerySet::from_iter(ids.iter().map(|&i| QueryId(i)))
@@ -974,6 +876,95 @@ mod tests {
         let out = jex.execute(&mut inputs, &counter).unwrap();
         assert_eq!(out.rows.len(), 1, "probe matched the transplanted right row");
         assert_eq!(out.rows[0].mask, qs(&[0, 1]));
+    }
+
+    /// The paths churn surgery maps through `SharedDag::node_at` /
+    /// `leaf_edge`, on a tree with a join feeding a join's left input under
+    /// an aggregate, and `t` read through two leaves (a self-join).
+    #[test]
+    fn state_and_leaf_paths_keep_their_tree_positions() {
+        let c = catalog();
+        let (t, u) = (c.table_by_name("t").unwrap().id, c.table_by_name("u").unwrap().id);
+        let inner = OpTree::node(
+            TreeOp::Join { keys: vec![(Expr::col(0), Expr::col(0))] },
+            vec![
+                OpTree::node(
+                    TreeOp::Select {
+                        branches: vec![SelectBranch {
+                            queries: qs(&[0, 1]),
+                            predicate: Expr::col(1).gt(Expr::lit(2i64)),
+                        }],
+                    },
+                    vec![OpTree::input(InputSource::Base(t))],
+                ),
+                OpTree::input(InputSource::Base(u)),
+            ],
+        );
+        let tree = OpTree::node(
+            TreeOp::Aggregate {
+                group_by: vec![(Expr::col(0), "k".into())],
+                aggs: vec![AggExpr::new(AggFunc::Sum, Expr::col(5), "sv")],
+            },
+            vec![OpTree::node(
+                TreeOp::Join { keys: vec![(Expr::col(0), Expr::col(0))] },
+                vec![inner, OpTree::input(InputSource::Base(t))],
+            )],
+        );
+        let sp = Subplan {
+            id: SubplanId(0),
+            root: tree,
+            queries: qs(&[0, 1]),
+            output_queries: qs(&[0, 1]),
+        };
+        let weights = CostWeights::default();
+        let mut ex = SubplanExecutor::new(&sp, &c, &HashMap::new(), weights).unwrap();
+
+        let leaves = ex.leaf_paths();
+        let expected = vec![
+            (vec![0, 0, 0, 0], InputSource::Base(t)),
+            (vec![0, 0, 1], InputSource::Base(u)),
+            (vec![0, 1], InputSource::Base(t)),
+        ];
+        assert_eq!(leaves, expected, "leaves in pre-order");
+
+        let counter = WorkCounter::new();
+        let steps = [
+            [vec![t_row(1, 5), t_row(2, 9)], vec![t_row(1, 10)], vec![t_row(1, 7)]],
+            [vec![t_row(1, 3)], vec![t_row(2, 20)], vec![t_row(2, 4), t_row(1, 8)]],
+        ];
+        for step in &steps {
+            let mut inputs: HashMap<Vec<usize>, DeltaBatch> = leaves
+                .iter()
+                .zip(step)
+                .map(|((path, _), rows)| (path.clone(), DeltaBatch::from_rows(rows.clone())))
+                .collect();
+            ex.execute(&mut inputs, &counter).unwrap();
+        }
+        let rows = ex.state_rows();
+        assert!(rows > 0);
+
+        let bundle = ex.into_state_bundle().unwrap();
+        let mut keys: Vec<Vec<usize>> = bundle.keys().cloned().collect();
+        keys.sort();
+        let stateful: Vec<Vec<usize>> = sp
+            .root
+            .operator_paths()
+            .into_iter()
+            .filter(|path| {
+                let mut node = &sp.root;
+                for &i in path {
+                    node = &node.inputs[i];
+                }
+                matches!(node.op, TreeOp::Join { .. } | TreeOp::Aggregate { .. })
+            })
+            .collect();
+        assert_eq!(stateful, vec![vec![], vec![0], vec![0, 0]]);
+        assert_eq!(keys, stateful, "bundle keys are the join/aggregate positions");
+
+        let mut fresh = SubplanExecutor::new(&sp, &c, &HashMap::new(), weights).unwrap();
+        assert_eq!(fresh.state_rows(), 0);
+        fresh.install_state_bundle(bundle).unwrap();
+        assert_eq!(fresh.state_rows(), rows);
     }
 
     #[test]

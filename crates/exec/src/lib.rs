@@ -28,8 +28,10 @@
 //!   behaviour).
 //!
 //! [`SubplanExecutor`] runs one subplan's operator tree over one incremental
-//! input batch; the paced driver in `ishare-stream` owns the buffers and
-//! calls it repeatedly. [`batch_ref`] provides an independent, naive batch
+//! input batch: built once into a post-order program of operators, it runs
+//! each execution as one pass over that program, children before parents —
+//! the order work is charged in. The paced driver in `ishare-stream` owns
+//! the buffers and calls it repeatedly. [`batch_ref`] provides an independent, naive batch
 //! executor used by the test suites to check that incremental execution at
 //! *any* pace produces identical final results.
 //!

@@ -70,6 +70,7 @@
 use crate::driver::{run_wavefronts, Live, RunResult, SourceOptions, SourceOutcome};
 use crate::engine::{EngineState, Seeds};
 use crate::fold::Fold;
+use crate::schedule::frac_cmp;
 use ishare_common::{CostWeights, Error, NodeId, QueryId, QuerySet, Result, TableId, WorkCounter};
 use ishare_core::pace_search::SearchOutcome;
 use ishare_core::{find_pace_configuration, resolve_constraints, FinalWorkConstraint};
@@ -172,11 +173,6 @@ pub struct ChurnRunResult {
 /// Outcome of a churn run: [`SourceOutcome`] carrying a [`ChurnRunResult`]
 /// (the commit log holds wavefronts and churn records).
 pub type ChurnOutcome = SourceOutcome<ChurnRunResult>;
-
-/// `a/b <= c/d`, exact in `u64`.
-fn frac_le(a: u32, b: u32, c: u32, d: u32) -> bool {
-    u64::from(a) * u64::from(d) <= u64::from(c) * u64::from(b)
-}
 
 /// Run `initial` queries (with optional final-work `constraints`; missing
 /// entries default to `Relative(1.0)`) against `source`, applying `script`'s
@@ -281,7 +277,7 @@ impl Runner<'_> {
     /// Pop the events due at the boundary with arrival fraction `num/den`.
     pub(crate) fn take_due(&mut self, num: u32, den: u32) -> Vec<ChurnEvent> {
         let mut due = Vec::new();
-        while self.pending.front().is_some_and(|ev| frac_le(ev.num, ev.den, num, den)) {
+        while self.pending.front().is_some_and(|ev| frac_cmp(ev.num, ev.den, num, den).is_le()) {
             due.extend(self.pending.pop_front());
         }
         due

@@ -33,14 +33,17 @@ pub struct Tick {
 }
 
 impl Tick {
-    /// Compare arrival fractions exactly: `i/k` vs `j/m` ⇔ `i·m` vs `j·k`.
-    /// Cross-multiplication in `u64` is exact and cannot overflow for `u32`
-    /// numerators and denominators.
+    /// Compare the two ticks' arrival fractions exactly (see [`frac_cmp`]).
     pub fn frac_cmp(&self, other: &Tick) -> Ordering {
-        let a = self.num as u64 * other.den as u64;
-        let b = other.num as u64 * self.den as u64;
-        a.cmp(&b)
+        frac_cmp(self.num, self.den, other.num, other.den)
     }
+}
+
+/// Compare arrival fractions exactly: `a/b` vs `c/d` ⇔ `a·d` vs `c·b`.
+/// Cross-multiplication in `u64` is exact and cannot overflow for `u32`
+/// numerators and denominators.
+pub fn frac_cmp(a: u32, b: u32, c: u32, d: u32) -> Ordering {
+    (u64::from(a) * u64::from(d)).cmp(&(u64::from(c) * u64::from(b)))
 }
 
 /// Build the global tick schedule for `plan` at `paces`: every subplan's
@@ -48,6 +51,13 @@ impl Tick {
 /// (topological rank). Errors when `paces` and the plan disagree on the
 /// number of subplans.
 pub fn build_schedule(plan: &SharedPlan, paces: &[u32]) -> Result<Vec<Tick>> {
+    ticks_after(plan, paces, 0, 1)
+}
+
+/// Every tick of `plan` at `paces` whose arrival fraction lies strictly
+/// beyond `num/den`, sorted by fraction with ties broken children-first
+/// (topological rank). At the boundary `0/1` that is the whole schedule.
+fn ticks_after(plan: &SharedPlan, paces: &[u32], num: u32, den: u32) -> Result<Vec<Tick>> {
     if paces.len() != plan.len() {
         return Err(Error::InvalidConfig(format!(
             "{} paces for {} subplans",
@@ -61,13 +71,13 @@ pub fn build_schedule(plan: &SharedPlan, paces: &[u32]) -> Result<Vec<Tick>> {
     let mut ticks: Vec<Tick> = Vec::new();
     for sp in &plan.subplans {
         let k = paces[sp.id.index()];
-        for i in 1..=k {
+        for j in (1..=k).filter(|&j| frac_cmp(j, k, num, den).is_gt()) {
             ticks.push(Tick {
-                num: i,
+                num: j,
                 den: k,
                 topo_rank: topo_rank[&sp.id],
                 sp: sp.id,
-                is_final: i == k,
+                is_final: j == k,
             });
         }
     }
@@ -118,39 +128,12 @@ pub fn reschedule_after(
     den: u32,
     new_paces: &[u32],
 ) -> Result<Vec<Tick>> {
-    if new_paces.len() != plan.len() {
-        return Err(Error::InvalidConfig(format!(
-            "{} paces for {} subplans",
-            new_paces.len(),
-            plan.len()
-        )));
-    }
     if num >= den {
         return Err(Error::InvalidConfig(format!(
             "cannot reschedule at boundary {num}/{den}: stream already complete"
         )));
     }
-    let topo = plan.topo_order()?;
-    let topo_rank: HashMap<SubplanId, usize> =
-        topo.iter().enumerate().map(|(i, id)| (*id, i)).collect();
-    let mut suffix: Vec<Tick> = Vec::new();
-    for sp in &plan.subplans {
-        let k = new_paces[sp.id.index()];
-        for j in 1..=k {
-            // Strictly beyond the boundary: j/k > num/den ⇔ j·den > num·k
-            // (exact in u64).
-            if j as u64 * den as u64 > num as u64 * k as u64 {
-                suffix.push(Tick {
-                    num: j,
-                    den: k,
-                    topo_rank: topo_rank[&sp.id],
-                    sp: sp.id,
-                    is_final: j == k,
-                });
-            }
-        }
-    }
-    suffix.sort_by(|a, b| a.frac_cmp(b).then(a.topo_rank.cmp(&b.topo_rank)));
+    let suffix = ticks_after(plan, new_paces, num, den)?;
     let mut out = executed.to_vec();
     out.extend(suffix);
     debug_assert!(
