@@ -455,7 +455,7 @@ mod tests {
             .unwrap();
         d.set_query_root(QueryId(0), p0).unwrap();
         d.set_query_root(QueryId(1), p1).unwrap();
-        SharedPlan::from_dag(&d, |_| false).unwrap()
+        SharedPlan::from_dag(&d).unwrap()
     }
 
     /// Plan statically, then build a controller around the result.

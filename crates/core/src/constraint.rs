@@ -49,7 +49,7 @@ pub fn batch_final_works(
     for (q, plan) in queries {
         let normalized = ishare_mqo::normalize(plan);
         let dag = build_shared_dag(&[(*q, normalized)], catalog, &MqoConfig::no_sharing())?;
-        let shared = SharedPlan::from_dag(&dag, |_| false)?;
+        let shared = SharedPlan::from_dag(&dag)?;
         let mut est = PlanEstimator::new(&shared, catalog, weights)?;
         let report = est.estimate(&vec![1; shared.len()])?;
         out.insert(*q, report.final_of(*q).get());

@@ -27,7 +27,7 @@
 use super::DagPlan;
 use crate::pace::PaceConfiguration;
 use ishare_common::{Error, NodeId, QuerySet, Result, SubplanId};
-use ishare_plan::{DagOp, SelectBranch};
+use ishare_plan::{restrict_branches, DagOp};
 use std::collections::HashMap;
 
 /// Split `target` of `current` into one piece per partition and re-derive
@@ -80,12 +80,18 @@ pub fn regenerate(
             }
             let children =
                 node.children.iter().map(|c| *clones.get(&(*c, i)).unwrap_or(c)).collect();
-            let id = dag.add_node(restrict(&node.op, queries), children, queries)?;
+            let mut op = node.op.clone();
+            if let DagOp::Select { branches } = &mut op {
+                restrict_branches(branches, queries);
+            }
+            let id = dag.add_node(op, children, queries)?;
             clones.insert((node.id, i), id);
             clone_of.push(node.id);
         }
         let dead = &mut dag.nodes[n];
-        dead.op = restrict(&dead.op, QuerySet::EMPTY);
+        if let DagOp::Select { branches } = &mut dead.op {
+            restrict_branches(branches, QuerySet::EMPTY);
+        }
         dead.queries = QuerySet::EMPTY;
     }
     for (q, root) in &mut dag.query_roots {
@@ -96,25 +102,6 @@ pub fn regenerate(
         }
     }
     Ok((DagPlan::cut(dag, current.forced.clone())?, clone_of))
-}
-
-/// `op` restricted to `queries`: select branches not meeting them are
-/// dropped and the rest narrowed (the paper's Fig. 6: a split copies every
-/// operator except the selects that do not belong to the query set).
-fn restrict(op: &DagOp, queries: QuerySet) -> DagOp {
-    match op {
-        DagOp::Select { branches } => DagOp::Select {
-            branches: branches
-                .iter()
-                .filter(|b| b.queries.intersects(queries))
-                .map(|b| SelectBranch {
-                    queries: b.queries.intersect(queries),
-                    predicate: b.predicate.clone(),
-                })
-                .collect(),
-        },
-        other => other.clone(),
-    }
 }
 
 /// Sec. 4.2 pace initialization: each subplan of `new` adopts the largest
@@ -154,7 +141,7 @@ mod tests {
     use super::*;
     use ishare_common::{DataType, QueryId};
     use ishare_expr::Expr;
-    use ishare_plan::{AggExpr, AggFunc, SharedDag};
+    use ishare_plan::{AggExpr, AggFunc, SelectBranch, SharedDag};
     use ishare_storage::{Catalog, ColumnStats, Field, Schema, TableStats};
     use std::collections::BTreeSet;
 

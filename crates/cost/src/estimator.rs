@@ -478,7 +478,7 @@ mod tests {
         d.set_query_root(QueryId(0), p0).unwrap();
         d.set_query_root(QueryId(1), agg2).unwrap();
         d.validate(c).unwrap();
-        SharedPlan::from_dag(&d, |_| false).unwrap()
+        SharedPlan::from_dag(&d).unwrap()
     }
 
     #[test]
@@ -572,7 +572,7 @@ mod tests {
             .collect();
         let dag =
             ishare_mqo::build_shared_dag(&queries, &data.catalog, &Default::default()).unwrap();
-        let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&dag).unwrap();
         let mut est = PlanEstimator::new(&plan, &data.catalog, CostWeights::default()).unwrap();
         let tables = est.base_tables();
         let topo = plan.topo_order().unwrap();

@@ -206,7 +206,7 @@ mod tests {
         let join = dag.nodes.iter().find(|n| matches!(n.op, DagOp::Join { .. })).unwrap();
         assert_eq!(join.queries.len(), 2, "join shared across both queries");
         // End-to-end: the DAG converts into a valid shared plan.
-        let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&dag).unwrap();
         plan.validate(&c).unwrap();
     }
 
@@ -224,7 +224,8 @@ mod tests {
             .unwrap()
             .select(|x| Ok(x.col("v")?.lt(Expr::lit(2i64))))
             .unwrap()
-            .alias("r");
+            .alias("r")
+            .unwrap();
         let q = normalize(
             &left
                 .join(right, &[("k", "r.k")])
@@ -250,7 +251,12 @@ mod tests {
         let p = Expr::col(1).gt(Expr::lit(5i64));
         let pc = p.clone();
         let left = PlanBuilder::scan(&c, "t").unwrap().select(move |_| Ok(p)).unwrap();
-        let right = PlanBuilder::scan(&c, "t").unwrap().select(move |_| Ok(pc)).unwrap().alias("r");
+        let right = PlanBuilder::scan(&c, "t")
+            .unwrap()
+            .select(move |_| Ok(pc))
+            .unwrap()
+            .alias("r")
+            .unwrap();
         let q = normalize(
             &left
                 .join(right, &[("k", "r.k")])
@@ -283,7 +289,7 @@ mod tests {
         let dag =
             build_shared_dag(&[(QueryId(0), q0), (QueryId(1), q1)], &c, &MqoConfig::default())
                 .unwrap();
-        let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&dag).unwrap();
         plan.validate(&c).unwrap();
         let r0 = plan.query_root(QueryId(0)).unwrap();
         let r1 = plan.query_root(QueryId(1)).unwrap();

@@ -94,7 +94,7 @@ mod tests {
             &MqoConfig::default(),
         )
         .unwrap();
-        let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&dag).unwrap();
         let comps = connected_components(&plan);
         assert_eq!(comps.len(), 2);
         assert_eq!(comps[0], QuerySet::from_iter([QueryId(0), QueryId(1)]));
@@ -110,7 +110,7 @@ mod tests {
             &MqoConfig::no_sharing(),
         )
         .unwrap();
-        let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&dag).unwrap();
         let comps = connected_components(&plan);
         assert_eq!(comps.len(), 2);
     }

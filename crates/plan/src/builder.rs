@@ -31,9 +31,10 @@
 
 use crate::agg::{AggExpr, AggFunc};
 use crate::logical::LogicalPlan;
+use crate::typing;
 use ishare_common::{Error, Result};
 use ishare_expr::Expr;
-use ishare_storage::{Catalog, Field, Schema};
+use ishare_storage::{Catalog, Schema};
 
 /// Resolves column names against a schema inside builder closures.
 pub struct Cols<'a> {
@@ -110,54 +111,35 @@ impl PlanBuilder {
         Ok(PlanBuilder { plan: LogicalPlan::Scan { table: t.id }, schema: t.schema.clone() })
     }
 
-    /// Wrap an existing plan (its schema must be supplied or derivable).
-    pub fn from_plan(plan: LogicalPlan, catalog: &Catalog) -> Result<Self> {
-        let schema = plan.schema(catalog)?;
-        Ok(PlanBuilder { plan, schema })
-    }
-
     /// Rename every output column to `prefix.original` (self-join
     /// disambiguation). Inserts a pass-through project.
-    pub fn alias(self, prefix: &str) -> Self {
-        let exprs: Vec<(Expr, String)> = self
+    pub fn alias(self, prefix: &str) -> Result<Self> {
+        let exprs = self
             .schema
             .fields()
             .iter()
             .enumerate()
             .map(|(i, f)| (Expr::Column(i), format!("{prefix}.{}", f.name)))
             .collect();
-        let schema = Schema::new(
-            exprs
-                .iter()
-                .zip(self.schema.fields())
-                .map(|((_, name), f)| Field::new(name.clone(), f.ty))
-                .collect(),
-        );
-        PlanBuilder { plan: LogicalPlan::Project { input: Box::new(self.plan), exprs }, schema }
+        self.project(|_| Ok(exprs))
     }
 
     /// Add a select (filter) whose predicate is built by `f` against the
     /// current schema.
     pub fn select(self, f: impl FnOnce(&Cols<'_>) -> Result<Expr>) -> Result<Self> {
-        let pred = f(&Cols { schema: &self.schema })?;
+        let predicate = f(&self.cols())?;
+        let schema = typing::select(self.schema, [&predicate])?;
         Ok(PlanBuilder {
-            plan: LogicalPlan::Select { input: Box::new(self.plan), predicate: pred },
-            schema: self.schema,
+            plan: LogicalPlan::Select { input: Box::new(self.plan), predicate },
+            schema,
         })
     }
 
     /// Add a projection; `f` returns `(expr, name)` pairs.
     pub fn project(self, f: impl FnOnce(&Cols<'_>) -> Result<Vec<(Expr, String)>>) -> Result<Self> {
-        let exprs = f(&Cols { schema: &self.schema })?;
-        let mut fields = Vec::with_capacity(exprs.len());
-        for (e, name) in &exprs {
-            let ty = ishare_expr::typecheck::infer_type(e, &self.schema)?;
-            fields.push(Field::new(name.clone(), ty));
-        }
-        Ok(PlanBuilder {
-            plan: LogicalPlan::Project { input: Box::new(self.plan), exprs },
-            schema: Schema::new(fields),
-        })
+        let exprs = f(&self.cols())?;
+        let schema = typing::project(&self.schema, &exprs)?;
+        Ok(PlanBuilder { plan: LogicalPlan::Project { input: Box::new(self.plan), exprs }, schema })
     }
 
     /// Keep only the named columns (in the given order).
@@ -186,39 +168,17 @@ impl PlanBuilder {
         group_by: Vec<(Expr, String)>,
         aggs: Vec<AggExpr>,
     ) -> Result<Self> {
-        let mut fields = Vec::with_capacity(group_by.len() + aggs.len());
-        for (e, name) in &group_by {
-            let ty = ishare_expr::typecheck::infer_type(e, &self.schema)?;
-            fields.push(Field::new(name.clone(), ty));
-        }
-        for a in &aggs {
-            let ty = crate::logical::agg_output_type(a, &self.schema)?;
-            fields.push(Field::new(a.name.clone(), ty));
-        }
+        let schema = typing::aggregate(&self.schema, &group_by, &aggs)?;
         Ok(PlanBuilder {
             plan: LogicalPlan::Aggregate { input: Box::new(self.plan), group_by, aggs },
-            schema: Schema::new(fields),
+            schema,
         })
     }
 
     /// Inner equi-join with `other` on `(left column, right column)` name
     /// pairs.
     pub fn join(self, other: PlanBuilder, on: &[(&str, &str)]) -> Result<Self> {
-        let lcols = Cols { schema: &self.schema };
-        let rcols = Cols { schema: &other.schema };
-        let mut keys = Vec::with_capacity(on.len());
-        for (l, r) in on {
-            keys.push((lcols.col(l)?, rcols.col(r)?));
-        }
-        let schema = self.schema.concat(&other.schema);
-        Ok(PlanBuilder {
-            plan: LogicalPlan::Join {
-                left: Box::new(self.plan),
-                right: Box::new(other.plan),
-                keys,
-            },
-            schema,
-        })
+        self.join_on(other, |l, r| on.iter().map(|(a, b)| Ok((l.col(a)?, r.col(b)?))).collect())
     }
 
     /// Inner equi-join with arbitrary key *expressions* per side. `f`
@@ -231,8 +191,8 @@ impl PlanBuilder {
         other: PlanBuilder,
         f: impl FnOnce(&Cols<'_>, &Cols<'_>) -> Result<Vec<(Expr, Expr)>>,
     ) -> Result<Self> {
-        let keys = f(&Cols { schema: &self.schema }, &Cols { schema: &other.schema })?;
-        let schema = self.schema.concat(&other.schema);
+        let keys = f(&self.cols(), &other.cols())?;
+        let schema = typing::join(&self.schema, &other.schema, &keys)?;
         Ok(PlanBuilder {
             plan: LogicalPlan::Join {
                 left: Box::new(self.plan),
@@ -264,7 +224,7 @@ impl PlanBuilder {
 mod tests {
     use super::*;
     use ishare_common::DataType;
-    use ishare_storage::TableStats;
+    use ishare_storage::{Field, TableStats};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -322,8 +282,8 @@ mod tests {
     #[test]
     fn alias_disambiguates_self_join() {
         let c = catalog();
-        let l1 = PlanBuilder::scan(&c, "orders").unwrap().alias("l1");
-        let l2 = PlanBuilder::scan(&c, "orders").unwrap().alias("l2");
+        let l1 = PlanBuilder::scan(&c, "orders").unwrap().alias("l1").unwrap();
+        let l2 = PlanBuilder::scan(&c, "orders").unwrap().alias("l2").unwrap();
         let joined = l1.join(l2, &[("l1.o_id", "l2.o_id")]).unwrap();
         // Both sides' columns visible with distinct names.
         assert!(joined.cols().col("l1.o_total").is_ok());
@@ -379,14 +339,5 @@ mod tests {
             .unwrap()
             .build();
         assert!(q15ish.schema(&c).is_ok());
-    }
-
-    #[test]
-    fn from_plan_roundtrip() {
-        let c = catalog();
-        let p = PlanBuilder::scan(&c, "customer").unwrap().build();
-        let b = PlanBuilder::from_plan(p.clone(), &c).unwrap();
-        assert_eq!(b.schema().arity(), 2);
-        assert_eq!(b.build(), p);
     }
 }

@@ -9,10 +9,10 @@
 //! projection expressions.
 
 use crate::agg::AggExpr;
-use ishare_common::{DataType, Error, NodeId, QueryId, QuerySet, Result, TableId};
-use ishare_expr::typecheck::{check_predicate, infer_type};
+use crate::typing;
+use ishare_common::{Error, NodeId, QueryId, QuerySet, Result, TableId};
 use ishare_expr::Expr;
-use ishare_storage::{Catalog, Field, Schema};
+use ishare_storage::{Catalog, Schema};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -27,6 +27,41 @@ pub struct SelectBranch {
     pub queries: QuerySet,
     /// The predicate.
     pub predicate: Expr,
+}
+
+/// Checks that `branches` are disjoint and cover exactly `queries`, the
+/// query set of their `owner` (a DAG node or a subplan, named in the error).
+pub(crate) fn check_branches(
+    owner: impl fmt::Display,
+    queries: QuerySet,
+    branches: &[SelectBranch],
+) -> Result<()> {
+    let mut seen = QuerySet::EMPTY;
+    for b in branches {
+        if b.queries.intersects(seen) {
+            return Err(Error::InvalidPlan(format!(
+                "{owner}: select branches overlap on {}",
+                b.queries.intersect(seen)
+            )));
+        }
+        seen = seen.union(b.queries);
+    }
+    if seen != queries {
+        return Err(Error::InvalidPlan(format!(
+            "{owner}: select branches cover {seen} but its queries are {queries}"
+        )));
+    }
+    Ok(())
+}
+
+/// Restricts `branches` to `queries`: branches not meeting them are dropped
+/// and the rest narrowed (the paper's Fig. 6: a split copies every operator
+/// except the selects that do not belong to the query set).
+pub fn restrict_branches(branches: &mut Vec<SelectBranch>, queries: QuerySet) {
+    branches.retain_mut(|b| {
+        b.queries = b.queries.intersect(queries);
+        !b.queries.is_empty()
+    });
 }
 
 /// A shared operator in the DAG.
@@ -186,78 +221,46 @@ impl SharedDag {
         self.query_roots.iter().fold(QuerySet::EMPTY, |acc, (q, _)| acc.union(QuerySet::single(*q)))
     }
 
-    /// Number of parents of each node (query roots do not count as parents).
-    pub fn parent_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.nodes.len()];
-        for n in &self.nodes {
-            for c in &n.children {
-                counts[c.0 as usize] += 1;
-            }
+    /// Output schema of every node a query root reaches, each typed by its
+    /// operator's rule in [`typing`].
+    pub fn schemas(&self, catalog: &Catalog) -> Result<HashMap<NodeId, Schema>> {
+        let mut schemas = HashMap::new();
+        for (_, root) in &self.query_roots {
+            self.type_node(*root, catalog, &mut schemas)?;
         }
-        counts
+        Ok(schemas)
     }
 
-    /// Output schema of a node (memoize externally if called repeatedly).
-    pub fn node_schema(&self, id: NodeId, catalog: &Catalog) -> Result<Schema> {
-        let mut memo: HashMap<NodeId, Schema> = HashMap::new();
-        self.schema_rec(id, catalog, &mut memo)
-    }
-
-    fn schema_rec(
+    fn type_node(
         &self,
         id: NodeId,
         catalog: &Catalog,
-        memo: &mut HashMap<NodeId, Schema>,
-    ) -> Result<Schema> {
-        if let Some(s) = memo.get(&id) {
-            return Ok(s.clone());
+        schemas: &mut HashMap<NodeId, Schema>,
+    ) -> Result<()> {
+        if schemas.contains_key(&id) {
+            return Ok(());
         }
         let n = self.node(id)?;
+        for &c in &n.children {
+            self.type_node(c, catalog, schemas)?;
+        }
+        let input = |k: usize| &schemas[&n.children[k]];
         let schema = match &n.op {
             DagOp::Scan { table } => catalog.table(*table)?.schema.clone(),
             DagOp::Select { branches } => {
-                let s = self.schema_rec(n.children[0], catalog, memo)?;
-                for b in branches {
-                    check_predicate(&b.predicate, &s)?;
-                }
-                s
+                typing::select(input(0).clone(), branches.iter().map(|b| &b.predicate))?
             }
-            DagOp::Project { exprs } => {
-                let s = self.schema_rec(n.children[0], catalog, memo)?;
-                let mut fields = Vec::with_capacity(exprs.len());
-                for (e, name) in exprs {
-                    fields.push(Field::new(name.clone(), infer_type(e, &s)?));
-                }
-                Schema::new(fields)
-            }
-            DagOp::Join { keys } => {
-                let l = self.schema_rec(n.children[0], catalog, memo)?;
-                let r = self.schema_rec(n.children[1], catalog, memo)?;
-                for (lk, rk) in keys {
-                    infer_type(lk, &l)?;
-                    infer_type(rk, &r)?;
-                }
-                l.concat(&r)
-            }
-            DagOp::Aggregate { group_by, aggs } => {
-                let s = self.schema_rec(n.children[0], catalog, memo)?;
-                let mut fields = Vec::with_capacity(group_by.len() + aggs.len());
-                for (e, name) in group_by {
-                    fields.push(Field::new(name.clone(), infer_type(e, &s)?));
-                }
-                for a in aggs {
-                    let ty: DataType = crate::logical::agg_output_type(a, &s)?;
-                    fields.push(Field::new(a.name.clone(), ty));
-                }
-                Schema::new(fields)
-            }
+            DagOp::Project { exprs } => typing::project(input(0), exprs)?,
+            DagOp::Join { keys } => typing::join(input(0), input(1), keys)?,
+            DagOp::Aggregate { group_by, aggs } => typing::aggregate(input(0), group_by, aggs)?,
         };
-        memo.insert(id, schema.clone());
-        Ok(schema)
+        schemas.insert(id, schema);
+        Ok(())
     }
 
     /// Structural validation: child query sets subsume parents', select
-    /// branches partition the node's query set, query roots exist.
+    /// branches partition the node's query set, query roots exist, and every
+    /// node a root reaches is well typed.
     pub fn validate(&self, catalog: &Catalog) -> Result<()> {
         for n in &self.nodes {
             for &c in &n.children {
@@ -270,35 +273,17 @@ impl SharedDag {
                 }
             }
             if let DagOp::Select { branches } = &n.op {
-                let mut seen = QuerySet::EMPTY;
-                for b in branches {
-                    if b.queries.intersects(seen) {
-                        return Err(Error::InvalidPlan(format!(
-                            "node {}: select branches overlap on {}",
-                            n.id,
-                            b.queries.intersect(seen)
-                        )));
-                    }
-                    seen = seen.union(b.queries);
-                }
-                if seen != n.queries {
-                    return Err(Error::InvalidPlan(format!(
-                        "node {}: select branches cover {} but node queries are {}",
-                        n.id, seen, n.queries
-                    )));
-                }
+                check_branches(format_args!("node {}", n.id), n.queries, branches)?;
             }
         }
         for (q, root) in &self.query_roots {
-            let n = self.node(*root)?;
-            if !n.queries.contains(*q) {
+            if !self.node(*root)?.queries.contains(*q) {
                 return Err(Error::InvalidPlan(format!(
                     "query {q} roots at node {root} which does not include it"
                 )));
             }
-            // Schema computation performs the expression/type validation.
-            self.node_schema(*root, catalog)?;
         }
+        self.schemas(catalog)?;
         Ok(())
     }
 }
@@ -325,7 +310,8 @@ impl fmt::Display for SharedDag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ishare_storage::TableStats;
+    use ishare_common::DataType;
+    use ishare_storage::{Field, TableStats};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -397,11 +383,7 @@ mod tests {
         let d = sample_dag(&c);
         d.validate(&c).unwrap();
         assert_eq!(d.all_queries(), qs(&[0, 1]));
-        let counts = d.parent_counts();
-        assert_eq!(counts[2], 2, "aggregate node has two parents");
-        assert_eq!(counts[0], 1);
-        let s = d.node_schema(NodeId(2), &c).unwrap();
-        assert_eq!(s.arity(), 2);
+        assert_eq!(d.schemas(&c).unwrap()[&NodeId(2)].arity(), 2);
         assert!(d.to_string().contains("root(q0)"));
     }
 

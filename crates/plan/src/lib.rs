@@ -14,6 +14,8 @@
 //!   with more than one parent (Sec. 2.2). Subplans are the granularity at
 //!   which iShare assigns execution paces and decides what to un-share; the
 //!   boundaries between them are materialization buffers.
+//! * [`typing`] — the one typing rule per operator that every one of these
+//!   representations is checked with.
 
 #![warn(missing_docs)]
 
@@ -22,9 +24,10 @@ pub mod builder;
 pub mod dag;
 pub mod logical;
 pub mod shared;
+pub mod typing;
 
 pub use agg::{AggExpr, AggFunc};
 pub use builder::PlanBuilder;
-pub use dag::{DagNode, DagOp, SelectBranch, SharedDag};
+pub use dag::{restrict_branches, DagNode, DagOp, SelectBranch, SharedDag};
 pub use logical::LogicalPlan;
 pub use shared::{InputSource, OpTree, SharedPlan, Subplan, TreeOp};

@@ -1,10 +1,10 @@
 //! Single-query logical plans.
 
 use crate::agg::AggExpr;
-use ishare_common::{DataType, Error, Result, TableId};
-use ishare_expr::typecheck::{check_predicate, infer_type};
+use crate::typing;
+use ishare_common::{Result, TableId};
 use ishare_expr::Expr;
-use ishare_storage::{Catalog, Field, Schema};
+use ishare_storage::{Catalog, Schema};
 use std::fmt;
 
 /// One query's operator tree over the algebra the paper's prototype supports
@@ -60,47 +60,22 @@ pub enum LogicalPlan {
 
 impl LogicalPlan {
     /// Output schema of this plan over `catalog`, validating expression
-    /// types and column bounds along the way.
+    /// types and column bounds along the way (the rules of
+    /// [`typing`]).
     pub fn schema(&self, catalog: &Catalog) -> Result<Schema> {
         match self {
             LogicalPlan::Scan { table } => Ok(catalog.table(*table)?.schema.clone()),
             LogicalPlan::Select { input, predicate } => {
-                let s = input.schema(catalog)?;
-                check_predicate(predicate, &s)?;
-                Ok(s)
+                typing::select(input.schema(catalog)?, [predicate])
             }
             LogicalPlan::Project { input, exprs } => {
-                let s = input.schema(catalog)?;
-                let mut fields = Vec::with_capacity(exprs.len());
-                for (e, name) in exprs {
-                    fields.push(Field::new(name.clone(), infer_type(e, &s)?));
-                }
-                Ok(Schema::new(fields))
+                typing::project(&input.schema(catalog)?, exprs)
             }
             LogicalPlan::Aggregate { input, group_by, aggs } => {
-                let s = input.schema(catalog)?;
-                let mut fields = Vec::with_capacity(group_by.len() + aggs.len());
-                for (e, name) in group_by {
-                    fields.push(Field::new(name.clone(), infer_type(e, &s)?));
-                }
-                for a in aggs {
-                    fields.push(Field::new(a.name.clone(), agg_output_type(a, &s)?));
-                }
-                Ok(Schema::new(fields))
+                typing::aggregate(&input.schema(catalog)?, group_by, aggs)
             }
             LogicalPlan::Join { left, right, keys } => {
-                let ls = left.schema(catalog)?;
-                let rs = right.schema(catalog)?;
-                for (lk, rk) in keys {
-                    infer_type(lk, &ls)?;
-                    infer_type(rk, &rs)?;
-                }
-                if keys.is_empty() {
-                    return Err(Error::InvalidPlan(
-                        "join requires at least one equi-join key".into(),
-                    ));
-                }
-                Ok(ls.concat(&rs))
+                typing::join(&left.schema(catalog)?, &right.schema(catalog)?, keys)
             }
         }
     }
@@ -143,21 +118,6 @@ impl LogicalPlan {
     pub fn display(&self) -> PlanDisplay<'_> {
         PlanDisplay(self)
     }
-}
-
-/// Output type of an aggregate column.
-pub fn agg_output_type(a: &AggExpr, input: &Schema) -> Result<DataType> {
-    use crate::agg::AggFunc::*;
-    let in_ty = infer_type(&a.arg, input)?;
-    Ok(match a.func {
-        Count => DataType::Int,
-        Avg => DataType::Float,
-        Sum => match in_ty {
-            DataType::Int => DataType::Int,
-            _ => DataType::Float,
-        },
-        Min | Max => in_ty,
-    })
 }
 
 /// Indented display wrapper returned by [`LogicalPlan::display`].
@@ -226,7 +186,9 @@ impl fmt::Display for PlanDisplay<'_> {
 mod tests {
     use super::*;
     use crate::agg::AggFunc;
-    use ishare_storage::TableStats;
+    use crate::{DagOp, PlanBuilder, SelectBranch, SharedDag, SharedPlan};
+    use ishare_common::{DataType, NodeId, QueryId, QuerySet};
+    use ishare_storage::{Field, TableStats};
 
     fn catalog() -> (Catalog, TableId, TableId) {
         let mut c = Catalog::new();
@@ -271,6 +233,64 @@ mod tests {
         }
     }
 
+    /// Replays `p` through the builder's steps.
+    fn build(p: &LogicalPlan, c: &Catalog) -> Result<PlanBuilder> {
+        match p {
+            LogicalPlan::Scan { table } => PlanBuilder::scan(c, &c.table(*table)?.name),
+            LogicalPlan::Select { input, predicate } => {
+                build(input, c)?.select(|_| Ok(predicate.clone()))
+            }
+            LogicalPlan::Project { input, exprs } => {
+                build(input, c)?.project(|_| Ok(exprs.clone()))
+            }
+            LogicalPlan::Aggregate { input, group_by, aggs } => {
+                build(input, c)?.aggregate_exprs(group_by.clone(), aggs.clone())
+            }
+            LogicalPlan::Join { left, right, keys } => {
+                build(left, c)?.join_on(build(right, c)?, |_, _| Ok(keys.clone()))
+            }
+        }
+    }
+
+    /// Lowers `p` to a one-query DAG, bottom-up.
+    fn lower(p: &LogicalPlan, d: &mut SharedDag) -> NodeId {
+        let q = QuerySet::single(QueryId(0));
+        let (op, children) = match p {
+            LogicalPlan::Scan { table } => (DagOp::Scan { table: *table }, vec![]),
+            LogicalPlan::Select { input, predicate } => {
+                let branches = vec![SelectBranch { queries: q, predicate: predicate.clone() }];
+                (DagOp::Select { branches }, vec![lower(input, d)])
+            }
+            LogicalPlan::Project { input, exprs } => {
+                (DagOp::Project { exprs: exprs.clone() }, vec![lower(input, d)])
+            }
+            LogicalPlan::Aggregate { input, group_by, aggs } => (
+                DagOp::Aggregate { group_by: group_by.clone(), aggs: aggs.clone() },
+                vec![lower(input, d)],
+            ),
+            LogicalPlan::Join { left, right, keys } => {
+                (DagOp::Join { keys: keys.clone() }, vec![lower(left, d), lower(right, d)])
+            }
+        };
+        d.add_node(op, children, q).unwrap()
+    }
+
+    /// `p` typed by all four entry points: the builder, the plan, the DAG
+    /// and the subplans.
+    fn entry_points(p: &LogicalPlan, c: &Catalog) -> [Result<Schema>; 4] {
+        let mut dag = SharedDag::new();
+        let node = lower(p, &mut dag);
+        dag.set_query_root(QueryId(0), node).unwrap();
+        let plan = SharedPlan::from_dag(&dag).unwrap();
+        let sp = plan.query_root(QueryId(0)).unwrap();
+        [
+            build(p, c).map(|b| b.schema().clone()),
+            p.schema(c),
+            dag.validate(c).and_then(|()| Ok(dag.schemas(c)?[&node].clone())),
+            plan.validate(c).and_then(|()| Ok(plan.schemas(c)?[&sp].clone())),
+        ]
+    }
+
     #[test]
     fn schema_computation() {
         let (c, orders, cust) = catalog();
@@ -281,30 +301,38 @@ mod tests {
         assert_eq!(s.fields()[0].ty, DataType::Str);
         assert_eq!(s.fields()[1].name, "total");
         assert_eq!(s.fields()[1].ty, DataType::Float);
+        for (i, r) in entry_points(&p, &c).into_iter().enumerate() {
+            assert_eq!(r.unwrap(), s, "entry point {i}");
+        }
     }
 
     #[test]
     fn invalid_plans_rejected() {
         let (c, orders, cust) = catalog();
-        // Predicate referencing column out of bounds.
-        let p = LogicalPlan::Select {
-            input: Box::new(LogicalPlan::Scan { table: orders }),
-            predicate: Expr::col(9).eq(Expr::lit(1i64)),
-        };
-        assert!(p.schema(&c).is_err());
-        // Non-boolean predicate.
-        let p = LogicalPlan::Select {
-            input: Box::new(LogicalPlan::Scan { table: orders }),
-            predicate: Expr::col(0),
-        };
-        assert!(p.schema(&c).is_err());
-        // Join without keys.
-        let p = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::Scan { table: orders }),
-            right: Box::new(LogicalPlan::Scan { table: cust }),
-            keys: vec![],
-        };
-        assert!(p.schema(&c).is_err());
+        let scan = |table| Box::new(LogicalPlan::Scan { table });
+        let cases = [
+            (
+                "out-of-range column",
+                LogicalPlan::Select {
+                    input: scan(orders),
+                    predicate: Expr::col(9).eq(Expr::lit(1i64)),
+                },
+            ),
+            (
+                "non-boolean predicate",
+                LogicalPlan::Select { input: scan(orders), predicate: Expr::col(0) },
+            ),
+            (
+                "keyless join",
+                LogicalPlan::Join { left: scan(orders), right: scan(cust), keys: vec![] },
+            ),
+        ];
+        let names = ["PlanBuilder", "LogicalPlan::schema", "SharedDag", "SharedPlan"];
+        for (case, p) in &cases {
+            for (name, r) in names.iter().zip(entry_points(p, &c)) {
+                assert!(r.is_err(), "{name} accepted a plan with a {case}");
+            }
+        }
     }
 
     #[test]
@@ -313,35 +341,6 @@ mod tests {
         let p = sample_plan(orders, cust);
         assert_eq!(p.operator_count(), 5);
         assert_eq!(p.tables(), vec![orders, cust]);
-    }
-
-    #[test]
-    fn agg_types() {
-        let (c, orders, cust) = catalog();
-        let join_schema = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::Scan { table: orders }),
-            right: Box::new(LogicalPlan::Scan { table: cust }),
-            keys: vec![(Expr::col(1), Expr::col(0))],
-        }
-        .schema(&c)
-        .unwrap();
-        assert_eq!(
-            agg_output_type(&AggExpr::new(AggFunc::Count, Expr::col(0), "n"), &join_schema)
-                .unwrap(),
-            DataType::Int
-        );
-        assert_eq!(
-            agg_output_type(&AggExpr::new(AggFunc::Sum, Expr::col(0), "s"), &join_schema).unwrap(),
-            DataType::Int
-        );
-        assert_eq!(
-            agg_output_type(&AggExpr::new(AggFunc::Min, Expr::col(4), "m"), &join_schema).unwrap(),
-            DataType::Str
-        );
-        assert_eq!(
-            agg_output_type(&AggExpr::new(AggFunc::Avg, Expr::col(2), "a"), &join_schema).unwrap(),
-            DataType::Float
-        );
     }
 
     #[test]

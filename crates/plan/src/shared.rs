@@ -7,22 +7,19 @@
 //! its output into a buffer … we treat all base relations or delta logs as
 //! buffers as well." (Sec. 2.2)
 //!
-//! [`SharedPlan::from_dag`] performs exactly that split, with two extras the
-//! evaluation needs:
-//!
-//! * an `extra_cut` predicate so the NoShare-Nonuniform baseline can also cut
-//!   at blocking operators (aggregates), reproducing prior work's
-//!   per-query nonuniform paces, and
-//! * bare `Scan` nodes are never turned into subplans of their own — base
-//!   relations are already buffers, so each consumer reads the base delta
-//!   log directly at its own pace.
+//! [`SharedPlan::from_dag`] performs exactly that split, with one extra: bare
+//! `Scan` nodes are never turned into subplans of their own — base relations
+//! are already buffers, so each consumer reads the base delta log directly at
+//! its own pace. [`SharedPlan::from_dag_with_roots`] adds the forced cuts that
+//! decomposition, churn and the NoShare-Nonuniform baseline (which cuts at
+//! every aggregate) use.
 
 use crate::agg::AggExpr;
-use crate::dag::{DagNode, DagOp, SelectBranch, SharedDag};
+use crate::dag::{check_branches, restrict_branches, DagNode, DagOp, SelectBranch, SharedDag};
+use crate::typing;
 use ishare_common::{Error, NodeId, QueryId, QuerySet, Result, SubplanId, TableId};
-use ishare_expr::typecheck::infer_type;
 use ishare_expr::Expr;
-use ishare_storage::{Catalog, Field, Schema};
+use ishare_storage::{Catalog, Schema};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -165,12 +162,14 @@ impl OpTree {
     }
 
     /// Output schema of this tree, given the catalog and the schemas of
-    /// referenced child subplans.
+    /// referenced child subplans; each operator is typed by its rule in
+    /// [`typing`].
     pub fn schema(
         &self,
         catalog: &Catalog,
         subplan_schemas: &HashMap<SubplanId, Schema>,
     ) -> Result<Schema> {
+        let input = |k: usize| self.inputs[k].schema(catalog, subplan_schemas);
         match &self.op {
             TreeOp::Input(InputSource::Base(t)) => Ok(catalog.table(*t)?.schema.clone()),
             TreeOp::Input(InputSource::Subplan(id)) => subplan_schemas
@@ -178,41 +177,11 @@ impl OpTree {
                 .cloned()
                 .ok_or_else(|| Error::NotFound(format!("schema of subplan {id}"))),
             TreeOp::Select { branches } => {
-                let s = self.inputs[0].schema(catalog, subplan_schemas)?;
-                for b in branches {
-                    ishare_expr::typecheck::check_predicate(&b.predicate, &s)?;
-                }
-                Ok(s)
+                typing::select(input(0)?, branches.iter().map(|b| &b.predicate))
             }
-            TreeOp::Project { exprs } => {
-                let s = self.inputs[0].schema(catalog, subplan_schemas)?;
-                let mut fields = Vec::with_capacity(exprs.len());
-                for (e, name) in exprs {
-                    fields.push(Field::new(name.clone(), infer_type(e, &s)?));
-                }
-                Ok(Schema::new(fields))
-            }
-            TreeOp::Join { keys } => {
-                let l = self.inputs[0].schema(catalog, subplan_schemas)?;
-                let r = self.inputs[1].schema(catalog, subplan_schemas)?;
-                for (lk, rk) in keys {
-                    infer_type(lk, &l)?;
-                    infer_type(rk, &r)?;
-                }
-                Ok(l.concat(&r))
-            }
-            TreeOp::Aggregate { group_by, aggs } => {
-                let s = self.inputs[0].schema(catalog, subplan_schemas)?;
-                let mut fields = Vec::with_capacity(group_by.len() + aggs.len());
-                for (e, name) in group_by {
-                    fields.push(Field::new(name.clone(), infer_type(e, &s)?));
-                }
-                for a in aggs {
-                    fields
-                        .push(Field::new(a.name.clone(), crate::logical::agg_output_type(a, &s)?));
-                }
-                Ok(Schema::new(fields))
-            }
+            TreeOp::Project { exprs } => typing::project(&input(0)?, exprs),
+            TreeOp::Join { keys } => typing::join(&input(0)?, &input(1)?, keys),
+            TreeOp::Aggregate { group_by, aggs } => typing::aggregate(&input(0)?, group_by, aggs),
         }
     }
 }
@@ -260,30 +229,24 @@ impl Subplan {
                 self.id, self.queries, subset
             )));
         }
+        let mut root = self.root.clone();
+        restrict_tree(&mut root, queries);
         Ok(Subplan {
             id: self.id,
-            root: restrict_tree(&self.root, queries),
+            root,
             queries,
             output_queries: self.output_queries.intersect(subset),
         })
     }
 }
 
-fn restrict_tree(tree: &OpTree, queries: QuerySet) -> OpTree {
-    let op = match &tree.op {
-        TreeOp::Select { branches } => TreeOp::Select {
-            branches: branches
-                .iter()
-                .filter(|b| b.queries.intersects(queries))
-                .map(|b| SelectBranch {
-                    queries: b.queries.intersect(queries),
-                    predicate: b.predicate.clone(),
-                })
-                .collect(),
-        },
-        other => other.clone(),
-    };
-    OpTree { op, inputs: tree.inputs.iter().map(|i| restrict_tree(i, queries)).collect() }
+fn restrict_tree(tree: &mut OpTree, queries: QuerySet) {
+    if let TreeOp::Select { branches } = &mut tree.op {
+        restrict_branches(branches, queries);
+    }
+    for input in &mut tree.inputs {
+        restrict_tree(input, queries);
+    }
 }
 
 /// A shared plan: subplans wired together through buffers.
@@ -294,14 +257,14 @@ pub struct SharedPlan {
 }
 
 impl SharedPlan {
-    /// Break a shared DAG into subplans. `extra_cut` forces additional
-    /// subplan boundaries (used by the NoShare-Nonuniform baseline to cut at
-    /// blocking operators); the standard iShare split passes `|_| false`.
-    pub fn from_dag(dag: &SharedDag, extra_cut: impl Fn(&DagNode) -> bool) -> Result<SharedPlan> {
-        Self::from_dag_with_roots(dag, extra_cut, &[]).map(|(plan, _)| plan)
+    /// Break a shared DAG into subplans: cut at query roots and at nodes with
+    /// more than one parent.
+    pub fn from_dag(dag: &SharedDag) -> Result<SharedPlan> {
+        Self::from_dag_with_roots(dag, |_| false, &[]).map(|(plan, _)| plan)
     }
 
-    /// [`from_dag`](Self::from_dag), generalized for live query churn.
+    /// [`from_dag`](Self::from_dag), generalized for live query churn and
+    /// decomposition.
     ///
     /// Also returns, per subplan, the DAG node its root came from — the
     /// stable identity the stream layer uses to match subplans across churn
@@ -323,6 +286,10 @@ impl SharedPlan {
     ///   query's private cone taps a materialized buffer rather than
     ///   duplicating shared operators. Scans ignore forced cuts (base
     ///   relations are already buffers), matching the standard rule.
+    ///
+    /// `extra_cut` is a predicate form of `forced_cuts`. Every caller passes
+    /// `|_| false`; the parameter stays only because the benchmark pins this
+    /// signature.
     pub fn from_dag_with_roots(
         dag: &SharedDag,
         extra_cut: impl Fn(&DagNode) -> bool,
@@ -534,37 +501,7 @@ impl SharedPlan {
                     sp.id, sp.output_queries, sp.queries
                 )));
             }
-            let mut arity_err = None;
-            sp.root.visit(&mut |t| {
-                if t.inputs.len() != t.op.expected_inputs() && arity_err.is_none() {
-                    arity_err = Some(format!(
-                        "subplan {}: {} has {} inputs, expected {}",
-                        sp.id,
-                        t.op.label(),
-                        t.inputs.len(),
-                        t.op.expected_inputs()
-                    ));
-                }
-                if let TreeOp::Select { branches } = &t.op {
-                    let mut seen = QuerySet::EMPTY;
-                    for b in branches {
-                        if b.queries.intersects(seen) && arity_err.is_none() {
-                            arity_err =
-                                Some(format!("subplan {}: overlapping select branches", sp.id));
-                        }
-                        seen = seen.union(b.queries);
-                    }
-                    if seen != sp.queries && arity_err.is_none() {
-                        arity_err = Some(format!(
-                            "subplan {}: select branches cover {seen}, expected {}",
-                            sp.id, sp.queries
-                        ));
-                    }
-                }
-            });
-            if let Some(e) = arity_err {
-                return Err(Error::InvalidPlan(e));
-            }
+            check_ops(sp, &sp.root)?;
             for c in sp.children() {
                 let child = self.subplan(c)?;
                 if !sp.queries.is_subset_of(child.queries) {
@@ -602,6 +539,24 @@ impl SharedPlan {
     pub fn operator_count(&self) -> usize {
         self.subplans.iter().map(|sp| sp.root.operator_count()).sum()
     }
+}
+
+/// Checks, pre-order, the input arity and select branches of every operator
+/// of `t`, a tree of subplan `sp`.
+fn check_ops(sp: &Subplan, t: &OpTree) -> Result<()> {
+    if t.inputs.len() != t.op.expected_inputs() {
+        return Err(Error::InvalidPlan(format!(
+            "subplan {}: {} has {} inputs, expected {}",
+            sp.id,
+            t.op.label(),
+            t.inputs.len(),
+            t.op.expected_inputs()
+        )));
+    }
+    if let TreeOp::Select { branches } = &t.op {
+        check_branches(format_args!("subplan {}", sp.id), sp.queries, branches)?;
+    }
+    t.inputs.iter().try_for_each(|i| check_ops(sp, i))
 }
 
 fn build_tree(
@@ -672,7 +627,7 @@ mod tests {
     use super::*;
     use crate::agg::AggFunc;
     use ishare_common::DataType;
-    use ishare_storage::TableStats;
+    use ishare_storage::{Field, TableStats};
 
     fn qs(ids: &[u16]) -> QuerySet {
         QuerySet::from_iter(ids.iter().map(|&i| QueryId(i)))
@@ -764,7 +719,7 @@ mod tests {
         let c = catalog();
         let dag = fig2_dag(&c);
         dag.validate(&c).unwrap();
-        let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&dag).unwrap();
         plan.validate(&c).unwrap();
         // Expect 3 subplans: the shared scan+select+agg, Q0's project,
         // Q1's join+agg2 (scan u folds into it as a base input).
@@ -789,7 +744,8 @@ mod tests {
     fn extra_cut_at_aggregates() {
         let c = catalog();
         let dag = fig2_dag(&c);
-        let plan = SharedPlan::from_dag(&dag, |n| matches!(n.op, DagOp::Aggregate { .. })).unwrap();
+        let is_agg = |n: &DagNode| matches!(n.op, DagOp::Aggregate { .. });
+        let (plan, _) = SharedPlan::from_dag_with_roots(&dag, is_agg, &[]).unwrap();
         plan.validate(&c).unwrap();
         // The second aggregate (Q1's root) is already a cut; the first
         // aggregate is cut anyway (multi-parent). Same subplan count but the
@@ -801,7 +757,7 @@ mod tests {
     #[test]
     fn topo_order_children_first() {
         let c = catalog();
-        let plan = SharedPlan::from_dag(&fig2_dag(&c), |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&fig2_dag(&c)).unwrap();
         let order = plan.topo_order().unwrap();
         let pos: HashMap<SubplanId, usize> =
             order.iter().enumerate().map(|(i, id)| (*id, i)).collect();
@@ -815,7 +771,7 @@ mod tests {
     #[test]
     fn schemas_computed() {
         let c = catalog();
-        let plan = SharedPlan::from_dag(&fig2_dag(&c), |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&fig2_dag(&c)).unwrap();
         let schemas = plan.schemas(&c).unwrap();
         assert_eq!(schemas[&SubplanId(0)].arity(), 2); // (k, s)
         let q1 = plan.query_root(QueryId(1)).unwrap();
@@ -825,7 +781,7 @@ mod tests {
     #[test]
     fn restrict_drops_other_branches() {
         let c = catalog();
-        let plan = SharedPlan::from_dag(&fig2_dag(&c), |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&fig2_dag(&c)).unwrap();
         let shared = plan.subplan(SubplanId(0)).unwrap();
         let only_q1 = shared.restrict(qs(&[1])).unwrap();
         assert_eq!(only_q1.queries, qs(&[1]));
@@ -863,7 +819,7 @@ mod tests {
     #[test]
     fn validation_rejects_bad_plans() {
         let c = catalog();
-        let mut plan = SharedPlan::from_dag(&fig2_dag(&c), |_| false).unwrap();
+        let mut plan = SharedPlan::from_dag(&fig2_dag(&c)).unwrap();
         // Break subsumption: shrink the shared subplan's query set.
         plan.subplans[0].queries = qs(&[0]);
         // Also fix branches to keep the select-partition check from firing
@@ -884,7 +840,7 @@ mod tests {
         let scan = d.add_node(DagOp::Scan { table: t }, vec![], qs(&[0])).unwrap();
         d.set_query_root(QueryId(0), scan).unwrap();
         d.validate(&c).unwrap();
-        let plan = SharedPlan::from_dag(&d, |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&d).unwrap();
         plan.validate(&c).unwrap();
         assert_eq!(plan.len(), 1);
         let sp = plan.subplan(SubplanId(0)).unwrap();
@@ -948,7 +904,7 @@ mod tests {
     #[test]
     fn display_smoke() {
         let c = catalog();
-        let plan = SharedPlan::from_dag(&fig2_dag(&c), |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&fig2_dag(&c)).unwrap();
         let s = plan.to_string();
         assert!(s.contains("sp0"));
         assert!(s.contains("aggregate"));

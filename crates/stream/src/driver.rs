@@ -598,7 +598,7 @@ mod tests {
             .unwrap();
         d.set_query_root(QueryId(0), p0).unwrap();
         d.set_query_root(QueryId(1), p1).unwrap();
-        SharedPlan::from_dag(&d, |_| false).unwrap()
+        SharedPlan::from_dag(&d).unwrap()
     }
 
     /// The reference results computed per query by the naive executor.
@@ -779,7 +779,7 @@ mod worker_tests {
                 .unwrap();
             d.set_query_root(QueryId(q), agg).unwrap();
         }
-        let plan = SharedPlan::from_dag(&d, |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&d).unwrap();
         let feed: Vec<(Row, i64)> = (0..120)
             .map(|i| (Row::new(vec![Value::Int(i % 12), Value::Int(i * 13 % 100)]), 1))
             .collect();

@@ -252,7 +252,7 @@ mod tests {
             .unwrap();
         d.set_query_root(QueryId(0), p0).unwrap();
         d.set_query_root(QueryId(1), p1).unwrap();
-        let plan = ishare_plan::SharedPlan::from_dag(&d, |_| false).unwrap();
+        let plan = ishare_plan::SharedPlan::from_dag(&d).unwrap();
         (c, plan)
     }
 

@@ -154,8 +154,8 @@ pub fn q6(c: &Catalog) -> Result<LogicalPlan> {
 
 /// Q7: volume shipping.
 pub fn q7(c: &Catalog) -> Result<LogicalPlan> {
-    let n1 = scan(c, "nation")?.alias("n1");
-    let n2 = scan(c, "nation")?.alias("n2");
+    let n1 = scan(c, "nation")?.alias("n1")?;
+    let n2 = scan(c, "nation")?.alias("n2")?;
     let b = scan(c, "lineitem")?
         .select(|x| {
             Ok(x.col("l_shipdate")?
@@ -195,8 +195,8 @@ pub fn q7(c: &Catalog) -> Result<LogicalPlan> {
 
 /// Q8: national market share.
 pub fn q8(c: &Catalog) -> Result<LogicalPlan> {
-    let n1 = scan(c, "nation")?.alias("n1");
-    let n2 = scan(c, "nation")?.alias("n2");
+    let n1 = scan(c, "nation")?.alias("n1")?;
+    let n2 = scan(c, "nation")?.alias("n2")?;
     let b = scan(c, "lineitem")?
         .join(
             scan(c, "orders")?.select(|x| {

@@ -37,7 +37,7 @@ fn main() -> ishare::Result<()> {
 
     // Build the shared plan and show its structure.
     let dag = build_shared_dag(&queries, &data.catalog, &MqoConfig::default())?;
-    let plan = SharedPlan::from_dag(&dag, |_| false)?;
+    let plan = SharedPlan::from_dag(&dag)?;
     println!("shared plan ({} subplans):\n{plan}", plan.len());
 
     // Resolve 0.2-relative constraints and walk the greedy search.

@@ -21,7 +21,7 @@ fn setup(names: &[&str], seed: u64) -> (ishare::tpch::TpchData, SharedPlan) {
         })
         .collect();
     let dag = build_shared_dag(&queries, &data.catalog, &MqoConfig::default()).unwrap();
-    let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
+    let plan = SharedPlan::from_dag(&dag).unwrap();
     (data, plan)
 }
 

@@ -122,7 +122,7 @@ fn case(sharing_friendly: bool) -> Case {
         .map(|(i, q)| (QueryId(i as u16), normalize(&q.plan)))
         .collect();
     let dag = build_shared_dag(&queries, &data.catalog, &MqoConfig::default()).unwrap();
-    let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
+    let plan = SharedPlan::from_dag(&dag).unwrap();
     plan.validate(&data.catalog).unwrap();
     Case { catalog: data.catalog, queries, plan }
 }

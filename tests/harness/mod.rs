@@ -317,7 +317,7 @@ pub fn build_plan(c: &Catalog, rng: &mut SplitMix, join: bool) -> (SharedDag, Sh
         let agg = d.add_node(op, vec![trunk], qs(&[q])).unwrap();
         d.set_query_root(QueryId(q), agg).unwrap();
     }
-    let plan = SharedPlan::from_dag(&d, |_| false).unwrap();
+    let plan = SharedPlan::from_dag(&d).unwrap();
     (d, plan)
 }
 

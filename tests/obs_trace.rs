@@ -47,7 +47,7 @@ fn tiny_workload() -> (Catalog, SharedPlan, DeltaFeeds) {
             .unwrap();
         d.set_query_root(QueryId(q), agg).unwrap();
     }
-    let plan = SharedPlan::from_dag(&d, |_| false).unwrap();
+    let plan = SharedPlan::from_dag(&d).unwrap();
     let feed: Vec<(Row, i64)> =
         (0..120).map(|i| (Row::new(vec![Value::Int(i % 5), Value::Int(i % 100)]), 1i64)).collect();
     (c, plan, [(t, feed)].into_iter().collect())

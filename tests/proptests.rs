@@ -262,7 +262,7 @@ proptest! {
         let dag = build_shared_dag(
             &[(QueryId(0), q0), (QueryId(1), q1)], &c, &MqoConfig::default(),
         ).unwrap();
-        let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
+        let plan = SharedPlan::from_dag(&dag).unwrap();
         // Clamp the pace vector to the plan's subplan count and the
         // parent<=child requirement by sorting descending along topo order.
         let n = plan.len();
