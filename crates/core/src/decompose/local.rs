@@ -13,7 +13,7 @@
 //! partitions' larger selected pace.
 
 use ishare_common::{CostWeights, Error, QueryId, QuerySet, Result};
-use ishare_cost::simulate::simulate_subplan;
+use ishare_cost::simulate::{simulate_subplan, SubplanSimulator};
 use ishare_cost::LeafInputs;
 use std::collections::BTreeMap;
 
@@ -67,7 +67,7 @@ impl LocalProblem<'_> {
         if let Some(hit) = memo.get(&queries) {
             return Ok(*hit);
         }
-        let restricted = self.subplan.restrict(queries)?;
+        let mut restricted = SubplanSimulator::new(&self.subplan.restrict(queries)?);
         // NaN-safe minimum: a NaN constraint is rejected outright instead of
         // silently winning or losing the fold (`f64::min` drops NaN, turning
         // a poisoned constraint into "unconstrained").
@@ -90,8 +90,8 @@ impl LocalProblem<'_> {
         // selected pace is found by galloping up from `start_pace` and
         // binary-refining, instead of the O(max_pace) linear scan — each
         // probe costs O(pace) simulation steps, so this matters.
-        let probe = |pace: u32| -> Result<(f64, f64)> {
-            let sim = simulate_subplan(&restricted, pace, self.inputs, &self.weights)?;
+        let mut probe = |pace: u32| -> Result<(f64, f64)> {
+            let sim = restricted.run(pace, self.inputs, &self.weights)?;
             debug_assert!(
                 sim.private_total.is_finite() && sim.private_final.is_finite(),
                 "non-finite simulated cost at pace {pace}"
@@ -157,7 +157,7 @@ impl LocalProblem<'_> {
                 if cand > self.max_pace {
                     break;
                 }
-                let sim = simulate_subplan(&restricted, cand, self.inputs, &self.weights)?;
+                let sim = restricted.run(cand, self.inputs, &self.weights)?;
                 if sim.private_final <= limit + 1e-9 && sim.private_total < best.wpt {
                     best = PartitionEval {
                         pace: cand,

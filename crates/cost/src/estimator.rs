@@ -10,10 +10,12 @@
 
 use crate::simulate::{SimProgram, SimScratch, SubplanSim};
 use crate::stats::StreamEstimate;
-use ishare_common::{CostWeights, Error, QueryId, QuerySet, Result, SubplanId, TableId, WorkUnits};
+use ishare_common::{
+    CostWeights, Error, FxHashMap, QueryId, QuerySet, Result, SubplanId, TableId, WorkUnits,
+};
 use ishare_plan::{InputSource, SharedPlan};
 use ishare_storage::Catalog;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Leaf input estimates per subplan, keyed by leaf path. A `BTreeMap` so
@@ -91,10 +93,12 @@ pub struct PlanEstimator {
     base: BTreeMap<TableId, StreamEstimate>,
     /// Per subplan: memo from private pace configuration to simulation
     /// (Arc so hits are O(1), not a deep clone of the stream estimate).
-    memo: Vec<HashMap<Vec<u32>, Arc<SubplanSim>>>,
-    /// The memo key under construction, and the simulator's buffers: reused
-    /// across calls so the hit path allocates only the report.
+    memo: Vec<FxHashMap<Vec<u32>, Arc<SubplanSim>>>,
+    /// The memo key under construction, each subplan's simulation in the
+    /// call under way, and the simulator's buffers: reused across calls so
+    /// a call allocates only its report and each miss only its memo entry.
     key: Vec<u32>,
+    sims: Vec<Option<Arc<SubplanSim>>>,
     scratch: SimScratch,
     /// Hit/miss counters.
     pub counters: EstimatorCounters,
@@ -164,8 +168,9 @@ impl PlanEstimator {
             programs,
             cone_tables,
             base,
-            memo: vec![HashMap::new(); n],
+            memo: vec![FxHashMap::default(); n],
             key: Vec::new(),
+            sims: Vec::new(),
             scratch: SimScratch::default(),
             counters: EstimatorCounters::default(),
             memo_enabled: true,
@@ -243,7 +248,7 @@ impl PlanEstimator {
     }
 
     /// Estimate a pace configuration (one pace per subplan, positionally).
-    /// The report's `subplan_inputs` are left empty — the pace searches call
+    /// The report's `subplan_inputs` is left empty — the pace searches call
     /// this tens of thousands of times and only the decomposition pass needs
     /// the per-leaf stream estimates; use
     /// [`PlanEstimator::estimate_detailed`] for those.
@@ -278,35 +283,50 @@ impl PlanEstimator {
         if let Some(&bad) = paces.iter().find(|&&p| p == 0) {
             return Err(Error::InvalidConfig(format!("pace {bad} must be >= 1")));
         }
-        let mut sims: Vec<Option<Arc<SubplanSim>>> = vec![None; n];
         let mut report = CostReport {
             total_work: WorkUnits::ZERO,
             final_work: BTreeMap::new(),
             subplan_total: vec![0.0; n],
             subplan_final: vec![0.0; n],
-            subplan_inputs: vec![LeafInputs::new(); n],
+            subplan_inputs: if collect_inputs { vec![LeafInputs::new(); n] } else { Vec::new() },
             subplan_output: Vec::new(),
         };
-        for &id in &self.topo {
+        let PlanEstimator {
+            plan,
+            weights,
+            topo,
+            descendants,
+            programs,
+            base,
+            memo,
+            key,
+            sims,
+            scratch,
+            counters,
+            ..
+        } = self;
+        sims.clear();
+        sims.resize(n, None);
+        for &id in topo.iter() {
             let i = id.index();
-            let program = &self.programs[i];
-            self.key.clear();
-            self.key.extend(self.descendants[i].iter().map(|d| paces[d.index()]));
-            let hit = if use_memo { self.memo[i].get(self.key.as_slice()).cloned() } else { None };
+            let program = &programs[i];
+            key.clear();
+            key.extend(descendants[i].iter().map(|d| paces[d.index()]));
+            let hit = if use_memo { memo[i].get(key.as_slice()).cloned() } else { None };
             let sim = match hit {
                 Some(sim) => {
-                    self.counters.memo_hits += 1;
+                    counters.memo_hits += 1;
                     sim
                 }
                 // Only a miss reads the leaf inputs: children's outputs are
                 // borrowed from their simulations, never copied.
                 None => {
-                    self.counters.simulations += 1;
-                    let inputs = leaf_inputs(program, &self.base, &sims, id)?;
-                    let sim =
-                        Arc::new(program.run(paces[i], &inputs, &self.weights, &mut self.scratch));
+                    counters.simulations += 1;
+                    let input =
+                        |(_, src): &(Vec<usize>, InputSource)| leaf_input(src, base, sims, id);
+                    let sim = Arc::new(program.run(paces[i], input, weights, scratch)?);
                     if use_memo {
-                        self.memo[i].insert(self.key.clone(), sim.clone());
+                        memo[i].insert(key.clone(), sim.clone());
                     }
                     sim
                 }
@@ -315,62 +335,55 @@ impl PlanEstimator {
             report.subplan_total[i] = sim.private_total;
             report.subplan_final[i] = sim.private_final;
             if collect_inputs {
-                let inputs = leaf_inputs(program, &self.base, &sims, id)?;
                 report.subplan_inputs[i] = program
                     .leaves()
                     .iter()
-                    .zip(inputs)
-                    .map(|((path, _), est)| (path.clone(), est.clone()))
-                    .collect();
+                    .map(|(path, src)| Ok((path.clone(), leaf_input(src, base, sims, id)?.clone())))
+                    .collect::<Result<_>>()?;
             }
             sims[i] = Some(sim);
         }
         // Per query, its subplans' final work summed in subplan order.
         let mut finals = [0.0f64; QuerySet::MAX_QUERIES];
         let mut queries = QuerySet::EMPTY;
-        for sp in &self.plan.subplans {
+        for sp in &plan.subplans {
             queries = queries.union(sp.queries);
             for q in sp.queries.iter() {
                 finals[q.index()] += report.subplan_final[sp.id.index()];
             }
         }
-        report.final_work = queries.iter().map(|q| (q, WorkUnits(finals[q.index()]))).collect();
-        report.subplan_output = sims
-            .into_iter()
-            .enumerate()
-            .map(|(i, sim)| {
-                sim.ok_or_else(|| {
-                    Error::InvalidPlan(format!(
-                        "subplan {i} missing from topological order (malformed DAG)"
-                    ))
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
+        for q in queries.iter() {
+            report.final_work.insert(q, WorkUnits(finals[q.index()]));
+        }
+        report.subplan_output.reserve_exact(n);
+        for (i, sim) in sims.iter_mut().enumerate() {
+            report.subplan_output.push(sim.take().ok_or_else(|| {
+                Error::InvalidPlan(format!(
+                    "subplan {i} missing from topological order (malformed DAG)"
+                ))
+            })?);
+        }
         Ok(report)
     }
 }
 
-/// One subplan's full-trigger leaf estimates, in its program's leaf order:
-/// base streams, and the outputs of the children simulated so far.
-fn leaf_inputs<'a>(
-    program: &SimProgram,
+/// One leaf's full-trigger estimate: a base stream, or the output of a
+/// child simulated earlier in the same call.
+fn leaf_input<'a>(
+    src: &InputSource,
     base: &'a BTreeMap<TableId, StreamEstimate>,
     sims: &'a [Option<Arc<SubplanSim>>],
     id: SubplanId,
-) -> Result<Vec<&'a StreamEstimate>> {
-    program
-        .leaves()
-        .iter()
-        .map(|(_, src)| match src {
-            InputSource::Base(t) => {
-                base.get(t).ok_or_else(|| Error::NotFound(format!("base stream {t}")))
-            }
-            InputSource::Subplan(c) => sims[c.index()]
-                .as_deref()
-                .map(|sim| &sim.output)
-                .ok_or_else(|| Error::InvalidPlan(format!("child {c} output missing for {id}"))),
-        })
-        .collect()
+) -> Result<&'a StreamEstimate> {
+    match src {
+        InputSource::Base(t) => {
+            base.get(t).ok_or_else(|| Error::NotFound(format!("base stream {t}")))
+        }
+        InputSource::Subplan(c) => sims[c.index()]
+            .as_deref()
+            .map(|sim| &sim.output)
+            .ok_or_else(|| Error::InvalidPlan(format!("child {c} output missing for {id}"))),
+    }
 }
 
 #[cfg(test)]
@@ -609,8 +622,11 @@ mod tests {
         let plan = fig2_plan(&c);
         let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
         let rep = est.estimate(&vec![2; plan.len()]).unwrap();
-        assert_eq!(rep.subplan_inputs.len(), plan.len());
+        assert!(rep.subplan_inputs.is_empty(), "only a detailed estimate collects inputs");
         assert_eq!(rep.subplan_output.len(), plan.len());
+        let detailed = est.estimate_detailed(&vec![2; plan.len()]).unwrap();
+        assert_eq!(detailed.subplan_inputs.len(), plan.len());
+        assert_eq!(detailed.subplan_inputs[0].len(), 1, "the shared subplan reads one scan");
         // The shared subplan's output feeds two parents; its estimate must
         // track per-query cardinalities for both.
         let shared = &rep.subplan_output[0].output;

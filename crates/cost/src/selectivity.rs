@@ -101,11 +101,7 @@ fn range_sel(left: &Expr, right: &Expr, cols: &[ColumnStats], less: bool) -> f64
         Some(s) => s,
         None => return DEFAULT_SEL,
     };
-    let (min, max, v) = match (
-        stats.min.as_ref().and_then(Value::as_f64),
-        stats.max.as_ref().and_then(Value::as_f64),
-        lit.as_f64(),
-    ) {
+    let (min, max, v) = match (stats.min, stats.max, lit.as_f64()) {
         (Some(a), Some(b), Some(v)) if b > a => (a, b, v),
         _ => return DEFAULT_SEL,
     };
@@ -143,6 +139,38 @@ mod tests {
         // Literal on the left flips the direction.
         let s = selectivity(&Expr::lit(25i64).lt(Expr::col(0)), &cols());
         assert!((s - (1.0 - 25.0 / 99.0)).abs() < 1e-6);
+    }
+
+    /// Range selectivity over Int, Date and Float columns is the closed
+    /// form on the `f64` bounds; a range built from values with no numeric
+    /// view is unknown.
+    #[test]
+    fn ranges_over_every_numeric_type_use_the_f64_bounds() {
+        let cols = [
+            ColumnStats::with_range(100.0, Value::Int(-5), Value::Int(95)),
+            ColumnStats::with_range(100.0, Value::Date(8035), Value::Date(10591)),
+            ColumnStats::with_range(100.0, Value::Float(0.25), Value::Float(4.75)),
+            ColumnStats::with_range(100.0, Value::Str("a".into()), Value::Str("z".into())),
+            ColumnStats::with_range(2.0, Value::Bool(false), Value::Bool(true)),
+        ];
+        let below = |lit: f64, min: f64, max: f64| ((lit - min) / (max - min)).clamp(0.0, 1.0);
+        let cases = [
+            (0, Value::Int(20), below(20.0, -5.0, 95.0)),
+            (1, Value::Date(9000), below(9000.0, 8035.0, 10591.0)),
+            (2, Value::Float(1.5), below(1.5, 0.25, 4.75)),
+            (2, Value::Int(3), below(3.0, 0.25, 4.75)),
+        ];
+        for (col, lit, frac) in cases {
+            let lt = selectivity(&Expr::col(col).lt(Expr::Literal(lit.clone())), &cols);
+            assert_eq!(lt.to_bits(), frac.to_bits(), "column {col} < {lit:?}");
+            let ge = selectivity(&Expr::col(col).ge(Expr::Literal(lit)), &cols);
+            assert_eq!(ge.to_bits(), (1.0 - frac).to_bits());
+        }
+        for col in [3, 4] {
+            assert_eq!((cols[col].min, cols[col].max), (None, None));
+            let s = selectivity(&Expr::col(col).lt(Expr::lit(1i64)), &cols);
+            assert_eq!(s, DEFAULT_SEL);
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! A subplan is compiled once into a `SimProgram`: its operators in
 //! post-order, its queries mapped to dense slots. A run is a static pass
 //! (batch cardinalities, column statistics, operator domains) followed by
-//! the `k`-step loop over flat `f64` rows in a reused `SimScratch`. The
+//! the `k`-step loop over flat `f64` rows in a reused `SimScratch`, whose
+//! buffers only ever grow: a run allocates nothing but its result. The
 //! pace searches compare estimates exactly, so every floating-point
 //! operation and its order are part of the contract: per-query loops run in
 //! ascending `QueryId`, products run over the queries a vector *carries* (an
@@ -32,6 +33,7 @@ use ishare_common::{CostWeights, Error, QueryId, QuerySet, Result};
 use ishare_expr::Expr;
 use ishare_plan::{InputSource, OpTree, Subplan, TreeOp};
 use ishare_storage::ColumnStats;
+use std::collections::BTreeMap;
 
 /// Result of simulating one subplan at one pace.
 #[derive(Debug, Clone)]
@@ -54,20 +56,39 @@ pub fn simulate_subplan(
     leaf_inputs: &LeafInputs,
     weights: &CostWeights,
 ) -> Result<SubplanSim> {
-    if pace == 0 {
-        return Err(Error::InvalidConfig("pace must be >= 1".into()));
+    SubplanSimulator::new(subplan).run(pace, leaf_inputs, weights)
+}
+
+/// One subplan compiled once and simulated at as many paces as asked, its
+/// buffers kept from run to run (the decomposition's pace probes).
+pub struct SubplanSimulator {
+    program: SimProgram,
+    scratch: SimScratch,
+}
+
+impl SubplanSimulator {
+    /// Compile `subplan` for simulation.
+    pub fn new(subplan: &Subplan) -> Self {
+        SubplanSimulator { program: SimProgram::compile(subplan), scratch: SimScratch::default() }
     }
-    let program = SimProgram::compile(subplan);
-    let inputs = program
-        .leaves()
-        .iter()
-        .map(|(path, src)| {
+
+    /// [`simulate_subplan`] of the compiled subplan.
+    pub fn run(
+        &mut self,
+        pace: u32,
+        leaf_inputs: &LeafInputs,
+        weights: &CostWeights,
+    ) -> Result<SubplanSim> {
+        if pace == 0 {
+            return Err(Error::InvalidConfig("pace must be >= 1".into()));
+        }
+        let input = |(path, src): &(Vec<usize>, InputSource)| {
             leaf_inputs.get(path.as_slice()).ok_or_else(|| {
                 Error::InvalidPlan(format!("no input estimate for leaf {path:?} ({src:?})"))
             })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(program.run(pace, &inputs, weights, &mut SimScratch::default()))
+        };
+        self.program.run(pace, input, weights, &mut self.scratch)
+    }
 }
 
 /// A subplan compiled for simulation.
@@ -249,17 +270,17 @@ impl SimProgram {
     }
 
     /// Simulate `pace >= 1` incremental executions over one full-trigger
-    /// estimate per leaf.
-    pub(crate) fn run(
+    /// estimate per leaf; `input` looks each leaf's up once.
+    pub(crate) fn run<'a>(
         &self,
         pace: u32,
-        inputs: &[&StreamEstimate],
+        input: impl Fn(&(Vec<usize>, InputSource)) -> Result<&'a StreamEstimate>,
         weights: &CostWeights,
         scratch: &mut SimScratch,
-    ) -> SubplanSim {
+    ) -> Result<SubplanSim> {
         let n = self.nodes.len();
         let m = self.universe.len();
-        self.static_pass(inputs, scratch);
+        self.static_pass(input, scratch)?;
         let SimScratch { statics, srows, flows, flow, state, state_q, addends, out_q } = scratch;
         zeroed(flows, n * m);
         zeroed(state_q, 2 * n * m);
@@ -284,10 +305,9 @@ impl SimProgram {
                 let (below, rest) = flows.split_at_mut(i * m);
                 let out = &mut rest[..m];
                 match &node.op {
-                    SimOp::Input { leaf } => {
+                    SimOp::Input { .. } => {
                         if fresh {
-                            let input = inputs[*leaf];
-                            let total = input.rows.total * slice;
+                            let total = own.input_rows * slice;
                             // The engine charges the scan before narrowing
                             // drops rows.
                             addends[node.addend_at] = weights.scan * total;
@@ -295,8 +315,7 @@ impl SimProgram {
                                 out[s] = srows[i * m + s] * slice;
                             }
                             let narrowed = union_of(total, out, own.present);
-                            flow[i] =
-                                Flow { total: narrowed, deletes: narrowed * input.delete_frac };
+                            flow[i] = Flow { total: narrowed, deletes: narrowed * own.delete_frac };
                         }
                         work += addends[node.addend_at];
                     }
@@ -446,14 +465,16 @@ impl SimProgram {
         // The output carries the subplan's queries and whatever else its
         // root produced.
         let carried = self.slots_of(self.queries) | statics[root].present;
-        let per_query = self
-            .universe
-            .iter()
-            .enumerate()
-            .filter(|(s, _)| carried & (1u64 << s) != 0)
-            .map(|(s, q)| (q.0, out_q[s]))
-            .collect();
-        SubplanSim {
+        // Inserted, not collected: `collect` into a `BTreeMap` first buffers
+        // and sorts the pairs, an allocation per miss for keys already in
+        // order.
+        let mut per_query = BTreeMap::new();
+        for (s, q) in self.universe.iter().enumerate() {
+            if carried & (1u64 << s) != 0 {
+                per_query.insert(q.0, out_q[s]);
+            }
+        }
+        Ok(SubplanSim {
             private_total,
             private_final,
             output: StreamEstimate {
@@ -463,17 +484,25 @@ impl SimProgram {
                 // scratch buffer's spare capacity should not.
                 cols: statics[root].cols.clone(),
             },
-        }
+        })
     }
 
     /// Static (pace-independent) pass: full-trigger batch cardinalities,
     /// column statistics and operator domains per node, and which queries
     /// each node's vector carries.
-    fn static_pass(&self, inputs: &[&StreamEstimate], scratch: &mut SimScratch) {
+    fn static_pass<'a>(
+        &self,
+        input: impl Fn(&(Vec<usize>, InputSource)) -> Result<&'a StreamEstimate>,
+        scratch: &mut SimScratch,
+    ) -> Result<()> {
         let n = self.nodes.len();
         let m = self.universe.len();
         let SimScratch { statics, srows, addends, .. } = scratch;
-        statics.resize_with(n, NodeStatic::default);
+        // Grown, never shrunk: a smaller program uses the first `n` entries
+        // and keeps every entry's column and selectivity buffers.
+        if statics.len() < n {
+            statics.resize_with(n, NodeStatic::default);
+        }
         zeroed(srows, n * m);
         zeroed(addends, self.addends);
         for (i, node) in self.nodes.iter().enumerate() {
@@ -486,7 +515,9 @@ impl SimProgram {
             let out = &mut rest[..m];
             match &node.op {
                 SimOp::Input { leaf } => {
-                    let input = inputs[*leaf];
+                    let input = input(&self.leaves[*leaf])?;
+                    own.input_rows = input.rows.total;
+                    own.delete_frac = input.delete_frac;
                     // Narrow to the subplan's queries.
                     own.present = 0;
                     for (&q, &rows) in &input.rows.per_query {
@@ -522,7 +553,7 @@ impl SimProgram {
                     own.present = c.present;
                     let computed = || ColumnStats::ndv(c.total.max(1.0));
                     own.cols.extend(cols.iter().map(|col| match col {
-                        ProjectedCol::Column(i) => c.cols.get(*i).cloned().unwrap_or_else(computed),
+                        ProjectedCol::Column(i) => c.cols.get(*i).copied().unwrap_or_else(computed),
                         ProjectedCol::Literal => ColumnStats::ndv(1.0),
                         ProjectedCol::Computed => computed(),
                     }));
@@ -558,7 +589,7 @@ impl SimProgram {
                     own.present = c.present;
                     own.cols.extend(group_by.iter().map(
                         |key| match key.and_then(|i| c.cols.get(i)) {
-                            Some(col) => ColumnStats { ndv: col.ndv.min(domain), ..col.clone() },
+                            Some(col) => ColumnStats { ndv: col.ndv.min(domain), ..*col },
                             None => ColumnStats::ndv(domain),
                         },
                     ));
@@ -567,6 +598,7 @@ impl SimProgram {
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -596,6 +628,9 @@ pub(crate) struct SimScratch {
 struct NodeStatic {
     /// Full-trigger batch-cardinality estimate at this node.
     total: f64,
+    /// Input: the leaf stream's total rows and retraction fraction.
+    input_rows: f64,
+    delete_frac: f64,
     /// Slots of the queries this node's cardinality vector carries.
     present: u64,
     /// Column statistics of the node's output.
@@ -709,7 +744,7 @@ fn key_ndv(side: &NodeStatic, keys: impl Iterator<Item = Option<usize>>) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ishare_common::{QueryId, QuerySet, SubplanId, TableId};
+    use ishare_common::{QueryId, QuerySet, SubplanId, TableId, Value};
     use ishare_expr::Expr;
     use ishare_plan::{AggExpr, AggFunc, InputSource, SelectBranch};
 
@@ -860,6 +895,103 @@ mod tests {
         let sum_eager = simulate_subplan(&sum_sp, 50, &inputs, &w).unwrap();
         assert!(eager.private_total > sum_eager.private_total);
         assert!(eager.private_total > lazy.private_total);
+    }
+
+    fn run_in(
+        program: &SimProgram,
+        pace: u32,
+        inputs: &LeafInputs,
+        scratch: &mut SimScratch,
+    ) -> SubplanSim {
+        let input = |(path, _): &(Vec<usize>, InputSource)| Ok(&inputs[path]);
+        program.run(pace, input, &CostWeights::default(), scratch).unwrap()
+    }
+
+    /// Every float of a simulation, as bits.
+    fn sim_bits(sim: &SubplanSim) -> Vec<u64> {
+        let out = &sim.output;
+        let mut bits = vec![sim.private_total, sim.private_final, out.rows.total, out.delete_frac];
+        bits.extend(out.rows.per_query.iter().flat_map(|(&q, &n)| [f64::from(q), n]));
+        for c in &out.cols {
+            bits.extend([c.ndv, c.min.unwrap_or(-1.0), c.max.unwrap_or(-1.0)]);
+        }
+        bits.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// One scratch runs a wide program, a narrower one, then the wide one
+    /// again: buffers kept across programs leak nothing between runs.
+    #[test]
+    fn reused_scratch_matches_a_fresh_one() {
+        // agg(sum, max by k) over join(select over t, project over u):
+        // seven nodes, three queries, ranged columns, a churning input.
+        let select = OpTree::node(
+            TreeOp::Select {
+                branches: vec![
+                    SelectBranch { queries: qs(&[0]), predicate: Expr::true_lit() },
+                    SelectBranch {
+                        queries: qs(&[1]),
+                        predicate: Expr::col(1).lt(Expr::lit(40i64)),
+                    },
+                    SelectBranch { queries: qs(&[2]), predicate: Expr::col(2).eq(Expr::lit(3i64)) },
+                ],
+            },
+            vec![OpTree::input(InputSource::Base(TableId(0)))],
+        );
+        let project = OpTree::node(
+            TreeOp::Project {
+                exprs: vec![(Expr::col(1), "k".into()), (Expr::lit(7i64), "c".into())],
+            },
+            vec![OpTree::input(InputSource::Base(TableId(1)))],
+        );
+        let wide_tree = OpTree::node(
+            TreeOp::Aggregate {
+                group_by: vec![(Expr::col(0), "k".into())],
+                aggs: vec![
+                    AggExpr::new(AggFunc::Sum, Expr::col(1), "s"),
+                    AggExpr::new(AggFunc::Max, Expr::col(2), "m"),
+                ],
+            },
+            vec![OpTree::node(
+                TreeOp::Join { keys: vec![(Expr::col(0), Expr::col(0))] },
+                vec![select, project],
+            )],
+        );
+        let all = qs(&[0, 1, 2]);
+        let wide = Subplan { id: SubplanId(0), root: wide_tree, queries: all, output_queries: all };
+        let mut t = StreamEstimate::insert_only(
+            5000.0,
+            all,
+            vec![
+                ColumnStats::with_range(80.0, Value::Int(0), Value::Int(79)),
+                ColumnStats::with_range(100.0, Value::Int(0), Value::Int(99)),
+                ColumnStats::ndv(6.0),
+            ],
+        );
+        t.delete_frac = 0.15;
+        let mut wide_inputs = LeafInputs::new();
+        wide_inputs.insert(vec![0, 0, 0], t);
+        wide_inputs.insert(vec![0, 1, 0], base_input(700.0, all, &[50.0, 80.0]));
+        let narrow = agg_subplan();
+        let narrow_inputs = inputs_for(&narrow, base_input(900.0, qs(&[0, 1]), &[15.0, 30.0]));
+
+        let (wide, narrow) = (SimProgram::compile(&wide), SimProgram::compile(&narrow));
+        let fresh = |program: &SimProgram, pace, inputs: &LeafInputs| {
+            sim_bits(&run_in(program, pace, inputs, &mut SimScratch::default()))
+        };
+        let mut scratch = SimScratch::default();
+        for (program, pace, inputs) in [
+            (&wide, 6, &wide_inputs),
+            (&narrow, 3, &narrow_inputs),
+            (&wide, 6, &wide_inputs),
+            (&wide, 2, &wide_inputs),
+        ] {
+            assert_eq!(
+                sim_bits(&run_in(program, pace, inputs, &mut scratch)),
+                fresh(program, pace, inputs),
+                "{} nodes at pace {pace}",
+                program.nodes.len()
+            );
+        }
     }
 
     #[test]

@@ -402,9 +402,13 @@ impl SharedPlan {
         let mut queue: Vec<SubplanId> =
             (0..n).filter(|&i| indegree[i] == 0).map(|i| SubplanId(i as u32)).collect();
         let mut order = Vec::with_capacity(n);
+        // Longest child chain below each subplan (`depths()`), final by the
+        // time the subplan is popped: every child was popped before it.
+        let mut depth = vec![0usize; n];
         while let Some(id) = queue.pop() {
             order.push(id);
             for &p in &parents[id.index()] {
+                depth[p.index()] = depth[p.index()].max(depth[id.index()] + 1);
                 indegree[p.index()] -= 1;
                 if indegree[p.index()] == 0 {
                     queue.push(p);
@@ -414,11 +418,8 @@ impl SharedPlan {
         if order.len() != n {
             return Err(Error::InvalidPlan("subplan graph contains a cycle".into()));
         }
-        order.sort_by_key(|id| {
-            // Stable children-first order: sort by depth then id for
-            // deterministic iteration.
-            (self.depth_of(*id), id.0)
-        });
+        // Deterministic children-first order: by depth, then id.
+        order.sort_unstable_by_key(|id| (depth[id.index()], id.0));
         Ok(order)
     }
 
@@ -431,10 +432,6 @@ impl SharedPlan {
         (0..self.subplans.len())
             .map(|i| Self::depth_go(self, SubplanId(i as u32), &mut memo))
             .collect()
-    }
-
-    fn depth_of(&self, id: SubplanId) -> usize {
-        Self::depth_go(self, id, &mut HashMap::new())
     }
 
     // Longest child chain below; subplan DAGs are tiny, recursion is fine.
@@ -766,6 +763,10 @@ mod tests {
                 assert!(pos[&ch] < pos[&sp.id], "{ch} must precede {}", sp.id);
             }
         }
+        let depths = plan.depths();
+        let mut by_depth: Vec<SubplanId> = (0..plan.len()).map(|i| SubplanId(i as u32)).collect();
+        by_depth.sort_by_key(|id| (depths[id.index()], id.0));
+        assert_eq!(order, by_depth, "the order is the (depth, id) sort");
     }
 
     #[test]

@@ -12,14 +12,19 @@ use ishare_common::{Error, Result, TableId, Value};
 use std::collections::HashMap;
 
 /// Statistics for one column of a base relation.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Copy`: the cost simulator derives every operator's column statistics
+/// from its inputs' on each cold simulation, so copying them must be a
+/// memcpy. The range is kept as the `f64` view ([`Value::as_f64`]) that
+/// range selectivity reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnStats {
     /// Estimated number of distinct values.
     pub ndv: f64,
     /// Minimum value, if known (numeric/date columns).
-    pub min: Option<Value>,
+    pub min: Option<f64>,
     /// Maximum value, if known.
-    pub max: Option<Value>,
+    pub max: Option<f64>,
 }
 
 impl ColumnStats {
@@ -28,9 +33,10 @@ impl ColumnStats {
         ColumnStats { ndv, min: None, max: None }
     }
 
-    /// Stats with distinct count and a numeric range.
+    /// Stats with distinct count and a numeric range; a bound with no
+    /// numeric view (a string, a boolean) is unknown.
     pub fn with_range(ndv: f64, min: Value, max: Value) -> Self {
-        ColumnStats { ndv, min: Some(min), max: Some(max) }
+        ColumnStats { ndv, min: min.as_f64(), max: max.as_f64() }
     }
 }
 
@@ -175,6 +181,6 @@ mod tests {
         assert_eq!(s.columns.len(), 2);
         assert_eq!(s.columns[0].ndv, 50.0);
         let cs = ColumnStats::with_range(10.0, Value::Int(0), Value::Int(9));
-        assert_eq!(cs.min, Some(Value::Int(0)));
+        assert_eq!(cs.min, Some(0.0));
     }
 }

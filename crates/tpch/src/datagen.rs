@@ -400,8 +400,8 @@ pub fn compute_stats(schema: &Schema, rows: &[Row]) -> TableStats {
             let keep_range = matches!(field.ty, DataType::Int | DataType::Float | DataType::Date);
             ColumnStats {
                 ndv: distinct.len().max(1) as f64,
-                min: if keep_range { min.cloned() } else { None },
-                max: if keep_range { max.cloned() } else { None },
+                min: if keep_range { min.and_then(Value::as_f64) } else { None },
+                max: if keep_range { max.and_then(Value::as_f64) } else { None },
             }
         })
         .collect();
@@ -445,8 +445,8 @@ mod tests {
         let li = d.catalog.table_by_name("lineitem").unwrap();
         // Quantity 1..=50.
         let qty = &li.stats.columns[4];
-        assert_eq!(qty.min, Some(Value::Int(1)));
-        assert_eq!(qty.max, Some(Value::Int(50)));
+        assert_eq!(qty.min, Some(1.0));
+        assert_eq!(qty.max, Some(50.0));
         assert!(qty.ndv <= 50.0);
     }
 
@@ -477,8 +477,8 @@ mod tests {
                 matches!(schema.fields()[c].ty, DataType::Int | DataType::Float | DataType::Date);
             columns.push(ColumnStats {
                 ndv: distinct.len().max(1) as f64,
-                min: if keep_range { min.cloned() } else { None },
-                max: if keep_range { max.cloned() } else { None },
+                min: if keep_range { min.and_then(Value::as_f64) } else { None },
+                max: if keep_range { max.and_then(Value::as_f64) } else { None },
             });
         }
         TableStats { row_count: rows.len() as f64, columns }
@@ -583,8 +583,8 @@ mod calibrate_tests {
         let t_stats = &fresh.table_by_name("t").unwrap().stats;
         assert_eq!(t_stats.row_count, 100.0);
         assert_eq!(t_stats.columns[0].ndv, 10.0);
-        assert_eq!(t_stats.columns[1].min, Some(Value::Int(0)));
-        assert_eq!(t_stats.columns[1].max, Some(Value::Int(99)));
+        assert_eq!(t_stats.columns[1].min, Some(0.0));
+        assert_eq!(t_stats.columns[1].max, Some(99.0));
         // Unobserved table unchanged.
         assert_eq!(fresh.table_by_name("u").unwrap().stats.row_count, 7.0);
         // Ids preserved positionally.
