@@ -507,8 +507,7 @@ pub fn fig16(p: &Params) -> Result<()> {
             ],
         );
         input.delete_frac = 0.2;
-        let mut inputs = ishare_cost::LeafInputs::new();
-        inputs.insert(vec![0, 0], input);
+        let inputs = [input];
         let cons: BTreeMap<QueryId, f64> =
             (0..n_queries).map(|i| (QueryId(i as u16), 2_000.0 + 500.0 * i as f64)).collect();
         let problem = LocalProblem {

@@ -198,7 +198,7 @@ mod tests {
             output_queries: QuerySet::EMPTY,
         };
         let mut inputs = inputs_for(&sp, 20_000.0);
-        for est in inputs.values_mut() {
+        for est in &mut inputs {
             est.delete_frac = 0.35; // fed by an upstream aggregate
         }
         let batch = simulate_subplan(&sp, 1, &inputs, &CostWeights::default()).unwrap();

@@ -14,7 +14,7 @@
 
 use ishare_common::{CostWeights, Error, QueryId, QuerySet, Result};
 use ishare_cost::simulate::{simulate_subplan, SubplanSimulator};
-use ishare_cost::LeafInputs;
+use ishare_cost::StreamEstimate;
 use std::collections::BTreeMap;
 
 /// Partition-evaluation memo shared across the clustering and brute-force
@@ -40,9 +40,11 @@ pub struct PartitionEval {
 pub struct LocalProblem<'a> {
     /// The subplan being split.
     pub subplan: &'a ishare_plan::Subplan,
-    /// Full-trigger input estimates per leaf (from simulating the chosen
-    /// nonuniform pace configuration of the full plan — Fig. 7).
-    pub inputs: &'a LeafInputs,
+    /// Full-trigger input estimates per leaf, in leaf-slot order (from
+    /// simulating the chosen nonuniform pace configuration of the full plan
+    /// — Fig. 7). A restriction keeps the tree's shape, so they serve every
+    /// restricted subplan too.
+    pub inputs: &'a [StreamEstimate],
     /// Local final work constraints S_j per query.
     pub local_constraints: &'a BTreeMap<QueryId, f64>,
     /// Cost weights.
@@ -67,7 +69,7 @@ impl LocalProblem<'_> {
         if let Some(hit) = memo.get(&queries) {
             return Ok(*hit);
         }
-        let mut restricted = SubplanSimulator::new(&self.subplan.restrict(queries)?);
+        let mut restricted = SubplanSimulator::new(&self.subplan.restrict(queries)?)?;
         // NaN-safe minimum: a NaN constraint is rejected outright instead of
         // silently winning or losing the fold (`f64::min` drops NaN, turning
         // a poisoned constraint into "unconstrained").
@@ -185,7 +187,7 @@ impl LocalProblem<'_> {
 /// > two operators is also 20% of the constraint on q."
 pub fn local_constraints_for_subplan(
     subplan: &ishare_plan::Subplan,
-    inputs: &LeafInputs,
+    inputs: &[StreamEstimate],
     global_constraints: &BTreeMap<QueryId, f64>,
     batch_finals: &BTreeMap<QueryId, f64>,
     weights: CostWeights,
@@ -209,8 +211,7 @@ pub fn local_constraints_for_subplan(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use ishare_common::{SubplanId, TableId};
-    use ishare_cost::StreamEstimate;
+    use ishare_common::{SubplanId, TableId, Value};
     use ishare_expr::Expr;
     use ishare_plan::{AggExpr, AggFunc, InputSource, OpTree, SelectBranch, Subplan, TreeOp};
     use ishare_storage::ColumnStats;
@@ -251,42 +252,12 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn inputs_for(sp: &Subplan, total: f64) -> LeafInputs {
-        let mut m = LeafInputs::new();
-        fn collect(t: &OpTree, p: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-            if matches!(t.op, TreeOp::Input(_)) {
-                out.push(p.clone());
-            }
-            for (i, c) in t.inputs.iter().enumerate() {
-                p.push(i);
-                collect(c, p, out);
-                p.pop();
-            }
-        }
-        let mut paths = Vec::new();
-        collect(&sp.root, &mut Vec::new(), &mut paths);
-        for p in paths {
-            m.insert(
-                p,
-                StreamEstimate::insert_only(
-                    total,
-                    sp.queries,
-                    vec![
-                        ColumnStats::with_range(
-                            50.0,
-                            ishare_common::Value::Int(0),
-                            ishare_common::Value::Int(49),
-                        ),
-                        ColumnStats::with_range(
-                            100.0,
-                            ishare_common::Value::Int(0),
-                            ishare_common::Value::Int(99),
-                        ),
-                    ],
-                ),
-            );
-        }
-        m
+    /// The input estimates of a test subplan with one leaf, such as
+    /// [`shared_agg_subplan`].
+    pub(crate) fn inputs_for(sp: &Subplan, total: f64) -> Vec<StreamEstimate> {
+        let range =
+            |ndv: f64| ColumnStats::with_range(ndv, Value::Int(0), Value::Int(ndv as i64 - 1));
+        vec![StreamEstimate::insert_only(total, sp.queries, vec![range(50.0), range(100.0)])]
     }
 
     #[test]

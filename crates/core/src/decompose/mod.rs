@@ -39,7 +39,7 @@ use crate::pace::PaceConfiguration;
 use crate::pace_search::{relax_pace_configuration, SearchOutcome};
 use ishare_common::{CostWeights, Error, NodeId, QueryId, Result, SubplanId};
 use ishare_cost::{CostReport, PlanEstimator};
-use ishare_plan::{SharedDag, SharedPlan};
+use ishare_plan::{SharedDag, SharedPlan, TreeOp};
 use ishare_storage::Catalog;
 use std::collections::{BTreeMap, HashSet};
 
@@ -74,15 +74,18 @@ impl DagPlan {
 
     /// Per DAG node, the subplan holding it as its root or as one of its
     /// operators; `None` for tombstones and for scans read as base inputs.
-    pub fn holders(&self) -> Vec<Option<SubplanId>> {
+    pub fn holders(&self) -> Result<Vec<Option<SubplanId>>> {
         let mut out = vec![None; self.dag.nodes.len()];
         for (sp, &root) in self.plan.subplans.iter().zip(&self.roots) {
             out[root.0 as usize] = Some(sp.id);
-            for path in sp.root.operator_paths() {
-                out[self.dag.node_at(root, &path).0 as usize] = Some(sp.id);
-            }
+            sp.root.post_order(|step| {
+                if !matches!(step.node.op, TreeOp::Input(_)) {
+                    out[self.dag.node_at(root, step.path).0 as usize] = Some(sp.id);
+                }
+                Ok(())
+            })?;
         }
-        out
+        Ok(out)
     }
 }
 
@@ -176,7 +179,7 @@ pub fn try_decompose_subplan(
     let mut partials = Vec::new();
     if opts.partial {
         for included in
-            partial::subtree_candidates(target_sp).into_iter().take(MAX_PARTIAL_CANDIDATES)
+            partial::subtree_candidates(target_sp)?.into_iter().take(MAX_PARTIAL_CANDIDATES)
         {
             let cut = partial::force_cut_points(current, target, &included)?;
             if cut.plan.validate(catalog).is_ok() {

@@ -18,7 +18,7 @@
 
 use super::DagPlan;
 use ishare_common::{Result, SubplanId};
-use ishare_plan::{OpTree, Subplan, TreeOp};
+use ishare_plan::{Subplan, TreeOp};
 use std::collections::HashSet;
 
 /// A candidate cut: the set of tree paths kept in the top (root) subplan.
@@ -30,9 +30,15 @@ pub type IncludedSet = HashSet<Vec<usize>>;
 /// (every excluded child is already a leaf) and the full tree are skipped —
 /// the former is equivalent to whole-subplan decomposition, which the
 /// caller tries separately.
-pub fn subtree_candidates(subplan: &Subplan) -> Vec<IncludedSet> {
+pub fn subtree_candidates(subplan: &Subplan) -> Result<Vec<IncludedSet>> {
     // Operator paths in BFS order: by depth, then left to right.
-    let mut internal = subplan.root.operator_paths();
+    let mut internal = Vec::new();
+    subplan.root.post_order(|step| {
+        if !matches!(step.node.op, TreeOp::Input(_)) {
+            internal.push(step.path.to_vec());
+        }
+        Ok(())
+    })?;
     internal.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
     let mut included = IncludedSet::new();
     let mut out = Vec::new();
@@ -40,32 +46,29 @@ pub fn subtree_candidates(subplan: &Subplan) -> Vec<IncludedSet> {
     for path in internal.iter().take(internal.len().saturating_sub(1)) {
         included.insert(path.clone());
         // Skip candidates that cut only leaves.
-        if !cut_points(subplan, &included).is_empty() {
+        if !cut_points(subplan, &included)?.is_empty() {
             out.push(included.clone());
         }
     }
-    out
+    Ok(out)
 }
 
-/// The non-leaf subtrees directly below the cut (paths of excluded internal
-/// nodes whose parent is included).
-pub fn cut_points(subplan: &Subplan, included: &IncludedSet) -> Vec<Vec<usize>> {
+/// The non-leaf subtrees directly below the cut: paths of excluded
+/// operators all of whose ancestors are included.
+pub fn cut_points(subplan: &Subplan, included: &IncludedSet) -> Result<Vec<Vec<usize>>> {
     let mut out = Vec::new();
-    fn go(t: &OpTree, path: &mut Vec<usize>, included: &IncludedSet, out: &mut Vec<Vec<usize>>) {
-        for (i, c) in t.inputs.iter().enumerate() {
-            path.push(i);
-            if included.contains(path.as_slice()) {
-                go(c, path, included, out);
-            } else if !matches!(c.op, TreeOp::Input(_)) {
-                out.push(path.clone());
-            }
-            path.pop();
+    subplan.root.post_order(|step| {
+        let path = step.path;
+        if !path.is_empty()
+            && !matches!(step.node.op, TreeOp::Input(_))
+            && !included.contains(path)
+            && (0..path.len()).all(|depth| included.contains(&path[..depth]))
+        {
+            out.push(path.to_vec());
         }
-    }
-    if included.contains(&Vec::new()) {
-        go(&subplan.root, &mut Vec::new(), included, &mut out);
-    }
-    out
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Break subplan `target` of `current` at the cut points of `included`:
@@ -79,7 +82,7 @@ pub fn force_cut_points(
 ) -> Result<DagPlan> {
     let root = current.roots[target.index()];
     let mut forced = current.forced.clone();
-    let cuts = cut_points(current.plan.subplan(target)?, included);
+    let cuts = cut_points(current.plan.subplan(target)?, included)?;
     forced.extend(cuts.iter().map(|path| current.dag.node_at(root, path)));
     DagPlan::cut(current.dag.clone(), forced)
 }
@@ -142,7 +145,7 @@ mod tests {
     fn candidate_count_bounded_by_operators() {
         let cut = deep();
         let sp = &cut.plan.subplans[0];
-        let cands = subtree_candidates(sp);
+        let cands = subtree_candidates(sp).unwrap();
         // Internal ops: root agg, join, select, agg2 → at most 3 proper
         // candidates (full tree excluded).
         assert!(!cands.is_empty());

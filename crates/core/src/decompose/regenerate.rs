@@ -64,7 +64,7 @@ pub fn regenerate(
         in_cone[id.index()] = id == target || readers;
     }
     let split: Vec<bool> =
-        current.holders().iter().map(|h| h.is_some_and(|j| in_cone[j.index()])).collect();
+        current.holders()?.iter().map(|h| h.is_some_and(|j| in_cone[j.index()])).collect();
 
     // Clone children first (node ids are bottom-up), so a clone's split
     // children already have their clones.
@@ -116,9 +116,9 @@ pub fn initial_paces(
     new: &DagPlan,
     clone_of: &[NodeId],
 ) -> Result<PaceConfiguration> {
-    let (n_old, old_holders) = (old.dag.nodes.len(), old.holders());
+    let (n_old, old_holders) = (old.dag.nodes.len(), old.holders()?);
     let mut paces = vec![0; new.plan.len()];
-    for (n, holder) in new.holders().into_iter().enumerate() {
+    for (n, holder) in new.holders()?.into_iter().enumerate() {
         let origin = n.checked_sub(n_old).map_or(n, |i| clone_of[i].0 as usize);
         if let (Some(j), Some(i)) = (holder, old_holders[origin]) {
             paces[j.index()] = paces[j.index()].max(old_paces.pace(i));
@@ -247,9 +247,9 @@ mod tests {
 
     /// Per subplan of `new`: the `old` subplans holding its nodes' originals.
     fn derived_from(old: &DagPlan, new: &DagPlan, clone_of: &[NodeId]) -> Vec<BTreeSet<u32>> {
-        let (n_old, old_holders) = (old.dag.nodes.len(), old.holders());
+        let (n_old, old_holders) = (old.dag.nodes.len(), old.holders().unwrap());
         let mut out = vec![BTreeSet::new(); new.plan.len()];
-        for (n, holder) in new.holders().into_iter().enumerate() {
+        for (n, holder) in new.holders().unwrap().into_iter().enumerate() {
             let origin = n.checked_sub(n_old).map_or(n, |i| clone_of[i].0 as usize);
             if let (Some(j), Some(i)) = (holder, old_holders[origin]) {
                 out[j.index()].insert(i.0);

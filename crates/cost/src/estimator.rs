@@ -18,12 +18,6 @@ use ishare_storage::Catalog;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Leaf input estimates per subplan, keyed by leaf path. A `BTreeMap` so
-/// every iteration over the inputs (decomposition, debugging output) is
-/// deterministic — `HashMap` order escaping into tie-breaking was the bug
-/// class behind cross-process nondeterminism.
-pub type LeafInputs = BTreeMap<Vec<usize>, StreamEstimate>;
-
 /// The estimator's view of one pace configuration.
 #[derive(Debug, Clone)]
 pub struct CostReport {
@@ -36,9 +30,9 @@ pub struct CostReport {
     pub subplan_total: Vec<f64>,
     /// Private final work per subplan.
     pub subplan_final: Vec<f64>,
-    /// Full-trigger input estimate per subplan leaf (the Fig. 7 input
-    /// cardinalities the decomposition algorithm consumes).
-    pub subplan_inputs: Vec<LeafInputs>,
+    /// Full-trigger input estimate per subplan leaf, in leaf-slot order (the
+    /// Fig. 7 input cardinalities the decomposition algorithm consumes).
+    pub subplan_inputs: Vec<Vec<StreamEstimate>>,
     /// Simulation result per subplan, shared with the estimator's memo; its
     /// `output` is the subplan's full-trigger output estimate.
     pub subplan_output: Vec<Arc<SubplanSim>>,
@@ -114,9 +108,10 @@ impl PlanEstimator {
         let topo = plan.topo_order()?;
         let n = plan.subplans.len();
 
-        let programs: Vec<SimProgram> = plan.subplans.iter().map(SimProgram::compile).collect();
+        let programs: Vec<SimProgram> =
+            plan.subplans.iter().map(SimProgram::compile).collect::<Result<_>>()?;
         let tables_of = |i: usize| {
-            programs[i].leaves().iter().filter_map(|(_, src)| match src {
+            programs[i].leaves().iter().filter_map(|src| match src {
                 InputSource::Base(t) => Some(*t),
                 InputSource::Subplan(_) => None,
             })
@@ -288,7 +283,7 @@ impl PlanEstimator {
             final_work: BTreeMap::new(),
             subplan_total: vec![0.0; n],
             subplan_final: vec![0.0; n],
-            subplan_inputs: if collect_inputs { vec![LeafInputs::new(); n] } else { Vec::new() },
+            subplan_inputs: if collect_inputs { vec![Vec::new(); n] } else { Vec::new() },
             subplan_output: Vec::new(),
         };
         let PlanEstimator {
@@ -322,8 +317,7 @@ impl PlanEstimator {
                 // borrowed from their simulations, never copied.
                 None => {
                     counters.simulations += 1;
-                    let input =
-                        |(_, src): &(Vec<usize>, InputSource)| leaf_input(src, base, sims, id);
+                    let input = |leaf: usize| leaf_input(program.leaves()[leaf], base, sims, id);
                     let sim = Arc::new(program.run(paces[i], input, weights, scratch)?);
                     if use_memo {
                         memo[i].insert(key.clone(), sim.clone());
@@ -338,7 +332,7 @@ impl PlanEstimator {
                 report.subplan_inputs[i] = program
                     .leaves()
                     .iter()
-                    .map(|(path, src)| Ok((path.clone(), leaf_input(src, base, sims, id)?.clone())))
+                    .map(|&src| Ok(leaf_input(src, base, sims, id)?.clone()))
                     .collect::<Result<_>>()?;
             }
             sims[i] = Some(sim);
@@ -370,14 +364,14 @@ impl PlanEstimator {
 /// One leaf's full-trigger estimate: a base stream, or the output of a
 /// child simulated earlier in the same call.
 fn leaf_input<'a>(
-    src: &InputSource,
+    src: InputSource,
     base: &'a BTreeMap<TableId, StreamEstimate>,
     sims: &'a [Option<Arc<SubplanSim>>],
     id: SubplanId,
 ) -> Result<&'a StreamEstimate> {
     match src {
         InputSource::Base(t) => {
-            base.get(t).ok_or_else(|| Error::NotFound(format!("base stream {t}")))
+            base.get(&t).ok_or_else(|| Error::NotFound(format!("base stream {t}")))
         }
         InputSource::Subplan(c) => sims[c.index()]
             .as_deref()

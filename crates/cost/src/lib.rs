@@ -41,6 +41,6 @@ pub mod selectivity;
 pub mod simulate;
 pub mod stats;
 
-pub use estimator::{CostReport, EstimatorCounters, LeafInputs, ObservedBase, PlanEstimator};
+pub use estimator::{CostReport, EstimatorCounters, ObservedBase, PlanEstimator};
 pub use simulate::SubplanSim;
 pub use stats::{CardVec, StreamEstimate};

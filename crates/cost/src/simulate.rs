@@ -15,8 +15,12 @@
 //! * MIN/MAX rescans driven by upstream retractions, and
 //! * growing operator state (join sides, seen groups) across the k steps.
 //!
-//! A subplan is compiled once into a `SimProgram`: its operators in
-//! post-order, its queries mapped to dense slots. A run is a static pass
+//! A subplan is compiled once into a `SimProgram`: one loop over
+//! [`OpTree::post_order`](ishare_plan::OpTree::post_order) lowers each
+//! operator to a node — the same walk, in the same order, the executor
+//! lowers its program from — and maps its queries to dense slots. A leaf is
+//! known by its slot (its position among the tree's leaves, left to right),
+//! and a run takes one input estimate per slot. A run is a static pass
 //! (batch cardinalities, column statistics, operator domains) followed by
 //! the `k`-step loop over flat `f64` rows in a reused `SimScratch`, whose
 //! buffers only ever grow: a run allocates nothing but its result. The
@@ -26,12 +30,11 @@
 //! absent query is not a zero), and each step adds to its work in operator
 //! post-order. `tests/estimator_golden.rs` pins the bits.
 
-use crate::estimator::LeafInputs;
 use crate::selectivity::selectivity;
 use crate::stats::{expected_distinct, CardVec, StreamEstimate};
 use ishare_common::{CostWeights, Error, QueryId, QuerySet, Result};
 use ishare_expr::Expr;
-use ishare_plan::{InputSource, OpTree, Subplan, TreeOp};
+use ishare_plan::{InputSource, Subplan, TreeOp};
 use ishare_storage::ColumnStats;
 use std::collections::BTreeMap;
 
@@ -49,14 +52,14 @@ pub struct SubplanSim {
 }
 
 /// Simulate `k` incremental executions of `subplan` over its full-trigger
-/// `leaf_inputs` (one [`StreamEstimate`] per leaf path).
+/// `leaf_inputs` (one [`StreamEstimate`] per leaf, in leaf-slot order).
 pub fn simulate_subplan(
     subplan: &Subplan,
     pace: u32,
-    leaf_inputs: &LeafInputs,
+    leaf_inputs: &[StreamEstimate],
     weights: &CostWeights,
 ) -> Result<SubplanSim> {
-    SubplanSimulator::new(subplan).run(pace, leaf_inputs, weights)
+    SubplanSimulator::new(subplan)?.run(pace, leaf_inputs, weights)
 }
 
 /// One subplan compiled once and simulated at as many paces as asked, its
@@ -67,27 +70,33 @@ pub struct SubplanSimulator {
 }
 
 impl SubplanSimulator {
-    /// Compile `subplan` for simulation.
-    pub fn new(subplan: &Subplan) -> Self {
-        SubplanSimulator { program: SimProgram::compile(subplan), scratch: SimScratch::default() }
+    /// Compile `subplan` for simulation; [`Error::InvalidPlan`] on an
+    /// operator with the wrong number of inputs.
+    pub fn new(subplan: &Subplan) -> Result<Self> {
+        Ok(SubplanSimulator {
+            program: SimProgram::compile(subplan)?,
+            scratch: SimScratch::default(),
+        })
     }
 
     /// [`simulate_subplan`] of the compiled subplan.
     pub fn run(
         &mut self,
         pace: u32,
-        leaf_inputs: &LeafInputs,
+        leaf_inputs: &[StreamEstimate],
         weights: &CostWeights,
     ) -> Result<SubplanSim> {
         if pace == 0 {
             return Err(Error::InvalidConfig("pace must be >= 1".into()));
         }
-        let input = |(path, src): &(Vec<usize>, InputSource)| {
-            leaf_inputs.get(path.as_slice()).ok_or_else(|| {
-                Error::InvalidPlan(format!("no input estimate for leaf {path:?} ({src:?})"))
-            })
-        };
-        self.program.run(pace, input, weights, &mut self.scratch)
+        let leaves = self.program.leaves().len();
+        if leaf_inputs.len() != leaves {
+            return Err(Error::InvalidPlan(format!(
+                "{} input estimates for {leaves} leaves",
+                leaf_inputs.len()
+            )));
+        }
+        self.program.run(pace, |leaf| Ok(&leaf_inputs[leaf]), weights, &mut self.scratch)
     }
 }
 
@@ -96,9 +105,9 @@ pub(crate) struct SimProgram {
     /// Operators in post-order (children before parents, the root last):
     /// the order the engine charges work in.
     nodes: Vec<SimNode>,
-    /// Leaves in tree order; [`SimOp::Input`] indexes this list, and a run
-    /// takes one input estimate per entry.
-    leaves: Vec<(Vec<usize>, InputSource)>,
+    /// Each leaf slot's source; [`SimOp::Input`] indexes this list, and a
+    /// run takes one input estimate per entry.
+    leaves: Vec<InputSource>,
     /// The subplan's queries.
     queries: QuerySet,
     /// Every query a cardinality vector of this subplan can carry — the
@@ -173,7 +182,7 @@ fn slots(mask: u64) -> impl Iterator<Item = usize> {
 }
 
 impl SimProgram {
-    pub(crate) fn compile(subplan: &Subplan) -> SimProgram {
+    pub(crate) fn compile(subplan: &Subplan) -> Result<SimProgram> {
         let mut universe = subplan.queries;
         subplan.root.visit(&mut |t| {
             if let TreeOp::Select { branches } = &t.op {
@@ -189,12 +198,65 @@ impl SimProgram {
             universe,
             addends: 0,
         };
-        program.compile_node(&subplan.root, &mut Vec::new());
-        program
+        subplan.root.post_order(|step| {
+            let (op, addends) = match &step.node.op {
+                TreeOp::Input(src) => {
+                    program.leaves.push(*src);
+                    (SimOp::Input { leaf: program.leaves.len() - 1 }, 1)
+                }
+                TreeOp::Select { branches } => {
+                    let branches: Vec<(u64, Expr)> = branches
+                        .iter()
+                        .map(|b| (program.slots_of(b.queries), b.predicate.clone()))
+                        .collect();
+                    let present = branches.iter().fold(0, |mask, (b, _)| mask | b);
+                    let addends = branches.len();
+                    (SimOp::Select { child: step.inputs[0], branches, present }, addends)
+                }
+                TreeOp::Project { exprs } => {
+                    let cols = exprs
+                        .iter()
+                        .map(|(e, _)| match e {
+                            Expr::Column(i) => ProjectedCol::Column(*i),
+                            Expr::Literal(_) => ProjectedCol::Literal,
+                            _ => ProjectedCol::Computed,
+                        })
+                        .collect();
+                    (SimOp::Project { child: step.inputs[0], cols }, 1)
+                }
+                TreeOp::Join { keys } => {
+                    let (left, right) = (step.inputs[0], step.inputs[1]);
+                    let keys = keys.iter().map(|(l, r)| (column_of(l), column_of(r))).collect();
+                    (SimOp::Join { left, right, keys }, 0)
+                }
+                TreeOp::Aggregate { group_by, aggs } => {
+                    let op = SimOp::Aggregate {
+                        child: step.inputs[0],
+                        group_by: group_by.iter().map(|(e, _)| column_of(e)).collect(),
+                        aggs: aggs.len(),
+                        has_extremum: aggs.iter().any(|a| a.func.is_extremum()),
+                    };
+                    (op, 0)
+                }
+            };
+            let at = program.nodes.len();
+            let (rows_at, invariant) = match &op {
+                SimOp::Input { .. } => (at, true),
+                SimOp::Select { child, .. } => (at, program.nodes[*child].invariant),
+                SimOp::Project { child, .. } => {
+                    (program.nodes[*child].rows_at, program.nodes[*child].invariant)
+                }
+                SimOp::Join { .. } | SimOp::Aggregate { .. } => (at, false),
+            };
+            program.nodes.push(SimNode { op, rows_at, invariant, addend_at: program.addends });
+            program.addends += addends;
+            Ok(())
+        })?;
+        Ok(program)
     }
 
-    /// The leaves a run takes inputs for, in order.
-    pub(crate) fn leaves(&self) -> &[(Vec<usize>, InputSource)] {
+    /// Each leaf slot's source, in slot order.
+    pub(crate) fn leaves(&self) -> &[InputSource] {
         &self.leaves
     }
 
@@ -207,74 +269,12 @@ impl SimProgram {
         queries.iter().fold(0, |mask, q| mask | 1u64 << self.slot_of(q))
     }
 
-    fn compile_node(&mut self, t: &OpTree, path: &mut Vec<usize>) -> usize {
-        let mut child = |program: &mut SimProgram, i: usize| {
-            path.push(i);
-            let at = program.compile_node(&t.inputs[i], path);
-            path.pop();
-            at
-        };
-        let (op, addends) = match &t.op {
-            TreeOp::Input(src) => {
-                self.leaves.push((path.clone(), *src));
-                (SimOp::Input { leaf: self.leaves.len() - 1 }, 1)
-            }
-            TreeOp::Select { branches } => {
-                let child = child(self, 0);
-                let branches: Vec<(u64, Expr)> = branches
-                    .iter()
-                    .map(|b| (self.slots_of(b.queries), b.predicate.clone()))
-                    .collect();
-                let present = branches.iter().fold(0, |mask, (b, _)| mask | b);
-                let addends = branches.len();
-                (SimOp::Select { child, branches, present }, addends)
-            }
-            TreeOp::Project { exprs } => {
-                let cols = exprs
-                    .iter()
-                    .map(|(e, _)| match e {
-                        Expr::Column(i) => ProjectedCol::Column(*i),
-                        Expr::Literal(_) => ProjectedCol::Literal,
-                        _ => ProjectedCol::Computed,
-                    })
-                    .collect();
-                (SimOp::Project { child: child(self, 0), cols }, 1)
-            }
-            TreeOp::Join { keys } => {
-                let (left, right) = (child(self, 0), child(self, 1));
-                let keys = keys.iter().map(|(l, r)| (column_of(l), column_of(r))).collect();
-                (SimOp::Join { left, right, keys }, 0)
-            }
-            TreeOp::Aggregate { group_by, aggs } => {
-                let op = SimOp::Aggregate {
-                    child: child(self, 0),
-                    group_by: group_by.iter().map(|(e, _)| column_of(e)).collect(),
-                    aggs: aggs.len(),
-                    has_extremum: aggs.iter().any(|a| a.func.is_extremum()),
-                };
-                (op, 0)
-            }
-        };
-        let at = self.nodes.len();
-        let (rows_at, invariant) = match &op {
-            SimOp::Input { .. } => (at, true),
-            SimOp::Select { child, .. } => (at, self.nodes[*child].invariant),
-            SimOp::Project { child, .. } => {
-                (self.nodes[*child].rows_at, self.nodes[*child].invariant)
-            }
-            SimOp::Join { .. } | SimOp::Aggregate { .. } => (at, false),
-        };
-        self.nodes.push(SimNode { op, rows_at, invariant, addend_at: self.addends });
-        self.addends += addends;
-        at
-    }
-
     /// Simulate `pace >= 1` incremental executions over one full-trigger
-    /// estimate per leaf; `input` looks each leaf's up once.
+    /// estimate per leaf; `input` looks each leaf slot's up once.
     pub(crate) fn run<'a>(
         &self,
         pace: u32,
-        input: impl Fn(&(Vec<usize>, InputSource)) -> Result<&'a StreamEstimate>,
+        input: impl Fn(usize) -> Result<&'a StreamEstimate>,
         weights: &CostWeights,
         scratch: &mut SimScratch,
     ) -> Result<SubplanSim> {
@@ -492,7 +492,7 @@ impl SimProgram {
     /// each node's vector carries.
     fn static_pass<'a>(
         &self,
-        input: impl Fn(&(Vec<usize>, InputSource)) -> Result<&'a StreamEstimate>,
+        input: impl Fn(usize) -> Result<&'a StreamEstimate>,
         scratch: &mut SimScratch,
     ) -> Result<()> {
         let n = self.nodes.len();
@@ -515,7 +515,7 @@ impl SimProgram {
             let out = &mut rest[..m];
             match &node.op {
                 SimOp::Input { leaf } => {
-                    let input = input(&self.leaves[*leaf])?;
+                    let input = input(*leaf)?;
                     own.input_rows = input.rows.total;
                     own.delete_frac = input.delete_frac;
                     // Narrow to the subplan's queries.
@@ -746,7 +746,7 @@ mod tests {
     use super::*;
     use ishare_common::{QueryId, QuerySet, SubplanId, TableId, Value};
     use ishare_expr::Expr;
-    use ishare_plan::{AggExpr, AggFunc, InputSource, SelectBranch};
+    use ishare_plan::{AggExpr, AggFunc, OpTree, SelectBranch};
 
     fn qs(ids: &[u16]) -> QuerySet {
         QuerySet::from_iter(ids.iter().map(|&i| QueryId(i)))
@@ -783,31 +783,10 @@ mod tests {
         Subplan { id: SubplanId(0), root: tree, queries: qs(&[0, 1]), output_queries: qs(&[0, 1]) }
     }
 
-    fn inputs_for(sp: &Subplan, est: StreamEstimate) -> LeafInputs {
-        // Single leaf at path [0, 0].
-        let mut m = LeafInputs::new();
-        let mut paths = Vec::new();
-        fn collect(t: &OpTree, p: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-            if matches!(t.op, TreeOp::Input(_)) {
-                out.push(p.clone());
-            }
-            for (i, c) in t.inputs.iter().enumerate() {
-                p.push(i);
-                collect(c, p, out);
-                p.pop();
-            }
-        }
-        collect(&sp.root, &mut Vec::new(), &mut paths);
-        for p in paths {
-            m.insert(p, est.clone());
-        }
-        m
-    }
-
     #[test]
     fn higher_pace_higher_total_lower_final() {
         let sp = agg_subplan();
-        let inputs = inputs_for(&sp, base_input(1000.0, qs(&[0, 1]), &[20.0, 50.0]));
+        let inputs = vec![base_input(1000.0, qs(&[0, 1]), &[20.0, 50.0])];
         let w = CostWeights::default();
         let lazy = simulate_subplan(&sp, 1, &inputs, &w).unwrap();
         let eager = simulate_subplan(&sp, 10, &inputs, &w).unwrap();
@@ -827,7 +806,7 @@ mod tests {
     #[test]
     fn per_query_cardinalities_respect_selectivity() {
         let sp = agg_subplan();
-        let inputs = inputs_for(&sp, base_input(1000.0, qs(&[0, 1]), &[20.0, 50.0]));
+        let inputs = vec![base_input(1000.0, qs(&[0, 1]), &[20.0, 50.0])];
         let sim = simulate_subplan(&sp, 1, &inputs, &CostWeights::default()).unwrap();
         let q0 = sim.output.rows.query(QueryId(0));
         let q1 = sim.output.rows.query(QueryId(1));
@@ -846,9 +825,7 @@ mod tests {
         );
         let sp =
             Subplan { id: SubplanId(0), root: tree, queries: qs(&[0]), output_queries: qs(&[0]) };
-        let mut inputs = LeafInputs::new();
-        inputs.insert(vec![0], base_input(100.0, qs(&[0]), &[10.0, 10.0]));
-        inputs.insert(vec![1], base_input(100.0, qs(&[0]), &[10.0, 10.0]));
+        let inputs = vec![base_input(100.0, qs(&[0]), &[10.0, 10.0]); 2];
         let w = CostWeights::default();
         let one = simulate_subplan(&sp, 1, &inputs, &w).unwrap();
         let four = simulate_subplan(&sp, 4, &inputs, &w).unwrap();
@@ -877,8 +854,7 @@ mod tests {
             Subplan { id: SubplanId(0), root: tree, queries: qs(&[0]), output_queries: qs(&[0]) };
         let mut churny = base_input(1000.0, qs(&[0]), &[100.0, 1000.0]);
         churny.delete_frac = 0.4;
-        let mut inputs = LeafInputs::new();
-        inputs.insert(vec![0], churny);
+        let inputs = vec![churny];
         let w = CostWeights::default();
         let lazy = simulate_subplan(&sp, 1, &inputs, &w).unwrap();
         let eager = simulate_subplan(&sp, 50, &inputs, &w).unwrap();
@@ -900,11 +876,10 @@ mod tests {
     fn run_in(
         program: &SimProgram,
         pace: u32,
-        inputs: &LeafInputs,
+        inputs: &[StreamEstimate],
         scratch: &mut SimScratch,
     ) -> SubplanSim {
-        let input = |(path, _): &(Vec<usize>, InputSource)| Ok(&inputs[path]);
-        program.run(pace, input, &CostWeights::default(), scratch).unwrap()
+        program.run(pace, |leaf| Ok(&inputs[leaf]), &CostWeights::default(), scratch).unwrap()
     }
 
     /// Every float of a simulation, as bits.
@@ -968,14 +943,12 @@ mod tests {
             ],
         );
         t.delete_frac = 0.15;
-        let mut wide_inputs = LeafInputs::new();
-        wide_inputs.insert(vec![0, 0, 0], t);
-        wide_inputs.insert(vec![0, 1, 0], base_input(700.0, all, &[50.0, 80.0]));
-        let narrow = agg_subplan();
-        let narrow_inputs = inputs_for(&narrow, base_input(900.0, qs(&[0, 1]), &[15.0, 30.0]));
+        let wide_inputs = vec![t, base_input(700.0, all, &[50.0, 80.0])];
+        let narrow_inputs = vec![base_input(900.0, qs(&[0, 1]), &[15.0, 30.0])];
 
-        let (wide, narrow) = (SimProgram::compile(&wide), SimProgram::compile(&narrow));
-        let fresh = |program: &SimProgram, pace, inputs: &LeafInputs| {
+        let wide = SimProgram::compile(&wide).unwrap();
+        let narrow = SimProgram::compile(&agg_subplan()).unwrap();
+        let fresh = |program: &SimProgram, pace, inputs: &[StreamEstimate]| {
             sim_bits(&run_in(program, pace, inputs, &mut SimScratch::default()))
         };
         let mut scratch = SimScratch::default();
@@ -997,15 +970,15 @@ mod tests {
     #[test]
     fn zero_pace_rejected_and_missing_inputs_error() {
         let sp = agg_subplan();
-        let inputs = inputs_for(&sp, base_input(10.0, qs(&[0, 1]), &[2.0, 2.0]));
+        let inputs = vec![base_input(10.0, qs(&[0, 1]), &[2.0, 2.0])];
         assert!(simulate_subplan(&sp, 0, &inputs, &CostWeights::default()).is_err());
-        assert!(simulate_subplan(&sp, 1, &LeafInputs::new(), &CostWeights::default()).is_err());
+        assert!(simulate_subplan(&sp, 1, &[], &CostWeights::default()).is_err());
     }
 
     #[test]
     fn total_is_sum_of_steps_final_is_last() {
         let sp = agg_subplan();
-        let inputs = inputs_for(&sp, base_input(500.0, qs(&[0, 1]), &[10.0, 25.0]));
+        let inputs = vec![base_input(500.0, qs(&[0, 1]), &[10.0, 25.0])];
         let w = CostWeights::default();
         let sim = simulate_subplan(&sp, 5, &inputs, &w).unwrap();
         assert!(sim.private_final <= sim.private_total / 2.0, "final is one of five steps");

@@ -8,22 +8,24 @@
 //! delta (to be materialized into the subplan's buffer, or consumed as final
 //! query results).
 //!
-//! An executor compiles its tree once into a *program*: the operators in
-//! post-order (children before parents, left before right, the root last),
-//! each entry owning what its datapath needs — a leaf its tree path, a
-//! kernel operator its compiled expressions and, for a join or aggregate,
-//! its state, a reference operator the plan expressions the oracle walks and
-//! its state. An execution is one pass over the program with a stack of
-//! batches: a leaf pushes its narrowed input, an operator pops its inputs
-//! and pushes its output, and the root's output is what is left.
+//! An executor compiles its tree once into a *program*: one loop over
+//! [`OpTree::post_order`](ishare_plan::OpTree::post_order) lowers the
+//! operators in post-order (children before parents, left before right, the
+//! root last), each entry owning what its datapath needs — a leaf its tree
+//! path, a kernel operator its compiled expressions and, for a join or
+//! aggregate, its state, a reference operator the plan expressions the
+//! oracle walks and its state. An execution is one pass over the program
+//! with a stack of batches: a leaf pushes its narrowed input, an operator
+//! pops its inputs and pushes its output, and the root's output is what is
+//! left.
 //!
 //! Post-order is the charge order. An operator consumes the deltas its
 //! inputs produce in the same execution, so every input must run before it;
 //! and because charged work is an `f64` sum, the order among siblings must
-//! be fixed too, or the same work would round to different bits. The
-//! children-first, left-to-right order is the one the cost simulator
-//! (`ishare_cost::simulate`) replays, so estimates and measurements add the
-//! same terms in the same order.
+//! be fixed too, or the same work would round to different bits. The cost
+//! simulator (`ishare_cost::simulate`) lowers its program from the same
+//! walk, so estimates and measurements add the same terms in the same
+//! order.
 //!
 //! Two interchangeable datapaths implement the operators ([`ExecMode`]):
 //! the default [`ExecMode::Kernels`] datapath (encoded keys, compiled
@@ -43,7 +45,7 @@ use ishare_common::{
 use ishare_expr::compile::{CompiledPredicate, CompiledProjection};
 use ishare_expr::typecheck::infer_type;
 use ishare_expr::Expr;
-use ishare_plan::{AggExpr, InputSource, OpTree, SelectBranch, Subplan, TreeOp};
+use ishare_plan::{AggExpr, InputSource, SelectBranch, Subplan, TreeOp};
 use ishare_storage::{Catalog, DeltaBatch, DeltaRow, Schema};
 use std::collections::HashMap;
 
@@ -172,79 +174,54 @@ impl SubplanExecutor {
         weights: CostWeights,
         options: ExecOptions,
     ) -> Result<Self> {
-        let mut ex = SubplanExecutor {
-            program: Vec::with_capacity(subplan.root.operator_count()),
-            queries: subplan.queries,
-            weights,
-            mode: options.mode,
-        };
-        ex.compile(&subplan.root, &mut Vec::new(), catalog, child_schemas)?;
-        Ok(ex)
-    }
-
-    /// Append the subtree `t` at tree path `path` to the program, in
-    /// post-order. Each operator is lowered before its inputs, so a malformed
-    /// tree reports the outermost fault.
-    fn compile(
-        &mut self,
-        t: &OpTree,
-        path: &mut Vec<usize>,
-        catalog: &Catalog,
-        child_schemas: &HashMap<SubplanId, Schema>,
-    ) -> Result<()> {
-        if t.inputs.len() != t.op.expected_inputs() {
-            return Err(Error::InvalidPlan(format!(
-                "{} at path {path:?} has {} inputs, expects {}",
-                t.op.label(),
-                t.inputs.len(),
-                t.op.expected_inputs()
-            )));
-        }
-        let int_flags = |aggs: &[AggExpr]| -> Result<Vec<bool>> {
-            let in_schema = t.inputs[0].schema(catalog, child_schemas)?;
-            aggs.iter().map(|a| Ok(infer_type(&a.arg, &in_schema)? == DataType::Int)).collect()
-        };
-        let kernels = self.mode != ExecMode::Reference;
-        let step = match &t.op {
-            TreeOp::Input(src) => Step::Leaf { path: path.clone(), src: *src },
-            TreeOp::Select { branches } if kernels => Step::Select {
-                preds: branches.iter().map(|b| CompiledPredicate::compile(&b.predicate)).collect(),
-                branches: branches.clone(),
-            },
-            TreeOp::Project { exprs } if kernels => {
-                let list: Vec<Expr> = exprs.iter().map(|(e, _)| e.clone()).collect();
-                Step::Project(CompiledProjection::compile(&list))
-            }
-            TreeOp::Join { keys } if kernels => Step::Join {
-                path: path.clone(),
-                keys: JoinKeys::compile(keys),
-                state: JoinState::new(),
-            },
-            TreeOp::Aggregate { group_by, aggs } if kernels => Step::Aggregate {
-                path: path.clone(),
-                spec: AggSpec::compile(group_by, aggs),
-                int_flags: int_flags(aggs)?,
-                state: AggState::new(),
-            },
-            TreeOp::Select { branches } => Step::Reference(RefStep::Select(branches.clone())),
-            TreeOp::Project { exprs } => Step::Reference(RefStep::Project(exprs.clone())),
-            TreeOp::Join { keys } => {
-                Step::Reference(RefStep::Join { keys: keys.clone(), state: RefJoinState::new() })
-            }
-            TreeOp::Aggregate { group_by, aggs } => Step::Reference(RefStep::Aggregate {
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-                int_flags: int_flags(aggs)?,
-                state: RefAggState::new(),
-            }),
-        };
-        for (i, child) in t.inputs.iter().enumerate() {
-            path.push(i);
-            self.compile(child, path, catalog, child_schemas)?;
-            path.pop();
-        }
-        self.program.push(step);
-        Ok(())
+        let kernels = options.mode != ExecMode::Reference;
+        let mut program = Vec::with_capacity(subplan.root.operator_count());
+        subplan.root.post_order(|step| {
+            let int_flags = |aggs: &[AggExpr]| -> Result<Vec<bool>> {
+                let in_schema = step.node.inputs[0].schema(catalog, child_schemas)?;
+                aggs.iter().map(|a| Ok(infer_type(&a.arg, &in_schema)? == DataType::Int)).collect()
+            };
+            let path = || step.path.to_vec();
+            program.push(match &step.node.op {
+                TreeOp::Input(src) => Step::Leaf { path: path(), src: *src },
+                TreeOp::Select { branches } if kernels => Step::Select {
+                    preds: branches
+                        .iter()
+                        .map(|b| CompiledPredicate::compile(&b.predicate))
+                        .collect(),
+                    branches: branches.clone(),
+                },
+                TreeOp::Project { exprs } if kernels => {
+                    let list: Vec<Expr> = exprs.iter().map(|(e, _)| e.clone()).collect();
+                    Step::Project(CompiledProjection::compile(&list))
+                }
+                TreeOp::Join { keys } if kernels => Step::Join {
+                    path: path(),
+                    keys: JoinKeys::compile(keys),
+                    state: JoinState::new(),
+                },
+                TreeOp::Aggregate { group_by, aggs } if kernels => Step::Aggregate {
+                    path: path(),
+                    spec: AggSpec::compile(group_by, aggs),
+                    int_flags: int_flags(aggs)?,
+                    state: AggState::new(),
+                },
+                TreeOp::Select { branches } => Step::Reference(RefStep::Select(branches.clone())),
+                TreeOp::Project { exprs } => Step::Reference(RefStep::Project(exprs.clone())),
+                TreeOp::Join { keys } => Step::Reference(RefStep::Join {
+                    keys: keys.clone(),
+                    state: RefJoinState::new(),
+                }),
+                TreeOp::Aggregate { group_by, aggs } => Step::Reference(RefStep::Aggregate {
+                    group_by: group_by.clone(),
+                    aggs: aggs.clone(),
+                    int_flags: int_flags(aggs)?,
+                    state: RefAggState::new(),
+                }),
+            });
+            Ok(())
+        })?;
+        Ok(SubplanExecutor { program, queries: subplan.queries, weights, mode: options.mode })
     }
 
     /// The datapath this executor runs.
@@ -510,8 +487,9 @@ impl SubplanExecutor {
 }
 
 /// An operator's input: the batch its nearest preceding unconsumed entry
-/// pushed. Always present — the program is a post-order walk of a tree
-/// whose arities `compile` checked, so every input precedes its operator.
+/// pushed. Always present — the program is lowered from
+/// [`OpTree::post_order`](ishare_plan::OpTree::post_order), which checks
+/// every operator's arity, so every input precedes its operator.
 fn pop(stack: &mut Vec<DeltaBatch>) -> DeltaBatch {
     stack.pop().expect("post-order program: an operator's inputs precede it")
 }
@@ -543,7 +521,7 @@ fn consolidate_snapshot(mut rows: Vec<DeltaRow>) -> DeltaBatch {
 mod tests {
     use super::*;
     use ishare_common::Value;
-    use ishare_plan::AggFunc;
+    use ishare_plan::{AggFunc, OpTree};
     use ishare_storage::{consolidate, Field, Row, TableStats};
 
     fn qs(ids: &[u16]) -> QuerySet {
@@ -602,6 +580,15 @@ mod tests {
         DeltaRow { row: Row::new(vec![Value::Int(k), Value::Int(v)]), weight: 1, mask: qs(&[0, 1]) }
     }
 
+    /// One execution's inputs: `rows[i]` for the executor's `i`-th leaf.
+    fn feed<const N: usize>(
+        ex: &SubplanExecutor,
+        rows: [Vec<DeltaRow>; N],
+    ) -> HashMap<Vec<usize>, DeltaBatch> {
+        let paths = ex.leaf_paths().into_iter().map(|(path, _)| path);
+        paths.zip(rows).map(|(path, rows)| (path, DeltaBatch::from_rows(rows))).collect()
+    }
+
     #[test]
     fn end_to_end_one_batch() {
         let c = catalog();
@@ -609,13 +596,10 @@ mod tests {
         let mut ex =
             SubplanExecutor::new(&sp, &c, &HashMap::new(), CostWeights::default()).unwrap();
         assert_eq!(ex.mode(), ExecMode::Kernels, "kernels are the default datapath");
-        let leaves = ex.leaf_paths();
-        assert_eq!(leaves.len(), 2);
+        assert_eq!(ex.leaf_paths().len(), 2);
         let counter = WorkCounter::new();
-        let mut inputs = HashMap::new();
         // t rows: (1, v=1) fails q1's filter; (1, v=5) passes both.
-        inputs.insert(leaves[0].0.clone(), DeltaBatch::from_rows(vec![t_row(1, 1), t_row(1, 5)]));
-        inputs.insert(leaves[1].0.clone(), DeltaBatch::from_rows(vec![t_row(1, 100)]));
+        let mut inputs = feed(&ex, [vec![t_row(1, 1), t_row(1, 5)], vec![t_row(1, 100)]]);
         let out = ex.execute(&mut inputs, &counter).unwrap();
         let cons = consolidate(out.rows);
         // q0 joined both t rows with u's row: sum = 200 (two matches × 100).
@@ -637,10 +621,7 @@ mod tests {
 
         // One batch.
         let mut big = SubplanExecutor::new(&sp, &c, &HashMap::new(), weights).unwrap();
-        let leaves = big.leaf_paths();
-        let mut inputs = HashMap::new();
-        inputs.insert(leaves[0].0.clone(), DeltaBatch::from_rows(t_rows.clone()));
-        inputs.insert(leaves[1].0.clone(), DeltaBatch::from_rows(u_rows.clone()));
+        let mut inputs = feed(&big, [t_rows.clone(), u_rows.clone()]);
         let batch_out = big.execute(&mut inputs, &counter).unwrap();
 
         // Four incremental executions with interleaved arrivals.
@@ -653,9 +634,7 @@ mod tests {
             (vec![t_rows[3].clone()], vec![u_rows[2].clone()]),
         ];
         for (ts, us) in steps {
-            let mut inputs = HashMap::new();
-            inputs.insert(leaves[0].0.clone(), DeltaBatch::from_rows(ts));
-            inputs.insert(leaves[1].0.clone(), DeltaBatch::from_rows(us));
+            let mut inputs = feed(&inc, [ts, us]);
             acc.extend(inc.execute(&mut inputs, &counter).unwrap().rows);
         }
         assert_eq!(consolidate(batch_out.rows), consolidate(acc));
@@ -674,18 +653,11 @@ mod tests {
 
         let work_of = |chunks: usize| {
             let mut ex = SubplanExecutor::new(&sp, &c, &HashMap::new(), weights).unwrap();
-            let leaves = ex.leaf_paths();
             let counter = WorkCounter::new();
             let chunk = t_rows.len() / chunks;
             for i in 0..chunks {
-                let mut inputs = HashMap::new();
-                inputs.insert(
-                    leaves[0].0.clone(),
-                    DeltaBatch::from_rows(t_rows[i * chunk..(i + 1) * chunk].to_vec()),
-                );
-                if i == 0 {
-                    inputs.insert(leaves[1].0.clone(), DeltaBatch::from_rows(u_rows.clone()));
-                }
+                let us = if i == 0 { u_rows.clone() } else { Vec::new() };
+                let mut inputs = feed(&ex, [t_rows[i * chunk..(i + 1) * chunk].to_vec(), us]);
                 ex.execute(&mut inputs, &counter).unwrap();
             }
             counter.total().get()
@@ -718,17 +690,14 @@ mod tests {
         let mut sp = sample_subplan(&c);
         let mut ex =
             SubplanExecutor::new(&sp, &c, &HashMap::new(), CostWeights::default()).unwrap();
-        let leaves = ex.leaf_paths();
         let counter = WorkCounter::new();
         let mut acc = Vec::new();
-        let steps: Vec<(Vec<DeltaRow>, Vec<DeltaRow>)> = vec![
-            (vec![t_row(1, 1), t_row(1, 5), t_row(2, 9)], vec![t_row(1, 100)]),
-            (vec![t_row(2, 3)], vec![t_row(2, 20), t_row(1, 7)]),
+        let steps = [
+            [vec![t_row(1, 1), t_row(1, 5), t_row(2, 9)], vec![t_row(1, 100)]],
+            [vec![t_row(2, 3)], vec![t_row(2, 20), t_row(1, 7)]],
         ];
-        for (ts, us) in steps {
-            let mut inputs = HashMap::new();
-            inputs.insert(leaves[0].0.clone(), DeltaBatch::from_rows(ts));
-            inputs.insert(leaves[1].0.clone(), DeltaBatch::from_rows(us));
+        for step in steps {
+            let mut inputs = feed(&ex, step);
             acc.extend(ex.execute(&mut inputs, &counter).unwrap().rows);
         }
         // Admit q2 with q0 as witness: move the state into an executor of
@@ -806,19 +775,13 @@ mod tests {
         let c = catalog();
         let sp = sample_subplan(&c);
         let weights = CostWeights::default();
-        let steps: Vec<(Vec<DeltaRow>, Vec<DeltaRow>)> = vec![
-            (vec![t_row(1, 1), t_row(2, 5)], vec![t_row(1, 100)]),
-            (vec![t_row(1, 3)], vec![t_row(2, 20)]),
-            (vec![t_row(2, 8)], vec![t_row(1, 7)]),
+        let steps = [
+            [vec![t_row(1, 1), t_row(2, 5)], vec![t_row(1, 100)]],
+            [vec![t_row(1, 3)], vec![t_row(2, 20)]],
+            [vec![t_row(2, 8)], vec![t_row(1, 7)]],
         ];
-        let run_step = |ex: &mut SubplanExecutor,
-                        step: &(Vec<DeltaRow>, Vec<DeltaRow>),
-                        counter: &WorkCounter| {
-            let leaves = ex.leaf_paths();
-            let mut inputs = HashMap::new();
-            inputs.insert(leaves[0].0.clone(), DeltaBatch::from_rows(step.0.clone()));
-            inputs.insert(leaves[1].0.clone(), DeltaBatch::from_rows(step.1.clone()));
-            ex.execute(&mut inputs, counter).unwrap().rows
+        let run_step = |ex: &mut SubplanExecutor, step: &[Vec<DeltaRow>; 2], counter| {
+            ex.execute(&mut feed(ex, step.clone()), counter).unwrap().rows
         };
         let cc = WorkCounter::new();
         let mut control = SubplanExecutor::new(&sp, &c, &HashMap::new(), weights).unwrap();
@@ -852,10 +815,7 @@ mod tests {
         let weights = CostWeights::default();
         let counter = WorkCounter::new();
         let mut ex = SubplanExecutor::new(&sp, &c, &HashMap::new(), weights).unwrap();
-        let leaves = ex.leaf_paths();
-        let mut inputs = HashMap::new();
-        inputs.insert(leaves[1].0.clone(), DeltaBatch::from_rows(vec![t_row(1, 100)]));
-        ex.execute(&mut inputs, &counter).unwrap();
+        ex.execute(&mut feed(&ex, [vec![], vec![t_row(1, 100)]]), &counter).unwrap();
 
         let mut bundle = ex.into_state_bundle().unwrap();
         let join = bundle.remove([0].as_slice()).expect("join state at [0]");
@@ -870,10 +830,7 @@ mod tests {
         let mut jex = SubplanExecutor::new(&join_sp, &c, &HashMap::new(), weights).unwrap();
         jex.install_state_bundle(sub).unwrap();
         // The transplanted right side must join against a fresh left row.
-        let jleaves = jex.leaf_paths();
-        let mut inputs = HashMap::new();
-        inputs.insert(jleaves[0].0.clone(), DeltaBatch::from_rows(vec![t_row(1, 5)]));
-        let out = jex.execute(&mut inputs, &counter).unwrap();
+        let out = jex.execute(&mut feed(&jex, [vec![t_row(1, 5)]]), &counter).unwrap();
         assert_eq!(out.rows.len(), 1, "probe matched the transplanted right row");
         assert_eq!(out.rows[0].mask, qs(&[0, 1]));
     }
@@ -932,13 +889,8 @@ mod tests {
             [vec![t_row(1, 5), t_row(2, 9)], vec![t_row(1, 10)], vec![t_row(1, 7)]],
             [vec![t_row(1, 3)], vec![t_row(2, 20)], vec![t_row(2, 4), t_row(1, 8)]],
         ];
-        for step in &steps {
-            let mut inputs: HashMap<Vec<usize>, DeltaBatch> = leaves
-                .iter()
-                .zip(step)
-                .map(|((path, _), rows)| (path.clone(), DeltaBatch::from_rows(rows.clone())))
-                .collect();
-            ex.execute(&mut inputs, &counter).unwrap();
+        for step in steps {
+            ex.execute(&mut feed(&ex, step), &counter).unwrap();
         }
         let rows = ex.state_rows();
         assert!(rows > 0);
@@ -946,18 +898,16 @@ mod tests {
         let bundle = ex.into_state_bundle().unwrap();
         let mut keys: Vec<Vec<usize>> = bundle.keys().cloned().collect();
         keys.sort();
-        let stateful: Vec<Vec<usize>> = sp
-            .root
-            .operator_paths()
-            .into_iter()
-            .filter(|path| {
-                let mut node = &sp.root;
-                for &i in path {
-                    node = &node.inputs[i];
+        let mut stateful = Vec::new();
+        sp.root
+            .post_order(|step| {
+                if let TreeOp::Join { .. } | TreeOp::Aggregate { .. } = step.node.op {
+                    stateful.push(step.path.to_vec());
                 }
-                matches!(node.op, TreeOp::Join { .. } | TreeOp::Aggregate { .. })
+                Ok(())
             })
-            .collect();
+            .unwrap();
+        stateful.sort();
         assert_eq!(stateful, vec![vec![], vec![0], vec![0, 0]]);
         assert_eq!(keys, stateful, "bundle keys are the join/aggregate positions");
 
@@ -1004,31 +954,18 @@ mod tests {
         let opts = ExecOptions { mode: ExecMode::Reference };
         let mut refr =
             SubplanExecutor::new_with_options(&sp, &c, &HashMap::new(), weights, opts).unwrap();
-        let leaves = kern.leaf_paths();
         let kc = WorkCounter::new();
         let rc = WorkCounter::new();
 
-        let steps: Vec<(Vec<DeltaRow>, Vec<DeltaRow>)> = vec![
-            (vec![t_row(1, 1), t_row(1, 5)], vec![t_row(1, 100)]),
-            (vec![t_row(2, 9)], vec![t_row(2, 20), t_row(1, 7)]),
-            (
-                vec![DeltaRow {
-                    row: Row::new(vec![Value::Int(1), Value::Int(5)]),
-                    weight: -1,
-                    mask: qs(&[0, 1]),
-                }],
-                vec![],
-            ),
+        let retract = DeltaRow { weight: -1, ..t_row(1, 5) };
+        let steps = [
+            [vec![t_row(1, 1), t_row(1, 5)], vec![t_row(1, 100)]],
+            [vec![t_row(2, 9)], vec![t_row(2, 20), t_row(1, 7)]],
+            [vec![retract], vec![]],
         ];
-        for (ts, us) in steps {
-            let mut ki = HashMap::new();
-            ki.insert(leaves[0].0.clone(), DeltaBatch::from_rows(ts.clone()));
-            ki.insert(leaves[1].0.clone(), DeltaBatch::from_rows(us.clone()));
-            let mut ri = HashMap::new();
-            ri.insert(leaves[0].0.clone(), DeltaBatch::from_rows(ts));
-            ri.insert(leaves[1].0.clone(), DeltaBatch::from_rows(us));
-            let kout = kern.execute(&mut ki, &kc).unwrap();
-            let rout = refr.execute(&mut ri, &rc).unwrap();
+        for step in steps {
+            let kout = kern.execute(&mut feed(&kern, step.clone()), &kc).unwrap();
+            let rout = refr.execute(&mut feed(&refr, step), &rc).unwrap();
             assert_eq!(kout.rows, rout.rows, "outputs must match in order");
             assert_eq!(kc.total().get().to_bits(), rc.total().get().to_bits());
         }

@@ -30,4 +30,4 @@ pub use agg::{AggExpr, AggFunc};
 pub use builder::PlanBuilder;
 pub use dag::{restrict_branches, DagNode, DagOp, SelectBranch, SharedDag};
 pub use logical::LogicalPlan;
-pub use shared::{InputSource, OpTree, SharedPlan, Subplan, TreeOp};
+pub use shared::{InputSource, OpTree, PostOrderStep, SharedPlan, Subplan, TreeOp};

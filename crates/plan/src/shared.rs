@@ -95,6 +95,19 @@ pub struct OpTree {
     pub inputs: Vec<OpTree>,
 }
 
+/// One operator of an [`OpTree::post_order`] walk.
+#[derive(Debug, Clone, Copy)]
+pub struct PostOrderStep<'t, 'p> {
+    /// The operator's node.
+    pub node: &'t OpTree,
+    /// Its tree path: child indices from the root (empty at the root).
+    /// [`SharedDag::node_at`] maps it to the operator's DAG node.
+    pub path: &'p [usize],
+    /// The step indices of its inputs, left to right; as many as
+    /// [`TreeOp::expected_inputs`].
+    pub inputs: &'p [usize],
+}
+
 impl OpTree {
     /// Leaf reading from `src`.
     pub fn input(src: InputSource) -> OpTree {
@@ -141,24 +154,43 @@ impl OpTree {
         }
     }
 
-    /// Tree paths (child indices from the root) of every operator — every
-    /// position but the leaves. [`SharedDag::node_at`] maps each to its DAG
-    /// node.
-    pub fn operator_paths(&self) -> Vec<Vec<usize>> {
-        fn walk(t: &OpTree, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-            if matches!(t.op, TreeOp::Input(_)) {
-                return;
+    /// Walk the tree in post-order (children before parents, left before
+    /// right, the root last), calling `visit` once per node, leaves
+    /// included. A step's index is the number of steps before it, so a
+    /// program that pushes one entry per step finds each input at its
+    /// index. Each operator's arity ([`TreeOp::expected_inputs`]) is checked
+    /// before the walk descends into it, so a malformed tree reports its
+    /// outermost fault as [`Error::InvalidPlan`]. The walk allocates only
+    /// its path buffer.
+    pub fn post_order<'t>(
+        &'t self,
+        mut visit: impl FnMut(PostOrderStep<'t, '_>) -> Result<()>,
+    ) -> Result<()> {
+        fn walk<'t>(
+            t: &'t OpTree,
+            path: &mut Vec<usize>,
+            next: &mut usize,
+            visit: &mut impl FnMut(PostOrderStep<'t, '_>) -> Result<()>,
+        ) -> Result<usize> {
+            let expected = t.op.expected_inputs();
+            if t.inputs.len() != expected {
+                return Err(Error::InvalidPlan(format!(
+                    "{} at path {path:?} has {} inputs, expects {expected}",
+                    t.op.label(),
+                    t.inputs.len(),
+                )));
             }
-            out.push(path.clone());
+            let mut inputs = [0; 2];
             for (i, child) in t.inputs.iter().enumerate() {
                 path.push(i);
-                walk(child, path, out);
+                inputs[i] = walk(child, path, next, visit)?;
                 path.pop();
             }
+            visit(PostOrderStep { node: t, path, inputs: &inputs[..expected] })?;
+            *next += 1;
+            Ok(*next - 1)
         }
-        let mut out = Vec::new();
-        walk(self, &mut Vec::new(), &mut out);
-        out
+        walk(self, &mut Vec::new(), &mut 0, &mut visit).map(|_| ())
     }
 
     /// Output schema of this tree, given the catalog and the schemas of
@@ -498,7 +530,7 @@ impl SharedPlan {
                     sp.id, sp.output_queries, sp.queries
                 )));
             }
-            check_ops(sp, &sp.root)?;
+            check_ops(sp)?;
             for c in sp.children() {
                 let child = self.subplan(c)?;
                 if !sp.queries.is_subset_of(child.queries) {
@@ -531,29 +563,17 @@ impl SharedPlan {
         self.schemas(catalog)?;
         Ok(())
     }
-
-    /// Total operator count across subplans.
-    pub fn operator_count(&self) -> usize {
-        self.subplans.iter().map(|sp| sp.root.operator_count()).sum()
-    }
 }
 
-/// Checks, pre-order, the input arity and select branches of every operator
-/// of `t`, a tree of subplan `sp`.
-fn check_ops(sp: &Subplan, t: &OpTree) -> Result<()> {
-    if t.inputs.len() != t.op.expected_inputs() {
-        return Err(Error::InvalidPlan(format!(
-            "subplan {}: {} has {} inputs, expected {}",
-            sp.id,
-            t.op.label(),
-            t.inputs.len(),
-            t.op.expected_inputs()
-        )));
-    }
-    if let TreeOp::Select { branches } = &t.op {
-        check_branches(format_args!("subplan {}", sp.id), sp.queries, branches)?;
-    }
-    t.inputs.iter().try_for_each(|i| check_ops(sp, i))
+/// Checks the input arity (through [`OpTree::post_order`]) and the select
+/// branches of every operator of `sp`.
+fn check_ops(sp: &Subplan) -> Result<()> {
+    sp.root.post_order(|step| match &step.node.op {
+        TreeOp::Select { branches } => {
+            check_branches(format_args!("subplan {}", sp.id), sp.queries, branches)
+        }
+        _ => Ok(()),
+    })
 }
 
 fn build_tree(
@@ -797,24 +817,45 @@ mod tests {
     }
 
     #[test]
-    fn operator_paths_map_to_dag_nodes() {
+    fn post_order_paths_map_to_dag_nodes() {
         let c = catalog();
         let dag = fig2_dag(&c);
         let (plan, roots) = SharedPlan::from_dag_with_roots(&dag, |_| false, &[]).unwrap();
         let shared = &plan.subplan(SubplanId(0)).unwrap().root;
-        // Root aggregate, child select; the scan below is a leaf, not an
-        // operator.
-        assert_eq!(shared.operator_paths(), vec![vec![], vec![0]]);
-        let labels: Vec<&str> = shared
-            .operator_paths()
-            .iter()
-            .map(|p| dag.node(dag.node_at(roots[0], p)).unwrap().op.label())
-            .collect();
-        assert_eq!(labels, ["aggregate", "select"]);
+        // The scan leaf, then the select reading it, then the root aggregate
+        // reading the select.
+        let mut steps = Vec::new();
+        shared
+            .post_order(|step| {
+                let node = dag.node(dag.node_at(roots[0], step.path))?;
+                steps.push((step.path.to_vec(), step.inputs.to_vec(), node.op.label()));
+                Ok(())
+            })
+            .unwrap();
+        let expected = [(vec![0, 0], vec![], "scan"), (vec![0], vec![0], "select")];
+        assert_eq!(steps[..2], expected);
+        assert_eq!(steps[2], (vec![], vec![1], "aggregate"));
         // The leaf reads the scan through the select's only input.
         let select = dag.node_at(roots[0], &[0]);
         assert_eq!(dag.leaf_edge(roots[0], &[0, 0]), (select, 0));
         assert_eq!(dag.leaf_edge(roots[0], &[]), (roots[0], usize::MAX));
+    }
+
+    /// The outermost malformed operator is reported, before the walk visits
+    /// anything below it.
+    #[test]
+    fn post_order_checks_arity_outermost_first() {
+        let leaf = || OpTree::input(InputSource::Base(TableId(0)));
+        let join = OpTree::node(TreeOp::Join { keys: vec![] }, vec![leaf()]);
+        let project = || TreeOp::Project { exprs: vec![] };
+        let fault = |tree: OpTree| match tree.post_order(|_| panic!("visited")) {
+            Err(Error::InvalidPlan(msg)) => msg,
+            other => panic!("{other:?}"),
+        };
+        let outer = fault(OpTree::node(project(), vec![join.clone(), leaf()]));
+        assert!(outer.starts_with("project at path [] has 2 inputs"), "{outer}");
+        let inner = fault(OpTree::node(project(), vec![join]));
+        assert!(inner.starts_with("join at path [0] has 1 inputs"), "{inner}");
     }
 
     #[test]

@@ -79,7 +79,7 @@ use ishare_exec::executor::{OperatorState, StateBundle};
 use ishare_exec::{ExecMode, ExecOptions, SubplanExecutor};
 use ishare_ingest::{ChurnKind, ChurnRecord, Source};
 use ishare_mqo::{normalize, IncrementalSharer, MqoConfig};
-use ishare_plan::{InputSource, LogicalPlan, SharedDag, SharedPlan};
+use ishare_plan::{InputSource, LogicalPlan, SharedDag, SharedPlan, TreeOp};
 use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -472,12 +472,15 @@ impl Runner<'_> {
                 self.weights,
                 self.exec_opts,
             )?;
-            let bundle: StateBundle = sp
-                .root
-                .operator_paths()
-                .into_iter()
-                .filter_map(|path| states.remove(&dag.node_at(root, &path)).map(|st| (path, st)))
-                .collect();
+            let mut bundle = StateBundle::new();
+            sp.root.post_order(|step| {
+                if !matches!(step.node.op, TreeOp::Input(_)) {
+                    if let Some(st) = states.remove(&dag.node_at(root, step.path)) {
+                        bundle.insert(step.path.to_vec(), st);
+                    }
+                }
+                Ok(())
+            })?;
             ex.install_state_bundle(bundle)?;
             let (mut regs, mut seeds) = (Vec::new(), Seeds::new());
             for (path, src) in ex.leaf_paths() {

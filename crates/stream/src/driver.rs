@@ -676,6 +676,17 @@ mod tests {
         assert!(execute_planned(&plan, &[1, 1], &c, &d, CostWeights::default()).is_err());
     }
 
+    /// A zero pace schedules no execution of its subplan; it must not run
+    /// the others and return a result missing that subplan's rows.
+    #[test]
+    fn zero_pace_rejected() {
+        let c = catalog();
+        let plan = shared_plan(&c);
+        let d = data(&c, 10);
+        let run = execute_planned(&plan, &[0, 1, 1], &c, &d, CostWeights::default());
+        assert!(matches!(run, Err(Error::InvalidConfig(_))), "{run:?}");
+    }
+
     #[test]
     fn missing_table_data_is_empty_results() {
         let c = catalog();

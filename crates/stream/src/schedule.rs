@@ -57,6 +57,7 @@ pub fn build_schedule(plan: &SharedPlan, paces: &[u32]) -> Result<Vec<Tick>> {
 /// Every tick of `plan` at `paces` whose arrival fraction lies strictly
 /// beyond `num/den`, sorted by fraction with ties broken children-first
 /// (topological rank). At the boundary `0/1` that is the whole schedule.
+/// A zero pace is an error: its subplan would get no tick at all.
 fn ticks_after(plan: &SharedPlan, paces: &[u32], num: u32, den: u32) -> Result<Vec<Tick>> {
     if paces.len() != plan.len() {
         return Err(Error::InvalidConfig(format!(
@@ -64,6 +65,9 @@ fn ticks_after(plan: &SharedPlan, paces: &[u32], num: u32, den: u32) -> Result<V
             paces.len(),
             plan.len()
         )));
+    }
+    if let Some(sp) = paces.iter().position(|&k| k == 0) {
+        return Err(Error::InvalidConfig(format!("subplan sp{sp} has pace 0, must be >= 1")));
     }
     let topo = plan.topo_order()?;
     let topo_rank: HashMap<SubplanId, usize> =

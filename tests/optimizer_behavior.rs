@@ -208,10 +208,10 @@ fn decomposition_edits_preserve_results() {
 
         // A random partial cut of the trunk: its bottoms must stay shared.
         let mut bottoms = Vec::new();
-        let candidates = subtree_candidates(trunk);
+        let candidates = subtree_candidates(trunk).unwrap();
         if !candidates.is_empty() && rng.chance(60) {
             let included = &candidates[rng.range(0, candidates.len() as u64) as usize];
-            let paths = cut_points(trunk, included);
+            let paths = cut_points(trunk, included).unwrap();
             bottoms = paths.iter().map(|p| current.dag.node_at(root, p)).collect();
             current = force_cut_points(&current, trunk.id, included).unwrap();
         }
@@ -235,7 +235,7 @@ fn decomposition_edits_preserve_results() {
         }
         // The pieces — the subplans holding a clone of the trunk's root —
         // are exactly the partitions.
-        let (n_old, holders) = (current.dag.nodes.len(), edited.holders());
+        let (n_old, holders) = (current.dag.nodes.len(), edited.holders().unwrap());
         let mut pieces: Vec<QuerySet> = clone_of
             .iter()
             .enumerate()

@@ -329,8 +329,7 @@ proptest! {
             ],
         );
         input.delete_frac = 0.2;
-        let mut inputs = ishare_cost::LeafInputs::new();
-        inputs.insert(vec![0, 0], input);
+        let inputs = [input];
         let batch = simulate_subplan(&sp, 1, &inputs, &CostWeights::default()).unwrap();
         let cons: BTreeMap<QueryId, f64> = limits
             .iter()
