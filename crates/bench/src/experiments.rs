@@ -997,10 +997,11 @@ pub fn adapt(p: &Params) -> Result<()> {
 /// trace, slack ledger) must stay effectively free, because the whole design
 /// is fold-after-execute — nothing runs on the hot path. Executes the
 /// 10-query `scaling` workload source-fed with obs fully off and fully on
-/// (metrics + tick/wavefront/operator spans + SLO slack ledger), REPS
+/// (metrics + every span + SLO slack ledger), REPS
 /// repetitions each interleaved, compares min-of-reps end-to-end wall
 /// clock, and fails when the obs-on overhead exceeds the gate (5% by
-/// default; `ISHARE_OBS_GATE_PCT` overrides for noisy machines). Work
+/// default; `ISHARE_OBS_GATE_PCT` overrides for noisy machines) or the
+/// obs-on trace dropped anything past its one capacity budget. Work
 /// numbers are asserted bit-identical between the modes — observability can
 /// cost (bounded) time but never changes a measured quantity. Writes
 /// `results/BENCH_obs.json`.
@@ -1097,7 +1098,7 @@ pub fn obs_overhead(p: &Params) -> Result<()> {
             vec![
                 "obs on".into(),
                 format!("{on_secs:.4}"),
-                format!("{}", report.trace.spans().len() + report.trace.aux_spans().len()),
+                format!("{}", report.trace.spans().len()),
                 format!("{}", ledger.fronts()),
             ],
         ],
@@ -1115,11 +1116,18 @@ pub fn obs_overhead(p: &Params) -> Result<()> {
             "overhead_pct": overhead_pct,
             "gate_pct": gate_pct,
             "total_work_bits": format!("{:016x}", on_run.total_work.get().to_bits()),
-            "spans": (report.trace.spans().len() + report.trace.aux_spans().len()) as u64,
+            "spans": report.trace.spans().len() as u64,
+            "trace_dropped": report.trace.dropped() as u64,
             "slack_fronts": ledger.fronts() as u64,
             "deadline_misses": ledger.misses() as u64,
         }),
     );
+    if report.trace.dropped() > 0 {
+        return Err(ishare_common::Error::InvalidConfig(format!(
+            "the obs-on trace was cut short: {} spans or slack samples dropped",
+            report.trace.dropped()
+        )));
+    }
     if overhead_pct > gate_pct {
         return Err(ishare_common::Error::InvalidConfig(format!(
             "observability overhead {overhead_pct:.2}% exceeds the {gate_pct}% gate \

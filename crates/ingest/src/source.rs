@@ -131,7 +131,15 @@ impl TopicState {
 
     /// Pump, drain, and release until every row with event time below
     /// `num/den · total` has been handed to `sink`, in event-time order.
-    fn advance_to(&mut self, num: u32, den: u32, mut sink: impl FnMut(Row, i64)) -> Result<()> {
+    /// A released weight other than ±1 is an error: the engine's feeds
+    /// carry inserts and deletes only, and joins multiply weights.
+    fn advance_to(
+        &mut self,
+        table: TableId,
+        num: u32,
+        den: u32,
+        mut sink: impl FnMut(Row, i64),
+    ) -> Result<()> {
         self.polls += 1;
         let target = (num as u64 * self.total()) / den as u64;
         let mut drained: Vec<Record> = Vec::new();
@@ -170,6 +178,11 @@ impl TopicState {
                 }
                 let (seq, (row, weight)) = entry.remove_entry();
                 debug_assert_eq!(seq, self.delivered, "release must be gapless in event time");
+                if !matches!(weight, 1 | -1) {
+                    return Err(Error::InvalidDelta(format!(
+                        "table {table} offset {seq}: weight {weight} is not +1 (insert) or -1 (delete)"
+                    )));
+                }
                 sink(row, weight);
                 self.delivered += 1;
             }
@@ -238,7 +251,8 @@ impl Source {
     /// Advance table `t`'s topic to arrival fraction `num/den`, handing each
     /// newly released `(row, weight)` delta to `sink` in event-time order.
     /// Unknown tables are empty topics (no-op), matching the `Vec` drivers'
-    /// treatment of missing feeds.
+    /// treatment of missing feeds. Releasing a weight other than ±1 is an
+    /// [`Error::InvalidDelta`] naming the table, offset and weight.
     pub fn advance_to(
         &mut self,
         t: TableId,
@@ -247,7 +261,7 @@ impl Source {
         sink: impl FnMut(Row, i64),
     ) -> Result<()> {
         match self.topics.get_mut(&t) {
-            Some(ts) => ts.advance_to(num, den, sink),
+            Some(ts) => ts.advance_to(t, num, den, sink),
             None => Ok(()),
         }
     }

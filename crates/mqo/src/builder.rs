@@ -12,24 +12,18 @@ pub struct MqoConfig {
     /// NoShare baselines' plans (each query fully private) in the same
     /// [`SharedDag`] representation.
     pub enable_sharing: bool,
-    /// Minimum operator count of a subtree for it to be shared. Subtrees
-    /// smaller than this get query-private nodes even when signatures match
-    /// — the materialization-cost guard the paper adds to its MQO optimizer
-    /// ("we extend this optimizer to account for the materialization cost of
-    /// intermediate tuples", Sec. 5.1). `1` shares everything.
-    pub min_shared_ops: usize,
 }
 
 impl Default for MqoConfig {
     fn default() -> Self {
-        MqoConfig { enable_sharing: true, min_shared_ops: 1 }
+        MqoConfig { enable_sharing: true }
     }
 }
 
 impl MqoConfig {
     /// Configuration producing fully private plans (NoShare baselines).
     pub fn no_sharing() -> Self {
-        MqoConfig { enable_sharing: false, min_shared_ops: 1 }
+        MqoConfig { enable_sharing: false }
     }
 }
 
@@ -161,24 +155,6 @@ mod tests {
         for n in &dag.nodes {
             assert_eq!(n.queries.len(), 1);
         }
-    }
-
-    #[test]
-    fn min_shared_ops_guard() {
-        let c = catalog();
-        let q0 = agg_query(&c, None);
-        let q1 = agg_query(&c, None);
-        // Subtrees smaller than 3 ops stay private: the scan (1) and select
-        // (2) do not merge; the aggregate (3 ops) would be shareable, but
-        // its children are private per query, so its signatures differ and
-        // nothing merges at all — 4 normalized ops × 2 queries.
-        let dag = build_shared_dag(
-            &[(QueryId(0), q0), (QueryId(1), q1)],
-            &c,
-            &MqoConfig { enable_sharing: true, min_shared_ops: 3 },
-        )
-        .unwrap();
-        assert_eq!(dag.nodes.len(), 8);
     }
 
     #[test]

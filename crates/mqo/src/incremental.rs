@@ -109,8 +109,6 @@ pub struct IncrementalSharer {
     /// Per select node: the (query, predicate) pairs collected so far, in
     /// insertion order (that order fixes the branch order).
     select_preds: HashMap<u32, Vec<(QueryId, Expr)>>,
-    /// Per node: operator count of its subtree (for the sharing guard).
-    subtree_ops: HashMap<u32, usize>,
     config: MqoConfig,
     sealed: bool,
 }
@@ -122,7 +120,6 @@ impl IncrementalSharer {
             dag: SharedDag::new(),
             by_signature: HashMap::new(),
             select_preds: HashMap::new(),
-            subtree_ops: HashMap::new(),
             config,
             sealed: false,
         }
@@ -222,11 +219,10 @@ impl IncrementalSharer {
             preds.retain(|(pq, _)| *pq != q);
         }
         // Tombstones: no signature may resolve to a dead node again, and no
-        // stale predicate/size entry may linger.
+        // stale predicate entry may linger.
         for id in &removed_nodes {
             self.by_signature.retain(|_, nid| nid != id);
             self.select_preds.remove(&id.0);
-            self.subtree_ops.remove(&id.0);
         }
         self.materialize_branches()?;
         Ok(RemoveDiff { query: q, removed_nodes, shrunk_nodes })
@@ -267,16 +263,14 @@ impl IncrementalSharer {
         match plan {
             LogicalPlan::Scan { table } => {
                 let sig = format!("scan({table})");
-                self.intern(q, sig, DagOp::Scan { table: *table }, vec![], 1, tr)
+                self.intern(q, sig, DagOp::Scan { table: *table }, vec![], tr)
             }
             LogicalPlan::Select { input, predicate } => {
                 let child = self.cons(q, input, tr)?;
-                let ops = self.subtree_ops[&child.0] + 1;
-                self.intern_select(q, child, predicate, ops, tr)
+                self.intern_select(q, child, predicate, tr)
             }
             LogicalPlan::Project { input, exprs } => {
                 let child = self.cons(q, input, tr)?;
-                let ops = self.subtree_ops[&child.0] + 1;
                 // Expressions included: only identical projects merge (see
                 // crate docs for the documented deviation on union-merge).
                 let mut sig = format!("project({child};");
@@ -284,22 +278,20 @@ impl IncrementalSharer {
                     sig.push_str(&format!("{e},"));
                 }
                 sig.push(')');
-                self.intern(q, sig, DagOp::Project { exprs: exprs.clone() }, vec![child], ops, tr)
+                self.intern(q, sig, DagOp::Project { exprs: exprs.clone() }, vec![child], tr)
             }
             LogicalPlan::Join { left, right, keys } => {
                 let l = self.cons(q, left, tr)?;
                 let r = self.cons(q, right, tr)?;
-                let ops = self.subtree_ops[&l.0] + self.subtree_ops[&r.0] + 1;
                 let mut sig = format!("join({l},{r};");
                 for (lk, rk) in keys {
                     sig.push_str(&format!("{lk}={rk},"));
                 }
                 sig.push(')');
-                self.intern(q, sig, DagOp::Join { keys: keys.clone() }, vec![l, r], ops, tr)
+                self.intern(q, sig, DagOp::Join { keys: keys.clone() }, vec![l, r], tr)
             }
             LogicalPlan::Aggregate { input, group_by, aggs } => {
                 let child = self.cons(q, input, tr)?;
-                let ops = self.subtree_ops[&child.0] + 1;
                 // Group exprs and aggregate (func, arg) included; output
                 // names excluded (they differ per query without changing
                 // the computation).
@@ -317,7 +309,6 @@ impl IncrementalSharer {
                     sig,
                     DagOp::Aggregate { group_by: group_by.clone(), aggs: aggs.clone() },
                     vec![child],
-                    ops,
                     tr,
                 )
             }
@@ -339,12 +330,11 @@ impl IncrementalSharer {
         q: QueryId,
         child: NodeId,
         predicate: &Expr,
-        subtree_ops: usize,
         tr: &mut AdmitTrace,
     ) -> Result<NodeId> {
         for attempt in 0.. {
             let sig = format!("select({child})#{attempt}");
-            let salted = self.salt(q, sig, subtree_ops);
+            let salted = self.salt(q, sig);
             if let Some(&id) = self.by_signature.get(&salted) {
                 let preds = self.select_preds.get(&id.0);
                 let conflict = preds
@@ -390,7 +380,6 @@ impl IncrementalSharer {
                 QuerySet::single(q),
             )?;
             self.by_signature.insert(salted, id);
-            self.subtree_ops.insert(id.0, subtree_ops);
             self.select_preds.entry(id.0).or_default().push((q, predicate.clone()));
             tr.pools.insert(id.0, QuerySet(u64::MAX));
             tr.created.push(id);
@@ -399,8 +388,8 @@ impl IncrementalSharer {
         unreachable!("occurrence loop always returns")
     }
 
-    fn salt(&self, q: QueryId, sig: String, subtree_ops: usize) -> String {
-        if !self.config.enable_sharing || subtree_ops < self.config.min_shared_ops {
+    fn salt(&self, q: QueryId, sig: String) -> String {
+        if !self.config.enable_sharing {
             format!("{sig}@{q}")
         } else {
             sig
@@ -413,10 +402,9 @@ impl IncrementalSharer {
         sig: String,
         op: DagOp,
         children: Vec<NodeId>,
-        subtree_ops: usize,
         tr: &mut AdmitTrace,
     ) -> Result<NodeId> {
-        let sig = self.salt(q, sig, subtree_ops);
+        let sig = self.salt(q, sig);
         if let Some(&id) = tr.private.get(&sig) {
             return Ok(id);
         }
@@ -442,7 +430,6 @@ impl IncrementalSharer {
             // the original — a later admission with a valid witness may
             // still share it.
             let clone = self.dag.add_node(op, children, QuerySet::single(q))?;
-            self.subtree_ops.insert(clone.0, subtree_ops);
             tr.private.insert(sig, clone);
             tr.pools.insert(clone.0, QuerySet(u64::MAX));
             tr.created.push(clone);
@@ -450,7 +437,6 @@ impl IncrementalSharer {
         }
         let id = self.dag.add_node(op, children, QuerySet::single(q))?;
         self.by_signature.insert(sig, id);
-        self.subtree_ops.insert(id.0, subtree_ops);
         tr.pools.insert(id.0, QuerySet(u64::MAX));
         tr.created.push(id);
         Ok(id)

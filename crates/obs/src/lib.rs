@@ -2,10 +2,11 @@
 //!
 //! Zero-dependency observability for the iShare engine: a metrics registry
 //! ([`MetricsRegistry`]) with Prometheus text exposition ([`prometheus_text`]),
-//! a bounded span trace — wavefront/tick spans plus operator, ingest-poll,
-//! and adapt re-search aux spans — with Chrome `trace_event` export
-//! ([`TraceBuffer`]), the per-query slack ledger ([`SlackLedger`]), and the
-//! per-run bundle the drivers hand back ([`ObsReport`]).
+//! a bounded trace of one [`Span`] type — tick, wavefront, operator, ingest
+//! poll and adapt search — plus slack counter samples, with Chrome
+//! `trace_event` export ([`TraceBuffer`]), the per-query slack ledger
+//! ([`SlackLedger`]), and the per-run bundle the drivers hand back
+//! ([`ObsReport`]).
 //!
 //! ## Design constraints
 //!
@@ -27,12 +28,12 @@ pub mod metrics;
 pub mod prom;
 pub mod report;
 pub mod slack;
-pub mod span;
 pub mod trace;
 
 pub use metrics::{Histogram, MetricsRegistry, DEFAULT_BUCKETS};
 pub use prom::{prom_name, prometheus_text};
 pub use report::{ExecCounts, ObsConfig, ObsReport};
 pub use slack::{FrontCharge, QuerySlack, SlackLedger, SlackSample};
-pub use span::{AuxKind, AuxSpan, SlackPoint, ADAPT_TID, INGEST_TID, OP_TID};
-pub use trace::{Span, SpanKind, TraceBuffer, WAVEFRONT_TID};
+pub use trace::{
+    SlackPoint, Span, SpanKind, TraceBuffer, ADAPT_TID, INGEST_TID, OP_TID, WAVEFRONT_TID,
+};

@@ -192,14 +192,6 @@ impl MetricsRegistry {
         self.gauges.insert(name.to_string(), v);
     }
 
-    /// Raise a gauge to `v` if `v` is larger (high-water-mark semantics).
-    pub fn gauge_max(&mut self, name: &str, v: f64) {
-        let g = self.gauges.entry(name.to_string()).or_insert(v);
-        if v > *g {
-            *g = v;
-        }
-    }
-
     /// Record into a histogram with [`DEFAULT_BUCKETS`].
     pub fn histogram_record(&mut self, name: &str, v: f64) {
         self.histogram_record_with(name, &DEFAULT_BUCKETS, v);
@@ -307,11 +299,8 @@ mod tests {
         m.counter_add("work.scan", 1.5);
         m.gauge_set("buffer.sp0.high_water", 10.0);
         m.gauge_set("buffer.sp0.high_water", 7.0);
-        m.gauge_max("peak", 3.0);
-        m.gauge_max("peak", 1.0);
         assert_eq!(m.counter("work.scan"), Some(4.0));
         assert_eq!(m.gauge("buffer.sp0.high_water"), Some(7.0));
-        assert_eq!(m.gauge("peak"), Some(3.0));
         assert_eq!(m.counter("missing"), None);
     }
 

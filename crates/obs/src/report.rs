@@ -56,7 +56,7 @@ pub struct ObsReport {
     pub replaced_executions: ExecCounts,
     /// Named counters/gauges/histograms recorded during the run.
     pub metrics: MetricsRegistry,
-    /// Tick/wavefront spans.
+    /// Every span of the run, and the slack counter samples.
     pub trace: TraceBuffer,
     /// Per-query slack ledger; `None` when the run declared no `L(q)`
     /// budgets (e.g. best-effort plans with no constraints).

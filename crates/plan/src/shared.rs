@@ -413,8 +413,26 @@ impl SharedPlan {
         parents
     }
 
-    /// Children-first topological order; errors on cycles.
+    /// Children-first topological order, by depth then id; errors on a
+    /// missing child or a cycle.
     pub fn topo_order(&self) -> Result<Vec<SubplanId>> {
+        let (mut order, depth) = self.kahn()?;
+        order.sort_unstable_by_key(|id| (depth[id.index()], id.0));
+        Ok(order)
+    }
+
+    /// Dependency depth of every subplan: `depths()?[i]` is the longest
+    /// child chain below subplan `i` (leaves are 0). A parent is strictly
+    /// deeper than each of its children, so subplans sharing a depth never
+    /// read each other's buffers. Tick spans carry it as their `depth`.
+    /// Errors like [`Self::topo_order`].
+    pub fn depths(&self) -> Result<Vec<usize>> {
+        Ok(self.kahn()?.1)
+    }
+
+    /// Kahn's pass over the child edges: some children-first order, and
+    /// each subplan's depth.
+    fn kahn(&self) -> Result<(Vec<SubplanId>, Vec<usize>)> {
         let n = self.subplans.len();
         let mut indegree = vec![0usize; n]; // number of unprocessed children
         let mut parents = vec![Vec::new(); n];
@@ -434,8 +452,8 @@ impl SharedPlan {
         let mut queue: Vec<SubplanId> =
             (0..n).filter(|&i| indegree[i] == 0).map(|i| SubplanId(i as u32)).collect();
         let mut order = Vec::with_capacity(n);
-        // Longest child chain below each subplan (`depths()`), final by the
-        // time the subplan is popped: every child was popped before it.
+        // A subplan's depth is final by the time it is popped: every child
+        // was popped before it.
         let mut depth = vec![0usize; n];
         while let Some(id) = queue.pop() {
             order.push(id);
@@ -450,35 +468,7 @@ impl SharedPlan {
         if order.len() != n {
             return Err(Error::InvalidPlan("subplan graph contains a cycle".into()));
         }
-        // Deterministic children-first order: by depth, then id.
-        order.sort_unstable_by_key(|id| (depth[id.index()], id.0));
-        Ok(order)
-    }
-
-    /// Dependency depth of every subplan: `depths()[i]` is the longest
-    /// child chain below subplan `i` (leaves are 0). A parent is strictly
-    /// deeper than each of its children, so subplans sharing a depth never
-    /// read each other's buffers. Tick spans carry it as their `depth`.
-    pub fn depths(&self) -> Vec<usize> {
-        let mut memo = HashMap::new();
-        (0..self.subplans.len())
-            .map(|i| Self::depth_go(self, SubplanId(i as u32), &mut memo))
-            .collect()
-    }
-
-    // Longest child chain below; subplan DAGs are tiny, recursion is fine.
-    fn depth_go(plan: &SharedPlan, id: SubplanId, memo: &mut HashMap<SubplanId, usize>) -> usize {
-        if let Some(&d) = memo.get(&id) {
-            return d;
-        }
-        let d = plan.subplans[id.index()]
-            .children()
-            .iter()
-            .map(|&c| Self::depth_go(plan, c, memo) + 1)
-            .max()
-            .unwrap_or(0);
-        memo.insert(id, d);
-        d
+        Ok((order, depth))
     }
 
     /// The subplan producing query `q`'s final results.
@@ -783,7 +773,7 @@ mod tests {
                 assert!(pos[&ch] < pos[&sp.id], "{ch} must precede {}", sp.id);
             }
         }
-        let depths = plan.depths();
+        let depths = plan.depths().unwrap();
         let mut by_depth: Vec<SubplanId> = (0..plan.len()).map(|i| SubplanId(i as u32)).collect();
         by_depth.sort_by_key(|id| (depths[id.index()], id.0));
         assert_eq!(order, by_depth, "the order is the (depth, id) sort");
@@ -869,6 +859,24 @@ mod tests {
         if let TreeOp::Select { branches } = &mut plan.subplans[0].root.inputs[0].op {
             branches.retain(|b| b.queries == qs(&[0]));
         }
+        assert!(plan.validate(&c).is_err());
+    }
+
+    #[test]
+    fn cyclic_plans_are_rejected_without_recursing() {
+        // `subplans` is public, so a hand-built plan can close a cycle:
+        // point a child subplan at one of its readers. The depth pass is
+        // Kahn's, like the order's, and reports the cycle.
+        let c = catalog();
+        let mut plan = SharedPlan::from_dag(&fig2_dag(&c)).unwrap();
+        let (reader, child) = plan
+            .subplans
+            .iter()
+            .find_map(|sp| sp.children().first().map(|&ch| (sp.id, ch)))
+            .unwrap();
+        plan.subplans[child.index()].root = OpTree::input(InputSource::Subplan(reader));
+        assert!(matches!(plan.depths(), Err(Error::InvalidPlan(_))));
+        assert!(matches!(plan.topo_order(), Err(Error::InvalidPlan(_))));
         assert!(plan.validate(&c).is_err());
     }
 

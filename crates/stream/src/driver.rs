@@ -20,13 +20,13 @@
 
 use crate::admission::Runner;
 use crate::engine::{EngineState, TickRec};
-use crate::fold::{adapt_gauges, engine_gauges, ingest_gauges, AdaptRec, Fold, FrontRec, PollRec};
+use crate::fold::{adapt_gauges, engine_gauges, ingest_gauges, Fold};
 use crate::schedule::{build_schedule, front_at, reschedule_after, Tick};
 use ishare_common::{CostWeights, Error, QueryId, Result, TableId, WorkUnits};
 use ishare_core::adapt::{AdaptController, ObservedTable, WavefrontObservation};
 use ishare_exec::{query_result, ExecMode, ExecOptions, QueryResult};
 use ishare_ingest::{CommitLog, Source};
-use ishare_obs::{ExecCounts, ObsConfig, ObsReport, SlackLedger};
+use ishare_obs::{ExecCounts, ObsConfig, ObsReport};
 use ishare_plan::SharedPlan;
 use ishare_storage::{Catalog, DeltaRow, Row};
 use std::borrow::Cow;
@@ -67,7 +67,7 @@ pub struct RunResult {
 #[derive(Debug, Clone, Default)]
 pub struct SourceOptions {
     /// Opt-in observability: when set, [`RunResult::obs`] carries the
-    /// per-subplan work breakdown, metrics, and a tick/wavefront span trace.
+    /// per-subplan work breakdown, metrics, and a span trace.
     /// Instrumentation is passive (it reads tick-local counters and the
     /// wall clock only), so the run's work numbers are bit-identical with
     /// `obs` on or off.
@@ -94,9 +94,10 @@ pub struct SourceOptions {
     /// (`benchmark/src/api.rs`), and the next `[benchmark]` PR deletes it.
     pub partitions: usize,
     /// Per-query final-work budgets `L(q)` for the slack ledger. When set
-    /// (and `obs` is on), the report carries a [`SlackLedger`] with one
-    /// sample per query per wavefront plus `slo.*` metrics and per-query
-    /// slack counter tracks in the Chrome trace. Adaptive runs default this
+    /// (and `obs` is on), the report carries a
+    /// [`SlackLedger`](ishare_obs::SlackLedger) with one sample per query
+    /// per wavefront plus `slo.*` metrics and per-query slack counter
+    /// tracks in the Chrome trace. Adaptive runs default this
     /// to the controller's constraints, churn runs to the live queries'
     /// resolved budgets. Purely observational: budgets never influence
     /// execution.
@@ -187,25 +188,19 @@ pub(crate) fn run_wavefronts(
     }
     let started = live.started;
     let mut schedule = build_schedule(&live.plan, &live.paces)?;
-    let mut depths = live.plan.depths();
+    let mut depths = live.plan.depths()?;
     let budgets = opts
         .slo
         .clone()
         .or_else(|| adapt.as_deref().map(|c| c.constraints().clone()))
         .or_else(|| churn.as_deref().map(|c| c.budgets().clone()));
-    let ledger = match (&opts.obs, budgets) {
-        (Some(_), Some(b)) if !b.is_empty() => Some(SlackLedger::new(&b)),
-        _ => None,
-    };
-    let mut fold = Fold::new(live.plan.len(), ledger);
+    let mut fold = Fold::new(live.plan.len(), opts.obs, budgets);
 
     // One wavefront (= one arrival fraction) at a time. Fronts are
     // discovered incrementally because an adaptive pace switch or a churn
-    // event rebuilds the unexecuted tail of the schedule.
-    let mut recs: Vec<TickRec> = Vec::with_capacity(schedule.len());
-    let mut fronts: Vec<FrontRec> = Vec::new();
-    let mut polls: Vec<PollRec> = Vec::new();
-    let mut adapt_recs: Vec<AdaptRec> = Vec::new();
+    // event rebuilds the unexecuted tail of the schedule. `recs` holds the
+    // current front's executions only.
+    let mut recs: Vec<TickRec> = Vec::new();
     let mut tallies: BTreeMap<TableId, (u64, u64)> = BTreeMap::new();
     let (mut pos, mut wf) = (0, 0);
     while pos < schedule.len() {
@@ -233,14 +228,10 @@ pub(crate) fn run_wavefronts(
                 poll_rows += delivered;
             }
         }
-        polls.push(PollRec {
-            start: poll_start,
-            dur: started.elapsed() - poll_start,
-            rows: poll_rows,
-        });
+        fold.poll(wf, poll_start..started.elapsed(), poll_rows);
 
         let front_start = started.elapsed();
-        let first = recs.len();
+        recs.clear();
         live.engine.run_ticks(&schedule[front.clone()], false, &depths, started, &mut recs)?;
         live.engine.compact();
 
@@ -267,14 +258,7 @@ pub(crate) fn run_wavefronts(
             live.engine.run_ticks(&sweep, true, &depths, started, &mut recs)?;
             runner.quiesce_ticks += recs.len() - swept;
         }
-        fronts.push(FrontRec {
-            range: first..recs.len(),
-            num,
-            den,
-            start: front_start,
-            dur: started.elapsed() - front_start,
-        });
-        fold.front(&live.plan, wf, &fronts[wf], &recs[first..]);
+        fold.front(&live.plan, wf, (num, den), front_start..started.elapsed(), &recs);
 
         let front_paces = (!due.is_empty()).then(|| live.paces.clone());
         let mut records = Vec::new();
@@ -285,7 +269,7 @@ pub(crate) fn run_wavefronts(
         }
         let mut reschedule = !records.is_empty();
         if reschedule {
-            depths = live.plan.depths();
+            depths = live.plan.depths()?;
         }
 
         let front_paces = front_paces.as_deref().unwrap_or(&live.paces);
@@ -329,12 +313,7 @@ pub(crate) fn run_wavefronts(
             };
             let adapt_start = started.elapsed();
             let switch = ctrl.observe(&obs)?;
-            adapt_recs.push(AdaptRec {
-                front: wf as u32,
-                start: adapt_start,
-                dur: started.elapsed() - adapt_start,
-                switched: switch.is_some(),
-            });
+            fold.adapt(wf, adapt_start..started.elapsed(), switch.is_some());
             if let Some(new_paces) = switch {
                 live.paces = new_paces;
                 reschedule = true;
@@ -360,7 +339,7 @@ pub(crate) fn run_wavefronts(
         )));
     }
 
-    let mut obs = opts.obs.map(|_| fold.report(&recs, &fronts, &polls, &adapt_recs));
+    let mut obs = fold.report();
     if let Some(report) = obs.as_mut() {
         engine_gauges(report, &live.engine);
         ingest_gauges(report, &source.stats());
@@ -421,10 +400,11 @@ pub fn execute_planned(
 ///
 /// Each base relation's feed is a sequence of `(row, weight)` deltas in
 /// arrival order: weight `+1` inserts, `-1` deletes, and an update is a
-/// delete followed by an insert (the engine semantics of Sec. 2.3). Subplans
-/// at pace `k` run at arrival fractions `1/k … k/k`; subplans sharing a tick
-/// run children-first (Sec. 5.1: "the child subplans are executed earlier
-/// than their parent subplans").
+/// delete followed by an insert (the engine semantics of Sec. 2.3); any
+/// other weight is rejected with [`Error::InvalidDelta`] when it arrives.
+/// Subplans at pace `k` run at arrival fractions `1/k … k/k`; subplans
+/// sharing a tick run children-first (Sec. 5.1: "the child subplans are
+/// executed earlier than their parent subplans").
 pub fn execute_planned_deltas(
     plan: &SharedPlan,
     paces: &[u32],

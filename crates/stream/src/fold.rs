@@ -8,51 +8,27 @@
 //! charged in all over to the report's replaced-plan totals. A fixed-plan
 //! run never re-cuts: it is the one-epoch case, and every sum it reports is
 //! a plain Σ over `subplans_of_query` of per-subplan numbers.
+//!
+//! With observability on, the fold also owns the run's trace and metrics,
+//! and each span is recorded at the boundary that measured it: the loop
+//! hands over its ingest poll ([`Fold::poll`]) and adapt evaluation
+//! ([`Fold::adapt`]) as soon as it times them, and [`Fold::front`] records
+//! the front's wavefront, tick and operator spans, tick histograms and
+//! slack counters. Nothing is kept per execution beyond the front.
 
 use crate::engine::{EngineState, TickRec};
+use crate::schedule::Tick;
 use ishare_common::{OpKind, QueryId, WorkBreakdown, WorkUnits};
 use ishare_core::adapt::AdaptController;
 use ishare_ingest::TopicStats;
 use ishare_obs::{
-    AuxKind, AuxSpan, ExecCounts, FrontCharge, MetricsRegistry, ObsReport, SlackLedger, SlackPoint,
-    Span, SpanKind, TraceBuffer,
+    ExecCounts, FrontCharge, MetricsRegistry, ObsConfig, ObsReport, SlackLedger, SlackPoint, Span,
+    SpanKind, TraceBuffer,
 };
 use ishare_plan::SharedPlan;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::time::Duration;
-
-/// Timing of one wavefront (all executions at one arrival fraction,
-/// including a churn boundary's quiesce sweep).
-#[derive(Debug, Clone)]
-pub(crate) struct FrontRec {
-    /// The front's records, as a range into the run's [`TickRec`]s.
-    pub(crate) range: Range<usize>,
-    pub(crate) num: u32,
-    pub(crate) den: u32,
-    pub(crate) start: Duration,
-    pub(crate) dur: Duration,
-}
-
-/// Timing of one per-wavefront ingest cut; becomes an `ingest`-track aux
-/// span. `rows` is the deterministic delta count; the durations are
-/// observability-only.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PollRec {
-    pub(crate) start: Duration,
-    pub(crate) dur: Duration,
-    pub(crate) rows: u64,
-}
-
-/// Timing of one adapt-controller evaluation at a wavefront boundary;
-/// becomes an `adapt`-track aux span.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AdaptRec {
-    pub(crate) front: u32,
-    pub(crate) start: Duration,
-    pub(crate) dur: Duration,
-    pub(crate) switched: bool,
-}
 
 /// What one subplan of the plan in effect has been charged so far.
 #[derive(Clone, Copy, Default)]
@@ -84,7 +60,61 @@ pub(crate) struct Fold {
     carried_exec: ExecCounts,
     /// Per-query slack ledger, sampled at every folded front.
     pub(crate) ledger: Option<SlackLedger>,
-    slack: Vec<SlackPoint>,
+    /// The run's trace and metrics; present iff observability is on.
+    obs: Option<Recorder>,
+}
+
+/// What an observed run records as it goes.
+#[derive(Default)]
+struct Recorder {
+    trace: TraceBuffer,
+    metrics: MetricsRegistry,
+}
+
+fn micros(d: Duration) -> u64 {
+    d.as_micros() as u64
+}
+
+impl Recorder {
+    fn span(&mut self, kind: SpanKind, sp: u32, at: Range<Duration>, work: f64) {
+        let (start_us, dur_us) = (micros(at.start), micros(at.end - at.start));
+        self.trace.push(Span { kind, sp, start_us, dur_us, work });
+    }
+
+    /// One execution: its tick span, its operator spans — the tick's wall
+    /// interval subdivided in proportion to its per-kind work breakdown —
+    /// and its histograms.
+    fn tick(&mut self, rec: &TickRec) {
+        let Tick { sp, num, den, is_final, .. } = rec.tick;
+        let (work, wall) = (rec.work.get(), rec.wall);
+        let kind = SpanKind::Tick { num, den, depth: rec.depth, is_final };
+        self.span(kind, sp.0, rec.start..rec.start + wall, work);
+        self.metrics.histogram_record("tick.work", work);
+        self.metrics.histogram_record("tick.wall_us", wall.as_micros() as f64);
+        let (start_us, dur_total) = (micros(rec.start), micros(wall));
+        if work <= 0.0 || dur_total == 0 {
+            return;
+        }
+        let mut cum = 0.0;
+        for kind in OpKind::ALL {
+            let w = rec.breakdown.get(kind);
+            if w == 0.0 {
+                continue;
+            }
+            let s = (dur_total as f64 * (cum / work)) as u64;
+            cum += w;
+            let e = (dur_total as f64 * (cum / work)) as u64;
+            if e > s {
+                self.trace.push(Span {
+                    kind: SpanKind::Operator(kind),
+                    sp: sp.0,
+                    start_us: start_us + s,
+                    dur_us: e - s,
+                    work: w,
+                });
+            }
+        }
+    }
 }
 
 /// Σ over `plan.subplans_of_query(q)` of a per-subplan number — the one
@@ -95,7 +125,17 @@ fn of_query(plan: &SharedPlan, q: QueryId, per_sp: impl Fn(usize) -> f64) -> f64
 }
 
 impl Fold {
-    pub(crate) fn new(subplans: usize, ledger: Option<SlackLedger>) -> Fold {
+    /// A run over a plan of `subplans` subplans. With `obs` on, the fold
+    /// records a trace and metrics, and a slack ledger over `budgets` if
+    /// any are declared.
+    pub(crate) fn new(
+        subplans: usize,
+        obs: Option<ObsConfig>,
+        budgets: Option<BTreeMap<QueryId, f64>>,
+    ) -> Fold {
+        let obs = obs.map(|_| Recorder::default());
+        let ledger =
+            budgets.filter(|b| obs.is_some() && !b.is_empty()).map(|b| SlackLedger::new(&b));
         Fold {
             total_work: WorkUnits::ZERO,
             total_wall: Duration::ZERO,
@@ -106,7 +146,7 @@ impl Fold {
             carried_breakdown: WorkBreakdown::default(),
             carried_exec: ExecCounts::default(),
             ledger,
-            slack: Vec::new(),
+            obs,
         }
     }
 
@@ -136,14 +176,37 @@ impl Fold {
         counts
     }
 
-    /// Fold wavefront `wf`'s records, in schedule order.
+    /// The loop cut the ingest topics for wavefront `wf` over `at`,
+    /// delivering `rows` delta records.
+    pub(crate) fn poll(&mut self, wf: usize, at: Range<Duration>, rows: u64) {
+        if let Some(r) = self.obs.as_mut() {
+            r.span(SpanKind::IngestPoll, wf as u32, at, rows as f64);
+            r.metrics.histogram_record("ingest.poll.rows", rows as f64);
+        }
+    }
+
+    /// The adapt controller evaluated wavefront `wf` over `at`.
+    pub(crate) fn adapt(&mut self, wf: usize, at: Range<Duration>, switched: bool) {
+        if let Some(r) = self.obs.as_mut() {
+            r.span(SpanKind::AdaptSearch, wf as u32, at, if switched { 1.0 } else { 0.0 });
+        }
+    }
+
+    /// Fold wavefront `wf` — every execution at fraction `num/den`, run
+    /// over `at` — from its records, in schedule order.
     pub(crate) fn front(
         &mut self,
         plan: &SharedPlan,
         wf: usize,
-        front: &FrontRec,
+        (num, den): (u32, u32),
+        at: Range<Duration>,
         recs: &[TickRec],
     ) {
+        if let Some(r) = self.obs.as_mut() {
+            let is_final = recs.iter().any(|rec| rec.tick.is_final);
+            let work: f64 = recs.iter().map(|rec| rec.work.get()).sum();
+            r.span(SpanKind::Wavefront { num, den, is_final }, wf as u32, at.clone(), work);
+        }
         let mut sp_front: Vec<f64> =
             if self.ledger.is_some() { vec![0.0; plan.len()] } else { Vec::new() };
         for rec in recs {
@@ -167,6 +230,9 @@ impl Fold {
                 sp.exec.incremental += 1;
                 self.exec.incremental += 1;
             }
+            if let Some(r) = self.obs.as_mut() {
+                r.tick(rec);
+            }
         }
         let Some(mut ledger) = self.ledger.take() else { return };
         let charges: BTreeMap<QueryId, FrontCharge> = plan
@@ -181,17 +247,18 @@ impl Fold {
                 (q, charge)
             })
             .collect();
-        ledger.record_front(wf as u32, front.num, front.den, &charges);
-        let ts_us = (front.start + front.dur).as_micros() as u64;
-        for (q, qs) in ledger.queries() {
-            if let Some(s) = qs.samples.last() {
-                self.slack.push(SlackPoint {
-                    query: q.0,
-                    wavefront: wf as u32,
-                    ts_us,
-                    remaining: s.remaining,
-                    consumed: s.consumed,
-                });
+        ledger.record_front(wf as u32, num, den, &charges);
+        if let Some(r) = self.obs.as_mut() {
+            for (q, qs) in ledger.queries() {
+                if let Some(s) = qs.samples.last() {
+                    r.trace.push_slack(SlackPoint {
+                        query: q.0,
+                        wavefront: wf as u32,
+                        ts_us: micros(at.end),
+                        remaining: s.remaining,
+                        consumed: s.consumed,
+                    });
+                }
             }
         }
         self.ledger = Some(ledger);
@@ -217,96 +284,12 @@ impl Fold {
         self.sp = vec![Tally::default(); new.len()];
     }
 
-    /// The observability report: span trace (ticks, then wavefronts; aux
-    /// operator / ingest / adapt tracks; slack counter tracks), metrics,
-    /// the per-subplan breakdown of the plan in effect at the end, and what
-    /// plans a churn re-cut replaced were charged.
-    pub(crate) fn report(
-        &self,
-        recs: &[TickRec],
-        fronts: &[FrontRec],
-        polls: &[PollRec],
-        adapt_recs: &[AdaptRec],
-    ) -> ObsReport {
-        let mut trace = TraceBuffer::new(TraceBuffer::DEFAULT_CAPACITY);
-        let mut metrics = MetricsRegistry::new();
-        for rec in recs {
-            trace.push(Span {
-                kind: SpanKind::Tick,
-                sp: rec.tick.sp.0,
-                num: rec.tick.num,
-                den: rec.tick.den,
-                depth: rec.depth,
-                start_us: rec.start.as_micros() as u64,
-                dur_us: rec.wall.as_micros() as u64,
-                work: rec.work.get(),
-                is_final: rec.tick.is_final,
-            });
-            metrics.histogram_record("tick.work", rec.work.get());
-            metrics.histogram_record("tick.wall_us", rec.wall.as_micros() as f64);
-            // Operator spans: subdivide the tick's wall interval
-            // proportionally to its per-kind work breakdown, on the ops
-            // track.
-            let dur_total = rec.wall.as_micros() as u64;
-            let work_total = rec.work.get();
-            if work_total > 0.0 && dur_total > 0 {
-                let mut cum = 0.0;
-                for kind in OpKind::ALL {
-                    let w = rec.breakdown.get(kind);
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let s = (dur_total as f64 * (cum / work_total)) as u64;
-                    cum += w;
-                    let e = (dur_total as f64 * (cum / work_total)) as u64;
-                    if e > s {
-                        trace.push_aux(AuxSpan {
-                            kind: AuxKind::Operator(kind),
-                            sp: rec.tick.sp.0,
-                            start_us: rec.start.as_micros() as u64 + s,
-                            dur_us: e - s,
-                            work: w,
-                        });
-                    }
-                }
-            }
-        }
-        for (fi, front) in fronts.iter().enumerate() {
-            let recs = &recs[front.range.clone()];
-            trace.push(Span {
-                kind: SpanKind::Wavefront,
-                sp: fi as u32,
-                num: front.num,
-                den: front.den,
-                depth: 0,
-                start_us: front.start.as_micros() as u64,
-                dur_us: front.dur.as_micros() as u64,
-                work: recs.iter().map(|r| r.work.get()).sum(),
-                is_final: recs.iter().any(|r| r.tick.is_final),
-            });
-        }
-        for (i, p) in polls.iter().enumerate() {
-            trace.push_aux(AuxSpan {
-                kind: AuxKind::IngestPoll,
-                sp: i as u32,
-                start_us: p.start.as_micros() as u64,
-                dur_us: p.dur.as_micros() as u64,
-                work: p.rows as f64,
-            });
-            metrics.histogram_record("ingest.poll.rows", p.rows as f64);
-        }
-        for a in adapt_recs {
-            trace.push_aux(AuxSpan {
-                kind: AuxKind::AdaptSearch,
-                sp: a.front,
-                start_us: a.start.as_micros() as u64,
-                dur_us: a.dur.as_micros() as u64,
-                work: if a.switched { 1.0 } else { 0.0 },
-            });
-        }
-        for point in &self.slack {
-            trace.push_slack(*point);
-        }
+    /// The observability report — the recorded trace and metrics, the
+    /// per-subplan breakdown of the plan in effect at the end, and what
+    /// plans a churn re-cut replaced were charged — or `None` with
+    /// observability off.
+    pub(crate) fn report(&mut self) -> Option<ObsReport> {
+        let Recorder { trace, mut metrics } = self.obs.take()?;
         if let Some(ledger) = &self.ledger {
             ledger.record_metrics(&mut metrics);
         }
@@ -331,7 +314,7 @@ impl Fold {
         }
         metrics.counter_add("executions.incremental", self.exec.incremental as f64);
         metrics.counter_add("executions.final", self.exec.finals as f64);
-        report
+        Some(report)
     }
 }
 

@@ -68,7 +68,6 @@ pub use driver::{
 pub use ishare_exec::{ExecMode, ExecOptions};
 pub use ishare_ingest::{ChurnKind, ChurnRecord, CommitLog, Source, SourceConfig};
 pub use ishare_obs::{
-    AuxKind, AuxSpan, ExecCounts, ObsConfig, ObsReport, QuerySlack, SlackLedger, SlackPoint,
-    SlackSample,
+    ExecCounts, ObsConfig, ObsReport, QuerySlack, SlackLedger, SlackPoint, SlackSample,
 };
 pub use measure::{missed_latency_stats, MissedLatencyStats};

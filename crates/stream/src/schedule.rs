@@ -319,7 +319,7 @@ mod tests {
         // Each front runs children before parents: depths never fall along
         // a front, and every child tick precedes its parent's tick.
         let (_c, plan) = fixture();
-        let depths = plan.depths();
+        let depths = plan.depths().unwrap();
         let paces: Vec<u32> = (0..plan.len()).map(|i| 1 + i as u32).collect();
         let ticks = build_schedule(&plan, &paces).unwrap();
         for range in wavefronts(&ticks) {

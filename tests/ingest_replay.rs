@@ -59,3 +59,41 @@ fn tpch_source_fed_matches_vec_fed_with_kill_resume() {
     let obs = SourceOptions { obs: Some(ObsConfig::default()), ..Default::default() };
     assert_same(&full, &jittered(obs).done("obs on"), "jittered obs on");
 }
+
+/// A feed weight other than ±1 is rejected where the source releases it.
+/// A join multiplies its inputs' weights: one `1 << 40` row on each side
+/// would overflow the product (a panic in debug, a wrapped zero — and a
+/// silently lost match — in release).
+#[test]
+fn weights_other_than_plus_or_minus_one_are_invalid_deltas() {
+    use ishare::common::{CostWeights, DataType, Error, QueryId, TableId};
+    use ishare::mqo::{build_shared_dag, normalize, MqoConfig};
+    use ishare::plan::{PlanBuilder, SharedPlan};
+    use ishare::storage::{Catalog, Field, Row, Schema, TableStats};
+    use ishare::stream::execute_planned_deltas;
+    use ishare::Value;
+    use std::collections::HashMap;
+
+    let mut c = Catalog::new();
+    let int = |name: &str| Field::new(name, DataType::Int);
+    let t = c.add_table("t", Schema::new(vec![int("k")]), TableStats::unknown(1.0, 1)).unwrap();
+    let u = c.add_table("u", Schema::new(vec![int("uk")]), TableStats::unknown(1.0, 1)).unwrap();
+    let join = PlanBuilder::scan(&c, "t")
+        .unwrap()
+        .join(PlanBuilder::scan(&c, "u").unwrap(), &[("k", "uk")])
+        .unwrap()
+        .build();
+    let dag = build_shared_dag(&[(QueryId(0), normalize(&join))], &c, &MqoConfig::default());
+    let plan = SharedPlan::from_dag(&dag.unwrap()).unwrap();
+    let row = Row::new(vec![Value::Int(7)]);
+    for weight in [1i64 << 40, 2, 0, i64::MIN] {
+        let feeds: HashMap<TableId, Vec<(Row, i64)>> =
+            [(t, vec![(row.clone(), weight)]), (u, vec![(row.clone(), weight)])]
+                .into_iter()
+                .collect();
+        let paces = vec![1; plan.len()];
+        let run = execute_planned_deltas(&plan, &paces, &c, &feeds, CostWeights::default());
+        let Err(Error::InvalidDelta(msg)) = &run else { panic!("weight {weight}: {run:?}") };
+        assert!(msg.contains(&format!("table {t} offset 0: weight {weight} ")), "{msg}");
+    }
+}

@@ -3,9 +3,11 @@
 //! track, and the metrics document round-trips through the JSON parser with
 //! its work invariants intact.
 
+use ishare::core::adapt::{AdaptController, AdaptOptions};
+use ishare::obs::{Span, SpanKind};
 use ishare::stream::{
-    execute_from_source_obs, execute_planned_deltas_with, ObsConfig, ObsReport, Source,
-    SourceOptions,
+    execute_adaptive_from_source_obs, execute_from_source_obs, execute_planned_deltas_with,
+    ObsConfig, ObsReport, Source, SourceConfig, SourceOptions, SourceOutcome,
 };
 use ishare_common::{CostWeights, DataType, QueryId, QuerySet, TableId, Value};
 use ishare_expr::Expr;
@@ -194,7 +196,8 @@ fn slo_run_adds_aux_and_slack_tracks() {
     let ledger = report.slack.as_ref().expect("slo budgets produce a ledger");
     ledger.verify().unwrap();
     assert_eq!(ledger.misses(), 0, "1e6 budgets are unmissable on 120 rows");
-    assert!(!report.trace.aux_spans().is_empty(), "ingest/operator aux spans recorded");
+    let aux = |s: &Span| !matches!(s.kind, SpanKind::Tick { .. } | SpanKind::Wavefront { .. });
+    assert!(report.trace.spans().iter().any(aux), "ingest/operator aux spans recorded");
     assert!(!report.trace.slack_points().is_empty(), "slack counter points recorded");
 
     let doc = report.chrome_trace();
@@ -206,6 +209,48 @@ fn slo_run_adds_aux_and_slack_tracks() {
     for want in ["ingest", "operator", "slo"] {
         assert!(cats.contains(&want), "trace lacks category {want:?}");
     }
+}
+
+/// An adaptive, budgeted run pulled from a jittered source records one tick
+/// span per execution, one wavefront and one ingest-poll span per front,
+/// one adapt span per controller evaluation and one slack sample per query
+/// per front — and drops nothing.
+#[test]
+fn adaptive_source_fed_run_records_each_span_once() {
+    let (c, plan, data) = tiny_workload();
+    let paces = vec![4u32; plan.len()];
+    let budgets: std::collections::BTreeMap<QueryId, f64> =
+        [(QueryId(0), 1e6), (QueryId(1), 1e6)].into_iter().collect();
+    let w = CostWeights::default();
+    let mut ctrl =
+        AdaptController::new(&plan, &c, w, &paces, budgets.clone(), AdaptOptions::default())
+            .unwrap();
+    let topology = SourceConfig { partitions: 2, capacity: 16, jitter: 5, seed: 3 };
+    let mut source = Source::new(&data, topology).unwrap();
+    let opts = SourceOptions {
+        obs: Some(ObsConfig::default()),
+        slo: Some(budgets.clone()),
+        ..Default::default()
+    };
+    let outcome =
+        execute_adaptive_from_source_obs(&plan, &c, &mut source, w, opts, &mut ctrl).unwrap();
+    let SourceOutcome::Completed { result, log } = outcome else { panic!("the run was stopped") };
+    let report = result.obs.as_ref().unwrap();
+
+    let doc = report.chrome_trace();
+    check_chrome_trace(&doc);
+    let events = doc["traceEvents"].as_array().unwrap();
+    let spans = |cat: &str| events.iter().filter(|e| e["ph"] == "X" && e["cat"] == cat).count();
+    let fronts = log.len();
+    assert!(fronts > 1, "a paced run has several fronts");
+    assert_eq!(spans("tick"), result.executions);
+    assert_eq!(spans("wavefront"), fronts);
+    assert_eq!(spans("ingest"), fronts);
+    assert_eq!(spans("adapt") as u64, ctrl.metrics().evaluations);
+    let samples = events.iter().filter(|e| e["ph"] == "C").count();
+    assert_eq!(samples, budgets.len() * fronts);
+    assert_eq!(report.trace.slack_points().len(), samples);
+    assert_eq!(report.trace.dropped(), 0);
 }
 
 /// The deterministic metrics snapshot must serialize to the same bytes in a
