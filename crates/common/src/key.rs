@@ -89,11 +89,6 @@ impl KeyBuf {
     pub fn as_words(&self) -> &[u64] {
         &self.words
     }
-
-    /// Number of encoded key columns.
-    pub fn columns(&self) -> usize {
-        self.words.len() / 2
-    }
 }
 
 impl Borrow<[u64]> for KeyBuf {
@@ -138,7 +133,6 @@ mod tests {
         let a2 = enc(&[Value::str("a")], &mut i);
         assert_eq!(a1, a2);
         assert_ne!(a1, b);
-        assert_eq!(a1.columns(), 1);
     }
 
     #[test]

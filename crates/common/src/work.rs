@@ -31,11 +31,6 @@ impl WorkUnits {
     pub fn saturating_sub(self, other: WorkUnits) -> WorkUnits {
         WorkUnits((self.0 - other.0).max(0.0))
     }
-
-    /// `true` iff within `eps` of `other` (cost comparisons tolerate float noise).
-    pub fn approx_eq(self, other: WorkUnits, eps: f64) -> bool {
-        (self.0 - other.0).abs() <= eps
-    }
 }
 
 impl Add for WorkUnits {
@@ -284,11 +279,6 @@ impl WorkCounter {
         WorkUnits(self.total.get())
     }
 
-    /// Work recorded so far for one kind.
-    pub fn kind_total(&self, kind: OpKind) -> WorkUnits {
-        WorkUnits(self.by_kind[kind.index()].get())
-    }
-
     /// Snapshot of the per-kind breakdown.
     pub fn breakdown(&self) -> WorkBreakdown {
         let mut out = [0.0; OpKind::COUNT];
@@ -296,17 +286,6 @@ impl WorkCounter {
             *o = c.get();
         }
         WorkBreakdown(out)
-    }
-
-    /// Reset to zero and return the previous total (used to carve one
-    /// incremental execution's work out of a long-lived counter).
-    pub fn take(&self) -> WorkUnits {
-        let t = self.total.get();
-        self.total.set(0.0);
-        for c in &self.by_kind {
-            c.set(0.0);
-        }
-        WorkUnits(t)
     }
 }
 
@@ -322,20 +301,17 @@ mod tests {
         assert_eq!(WorkUnits(1.0).saturating_sub(WorkUnits(5.0)), WorkUnits::ZERO);
         let s: WorkUnits = [WorkUnits(1.0), WorkUnits(2.5)].into_iter().sum();
         assert_eq!(s, WorkUnits(3.5));
-        assert!(WorkUnits(1.0).approx_eq(WorkUnits(1.0 + 1e-12), 1e-9));
     }
 
     #[test]
-    fn counter_charges_and_takes() {
+    fn counter_charges_by_kind() {
         let c = WorkCounter::new();
+        assert_eq!(c.breakdown(), WorkBreakdown::default());
         c.charge(OpKind::Scan, 2.0, 3);
         c.charge(OpKind::Filter, 0.5, 1);
         assert_eq!(c.total(), WorkUnits(6.5));
-        assert_eq!(c.kind_total(OpKind::Scan), WorkUnits(6.0));
-        assert_eq!(c.kind_total(OpKind::Filter), WorkUnits(0.5));
-        assert_eq!(c.take(), WorkUnits(6.5));
-        assert_eq!(c.total(), WorkUnits::ZERO);
-        assert_eq!(c.breakdown(), WorkBreakdown::default());
+        assert_eq!(c.breakdown().get(OpKind::Scan), 6.0);
+        assert_eq!(c.breakdown().get(OpKind::Filter), 0.5);
     }
 
     #[test]
@@ -346,8 +322,8 @@ mod tests {
         }
         let b = c.breakdown();
         assert!((b.sum() - c.total().get()).abs() < 1e-9);
-        for kind in OpKind::ALL {
-            assert_eq!(b.get(kind), c.kind_total(kind).get());
+        for (i, kind) in OpKind::ALL.into_iter().enumerate() {
+            assert_eq!(b.get(kind), (0.5 + i as f64) * (i + 1) as f64);
         }
     }
 

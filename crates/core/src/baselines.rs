@@ -21,7 +21,7 @@ use crate::constraint::{batch_final_works, resolve_against, ConstraintMap, Final
 use crate::decompose::{decompose_plan, DagPlan};
 use crate::pace::PaceConfiguration;
 use crate::pace_search::find_grouped_paces;
-use ishare_common::{CostWeights, QueryId, Result, SubplanId};
+use ishare_common::{CostWeights, Error, QueryId, Result, SubplanId};
 use ishare_cost::{CostReport, EstimatorCounters, PlanEstimator};
 use ishare_mqo::{build_shared_dag, connected_components, normalize, MqoConfig};
 use ishare_plan::{DagOp, LogicalPlan, SharedPlan};
@@ -102,7 +102,7 @@ pub struct PlannedExecution {
 /// Common planning knobs.
 #[derive(Debug, Clone)]
 pub struct PlanningOptions {
-    /// Pace cap.
+    /// Pace cap: at least 1.
     pub max_pace: u32,
     /// Partial decomposition for the iShare variants.
     pub partial: bool,
@@ -133,6 +133,9 @@ pub fn plan_workload(
     opts: &PlanningOptions,
 ) -> Result<PlannedExecution> {
     use Approach::*;
+    if opts.max_pace == 0 {
+        return Err(Error::InvalidConfig("max_pace must be >= 1".into()));
+    }
     let start = Instant::now();
     let weights = CostWeights::default();
 
@@ -289,6 +292,16 @@ mod tests {
             }
             planned.paces.respects_plan(&planned.plan).unwrap();
             assert!(planned.report.total_work.get() > 0.0);
+        }
+    }
+
+    #[test]
+    fn zero_pace_cap_is_rejected_by_every_approach() {
+        let c = catalog();
+        let opts = PlanningOptions { max_pace: 0, ..Default::default() };
+        for approach in Approach::ALL {
+            let planned = plan_workload(approach, &workload(&c), &rel(0.5), &c, &opts);
+            assert!(matches!(planned, Err(Error::InvalidConfig(_))), "{}", approach.label());
         }
     }
 

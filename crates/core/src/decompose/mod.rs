@@ -197,11 +197,11 @@ pub fn try_decompose_subplan(
         let top = cand.roots.iter().position(|r| *r == root).map(|i| SubplanId(i as u32));
         let top = top.ok_or_else(|| Error::InvalidPlan(format!("no subplan roots at {root}")))?;
         let top_sp = cand.plan.subplan(top)?;
-        // The pace searches run with lightweight reports; re-estimate once
-        // with the per-leaf input estimates the local problem needs.
+        // Re-estimate once for the per-leaf input estimates the local
+        // problem needs.
         let mut est = PlanEstimator::new(&cand.plan, catalog, weights)?;
-        let detailed = est.estimate_detailed(cand_paces.as_slice())?;
-        let inputs = &detailed.subplan_inputs[top.index()];
+        let cand_report = est.estimate(cand_paces.as_slice())?;
+        let inputs = &est.leaf_inputs(&cand_report, top)?;
         let local_cons =
             local_constraints_for_subplan(top_sp, inputs, constraints, batch_finals, weights)?;
         let problem = LocalProblem {

@@ -103,10 +103,10 @@ mod tests {
     fn deep() -> DagPlan {
         let all = qs(&[0, 1]);
         let mut d = SharedDag::new();
-        let t = d.add_node(DagOp::Scan { table: TableId(0) }, vec![], all).unwrap();
+        let t = d.add_node(DagOp::Input(TableId(0)), vec![], all).unwrap();
         let branches = vec![SelectBranch { queries: all, predicate: Expr::true_lit() }];
         let left = d.add_node(DagOp::Select { branches }, vec![t], all).unwrap();
-        let u = d.add_node(DagOp::Scan { table: TableId(1) }, vec![], all).unwrap();
+        let u = d.add_node(DagOp::Input(TableId(1)), vec![], all).unwrap();
         let right = d
             .add_node(
                 DagOp::Aggregate {

@@ -27,7 +27,6 @@
 use super::DagPlan;
 use crate::pace::PaceConfiguration;
 use ishare_common::{Error, NodeId, QuerySet, Result, SubplanId};
-use ishare_plan::{restrict_branches, DagOp};
 use std::collections::HashMap;
 
 /// Split `target` of `current` into one piece per partition and re-derive
@@ -81,17 +80,13 @@ pub fn regenerate(
             let children =
                 node.children.iter().map(|c| *clones.get(&(*c, i)).unwrap_or(c)).collect();
             let mut op = node.op.clone();
-            if let DagOp::Select { branches } = &mut op {
-                restrict_branches(branches, queries);
-            }
+            op.restrict(queries);
             let id = dag.add_node(op, children, queries)?;
             clones.insert((node.id, i), id);
             clone_of.push(node.id);
         }
         let dead = &mut dag.nodes[n];
-        if let DagOp::Select { branches } = &mut dead.op {
-            restrict_branches(branches, QuerySet::EMPTY);
-        }
+        dead.op.restrict(QuerySet::EMPTY);
         dead.queries = QuerySet::EMPTY;
     }
     for (q, root) in &mut dag.query_roots {
@@ -141,7 +136,7 @@ mod tests {
     use super::*;
     use ishare_common::{DataType, QueryId};
     use ishare_expr::Expr;
-    use ishare_plan::{AggExpr, AggFunc, SelectBranch, SharedDag};
+    use ishare_plan::{AggExpr, AggFunc, DagOp, SelectBranch, SharedDag};
     use ishare_storage::{Catalog, ColumnStats, Field, Schema, TableStats};
     use std::collections::BTreeSet;
 
@@ -171,7 +166,7 @@ mod tests {
     fn fig8(c: &Catalog) -> DagPlan {
         let t = c.table_by_name("t").unwrap().id;
         let mut d = SharedDag::new();
-        let scan = d.add_node(DagOp::Scan { table: t }, vec![], qs(&[0, 1, 2])).unwrap();
+        let scan = d.add_node(DagOp::Input(t), vec![], qs(&[0, 1, 2])).unwrap();
         let sel = d
             .add_node(
                 DagOp::Select {
@@ -280,7 +275,7 @@ mod tests {
         assert!(new.dag.nodes.iter().all(|n| n.queries != qs(&[0, 2])));
         // The originals are tombstoned; the scan is a buffer and stays.
         let live = new.dag.nodes[..old.dag.nodes.len()].iter().filter(|n| !n.queries.is_empty());
-        assert!(live.map(|n| n.op.label()).eq(["scan"]));
+        assert!(live.map(|n| n.op.label()).eq(["input"]));
     }
 
     #[test]

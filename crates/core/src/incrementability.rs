@@ -56,7 +56,6 @@ mod tests {
             final_work: finals.iter().map(|&(q, w)| (QueryId(q), WorkUnits(w))).collect(),
             subplan_total: vec![],
             subplan_final: vec![],
-            subplan_inputs: vec![],
             subplan_output: vec![],
         }
     }

@@ -63,14 +63,6 @@ impl PaceConfiguration {
         self.paces[id.index()] = pace;
     }
 
-    /// `true` iff `self` is *eagerer than* `other`: no pace smaller, at
-    /// least one larger (the precondition of Eq. 1).
-    pub fn eagerer_than(&self, other: &PaceConfiguration) -> bool {
-        self.paces.len() == other.paces.len()
-            && self.paces.iter().zip(&other.paces).all(|(a, b)| a >= b)
-            && self.paces.iter().zip(&other.paces).any(|(a, b)| a > b)
-    }
-
     /// Check the engine requirement that a parent subplan's pace never
     /// exceeds its children's (a parent cannot consume faster than the
     /// child materializes).
@@ -131,18 +123,6 @@ mod tests {
         assert_eq!(p2.pace(SubplanId(1)), 5);
         assert_eq!(p.pace(SubplanId(1)), 1, "with_pace is non-destructive");
         assert_eq!(p2.to_string(), "(1, 5, 1)");
-    }
-
-    #[test]
-    fn eagerness_ordering() {
-        let base = PaceConfiguration::batch(3);
-        let e = base.with_pace(SubplanId(0), 2);
-        assert!(e.eagerer_than(&base));
-        assert!(!base.eagerer_than(&e));
-        assert!(!base.eagerer_than(&base), "equal is not eagerer");
-        let mixed = base.with_pace(SubplanId(0), 2).with_pace(SubplanId(1), 1);
-        let other = base.with_pace(SubplanId(1), 2);
-        assert!(!mixed.eagerer_than(&other), "incomparable configs");
     }
 
     #[test]

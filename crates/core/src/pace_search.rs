@@ -332,7 +332,7 @@ mod tests {
     fn shared_plan(c: &Catalog) -> SharedPlan {
         let t = c.table_by_name("t").unwrap().id;
         let mut d = SharedDag::new();
-        let scan = d.add_node(DagOp::Scan { table: t }, vec![], qs(&[0, 1])).unwrap();
+        let scan = d.add_node(DagOp::Input(t), vec![], qs(&[0, 1])).unwrap();
         let sel = d
             .add_node(
                 DagOp::Select {

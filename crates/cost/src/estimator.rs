@@ -30,9 +30,6 @@ pub struct CostReport {
     pub subplan_total: Vec<f64>,
     /// Private final work per subplan.
     pub subplan_final: Vec<f64>,
-    /// Full-trigger input estimate per subplan leaf, in leaf-slot order (the
-    /// Fig. 7 input cardinalities the decomposition algorithm consumes).
-    pub subplan_inputs: Vec<Vec<StreamEstimate>>,
     /// Simulation result per subplan, shared with the estimator's memo; its
     /// `output` is the subplan's full-trigger output estimate.
     pub subplan_output: Vec<Arc<SubplanSim>>,
@@ -243,34 +240,35 @@ impl PlanEstimator {
     }
 
     /// Estimate a pace configuration (one pace per subplan, positionally).
-    /// The report's `subplan_inputs` is left empty — the pace searches call
-    /// this tens of thousands of times and only the decomposition pass needs
-    /// the per-leaf stream estimates; use
-    /// [`PlanEstimator::estimate_detailed`] for those.
     pub fn estimate(&mut self, paces: &[u32]) -> Result<CostReport> {
-        self.estimate_inner(paces, self.memo_enabled, false)
-    }
-
-    /// Like [`PlanEstimator::estimate`] but also collects each subplan's
-    /// full-trigger leaf input estimates (the Fig. 7 cardinalities the
-    /// decomposition algorithm consumes).
-    pub fn estimate_detailed(&mut self, paces: &[u32]) -> Result<CostReport> {
-        self.estimate_inner(paces, self.memo_enabled, true)
+        self.estimate_inner(paces, self.memo_enabled)
     }
 
     /// Estimate without the memo — recomputing every subplan from scratch,
     /// like the original simulation algorithm the paper compares against in
     /// Fig. 15 (`iShare (w/o memo)`).
     pub fn estimate_unmemoized(&mut self, paces: &[u32]) -> Result<CostReport> {
-        self.estimate_inner(paces, false, false)
+        self.estimate_inner(paces, false)
     }
 
-    fn estimate_inner(
-        &mut self,
-        paces: &[u32],
-        use_memo: bool,
-        collect_inputs: bool,
-    ) -> Result<CostReport> {
+    /// The full-trigger estimate of each leaf of subplan `sp`, in leaf-slot
+    /// order (the Fig. 7 input cardinalities the decomposition algorithm
+    /// consumes): a base stream, or a child's output in `report`, an
+    /// estimate of this estimator's plan.
+    pub fn leaf_inputs(&self, report: &CostReport, sp: SubplanId) -> Result<Vec<StreamEstimate>> {
+        let program = self
+            .programs
+            .get(sp.index())
+            .ok_or_else(|| Error::NotFound(format!("subplan {sp}")))?;
+        let child = |c: usize| report.subplan_output.get(c).map(|sim| &**sim);
+        program
+            .leaves()
+            .iter()
+            .map(|&src| Ok(leaf_input(src, &self.base, child, sp)?.clone()))
+            .collect()
+    }
+
+    fn estimate_inner(&mut self, paces: &[u32], use_memo: bool) -> Result<CostReport> {
         let n = self.plan.subplans.len();
         if paces.len() != n {
             return Err(Error::InvalidConfig(format!("{} paces for {n} subplans", paces.len())));
@@ -283,7 +281,6 @@ impl PlanEstimator {
             final_work: BTreeMap::new(),
             subplan_total: vec![0.0; n],
             subplan_final: vec![0.0; n],
-            subplan_inputs: if collect_inputs { vec![Vec::new(); n] } else { Vec::new() },
             subplan_output: Vec::new(),
         };
         let PlanEstimator {
@@ -317,7 +314,8 @@ impl PlanEstimator {
                 // borrowed from their simulations, never copied.
                 None => {
                     counters.simulations += 1;
-                    let input = |leaf: usize| leaf_input(program.leaves()[leaf], base, sims, id);
+                    let done = |c: usize| sims[c].as_deref();
+                    let input = |leaf: usize| leaf_input(program.leaves()[leaf], base, done, id);
                     let sim = Arc::new(program.run(paces[i], input, weights, scratch)?);
                     if use_memo {
                         memo[i].insert(key.clone(), sim.clone());
@@ -328,13 +326,6 @@ impl PlanEstimator {
             report.total_work += WorkUnits(sim.private_total);
             report.subplan_total[i] = sim.private_total;
             report.subplan_final[i] = sim.private_final;
-            if collect_inputs {
-                report.subplan_inputs[i] = program
-                    .leaves()
-                    .iter()
-                    .map(|&src| Ok(leaf_input(src, base, sims, id)?.clone()))
-                    .collect::<Result<_>>()?;
-            }
             sims[i] = Some(sim);
         }
         // Per query, its subplans' final work summed in subplan order.
@@ -362,19 +353,18 @@ impl PlanEstimator {
 }
 
 /// One leaf's full-trigger estimate: a base stream, or the output of a
-/// child simulated earlier in the same call.
+/// child, found by its index through `child`.
 fn leaf_input<'a>(
     src: InputSource,
     base: &'a BTreeMap<TableId, StreamEstimate>,
-    sims: &'a [Option<Arc<SubplanSim>>],
+    child: impl FnOnce(usize) -> Option<&'a SubplanSim>,
     id: SubplanId,
 ) -> Result<&'a StreamEstimate> {
     match src {
         InputSource::Base(t) => {
             base.get(&t).ok_or_else(|| Error::NotFound(format!("base stream {t}")))
         }
-        InputSource::Subplan(c) => sims[c.index()]
-            .as_deref()
+        InputSource::Subplan(c) => child(c.index())
             .map(|sim| &sim.output)
             .ok_or_else(|| Error::InvalidPlan(format!("child {c} output missing for {id}"))),
     }
@@ -431,7 +421,7 @@ mod tests {
         let t = c.table_by_name("t").unwrap().id;
         let u = c.table_by_name("u").unwrap().id;
         let mut d = SharedDag::new();
-        let scan = d.add_node(DagOp::Scan { table: t }, vec![], qs(&[0, 1])).unwrap();
+        let scan = d.add_node(DagOp::Input(t), vec![], qs(&[0, 1])).unwrap();
         let sel = d
             .add_node(
                 DagOp::Select {
@@ -464,7 +454,7 @@ mod tests {
                 qs(&[0]),
             )
             .unwrap();
-        let scan_u = d.add_node(DagOp::Scan { table: u }, vec![], qs(&[1])).unwrap();
+        let scan_u = d.add_node(DagOp::Input(u), vec![], qs(&[1])).unwrap();
         let join = d
             .add_node(
                 DagOp::Join { keys: vec![(Expr::col(0), Expr::col(0))] },
@@ -616,11 +606,9 @@ mod tests {
         let plan = fig2_plan(&c);
         let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
         let rep = est.estimate(&vec![2; plan.len()]).unwrap();
-        assert!(rep.subplan_inputs.is_empty(), "only a detailed estimate collects inputs");
         assert_eq!(rep.subplan_output.len(), plan.len());
-        let detailed = est.estimate_detailed(&vec![2; plan.len()]).unwrap();
-        assert_eq!(detailed.subplan_inputs.len(), plan.len());
-        assert_eq!(detailed.subplan_inputs[0].len(), 1, "the shared subplan reads one scan");
+        let inputs = est.leaf_inputs(&rep, SubplanId(0)).unwrap();
+        assert_eq!(inputs.len(), 1, "the shared subplan reads one scan");
         // The shared subplan's output feeds two parents; its estimate must
         // track per-query cardinalities for both.
         let shared = &rep.subplan_output[0].output;

@@ -680,9 +680,10 @@ fn zeroed(arena: &mut Vec<f64>, len: usize) {
     arena.resize(len, 0.0);
 }
 
-/// Rows valid for at least one of the queries in `mask`, under the
-/// independence assumption of [`CardVec::restrict`]:
-/// `total × (1 − Π_q (1 − n_q/total))`.
+/// Rows valid for at least one of the queries in `mask`, assuming the
+/// queries' masks are independent: `total × (1 − Π_q (1 − n_q/total))`.
+/// A single query's union is its own count; exact totals for several would
+/// need the masks' correlations.
 fn union_of(total: f64, rows: &[f64], mask: u64) -> f64 {
     if total <= 0.0 {
         return 0.0;
@@ -781,6 +782,15 @@ mod tests {
             )],
         );
         Subplan { id: SubplanId(0), root: tree, queries: qs(&[0, 1]), output_queries: qs(&[0, 1]) }
+    }
+
+    #[test]
+    fn union_of_is_exact_for_one_query_and_independent_for_several() {
+        let rows = [20.0, 50.0, 50.0];
+        assert!((union_of(100.0, &rows, 0b001) - 20.0).abs() < 1e-9);
+        // Two 50 % masks, independent: 75 rows carry at least one of them.
+        assert!((union_of(100.0, &rows, 0b110) - 75.0).abs() < 1e-9);
+        assert_eq!(union_of(0.0, &rows, 0b111), 0.0);
     }
 
     #[test]

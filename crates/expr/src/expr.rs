@@ -45,11 +45,6 @@ impl BinaryOp {
     pub fn is_logical(self) -> bool {
         matches!(self, BinaryOp::And | BinaryOp::Or)
     }
-
-    /// `true` for arithmetic.
-    pub fn is_arithmetic(self) -> bool {
-        matches!(self, BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div)
-    }
 }
 
 impl fmt::Display for BinaryOp {
@@ -281,95 +276,6 @@ impl Expr {
     pub fn case(self, then: Expr, els: Expr) -> Expr {
         Expr::Case { when: Box::new(self), then: Box::new(then), els: Box::new(els) }
     }
-
-    /// Conjunction of several predicates; `TRUE` when empty.
-    pub fn conjunction(preds: impl IntoIterator<Item = Expr>) -> Expr {
-        let mut it = preds.into_iter();
-        match it.next() {
-            None => Expr::true_lit(),
-            Some(first) => it.fold(first, |acc, p| acc.and(p)),
-        }
-    }
-
-    /// Visit every node (pre-order).
-    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
-        f(self);
-        match self {
-            Expr::Column(_) | Expr::Literal(_) => {}
-            Expr::Binary { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
-            Expr::Not(e) | Expr::IsNull(e) => e.visit(f),
-            Expr::InList { expr, .. } | Expr::Like { expr, .. } => expr.visit(f),
-            Expr::Case { when, then, els } => {
-                when.visit(f);
-                then.visit(f);
-                els.visit(f);
-            }
-            Expr::Func { arg, .. } => arg.visit(f),
-        }
-    }
-
-    /// The largest referenced column index, if any column is referenced.
-    pub fn max_column(&self) -> Option<usize> {
-        let mut max = None;
-        self.visit(&mut |e| {
-            if let Expr::Column(i) = e {
-                max = Some(max.map_or(*i, |m: usize| m.max(*i)));
-            }
-        });
-        max
-    }
-
-    /// All referenced column indices (sorted, deduplicated).
-    pub fn columns(&self) -> Vec<usize> {
-        let mut cols = Vec::new();
-        self.visit(&mut |e| {
-            if let Expr::Column(i) = e {
-                cols.push(*i);
-            }
-        });
-        cols.sort_unstable();
-        cols.dedup();
-        cols
-    }
-
-    /// Rewrite every column index through `f`. Used by the MQO when merging
-    /// projects re-homes parent expressions onto the merged output layout.
-    pub fn map_columns(&self, f: &impl Fn(usize) -> usize) -> Expr {
-        match self {
-            Expr::Column(i) => Expr::Column(f(*i)),
-            Expr::Literal(v) => Expr::Literal(v.clone()),
-            Expr::Binary { op, left, right } => Expr::Binary {
-                op: *op,
-                left: Box::new(left.map_columns(f)),
-                right: Box::new(right.map_columns(f)),
-            },
-            Expr::Not(e) => Expr::Not(Box::new(e.map_columns(f))),
-            Expr::IsNull(e) => Expr::IsNull(Box::new(e.map_columns(f))),
-            Expr::InList { expr, list } => {
-                Expr::InList { expr: Box::new(expr.map_columns(f)), list: list.clone() }
-            }
-            Expr::Like { expr, pattern } => {
-                Expr::Like { expr: Box::new(expr.map_columns(f)), pattern: pattern.clone() }
-            }
-            Expr::Case { when, then, els } => Expr::Case {
-                when: Box::new(when.map_columns(f)),
-                then: Box::new(then.map_columns(f)),
-                els: Box::new(els.map_columns(f)),
-            },
-            Expr::Func { func, arg } => {
-                Expr::Func { func: func.clone(), arg: Box::new(arg.map_columns(f)) }
-            }
-        }
-    }
-
-    /// Shift every column index by `offset` (aligning right-join-side
-    /// expressions to the concatenated join output layout).
-    pub fn shift_columns(&self, offset: usize) -> Expr {
-        self.map_columns(&|i| i + offset)
-    }
 }
 
 impl fmt::Display for Expr {
@@ -420,32 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn column_introspection() {
-        let e = Expr::col(3).mul(Expr::col(1)).add(Expr::lit(2.0));
-        assert_eq!(e.max_column(), Some(3));
-        assert_eq!(e.columns(), vec![1, 3]);
-        assert_eq!(Expr::lit(1i64).max_column(), None);
-    }
-
-    #[test]
-    fn remapping() {
-        let e = Expr::col(0).eq(Expr::col(2));
-        let shifted = e.shift_columns(5);
-        assert_eq!(shifted.columns(), vec![5, 7]);
-        let remapped = e.map_columns(&|i| if i == 0 { 9 } else { i });
-        assert_eq!(remapped.columns(), vec![2, 9]);
-    }
-
-    #[test]
-    fn conjunction_identity() {
-        assert!(Expr::conjunction(std::iter::empty()).is_true_lit());
-        let one = Expr::conjunction([Expr::col(0).eq(Expr::lit(1i64))]);
-        assert_eq!(one.to_string(), "(#0 = 1)");
-        let two = Expr::conjunction([Expr::true_lit(), Expr::true_lit()]);
-        assert_eq!(two.to_string(), "(true AND true)");
-    }
-
-    #[test]
     fn like_matching() {
         assert!(LikePattern::Prefix("ab".into()).matches("abc"));
         assert!(!LikePattern::Prefix("ab".into()).matches("xab"));
@@ -458,7 +338,6 @@ mod tests {
     fn op_classification() {
         assert!(BinaryOp::Eq.is_comparison());
         assert!(BinaryOp::And.is_logical());
-        assert!(BinaryOp::Mul.is_arithmetic());
         assert!(!BinaryOp::Mul.is_comparison());
     }
 }

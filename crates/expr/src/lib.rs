@@ -2,9 +2,9 @@
 //!
 //! The scalar expression language of the iShare engine: a small AST
 //! ([`Expr`]) with SQL-ish three-valued evaluation, type inference against a
-//! [`Schema`], structural helpers (column shifting / remapping) used by the
-//! multi-query optimizer when it merges plans, and a canonical display form
-//! used in plan *string signatures* (Sec. 2.3 of the paper).
+//! [`Schema`], compilation to predicate/projection programs for the
+//! datapath kernels, and a canonical display form used in plan *string
+//! signatures* (Sec. 2.3 of the paper).
 //!
 //! The language covers exactly what the paper's supported operator set needs:
 //! column references, literals, arithmetic, comparisons, boolean connectives,

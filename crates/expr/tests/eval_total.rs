@@ -169,22 +169,4 @@ proptest! {
             prop_assert!(v.is_ok(), "expr {} failed: {:?}", e, v.err());
         }
     }
-
-    #[test]
-    fn column_remap_commutes_with_eval(e in arb_expr(), r in row()) {
-        // Shifting columns by k and evaluating on a k-padded row equals
-        // evaluating in place.
-        let schema = schema();
-        prop_assume!(infer_type(&e, &schema).is_ok());
-        let shifted = e.shift_columns(2);
-        let mut padded = vec![Value::Null, Value::Null];
-        padded.extend(r.iter().cloned());
-        let a = eval(&e, &r[..]);
-        let b = eval(&shifted, &padded[..]);
-        match (a, b) {
-            (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
-            (Err(_), Err(_)) => {}
-            (x, y) => prop_assert!(false, "divergence: {:?} vs {:?}", x, y),
-        }
-    }
 }

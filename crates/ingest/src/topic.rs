@@ -94,11 +94,6 @@ impl Partition {
         self.high_water
     }
 
-    /// `true` iff a push would be rejected.
-    pub fn is_full(&self) -> bool {
-        self.ring.len() >= self.capacity
-    }
-
     fn push(&mut self, rec: Record, frontier: u64) -> std::result::Result<(), PushError> {
         if self.ring.len() >= self.capacity {
             return Err(PushError::Full);
@@ -217,7 +212,6 @@ mod tests {
         t.try_push(rec(0), 1).unwrap();
         t.try_push(rec(1), 2).unwrap();
         assert_eq!(t.try_push(rec(2), 3), Err(PushError::Full));
-        assert!(t.partitions()[0].is_full());
         assert_eq!(t.partitions()[0].high_water(), 2);
 
         let mut out = Vec::new();

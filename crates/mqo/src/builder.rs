@@ -216,8 +216,7 @@ mod tests {
         let selects: Vec<_> =
             dag.nodes.iter().filter(|n| matches!(n.op, DagOp::Select { .. })).collect();
         assert!(selects.len() >= 2, "the two filters stay separate nodes");
-        let scans: Vec<_> =
-            dag.nodes.iter().filter(|n| matches!(n.op, DagOp::Scan { .. })).collect();
+        let scans: Vec<_> = dag.nodes.iter().filter(|n| matches!(n.op, DagOp::Input(_))).collect();
         assert_eq!(scans.len(), 1, "the scan is a shared diamond");
     }
 
@@ -244,7 +243,7 @@ mod tests {
         let dag = build_shared_dag(&[(QueryId(0), q)], &c, &MqoConfig::default()).unwrap();
         // Identical subtrees collapse into a diamond: one scan, and exactly
         // one select carrying the (shared) non-trivial predicate.
-        let scans = dag.nodes.iter().filter(|n| matches!(n.op, DagOp::Scan { .. })).count();
+        let scans = dag.nodes.iter().filter(|n| matches!(n.op, DagOp::Input(_))).count();
         assert_eq!(scans, 1);
         let filter_selects = dag
             .nodes

@@ -263,7 +263,7 @@ impl IncrementalSharer {
         match plan {
             LogicalPlan::Scan { table } => {
                 let sig = format!("scan({table})");
-                self.intern(q, sig, DagOp::Scan { table: *table }, vec![], tr)
+                self.intern(q, sig, DagOp::Input(*table), vec![], tr)
             }
             LogicalPlan::Select { input, predicate } => {
                 let child = self.cons(q, input, tr)?;
@@ -569,7 +569,7 @@ mod tests {
         assert!(diff
             .reused
             .iter()
-            .any(|id| matches!(s.dag().nodes[id.0 as usize].op, DagOp::Scan { .. })));
+            .any(|id| matches!(s.dag().nodes[id.0 as usize].op, DagOp::Input(_))));
         for id in &diff.created {
             assert!(s.dag().nodes[id.0 as usize].queries == QuerySet::single(QueryId(1)));
         }

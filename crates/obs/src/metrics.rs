@@ -238,17 +238,7 @@ impl MetricsRegistry {
     /// counts, count, sum, min, max, mean}}}`. Keys are sorted, so equal
     /// registries produce byte-equal snapshots.
     pub fn snapshot(&self) -> Value {
-        let counters =
-            self.counters.iter().map(|(k, v)| (k.clone(), Value::from(*v))).collect::<Vec<_>>();
-        let gauges =
-            self.gauges.iter().map(|(k, v)| (k.clone(), Value::from(*v))).collect::<Vec<_>>();
-        let histograms =
-            self.histograms.iter().map(|(k, h)| (k.clone(), h.to_json())).collect::<Vec<_>>();
-        Value::Object(vec![
-            ("counters".to_string(), Value::Object(counters)),
-            ("gauges".to_string(), Value::Object(gauges)),
-            ("histograms".to_string(), Value::Object(histograms)),
-        ])
+        self.snapshot_where(|_| true)
     }
 
     /// Like [`snapshot`](Self::snapshot) but with every wall-clock-derived
@@ -259,31 +249,20 @@ impl MetricsRegistry {
     /// documents; golden snapshots and the cross-process determinism test
     /// diff this form.
     pub fn snapshot_deterministic(&self) -> Value {
-        fn keep(name: &str) -> bool {
-            !name.contains("wall") && !name.contains("time")
-        }
-        let counters = self
-            .counters
-            .iter()
-            .filter(|(k, _)| keep(k))
-            .map(|(k, v)| (k.clone(), Value::from(*v)))
-            .collect::<Vec<_>>();
-        let gauges = self
-            .gauges
-            .iter()
-            .filter(|(k, _)| keep(k))
-            .map(|(k, v)| (k.clone(), Value::from(*v)))
-            .collect::<Vec<_>>();
-        let histograms = self
-            .histograms
-            .iter()
-            .filter(|(k, _)| keep(k))
-            .map(|(k, h)| (k.clone(), h.to_json()))
-            .collect::<Vec<_>>();
+        self.snapshot_where(|name| !name.contains("wall") && !name.contains("time"))
+    }
+
+    /// The snapshot of the metrics whose name passes `keep`.
+    fn snapshot_where(&self, keep: impl Fn(&str) -> bool) -> Value {
+        let values = |m: &BTreeMap<String, f64>| -> Vec<_> {
+            m.iter().filter(|(k, _)| keep(k)).map(|(k, v)| (k.clone(), Value::from(*v))).collect()
+        };
+        let histograms =
+            self.histograms.iter().filter(|(k, _)| keep(k)).map(|(k, h)| (k.clone(), h.to_json()));
         Value::Object(vec![
-            ("counters".to_string(), Value::Object(counters)),
-            ("gauges".to_string(), Value::Object(gauges)),
-            ("histograms".to_string(), Value::Object(histograms)),
+            ("counters".to_string(), Value::Object(values(&self.counters))),
+            ("gauges".to_string(), Value::Object(values(&self.gauges))),
+            ("histograms".to_string(), Value::Object(histograms.collect())),
         ])
     }
 }

@@ -80,11 +80,6 @@ impl ObsReport {
         self.replaced_work.sum() + self.work_by_subplan.iter().map(WorkBreakdown::sum).sum::<f64>()
     }
 
-    /// Work charged under one operator kind over the whole run.
-    pub fn kind_total(&self, kind: OpKind) -> f64 {
-        self.breakdown().get(kind)
-    }
-
     /// Executions over the whole run, replaced plans included.
     pub fn executions(&self) -> u64 {
         let current: u64 = self.executions_by_subplan.iter().map(ExecCounts::total).sum();
@@ -163,7 +158,7 @@ mod tests {
         r.work_by_subplan = vec![b0, b1];
         r.executions_by_subplan = vec![ExecCounts::default(); 2];
         r.total_work = 6.0;
-        assert_eq!(r.kind_total(OpKind::Scan), 5.0);
+        assert_eq!(r.breakdown().get(OpKind::Scan), 5.0);
         assert_eq!(r.breakdown_total(), 6.0);
         assert_eq!(r.breakdown().get(OpKind::Filter), 1.0);
     }

@@ -5,119 +5,14 @@
 //! (Sec. 2.3). Selects become *marking* selects: a shared select carries one
 //! predicate branch per query subset, and a tuple failing a branch merely
 //! loses that branch's query bits — it is dropped only when no query needs it
-//! (the σ* operator of Fig. 2). Projects are merged by unioning their
-//! projection expressions.
+//! (the σ* operator of Fig. 2). Every other operator is shared only when it
+//! is identical for all the node's queries.
 
-use crate::agg::AggExpr;
-use crate::typing;
-use ishare_common::{Error, NodeId, QueryId, QuerySet, Result, TableId};
-use ishare_expr::Expr;
+use crate::op::{check_branches, DagOp, Op};
+use ishare_common::{Error, NodeId, QueryId, QuerySet, Result};
 use ishare_storage::{Catalog, Schema};
 use std::collections::HashMap;
 use std::fmt;
-
-/// One predicate branch of a shared (marking) select: the predicate applies
-/// to the queries in `queries`. A tuple keeps a branch's bits iff the
-/// predicate passes; bits of the node's queries not covered by any branch
-/// are kept unconditionally (which never happens for well-formed DAGs — the
-/// MQO emits one branch per query, using `TRUE` for unfiltered queries).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectBranch {
-    /// Queries this branch filters for.
-    pub queries: QuerySet,
-    /// The predicate.
-    pub predicate: Expr,
-}
-
-/// Checks that `branches` are disjoint and cover exactly `queries`, the
-/// query set of their `owner` (a DAG node or a subplan, named in the error).
-pub(crate) fn check_branches(
-    owner: impl fmt::Display,
-    queries: QuerySet,
-    branches: &[SelectBranch],
-) -> Result<()> {
-    let mut seen = QuerySet::EMPTY;
-    for b in branches {
-        if b.queries.intersects(seen) {
-            return Err(Error::InvalidPlan(format!(
-                "{owner}: select branches overlap on {}",
-                b.queries.intersect(seen)
-            )));
-        }
-        seen = seen.union(b.queries);
-    }
-    if seen != queries {
-        return Err(Error::InvalidPlan(format!(
-            "{owner}: select branches cover {seen} but its queries are {queries}"
-        )));
-    }
-    Ok(())
-}
-
-/// Restricts `branches` to `queries`: branches not meeting them are dropped
-/// and the rest narrowed (the paper's Fig. 6: a split copies every operator
-/// except the selects that do not belong to the query set).
-pub fn restrict_branches(branches: &mut Vec<SelectBranch>, queries: QuerySet) {
-    branches.retain_mut(|b| {
-        b.queries = b.queries.intersect(queries);
-        !b.queries.is_empty()
-    });
-}
-
-/// A shared operator in the DAG.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DagOp {
-    /// Scan of a base relation delta log.
-    Scan {
-        /// The relation.
-        table: TableId,
-    },
-    /// Shared marking select (σ*): per-query-subset predicate branches.
-    Select {
-        /// Predicate branches; branch query sets are disjoint and their
-        /// union must equal the node's query set.
-        branches: Vec<SelectBranch>,
-    },
-    /// Merged projection: union of participating queries' expressions.
-    Project {
-        /// `(expression, output name)` pairs.
-        exprs: Vec<(Expr, String)>,
-    },
-    /// Inner equi-join shared by all the node's queries (keys identical).
-    Join {
-        /// `(left expr, right expr)` key pairs.
-        keys: Vec<(Expr, Expr)>,
-    },
-    /// Group-by aggregate shared by all the node's queries (spec identical).
-    Aggregate {
-        /// Group keys.
-        group_by: Vec<(Expr, String)>,
-        /// Aggregate columns.
-        aggs: Vec<AggExpr>,
-    },
-}
-
-impl DagOp {
-    /// Short operator label for diagnostics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DagOp::Scan { .. } => "scan",
-            DagOp::Select { .. } => "select",
-            DagOp::Project { .. } => "project",
-            DagOp::Join { .. } => "join",
-            DagOp::Aggregate { .. } => "aggregate",
-        }
-    }
-
-    /// Number of children this operator expects.
-    pub fn expected_children(&self) -> usize {
-        match self {
-            DagOp::Scan { .. } => 0,
-            DagOp::Join { .. } => 2,
-            _ => 1,
-        }
-    }
-}
 
 /// A node of the shared DAG.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,11 +53,11 @@ impl SharedDag {
         queries: QuerySet,
     ) -> Result<NodeId> {
         let id = NodeId(self.nodes.len() as u32);
-        if children.len() != op.expected_children() {
+        if children.len() != op.arity() {
             return Err(Error::InvalidPlan(format!(
                 "{} expects {} children, got {}",
                 op.label(),
-                op.expected_children(),
+                op.arity(),
                 children.len()
             )));
         }
@@ -216,13 +111,8 @@ impl SharedDag {
         }
     }
 
-    /// All queries participating in the DAG.
-    pub fn all_queries(&self) -> QuerySet {
-        self.query_roots.iter().fold(QuerySet::EMPTY, |acc, (q, _)| acc.union(QuerySet::single(*q)))
-    }
-
-    /// Output schema of every node a query root reaches, each typed by its
-    /// operator's rule in [`typing`].
+    /// Output schema of every node a query root reaches, each typed by
+    /// [`Op::schema`].
     pub fn schemas(&self, catalog: &Catalog) -> Result<HashMap<NodeId, Schema>> {
         let mut schemas = HashMap::new();
         for (_, root) in &self.query_roots {
@@ -244,16 +134,10 @@ impl SharedDag {
         for &c in &n.children {
             self.type_node(c, catalog, schemas)?;
         }
-        let input = |k: usize| &schemas[&n.children[k]];
-        let schema = match &n.op {
-            DagOp::Scan { table } => catalog.table(*table)?.schema.clone(),
-            DagOp::Select { branches } => {
-                typing::select(input(0).clone(), branches.iter().map(|b| &b.predicate))?
-            }
-            DagOp::Project { exprs } => typing::project(input(0), exprs)?,
-            DagOp::Join { keys } => typing::join(input(0), input(1), keys)?,
-            DagOp::Aggregate { group_by, aggs } => typing::aggregate(input(0), group_by, aggs)?,
-        };
+        let schema = n.op.schema(
+            |k| Ok(schemas[&n.children[k]].clone()),
+            |t| Ok(catalog.table(*t)?.schema.clone()),
+        )?;
         schemas.insert(id, schema);
         Ok(())
     }
@@ -272,7 +156,7 @@ impl SharedDag {
                     )));
                 }
             }
-            if let DagOp::Select { branches } = &n.op {
+            if let Op::Select { branches } = &n.op {
                 check_branches(format_args!("node {}", n.id), n.queries, branches)?;
             }
         }
@@ -310,7 +194,10 @@ impl fmt::Display for SharedDag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ishare_common::DataType;
+    use crate::agg::AggExpr;
+    use crate::SelectBranch;
+    use ishare_common::{DataType, QueryId};
+    use ishare_expr::Expr;
     use ishare_storage::{Field, TableStats};
 
     fn catalog() -> Catalog {
@@ -332,7 +219,7 @@ mod tests {
     fn sample_dag(c: &Catalog) -> SharedDag {
         let t = c.table_by_name("t").unwrap().id;
         let mut d = SharedDag::new();
-        let scan = d.add_node(DagOp::Scan { table: t }, vec![], qs(&[0, 1])).unwrap();
+        let scan = d.add_node(DagOp::Input(t), vec![], qs(&[0, 1])).unwrap();
         let sel = d
             .add_node(
                 DagOp::Select {
@@ -382,7 +269,6 @@ mod tests {
         let c = catalog();
         let d = sample_dag(&c);
         d.validate(&c).unwrap();
-        assert_eq!(d.all_queries(), qs(&[0, 1]));
         assert_eq!(d.schemas(&c).unwrap()[&NodeId(2)].arity(), 2);
         assert!(d.to_string().contains("root(q0)"));
     }
@@ -392,7 +278,7 @@ mod tests {
         let c = catalog();
         let t = c.table_by_name("t").unwrap().id;
         let mut d = SharedDag::new();
-        let scan = d.add_node(DagOp::Scan { table: t }, vec![], qs(&[0])).unwrap();
+        let scan = d.add_node(DagOp::Input(t), vec![], qs(&[0])).unwrap();
         // Forward reference rejected.
         assert!(d
             .add_node(
@@ -406,7 +292,7 @@ mod tests {
         // Wrong child count rejected.
         assert!(d.add_node(DagOp::Join { keys: vec![] }, vec![scan], qs(&[0])).is_err());
         // Empty query set rejected.
-        assert!(d.add_node(DagOp::Scan { table: t }, vec![], QuerySet::EMPTY).is_err());
+        assert!(d.add_node(DagOp::Input(t), vec![], QuerySet::EMPTY).is_err());
     }
 
     #[test]
@@ -414,7 +300,7 @@ mod tests {
         let c = catalog();
         let t = c.table_by_name("t").unwrap().id;
         let mut d = SharedDag::new();
-        let scan = d.add_node(DagOp::Scan { table: t }, vec![], qs(&[0])).unwrap();
+        let scan = d.add_node(DagOp::Input(t), vec![], qs(&[0])).unwrap();
         // Parent claims q1 which the child does not have.
         let sel = d
             .add_node(
@@ -434,7 +320,7 @@ mod tests {
         let c = catalog();
         let t = c.table_by_name("t").unwrap().id;
         let mut d = SharedDag::new();
-        let scan = d.add_node(DagOp::Scan { table: t }, vec![], qs(&[0, 1])).unwrap();
+        let scan = d.add_node(DagOp::Input(t), vec![], qs(&[0, 1])).unwrap();
         // Branches only cover q0; node claims q0,q1.
         let sel = d
             .add_node(

@@ -7,9 +7,12 @@
 //!   (scan, select, project, group-by aggregate, inner equi-join; Sec. 2.3 of
 //!   the paper), plus [`builder::PlanBuilder`] for ergonomic, name-resolved
 //!   construction.
+//! * [`Op`] — the algebra's operators, defined once over what a leaf reads:
+//!   [`DagOp`] scans a base relation, [`TreeOp`] reads a buffer. Arity,
+//!   label, typing and restriction to a query subset are its methods.
 //! * [`SharedDag`] — the merged multi-query DAG an MQO optimizer produces:
 //!   nodes annotated with query bitvectors, *marking* selects carrying one
-//!   predicate branch per query subset, and merged projects.
+//!   predicate branch per query subset.
 //! * [`SharedPlan`] / [`Subplan`] — the DAG broken into subplans at operators
 //!   with more than one parent (Sec. 2.2). Subplans are the granularity at
 //!   which iShare assigns execution paces and decides what to un-share; the
@@ -23,11 +26,13 @@ pub mod agg;
 pub mod builder;
 pub mod dag;
 pub mod logical;
+pub mod op;
 pub mod shared;
 pub mod typing;
 
 pub use agg::{AggExpr, AggFunc};
 pub use builder::PlanBuilder;
-pub use dag::{restrict_branches, DagNode, DagOp, SelectBranch, SharedDag};
+pub use dag::{DagNode, SharedDag};
 pub use logical::LogicalPlan;
-pub use shared::{InputSource, OpTree, PostOrderStep, SharedPlan, Subplan, TreeOp};
+pub use op::{DagOp, Op, SelectBranch, TreeOp};
+pub use shared::{InputSource, OpTree, PostOrderStep, SharedPlan, Subplan};

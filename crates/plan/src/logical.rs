@@ -5,7 +5,6 @@ use crate::typing;
 use ishare_common::{Result, TableId};
 use ishare_expr::Expr;
 use ishare_storage::{Catalog, Schema};
-use std::fmt;
 
 /// One query's operator tree over the algebra the paper's prototype supports
 /// (Sec. 2.3): scan, select, project, group-by aggregate, inner equi-join.
@@ -78,107 +77,6 @@ impl LogicalPlan {
                 typing::join(&left.schema(catalog)?, &right.schema(catalog)?, keys)
             }
         }
-    }
-
-    /// Number of operators in the tree (used by optimization-overhead
-    /// accounting and partial-decomposition candidate bounds).
-    pub fn operator_count(&self) -> usize {
-        1 + match self {
-            LogicalPlan::Scan { .. } => 0,
-            LogicalPlan::Select { input, .. } | LogicalPlan::Project { input, .. } => {
-                input.operator_count()
-            }
-            LogicalPlan::Aggregate { input, .. } => input.operator_count(),
-            LogicalPlan::Join { left, right, .. } => left.operator_count() + right.operator_count(),
-        }
-    }
-
-    /// All base relations scanned by the plan (with duplicates for repeated
-    /// scans).
-    pub fn tables(&self) -> Vec<TableId> {
-        let mut out = Vec::new();
-        self.collect_tables(&mut out);
-        out
-    }
-
-    fn collect_tables(&self, out: &mut Vec<TableId>) {
-        match self {
-            LogicalPlan::Scan { table } => out.push(*table),
-            LogicalPlan::Select { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Aggregate { input, .. } => input.collect_tables(out),
-            LogicalPlan::Join { left, right, .. } => {
-                left.collect_tables(out);
-                right.collect_tables(out);
-            }
-        }
-    }
-
-    /// Pretty-print as an indented operator tree.
-    pub fn display(&self) -> PlanDisplay<'_> {
-        PlanDisplay(self)
-    }
-}
-
-/// Indented display wrapper returned by [`LogicalPlan::display`].
-pub struct PlanDisplay<'a>(&'a LogicalPlan);
-
-impl fmt::Display for PlanDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn go(p: &LogicalPlan, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-            for _ in 0..depth {
-                write!(f, "  ")?;
-            }
-            match p {
-                LogicalPlan::Scan { table } => writeln!(f, "Scan {table}"),
-                LogicalPlan::Select { input, predicate } => {
-                    writeln!(f, "Select {predicate}")?;
-                    go(input, f, depth + 1)
-                }
-                LogicalPlan::Project { input, exprs } => {
-                    write!(f, "Project ")?;
-                    for (i, (e, n)) in exprs.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, ", ")?;
-                        }
-                        write!(f, "{e} as {n}")?;
-                    }
-                    writeln!(f)?;
-                    go(input, f, depth + 1)
-                }
-                LogicalPlan::Aggregate { input, group_by, aggs } => {
-                    write!(f, "Aggregate by [")?;
-                    for (i, (e, n)) in group_by.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, ", ")?;
-                        }
-                        write!(f, "{e} as {n}")?;
-                    }
-                    write!(f, "] compute [")?;
-                    for (i, a) in aggs.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, ", ")?;
-                        }
-                        write!(f, "{a}")?;
-                    }
-                    writeln!(f, "]")?;
-                    go(input, f, depth + 1)
-                }
-                LogicalPlan::Join { left, right, keys } => {
-                    write!(f, "Join on ")?;
-                    for (i, (l, r)) in keys.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, " AND ")?;
-                        }
-                        write!(f, "{l} = {r}")?;
-                    }
-                    writeln!(f)?;
-                    go(left, f, depth + 1)?;
-                    go(right, f, depth + 1)
-                }
-            }
-        }
-        go(self.0, f, 0)
     }
 }
 
@@ -256,7 +154,7 @@ mod tests {
     fn lower(p: &LogicalPlan, d: &mut SharedDag) -> NodeId {
         let q = QuerySet::single(QueryId(0));
         let (op, children) = match p {
-            LogicalPlan::Scan { table } => (DagOp::Scan { table: *table }, vec![]),
+            LogicalPlan::Scan { table } => (DagOp::Input(*table), vec![]),
             LogicalPlan::Select { input, predicate } => {
                 let branches = vec![SelectBranch { queries: q, predicate: predicate.clone() }];
                 (DagOp::Select { branches }, vec![lower(input, d)])
@@ -333,23 +231,5 @@ mod tests {
                 assert!(r.is_err(), "{name} accepted a plan with a {case}");
             }
         }
-    }
-
-    #[test]
-    fn operator_count_and_tables() {
-        let (_c, orders, cust) = catalog();
-        let p = sample_plan(orders, cust);
-        assert_eq!(p.operator_count(), 5);
-        assert_eq!(p.tables(), vec![orders, cust]);
-    }
-
-    #[test]
-    fn display_indents() {
-        let (_c, orders, cust) = catalog();
-        let p = sample_plan(orders, cust);
-        let s = p.display().to_string();
-        assert!(s.contains("Aggregate"));
-        assert!(s.contains("\n  Join"));
-        assert!(s.contains("\n    Select"));
     }
 }

@@ -8,17 +8,15 @@
 //! buffers as well." (Sec. 2.2)
 //!
 //! [`SharedPlan::from_dag`] performs exactly that split, with one extra: bare
-//! `Scan` nodes are never turned into subplans of their own — base relations
-//! are already buffers, so each consumer reads the base delta log directly at
-//! its own pace. [`SharedPlan::from_dag_with_roots`] adds the forced cuts that
+//! scan (`Input`) nodes are never turned into subplans of their own — base
+//! relations are already buffers, so each consumer reads the base delta log
+//! directly at its own pace. [`SharedPlan::from_dag_with_roots`] adds the forced cuts that
 //! decomposition, churn and the NoShare-Nonuniform baseline (which cuts at
 //! every aggregate) use.
 
-use crate::agg::AggExpr;
-use crate::dag::{check_branches, restrict_branches, DagNode, DagOp, SelectBranch, SharedDag};
-use crate::typing;
+use crate::dag::{DagNode, SharedDag};
+use crate::op::{check_branches, Op, TreeOp};
 use ishare_common::{Error, NodeId, QueryId, QuerySet, Result, SubplanId, TableId};
-use ishare_expr::Expr;
 use ishare_storage::{Catalog, Schema};
 use std::collections::HashMap;
 use std::fmt;
@@ -30,60 +28,6 @@ pub enum InputSource {
     Base(TableId),
     /// Another subplan's materialization buffer.
     Subplan(SubplanId),
-}
-
-/// An operator inside a subplan tree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TreeOp {
-    /// Leaf: pull new deltas from a buffer. Rows are narrowed to the
-    /// subplan's query set on the way in (the σ_filter of Fig. 2) and rows
-    /// whose mask becomes empty are dropped.
-    Input(InputSource),
-    /// Shared marking select (σ*).
-    Select {
-        /// Per-query-subset predicate branches; they partition the
-        /// subplan's query set.
-        branches: Vec<SelectBranch>,
-    },
-    /// Merged projection.
-    Project {
-        /// `(expression, output name)` pairs.
-        exprs: Vec<(Expr, String)>,
-    },
-    /// Inner equi-join.
-    Join {
-        /// `(left expr, right expr)` key pairs.
-        keys: Vec<(Expr, Expr)>,
-    },
-    /// Group-by aggregate.
-    Aggregate {
-        /// Group keys.
-        group_by: Vec<(Expr, String)>,
-        /// Aggregate columns.
-        aggs: Vec<AggExpr>,
-    },
-}
-
-impl TreeOp {
-    /// Short label for diagnostics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TreeOp::Input(_) => "input",
-            TreeOp::Select { .. } => "select",
-            TreeOp::Project { .. } => "project",
-            TreeOp::Join { .. } => "join",
-            TreeOp::Aggregate { .. } => "aggregate",
-        }
-    }
-
-    /// Number of inputs this operator expects.
-    pub fn expected_inputs(&self) -> usize {
-        match self {
-            TreeOp::Input(_) => 0,
-            TreeOp::Join { .. } => 2,
-            _ => 1,
-        }
-    }
 }
 
 /// A node of a subplan's operator tree.
@@ -104,7 +48,7 @@ pub struct PostOrderStep<'t, 'p> {
     /// [`SharedDag::node_at`] maps it to the operator's DAG node.
     pub path: &'p [usize],
     /// The step indices of its inputs, left to right; as many as
-    /// [`TreeOp::expected_inputs`].
+    /// [`Op::arity`].
     pub inputs: &'p [usize],
 }
 
@@ -128,7 +72,7 @@ impl OpTree {
     pub fn referenced_subplans(&self) -> Vec<SubplanId> {
         let mut out = Vec::new();
         self.visit(&mut |t| {
-            if let TreeOp::Input(InputSource::Subplan(id)) = t.op {
+            if let Op::Input(InputSource::Subplan(id)) = t.op {
                 out.push(id);
             }
         });
@@ -139,7 +83,7 @@ impl OpTree {
     pub fn referenced_tables(&self) -> Vec<TableId> {
         let mut out = Vec::new();
         self.visit(&mut |t| {
-            if let TreeOp::Input(InputSource::Base(id)) = t.op {
+            if let Op::Input(InputSource::Base(id)) = t.op {
                 out.push(id);
             }
         });
@@ -158,7 +102,7 @@ impl OpTree {
     /// right, the root last), calling `visit` once per node, leaves
     /// included. A step's index is the number of steps before it, so a
     /// program that pushes one entry per step finds each input at its
-    /// index. Each operator's arity ([`TreeOp::expected_inputs`]) is checked
+    /// index. Each operator's arity ([`Op::arity`]) is checked
     /// before the walk descends into it, so a malformed tree reports its
     /// outermost fault as [`Error::InvalidPlan`]. The walk allocates only
     /// its path buffer.
@@ -172,7 +116,7 @@ impl OpTree {
             next: &mut usize,
             visit: &mut impl FnMut(PostOrderStep<'t, '_>) -> Result<()>,
         ) -> Result<usize> {
-            let expected = t.op.expected_inputs();
+            let expected = t.op.arity();
             if t.inputs.len() != expected {
                 return Err(Error::InvalidPlan(format!(
                     "{} at path {path:?} has {} inputs, expects {expected}",
@@ -194,27 +138,22 @@ impl OpTree {
     }
 
     /// Output schema of this tree, given the catalog and the schemas of
-    /// referenced child subplans; each operator is typed by its rule in
-    /// [`typing`].
+    /// referenced child subplans; each operator is typed by [`Op::schema`].
     pub fn schema(
         &self,
         catalog: &Catalog,
         subplan_schemas: &HashMap<SubplanId, Schema>,
     ) -> Result<Schema> {
-        let input = |k: usize| self.inputs[k].schema(catalog, subplan_schemas);
-        match &self.op {
-            TreeOp::Input(InputSource::Base(t)) => Ok(catalog.table(*t)?.schema.clone()),
-            TreeOp::Input(InputSource::Subplan(id)) => subplan_schemas
-                .get(id)
-                .cloned()
-                .ok_or_else(|| Error::NotFound(format!("schema of subplan {id}"))),
-            TreeOp::Select { branches } => {
-                typing::select(input(0)?, branches.iter().map(|b| &b.predicate))
-            }
-            TreeOp::Project { exprs } => typing::project(&input(0)?, exprs),
-            TreeOp::Join { keys } => typing::join(&input(0)?, &input(1)?, keys),
-            TreeOp::Aggregate { group_by, aggs } => typing::aggregate(&input(0)?, group_by, aggs),
-        }
+        self.op.schema(
+            |k| self.inputs[k].schema(catalog, subplan_schemas),
+            |src| match src {
+                InputSource::Base(t) => Ok(catalog.table(*t)?.schema.clone()),
+                InputSource::Subplan(id) => subplan_schemas
+                    .get(id)
+                    .cloned()
+                    .ok_or_else(|| Error::NotFound(format!("schema of subplan {id}"))),
+            },
+        )
     }
 }
 
@@ -262,22 +201,17 @@ impl Subplan {
             )));
         }
         let mut root = self.root.clone();
-        restrict_tree(&mut root, queries);
+        let mut stack = vec![&mut root];
+        while let Some(t) = stack.pop() {
+            t.op.restrict(queries);
+            stack.extend(&mut t.inputs);
+        }
         Ok(Subplan {
             id: self.id,
             root,
             queries,
             output_queries: self.output_queries.intersect(subset),
         })
-    }
-}
-
-fn restrict_tree(tree: &mut OpTree, queries: QuerySet) {
-    if let TreeOp::Select { branches } = &mut tree.op {
-        restrict_branches(branches, queries);
-    }
-    for input in &mut tree.inputs {
-        restrict_tree(input, queries);
     }
 }
 
@@ -348,7 +282,7 @@ impl SharedPlan {
             let is_query_root = root_queries.contains_key(&n.id.0);
             let multi_parent = parent_counts[idx] > 1;
             let cut = is_query_root || multi_parent || extra_cut(n) || forced_cuts.contains(&n.id);
-            let is_scan = matches!(n.op, DagOp::Scan { .. });
+            let is_scan = matches!(n.op, Op::Input(_));
             // Scans are buffers already; only a bare-scan *query root* needs
             // an identity subplan to have somewhere to emit results.
             is_sp_root[idx] = cut && (!is_scan || is_query_root);
@@ -559,7 +493,7 @@ impl SharedPlan {
 /// branches of every operator of `sp`.
 fn check_ops(sp: &Subplan) -> Result<()> {
     sp.root.post_order(|step| match &step.node.op {
-        TreeOp::Select { branches } => {
+        Op::Select { branches } => {
             check_branches(format_args!("subplan {}", sp.id), sp.queries, branches)
         }
         _ => Ok(()),
@@ -578,15 +512,7 @@ fn build_tree(
             return Ok(OpTree::input(InputSource::Subplan(sp)));
         }
     }
-    let op = match &node.op {
-        DagOp::Scan { table } => return Ok(OpTree::input(InputSource::Base(*table))),
-        DagOp::Select { branches } => TreeOp::Select { branches: branches.clone() },
-        DagOp::Project { exprs } => TreeOp::Project { exprs: exprs.clone() },
-        DagOp::Join { keys } => TreeOp::Join { keys: keys.clone() },
-        DagOp::Aggregate { group_by, aggs } => {
-            TreeOp::Aggregate { group_by: group_by.clone(), aggs: aggs.clone() }
-        }
-    };
+    let op = node.op.clone().map_input(InputSource::Base);
     let mut inputs = Vec::with_capacity(node.children.len());
     for &c in &node.children {
         inputs.push(build_tree(dag, dag.node(c)?, node_to_sp, false)?);
@@ -601,18 +527,18 @@ impl fmt::Display for SharedPlan {
                 write!(f, "  ")?;
             }
             match &t.op {
-                TreeOp::Input(InputSource::Base(id)) => writeln!(f, "input base {id}")?,
-                TreeOp::Input(InputSource::Subplan(id)) => writeln!(f, "input {id}")?,
-                TreeOp::Select { branches } => {
+                Op::Input(InputSource::Base(id)) => writeln!(f, "input base {id}")?,
+                Op::Input(InputSource::Subplan(id)) => writeln!(f, "input {id}")?,
+                Op::Select { branches } => {
                     write!(f, "select")?;
                     for b in branches {
                         write!(f, " [{} {}]", b.queries, b.predicate)?;
                     }
                     writeln!(f)?;
                 }
-                TreeOp::Project { exprs } => writeln!(f, "project ({} exprs)", exprs.len())?,
-                TreeOp::Join { keys } => writeln!(f, "join ({} keys)", keys.len())?,
-                TreeOp::Aggregate { group_by, aggs } => {
+                Op::Project { exprs } => writeln!(f, "project ({} exprs)", exprs.len())?,
+                Op::Join { keys } => writeln!(f, "join ({} keys)", keys.len())?,
+                Op::Aggregate { group_by, aggs } => {
                     writeln!(f, "aggregate by {} compute {}", group_by.len(), aggs.len())?
                 }
             }
@@ -632,8 +558,10 @@ impl fmt::Display for SharedPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::AggFunc;
+    use crate::agg::{AggExpr, AggFunc};
+    use crate::op::{DagOp, SelectBranch};
     use ishare_common::DataType;
+    use ishare_expr::Expr;
     use ishare_storage::{Field, TableStats};
 
     fn qs(ids: &[u16]) -> QuerySet {
@@ -663,7 +591,7 @@ mod tests {
         let t = c.table_by_name("t").unwrap().id;
         let u = c.table_by_name("u").unwrap().id;
         let mut d = SharedDag::new();
-        let scan_t = d.add_node(DagOp::Scan { table: t }, vec![], qs(&[0, 1])).unwrap();
+        let scan_t = d.add_node(DagOp::Input(t), vec![], qs(&[0, 1])).unwrap();
         let sel = d
             .add_node(
                 DagOp::Select {
@@ -698,7 +626,7 @@ mod tests {
             )
             .unwrap();
         // Q1: join the aggregate with table u then aggregate again.
-        let scan_u = d.add_node(DagOp::Scan { table: u }, vec![], qs(&[1])).unwrap();
+        let scan_u = d.add_node(DagOp::Input(u), vec![], qs(&[1])).unwrap();
         let join = d
             .add_node(
                 DagOp::Join { keys: vec![(Expr::col(0), Expr::col(0))] },
@@ -822,7 +750,7 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        let expected = [(vec![0, 0], vec![], "scan"), (vec![0], vec![0], "select")];
+        let expected = [(vec![0, 0], vec![], "input"), (vec![0], vec![0], "select")];
         assert_eq!(steps[..2], expected);
         assert_eq!(steps[2], (vec![], vec![1], "aggregate"));
         // The leaf reads the scan through the select's only input.
@@ -887,7 +815,7 @@ mod tests {
         let c = catalog();
         let t = c.table_by_name("t").unwrap().id;
         let mut d = SharedDag::new();
-        let scan = d.add_node(DagOp::Scan { table: t }, vec![], qs(&[0])).unwrap();
+        let scan = d.add_node(DagOp::Input(t), vec![], qs(&[0])).unwrap();
         d.set_query_root(QueryId(0), scan).unwrap();
         d.validate(&c).unwrap();
         let plan = SharedPlan::from_dag(&d).unwrap();
@@ -920,8 +848,7 @@ mod tests {
         assert!(froots.contains(&sel));
         assert_eq!(forced.queries(), plan.queries());
         // Forced cuts at scans are ignored: base relations are buffers.
-        let scan =
-            dag.nodes.iter().find(|n| matches!(n.op, DagOp::Scan { .. })).map(|n| n.id).unwrap();
+        let scan = dag.nodes.iter().find(|n| matches!(n.op, Op::Input(_))).map(|n| n.id).unwrap();
         let (scut, _) = SharedPlan::from_dag_with_roots(&dag, |_| false, &[scan]).unwrap();
         assert_eq!(scut.len(), plan.len());
 
@@ -940,12 +867,7 @@ mod tests {
         // A select branch still referencing q1 would fail validation; the
         // churn path clears branches via the sharer, emulated here.
         for n in &mut dag.nodes {
-            if let DagOp::Select { branches } = &mut n.op {
-                for b in branches.iter_mut() {
-                    b.queries.remove(QueryId(1));
-                }
-                branches.retain(|b| !b.queries.is_empty());
-            }
+            n.op.restrict(qs(&[0]));
         }
         let (gc, _) = SharedPlan::from_dag_with_roots(&dag, |_| false, &[]).unwrap();
         gc.validate(&c).unwrap();

@@ -320,17 +320,6 @@ impl DeltaBuffer {
         }
         drop
     }
-
-    /// Drop all rows and reset every cursor (used when re-running an
-    /// experiment on the same plan structure).
-    pub fn reset(&mut self) {
-        self.rows.clear();
-        self.base = 0;
-        self.high_water = 0;
-        for off in &mut self.offsets {
-            *off = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -592,18 +581,5 @@ mod tests {
         assert!(!b.all_rows()[1].mask.contains(q2));
         assert_eq!(b.widen_all(q2), 2);
         assert!(b.all_rows()[1].mask.contains(q2));
-    }
-
-    #[test]
-    fn reset_rewinds_everything() {
-        let mut b = DeltaBuffer::new();
-        let c = b.register_consumer().unwrap();
-        b.push(dr(1));
-        b.pull(c).unwrap();
-        b.reset();
-        assert!(b.is_empty());
-        assert_eq!(b.pending(c).unwrap(), 0);
-        b.push(dr(2));
-        assert_eq!(b.pull(c).unwrap().len(), 1);
     }
 }

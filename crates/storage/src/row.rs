@@ -327,20 +327,6 @@ impl DeltaBatch {
     pub fn push(&mut self, row: DeltaRow) {
         self.rows.push(row);
     }
-
-    /// Net weighted cardinality per (row, mask): the multiset this batch
-    /// denotes. Used by tests comparing incremental and batch execution.
-    /// Borrows the batch; prefer [`Self::into_consolidated`] when the batch
-    /// is no longer needed — it moves the rows instead of cloning each one.
-    pub fn consolidated(&self) -> HashMap<(Row, QuerySet), i64> {
-        consolidate(self.rows.iter().cloned())
-    }
-
-    /// Consuming variant of [`Self::consolidated`]: no per-row clone (the
-    /// `Row` `Arc`s move straight into the map keys).
-    pub fn into_consolidated(self) -> HashMap<(Row, QuerySet), i64> {
-        consolidate(self.rows)
-    }
 }
 
 impl FromIterator<DeltaRow> for DeltaBatch {
@@ -400,7 +386,7 @@ mod tests {
             DeltaRow::insert(row(&[2]), m),
             DeltaRow::delete(row(&[2]), m),
         ]);
-        let c = batch.into_consolidated();
+        let c = consolidate(batch.rows);
         assert_eq!(c.len(), 1);
         assert_eq!(c[&(row(&[1]), m)], 1);
     }

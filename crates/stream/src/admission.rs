@@ -197,7 +197,7 @@ pub fn execute_churn_from_source(
     if initial.is_empty() {
         return Err(Error::InvalidConfig("churn run needs at least one initial query".into()));
     }
-    for ev in &script.events {
+    for (i, ev) in script.events.iter().enumerate() {
         if ev.den == 0 {
             return Err(Error::InvalidConfig("churn event with zero denominator".into()));
         }
@@ -206,6 +206,21 @@ pub fn execute_churn_from_source(
                 "churn event at fraction {}/{} is at or beyond the final boundary",
                 ev.num, ev.den
             )));
+        }
+        // The runner pops due events from the front, so a later event due
+        // earlier would wait behind its predecessor.
+        if let Some(prev) = i.checked_sub(1).map(|j| &script.events[j]) {
+            if frac_cmp(ev.num, ev.den, prev.num, prev.den).is_lt() {
+                return Err(Error::InvalidConfig(format!(
+                    "churn event {i} at {}/{} comes before event {} at {}/{}: \
+                     a script's fractions must not decrease",
+                    ev.num,
+                    ev.den,
+                    i - 1,
+                    prev.num,
+                    prev.den
+                )));
+            }
         }
     }
 
@@ -1033,6 +1048,19 @@ mod tests {
         assert!(matches!(run(&initial, admit(1, 5, 3), opts()), Err(Error::Churn(_))));
         // Zero denominator.
         assert!(matches!(run(&initial, admit(1, 0, 0), opts()), Err(Error::InvalidConfig(_))));
+        // Fractions that decrease: q2 is due before q1. Equal ones are legal.
+        let two = |first: (u32, u32), second: (u32, u32)| {
+            let mut script = admit(1, first.0, first.1);
+            script.events.extend(admit(2, second.0, second.1).events);
+            script
+        };
+        match run(&initial, two((2, 4), (1, 4)), opts()) {
+            Err(Error::InvalidConfig(msg)) => {
+                assert!(msg.contains("event 1 at 1/4") && msg.contains("event 0 at 2/4"), "{msg}")
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(run(&initial, two((1, 4), (2, 8)), opts()).is_ok());
         // Reference datapath has no state surgery.
         let mut ref_opts = opts();
         ref_opts.source.mode = ExecMode::Reference;

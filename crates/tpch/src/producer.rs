@@ -9,11 +9,10 @@
 //! which the consumer side undoes via watermarks — so the same workload can
 //! be replayed in-order or out-of-order and produce bit-identical runs.
 
-use crate::updates::{with_updates, DeltaFeed};
+use crate::updates::with_updates;
 use crate::TpchData;
-use ishare_common::{Result, TableId};
+use ishare_common::Result;
 use ishare_ingest::{Source, SourceConfig};
-use std::collections::HashMap;
 
 /// Streaming-mode knobs of a TPC-H workload run.
 #[derive(Debug, Clone, Copy)]
@@ -41,20 +40,10 @@ pub fn produce_source(data: &TpchData, cfg: StreamConfig) -> Result<Source> {
     Source::new(&feeds, cfg.source)
 }
 
-/// Produce an ingest [`Source`] over prebuilt delta feeds (when the caller
-/// has already materialized or customized them).
-pub fn produce_source_from_feeds(
-    feeds: &HashMap<TableId, DeltaFeed>,
-    cfg: SourceConfig,
-) -> Result<Source> {
-    Source::new(feeds, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::datagen::generate;
-    use ishare_ingest::SourceConfig;
 
     #[test]
     fn rebuilt_source_replays_identically() {
@@ -81,16 +70,10 @@ mod tests {
         let d = generate(0.001, 4).unwrap();
         let feeds = with_updates(&d, 0.1, 7).unwrap();
         let li = d.catalog.table_by_name("lineitem").unwrap().id;
-        let mut jittered = produce_source_from_feeds(
-            &feeds,
-            SourceConfig { partitions: 3, capacity: 32, jitter: 17, seed: 7 },
-        )
-        .unwrap();
-        let mut in_order = produce_source_from_feeds(
-            &feeds,
-            SourceConfig { partitions: 1, capacity: usize::MAX, jitter: 0, seed: 7 },
-        )
-        .unwrap();
+        let cfg =
+            |partitions, capacity, jitter| SourceConfig { partitions, capacity, jitter, seed: 7 };
+        let mut jittered = Source::new(&feeds, cfg(3, 32, 17)).unwrap();
+        let mut in_order = Source::new(&feeds, cfg(1, usize::MAX, 0)).unwrap();
         for num in 1..=4u32 {
             let mut a = Vec::new();
             let mut b = Vec::new();

@@ -8,7 +8,7 @@
 //! previously arrived rows (same keys, changed measure columns).
 
 use crate::TpchData;
-use ishare_common::{Result, TableId, Value};
+use ishare_common::{Error, Result, TableId, Value};
 use ishare_storage::Row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +33,8 @@ pub const UPDATE_WINDOW: usize = 4096;
 /// Updated rows keep every key column and mutate one measure column
 /// (`l_quantity` / `o_totalprice`), so referential integrity and join
 /// cardinalities are preserved while aggregates genuinely churn. Victims
-/// are drawn from the last [`UPDATE_WINDOW`] arrivals.
+/// are drawn from the last [`UPDATE_WINDOW`] arrivals. An `update_frac`
+/// outside `[0, 1)` is [`Error::InvalidConfig`].
 pub fn with_updates(
     data: &TpchData,
     update_frac: f64,
@@ -52,8 +53,12 @@ pub fn with_updates_windowed(
     seed: u64,
     window: usize,
 ) -> Result<HashMap<TableId, DeltaFeed>> {
-    assert!((0.0..1.0).contains(&update_frac), "update_frac in [0, 1)");
-    assert!(window > 0, "victim window must hold at least one row");
+    if !(0.0..1.0).contains(&update_frac) {
+        return Err(Error::InvalidConfig(format!("update_frac {update_frac} not in [0, 1)")));
+    }
+    if window == 0 {
+        return Err(Error::InvalidConfig("victim window must hold at least one row".into()));
+    }
     let mut feeds = HashMap::new();
     for (table_id, rows) in &data.data {
         // One RNG per table, seeded from (seed, table id): the output must
@@ -159,6 +164,17 @@ mod tests {
         let li = d.catalog.table_by_name("lineitem").unwrap().id;
         assert_eq!(feeds[&li].len(), d.data[&li].len());
         assert!(feeds[&li].iter().all(|(_, w)| *w == 1));
+    }
+
+    #[test]
+    fn out_of_range_inputs_are_invalid_configs() {
+        let d = generate(0.001, 5).unwrap();
+        for frac in [1.0, -0.1, f64::NAN] {
+            let got = with_updates(&d, frac, 9);
+            assert!(matches!(got, Err(Error::InvalidConfig(_))), "update_frac {frac}");
+        }
+        let got = with_updates_windowed(&d, 0.2, 9, 0);
+        assert!(matches!(got, Err(Error::InvalidConfig(_))), "window 0");
     }
 
     #[test]

@@ -289,7 +289,7 @@ pub fn build_plan(c: &Catalog, rng: &mut SplitMix, join: bool) -> (SharedDag, Sh
     let all: Vec<u16> = (0..n).collect();
     let mut d = SharedDag::new();
     let t = c.table_by_name("t").unwrap().id;
-    let scan = d.add_node(DagOp::Scan { table: t }, vec![], qs(&all)).unwrap();
+    let scan = d.add_node(DagOp::Input(t), vec![], qs(&all)).unwrap();
     let branches = (0..n)
         .map(|q| {
             let cutoff = rng.range(5, 100) as i64;
@@ -301,7 +301,7 @@ pub fn build_plan(c: &Catalog, rng: &mut SplitMix, join: bool) -> (SharedDag, Sh
     let mut trunk = d.add_node(DagOp::Select { branches }, vec![scan], qs(&all)).unwrap();
     if join {
         let u = c.table_by_name("u").unwrap().id;
-        let scan_u = d.add_node(DagOp::Scan { table: u }, vec![], qs(&all)).unwrap();
+        let scan_u = d.add_node(DagOp::Input(u), vec![], qs(&all)).unwrap();
         let keys = vec![(Expr::col(0), Expr::col(0))];
         let join = d.add_node(DagOp::Join { keys }, vec![trunk, scan_u], qs(&all)).unwrap();
         let exprs = vec![(Expr::col(0), "k".into()), (Expr::col(1).add(Expr::col(3)), "vw".into())];

@@ -30,7 +30,7 @@ fn tiny_workload() -> (Catalog, SharedPlan, DeltaFeeds) {
         .unwrap();
     let qs = |ids: &[u16]| QuerySet::from_iter(ids.iter().map(|&i| QueryId(i)));
     let mut d = SharedDag::new();
-    let scan = d.add_node(DagOp::Scan { table: t }, vec![], qs(&[0, 1])).unwrap();
+    let scan = d.add_node(DagOp::Input(t), vec![], qs(&[0, 1])).unwrap();
     let branches = vec![
         SelectBranch { queries: qs(&[0]), predicate: Expr::true_lit() },
         SelectBranch { queries: qs(&[1]), predicate: Expr::col(1).lt(Expr::lit(50i64)) },
