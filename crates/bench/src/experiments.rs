@@ -413,6 +413,10 @@ pub fn fig14_table3(p: &Params) -> Result<()> {
 
 /// Fig. 15: end-to-end optimization overhead vs max pace, with and without
 /// memoization (w/o memo runs under a DNF cutoff in a helper thread).
+///
+/// The memo only saves work: where both variants finish, they must choose
+/// the same paces and estimate the same total work to the bit, and the
+/// experiment fails if they do not.
 pub fn fig15(p: &Params) -> Result<()> {
     let env = Env::new(p.sf, p.seed)?;
     let queries = named_all22(&env)?;
@@ -423,11 +427,14 @@ pub fn fig15(p: &Params) -> Result<()> {
         .collect();
     let mut rows = Vec::new();
     let mut json = Vec::new();
+    let mut mismatches = Vec::new();
     for &max_pace in &[10u32, 25, 50, 75, 100] {
         if max_pace > p.max_pace {
             continue;
         }
         let mut cells = vec![format!("{max_pace}")];
+        // Each variant's chosen paces and estimated total-work bits.
+        let mut plans = Vec::new();
         for use_memo in [true, false] {
             let o = PlanningOptions { max_pace, use_memo, partial: false, ..Default::default() };
             let catalog = env.data.catalog.clone();
@@ -437,10 +444,13 @@ pub fn fig15(p: &Params) -> Result<()> {
             std::thread::spawn(move || {
                 let t = Instant::now();
                 let r = plan_workload(Approach::IShareNoUnshare, &qs, &cs, &catalog, &o);
-                let _ = tx.send(r.map(|_| t.elapsed()));
+                let _ = tx.send(r.map(|planned| (t.elapsed(), planned)));
             });
             let label = match rx.recv_timeout(p.dnf) {
-                Ok(Ok(elapsed)) => format!("{:.2}s", elapsed.as_secs_f64()),
+                Ok(Ok((elapsed, planned))) => {
+                    plans.push((planned.paces, planned.report.total_work.get().to_bits()));
+                    format!("{:.2}s", elapsed.as_secs_f64())
+                }
                 Ok(Err(e)) => format!("ERR {e}"),
                 Err(_) => "DNF".to_string(),
             };
@@ -448,6 +458,14 @@ pub fn fig15(p: &Params) -> Result<()> {
                 "max_pace": max_pace, "memo": use_memo, "time": label,
             }));
             cells.push(label);
+        }
+        if let [(memo_paces, memo_bits), (scratch_paces, scratch_bits)] = plans.as_slice() {
+            if memo_paces != scratch_paces || memo_bits != scratch_bits {
+                mismatches.push(format!(
+                    "max pace {max_pace}: w/ memo {memo_paces} ({memo_bits:016x}), \
+                     w/o memo {scratch_paces} ({scratch_bits:016x})"
+                ));
+            }
         }
         rows.push(cells);
     }
@@ -457,6 +475,12 @@ pub fn fig15(p: &Params) -> Result<()> {
         &rows,
     );
     save_json("fig15", &serde_json::json!({ "points": json }));
+    if !mismatches.is_empty() {
+        return Err(ishare_common::Error::InvalidConfig(format!(
+            "the memo changed the plan: {}",
+            mismatches.join("; ")
+        )));
+    }
     Ok(())
 }
 

@@ -13,10 +13,10 @@
 //! ```
 
 use crate::constraint::ConstraintMap;
-use ishare_cost::CostReport;
+use ishare_cost::PlanCost;
 
 /// Eq. 1: the benefit of the eagerer configuration `new` over `old`.
-pub fn benefit(new: &CostReport, old: &CostReport, constraints: &ConstraintMap) -> f64 {
+pub fn benefit(new: &impl PlanCost, old: &impl PlanCost, constraints: &ConstraintMap) -> f64 {
     let mut total = 0.0;
     for (q, l) in constraints {
         let old_f = old.final_of(*q).get();
@@ -31,9 +31,13 @@ pub fn benefit(new: &CostReport, old: &CostReport, constraints: &ConstraintMap) 
 /// Degenerate denominators are mapped to the useful extremes: extra benefit
 /// at no extra cost is infinitely incrementable; no benefit at no cost is
 /// zero.
-pub fn incrementability(new: &CostReport, old: &CostReport, constraints: &ConstraintMap) -> f64 {
+pub fn incrementability(
+    new: &impl PlanCost,
+    old: &impl PlanCost,
+    constraints: &ConstraintMap,
+) -> f64 {
     let b = benefit(new, old, constraints);
-    let d = new.total_work.get() - old.total_work.get();
+    let d = new.total_work().get() - old.total_work().get();
     if d <= f64::EPSILON {
         if b > 0.0 {
             f64::INFINITY
@@ -49,15 +53,26 @@ pub fn incrementability(new: &CostReport, old: &CostReport, constraints: &Constr
 mod tests {
     use super::*;
     use ishare_common::{QueryId, WorkUnits};
+    use std::collections::BTreeMap;
 
-    fn report(total: f64, finals: &[(u16, f64)]) -> CostReport {
-        CostReport {
-            total_work: WorkUnits(total),
-            final_work: finals.iter().map(|&(q, w)| (QueryId(q), WorkUnits(w))).collect(),
-            subplan_total: vec![],
-            subplan_final: vec![],
-            subplan_output: vec![],
+    /// Total and per-query final work, as a report gives them.
+    struct Costs {
+        total: f64,
+        finals: BTreeMap<QueryId, f64>,
+    }
+
+    impl PlanCost for Costs {
+        fn total_work(&self) -> WorkUnits {
+            WorkUnits(self.total)
         }
+
+        fn final_of(&self, q: QueryId) -> WorkUnits {
+            WorkUnits(self.finals.get(&q).copied().unwrap_or(0.0))
+        }
+    }
+
+    fn report(total: f64, finals: &[(u16, f64)]) -> Costs {
+        Costs { total, finals: finals.iter().map(|&(q, w)| (QueryId(q), w)).collect() }
     }
 
     fn constraints(cs: &[(u16, f64)]) -> ConstraintMap {

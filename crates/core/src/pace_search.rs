@@ -14,12 +14,17 @@
 //!   pace of the subplan with the lowest incrementability — the one that
 //!   lowers total work most per unit of final work given back — without
 //!   regressing any query's missed work.
+//!
+//! Every step costs its candidates with
+//! [`PlanEstimator::estimate_candidate`], next to the report of the
+//! configuration it stands on, and turns only the winner into a full
+//! [`CostReport`] ([`PlanEstimator::adopt_kept`]).
 
 use crate::constraint::ConstraintMap;
 use crate::incrementability::incrementability;
 use crate::pace::PaceConfiguration;
 use ishare_common::{Error, QuerySet, Result, SubplanId};
-use ishare_cost::{CostReport, PlanEstimator};
+use ishare_cost::{CostReport, PlanCost, PlanEstimator};
 use ishare_plan::SharedPlan;
 use std::cmp::Ordering;
 
@@ -38,9 +43,8 @@ pub struct SearchOutcome {
 
 /// The plan's `(parent, child)` subplan edges, taken once per search: a
 /// candidate is checked per group per step, and
-/// [`PaceConfiguration::respects_plan`] walks every operator tree to find
-/// them (1.7 µs per call on a 23-subplan plan, beside a 3 µs memoized
-/// estimate).
+/// [`PaceConfiguration::respects_plan`] walks every operator tree and
+/// allocates each subplan's child list to find them.
 fn plan_edges(plan: &SharedPlan) -> Vec<(SubplanId, SubplanId)> {
     plan.subplans.iter().flat_map(|sp| sp.children().into_iter().map(move |c| (sp.id, c))).collect()
 }
@@ -137,8 +141,32 @@ pub fn find_grouped_paces(
     max_pace: u32,
 ) -> Result<SearchOutcome> {
     check_constraints(constraints)?;
+    check_groups(groups, est.plan().len())?;
     let paces = PaceConfiguration::new(vec![start; est.plan().len()])?;
     search_upward(est, groups, constraints, max_pace, paces)
+}
+
+/// Reject groups that are not disjoint sets of the plan's subplans: a
+/// member past the plan's end would index out of bounds, and a subplan
+/// listed twice would move twice per step.
+fn check_groups(groups: &[Vec<SubplanId>], n: usize) -> Result<()> {
+    let mut grouped = vec![false; n];
+    for id in groups.iter().flatten() {
+        match grouped.get_mut(id.index()) {
+            None => {
+                return Err(Error::InvalidConfig(format!(
+                    "group member {id} is not a subplan of this {n}-subplan plan"
+                )))
+            }
+            Some(true) => {
+                return Err(Error::InvalidConfig(format!(
+                    "subplan {id} is listed twice in the groups"
+                )))
+            }
+            Some(seen) => *seen = true,
+        }
+    }
+    Ok(())
 }
 
 /// The paper's greedy loop: raise the pace of the group with the highest
@@ -158,6 +186,7 @@ fn search_upward(
 ) -> Result<SearchOutcome> {
     let edges = plan_edges(est.plan());
     let mut report = est.estimate(paces.as_slice())?;
+    let mut cand = paces.clone();
     let mut steps = 0;
 
     loop {
@@ -169,9 +198,10 @@ fn search_upward(
             .filter(|(q, l)| report.final_of(**q).get() > **l + 1e-9)
             .map(|(q, _)| *q)
             .collect();
-        // Evaluate one candidate per group: bump every member by one, in
-        // place, and take the bump back once the candidate is costed.
-        let mut best: Option<(f64, f64, &[SubplanId], CostReport)> = None;
+        // Evaluate one candidate per group: bump every member by one in
+        // `cand`, a copy of `paces`, and take the bump back once the
+        // candidate is costed.
+        let mut best: Option<(f64, f64, &[SubplanId])> = None;
         for g in groups {
             if g.iter().any(|id| paces.pace(*id) >= max_pace) {
                 continue;
@@ -182,26 +212,29 @@ fn search_upward(
             if !serves_unmet {
                 continue;
             }
-            bump(&mut paces, g, 1);
-            let cand_report = respects(&edges, &paces).then(|| est.estimate(paces.as_slice()));
-            bump(&mut paces, g, -1);
-            let Some(cand_report) = cand_report.transpose()? else {
+            bump(&mut cand, g, 1);
+            let cost = respects(&edges, &cand)
+                .then(|| est.estimate_candidate(&report, paces.as_slice(), cand.as_slice()));
+            bump(&mut cand, g, -1);
+            let Some(cost) = cost.transpose()? else {
                 continue;
             };
             debug_assert!(
-                cand_report.total_work.get().is_finite(),
+                cost.total_work().get().is_finite(),
                 "non-finite estimated total work for a bump of {g:?} on {paces}"
             );
-            let inc = incrementability(&cand_report, &report, constraints);
-            let extra = cand_report.total_work.get() - report.total_work.get();
-            if upward_better((inc, extra), best.as_ref().map(|(bi, be, _, _)| (*bi, *be))) {
-                best = Some((inc, extra, g, cand_report));
+            let inc = incrementability(&cost, &report, constraints);
+            let extra = cost.total_work().get() - report.total_work.get();
+            if upward_better((inc, extra), best.map(|(bi, be, _)| (bi, be))) {
+                best = Some((inc, extra, g));
+                est.keep_candidate();
             }
         }
         match best {
-            Some((_, _, g, cand_report)) => {
+            Some((_, _, g)) => {
                 bump(&mut paces, g, 1);
-                report = cand_report;
+                bump(&mut cand, g, 1);
+                est.adopt_kept(&mut report)?;
                 steps += 1;
             }
             // Every group is maxed or blocked: nothing left to try.
@@ -252,22 +285,25 @@ pub fn relax_pace_configuration(
     let missed_budget: Vec<(ishare_common::QueryId, f64)> =
         constraints.iter().map(|(q, l)| (*q, (report.final_of(*q).get() - l).max(0.0))).collect();
 
+    let mut cand = paces.clone();
     loop {
-        let mut best: Option<(f64, f64, SubplanId, CostReport)> = None;
+        let mut best: Option<(f64, f64, SubplanId)> = None;
         for i in 0..paces.len() {
             let id = SubplanId(i as u32);
             let p = paces.pace(id);
             if p <= 1 {
                 continue;
             }
-            // One pace down, in place; taken back once costed.
-            paces.set(id, p - 1);
-            let cand_report = respects(&edges, &paces).then(|| est.estimate(paces.as_slice()));
-            paces.set(id, p);
-            let Some(cand_report) = cand_report.transpose()? else {
+            // One pace down in `cand`, a copy of `paces`; taken back once
+            // costed.
+            cand.set(id, p - 1);
+            let cost = respects(&edges, &cand)
+                .then(|| est.estimate_candidate(&report, paces.as_slice(), cand.as_slice()));
+            cand.set(id, p);
+            let Some(cost) = cost.transpose()? else {
                 continue;
             };
-            let saved = report.total_work.get() - cand_report.total_work.get();
+            let saved = report.total_work.get() - cost.total_work().get();
             // Zero-saving decreases are admissible too: a stateless parent's
             // total work is pace-independent, but lowering its pace unblocks
             // decreases of its children (parent pace ≤ child pace).
@@ -276,7 +312,7 @@ pub fn relax_pace_configuration(
             }
             let admissible = missed_budget.iter().all(|(q, budget)| {
                 let l = constraints.get(q).copied().unwrap_or(f64::INFINITY);
-                let missed = (cand_report.final_of(*q).get() - l).max(0.0);
+                let missed = (cost.final_of(*q).get() - l).max(0.0);
                 missed <= budget + 1e-9
             });
             if !admissible {
@@ -284,15 +320,18 @@ pub fn relax_pace_configuration(
             }
             // Lowest incrementability of the eager side = best candidate to
             // relax: it pays the most total work for the least benefit.
-            let inc = incrementability(&report, &cand_report, constraints);
-            if relax_better((inc, saved), best.as_ref().map(|(bi, bs, _, _)| (*bi, *bs))) {
-                best = Some((inc, saved, id, cand_report));
+            let inc = incrementability(&report, &cost, constraints);
+            if relax_better((inc, saved), best.map(|(bi, bs, _)| (bi, bs))) {
+                best = Some((inc, saved, id));
+                est.keep_candidate();
             }
         }
         match best {
-            Some((_, _, id, cand_report)) => {
-                paces.set(id, paces.pace(id) - 1);
-                report = cand_report;
+            Some((_, _, id)) => {
+                let p = paces.pace(id) - 1;
+                paces.set(id, p);
+                cand.set(id, p);
+                est.adopt_kept(&mut report)?;
                 steps += 1;
             }
             None => break,
@@ -444,6 +483,27 @@ mod tests {
         assert!(out.paces.as_slice().iter().all(|&p| p == first));
         assert!(out.feasible);
         assert!(first > 1);
+    }
+
+    #[test]
+    fn malformed_groups_are_invalid_configs() {
+        let c = catalog();
+        let plan = shared_plan(&c);
+        let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
+        let cons = constraints_rel(&mut est, &[(0, 0.2), (1, 0.2)]);
+        let n = plan.len() as u32;
+        let id = SubplanId;
+        for groups in [
+            // A member past the plan's end.
+            vec![vec![id(0)], vec![id(n)]],
+            // A member listed twice in one group.
+            (0..n).map(|i| if i == 0 { vec![id(0), id(0)] } else { vec![id(i)] }).collect(),
+            // A member in two groups.
+            vec![(0..n).map(id).collect(), vec![id(0)]],
+        ] {
+            let out = find_grouped_paces(&mut est, &groups, &cons, 1, 10);
+            assert!(matches!(out, Err(Error::InvalidConfig(_))), "{groups:?} gave {out:?}");
+        }
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! depend on. The greedy pace search evaluates many configurations that
 //! differ in a single subplan's pace; with the memo only that subplan and
 //! its ancestors are re-simulated.
+//!
+//! A search step costs its candidates next to the report of the
+//! configuration it stands on ([`PlanEstimator::estimate_candidate`]): only
+//! the changed cone — the changed subplans and their ancestors — builds a
+//! memo key, and every other subplan reads its costs from that report. A
+//! candidate yields total work and per-query final work in a buffer the
+//! estimator reuses; only the step's winner becomes a [`CostReport`]
+//! ([`PlanEstimator::keep_candidate`], [`PlanEstimator::adopt_kept`]).
 
 use crate::simulate::{SimProgram, SimScratch, SubplanSim};
 use crate::stats::StreamEstimate;
@@ -33,12 +41,58 @@ pub struct CostReport {
     /// Simulation result per subplan, shared with the estimator's memo; its
     /// `output` is the subplan's full-trigger output estimate.
     pub subplan_output: Vec<Arc<SubplanSim>>,
+    /// The estimator's statistics epoch when the report was made: a report
+    /// older than a [`PlanEstimator::refresh_base`] that changed a stream is
+    /// no base for a candidate.
+    epoch: u64,
 }
 
 impl CostReport {
     /// Final work of one query.
     pub fn final_of(&self, q: QueryId) -> WorkUnits {
         self.final_work.get(&q).copied().unwrap_or(WorkUnits::ZERO)
+    }
+}
+
+/// What the pace searches and the incrementability metric read of a costed
+/// pace configuration: its total work and each query's final work. A
+/// [`CostReport`] answers it, and so does the [`CandidateCost`] of a search
+/// step.
+pub trait PlanCost {
+    /// Total work C_T(P).
+    fn total_work(&self) -> WorkUnits;
+    /// Final work C_F(P, q) of one query; zero for a query the plan does not
+    /// serve.
+    fn final_of(&self, q: QueryId) -> WorkUnits;
+}
+
+impl PlanCost for CostReport {
+    fn total_work(&self) -> WorkUnits {
+        self.total_work
+    }
+
+    fn final_of(&self, q: QueryId) -> WorkUnits {
+        CostReport::final_of(self, q)
+    }
+}
+
+/// One candidate's costs from [`PlanEstimator::estimate_candidate`]: total
+/// work, and per-query final work borrowed from the estimator's buffer,
+/// which the next call overwrites.
+#[derive(Debug, Clone, Copy)]
+pub struct CandidateCost<'a> {
+    total_work: WorkUnits,
+    /// Final work indexed by `QueryId`.
+    finals: &'a [f64],
+}
+
+impl PlanCost for CandidateCost<'_> {
+    fn total_work(&self) -> WorkUnits {
+        self.total_work
+    }
+
+    fn final_of(&self, q: QueryId) -> WorkUnits {
+        WorkUnits(self.finals.get(q.index()).copied().unwrap_or(0.0))
     }
 }
 
@@ -70,6 +124,9 @@ pub struct PlanEstimator {
     weights: CostWeights,
     /// Children-first subplan order.
     topo: Vec<SubplanId>,
+    /// Per subplan: its children's indices (a candidate's changed cone
+    /// spreads from a child to its parents).
+    children: Vec<Vec<usize>>,
     /// Per subplan: sorted list of (that subplan + descendants) — the key
     /// domain of its private pace configuration.
     descendants: Vec<Vec<SubplanId>>,
@@ -85,11 +142,22 @@ pub struct PlanEstimator {
     /// Per subplan: memo from private pace configuration to simulation
     /// (Arc so hits are O(1), not a deep clone of the stream estimate).
     memo: Vec<FxHashMap<Vec<u32>, Arc<SubplanSim>>>,
-    /// The memo key under construction, each subplan's simulation in the
-    /// call under way, and the simulator's buffers: reused across calls so
-    /// a call allocates only its report and each miss only its memo entry.
+    /// Bumped by every [`PlanEstimator::refresh_base`] that changes a
+    /// stream; stamped on each report.
+    epoch: u64,
+    /// The memo key under construction; per subplan, whether the call under
+    /// way costs it afresh (its changed cone) or reads it from a base
+    /// report, its simulation if costed afresh, and its private final work;
+    /// per query, its final work; the simulations of the candidate
+    /// [`PlanEstimator::keep_candidate`] kept; and the simulator's buffers.
+    /// All reused across calls, so an estimate allocates only its report
+    /// and each miss only its memo entry.
     key: Vec<u32>,
+    dirty: Vec<bool>,
     sims: Vec<Option<Arc<SubplanSim>>>,
+    subplan_final: Vec<f64>,
+    finals: Vec<f64>,
+    kept: Vec<Option<Arc<SubplanSim>>>,
     scratch: SimScratch,
     /// Hit/miss counters.
     pub counters: EstimatorCounters,
@@ -114,14 +182,19 @@ impl PlanEstimator {
             })
         };
 
+        let children: Vec<Vec<usize>> = plan
+            .subplans
+            .iter()
+            .map(|sp| sp.children().iter().map(|c| c.index()).collect())
+            .collect();
         // Descendant closure and the tables under it (children-first order
         // makes one pass enough).
         let mut descendants: Vec<Vec<SubplanId>> = vec![Vec::new(); n];
         let mut cone_tables: Vec<Vec<TableId>> = vec![Vec::new(); n];
         for &id in &topo {
             let mut set: Vec<SubplanId> = vec![id];
-            for c in plan.subplans[id.index()].children() {
-                for &d in &descendants[c.index()] {
+            for &c in &children[id.index()] {
+                for &d in &descendants[c] {
                     if !set.contains(&d) {
                         set.push(d);
                     }
@@ -156,13 +229,19 @@ impl PlanEstimator {
             plan: plan.clone(),
             weights,
             topo,
+            children,
             descendants,
             programs,
             cone_tables,
             base,
             memo: vec![FxHashMap::default(); n],
+            epoch: 0,
             key: Vec::new(),
-            sims: Vec::new(),
+            dirty: vec![true; n],
+            sims: vec![None; n],
+            subplan_final: vec![0.0; n],
+            finals: vec![0.0; QuerySet::MAX_QUERIES],
+            kept: vec![None; n],
             scratch: SimScratch::default(),
             counters: EstimatorCounters::default(),
             memo_enabled: true,
@@ -229,6 +308,7 @@ impl PlanEstimator {
             crate::stats::CardVec::uniform(observed.rows, queries)
         };
         est.delete_frac = new_delete_frac;
+        self.epoch += 1;
         // Cone-scoped invalidation: subplan `i` depends on `t` iff `t` is
         // referenced by `i` or any of its descendants.
         for (memo, tables) in self.memo.iter_mut().zip(&self.cone_tables) {
@@ -268,7 +348,70 @@ impl PlanEstimator {
             .collect()
     }
 
-    fn estimate_inner(&mut self, paces: &[u32], use_memo: bool) -> Result<CostReport> {
+    /// Cost `paces`, a candidate one search step from `base_paces`, whose
+    /// report is `base`: the inner loop of the pace searches.
+    ///
+    /// Only the changed cone — every subplan whose own or a descendant's
+    /// pace differs from `base_paces` — is looked up in the memo or
+    /// simulated. Every other subplan takes its private total and final
+    /// work from `base` and counts as a memo hit, as the lookup in
+    /// [`PlanEstimator::estimate`] would. Total work is summed children
+    /// first and each query's final work in subplan order, as there, so
+    /// both equal `estimate(paces)`'s to the bit and the counters advance
+    /// alike. With the memo disabled nothing is reused: every subplan
+    /// re-simulates.
+    ///
+    /// No report is built: [`PlanEstimator::keep_candidate`] keeps this
+    /// candidate's simulations and [`PlanEstimator::adopt_kept`] turns `base`
+    /// into its report. `base` must be this estimator's report of
+    /// `base_paces`; one made before a [`PlanEstimator::refresh_base`] that
+    /// changed a stream is [`Error::InvalidConfig`].
+    pub fn estimate_candidate(
+        &mut self,
+        base: &CostReport,
+        base_paces: &[u32],
+        paces: &[u32],
+    ) -> Result<CandidateCost<'_>> {
+        self.check_base(base)?;
+        self.check_paces(base_paces)?;
+        self.check_paces(paces)?;
+        let reuse = self.memo_enabled.then_some((base, base_paces));
+        let total_work = self.cost_cone(paces, reuse, self.memo_enabled)?;
+        sum_finals(&self.plan, &self.subplan_final, &mut self.finals);
+        Ok(CandidateCost { total_work, finals: &self.finals })
+    }
+
+    /// Keep the simulations of the candidate last costed by
+    /// [`PlanEstimator::estimate_candidate`], replacing any kept before.
+    pub fn keep_candidate(&mut self) {
+        std::mem::swap(&mut self.sims, &mut self.kept);
+    }
+
+    /// Turn `base` into the report of the kept candidate, which was costed
+    /// next to it: the kept simulations replace its changed cone and the
+    /// sums are redone in [`PlanEstimator::estimate`]'s order. Counts
+    /// nothing: the candidate was counted when it was costed.
+    pub fn adopt_kept(&mut self, base: &mut CostReport) -> Result<()> {
+        self.check_base(base)?;
+        for (i, kept) in self.kept.iter_mut().enumerate() {
+            if let Some(sim) = kept.take() {
+                base.subplan_total[i] = sim.private_total;
+                base.subplan_final[i] = sim.private_final;
+                base.subplan_output[i] = sim;
+            }
+        }
+        base.total_work = WorkUnits::ZERO;
+        for id in &self.topo {
+            base.total_work += WorkUnits(base.subplan_total[id.index()]);
+        }
+        sum_finals(&self.plan, &base.subplan_final, &mut self.finals);
+        for (q, w) in &mut base.final_work {
+            *w = WorkUnits(self.finals[q.index()]);
+        }
+        Ok(())
+    }
+
+    fn check_paces(&self, paces: &[u32]) -> Result<()> {
         let n = self.plan.subplans.len();
         if paces.len() != n {
             return Err(Error::InvalidConfig(format!("{} paces for {n} subplans", paces.len())));
@@ -276,80 +419,146 @@ impl PlanEstimator {
         if let Some(&bad) = paces.iter().find(|&&p| p == 0) {
             return Err(Error::InvalidConfig(format!("pace {bad} must be >= 1")));
         }
-        let mut report = CostReport {
-            total_work: WorkUnits::ZERO,
-            final_work: BTreeMap::new(),
-            subplan_total: vec![0.0; n],
-            subplan_final: vec![0.0; n],
-            subplan_output: Vec::new(),
-        };
+        Ok(())
+    }
+
+    fn check_base(&self, base: &CostReport) -> Result<()> {
+        let n = self.plan.subplans.len();
+        if base.epoch != self.epoch {
+            return Err(Error::InvalidConfig(
+                "base report predates a refresh of the base streams".into(),
+            ));
+        }
+        if [base.subplan_total.len(), base.subplan_final.len(), base.subplan_output.len()]
+            .iter()
+            .any(|&len| len != n)
+        {
+            return Err(Error::InvalidConfig(format!("base report is not of a {n}-subplan plan")));
+        }
+        Ok(())
+    }
+
+    fn estimate_inner(&mut self, paces: &[u32], use_memo: bool) -> Result<CostReport> {
+        self.check_paces(paces)?;
+        let total_work = self.cost_cone(paces, None, use_memo)?;
+        let mut final_work = BTreeMap::new();
+        for q in sum_finals(&self.plan, &self.subplan_final, &mut self.finals).iter() {
+            final_work.insert(q, WorkUnits(self.finals[q.index()]));
+        }
+        let mut subplan_output = Vec::with_capacity(self.sims.len());
+        subplan_output.extend(self.sims.iter_mut().filter_map(Option::take));
+        Ok(CostReport {
+            total_work,
+            final_work,
+            subplan_total: subplan_output.iter().map(|sim| sim.private_total).collect(),
+            subplan_final: self.subplan_final.clone(),
+            subplan_output,
+            epoch: self.epoch,
+        })
+    }
+
+    /// Cost every subplan children first and return the total work, summed
+    /// in that order. Without `reuse` every subplan is costed afresh; with
+    /// it, only the cone whose paces differ from the base's, and the rest
+    /// read the base report. A subplan costed afresh is looked up in the
+    /// memo (if `use_memo`) or simulated, and lands in `sims`; every
+    /// subplan's private final work lands in `subplan_final`.
+    fn cost_cone(
+        &mut self,
+        paces: &[u32],
+        reuse: Option<(&CostReport, &[u32])>,
+        use_memo: bool,
+    ) -> Result<WorkUnits> {
         let PlanEstimator {
-            plan,
             weights,
             topo,
+            children,
             descendants,
             programs,
             base,
             memo,
             key,
+            dirty,
             sims,
+            subplan_final,
             scratch,
             counters,
             ..
         } = self;
-        sims.clear();
-        sims.resize(n, None);
+        sims.iter_mut().for_each(|sim| *sim = None);
+        dirty.fill(true);
+        let mut total_work = WorkUnits::ZERO;
         for &id in topo.iter() {
             let i = id.index();
-            let program = &programs[i];
-            key.clear();
-            key.extend(descendants[i].iter().map(|d| paces[d.index()]));
-            let hit = if use_memo { memo[i].get(key.as_slice()).cloned() } else { None };
-            let sim = match hit {
-                Some(sim) => {
+            let reused = reuse.filter(|&(_, base_paces)| {
+                paces[i] == base_paces[i] && children[i].iter().all(|&c| !dirty[c])
+            });
+            dirty[i] = reused.is_none();
+            let (private_total, private_final) = match reused {
+                Some((report, _)) => {
                     counters.memo_hits += 1;
-                    sim
+                    (report.subplan_total[i], report.subplan_final[i])
                 }
-                // Only a miss reads the leaf inputs: children's outputs are
-                // borrowed from their simulations, never copied.
                 None => {
-                    counters.simulations += 1;
-                    let done = |c: usize| sims[c].as_deref();
-                    let input = |leaf: usize| leaf_input(program.leaves()[leaf], base, done, id);
-                    let sim = Arc::new(program.run(paces[i], input, weights, scratch)?);
-                    if use_memo {
-                        memo[i].insert(key.clone(), sim.clone());
-                    }
-                    sim
+                    let program = &programs[i];
+                    key.clear();
+                    key.extend(descendants[i].iter().map(|d| paces[d.index()]));
+                    let hit = if use_memo { memo[i].get(key.as_slice()).cloned() } else { None };
+                    let sim = match hit {
+                        Some(sim) => {
+                            counters.memo_hits += 1;
+                            sim
+                        }
+                        // Only a miss reads the leaf inputs: children's
+                        // outputs are borrowed from their simulations,
+                        // never copied.
+                        None => {
+                            counters.simulations += 1;
+                            let done = |c: usize| match reuse {
+                                Some((report, _)) if !dirty[c] => {
+                                    report.subplan_output.get(c).map(|sim| &**sim)
+                                }
+                                _ => sims[c].as_deref(),
+                            };
+                            let input =
+                                |leaf: usize| leaf_input(program.leaves()[leaf], base, done, id);
+                            let sim = Arc::new(program.run(paces[i], input, weights, scratch)?);
+                            if use_memo {
+                                memo[i].insert(key.clone(), sim.clone());
+                            }
+                            sim
+                        }
+                    };
+                    let costs = (sim.private_total, sim.private_final);
+                    sims[i] = Some(sim);
+                    costs
                 }
             };
-            report.total_work += WorkUnits(sim.private_total);
-            report.subplan_total[i] = sim.private_total;
-            report.subplan_final[i] = sim.private_final;
-            sims[i] = Some(sim);
+            total_work += WorkUnits(private_total);
+            subplan_final[i] = private_final;
         }
-        // Per query, its subplans' final work summed in subplan order.
-        let mut finals = [0.0f64; QuerySet::MAX_QUERIES];
-        let mut queries = QuerySet::EMPTY;
-        for sp in &plan.subplans {
-            queries = queries.union(sp.queries);
-            for q in sp.queries.iter() {
-                finals[q.index()] += report.subplan_final[sp.id.index()];
-            }
+        if let Some(i) = dirty.iter().zip(sims.iter()).position(|(&d, sim)| d && sim.is_none()) {
+            return Err(Error::InvalidPlan(format!(
+                "subplan {i} missing from topological order (malformed DAG)"
+            )));
         }
-        for q in queries.iter() {
-            report.final_work.insert(q, WorkUnits(finals[q.index()]));
-        }
-        report.subplan_output.reserve_exact(n);
-        for (i, sim) in sims.iter_mut().enumerate() {
-            report.subplan_output.push(sim.take().ok_or_else(|| {
-                Error::InvalidPlan(format!(
-                    "subplan {i} missing from topological order (malformed DAG)"
-                ))
-            })?);
-        }
-        Ok(report)
+        Ok(total_work)
     }
+}
+
+/// Per query, its subplans' private final work summed in subplan order,
+/// into `finals` (indexed by `QueryId`); returns the queries the plan
+/// serves.
+fn sum_finals(plan: &SharedPlan, subplan_final: &[f64], finals: &mut [f64]) -> QuerySet {
+    finals.fill(0.0);
+    let mut queries = QuerySet::EMPTY;
+    for sp in &plan.subplans {
+        queries = queries.union(sp.queries);
+        for q in sp.queries.iter() {
+            finals[q.index()] += subplan_final[sp.id.index()];
+        }
+    }
+    queries
 }
 
 /// One leaf's full-trigger estimate: a base stream, or the output of a
@@ -554,12 +763,8 @@ mod tests {
         bits
     }
 
-    #[test]
-    fn memoized_equals_unmemoized() {
-        // The 22-query TPC-H plan, seeded plan-respecting pace vectors drawn
-        // from a small range so the memo hits often, and a base-table refresh
-        // every few trials: a hit on an entry the refresh should have dropped
-        // would differ from the from-scratch estimate.
+    /// All 22 TPC-H queries merged into one shared plan, with its catalog.
+    fn tpch22() -> (Catalog, SharedPlan) {
         let data = ishare_tpch::generate(0.002, 7).unwrap();
         let queries: Vec<_> = ishare_tpch::all_queries(&data.catalog)
             .unwrap()
@@ -570,33 +775,134 @@ mod tests {
         let dag =
             ishare_mqo::build_shared_dag(&queries, &data.catalog, &Default::default()).unwrap();
         let plan = SharedPlan::from_dag(&dag).unwrap();
-        let mut est = PlanEstimator::new(&plan, &data.catalog, CostWeights::default()).unwrap();
-        let tables = est.base_tables();
-        let topo = plan.topo_order().unwrap();
-        let mut state = 7u64;
-        let mut draw = |n: u64| {
+        (data.catalog, plan)
+    }
+
+    /// A seeded draw in `0..n`.
+    fn rng(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed;
+        move |n| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 33) % n
-        };
+        }
+    }
+
+    /// A plan-respecting pace vector (no parent above a child), paces in
+    /// `1..=6`.
+    fn respecting_paces(plan: &SharedPlan, draw: &mut impl FnMut(u64) -> u64) -> Vec<u32> {
+        let mut paces = vec![1u32; plan.len()];
+        for id in plan.topo_order().unwrap() {
+            let children = plan.subplans[id.index()].children();
+            let cap = children.iter().map(|c| paces[c.index()]).min().unwrap_or(6);
+            paces[id.index()] = 1 + draw(u64::from(cap)) as u32;
+        }
+        paces
+    }
+
+    /// Refresh a drawn base table of `ests` (all of one plan) with the same
+    /// drawn statistics.
+    fn refresh_drawn(ests: &mut [&mut PlanEstimator], draw: &mut impl FnMut(u64) -> u64) {
+        let tables = ests[0].base_tables();
+        let t = tables[draw(tables.len() as u64) as usize];
+        let rows = ests[0].base_estimate(t).unwrap().rows.total * (0.5 + draw(100) as f64 / 64.0);
+        let delete_frac = draw(30) as f64 / 100.0;
+        for est in ests {
+            assert!(est.refresh_base(t, ObservedBase { rows, delete_frac }).unwrap());
+        }
+    }
+
+    #[test]
+    fn memoized_equals_unmemoized() {
+        // The 22-query TPC-H plan, seeded plan-respecting pace vectors drawn
+        // from a small range so the memo hits often, and a base-table refresh
+        // every few trials: a hit on an entry the refresh should have dropped
+        // would differ from the from-scratch estimate.
+        let (catalog, plan) = tpch22();
+        let mut est = PlanEstimator::new(&plan, &catalog, CostWeights::default()).unwrap();
+        let mut draw = rng(7);
         for trial in 0..60 {
             if trial % 4 == 3 {
-                let t = tables[draw(tables.len() as u64) as usize];
-                let rows =
-                    est.base_estimate(t).unwrap().rows.total * (0.5 + draw(100) as f64 / 64.0);
-                let delete_frac = draw(30) as f64 / 100.0;
-                est.refresh_base(t, ObservedBase { rows, delete_frac }).unwrap();
+                refresh_drawn(&mut [&mut est], &mut draw);
             }
-            let mut paces = vec![1u32; plan.len()];
-            for id in &topo {
-                let children = plan.subplans[id.index()].children();
-                let cap = children.iter().map(|c| paces[c.index()]).min().unwrap_or(6);
-                paces[id.index()] = 1 + draw(u64::from(cap)) as u32;
-            }
+            let paces = respecting_paces(&plan, &mut draw);
             let hits = est.counters.memo_hits;
             let memoized = est.estimate(&paces).unwrap();
             let scratch = est.estimate_unmemoized(&paces).unwrap();
             assert_eq!(report_bits(&memoized), report_bits(&scratch), "trial {trial}: {paces:?}");
             assert!(trial == 0 || est.counters.memo_hits > hits, "trial {trial} never hit");
+        }
+    }
+
+    /// Total work and every query's final work of a costed configuration,
+    /// as bits.
+    fn cost_bits(cost: &impl PlanCost, plan: &SharedPlan) -> Vec<u64> {
+        let mut bits = vec![cost.total_work().get().to_bits()];
+        bits.extend(plan.queries().iter().map(|q| cost.final_of(q).get().to_bits()));
+        bits
+    }
+
+    #[test]
+    fn candidates_equal_estimates() {
+        // Two estimators of the 22-query TPC-H plan see the same calls: a
+        // seeded plan-respecting base, then one- and two-subplan steps from
+        // it. One costs each step as a candidate next to the base's report,
+        // the other estimates it whole. Costs must agree to the bit and the
+        // counters must advance alike, with the memo on, after base-stream
+        // refreshes, and with the memo off; the step kept last must become
+        // the report `estimate` gives.
+        let (catalog, plan) = tpch22();
+        let new = || PlanEstimator::new(&plan, &catalog, CostWeights::default()).unwrap();
+        let (mut cand_est, mut whole_est) = (new(), new());
+        let n = plan.len();
+        let mut draw = rng(11);
+        for base_no in 0..24 {
+            if base_no == 16 {
+                cand_est.set_memo_enabled(false);
+                whole_est.set_memo_enabled(false);
+            }
+            let base_paces = respecting_paces(&plan, &mut draw);
+            let mut base = cand_est.estimate(&base_paces).unwrap();
+            whole_est.estimate(&base_paces).unwrap();
+            if base_no % 4 == 3 {
+                refresh_drawn(&mut [&mut cand_est, &mut whole_est], &mut draw);
+                let stale = cand_est.estimate_candidate(&base, &base_paces, &base_paces);
+                assert!(matches!(stale, Err(Error::InvalidConfig(_))), "base {base_no}");
+                base = cand_est.estimate(&base_paces).unwrap();
+                whole_est.estimate(&base_paces).unwrap();
+            }
+            let mut kept = None;
+            for step in 0..12 {
+                let mut paces = base_paces.clone();
+                for _ in 0..1 + step % 2 {
+                    let i = draw(n as u64) as usize;
+                    paces[i] =
+                        if paces[i] > 1 && draw(2) == 0 { paces[i] - 1 } else { paces[i] + 1 };
+                }
+                let (cand_before, whole_before) = (cand_est.counters, whole_est.counters);
+                let cand = cost_bits(
+                    &cand_est.estimate_candidate(&base, &base_paces, &paces).unwrap(),
+                    &plan,
+                );
+                let whole = cost_bits(&whole_est.estimate(&paces).unwrap(), &plan);
+                assert_eq!(cand, whole, "base {base_no} step {step}: {paces:?}");
+                let advance = |after: EstimatorCounters, before: EstimatorCounters| {
+                    (after.simulations - before.simulations, after.memo_hits - before.memo_hits)
+                };
+                assert_eq!(
+                    advance(cand_est.counters, cand_before),
+                    advance(whole_est.counters, whole_before),
+                    "base {base_no} step {step}: counters"
+                );
+                if draw(3) == 0 {
+                    cand_est.keep_candidate();
+                    kept = Some(paces);
+                }
+            }
+            if let Some(paces) = kept {
+                cand_est.adopt_kept(&mut base).unwrap();
+                let want = whole_est.estimate(&paces).unwrap();
+                assert_eq!(report_bits(&base), report_bits(&want), "base {base_no}: adopted");
+            }
         }
     }
 

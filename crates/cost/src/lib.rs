@@ -23,7 +23,10 @@
 //!   *private pace configuration* (its own pace plus its descendants'), so
 //!   the greedy pace search — which evaluates thousands of configurations
 //!   differing in a single subplan's pace — only re-simulates the changed
-//!   subplan and its ancestors. [`PlanEstimator::estimate_unmemoized`]
+//!   subplan and its ancestors; [`PlanEstimator::estimate_candidate`] costs
+//!   such a candidate next to the report it steps from, reading every
+//!   subplan outside that cone from the report and building no report of
+//!   its own. [`PlanEstimator::estimate_unmemoized`]
 //!   recomputes everything from scratch, reproducing the prior work the
 //!   paper compares against in Fig. 15.
 //!
@@ -33,6 +36,7 @@
 //!
 //! [`CostWeights`]: ishare_common::CostWeights
 //! [`PlanEstimator::estimate_unmemoized`]: estimator::PlanEstimator::estimate_unmemoized
+//! [`PlanEstimator::estimate_candidate`]: estimator::PlanEstimator::estimate_candidate
 
 #![warn(missing_docs)]
 
@@ -41,6 +45,8 @@ pub mod selectivity;
 pub mod simulate;
 pub mod stats;
 
-pub use estimator::{CostReport, EstimatorCounters, ObservedBase, PlanEstimator};
+pub use estimator::{
+    CandidateCost, CostReport, EstimatorCounters, ObservedBase, PlanCost, PlanEstimator,
+};
 pub use simulate::SubplanSim;
 pub use stats::{CardVec, StreamEstimate};

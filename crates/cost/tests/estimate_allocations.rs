@@ -1,23 +1,30 @@
-//! Heap allocations of one `PlanEstimator::estimate` call, counted by a
-//! global allocator of this test binary's own.
+//! Heap allocations of one `PlanEstimator::estimate` or
+//! `PlanEstimator::estimate_candidate` call, counted by a global allocator
+//! of this test binary's own.
 //!
 //! The plan is all 22 TPC-H queries merged into one shared plan (scale
-//! factor 0.002, seed 7). Two calls are counted:
+//! factor 0.002, seed 7). Four calls are counted:
 //!
 //! * a memo hit: the pace configuration estimated just before, again;
 //! * a one-subplan pace change: the first subplan of the children-first
 //!   order (a leaf of the subplan DAG) moves from pace 2 to 3, so it and
-//!   every subplan above it re-simulate while the rest hit.
+//!   every subplan above it re-simulate while the rest hit;
+//! * a candidate whose changed cone hits the memo: that subplan back at
+//!   pace 2, costed next to the report at pace 3, as a search step does;
+//! * a candidate one subplan's pace away: the same subplan at pace 4, never
+//!   estimated before, so its cone re-simulates.
 //!
 //! Before the simulator kept its buffers across programs, `ColumnStats`
 //! became `Copy` and the estimator stopped building vectors it throws away,
-//! these were 11 and 278 allocations. What an estimate may allocate now is
-//! its report per call and the memoized result per miss (DESIGN.md §3): 7
-//! and 105 here, about four per re-simulated subplan. The counts below are
-//! a ratchet — lower them when a change lowers them, never raise them.
+//! the first two were 11 and 278 allocations. What an estimate may allocate
+//! now is its report per call and the memoized result per miss (DESIGN.md
+//! §3): 7 and 105 here, about four per re-simulated subplan. A candidate
+//! builds no report, so it allocates only its misses' memo entries: 0 and
+//! 98 here (105 − 7: the same 24 misses). The counts below are a ratchet —
+//! lower them when a change lowers them, never raise them.
 
 use ishare_common::{CostWeights, QueryId};
-use ishare_cost::PlanEstimator;
+use ishare_cost::{PlanCost, PlanEstimator};
 use ishare_plan::SharedPlan;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,6 +67,9 @@ const PARENT_ONE_CHANGE: usize = 278;
 const MEMO_HIT: usize = 7;
 /// …and for a one-subplan pace change.
 const ONE_CHANGE: usize = 105;
+/// The ratchet for a candidate one subplan's pace away from its base (one
+/// whose changed cone hits the memo allocates nothing).
+const CANDIDATE_CHANGE: usize = 98;
 
 /// Allocations made by `f`. The binary holds this one test, so no other
 /// thread allocates meanwhile.
@@ -100,5 +110,29 @@ fn estimate_allocates_within_budget() {
     assert!(
         one_change * 10 <= PARENT_ONE_CHANGE * 6,
         "a one-subplan change made {one_change} allocations, over 60% of {PARENT_ONE_CHANGE}"
+    );
+
+    // The search's path: candidates costed next to the report they step from.
+    let base = est.estimate(&paces).unwrap();
+    let mut cand = paces.clone();
+    cand[changed.index()] = 2;
+    let (cone_hit, _) =
+        allocations(|| est.estimate_candidate(&base, &paces, &cand).unwrap().total_work());
+    cand[changed.index()] = 4;
+    let sims = est.counters.simulations;
+    let (cand_change, _) =
+        allocations(|| est.estimate_candidate(&base, &paces, &cand).unwrap().total_work());
+    let cand_resimulated = est.counters.simulations - sims;
+    println!(
+        "candidate, cone hits: {cone_hit} allocations; \
+         candidate, one change ({cand_resimulated} re-simulated): {cand_change}"
+    );
+    assert_eq!(cand_resimulated, resimulated, "the same cone re-simulates");
+    assert_eq!(cone_hit, 0, "a candidate whose cone hits allocated");
+    assert!(cand_change <= CANDIDATE_CHANGE, "a candidate change made {cand_change} allocations");
+    assert!(
+        cand_change <= one_change - memo_hit,
+        "a candidate change made {cand_change} allocations, more than the {} of its misses",
+        one_change - memo_hit
     );
 }
