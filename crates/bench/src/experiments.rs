@@ -7,8 +7,10 @@ use ishare_common::{CostWeights, QueryId, Result};
 use ishare_core::decompose::{
     bell_number, brute_force_split, cluster_split, BruteOutcome, LocalProblem,
 };
-use ishare_core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
-use ishare_cost::StreamEstimate;
+use ishare_core::{
+    plan_workload, Approach, FinalWorkConstraint, PlannedExecution, PlanningOptions,
+};
+use ishare_cost::{CostReport, StreamEstimate};
 use ishare_plan::LogicalPlan;
 use ishare_stream::MissedLatencyStats;
 use ishare_tpch::queries::{all_queries, sharing_friendly_queries};
@@ -415,16 +417,28 @@ pub fn fig14_table3(p: &Params) -> Result<()> {
 /// memoization (w/o memo runs under a DNF cutoff in a helper thread).
 ///
 /// The memo only saves work: where both variants finish, they must choose
-/// the same paces and estimate the same total work to the bit, and the
-/// experiment fails if they do not.
+/// the same paces in the same number of greedy steps and estimate the same
+/// report, every float of it to the bit, and the experiment fails if they
+/// do not. The figure's constraint, `Relative(0.01)`, is one no pace meets,
+/// so there the search ends with every subplan at the max pace and only
+/// the final report is compared; so each max pace is planned again under
+/// the constraints dealt 1.0/0.5/0.2/0.1 by query position, where the
+/// greedy stops early and the paces it chose show any estimate it got
+/// wrong on the way.
 pub fn fig15(p: &Params) -> Result<()> {
     let env = Env::new(p.sf, p.seed)?;
     let queries = named_all22(&env)?;
     let planner_queries: Vec<(QueryId, LogicalPlan)> =
         queries.iter().enumerate().map(|(i, (_, q))| (QueryId(i as u16), q.clone())).collect();
-    let cons: BTreeMap<QueryId, FinalWorkConstraint> = (0..queries.len())
-        .map(|i| (QueryId(i as u16), FinalWorkConstraint::Relative(0.01)))
-        .collect();
+    let constraints = |frac: &dyn Fn(usize) -> f64| -> BTreeMap<QueryId, FinalWorkConstraint> {
+        (0..queries.len())
+            .map(|i| (QueryId(i as u16), FinalWorkConstraint::Relative(frac(i))))
+            .collect()
+    };
+    let sets = [
+        ("rel 0.01", constraints(&|_| 0.01)),
+        ("dealt", constraints(&|i| REL_FRACS[i % REL_FRACS.len()])),
+    ];
     let mut rows = Vec::new();
     let mut json = Vec::new();
     let mut mismatches = Vec::new();
@@ -433,45 +447,51 @@ pub fn fig15(p: &Params) -> Result<()> {
             continue;
         }
         let mut cells = vec![format!("{max_pace}")];
-        // Each variant's chosen paces and estimated total-work bits.
-        let mut plans = Vec::new();
-        for use_memo in [true, false] {
-            let o = PlanningOptions { max_pace, use_memo, partial: false, ..Default::default() };
-            let catalog = env.data.catalog.clone();
-            let qs = planner_queries.clone();
-            let cs = cons.clone();
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let t = Instant::now();
-                let r = plan_workload(Approach::IShareNoUnshare, &qs, &cs, &catalog, &o);
-                let _ = tx.send(r.map(|planned| (t.elapsed(), planned)));
-            });
-            let label = match rx.recv_timeout(p.dnf) {
-                Ok(Ok((elapsed, planned))) => {
-                    plans.push((planned.paces, planned.report.total_work.get().to_bits()));
-                    format!("{:.2}s", elapsed.as_secs_f64())
+        for (set, cons) in &sets {
+            // Each variant's paces, step count and report bits.
+            let mut plans = Vec::new();
+            for use_memo in [true, false] {
+                let o =
+                    PlanningOptions { max_pace, use_memo, partial: false, ..Default::default() };
+                let label = match plan_within(&planner_queries, cons, &env, o, p.dnf) {
+                    Ok((elapsed, planned)) => {
+                        plans.push((
+                            planned.paces.to_string(),
+                            planned.search_steps,
+                            report_bits(&planned.report),
+                        ));
+                        format!("{:.2}s", elapsed.as_secs_f64())
+                    }
+                    Err(cell) => cell,
+                };
+                json.push(serde_json::json!({
+                    "max_pace": max_pace, "constraints": set, "memo": use_memo, "time": label,
+                }));
+                cells.push(label);
+            }
+            if let [memo, scratch] = plans.as_slice() {
+                if memo != scratch {
+                    let (paces, steps, bits) = memo;
+                    let (s_paces, s_steps, s_bits) = scratch;
+                    let word = bits.iter().zip(s_bits).position(|(a, b)| a != b);
+                    mismatches.push(format!(
+                        "max pace {max_pace}, {set}: w/ memo {paces} in {steps} steps, \
+                         w/o memo {s_paces} in {s_steps} steps, reports differ at word {word:?}"
+                    ));
                 }
-                Ok(Err(e)) => format!("ERR {e}"),
-                Err(_) => "DNF".to_string(),
-            };
-            json.push(serde_json::json!({
-                "max_pace": max_pace, "memo": use_memo, "time": label,
-            }));
-            cells.push(label);
-        }
-        if let [(memo_paces, memo_bits), (scratch_paces, scratch_bits)] = plans.as_slice() {
-            if memo_paces != scratch_paces || memo_bits != scratch_bits {
-                mismatches.push(format!(
-                    "max pace {max_pace}: w/ memo {memo_paces} ({memo_bits:016x}), \
-                     w/o memo {scratch_paces} ({scratch_bits:016x})"
-                ));
             }
         }
         rows.push(cells);
     }
     print_table(
-        &format!("Fig. 15 — optimization time vs max pace (22 queries, rel 0.01, DNF {:?})", p.dnf),
-        &["max pace", "iShare (w/ memo)", "iShare (w/o memo)"],
+        &format!("Fig. 15 — optimization time vs max pace (22 queries, DNF {:?})", p.dnf),
+        &[
+            "max pace",
+            "iShare (w/ memo) rel 0.01",
+            "iShare (w/o memo) rel 0.01",
+            "w/ memo, dealt",
+            "w/o memo, dealt",
+        ],
         &rows,
     );
     save_json("fig15", &serde_json::json!({ "points": json }));
@@ -482,6 +502,50 @@ pub fn fig15(p: &Params) -> Result<()> {
         )));
     }
     Ok(())
+}
+
+/// `plan_workload(IShareNoUnshare)` in a helper thread, given up after
+/// `dnf`: its wall time and plan, or the table cell that says why there is
+/// none.
+fn plan_within(
+    queries: &[(QueryId, LogicalPlan)],
+    cons: &BTreeMap<QueryId, FinalWorkConstraint>,
+    env: &Env,
+    o: PlanningOptions,
+    dnf: Duration,
+) -> std::result::Result<(Duration, PlannedExecution), String> {
+    let (qs, cs, catalog) = (queries.to_vec(), cons.clone(), env.data.catalog.clone());
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let t = Instant::now();
+        let r = plan_workload(Approach::IShareNoUnshare, &qs, &cs, &catalog, &o);
+        let _ = tx.send(r.map(|planned| (t.elapsed(), planned)));
+    });
+    match rx.recv_timeout(dnf) {
+        Ok(Ok(done)) => Ok(done),
+        Ok(Err(e)) => Err(format!("ERR {e}")),
+        Err(_) => Err("DNF".to_string()),
+    }
+}
+
+/// Every float of a report, as bits: totals, per-query finals, and each
+/// subplan's private costs and output estimate.
+fn report_bits(r: &CostReport) -> Vec<u64> {
+    let mut bits = vec![r.total_work.get().to_bits()];
+    bits.extend(r.final_work.iter().flat_map(|(q, w)| [u64::from(q.0), w.get().to_bits()]));
+    for ((total, fin), sim) in r.subplan_total.iter().zip(&r.subplan_final).zip(&r.subplan_output) {
+        let out = &sim.output;
+        bits.extend([*total, *fin, sim.private_total, sim.private_final].map(f64::to_bits));
+        bits.extend([out.rows.total, out.delete_frac].map(f64::to_bits));
+        bits.extend(out.rows.per_query.iter().flat_map(|(&q, n)| [u64::from(q), n.to_bits()]));
+        for c in &out.cols {
+            bits.push(c.ndv.to_bits());
+            for bound in [c.min, c.max] {
+                bits.extend(bound.map_or([0, 0], |b| [1, b.to_bits()]));
+            }
+        }
+    }
+    bits
 }
 
 /// Fig. 16: clustering vs brute-force decomposition time vs number of

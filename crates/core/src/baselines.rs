@@ -95,8 +95,10 @@ pub struct PlannedExecution {
     pub batch_finals: BTreeMap<QueryId, f64>,
     /// Optimization wall time.
     pub opt_time: Duration,
-    /// Estimator counters (simulations vs memo hits).
+    /// Estimator counters (simulations vs memo hits) of the pace search.
     pub estimator_counters: EstimatorCounters,
+    /// Greedy steps the pace search took.
+    pub search_steps: usize,
 }
 
 /// Common planning knobs.
@@ -194,13 +196,14 @@ pub fn plan_workload(
     let outcome = find_grouped_paces(&mut est, &groups, &resolved, start_pace, max_pace)?;
     // Counters reflect the pace search; the decomposition pass builds its
     // own estimators per candidate plan.
-    let estimator_counters = est.counters;
+    let (estimator_counters, search_steps) = (est.counters, outcome.steps);
 
     // 4. Decomposition over the full plan (iShare w/ unshare).
     let (current, outcome) = match approach {
         IShare | IShareBruteForce => decompose_plan(
             current,
             outcome,
+            est,
             &resolved,
             &batch_finals,
             catalog,
@@ -219,6 +222,7 @@ pub fn plan_workload(
         batch_finals,
         opt_time: start.elapsed(),
         estimator_counters,
+        search_steps,
     })
 }
 

@@ -90,23 +90,26 @@ impl DagPlan {
 }
 
 /// A decomposition the driver judged profitable.
-#[derive(Debug)]
 pub struct Adopted {
     /// The edited DAG and the plan derived from it.
     pub edited: DagPlan,
     /// Its relaxed pace configuration and report.
     pub outcome: SearchOutcome,
+    /// The estimator of the edited plan that made `outcome.report`.
+    pub estimator: PlanEstimator,
 }
 
 /// Decompose the full plan (Sec. 4.4): "we sort all subplans topologically
 /// from the parent to the child and apply the decomposition algorithm for
 /// each subplan in this order". Every profitable split is adopted; it edits
 /// the DAG, the plan is re-derived from it and the walk restarts over the
-/// new plan. Returns the final plan and its pace configuration.
+/// new plan. Returns the final plan and its pace configuration. `est` is
+/// the estimator of `current.plan` that made `outcome.report`.
 #[allow(clippy::too_many_arguments)]
 pub fn decompose_plan(
     mut current: DagPlan,
     mut outcome: SearchOutcome,
+    mut est: PlanEstimator,
     constraints: &ConstraintMap,
     batch_finals: &BTreeMap<QueryId, f64>,
     catalog: &Catalog,
@@ -131,6 +134,7 @@ pub fn decompose_plan(
                 &current,
                 &outcome.paces,
                 &outcome.report,
+                &est,
                 target,
                 constraints,
                 batch_finals,
@@ -141,6 +145,7 @@ pub fn decompose_plan(
             )? {
                 current = adopted.edited;
                 outcome = adopted.outcome;
+                est = adopted.estimator;
                 continue 'outer;
             }
         }
@@ -149,14 +154,16 @@ pub fn decompose_plan(
 }
 
 /// Try to decompose `target` inside `current.plan`, currently paced by
-/// `paces`/`report`, splitting by clustering or, with `brute_force`, by
-/// enumeration. Returns the best profitable alternative, or `None` when
-/// keeping the shared subplan is better.
+/// `paces`/`report` (a report of `est`, an estimator of `current.plan`),
+/// splitting by clustering or, with `brute_force`, by enumeration. Returns
+/// the best profitable alternative, or `None` when keeping the shared
+/// subplan is better.
 #[allow(clippy::too_many_arguments)]
 pub fn try_decompose_subplan(
     current: &DagPlan,
     paces: &PaceConfiguration,
     report: &CostReport,
+    est: &PlanEstimator,
     target: SubplanId,
     constraints: &ConstraintMap,
     batch_finals: &BTreeMap<QueryId, f64>,
@@ -190,18 +197,23 @@ pub fn try_decompose_subplan(
     }
     let root = current.roots[target.index()];
     let mut best: Option<Adopted> = None;
-    for (cand, cand_paces) in
-        std::iter::once((current, paces)).chain(partials.iter().map(|(c, p)| (c, p)))
+    for (cand, cand_paces, cand_report) in std::iter::once((current, paces, Some(report)))
+        .chain(partials.iter().map(|(c, p)| (c, p, None)))
     {
         // Find a split of the candidate's top, regenerate, re-pace.
         let top = cand.roots.iter().position(|r| *r == root).map(|i| SubplanId(i as u32));
         let top = top.ok_or_else(|| Error::InvalidPlan(format!("no subplan roots at {root}")))?;
         let top_sp = cand.plan.subplan(top)?;
-        // Re-estimate once for the per-leaf input estimates the local
-        // problem needs.
-        let mut est = PlanEstimator::new(&cand.plan, catalog, weights)?;
-        let cand_report = est.estimate(cand_paces.as_slice())?;
-        let inputs = &est.leaf_inputs(&cand_report, top)?;
+        // The per-leaf input estimates the local problem needs: `report`
+        // holds the current plan's; a partial cut's plan is estimated once.
+        let inputs = &match cand_report {
+            Some(report) => est.leaf_inputs(report, top)?,
+            None => {
+                let mut est = PlanEstimator::new(&cand.plan, catalog, weights)?;
+                let cand_report = est.estimate(cand_paces.as_slice())?;
+                est.leaf_inputs(&cand_report, top)?
+            }
+        };
         let local_cons =
             local_constraints_for_subplan(top_sp, inputs, constraints, batch_finals, weights)?;
         let problem = LocalProblem {
@@ -226,11 +238,11 @@ pub fn try_decompose_subplan(
         let (edited, clone_of) = regenerate(cand, top, &partitions)?;
         edited.plan.validate(catalog)?;
         let init = initial_paces(cand, cand_paces, &edited, &clone_of)?;
-        let mut est = PlanEstimator::new(&edited.plan, catalog, weights)?;
-        let outcome = relax_pace_configuration(&mut est, constraints, init, opts.max_pace)?;
+        let mut estimator = PlanEstimator::new(&edited.plan, catalog, weights)?;
+        let outcome = relax_pace_configuration(&mut estimator, constraints, init, opts.max_pace)?;
         let bar = best.as_ref().map_or(report, |b| &b.outcome.report).total_work.get();
         if outcome.report.total_work.get() < bar * (1.0 - 1e-6) {
-            best = Some(Adopted { edited, outcome });
+            best = Some(Adopted { edited, outcome, estimator });
         }
     }
     Ok(best)
@@ -326,6 +338,7 @@ mod tests {
             &plan,
             &outcome.paces,
             &outcome.report,
+            &est,
             target,
             &cons,
             &batch,
@@ -349,6 +362,7 @@ mod tests {
             &plan,
             &outcome.paces,
             &outcome.report,
+            &est,
             target,
             &cons,
             &batch,
@@ -392,6 +406,7 @@ mod tests {
                 &plan,
                 &outcome.paces,
                 &outcome.report,
+                &est,
                 target,
                 &cons,
                 &batch,

@@ -1,29 +1,34 @@
 //! Whole-plan cost estimation with memoization (Algorithm 1 of the paper).
 //!
-//! The estimator walks the subplans children-first; each subplan's
-//! simulation result is memoized keyed by its *private pace configuration* —
-//! the paces of the subplan and all of its descendants — because those are
-//! exactly the inputs its private total/final work and output cardinality
-//! depend on. The greedy pace search evaluates many configurations that
-//! differ in a single subplan's pace; with the memo only that subplan and
-//! its ancestors are re-simulated.
+//! The estimator walks the subplans children first. Each subplan memoizes
+//! its simulation keyed by what the simulation reads: its own pace and one
+//! output id per child. A subplan interns every output it simulates, so
+//! equal ids mean bit-identical estimates, and a parent whose children
+//! re-simulate to outputs seen before is not simulated again. The paper
+//! keys by the *private pace configuration* — the paces of the subplan and
+//! all its descendants — which determines those inputs too, but tells
+//! apart configurations that reach the same inputs (a descendant's pace
+//! that does not move its output, say), and simulates each of them.
 //!
 //! A search step costs its candidates next to the report of the
-//! configuration it stands on ([`PlanEstimator::estimate_candidate`]): only
-//! the changed cone — the changed subplans and their ancestors — builds a
-//! memo key, and every other subplan reads its costs from that report. A
-//! candidate yields total work and per-query final work in a buffer the
-//! estimator reuses; only the step's winner becomes a [`CostReport`]
-//! ([`PlanEstimator::keep_candidate`], [`PlanEstimator::adopt_kept`]).
+//! configuration it stands on ([`PlanEstimator::estimate_candidate`]): the
+//! walk starts at the subplans whose pace changed and climbs to their
+//! ancestors only while an output moves; every other subplan reads its
+//! costs from that report. A candidate yields total work and per-query
+//! final work in a buffer the estimator reuses; only the step's winner
+//! becomes a [`CostReport`] ([`PlanEstimator::keep_candidate`],
+//! [`PlanEstimator::adopt_kept`]).
 
 use crate::simulate::{SimProgram, SimScratch, SubplanSim};
 use crate::stats::StreamEstimate;
 use ishare_common::{
-    CostWeights, Error, FxHashMap, QueryId, QuerySet, Result, SubplanId, TableId, WorkUnits,
+    CostWeights, Error, FxHashMap, FxHasher, QueryId, QuerySet, Result, SubplanId, TableId,
+    WorkUnits,
 };
 use ishare_plan::{InputSource, SharedPlan};
 use ishare_storage::Catalog;
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// The estimator's view of one pace configuration.
@@ -41,6 +46,10 @@ pub struct CostReport {
     /// Simulation result per subplan, shared with the estimator's memo; its
     /// `output` is the subplan's full-trigger output estimate.
     pub subplan_output: Vec<Arc<SubplanSim>>,
+    /// `final_work` indexed by `QueryId`, zero for a query the plan does not
+    /// serve: what [`CostReport::final_of`] and a candidate costed next to
+    /// this report read.
+    finals: [f64; QuerySet::MAX_QUERIES],
     /// The estimator's statistics epoch when the report was made: a report
     /// older than a [`PlanEstimator::refresh_base`] that changed a stream is
     /// no base for a candidate.
@@ -50,7 +59,7 @@ pub struct CostReport {
 impl CostReport {
     /// Final work of one query.
     pub fn final_of(&self, q: QueryId) -> WorkUnits {
-        self.final_work.get(&q).copied().unwrap_or(WorkUnits::ZERO)
+        WorkUnits(self.finals.get(q.index()).copied().unwrap_or(0.0))
     }
 }
 
@@ -118,45 +127,116 @@ pub struct EstimatorCounters {
     pub memo_hits: usize,
 }
 
+/// One subplan's simulated outputs, interned: each distinct output holds
+/// one id, and outputs equal in every field the simulator reads, compared
+/// as bits, share it.
+#[derive(Default)]
+struct Outputs {
+    /// A hash of an output's cardinalities → the index in `chain` of the
+    /// latest output with that hash. Outputs that differ only in column
+    /// statistics share a hash and are told apart by the comparison.
+    heads: FxHashMap<u64, usize>,
+    /// Every distinct output, with the index of the one before it of the
+    /// same hash.
+    chain: Vec<(Arc<SubplanSim>, Option<usize>)>,
+}
+
+impl Outputs {
+    /// `sim` with the id of its output: that of an earlier bit-identical
+    /// output, or else a new one, `last + 1`.
+    fn intern(&mut self, mut sim: SubplanSim, last: &mut u64) -> Arc<SubplanSim> {
+        let hash = rows_hash(&sim.output);
+        let head = self.heads.get(&hash).copied();
+        let mut at = head;
+        while let Some(j) = at {
+            let (seen, before) = &self.chain[j];
+            if same_bits(&seen.output, &sim.output) {
+                sim.output_id = seen.output_id;
+                return Arc::new(sim);
+            }
+            at = *before;
+        }
+        *last += 1;
+        sim.output_id = *last;
+        let sim = Arc::new(sim);
+        self.heads.insert(hash, self.chain.len());
+        self.chain.push((sim.clone(), head));
+        sim
+    }
+}
+
+/// A hash of an output's row count, retraction fraction and per-query rows.
+fn rows_hash(out: &StreamEstimate) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_u64(out.rows.total.to_bits());
+    h.write_u64(out.delete_frac.to_bits());
+    for (&q, n) in &out.rows.per_query {
+        h.write_u64(u64::from(q));
+        h.write_u64(n.to_bits());
+    }
+    h.finish()
+}
+
+/// Whether two outputs agree in every field the simulator reads, each
+/// float compared as bits (so `-0.0` is not `0.0`, and an unknown bound is
+/// not `0.0`).
+fn same_bits(a: &StreamEstimate, b: &StreamEstimate) -> bool {
+    let bits = |x: Option<f64>| x.map(f64::to_bits);
+    a.rows.total.to_bits() == b.rows.total.to_bits()
+        && a.delete_frac.to_bits() == b.delete_frac.to_bits()
+        && a.rows.per_query.len() == b.rows.per_query.len()
+        && a.rows
+            .per_query
+            .iter()
+            .zip(&b.rows.per_query)
+            .all(|((qa, na), (qb, nb))| qa == qb && na.to_bits() == nb.to_bits())
+        && a.cols.len() == b.cols.len()
+        && a.cols.iter().zip(&b.cols).all(|(x, y)| {
+            x.ndv.to_bits() == y.ndv.to_bits()
+                && bits(x.min) == bits(y.min)
+                && bits(x.max) == bits(y.max)
+        })
+}
+
 /// Memoized whole-plan cost estimator, bound to one [`SharedPlan`].
 pub struct PlanEstimator {
     plan: SharedPlan,
     weights: CostWeights,
     /// Children-first subplan order.
     topo: Vec<SubplanId>,
-    /// Per subplan: its children's indices (a candidate's changed cone
-    /// spreads from a child to its parents).
+    /// Per subplan: its children's indices, whose output ids key its memo.
     children: Vec<Vec<usize>>,
-    /// Per subplan: sorted list of (that subplan + descendants) — the key
-    /// domain of its private pace configuration.
-    descendants: Vec<Vec<SubplanId>>,
+    /// Per subplan, as many words as `walk` has: the set of positions in
+    /// `topo` of the subplan and its ancestors, the farthest a change to its
+    /// pace can reach.
+    ancestors: Vec<u64>,
     /// Per subplan: its compiled simulation program.
     programs: Vec<SimProgram>,
-    /// Per subplan: the base tables its input cone reads (its own and its
-    /// descendants'), sorted — what [`PlanEstimator::refresh_base`]
-    /// invalidates by.
-    cone_tables: Vec<Vec<TableId>>,
     /// Base-table full-trigger stream estimates (`BTreeMap` so refresh and
     /// drift scans iterate in a deterministic order).
     base: BTreeMap<TableId, StreamEstimate>,
-    /// Per subplan: memo from private pace configuration to simulation
-    /// (Arc so hits are O(1), not a deep clone of the stream estimate).
-    memo: Vec<FxHashMap<Vec<u32>, Arc<SubplanSim>>>,
+    /// Per subplan: memo from its pace and its children's output ids to its
+    /// simulation (Arc so hits are O(1), not a deep clone of the stream
+    /// estimate).
+    memo: Vec<FxHashMap<Vec<u64>, Arc<SubplanSim>>>,
+    /// Per subplan: its simulated outputs, interned.
+    outputs: Vec<Outputs>,
+    /// The last output id handed out. Ids are never reused, so no memo key
+    /// can name an output other than the one it was made from.
+    last_output: u64,
     /// Bumped by every [`PlanEstimator::refresh_base`] that changes a
     /// stream; stamped on each report.
     epoch: u64,
-    /// The memo key under construction; per subplan, whether the call under
-    /// way costs it afresh (its changed cone) or reads it from a base
-    /// report, its simulation if costed afresh, and its private final work;
-    /// per query, its final work; the simulations of the candidate
+    /// The memo key under construction; the set of positions in `topo` the
+    /// call under way walks; per subplan, its simulation if the call costed it
+    /// afresh; per query, its final work; the simulations of the candidate
     /// [`PlanEstimator::keep_candidate`] kept; and the simulator's buffers.
     /// All reused across calls, so an estimate allocates only its report
     /// and each miss only its memo entry.
-    key: Vec<u32>,
-    dirty: Vec<bool>,
+    key: Vec<u64>,
+    walk: Vec<u64>,
     sims: Vec<Option<Arc<SubplanSim>>>,
-    subplan_final: Vec<f64>,
-    finals: Vec<f64>,
+    finals: [f64; QuerySet::MAX_QUERIES],
     kept: Vec<Option<Arc<SubplanSim>>>,
     scratch: SimScratch,
     /// Hit/miss counters.
@@ -175,45 +255,31 @@ impl PlanEstimator {
 
         let programs: Vec<SimProgram> =
             plan.subplans.iter().map(SimProgram::compile).collect::<Result<_>>()?;
-        let tables_of = |i: usize| {
-            programs[i].leaves().iter().filter_map(|src| match src {
-                InputSource::Base(t) => Some(*t),
-                InputSource::Subplan(_) => None,
-            })
-        };
-
         let children: Vec<Vec<usize>> = plan
             .subplans
             .iter()
             .map(|sp| sp.children().iter().map(|c| c.index()).collect())
             .collect();
-        // Descendant closure and the tables under it (children-first order
-        // makes one pass enough).
-        let mut descendants: Vec<Vec<SubplanId>> = vec![Vec::new(); n];
-        let mut cone_tables: Vec<Vec<TableId>> = vec![Vec::new(); n];
-        for &id in &topo {
-            let mut set: Vec<SubplanId> = vec![id];
-            for &c in &children[id.index()] {
-                for &d in &descendants[c] {
-                    if !set.contains(&d) {
-                        set.push(d);
-                    }
+        // Ancestor sets, parents first: every parent of a subplan comes
+        // after it in `topo`, so its set is complete when it is passed down.
+        let words = n.div_ceil(64);
+        let mut ancestors = vec![0u64; n * words];
+        for (pos, id) in topo.iter().enumerate().rev() {
+            let i = id.index();
+            ancestors[i * words + pos / 64] |= 1 << (pos % 64);
+            for &c in &children[i] {
+                for w in 0..words {
+                    ancestors[c * words + w] |= ancestors[i * words + w];
                 }
             }
-            set.sort();
-            let mut tables: Vec<TableId> = set.iter().flat_map(|d| tables_of(d.index())).collect();
-            tables.sort();
-            tables.dedup();
-            descendants[id.index()] = set;
-            cone_tables[id.index()] = tables;
         }
 
         // Base streams: every row of a base table is valid for every query
         // of the whole plan (leaf narrowing restricts per subplan).
         let queries = plan.queries();
         let mut base = BTreeMap::new();
-        for i in 0..n {
-            for t in tables_of(i) {
+        for src in programs.iter().flat_map(SimProgram::leaves) {
+            if let InputSource::Base(t) = *src {
                 if let std::collections::btree_map::Entry::Vacant(e) = base.entry(t) {
                     let def = catalog.table(t)?;
                     e.insert(StreamEstimate::insert_only(
@@ -230,17 +296,17 @@ impl PlanEstimator {
             weights,
             topo,
             children,
-            descendants,
+            ancestors,
             programs,
-            cone_tables,
             base,
-            memo: vec![FxHashMap::default(); n],
+            memo: (0..n).map(|_| FxHashMap::default()).collect(),
+            outputs: (0..n).map(|_| Outputs::default()).collect(),
+            last_output: 0,
             epoch: 0,
             key: Vec::new(),
-            dirty: vec![true; n],
+            walk: vec![0; words],
             sims: vec![None; n],
-            subplan_final: vec![0.0; n],
-            finals: vec![0.0; QuerySet::MAX_QUERIES],
+            finals: [0.0; QuerySet::MAX_QUERIES],
             kept: vec![None; n],
             scratch: SimScratch::default(),
             counters: EstimatorCounters::default(),
@@ -273,9 +339,11 @@ impl PlanEstimator {
     ///
     /// The row estimate is rescaled via [`crate::stats::CardVec::scaled`] so
     /// the per-query structure (which leaf narrowing established) is
-    /// preserved; column statistics are kept. Exactly the memo entries of subplans whose input
-    /// cone references `t` are invalidated, so re-optimizations after a
-    /// refresh still reuse every simulation the change cannot affect.
+    /// preserved; column statistics are kept. Exactly the memo entries of
+    /// the subplans that read `t` are dropped: every other key names the
+    /// outputs its simulation read, and an output the refresh moves gets a
+    /// new id, so re-optimizations after a refresh still reuse every
+    /// simulation the change cannot affect.
     ///
     /// Returns `true` iff the estimate actually changed (and memos were
     /// dropped).
@@ -309,10 +377,8 @@ impl PlanEstimator {
         };
         est.delete_frac = new_delete_frac;
         self.epoch += 1;
-        // Cone-scoped invalidation: subplan `i` depends on `t` iff `t` is
-        // referenced by `i` or any of its descendants.
-        for (memo, tables) in self.memo.iter_mut().zip(&self.cone_tables) {
-            if tables.binary_search(&t).is_ok() {
+        for (memo, program) in self.memo.iter_mut().zip(&self.programs) {
+            if program.leaves().contains(&InputSource::Base(t)) {
                 memo.clear();
             }
         }
@@ -351,15 +417,17 @@ impl PlanEstimator {
     /// Cost `paces`, a candidate one search step from `base_paces`, whose
     /// report is `base`: the inner loop of the pace searches.
     ///
-    /// Only the changed cone — every subplan whose own or a descendant's
-    /// pace differs from `base_paces` — is looked up in the memo or
-    /// simulated. Every other subplan takes its private total and final
-    /// work from `base` and counts as a memo hit, as the lookup in
-    /// [`PlanEstimator::estimate`] would. Total work is summed children
-    /// first and each query's final work in subplan order, as there, so
+    /// The walk starts at the subplans whose pace differs from
+    /// `base_paces` and climbs to an ancestor only while a child's output
+    /// differs from its output in `base`: each subplan it reaches is looked
+    /// up in the memo or simulated, and every other subplan takes its
+    /// private total and final work from `base` and counts as a memo hit,
+    /// as the lookup in [`PlanEstimator::estimate`] would. Total work is
+    /// summed children first over every subplan, and the final work of
+    /// each query a re-costed subplan serves in subplan order, as there, so
     /// both equal `estimate(paces)`'s to the bit and the counters advance
-    /// alike. With the memo disabled nothing is reused: every subplan
-    /// re-simulates.
+    /// alike; every other query's final work is `base`'s. With the memo
+    /// disabled nothing is reused: every subplan re-simulates.
     ///
     /// No report is built: [`PlanEstimator::keep_candidate`] keeps this
     /// candidate's simulations and [`PlanEstimator::adopt_kept`] turns `base`
@@ -376,9 +444,24 @@ impl PlanEstimator {
         self.check_paces(base_paces)?;
         self.check_paces(paces)?;
         let reuse = self.memo_enabled.then_some((base, base_paces));
-        let total_work = self.cost_cone(paces, reuse, self.memo_enabled)?;
-        sum_finals(&self.plan, &self.subplan_final, &mut self.finals);
-        Ok(CandidateCost { total_work, finals: &self.finals })
+        self.cost_walk(paces, reuse, self.memo_enabled)?;
+        let PlanEstimator { plan, topo, sims, finals, .. } = self;
+        let total_work = sum_total(topo, |j| {
+            sims[j].as_ref().map_or(base.subplan_total[j], |sim| sim.private_total)
+        });
+        let costed = plan
+            .subplans
+            .iter()
+            .filter(|sp| sims[sp.id.index()].is_some())
+            .fold(QuerySet::EMPTY, |qs, sp| qs.union(sp.queries));
+        *finals = base.finals;
+        sum_finals(
+            plan,
+            |j| sims[j].as_ref().map_or(base.subplan_final[j], |sim| sim.private_final),
+            costed,
+            finals,
+        );
+        Ok(CandidateCost { total_work, finals: finals.as_slice() })
     }
 
     /// Keep the simulations of the candidate last costed by
@@ -388,8 +471,8 @@ impl PlanEstimator {
     }
 
     /// Turn `base` into the report of the kept candidate, which was costed
-    /// next to it: the kept simulations replace its changed cone and the
-    /// sums are redone in [`PlanEstimator::estimate`]'s order. Counts
+    /// next to it: the kept simulations replace its re-costed subplans and
+    /// the sums are redone in [`PlanEstimator::estimate`]'s order. Counts
     /// nothing: the candidate was counted when it was costed.
     pub fn adopt_kept(&mut self, base: &mut CostReport) -> Result<()> {
         self.check_base(base)?;
@@ -400,13 +483,10 @@ impl PlanEstimator {
                 base.subplan_output[i] = sim;
             }
         }
-        base.total_work = WorkUnits::ZERO;
-        for id in &self.topo {
-            base.total_work += WorkUnits(base.subplan_total[id.index()]);
-        }
-        sum_finals(&self.plan, &base.subplan_final, &mut self.finals);
+        base.total_work = sum_total(&self.topo, |j| base.subplan_total[j]);
+        sum_finals(&self.plan, |j| base.subplan_final[j], self.plan.queries(), &mut base.finals);
         for (q, w) in &mut base.final_work {
-            *w = WorkUnits(self.finals[q.index()]);
+            *w = WorkUnits(base.finals[q.index()]);
         }
         Ok(())
     }
@@ -440,125 +520,168 @@ impl PlanEstimator {
 
     fn estimate_inner(&mut self, paces: &[u32], use_memo: bool) -> Result<CostReport> {
         self.check_paces(paces)?;
-        let total_work = self.cost_cone(paces, None, use_memo)?;
-        let mut final_work = BTreeMap::new();
-        for q in sum_finals(&self.plan, &self.subplan_final, &mut self.finals).iter() {
-            final_work.insert(q, WorkUnits(self.finals[q.index()]));
-        }
+        self.cost_walk(paces, None, use_memo)?;
         let mut subplan_output = Vec::with_capacity(self.sims.len());
         subplan_output.extend(self.sims.iter_mut().filter_map(Option::take));
+        let subplan_total: Vec<f64> = subplan_output.iter().map(|sim| sim.private_total).collect();
+        let subplan_final: Vec<f64> = subplan_output.iter().map(|sim| sim.private_final).collect();
+        let queries = self.plan.queries();
+        let mut finals = [0.0; QuerySet::MAX_QUERIES];
+        sum_finals(&self.plan, |j| subplan_final[j], queries, &mut finals);
+        let mut final_work = BTreeMap::new();
+        for q in queries.iter() {
+            final_work.insert(q, WorkUnits(finals[q.index()]));
+        }
         Ok(CostReport {
-            total_work,
+            total_work: sum_total(&self.topo, |j| subplan_total[j]),
             final_work,
-            subplan_total: subplan_output.iter().map(|sim| sim.private_total).collect(),
-            subplan_final: self.subplan_final.clone(),
+            subplan_total,
+            subplan_final,
             subplan_output,
+            finals,
             epoch: self.epoch,
         })
     }
 
-    /// Cost every subplan children first and return the total work, summed
-    /// in that order. Without `reuse` every subplan is costed afresh; with
-    /// it, only the cone whose paces differ from the base's, and the rest
-    /// read the base report. A subplan costed afresh is looked up in the
-    /// memo (if `use_memo`) or simulated, and lands in `sims`; every
-    /// subplan's private final work lands in `subplan_final`.
-    fn cost_cone(
+    /// Cost afresh, children first, the subplans the call must: without
+    /// `reuse`, every subplan; with a base report and its paces, each
+    /// subplan whose pace differs from the base's or one of whose children
+    /// re-costed to an output the base does not hold — every other subplan
+    /// reads the base and counts as a memo hit. A subplan costed afresh is
+    /// looked up in the memo (if `use_memo`) or simulated, and lands in
+    /// `sims`.
+    fn cost_walk(
         &mut self,
         paces: &[u32],
         reuse: Option<(&CostReport, &[u32])>,
         use_memo: bool,
-    ) -> Result<WorkUnits> {
+    ) -> Result<()> {
         let PlanEstimator {
             weights,
             topo,
             children,
-            descendants,
+            ancestors,
             programs,
             base,
             memo,
+            outputs,
+            last_output,
             key,
-            dirty,
+            walk,
             sims,
-            subplan_final,
             scratch,
             counters,
             ..
         } = self;
-        sims.iter_mut().for_each(|sim| *sim = None);
-        dirty.fill(true);
-        let mut total_work = WorkUnits::ZERO;
-        for &id in topo.iter() {
-            let i = id.index();
-            let reused = reuse.filter(|&(_, base_paces)| {
-                paces[i] == base_paces[i] && children[i].iter().all(|&c| !dirty[c])
-            });
-            dirty[i] = reused.is_none();
-            let (private_total, private_final) = match reused {
-                Some((report, _)) => {
-                    counters.memo_hits += 1;
-                    (report.subplan_total[i], report.subplan_final[i])
+        let (n, words) = (sims.len(), walk.len());
+        sims.fill(None);
+        walk.fill(0);
+        match reuse {
+            None => (0..topo.len()).for_each(|pos| walk[pos / 64] |= 1 << (pos % 64)),
+            Some((_, base_paces)) => {
+                for i in (0..n).filter(|&i| paces[i] != base_paces[i]) {
+                    let cone = &ancestors[i * words..(i + 1) * words];
+                    walk.iter_mut().zip(cone).for_each(|(w, a)| *w |= a);
                 }
-                None => {
-                    let program = &programs[i];
-                    key.clear();
-                    key.extend(descendants[i].iter().map(|d| paces[d.index()]));
-                    let hit = if use_memo { memo[i].get(key.as_slice()).cloned() } else { None };
-                    let sim = match hit {
-                        Some(sim) => {
-                            counters.memo_hits += 1;
-                            sim
-                        }
-                        // Only a miss reads the leaf inputs: children's
-                        // outputs are borrowed from their simulations,
-                        // never copied.
-                        None => {
-                            counters.simulations += 1;
-                            let done = |c: usize| match reuse {
-                                Some((report, _)) if !dirty[c] => {
-                                    report.subplan_output.get(c).map(|sim| &**sim)
-                                }
-                                _ => sims[c].as_deref(),
-                            };
-                            let input =
-                                |leaf: usize| leaf_input(program.leaves()[leaf], base, done, id);
-                            let sim = Arc::new(program.run(paces[i], input, weights, scratch)?);
-                            if use_memo {
-                                memo[i].insert(key.clone(), sim.clone());
-                            }
-                            sim
-                        }
-                    };
-                    let costs = (sim.private_total, sim.private_final);
-                    sims[i] = Some(sim);
-                    costs
-                }
-            };
-            total_work += WorkUnits(private_total);
-            subplan_final[i] = private_final;
+            }
         }
-        if let Some(i) = dirty.iter().zip(sims.iter()).position(|(&d, sim)| d && sim.is_none()) {
+        let mut costed = 0;
+        for (w, &word) in walk.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let id = topo[w * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                let i = id.index();
+                // Children's outputs: re-costed by this call, or the base's.
+                let output = |c: usize| {
+                    sims[c].as_deref().or_else(|| {
+                        reuse.and_then(|(report, _)| report.subplan_output.get(c)).map(|s| &**s)
+                    })
+                };
+                if let Some((report, base_paces)) = reuse {
+                    let moved = |c: usize| {
+                        sims[c]
+                            .as_ref()
+                            .is_some_and(|sim| sim.output_id != report.subplan_output[c].output_id)
+                    };
+                    if paces[i] == base_paces[i] && !children[i].iter().any(|&c| moved(c)) {
+                        continue;
+                    }
+                }
+                costed += 1;
+                key.clear();
+                key.push(u64::from(paces[i]));
+                for &c in &children[i] {
+                    let child = output(c).ok_or_else(|| {
+                        Error::InvalidPlan(format!("child {c} output missing for {id}"))
+                    })?;
+                    key.push(child.output_id);
+                }
+                let hit = if use_memo { memo[i].get(key.as_slice()).cloned() } else { None };
+                let sim = match hit {
+                    Some(sim) => {
+                        counters.memo_hits += 1;
+                        sim
+                    }
+                    // Only a miss reads the leaf inputs: children's outputs
+                    // are borrowed from their simulations, never copied.
+                    None => {
+                        counters.simulations += 1;
+                        let program = &programs[i];
+                        let input =
+                            |leaf: usize| leaf_input(program.leaves()[leaf], base, output, id);
+                        let sim = program.run(paces[i], input, weights, scratch)?;
+                        if use_memo {
+                            let sim = outputs[i].intern(sim, last_output);
+                            memo[i].insert(key.clone(), sim.clone());
+                            sim
+                        } else {
+                            *last_output += 1;
+                            Arc::new(SubplanSim { output_id: *last_output, ..sim })
+                        }
+                    }
+                };
+                sims[i] = Some(sim);
+            }
+        }
+        if reuse.is_some() {
+            counters.memo_hits += n - costed;
+        } else if let Some(i) = sims.iter().position(Option::is_none) {
             return Err(Error::InvalidPlan(format!(
                 "subplan {i} missing from topological order (malformed DAG)"
             )));
         }
-        Ok(total_work)
+        Ok(())
     }
 }
 
-/// Per query, its subplans' private final work summed in subplan order,
-/// into `finals` (indexed by `QueryId`); returns the queries the plan
-/// serves.
-fn sum_finals(plan: &SharedPlan, subplan_final: &[f64], finals: &mut [f64]) -> QuerySet {
-    finals.fill(0.0);
-    let mut queries = QuerySet::EMPTY;
+/// Every subplan's private total work, found by index through `total`,
+/// summed children first.
+fn sum_total(topo: &[SubplanId], total: impl Fn(usize) -> f64) -> WorkUnits {
+    let mut sum = WorkUnits::ZERO;
+    for id in topo {
+        sum += WorkUnits(total(id.index()));
+    }
+    sum
+}
+
+/// For each query of `queries`, its subplans' private final work, found by
+/// index through `subplan_final`, summed in subplan order into `finals`
+/// (indexed by `QueryId`); other queries' entries are left as they are.
+fn sum_finals(
+    plan: &SharedPlan,
+    subplan_final: impl Fn(usize) -> f64,
+    queries: QuerySet,
+    finals: &mut [f64],
+) {
+    for q in queries.iter() {
+        finals[q.index()] = 0.0;
+    }
     for sp in &plan.subplans {
-        queries = queries.union(sp.queries);
-        for q in sp.queries.iter() {
-            finals[q.index()] += subplan_final[sp.id.index()];
+        for q in sp.queries.intersect(queries).iter() {
+            finals[q.index()] += subplan_final(sp.id.index());
         }
     }
-    queries
 }
 
 /// One leaf's full-trigger estimate: a base stream, or the output of a
@@ -582,6 +705,7 @@ fn leaf_input<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::CardVec;
     use ishare_common::{DataType, QuerySet};
     use ishare_expr::Expr;
     use ishare_mqo_like::*;
@@ -747,10 +871,127 @@ mod tests {
         );
     }
 
+    /// sp0 = select(scan t), shared by q0 and q1, each of which aggregates
+    /// it in its own root subplan: a child whose output does not move with
+    /// its pace.
+    fn shared_select_plan(c: &Catalog) -> SharedPlan {
+        let t = c.table_by_name("t").unwrap().id;
+        let mut d = SharedDag::new();
+        let scan = d.add_node(DagOp::Input(t), vec![], qs(&[0, 1])).unwrap();
+        let sel = d
+            .add_node(
+                DagOp::Select {
+                    branches: vec![SelectBranch {
+                        queries: qs(&[0, 1]),
+                        predicate: Expr::col(1).lt(Expr::lit(500i64)),
+                    }],
+                },
+                vec![scan],
+                qs(&[0, 1]),
+            )
+            .unwrap();
+        let sum = d
+            .add_node(
+                DagOp::Aggregate {
+                    group_by: vec![(Expr::col(0), "k".into())],
+                    aggs: vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "s")],
+                },
+                vec![sel],
+                qs(&[0]),
+            )
+            .unwrap();
+        let max = d
+            .add_node(
+                DagOp::Aggregate {
+                    group_by: vec![],
+                    aggs: vec![AggExpr::new(AggFunc::Max, Expr::col(1), "m")],
+                },
+                vec![sel],
+                qs(&[1]),
+            )
+            .unwrap();
+        d.set_query_root(QueryId(0), sum).unwrap();
+        d.set_query_root(QueryId(1), max).unwrap();
+        d.validate(c).unwrap();
+        SharedPlan::from_dag(&d).unwrap()
+    }
+
+    #[test]
+    fn a_child_that_resimulates_to_the_same_output_spares_its_parents() {
+        let c = catalog();
+        let plan = shared_select_plan(&c);
+        let n = plan.len();
+        assert_eq!(n, 3, "the select and two aggregates");
+        let shared = plan.subplans.iter().position(|sp| sp.queries.len() == 2).unwrap();
+        let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
+        let ones = vec![1u32; n];
+        let lazy = est.estimate(&ones).unwrap();
+        let mut paces = ones.clone();
+        paces[shared] = 2;
+        let sims = est.counters.simulations;
+        let eager = est.estimate(&paces).unwrap();
+        assert_eq!(est.counters.simulations - sims, 1, "only the select re-simulates");
+        let (was, now) = (&lazy.subplan_output[shared], &eager.subplan_output[shared]);
+        assert_eq!(now.output_id, was.output_id, "the select's output did not move");
+        let scratch = est.estimate_unmemoized(&paces).unwrap();
+        assert_eq!(report_bits(&eager), report_bits(&scratch));
+
+        // A search step there stops at the select too.
+        paces[shared] = 4;
+        let sims = est.counters.simulations;
+        let cand = cost_bits(&est.estimate_candidate(&lazy, &ones, &paces).unwrap(), &plan);
+        assert_eq!(est.counters.simulations - sims, 1, "only the select re-simulates");
+        assert_eq!(cand, cost_bits(&est.estimate_unmemoized(&paces).unwrap(), &plan));
+    }
+
+    #[test]
+    fn outputs_differing_in_one_bit_get_distinct_ids() {
+        let out = StreamEstimate {
+            rows: CardVec { total: 100.0, per_query: [(0, 100.0), (1, 40.0)].into() },
+            delete_frac: 0.0,
+            cols: vec![
+                ColumnStats { ndv: 10.0, min: Some(0.0), max: Some(9.0) },
+                ColumnStats::ndv(3.0),
+            ],
+        };
+        let flip = |x: f64| f64::from_bits(x.to_bits() ^ 1);
+        let mut variants = vec![out.clone(); 9];
+        variants[1].rows.total = flip(100.0);
+        *variants[2].rows.per_query.get_mut(&1).unwrap() = flip(40.0);
+        variants[3].delete_frac = flip(0.0);
+        variants[4].delete_frac = -0.0;
+        // The rest differ in column statistics alone, which the hash leaves
+        // to the comparison.
+        variants[5].cols[1].ndv = flip(3.0);
+        variants[6].cols[1].min = Some(0.0);
+        variants[7].cols[0].min = Some(-0.0);
+        variants[8].cols[0].max = Some(flip(9.0));
+        let sim = |output: &StreamEstimate, cost: f64| SubplanSim {
+            private_total: cost,
+            private_final: cost,
+            output: output.clone(),
+            output_id: 0,
+        };
+        let mut outputs = Outputs::default();
+        let mut last = 0;
+        let ids: Vec<u64> =
+            variants.iter().map(|v| outputs.intern(sim(v, 1.0), &mut last).output_id).collect();
+        let mut distinct = ids.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), variants.len(), "ids {ids:?}");
+        // A later simulation to any of those outputs, at whatever cost, gets
+        // its id back.
+        for (v, &id) in variants.iter().zip(&ids) {
+            assert_eq!(outputs.intern(sim(v, 2.0), &mut last).output_id, id);
+        }
+    }
+
     /// Every float of a report, as bits.
     fn report_bits(r: &CostReport) -> Vec<u64> {
         let mut bits = vec![r.total_work.get().to_bits()];
         bits.extend(r.final_work.iter().flat_map(|(q, w)| [u64::from(q.0), w.get().to_bits()]));
+        bits.extend(r.finals.map(f64::to_bits));
         for (i, sim) in r.subplan_output.iter().enumerate() {
             assert_eq!(r.subplan_total[i].to_bits(), sim.private_total.to_bits());
             assert_eq!(r.subplan_final[i].to_bits(), sim.private_final.to_bits());

@@ -19,14 +19,17 @@
 //!   on.
 //! * [`estimator`] — the whole-plan estimator with the **memoization
 //!   algorithm** of Sec. 3.2 (Algorithm 1): each subplan memoizes
-//!   `(private total work, private final work, output estimate)` keyed by its
-//!   *private pace configuration* (its own pace plus its descendants'), so
-//!   the greedy pace search — which evaluates thousands of configurations
-//!   differing in a single subplan's pace — only re-simulates the changed
-//!   subplan and its ancestors; [`PlanEstimator::estimate_candidate`] costs
-//!   such a candidate next to the report it steps from, reading every
-//!   subplan outside that cone from the report and building no report of
-//!   its own. [`PlanEstimator::estimate_unmemoized`]
+//!   `(private total work, private final work, output estimate)` keyed by
+//!   what its simulation reads — its own pace and an id per child output,
+//!   equal ids meaning bit-identical outputs — where the paper keys by the
+//!   *private pace configuration* (its own pace plus its descendants'). The
+//!   greedy pace search, which evaluates thousands of configurations
+//!   differing in a single subplan's pace, re-simulates the changed subplan
+//!   and only those ancestors whose inputs moved;
+//!   [`PlanEstimator::estimate_candidate`] costs such a candidate next to
+//!   the report it steps from, walking only that cone, reading every other
+//!   subplan from the report and building no report of its own.
+//!   [`PlanEstimator::estimate_unmemoized`]
 //!   recomputes everything from scratch, reproducing the prior work the
 //!   paper compares against in Fig. 15.
 //!

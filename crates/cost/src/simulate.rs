@@ -49,6 +49,10 @@ pub struct SubplanSim {
     /// The subplan's output stream over the whole trigger (including
     /// retract/insert churn, which grows with the pace).
     pub output: StreamEstimate,
+    /// The estimator's id of `output` among its subplan's outputs: equal ids
+    /// mean bit-identical outputs, which is what a parent's memo key reads.
+    /// 0 for a simulation no estimator made.
+    pub(crate) output_id: u64,
 }
 
 /// Simulate `k` incremental executions of `subplan` over its full-trigger
@@ -484,6 +488,7 @@ impl SimProgram {
                 // scratch buffer's spare capacity should not.
                 cols: statics[root].cols.clone(),
             },
+            output_id: 0,
         })
     }
 
