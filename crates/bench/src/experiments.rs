@@ -680,17 +680,17 @@ pub fn fig17(p: &Params, which: char) -> Result<()> {
 }
 
 /// Kernel datapath benchmark: per-kernel ns/op for the hot kernels (join
-/// probe/insert, skewed insert and wide emission, group update, predicate
-/// eval) against the reference operators they replaced, and the
-/// engine-level wall clock of the
+/// probe/insert, skewed insert, wide emission and updates into long slots,
+/// group update, predicate eval) against the reference operators they
+/// replaced, and the engine-level wall clock of the
 /// `scaling` workload on both datapaths. Work numbers are asserted
 /// bit-identical between the datapaths; results land in
 /// `results/BENCH_kernels.json` — the perf trajectory later PRs regress
 /// against.
 pub fn kernel_bench(p: &Params) -> Result<()> {
     use crate::harness::{
-        save_kernel_bench, skewed_join_input, time_min_secs, wide_join_chain, wide_join_input,
-        KernelTiming, WIDE_JOIN_ORDERS,
+        long_slot_run, long_slot_updates, save_kernel_bench, skewed_join_input, time_min_secs,
+        wide_join_chain, wide_join_input, KernelTiming, WIDE_JOIN_ORDERS,
     };
     use ishare_common::{QuerySet, Value, WorkCounter};
     use ishare_exec::aggregate::{AggSpec, AggState};
@@ -794,6 +794,30 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
             wide_join_chain(wide.clone(), true).unwrap();
         }) * 1e9
             / emitted as f64,
+    });
+
+    // Join update into long slots: 256 slots of 400 rows keyed on column 1,
+    // then 2000 executions that each retract two rows of one slot, insert
+    // two, and probe it, so every execution consolidates a slot of 400
+    // pairs whose order column 0 decides (see `long_slot_updates`). The
+    // executions visit the slots in turn, so each meets a slot that has left
+    // the cache, as engine join state does: with 16 slots the state stays
+    // cached and row comparisons cost what word comparisons do.
+    const LONG_SLOT_UPDATES: usize = 2_000;
+    let long_slot = long_slot_updates(256, 400, LONG_SLOT_UPDATES);
+    let long_slot_ops = 5 * LONG_SLOT_UPDATES;
+    let best = |reference: bool| -> Result<f64> {
+        let mut best = f64::INFINITY;
+        for _ in 0..=REPS {
+            best = best.min(long_slot_run(&long_slot, reference)?);
+        }
+        Ok(best * 1e9 / long_slot_ops as f64)
+    };
+    micro.push(KernelTiming {
+        name: "join_update_long_slot".into(),
+        ops: long_slot_ops,
+        kernel_ns_per_op: best(false)?,
+        reference_ns_per_op: best(true)?,
     });
 
     // Group update: N rows into 64 SUM groups.

@@ -376,6 +376,79 @@ pub fn wide_join_chain(input: WideJoinInput, reference: bool) -> Result<usize> {
     Ok(mid + out.len())
 }
 
+/// Input of the `join_update_long_slot` micro: `keys × per_key` left rows,
+/// keyed on column 1 with column 0 scrambled (so column 0 decides a slot's
+/// order), to store first, then `updates` small batches. Each batch
+/// retracts two stored rows of one slot and inserts two new ones on the
+/// left, and probes that slot from the right with a row whose mask meets no
+/// stored one: the probe consolidates the slot and emits nothing, so slot
+/// consolidation is what the micro times.
+pub struct LongSlotUpdates {
+    /// The rows stored before the timed part.
+    pub warm: DeltaBatch,
+    /// `(left, right)` delta batches, one execution each.
+    pub updates: Vec<(DeltaBatch, DeltaBatch)>,
+}
+
+/// Generate [`LongSlotUpdates`].
+pub fn long_slot_updates(keys: usize, per_key: usize, updates: usize) -> LongSlotUpdates {
+    let (stored, probe) = (QuerySet(0b01), QuerySet(0b10));
+    let row = |id: usize, key: usize| {
+        let c0 = (id * 7919 % 100_003) as i64;
+        Row::new(vec![Value::Int(c0), Value::Int(key as i64), Value::Int(id as i64)])
+    };
+    let mut slots: Vec<Vec<Row>> =
+        (0..keys).map(|k| (0..per_key).map(|i| row(k * per_key + i, k)).collect()).collect();
+    let warm = slots.iter().flatten().map(|r| DeltaRow::insert(r.clone(), stored)).collect();
+    let mut next = keys * per_key;
+    let mut fresh = |key: usize| {
+        next += 1;
+        row(next, key)
+    };
+    let updates = (0..updates)
+        .map(|u| {
+            let key = u * 7 % keys;
+            let mut left = Vec::new();
+            for j in 0..2 {
+                let new = fresh(key);
+                let old = std::mem::replace(&mut slots[key][(u * 31 + j) % per_key], new.clone());
+                left.push(DeltaRow::delete(old, stored));
+                left.push(DeltaRow::insert(new, stored));
+            }
+            let right = vec![DeltaRow::insert(fresh(key), probe)];
+            (DeltaBatch::from_rows(left), DeltaBatch::from_rows(right))
+        })
+        .collect();
+    LongSlotUpdates { warm, updates }
+}
+
+/// Run the `join_update_long_slot` updates once on the kernel or the
+/// reference join, after storing the warm rows, and return the seconds the
+/// updates alone took.
+pub fn long_slot_run(input: &LongSlotUpdates, reference: bool) -> Result<f64> {
+    let (weights, counter) = (CostWeights::default(), WorkCounter::new());
+    let key = [(Expr::col(1), Expr::col(1))];
+    let compiled = JoinKeys::compile(&key);
+    let (mut kernel, mut oracle) = (JoinState::new(), RefJoinState::new());
+    let mut execute = |l, r| {
+        if reference {
+            oracle.execute(l, r, &key, &weights, &counter)
+        } else {
+            kernel.execute(l, r, &compiled, &weights, &counter)
+        }
+    };
+    execute(input.warm.clone(), DeltaBatch::new())?;
+    let updates = input.updates.clone();
+    let start = std::time::Instant::now();
+    let mut emitted = 0;
+    for (l, r) in updates {
+        emitted += execute(l, r)?.len();
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    assert_eq!(emitted, 0, "the probes' masks meet no stored row");
+    Ok(elapsed)
+}
+
 /// Time `f` over `reps` runs (after one warm-up), returning the minimum
 /// wall-clock seconds — the noise-robust statistic every experiment here
 /// reports.

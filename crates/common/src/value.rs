@@ -2,10 +2,17 @@
 //!
 //! iShare tuples are vectors of [`Value`]. The engine needs values to be
 //! usable as hash-map keys (group-by keys, join keys), so [`Value`]
-//! implements a *total* `Eq`/`Ord`/`Hash`: floats compare via their IEEE bit
-//! pattern after normalising `-0.0` to `0.0` and collapsing NaNs. Analytical
-//! plans in this workspace never produce NaN, so the normalisation only
-//! exists to keep the invariants of the containers honest.
+//! implements a *total* `Eq`/`Ord`/`Hash`: numerics (`Int`, `Float`, `Date`)
+//! compare by value, `-0.0` equals `0.0`, and every NaN equals every other
+//! NaN and sorts above every other numeric, `+inf` included. Analytical
+//! plans in this workspace never produce NaN, so the NaN rule only exists to
+//! keep the invariants of the containers (`sort_by`, `BTreeMap`, the join
+//! slots' [`Value::order_word`]) honest.
+//!
+//! One tie is known and left alone: `Int` against `Float` compares through
+//! `f64`, so beyond 2^53 `Int(2^53 + 1)` equals `Float(2^53)`, which equals
+//! `Int(2^53)`, while the two `Int`s differ. No plan here mixes integers
+//! that large with floats.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -126,6 +133,35 @@ impl Value {
         norm_f64_bits(f)
     }
 
+    /// A word that orders like the value, as far as it can: whenever two
+    /// values both have a non-zero word and the words differ, the words
+    /// compare as the values do. Equal values have equal words; 0 means "no
+    /// word" (`Null`), and equal words decide nothing.
+    ///
+    /// The top two bits hold the type rank. A numeric keeps its `f64` bits
+    /// in unsigned order (the sign bit set if positive, every bit inverted
+    /// if negative) shifted right by two, so rounding and truncation only merge
+    /// neighbouring values into one word; NaN, normalised, lands above
+    /// `+inf`. A string keeps its first 7 bytes, big-endian, zero-padded.
+    pub fn order_word(&self) -> u64 {
+        let rank = u64::from(self.type_rank()) << 62;
+        match self {
+            Value::Null => 0,
+            Value::Bool(b) => rank | u64::from(*b),
+            Value::Int(_) | Value::Float(_) | Value::Date(_) => {
+                let bits = norm_f64_bits(self.as_f64().expect("numeric"));
+                let ordered = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+                rank | ordered >> 2
+            }
+            Value::Str(s) => {
+                let mut prefix = [0u8; 8];
+                let n = s.len().min(7);
+                prefix[1..=n].copy_from_slice(&s.as_bytes()[..n]);
+                rank | u64::from_be_bytes(prefix)
+            }
+        }
+    }
+
     /// Rank used to order values of different types (Null < Bool < Int/Float/Date < Str).
     fn type_rank(&self) -> u8 {
         match self {
@@ -162,11 +198,11 @@ impl Ord for Value {
             (Date(a), Date(b)) => a.cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
             // Numeric cross-type comparisons go through f64 (TPC-H decimals
-            // mix with integer literals in predicates).
+            // mix with integer literals in predicates). `partial_cmp` fails
+            // only on a NaN, which sorts above every number.
             (a, b) if a.type_rank() == 2 && b.type_rank() == 2 => {
                 let (x, y) = (a.as_f64().unwrap(), b.as_f64().unwrap());
-                x.partial_cmp(&y)
-                    .unwrap_or_else(|| Self::norm_f64_bits(x).cmp(&Self::norm_f64_bits(y)))
+                x.partial_cmp(&y).unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
             }
             (a, b) => a.type_rank().cmp(&b.type_rank()),
         }
@@ -303,6 +339,8 @@ pub fn date(s: &str) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Ordering;
     use std::collections::hash_map::DefaultHasher;
 
     fn hash_of(v: &Value) -> u64 {
@@ -368,10 +406,88 @@ mod tests {
     }
 
     #[test]
+    fn order_is_total_with_nan() {
+        let big = (1i64 << 53) + 1;
+        let vals = [
+            Value::Float(f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-1.0),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(big),
+            Value::Date(3),
+            Value::Float(f64::INFINITY),
+            Value::Null,
+            Value::str(""),
+        ];
+        for a in &vals {
+            assert_eq!(a.cmp(a), Ordering::Equal, "{a:?} is not equal to itself");
+            for b in &vals {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "antisymmetry: {a:?} vs {b:?}");
+                for c in &vals {
+                    if a.cmp(b).is_le() && b.cmp(c).is_le() {
+                        assert!(a.cmp(c).is_le(), "transitivity: {a:?} <= {b:?} <= {c:?}");
+                    }
+                }
+            }
+        }
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(nan, Value::Float(-f64::NAN), "NaNs are all equal");
+        assert!(Value::Float(f64::INFINITY) < nan && Value::Int(i64::MAX) < nan);
+        assert!(nan < Value::str(""));
+    }
+
+    #[test]
     fn data_type_display() {
         assert_eq!(DataType::Int.to_string(), "int");
         assert_eq!(DataType::Date.to_string(), "date");
         assert_eq!(Value::Date(0).data_type(), Some(DataType::Date));
         assert_eq!(Value::Null.data_type(), None);
+    }
+
+    /// Values whose order words sit close together: every numeric type
+    /// around zero and around 2^53, both zeros, NaN, `Null`, and strings
+    /// that share a 7-byte prefix, are empty or hold multi-byte UTF-8.
+    fn values() -> impl Strategy<Value = Value> {
+        let near_2_53 = (1i64 << 53) - 4..(1i64 << 53) + 4;
+        prop_oneof![
+            Just(Value::Null),
+            Just(Value::Float(f64::NAN)),
+            Just(Value::Float(-0.0)),
+            Just(Value::Float(0.0)),
+            proptest::bool::ANY.prop_map(Value::Bool),
+            (-3i64..3).prop_map(Value::Int),
+            (-3.0f64..3.0).prop_map(Value::Float),
+            (-3i32..3).prop_map(Value::Date),
+            (i64::MIN..=i64::MAX).prop_map(Value::Int),
+            (-1e300f64..1e300).prop_map(Value::Float),
+            near_2_53.clone().prop_map(Value::Int),
+            near_2_53.prop_map(|i| Value::Float(i as f64)),
+            "[ab]{0,3}".prop_map(Value::from),
+            "abcdefg[ab]{0,2}".prop_map(Value::from),
+            "[aé€]{0,4}".prop_map(Value::from),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The order word's contract: equal values have equal words, and two
+        /// non-zero words that differ compare as their values do.
+        #[test]
+        fn order_words_order_like_values(vals in proptest::collection::vec(values(), 12)) {
+            for a in &vals {
+                for b in &vals {
+                    let (wa, wb) = (a.order_word(), b.order_word());
+                    if a == b {
+                        prop_assert_eq!(wa, wb, "{:?} == {:?}", a, b);
+                    } else if wa != 0 && wb != 0 && wa != wb {
+                        prop_assert_eq!(wa.cmp(&wb), a.cmp(b), "{:?} vs {:?}", a, b);
+                    }
+                }
+            }
+        }
     }
 }

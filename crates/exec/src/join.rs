@@ -30,6 +30,14 @@
 //!   paced subplan writes its join state often and probes it seldom, so a
 //!   slot pays a sort per probe, not an ordered insert per tuple (DESIGN.md
 //!   §10). (The *outer* key table is insertion-ordered and never iterated.)
+//! * A merge compares words before rows and moves only what it must. Each
+//!   stored entry carries the order word of its row's column 0
+//!   ([`Value::order_word`], computed while the key is encoded), and two
+//!   entries whose words differ are ordered without reading a row; a
+//!   retraction that meets its stored row compares equal by pointer
+//!   (`Row`'s `Ord`). The tail is sorted where it lies, and only the run's
+//!   suffix from the tail's first place is rebuilt, through one scratch
+//!   buffer per side, so a warm slot consolidates without allocating.
 //! * Work charges are coalesced per (OpKind, batch). The default cost
 //!   weights are dyadic rationals, so `Σ w·1` and `w·n` produce the same
 //!   f64 bit pattern at any grouping.
@@ -40,19 +48,32 @@
 
 use crate::flat::FlatTable;
 use ishare_common::{
-    CostWeights, Error, KeyBuf, OpKind, QueryId, QuerySet, Result, StrInterner, WorkCounter,
+    CostWeights, Error, KeyBuf, OpKind, QueryId, QuerySet, Result, StrInterner, Value, WorkCounter,
 };
 use ishare_expr::compile::CompiledScalar;
 use ishare_expr::Expr;
-use ishare_storage::{prefetch_ahead, DeltaBatch, DeltaRow, Row};
+use ishare_storage::{prefetch_ahead, Columns, DeltaBatch, DeltaRow, Row};
+use std::cmp::Ordering;
 
-/// One stored join-side entry: `(row, mask, net weight)`.
-type Entry = (Row, QuerySet, i64);
+/// One stored join-side entry: a `(row, mask)` pair, its net weight, and
+/// the order word of the row's column 0.
+#[derive(Debug, Clone)]
+struct Entry {
+    word: u64,
+    row: Row,
+    mask: QuerySet,
+    weight: i64,
+}
 
 /// The `(row, mask)` order of a consolidated slot — the emission order
-/// contract.
-fn entry_order(a: &Entry, b: &Entry) -> std::cmp::Ordering {
-    a.0.cmp(&b.0).then(a.1.cmp(&b.1))
+/// contract. Two non-zero words that differ decide it at once, since they
+/// compare as the rows' first columns do; otherwise the rows are compared.
+#[inline]
+fn entry_order(a: &Entry, b: &Entry) -> Ordering {
+    if a.word != b.word && a.word != 0 && b.word != 0 {
+        return a.word.cmp(&b.word);
+    }
+    a.row.cmp(&b.row).then(a.mask.cmp(&b.mask))
 }
 
 /// A key slot's entries. Most keys hold exactly one `(row, mask)` pair
@@ -88,7 +109,7 @@ impl EntryList {
         match self {
             EntryList::Many { entries, sorted_len } if !tail_in_order(entries, *sorted_len) => {
                 let mut copy = entries.clone();
-                let _ = merge_tail(&mut copy, *sorted_len);
+                let _ = merge_tail(&mut copy, *sorted_len, &mut Vec::new());
                 copy.len()
             }
             other => other.as_slice().len(),
@@ -97,8 +118,8 @@ impl EntryList {
 }
 
 /// A pending tail shorter than this never triggers consolidation point (c):
-/// small slots would otherwise re-merge at sizes 3, 7, 15, …, paying two
-/// allocations each time for a sort the next probe does anyway.
+/// small slots would otherwise re-merge at sizes 3, 7, 15, …, each time for
+/// a sort the next probe does anyway.
 const MIN_OUTGROWN_TAIL: usize = 32;
 
 /// Whether the pending tail already extends the run in strict `(row, mask)`
@@ -106,7 +127,7 @@ const MIN_OUTGROWN_TAIL: usize = 32;
 /// slot is then consolidated as it stands. Streams that arrive in key order
 /// take this exit — one comparison per pending entry, no sort, no move.
 fn tail_in_order(entries: &[Entry], sorted_len: usize) -> bool {
-    let in_order = |w: &[Entry]| entry_order(&w[0], &w[1]).is_lt() && w[1].2 > 0;
+    let in_order = |w: &[Entry]| entry_order(&w[0], &w[1]).is_lt() && w[1].weight > 0;
     sorted_len > 0 && entries[sorted_len - 1..].windows(2).all(in_order)
 }
 
@@ -123,60 +144,99 @@ fn gallop(run: &[Entry], t: &Entry) -> std::result::Result<usize, usize> {
     run[lo..hi].binary_search_by(|e| entry_order(e, t)).map(|p| lo + p).map_err(|p| lo + p)
 }
 
-/// Consolidate a slot: stable-sort the pending tail, then merge it into the
-/// run, summing the weights of equal pairs and dropping zeros. Each distinct
-/// tail pair is placed by [`gallop`] over what is left of the run, and the
-/// run is moved once, into a buffer of exact capacity. A pair whose net
-/// weight is negative stays stored (the state remains the true net multiset,
-/// as in the reference) and is reported.
-fn merge_tail(entries: &mut Vec<Entry>, sorted_len: usize) -> Result<()> {
-    let mut tail = entries.split_off(sorted_len);
-    tail.sort_by(entry_order);
-    let mut tail = tail.into_iter().peekable();
-    let mut run = std::mem::take(entries).into_iter();
-    entries.reserve_exact(run.len() + tail.len());
+/// Consolidate a slot in place: sort the pending tail where it lies, then
+/// rebuild the run from the place of the tail's first pair on, summing the
+/// weights of equal pairs and dropping zeros. Only that suffix moves — into
+/// `scratch` and back, merged — and each distinct tail pair is placed by
+/// [`gallop`] over what is left of it, so with `scratch` warm a merge
+/// allocates nothing. A pair whose net weight is negative stays stored (the
+/// state remains the true net multiset, as in the reference); the first one
+/// in `(row, mask)` order is reported.
+fn merge_tail(entries: &mut Vec<Entry>, sorted_len: usize, scratch: &mut Vec<Entry>) -> Result<()> {
+    if entries.len() == sorted_len {
+        return Ok(());
+    }
+    // Sorted, then reversed, so the drain below yields the run's suffix from
+    // its front and the tail, smallest pair first, from its back. (Sorting
+    // descending directly costs an insertion sort its worst case on a tail
+    // that arrived in order.)
+    let tail = &mut entries[sorted_len..];
+    tail.sort_unstable_by(entry_order);
+    tail.reverse();
+    let smallest = &entries[entries.len() - 1];
+    let start = gallop(&entries[..sorted_len], smallest).unwrap_or_else(|p| p);
+    scratch.extend(entries.drain(start..));
+    let mut rest = scratch.drain(..);
+    let mut run_left = sorted_len - start;
+    let mut tail_left = rest.len() - run_left;
     let mut negative = None;
-    while let Some(mut t) = tail.next() {
-        while let Some(dup) = tail.next_if(|d| entry_order(d, &t).is_eq()) {
-            t.2 += dup.2;
+    while tail_left > 0 {
+        let mut t = rest.next_back().expect("a pending pair");
+        tail_left -= 1;
+        while tail_left > 0 && entry_order(rest.as_slice().last().expect("pending"), &t).is_eq() {
+            t.weight += rest.next_back().expect("a pending pair").weight;
+            tail_left -= 1;
         }
-        match gallop(run.as_slice(), &t) {
-            Ok(pos) => {
-                entries.extend(run.by_ref().take(pos));
-                t.2 += run.next().expect("found in run").2;
-            }
-            Err(pos) => entries.extend(run.by_ref().take(pos)),
+        let (before, found) = match gallop(&rest.as_slice()[..run_left], &t) {
+            Ok(pos) => (pos, true),
+            Err(pos) => (pos, false),
+        };
+        entries.extend(rest.by_ref().take(before));
+        run_left -= before;
+        if found {
+            t.weight += rest.next().expect("found in run").weight;
+            run_left -= 1;
         }
-        if t.2 < 0 && negative.is_none() {
-            negative = Some(negative_state(t.2, &t.0));
+        if t.weight < 0 && negative.is_none() {
+            negative = Some(negative_state(t.weight, &t.row));
         }
-        if t.2 != 0 {
+        if t.weight != 0 {
             entries.push(t);
         }
     }
-    entries.extend(run);
+    entries.extend(rest);
     negative.map_or(Ok(()), Err)
 }
 
-/// Consolidate the slot at `id` (a no-op on an inline, consolidated or dead
-/// slot) and drop it from the table if nothing is left.
-fn consolidate_slot(table: &mut FlatTable<EntryList>, id: u32) -> Result<()> {
-    let Some(EntryList::Many { entries, sorted_len }) = table.get_by_id_mut(id) else {
-        return Ok(());
-    };
-    let merged =
-        if tail_in_order(entries, *sorted_len) { Ok(()) } else { merge_tail(entries, *sorted_len) };
-    *sorted_len = entries.len();
-    if entries.is_empty() {
-        table.remove_id(id);
-    }
-    merged
+/// One side of the join: its key slots, and the buffer its merges rebuild
+/// run suffixes through (empty between merges, its capacity kept).
+#[derive(Debug, Default)]
+struct Side {
+    slots: FlatTable<EntryList>,
+    scratch: Vec<Entry>,
 }
 
-/// Consolidated `(row, mask)` pairs stored on one side.
-fn side_size(table: &FlatTable<EntryList>) -> usize {
-    let slots = table.live_ids().into_iter().filter_map(|id| table.get_by_id(id));
-    slots.map(EntryList::consolidated_len).sum()
+impl Side {
+    /// Consolidate the slot at `id` (a no-op on an inline, consolidated or
+    /// dead slot) and drop it from the table if nothing is left.
+    fn consolidate(&mut self, id: u32) -> Result<()> {
+        let Some(EntryList::Many { entries, sorted_len }) = self.slots.get_by_id_mut(id) else {
+            return Ok(());
+        };
+        let merged = if tail_in_order(entries, *sorted_len) {
+            Ok(())
+        } else {
+            merge_tail(entries, *sorted_len, &mut self.scratch)
+        };
+        *sorted_len = entries.len();
+        if entries.is_empty() {
+            self.slots.remove_id(id);
+        }
+        merged
+    }
+
+    /// The consolidated entries stored under `key` — consolidation point (a).
+    fn probe(&mut self, key: &[u64]) -> Result<&[Entry]> {
+        let Some(id) = self.slots.id_of(key) else { return Ok(&[]) };
+        self.consolidate(id)?;
+        Ok(self.slots.get_by_id(id).map_or(&[], EntryList::as_slice))
+    }
+
+    /// Consolidated `(row, mask)` pairs stored on this side.
+    fn size(&self) -> usize {
+        let slots = self.slots.live_ids().into_iter().filter_map(|id| self.slots.get_by_id(id));
+        slots.map(EntryList::consolidated_len).sum()
+    }
 }
 
 /// Compiled join key pairs (left expr, right expr per key column).
@@ -209,8 +269,8 @@ impl JoinKeys {
 /// Persistent state of one join operator across incremental executions.
 #[derive(Debug, Default)]
 pub struct JoinState {
-    left: FlatTable<EntryList>,
-    right: FlatTable<EntryList>,
+    left: Side,
+    right: Side,
     /// Shared by both sides: left and right keys must encode identically.
     interner: StrInterner,
     scratch: KeyBuf,
@@ -226,12 +286,12 @@ impl JoinState {
     /// count, computed by walking the state (diagnostics and churn
     /// accounting read it, never the per-execution path).
     pub fn left_size(&self) -> usize {
-        side_size(&self.left)
+        self.left.size()
     }
 
     /// Stored (row, mask) entries on the right side (see [`Self::left_size`]).
     pub fn right_size(&self) -> usize {
-        side_size(&self.right)
+        self.right.size()
     }
 
     /// Run one incremental execution over the two input deltas.
@@ -265,19 +325,19 @@ impl JoinState {
         counter.charge(OpKind::JoinProbe, weights.join_probe, left_keyed.len());
         counter.charge(OpKind::JoinInsert, weights.join_insert, left_keyed.len());
         insert_delta(&mut self.left, &left_keyed, left_delta, |key, dr| {
-            emit_matches(&mut out, dr, probe(&mut self.right, key)?, false, &mut emits);
+            emit_matches(&mut out, dr, self.right.probe(key)?, false, &mut emits);
             Ok(())
         })?;
         // ΔR ⋈ L_new (covers L_old⋈ΔR and ΔL⋈ΔR), then ΔR into R.
         counter.charge(OpKind::JoinProbe, weights.join_probe, right_keyed.len());
         counter.charge(OpKind::JoinInsert, weights.join_insert, right_keyed.len());
         insert_delta(&mut self.right, &right_keyed, right_delta, |key, dr| {
-            emit_matches(&mut out, dr, probe(&mut self.left, key)?, true, &mut emits);
+            emit_matches(&mut out, dr, self.left.probe(key)?, true, &mut emits);
             Ok(())
         })?;
         counter.charge(OpKind::JoinEmit, weights.join_emit, emits);
-        self.left.maybe_compact();
-        self.right.maybe_compact();
+        self.left.slots.maybe_compact();
+        self.right.slots.maybe_compact();
         Ok(out)
     }
 
@@ -288,19 +348,19 @@ impl JoinState {
     /// is marked wholly pending and re-sorted by its next consolidation;
     /// `q_new` is a fresh bit, so widening never makes two pairs equal.
     pub fn widen_query(&mut self, q_ref: QueryId, q_new: QueryId) {
-        for table in [&mut self.left, &mut self.right] {
+        for table in [&mut self.left.slots, &mut self.right.slots] {
             for id in table.live_ids() {
                 match table.get_by_id_mut(id).expect("live slot") {
                     EntryList::Empty => {}
-                    EntryList::One((_, m, _)) => {
-                        if m.contains(q_ref) {
-                            m.insert(q_new);
+                    EntryList::One(e) => {
+                        if e.mask.contains(q_ref) {
+                            e.mask.insert(q_new);
                         }
                     }
                     EntryList::Many { entries, sorted_len } => {
-                        for (_, m, _) in entries.iter_mut() {
-                            if m.contains(q_ref) {
-                                m.insert(q_new);
+                        for e in entries.iter_mut() {
+                            if e.mask.contains(q_ref) {
+                                e.mask.insert(q_new);
                                 *sorted_len = 0;
                             }
                         }
@@ -316,32 +376,32 @@ impl JoinState {
     /// first, so the returned number of entries freed is exact.
     pub fn retire_query(&mut self, q: QueryId) -> Result<usize> {
         let mut reclaimed = 0usize;
-        for table in [&mut self.left, &mut self.right] {
-            for id in table.live_ids() {
-                consolidate_slot(table, id)?;
-                let Some(slot) = table.get_by_id_mut(id) else { continue };
+        for side in [&mut self.left, &mut self.right] {
+            for id in side.slots.live_ids() {
+                side.consolidate(id)?;
+                let Some(slot) = side.slots.get_by_id_mut(id) else { continue };
                 let mut es: Vec<Entry> = match std::mem::replace(slot, EntryList::Empty) {
                     EntryList::Empty => Vec::new(),
                     EntryList::One(e) => vec![e],
                     EntryList::Many { entries, .. } => entries,
                 };
                 let before = es.len();
-                for (_, m, _) in es.iter_mut() {
-                    m.remove(q);
+                for e in es.iter_mut() {
+                    e.mask.remove(q);
                 }
-                es.retain(|(_, m, _)| !m.is_empty());
-                let merged = merge_tail(&mut es, 0);
+                es.retain(|e| !e.mask.is_empty());
+                let merged = merge_tail(&mut es, 0, &mut side.scratch);
                 reclaimed += before - es.len();
                 if es.len() == 1 {
                     *slot = EntryList::One(es.pop().expect("one entry"));
                 } else if es.is_empty() {
-                    table.remove_id(id);
+                    side.slots.remove_id(id);
                 } else {
                     *slot = EntryList::Many { sorted_len: es.len(), entries: es };
                 }
                 merged?;
             }
-            table.maybe_compact();
+            side.slots.maybe_compact();
         }
         Ok(reclaimed)
     }
@@ -354,20 +414,20 @@ impl JoinState {
     /// nets them (and thereby becomes independent of slot layout).
     pub fn snapshot_product(&self, q_ref: QueryId, q_new: QueryId) -> Vec<DeltaRow> {
         let mut out = Vec::new();
-        for lid in self.left.live_ids() {
-            let (key, lentries) = self.left.get_by_id_with_key(lid).expect("live slot");
-            let Some(rentries) = self.right.get(key) else { continue };
-            for (lrow, lmask, lw) in lentries.as_slice() {
-                if !lmask.contains(q_ref) {
+        for lid in self.left.slots.live_ids() {
+            let (key, lentries) = self.left.slots.get_by_id_with_key(lid).expect("live slot");
+            let Some(rentries) = self.right.slots.get(key) else { continue };
+            for l in lentries.as_slice() {
+                if !l.mask.contains(q_ref) {
                     continue;
                 }
-                for (rrow, rmask, rw) in rentries.as_slice() {
-                    if !rmask.contains(q_ref) {
+                for r in rentries.as_slice() {
+                    if !r.mask.contains(q_ref) {
                         continue;
                     }
                     out.push(DeltaRow {
-                        row: lrow.concat(rrow),
-                        weight: lw * rw,
+                        row: l.row.concat(&r.row),
+                        weight: l.weight * r.weight,
                         mask: QuerySet::single(q_new),
                     });
                 }
@@ -383,8 +443,9 @@ impl JoinState {
 struct KeyedRows {
     arena: Vec<u64>,
     stride: usize,
-    /// Indices of the kept (non-NULL-keyed) rows in the source batch.
-    rows: Vec<u32>,
+    /// Indices of the kept (non-NULL-keyed) rows in the source batch, each
+    /// with the order word of the row's column 0.
+    rows: Vec<(u32, u64)>,
 }
 
 impl KeyedRows {
@@ -400,7 +461,9 @@ impl KeyedRows {
 }
 
 /// Encode join keys for every row; rows with NULL keys are silently excluded
-/// (they can never join).
+/// (they can never join). Each kept row's order word is taken here too,
+/// while the row is in cache: the insert phase that stores it reads the row
+/// again only after the probe has pushed it out.
 fn key_rows<'a>(
     batch: &DeltaBatch,
     key_scalars: impl Iterator<Item = &'a CompiledScalar> + Clone,
@@ -424,20 +487,13 @@ fn key_rows<'a>(
             scratch.push_value(&v, interner);
         }
         out.arena.extend_from_slice(scratch.as_words());
-        out.rows.push(i as u32);
+        out.rows.push((i as u32, r.row.column(0).map_or(0, Value::order_word)));
     }
     Ok(out)
 }
 
 fn negative_state(w: i64, row: &Row) -> Error {
     Error::InvalidDelta(format!("join state went negative ({w}) for row {row}"))
-}
-
-/// The consolidated entries stored under `key` — consolidation point (a).
-fn probe<'t>(table: &'t mut FlatTable<EntryList>, key: &[u64]) -> Result<&'t [Entry]> {
-    let Some(id) = table.id_of(key) else { return Ok(&[]) };
-    consolidate_slot(table, id)?;
-    Ok(table.get_by_id(id).map_or(&[], EntryList::as_slice))
 }
 
 /// One side's insert phase: hand every keyed delta row with its key to
@@ -448,7 +504,7 @@ fn probe<'t>(table: &'t mut FlatTable<EntryList>, key: &[u64]) -> Result<&'t [En
 /// phase runs to its end even after a slot fails: tails never carry a
 /// negative weight into the next execution.
 fn insert_delta(
-    table: &mut FlatTable<EntryList>,
+    side: &mut Side,
     keyed: &KeyedRows,
     delta: DeltaBatch,
     mut probe: impl FnMut(&[u64], &DeltaRow) -> Result<()>,
@@ -456,7 +512,9 @@ fn insert_delta(
     let (mut settled, mut retracted) = (Ok(()), Vec::new());
     let mut kept = keyed.rows.iter().enumerate().peekable();
     for (i, dr) in delta.rows.into_iter().enumerate() {
-        let Some((j, _)) = kept.next_if(|(_, &r)| r as usize == i) else { continue };
+        let Some((j, &(_, word))) = kept.next_if(|(_, &(r, _))| r as usize == i) else {
+            continue;
+        };
         let key = keyed.key(j);
         probe(key, &dr)?;
         let DeltaRow { row, weight, mask } = dr;
@@ -465,9 +523,9 @@ fn insert_delta(
             // streams never carry one; operators drop zero weights).
             continue;
         }
-        let new = (row, mask, weight);
-        let id = table.id_or_insert_with(key, || EntryList::Empty);
-        let slot = table.get_by_id_mut(id).expect("live slot");
+        let new = Entry { word, row, mask, weight };
+        let id = side.slots.id_or_insert_with(key, || EntryList::Empty);
+        let slot = side.slots.get_by_id_mut(id).expect("live slot");
         let outgrown = match slot {
             EntryList::Many { entries, sorted_len } => {
                 entries.push(new);
@@ -492,14 +550,14 @@ fn insert_delta(
         if outgrown {
             // Point (c), geometric: pending memory stays within the run's,
             // and a slot nobody probes costs O(log) sorts per entry.
-            settled = settled.and(consolidate_slot(table, id));
+            settled = settled.and(side.consolidate(id));
         }
         if weight < 0 {
             retracted.push(id);
         }
     }
     for id in retracted {
-        settled = settled.and(consolidate_slot(table, id));
+        settled = settled.and(side.consolidate(id));
     }
     settled
 }
@@ -514,14 +572,14 @@ fn emit_matches(
     delta_is_right: bool,
     emits: &mut usize,
 ) {
-    for (srow, smask, sweight) in entries {
-        let mask = delta.mask.intersect(*smask);
-        if mask.is_empty() || *sweight == 0 {
+    for e in entries {
+        let mask = delta.mask.intersect(e.mask);
+        if mask.is_empty() || e.weight == 0 {
             continue;
         }
         *emits += 1;
-        let row = if delta_is_right { srow.concat(&delta.row) } else { delta.row.concat(srow) };
-        out.push(DeltaRow { row, weight: delta.weight * sweight, mask });
+        let row = if delta_is_right { e.row.concat(&delta.row) } else { delta.row.concat(&e.row) };
+        out.push(DeltaRow { row, weight: delta.weight * e.weight, mask });
     }
 }
 
@@ -664,6 +722,35 @@ mod tests {
         let res = try_left(&mut st, vec![dr(1, 30, -1, &[0])]);
         assert!(matches!(res, Err(Error::InvalidDelta(_))));
         assert_eq!(st.left_size(), 3, "the net multiset, negative pair included");
+    }
+
+    #[test]
+    fn over_retraction_names_the_first_pair_in_row_order() {
+        // Keyed on column 1, so column 0's order words decide the slot's
+        // order. Two absent rows are retracted, the larger one first; the
+        // error names the smaller, the first negative pair in (row, mask)
+        // order, whatever the arrival order.
+        let row3 = |c0: Value, id: i64| Row::new(vec![c0, Value::Int(0), Value::Int(id)]);
+        let keyed_on_1 = JoinKeys::compile(&[(Expr::col(1), Expr::col(1))]);
+        let (w, c) = (CostWeights::default(), WorkCounter::new());
+        let mut st = JoinState::new();
+        let stored: Vec<DeltaRow> =
+            (0..40).map(|i| DeltaRow::insert(row3(Value::Int(i % 7 - 3), i), qs(&[0]))).collect();
+        let batch = |rows| DeltaBatch::from_rows(rows);
+        st.execute(batch(stored), DeltaBatch::new(), &keyed_on_1, &w, &c).unwrap();
+        let retract = vec![
+            DeltaRow::delete(row3(Value::str("absent"), 900), qs(&[0])),
+            DeltaRow::delete(row3(Value::Float(-3.5), 901), qs(&[0])),
+            DeltaRow::delete(row3(Value::Int(-3), 0), qs(&[0])),
+        ];
+        let res = st.execute(batch(retract), DeltaBatch::new(), &keyed_on_1, &w, &c);
+        match res {
+            Err(Error::InvalidDelta(msg)) => {
+                assert_eq!(msg, "join state went negative (-1) for row [-3.5, 0, 901]")
+            }
+            other => panic!("expected an over-retraction, got {other:?}"),
+        }
+        assert_eq!(st.left_size(), 41, "the net multiset: 39 stored, two negative");
     }
 
     #[test]
@@ -861,6 +948,107 @@ mod tests {
                 prop_assert_eq!(kern.left_size(), refr.left_size());
                 prop_assert_eq!(kern.right_size(), refr.right_size());
             }
+            prop_assert_eq!(kc.total().get().to_bits(), rc.total().get().to_bits());
+        }
+
+        /// The kernel join against the `BTreeMap` oracle with long slots
+        /// keyed on column 1, so column 0's order words decide most
+        /// comparisons: column 0 mixes NULL, booleans, numbers of both signs
+        /// and strings sharing a 7-byte prefix. Many small batches retract
+        /// and re-insert rows, some as the stored `Arc`, some as equal rows
+        /// built anew, and insert duplicates of stored rows.
+        #[test]
+        fn long_slots_keyed_off_column_0_match_reference(seed in 0u64..u64::MAX) {
+            let ekeys = vec![(Expr::col(1), Expr::col(1))];
+            let jk = JoinKeys::compile(&ekeys);
+            let (w, kc, rc) = (CostWeights::default(), WorkCounter::new(), WorkCounter::new());
+            let (mut kern, mut refr) = (JoinState::new(), RefJoinState::new());
+            let mut rng = seed | 1;
+            let mut next = move |n: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % n as u64) as usize
+            };
+            let col0 = [
+                Value::Null,
+                Value::Bool(false),
+                Value::Bool(true),
+                Value::Int(-5),
+                Value::Float(-2.5),
+                Value::Float(-0.0),
+                Value::Int(0),
+                Value::Float(0.5),
+                Value::Int(3),
+                Value::Float(3.0),
+                Value::Int(1 << 40),
+                Value::str(""),
+                Value::str("abcdefg1"),
+                Value::str("abcdefg2"),
+                Value::str("é"),
+            ];
+            // Every stored unit of weight, per side: (row, mask).
+            let mut live: [Vec<(Row, QuerySet)>; 2] = [Vec::new(), Vec::new()];
+            let mut id = 0i64;
+            let mut fresh = |next: &mut dyn FnMut(usize) -> usize| {
+                id += 1;
+                let c0 = col0[next(col0.len())].clone();
+                Row::new(vec![c0, Value::Int(next(2) as i64), Value::Int(id % 97)])
+            };
+            let mut batches = Vec::new();
+            // Warm-up: about 600 entries per key on the left, a few on the right.
+            for _ in 0..12 {
+                let l = (0..100).map(|_| (fresh(&mut next), QuerySet(1 + next(3) as u64))).collect::<Vec<_>>();
+                live[0].extend(l.iter().cloned());
+                let l = l.into_iter().map(|(row, mask)| DeltaRow::insert(row, mask)).collect();
+                batches.push((l, Vec::new()));
+            }
+            let r: Vec<_> = (0..6).map(|_| (fresh(&mut next), QuerySet(1 + next(3) as u64))).collect();
+            live[1].extend(r.iter().cloned());
+            batches.push((Vec::new(), r.into_iter().map(|(row, mask)| DeltaRow::insert(row, mask)).collect()));
+            for _ in 0..40 {
+                let mut sides = (Vec::new(), Vec::new());
+                for side in [0, 0, 0, 0, 0, 1] {
+                    for _ in 0..next(3) {
+                        let pick = |live: &Vec<(Row, QuerySet)>, i: usize, anew: bool| {
+                            let (row, mask) = &live[i];
+                            let row = if anew { Row::new(row.iter().cloned().collect()) } else { row.clone() };
+                            (row, *mask)
+                        };
+                        let units = &mut live[side];
+                        let dr = match next(5) {
+                            0 | 1 if !units.is_empty() => {
+                                let (row, mask) = pick(units, next(units.len()), next(2) == 0);
+                                let i = units.iter().position(|(r, m)| *r == row && *m == mask).unwrap();
+                                units.swap_remove(i);
+                                DeltaRow::delete(row, mask)
+                            }
+                            2 if !units.is_empty() => {
+                                let (row, mask) = pick(units, next(units.len()), next(2) == 0);
+                                units.push((row.clone(), mask));
+                                DeltaRow::insert(row, mask)
+                            }
+                            _ => {
+                                let (row, mask) = (fresh(&mut next), QuerySet(1 + next(3) as u64));
+                                units.push((row.clone(), mask));
+                                DeltaRow::insert(row, mask)
+                            }
+                        };
+                        if side == 0 { sides.0.push(dr) } else { sides.1.push(dr) }
+                    }
+                }
+                batches.push(sides);
+            }
+            for (l, r) in batches {
+                let (lb, rb) = (DeltaBatch::from_rows(l), DeltaBatch::from_rows(r));
+                let kout = kern.execute(lb.clone(), rb.clone(), &jk, &w, &kc).unwrap();
+                let rout = refr.execute(lb, rb, &ekeys, &w, &rc).unwrap();
+                prop_assert_eq!(kout.rows, rout.rows);
+                prop_assert_eq!(kern.left_size(), refr.left_size());
+                prop_assert_eq!(kern.right_size(), refr.right_size());
+            }
+            let long = kern.left.slots.live_ids().len() == 2 && kern.left_size() >= 1000;
+            prop_assert!(long, "two left slots of about 600 entries each");
             prop_assert_eq!(kc.total().get().to_bits(), rc.total().get().to_bits());
         }
 

@@ -197,11 +197,27 @@ impl Columns for Row {
     }
 }
 
+impl Row {
+    /// Whether both rows are the same allocation — then they are equal
+    /// without reading a value (a retraction meets the row it retracts).
+    #[inline]
+    fn same_arc(&self, other: &Row) -> bool {
+        match (&self.repr, &other.repr) {
+            (Repr::Flat(a), Repr::Flat(b)) => Arc::ptr_eq(a, b),
+            (Repr::Joined(a), Repr::Joined(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
 impl PartialEq for Row {
     #[inline]
     fn eq(&self, other: &Row) -> bool {
+        if self.same_arc(other) {
+            return true;
+        }
         match (&self.repr, &other.repr) {
-            (Repr::Flat(a), Repr::Flat(b)) => a == b,
+            (Repr::Flat(a), Repr::Flat(b)) => a[..] == b[..],
             _ => self.iter().eq(other.iter()),
         }
     }
@@ -212,6 +228,9 @@ impl Eq for Row {}
 impl Ord for Row {
     #[inline]
     fn cmp(&self, other: &Row) -> Ordering {
+        if self.same_arc(other) {
+            return Ordering::Equal;
+        }
         match (&self.repr, &other.repr) {
             (Repr::Flat(a), Repr::Flat(b)) => a[..].cmp(&b[..]),
             _ => self.iter().cmp(other.iter()),
@@ -365,6 +384,21 @@ mod tests {
         let s = r.concat(&row(&[3]));
         assert_eq!(s.arity(), 3);
         assert_eq!(s.to_string(), "[1, 2, 3]");
+    }
+
+    #[test]
+    fn shared_rows_compare_equal() {
+        let flat = Row::new(vec![Value::Float(f64::NAN), Value::Int(1)]);
+        let joined = flat.concat(&row(&[2]));
+        for r in [&flat, &joined] {
+            let same = r.clone();
+            assert_eq!(r.cmp(&same), Ordering::Equal);
+            assert_eq!(r, &same);
+            let copy = Row::new(r.iter().cloned().collect());
+            assert_eq!(r.cmp(&copy), Ordering::Equal, "a NaN equals every NaN");
+        }
+        assert_eq!(flat.cmp(&joined), Ordering::Less, "a prefix sorts first");
+        assert_eq!(joined.cmp(&flat), Ordering::Greater);
     }
 
     #[test]
