@@ -532,7 +532,7 @@ fn plan_within(
 /// subplan's private costs and output estimate.
 fn report_bits(r: &CostReport) -> Vec<u64> {
     let mut bits = vec![r.total_work.get().to_bits()];
-    bits.extend(r.final_work.iter().flat_map(|(q, w)| [u64::from(q.0), w.get().to_bits()]));
+    bits.extend(r.final_work().flat_map(|(q, w)| [u64::from(q.0), w.get().to_bits()]));
     for ((total, fin), sim) in r.subplan_total.iter().zip(&r.subplan_final).zip(&r.subplan_output) {
         let out = &sim.output;
         bits.extend([*total, *fin, sim.private_total, sim.private_final].map(f64::to_bits));
@@ -951,7 +951,9 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
 /// final-work constraints; the adaptive run observes the drift at early
 /// wavefront boundaries, refreshes the estimator's base stats, re-runs the
 /// pace search mid-run, and meets them. Writes `results/BENCH_adapt.json`
-/// with both runs, the `adapt.*` metrics, and the full switch log.
+/// with both runs, the `adapt.*` metrics, and the full switch log; fails
+/// unless the adaptive run switches at least once and misses fewer
+/// constraints than the static run.
 pub fn adapt(p: &Params) -> Result<()> {
     use ishare_core::adapt::{AdaptController, AdaptOptions};
     use ishare_stream::{
@@ -1102,6 +1104,13 @@ pub fn adapt(p: &Params) -> Result<()> {
             "switches": switches,
         }),
     );
+    if adaptive_missed >= static_missed || m.switches == 0 {
+        return Err(ishare_common::Error::InvalidConfig(format!(
+            "adaptation rescued nothing: static misses {static_missed}, adaptive misses \
+             {adaptive_missed}, {} switches",
+            m.switches
+        )));
+    }
     Ok(())
 }
 

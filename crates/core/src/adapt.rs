@@ -11,8 +11,10 @@
 //! hysteresis, so one noisy front cannot cause pace thrash) it refreshes the
 //! estimator's base stats ([`ishare_cost::PlanEstimator::refresh_base`],
 //! which keeps every memoized simulation the change cannot affect) and
-//! re-runs [`find_pace_configuration`] under the *residual* constraints
-//! `R(q) = max(0, L(q) − charged_final(q))`.
+//! re-runs [`find_pace_configuration`] under `headroom · L(q)`. Final work
+//! is charged only at the trigger — every final tick sits at fraction 1,
+//! past the last front the controller evaluates — so a re-plan budgets the
+//! whole `L(q)`: nothing of it is spent yet.
 //!
 //! Everything the controller consumes is deterministic — charged work units,
 //! delivered/deleted record counts, exact arrival fractions — never
@@ -52,11 +54,13 @@ pub struct AdaptOptions {
     pub max_switches: usize,
     /// Maximum pace handed to the re-entrant pace search.
     pub max_pace: u32,
-    /// Fraction of each residual budget the re-optimization actually
-    /// targets, in `(0, 1]`. The cost model that mispredicted badly enough
-    /// to trigger adaptation cannot be trusted to land exactly on the
-    /// budget either, so the search aims below it and the slack absorbs the
-    /// residual estimate-vs-measured error. `1.0` targets the full budget.
+    /// Fraction of each budget `L(q)` the re-optimization actually
+    /// targets, in `(0, 1]`; final work is charged only at the trigger, so
+    /// the whole `L(q)` is unspent at every front the controller re-plans
+    /// at. The cost model that mispredicted badly enough to trigger
+    /// adaptation cannot be trusted to land exactly on the budget either,
+    /// so the search aims below it and the slack absorbs the remaining
+    /// estimate-vs-measured error. `1.0` targets the full budget.
     pub headroom: f64,
 }
 
@@ -116,11 +120,10 @@ pub struct WavefrontObservation {
     pub num: u32,
     /// Arrival fraction denominator of this wavefront's ticks.
     pub den: u32,
-    /// Per-query final work already charged (work of executed final ticks of
-    /// that query's subplans). Under iShare scheduling every final tick has
-    /// fraction 1 and so sits in the last wavefront; at any adapt-eligible
-    /// front this is therefore zero, but the controller still subtracts it
-    /// so the residual-budget math stays honest if schedules ever change.
+    /// Unread: final work is charged only at the trigger, so it is zero at
+    /// every front the controller evaluates. The stream driver passes an
+    /// empty map; the field stays only because the repo benchmark's shadow
+    /// loop builds it, and the next change to the benchmark deletes it.
     pub charged_final: BTreeMap<QueryId, f64>,
     /// Cumulative delivery tallies per base table.
     pub tables: Vec<ObservedTable>,
@@ -142,27 +145,11 @@ pub struct PaceSwitch {
     pub from: Vec<u32>,
     /// Paces installed by the switch.
     pub to: Vec<u32>,
-    /// Whether the re-run search believes the residual constraints are met.
+    /// Whether the re-run search believes `headroom · L(q)` is met for
+    /// every query.
     pub feasible: bool,
     /// Pace-search steps the re-optimization took.
     pub steps: usize,
-}
-
-/// Residual budgets the controller computed at one observed wavefront:
-/// `R(q) = headroom · max(0, L(q) − charged_final(q))`, recorded for *every*
-/// observation (including final fronts and fronts that did not trigger).
-/// Purely deterministic, so the observability layer's slack ledger can be
-/// checked `to_bits`-equal against it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontResiduals {
-    /// Zero-based wavefront index of the observation.
-    pub wavefront: usize,
-    /// Arrival fraction numerator at the observation.
-    pub num: u32,
-    /// Arrival fraction denominator at the observation.
-    pub den: u32,
-    /// Residual budget per query.
-    pub residuals: ConstraintMap,
 }
 
 /// Counters and gauges the controller accumulates; surfaced as `adapt.*`
@@ -193,7 +180,6 @@ pub struct AdaptController {
     armed: bool,
     cooldown: usize,
     switches: Vec<PaceSwitch>,
-    residual_log: Vec<FrontResiduals>,
     metrics: AdaptMetrics,
 }
 
@@ -227,7 +213,6 @@ impl AdaptController {
             armed: true,
             cooldown: 0,
             switches: Vec::new(),
-            residual_log: Vec::new(),
             metrics: AdaptMetrics::default(),
         })
     }
@@ -264,27 +249,9 @@ impl AdaptController {
         &self.switches
     }
 
-    /// Residual budgets computed for every observed wavefront, in
-    /// observation order (one entry per [`observe`](Self::observe) call).
-    pub fn residual_log(&self) -> &[FrontResiduals] {
-        &self.residual_log
-    }
-
     /// Accumulated counters and gauges.
     pub fn metrics(&self) -> &AdaptMetrics {
         &self.metrics
-    }
-
-    /// Residual final-work budgets, scaled by the search headroom:
-    /// `R(q) = headroom · max(0, L(q) − charged_final(q))`.
-    pub fn residual_constraints(&self, charged_final: &BTreeMap<QueryId, f64>) -> ConstraintMap {
-        self.constraints
-            .iter()
-            .map(|(q, l)| {
-                let residual = (l - charged_final.get(q).copied().unwrap_or(0.0)).max(0.0);
-                (*q, residual * self.opts.headroom)
-            })
-            .collect()
     }
 
     /// Each planned table's observed statistics: delivered counts
@@ -325,12 +292,6 @@ impl AdaptController {
     /// the switch sequence is a deterministic function of the stream.
     pub fn observe(&mut self, obs: &WavefrontObservation) -> Result<Option<Vec<u32>>> {
         self.metrics.evaluations += 1;
-        self.residual_log.push(FrontResiduals {
-            wavefront: obs.wavefront,
-            num: obs.num,
-            den: obs.den,
-            residuals: self.residual_constraints(&obs.charged_final),
-        });
         if obs.num == obs.den {
             // Final wavefront: nothing left to reschedule.
             return Ok(None);
@@ -355,14 +316,15 @@ impl AdaptController {
         }
 
         // Trigger: fold the observation into the estimator, then re-run the
-        // pace search under the residual budgets.
+        // pace search under the budgets, none of which is spent yet.
         self.metrics.triggers += 1;
         let started = Instant::now();
         for (table, o) in observed {
             self.est.refresh_base(table, o)?;
         }
-        let residual = self.residual_constraints(&obs.charged_final);
-        let outcome = find_pace_configuration(&mut self.est, &residual, self.opts.max_pace)?;
+        let budgets: ConstraintMap =
+            self.constraints.iter().map(|(&q, &l)| (q, l.max(0.0) * self.opts.headroom)).collect();
+        let outcome = find_pace_configuration(&mut self.est, &budgets, self.opts.max_pace)?;
         self.metrics.reopt_time += started.elapsed();
         self.armed = false;
         self.cooldown = COOLDOWN_FRONTS;
@@ -580,47 +542,6 @@ mod tests {
         assert_eq!(ctrl.observe(&spike).unwrap(), None);
         assert_eq!(ctrl.metrics().triggers, 1);
         assert_eq!(ctrl.metrics().switches, 1);
-    }
-
-    #[test]
-    fn residual_constraints_subtract_charged_final_work() {
-        let opts = AdaptOptions { headroom: 1.0, ..AdaptOptions::default() };
-        let (ctrl, _, _) = planned_controller(0.4, opts);
-        let l = *ctrl.constraints().values().next().unwrap();
-        let charged: BTreeMap<QueryId, f64> =
-            [(QueryId(0), l * 0.25), (QueryId(1), 123.0)].into_iter().collect();
-        let residual = ctrl.residual_constraints(&charged);
-        assert!((residual[&QueryId(0)] - l * 0.75).abs() < 1e-9);
-        // Over-charged budgets clamp at zero rather than going negative.
-        let over: BTreeMap<QueryId, f64> = [(QueryId(0), l * 2.0)].into_iter().collect();
-        assert_eq!(ctrl.residual_constraints(&over)[&QueryId(0)], 0.0);
-    }
-
-    #[test]
-    fn residual_log_records_every_observation() {
-        let opts = AdaptOptions { headroom: 1.0, ..AdaptOptions::disabled() };
-        let (mut ctrl, _, t) = planned_controller(0.4, opts);
-        let l = *ctrl.constraints().values().next().unwrap();
-        for wf in 0..3 {
-            let mut obs = drifted_obs(t, 1.0);
-            obs.wavefront = wf;
-            obs.charged_final = [(QueryId(0), l * 0.1 * wf as f64)].into_iter().collect();
-            if wf == 2 {
-                // Final front: early-returns, but must still be logged.
-                obs.num = 4;
-                obs.den = 4;
-            }
-            ctrl.observe(&obs).unwrap();
-        }
-        let log = ctrl.residual_log();
-        assert_eq!(log.len(), 3);
-        for (wf, entry) in log.iter().enumerate() {
-            assert_eq!(entry.wavefront, wf);
-            let want = (l - l * 0.1 * wf as f64).max(0.0);
-            assert_eq!(entry.residuals[&QueryId(0)].to_bits(), want.to_bits());
-        }
-        assert_eq!(log[2].num, 4);
-        assert_eq!(log[2].den, 4);
     }
 
     #[test]

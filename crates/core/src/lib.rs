@@ -24,7 +24,8 @@
 //! 4. **Online re-optimization** ([`adapt`]) — at wavefront boundaries the
 //!    stream drivers feed measured delivery counts back into the cost
 //!    stats; when drift crosses a threshold the pace search re-runs on the
-//!    refreshed estimator (memo reuse) under residual final-work budgets.
+//!    refreshed estimator (memo reuse). Final work is charged only at the
+//!    trigger, so a mid-run re-plan budgets each query's whole `L(q)`.
 //!
 //! [`baselines`] plans every comparison system of the evaluation (Sec. 5.2)
 //! through one pipeline, [`plan_workload`]: NoShare-Uniform,
@@ -42,8 +43,7 @@ pub mod pace;
 pub mod pace_search;
 
 pub use adapt::{
-    AdaptController, AdaptMetrics, AdaptOptions, FrontResiduals, ObservedTable, PaceSwitch,
-    WavefrontObservation,
+    AdaptController, AdaptMetrics, AdaptOptions, ObservedTable, PaceSwitch, WavefrontObservation,
 };
 pub use baselines::{plan_workload, Approach, PlannedExecution, PlanningOptions};
 pub use constraint::{resolve_constraints, ConstraintMap, FinalWorkConstraint};

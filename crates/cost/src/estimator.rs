@@ -36,9 +36,6 @@ use std::sync::Arc;
 pub struct CostReport {
     /// Total work C_T(P): sum of every subplan's private total work.
     pub total_work: WorkUnits,
-    /// Final work C_F(P, q) per query: sum of the private final work of the
-    /// query's subplans.
-    pub final_work: BTreeMap<QueryId, WorkUnits>,
     /// Private total work per subplan.
     pub subplan_total: Vec<f64>,
     /// Private final work per subplan.
@@ -46,10 +43,13 @@ pub struct CostReport {
     /// Simulation result per subplan, shared with the estimator's memo; its
     /// `output` is the subplan's full-trigger output estimate.
     pub subplan_output: Vec<Arc<SubplanSim>>,
-    /// `final_work` indexed by `QueryId`, zero for a query the plan does not
-    /// serve: what [`CostReport::final_of`] and a candidate costed next to
-    /// this report read.
+    /// Final work C_F(P, q) indexed by `QueryId` — the sum of the private
+    /// final work of `q`'s subplans, zero for a query the plan does not
+    /// serve: what [`CostReport::final_of`], [`CostReport::final_work`] and
+    /// a candidate costed next to this report read.
     finals: [f64; QuerySet::MAX_QUERIES],
+    /// The queries the plan serves.
+    queries: QuerySet,
     /// The estimator's statistics epoch when the report was made: a report
     /// older than a [`PlanEstimator::refresh_base`] that changed a stream is
     /// no base for a candidate.
@@ -60,6 +60,12 @@ impl CostReport {
     /// Final work of one query.
     pub fn final_of(&self, q: QueryId) -> WorkUnits {
         WorkUnits(self.finals.get(q.index()).copied().unwrap_or(0.0))
+    }
+
+    /// Final work C_F(P, q) of every query the plan serves, in `QueryId`
+    /// order.
+    pub fn final_work(&self) -> impl Iterator<Item = (QueryId, WorkUnits)> + '_ {
+        self.queries.iter().map(|q| (q, WorkUnits(self.finals[q.index()])))
     }
 }
 
@@ -485,9 +491,6 @@ impl PlanEstimator {
         }
         base.total_work = sum_total(&self.topo, |j| base.subplan_total[j]);
         sum_finals(&self.plan, |j| base.subplan_final[j], self.plan.queries(), &mut base.finals);
-        for (q, w) in &mut base.final_work {
-            *w = WorkUnits(base.finals[q.index()]);
-        }
         Ok(())
     }
 
@@ -528,17 +531,13 @@ impl PlanEstimator {
         let queries = self.plan.queries();
         let mut finals = [0.0; QuerySet::MAX_QUERIES];
         sum_finals(&self.plan, |j| subplan_final[j], queries, &mut finals);
-        let mut final_work = BTreeMap::new();
-        for q in queries.iter() {
-            final_work.insert(q, WorkUnits(finals[q.index()]));
-        }
         Ok(CostReport {
             total_work: sum_total(&self.topo, |j| subplan_total[j]),
-            final_work,
             subplan_total,
             subplan_final,
             subplan_output,
             finals,
+            queries,
             epoch: self.epoch,
         })
     }
@@ -819,7 +818,7 @@ mod tests {
         let ones = vec![1u32; plan.len()];
         let rep = est.estimate(&ones).unwrap();
         assert!(rep.total_work.get() > 0.0);
-        assert_eq!(rep.final_work.len(), 2);
+        assert_eq!(rep.final_work().count(), 2);
         // Batch execution: final work equals total work per subplan.
         for i in 0..plan.len() {
             assert!((rep.subplan_total[i] - rep.subplan_final[i]).abs() < 1e-9);
@@ -990,7 +989,7 @@ mod tests {
     /// Every float of a report, as bits.
     fn report_bits(r: &CostReport) -> Vec<u64> {
         let mut bits = vec![r.total_work.get().to_bits()];
-        bits.extend(r.final_work.iter().flat_map(|(q, w)| [u64::from(q.0), w.get().to_bits()]));
+        bits.extend(r.final_work().flat_map(|(q, w)| [u64::from(q.0), w.get().to_bits()]));
         bits.extend(r.finals.map(f64::to_bits));
         for (i, sim) in r.subplan_output.iter().enumerate() {
             assert_eq!(r.subplan_total[i].to_bits(), sim.private_total.to_bits());

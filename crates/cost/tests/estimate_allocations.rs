@@ -22,9 +22,10 @@
 //! became `Copy` and the estimator stopped building vectors it throws away,
 //! the second and third were 11 and 278 allocations. What an estimate may
 //! allocate now is its report per call and the memoized result per miss
-//! (DESIGN.md §3): 7 and 69 here, about four per re-simulated subplan (105
-//! when the memo keyed a simulation by its descendants' paces and 24
-//! subplans re-simulated, against 15 now). A candidate builds no report,
+//! (DESIGN.md §3): 3 and 65 here, about four per re-simulated subplan (7
+//! and 69 while a report also kept its per-query final work in a map; 105
+//! for the change when the memo keyed a simulation by its descendants'
+//! paces and 24 subplans re-simulated, against 15 now). A candidate builds no report,
 //! so it allocates only its misses' memo entries: 0 and 6 here (98 before).
 //! Building the estimator takes 1643 allocations (1782 while it kept each
 //! subplan's descendant list). The counts below are a ratchet — lower them when a change lowers
@@ -73,9 +74,9 @@ const PARENT_ONE_CHANGE: usize = 278;
 /// The ratchet: at most this many allocations to build the estimator…
 const NEW: usize = 1643;
 /// …for a memo hit…
-const MEMO_HIT: usize = 7;
+const MEMO_HIT: usize = 3;
 /// …and for a one-subplan pace change.
-const ONE_CHANGE: usize = 69;
+const ONE_CHANGE: usize = 65;
 /// The ratchet for a candidate one subplan's pace away from its base (one
 /// whose changed subplan hits the memo allocates nothing).
 const CANDIDATE_CHANGE: usize = 6;

@@ -198,12 +198,15 @@ fn merge_tail(entries: &mut Vec<Entry>, sorted_len: usize, scratch: &mut Vec<Ent
     negative.map_or(Ok(()), Err)
 }
 
-/// One side of the join: its key slots, and the buffer its merges rebuild
-/// run suffixes through (empty between merges, its capacity kept).
+/// One side of the join: its key slots, the buffer its merges rebuild run
+/// suffixes through, and the list of slots an insert phase retracted from
+/// (both empty between executions, their capacity kept).
 #[derive(Debug, Default)]
 struct Side {
     slots: FlatTable<EntryList>,
     scratch: Vec<Entry>,
+    /// `(slot id, arrival)` of each retraction in the current insert phase.
+    retracted: Vec<(u32, u32)>,
 }
 
 impl Side {
@@ -509,7 +512,7 @@ fn insert_delta(
     delta: DeltaBatch,
     mut probe: impl FnMut(&[u64], &DeltaRow) -> Result<()>,
 ) -> Result<()> {
-    let (mut settled, mut retracted) = (Ok(()), Vec::new());
+    let (mut settled, mut retracted) = (Ok(()), std::mem::take(&mut side.retracted));
     let mut kept = keyed.rows.iter().enumerate().peekable();
     for (i, dr) in delta.rows.into_iter().enumerate() {
         let Some((j, &(_, word))) = kept.next_if(|(_, &(r, _))| r as usize == i) else {
@@ -553,12 +556,19 @@ fn insert_delta(
             settled = settled.and(side.consolidate(id));
         }
         if weight < 0 {
-            retracted.push(id);
+            retracted.push((id, retracted.len() as u32));
         }
     }
-    for id in retracted {
+    // Each slot once, in the order of its first retraction: the slots fail
+    // in the order a consolidation per retraction would have found them.
+    retracted.sort_unstable();
+    retracted.dedup_by_key(|&mut (id, _)| id);
+    retracted.sort_unstable_by_key(|&(_, first)| first);
+    for &(id, _) in &retracted {
         settled = settled.and(side.consolidate(id));
     }
+    retracted.clear();
+    side.retracted = retracted;
     settled
 }
 

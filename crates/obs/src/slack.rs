@@ -16,10 +16,11 @@
 //!   per-wavefront latency histograms `slo.q{i}.front_work`).
 //!
 //! Every quantity is a *deterministic measured* number folded from the
-//! drivers' tick records in global schedule order — the same discipline as
-//! `core::adapt`'s `WavefrontObservation`, and deliberately the same
-//! summation order, so ledger `remaining` is `to_bits`-equal to the adapt
-//! controller's residual budgets `R(q)` at headroom 1 (asserted by
+//! drivers' tick records in global schedule order. Final work is charged
+//! only at the trigger, so `consumed` is 0 and `remaining` is the whole
+//! budget at every front before a query's last — which is why a boundary
+//! re-plan (adapt or churn) budgets `L(q)` itself — and the last front's
+//! `consumed` is the run's measured final work (asserted by
 //! `tests/slack_ledger.rs`). Wall clock never enters: obs-on/obs-off and
 //! kill/resume replay produce the identical ledger.
 //!

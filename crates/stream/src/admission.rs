@@ -21,10 +21,10 @@
 //!    never fuse and the new query's private cone taps shared structure at
 //!    materialized buffers;
 //! 2. runs a fresh pace search over the whole re-cut plan, from batch,
-//!    under the live queries' *residual* budgets
-//!    `R(q) = max(0, L(q) − charged final work)`; an infeasible admission is
-//!    rejected with [`Error::Churn`] before any engine state is touched (the
-//!    merge happens on a clone of the sharer);
+//!    under the live queries' budgets `L(q)` — final work is charged only
+//!    at the trigger, so none of a budget is spent at a churn boundary; an
+//!    infeasible admission is rejected with [`Error::Churn`] before any
+//!    engine state is touched (the merge happens on a clone of the sharer);
 //! 3. reconciles the engine by DAG identity. Every post-edit executor is
 //!    built fresh; each operator state moves to the executor that now holds
 //!    its DAG node, each leaf cursor (with its pending seed) to the leaf
@@ -298,11 +298,6 @@ impl Runner<'_> {
         due
     }
 
-    /// Live queries' budgets minus final work already charged.
-    fn residual_constraints(&self, plan: &SharedPlan, fold: &Fold) -> BTreeMap<QueryId, f64> {
-        self.budgets.iter().map(|(&q, &l)| (q, (l - fold.final_work(plan, q)).max(0.0))).collect()
-    }
-
     /// Apply one event on the quiesced engine: edit a clone of the sharer,
     /// re-cut, re-search and validate; then reconcile `live`'s engine, hand
     /// off (admission) or retire (removal), swap plan and paces, and tell
@@ -349,8 +344,10 @@ impl Runner<'_> {
         // is exactly "rooted at a node this admission created".
         let fresh: Vec<bool> = roots2.iter().map(|r| created.contains(r)).collect();
 
-        let mut cons = self.residual_constraints(&live.plan, fold);
-        cons.remove(&q);
+        // Final work is charged only at the trigger, past every churn
+        // boundary, so the live queries' whole budgets are still unspent.
+        let mut cons: BTreeMap<QueryId, f64> =
+            self.budgets.iter().filter(|(&p, _)| p != q).map(|(&p, &l)| (p, l.max(0.0))).collect();
         let mut witnesses = Vec::new();
         if let Some(l) = budget {
             // Any shared (non-fresh) subplan now serving the new query needs
@@ -380,13 +377,13 @@ impl Runner<'_> {
             cons.insert(q, l);
         }
         // A removal is never rejected for pace reasons: the remaining
-        // queries' residuals may already be exhausted, so its search is best
-        // effort.
+        // queries' budgets may already be out of reach, so its search is
+        // best effort.
         let outcome = search_from_batch(&plan2, self.catalog, self.weights, &cons, self.max_pace)?;
         if let Some(l) = budget.filter(|_| !outcome.feasible) {
             return Err(Error::Churn(format!(
                 "admission of query {q} is infeasible under final-work budget {l} given the \
-                 live queries' residual budgets"
+                 live queries' budgets"
             )));
         }
 

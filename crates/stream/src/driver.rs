@@ -295,14 +295,12 @@ pub(crate) fn run_wavefronts(
 
         if let Some(ctrl) = adapt.as_deref_mut() {
             // Deterministic measured quantities only: cumulative delivery
-            // tallies as counted by the feed path, and charged final work.
+            // tallies as counted by the feed path.
             let obs = WavefrontObservation {
                 wavefront: wf,
                 num,
                 den,
-                charged_final: (live.plan.queries().iter())
-                    .map(|q| (q, fold.final_work(&live.plan, q)))
-                    .collect(),
+                charged_final: BTreeMap::new(),
                 tables: (tallies.iter())
                     .map(|(&table, &(delivered, deletes))| ObservedTable {
                         table,

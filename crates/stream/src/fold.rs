@@ -33,8 +33,8 @@ use std::time::Duration;
 /// What one subplan of the plan in effect has been charged so far.
 #[derive(Clone, Copy, Default)]
 struct Tally {
-    /// The final execution's work (what the adapt controller, the slack
-    /// ledger and `RunResult::final_work` all read) and wall.
+    /// The final execution's work (what the slack ledger and
+    /// `RunResult::final_work` read) and wall.
     final_work: f64,
     final_wall: Duration,
     total: f64,
@@ -118,8 +118,8 @@ impl Recorder {
 }
 
 /// Σ over `plan.subplans_of_query(q)` of a per-subplan number — the one
-/// per-query summation order the ledger, the adapt observation and the
-/// result views share, so they agree to the bit.
+/// per-query summation order the ledger and the result views share, so
+/// they agree to the bit.
 fn of_query(plan: &SharedPlan, q: QueryId, per_sp: impl Fn(usize) -> f64) -> f64 {
     plan.subplans_of_query(q).iter().map(|id| per_sp(id.index())).sum()
 }
@@ -222,6 +222,9 @@ impl Fold {
                 *f += w;
             }
             if rec.tick.is_final {
+                // Final work is charged only at the trigger: every decision
+                // made at an earlier boundary budgets the whole L(q).
+                debug_assert!(num == den, "final tick folded at {num}/{den}");
                 sp.final_work = w;
                 sp.final_wall = rec.wall;
                 sp.exec.finals += 1;

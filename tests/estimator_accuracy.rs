@@ -63,7 +63,7 @@ fn estimates_preserve_the_pace_ordering() {
             .unwrap();
         let est_total = rep.total_work.get();
         let meas_total = run.total_work.get();
-        let est_final: f64 = rep.final_work.values().map(|w| w.get()).sum();
+        let est_final: f64 = rep.final_work().map(|(_, w)| w.get()).sum();
         let meas_final: f64 = run.final_work.values().sum();
         assert!(est_total >= prev_est_total, "estimated total monotone in pace");
         assert!(meas_total >= prev_meas_total, "measured total monotone in pace");

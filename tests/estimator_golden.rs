@@ -227,7 +227,7 @@ fn planned_digest(planned: &PlannedExecution) -> u64 {
     }
     digest.word(u64::from(planned.feasible));
     digest.float(planned.report.total_work.get());
-    for (q, w) in &planned.report.final_work {
+    for (q, w) in planned.report.final_work() {
         digest.word(u64::from(q.0));
         digest.float(w.get());
     }

@@ -279,8 +279,8 @@ proptest! {
         let a = est.estimate(&p).unwrap();
         let b = est.estimate_unmemoized(&p).unwrap();
         prop_assert!((a.total_work.get() - b.total_work.get()).abs() < 1e-9);
-        for (q, w) in &a.final_work {
-            prop_assert!((w.get() - b.final_work[q].get()).abs() < 1e-9);
+        for (q, w) in a.final_work() {
+            prop_assert!((w.get() - b.final_of(q).get()).abs() < 1e-9);
         }
         // And a second memoized call is identical (pure).
         let a2 = est.estimate(&p).unwrap();

@@ -1,136 +1,133 @@
-//! The slack ledger audits, bit for bit, the same residual-budget
-//! arithmetic the adaptive controller plans with.
+//! Final work is charged only at the trigger, and the slack ledger shows it.
 //!
-//! `core::adapt` computes `R(q) = headroom · max(0, L(q) − charged_final)`
-//! at every wavefront from quantities folded in global schedule order; the
-//! ledger computes `remaining = max(0, budget − consumed)` from the same
-//! fold. At headroom 1 the two must be `to_bits`-equal on every wavefront
-//! of every query — and observability on or off must not matter (the off
-//! runs must reproduce the identical work numbers the ledger was derived
-//! from).
+//! Every final tick sits at arrival fraction 1, so at every wavefront
+//! boundary before a query's last the ledger has `consumed == 0` and
+//! `remaining` equal to the budget, bit for bit — which is why the adapt
+//! controller and the churn runner re-plan under the budgets `L(q)`
+//! themselves. The last front's `consumed` is the run's measured final
+//! work. One adaptive run that switches paces and one churn run that admits
+//! and removes queries are checked, each with observability on and off
+//! (which must not change a work number).
 
+mod harness;
+
+use harness::{fig2_and_q6, sharing_friendly, tpch_plan};
 use ishare::core::adapt::{AdaptController, AdaptOptions};
-use ishare::core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
+use ishare::core::FinalWorkConstraint;
+use ishare::plan::LogicalPlan;
 use ishare::stream::{
-    execute_adaptive_from_source_obs, ObsConfig, RunResult, SlackLedger, Source, SourceOptions,
+    execute_adaptive_from_source_obs, execute_churn_from_source, insert_feeds, ChurnEvent, ChurnOp,
+    ChurnOptions, ChurnScript, ObsConfig, RunResult, Source, SourceOptions,
 };
-use ishare::tpch::{generate, query_by_name, with_updates};
+use ishare::tpch::{generate, with_updates};
 use ishare_common::{CostWeights, QueryId};
 use std::collections::BTreeMap;
 
-/// Exercise every wavefront: observe-only adaptation (infinite drift
-/// threshold) at headroom 1, so the controller's residual log spans the
-/// whole run and `R(q)` carries no headroom scaling.
-fn observer_opts() -> AdaptOptions {
-    AdaptOptions { headroom: 1.0, ..AdaptOptions::disabled() }
-}
-
-fn run_adaptive(seed: u64, update_frac: f64, obs: bool) -> (RunResult, AdaptController) {
-    let data = generate(0.004, seed).unwrap();
-    let names = ["qa", "qb", "q6"];
-    let queries: Vec<_> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (QueryId(i as u16), query_by_name(&data.catalog, n).unwrap().plan))
-        .collect();
-    let cons: BTreeMap<QueryId, FinalWorkConstraint> =
-        (0..names.len()).map(|i| (QueryId(i as u16), FinalWorkConstraint::Relative(0.3))).collect();
-    let opts = PlanningOptions { max_pace: 100, ..Default::default() };
-    let planned = plan_workload(Approach::IShare, &queries, &cons, &data.catalog, &opts).unwrap();
-    let feeds = with_updates(&data, update_frac, seed ^ 7).unwrap();
-    let w = CostWeights::default();
-
-    let mut ctrl =
-        AdaptController::from_planned(&planned, &data.catalog, w, observer_opts()).unwrap();
-    let mut source = Source::in_order(&feeds);
-    // No explicit `slo`: the adaptive entry points default the ledger's
-    // budgets to the controller's constraints — the L(q) the residuals use.
-    let src_opts = SourceOptions { obs: obs.then(ObsConfig::default), ..Default::default() };
-    let run = execute_adaptive_from_source_obs(
-        &planned.plan,
-        &data.catalog,
-        &mut source,
-        w,
-        src_opts,
-        &mut ctrl,
-    )
-    .unwrap()
-    .into_result()
-    .unwrap();
-    (run, ctrl)
-}
-
-/// The heart of the suite: every ledger sample's `remaining` equals the
-/// controller's residual budget for that query at that wavefront, bitwise.
-fn assert_ledger_matches_residuals(ledger: &SlackLedger, ctrl: &AdaptController, label: &str) {
-    let log = ctrl.residual_log();
-    assert_eq!(ledger.fronts(), log.len(), "{label}: ledger fronts != controller observations");
+/// Every ledger sample before a query's last front has charged no final
+/// work and keeps the whole budget; the last front is the run's last and
+/// its `consumed` is the measured final work.
+fn assert_charged_only_at_the_trigger(run: &RunResult, label: &str) {
+    let ledger = run.obs.as_ref().unwrap().slack.as_ref().expect("obs run has a ledger");
+    ledger.verify().unwrap();
+    assert!(!ledger.is_empty(), "{label}: empty ledger");
     for (q, slot) in ledger.queries() {
-        assert_eq!(
-            slot.budget.to_bits(),
-            ctrl.constraints()[&q].to_bits(),
-            "{label}: q{} budget != controller L(q)",
-            q.0
-        );
-        for (sample, front) in slot.samples.iter().zip(log) {
-            assert_eq!(sample.wavefront as usize, front.wavefront, "{label}: front order");
-            assert_eq!((sample.num, sample.den), (front.num, front.den), "{label}: arrival frac");
-            assert_eq!(
-                sample.remaining.to_bits(),
-                front.residuals[&q].to_bits(),
-                "{label}: q{} wavefront {}: ledger remaining {} != residual budget {}",
-                q.0,
-                front.wavefront,
-                sample.remaining,
-                front.residuals[&q],
+        let (last, before) = slot.samples.split_last().expect("a query has samples");
+        for s in before {
+            assert!(
+                s.consumed == 0.0 && s.remaining.to_bits() == slot.budget.to_bits(),
+                "{label}: {q} at front {} ({}/{}) consumed {} of budget {}, remaining {}",
+                s.wavefront,
+                s.num,
+                s.den,
+                s.consumed,
+                slot.budget,
+                s.remaining,
             );
         }
+        assert_eq!(last.wavefront as usize + 1, ledger.fronts(), "{label}: {q} ends early");
+        assert_eq!(
+            last.consumed.to_bits(),
+            run.final_work[&q].to_bits(),
+            "{label}: {q} last front's consumed != final work"
+        );
     }
 }
 
-fn check_case(seed: u64, update_frac: f64) {
-    // Reference: obs on.
-    let (run_ref, ctrl_ref) = run_adaptive(seed, update_frac, true);
-    let ledger_ref = run_ref.obs.as_ref().unwrap().slack.clone().expect("adaptive run has ledger");
-    ledger_ref.verify().unwrap();
-    assert_ledger_matches_residuals(&ledger_ref, &ctrl_ref, "reference");
-    // The fold's consumed must be the driver's measured final work.
-    for (q, slot) in ledger_ref.queries() {
-        assert_eq!(slot.consumed().to_bits(), run_ref.final_work[&q].to_bits());
-    }
-
-    // Obs off: identical work numbers, no report — observation is free.
-    let (run_off, ctrl_off) = run_adaptive(seed, update_frac, false);
-    assert!(run_off.obs.is_none());
-    assert_eq!(run_ref.total_work.get().to_bits(), run_off.total_work.get().to_bits());
-    for (q, w) in &run_ref.final_work {
-        assert_eq!(w.to_bits(), run_off.final_work[q].to_bits(), "obs off: q{}", q.0);
-    }
-    // The controller saw the same residuals whether or not obs was on.
-    for (a, b) in ctrl_ref.residual_log().iter().zip(ctrl_off.residual_log()) {
-        for (q, r) in &a.residuals {
-            assert_eq!(r.to_bits(), b.residuals[q].to_bits(), "obs off residuals: q{}", q.0);
-        }
+/// Observability changes no work number.
+fn assert_same_work(on: &RunResult, off: &RunResult, label: &str) {
+    assert!(off.obs.is_none());
+    assert_eq!(on.total_work.get().to_bits(), off.total_work.get().to_bits(), "{label}: total");
+    assert_eq!(on.executions, off.executions, "{label}: executions");
+    assert_eq!(on.final_work.len(), off.final_work.len(), "{label}: queries");
+    for (q, w) in &on.final_work {
+        assert_eq!(w.to_bits(), off.final_work[q].to_bits(), "{label}: {q} final work");
     }
 }
 
-proptest::proptest! {
-    // Each case executes the workload twice (obs on and off); a few cases
-    // keep the suite's wall clock sane while still varying seed and update
-    // mix.
-    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
-    #[test]
-    fn ledger_remaining_is_bitwise_equal_to_adapt_residuals(
-        seed in 0u64..256,
-        update_frac in 0.1f64..0.6,
-    ) {
-        check_case(seed, update_frac);
-    }
-}
-
-/// A pinned single case so plain `cargo test` failures reproduce without
-/// proptest shrinking.
+/// `qa`/`qb`/`q6` planned at `Relative(0.35)` from clean statistics and fed
+/// a stream with 40% updates: the controller switches paces mid-run.
 #[test]
-fn ledger_matches_residuals_pinned_case() {
-    check_case(42, 0.4);
+fn adaptive_run_charges_final_work_only_at_the_trigger() {
+    let data = generate(0.004, 42).unwrap();
+    let planned = tpch_plan(&data, &fig2_and_q6(&data), 0.35, 100);
+    let feeds = with_updates(&data, 0.4, 42 ^ 0x00ad_a917).unwrap();
+    let w = CostWeights::default();
+    let run = |obs: bool| {
+        let opts = AdaptOptions::default();
+        let mut ctrl = AdaptController::from_planned(&planned, &data.catalog, w, opts).unwrap();
+        // No explicit `slo`: the ledger's budgets are the controller's L(q).
+        let src_opts = SourceOptions { obs: obs.then(ObsConfig::default), ..Default::default() };
+        let mut source = Source::in_order(&feeds);
+        let out = execute_adaptive_from_source_obs(
+            &planned.plan,
+            &data.catalog,
+            &mut source,
+            w,
+            src_opts,
+            &mut ctrl,
+        );
+        (out.unwrap().into_result().unwrap(), ctrl.switches().len())
+    };
+    let (on, switches) = run(true);
+    assert!(switches > 0, "the drifted stream must make the controller switch");
+    assert_charged_only_at_the_trigger(&on, "adapt");
+    assert_same_work(&on, &run(false).0, "adapt obs off");
+}
+
+/// Three sharing-friendly queries live, two admitted at 1/4 and 2/4 and q1
+/// removed at 3/4.
+#[test]
+fn churn_run_charges_final_work_only_at_the_trigger() {
+    let data = generate(0.002, 11).unwrap();
+    let pool = sharing_friendly(&data, 5);
+    let initial: Vec<(QueryId, LogicalPlan)> =
+        (0..3).map(|i| (QueryId(i as u16), pool[i].clone())).collect();
+    let cons: BTreeMap<QueryId, FinalWorkConstraint> =
+        (0..5).map(|q| (QueryId(q), FinalWorkConstraint::Relative(0.35))).collect();
+    let admit = |q: u16| ChurnOp::Admit {
+        query: QueryId(q),
+        plan: pool[q as usize].clone(),
+        constraint: FinalWorkConstraint::Relative(0.9),
+    };
+    let script = ChurnScript::new(vec![
+        ChurnEvent { num: 1, den: 4, op: admit(3) },
+        ChurnEvent { num: 2, den: 4, op: admit(4) },
+        ChurnEvent { num: 3, den: 4, op: ChurnOp::Remove { query: QueryId(1) } },
+    ]);
+    let feeds = insert_feeds(&data.data);
+    let run = |obs: bool| {
+        let source = SourceOptions { obs: obs.then(ObsConfig::default), ..Default::default() };
+        let opts = ChurnOptions { source, max_pace: 16 };
+        let (c, w) = (&data.catalog, CostWeights::default());
+        let mut src = Source::in_order(&feeds);
+        let out = execute_churn_from_source(&initial, &cons, &script, c, &mut src, w, &opts);
+        out.unwrap().into_result().unwrap()
+    };
+    let on = run(true);
+    assert_eq!(on.churn.len(), 3, "both admissions and the removal applied");
+    assert_eq!(on.removed, [QueryId(1)]);
+    let live: Vec<QueryId> = on.run.final_work.keys().copied().collect();
+    assert_eq!(live, [0, 2, 3, 4].map(QueryId), "exactly the live queries answer");
+    assert_charged_only_at_the_trigger(&on.run, "churn");
+    assert_same_work(&on.run, &run(false).run, "churn obs off");
 }
