@@ -451,8 +451,7 @@ pub fn fig15(p: &Params) -> Result<()> {
             // Each variant's paces, step count and report bits.
             let mut plans = Vec::new();
             for use_memo in [true, false] {
-                let o =
-                    PlanningOptions { max_pace, use_memo, partial: false, ..Default::default() };
+                let o = PlanningOptions { max_pace, use_memo, ..Default::default() };
                 let label = match plan_within(&planner_queries, cons, &env, o, p.dnf) {
                     Ok((elapsed, planned)) => {
                         plans.push((

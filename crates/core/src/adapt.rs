@@ -11,7 +11,7 @@
 //! hysteresis, so one noisy front cannot cause pace thrash) it refreshes the
 //! estimator's base stats ([`ishare_cost::PlanEstimator::refresh_base`],
 //! which keeps every memoized simulation the change cannot affect) and
-//! re-runs [`find_pace_configuration`] under `headroom · L(q)`. Final work
+//! re-runs [`find_pace_configuration`] under `HEADROOM · L(q)`. Final work
 //! is charged only at the trigger — every final tick sits at fraction 1,
 //! past the last front the controller evaluates — so a re-plan budgets the
 //! whole `L(q)`: nothing of it is spent yet.
@@ -34,10 +34,21 @@ use ishare_storage::Catalog;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+/// Relative drift at or above which a re-optimization fires (when armed).
+const DRIFT_THRESHOLD: f64 = 0.25;
+
 /// After a switch, the controller re-arms only once drift (against the
-/// *refreshed* stats) falls to `drift_threshold * REARM_RATIO`: the
+/// *refreshed* stats) falls to `DRIFT_THRESHOLD * REARM_RATIO`: the
 /// hysteresis band that prevents pace thrash.
 const REARM_RATIO: f64 = 0.5;
+
+/// Fraction of each budget `L(q)` a re-optimization targets. Final work is
+/// charged only at the trigger, so the whole `L(q)` is unspent at every
+/// front the controller re-plans at; but the cost model that mispredicted
+/// badly enough to trigger adaptation cannot be trusted to land exactly on
+/// the budget either, so the search aims below it and the slack absorbs
+/// the remaining estimate-vs-measured error.
+const HEADROOM: f64 = 0.8;
 
 /// Wavefronts skipped entirely after a switch before the trigger is
 /// evaluated again (lets the refreshed estimate settle).
@@ -46,27 +57,17 @@ const COOLDOWN_FRONTS: usize = 1;
 /// Knobs for the re-optimization trigger rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptOptions {
-    /// Relative drift at or above which a re-optimization fires (when
-    /// armed). `f64::INFINITY` disables adaptation entirely — the
-    /// controller still tallies drift metrics but never re-plans.
-    pub drift_threshold: f64,
-    /// Hard cap on the number of pace switches per run.
+    /// Hard cap on the number of pace switches per run. `0` disables
+    /// adaptation: the controller still tallies drift metrics but never
+    /// re-plans.
     pub max_switches: usize,
     /// Maximum pace handed to the re-entrant pace search.
     pub max_pace: u32,
-    /// Fraction of each budget `L(q)` the re-optimization actually
-    /// targets, in `(0, 1]`; final work is charged only at the trigger, so
-    /// the whole `L(q)` is unspent at every front the controller re-plans
-    /// at. The cost model that mispredicted badly enough to trigger
-    /// adaptation cannot be trusted to land exactly on the budget either,
-    /// so the search aims below it and the slack absorbs the remaining
-    /// estimate-vs-measured error. `1.0` targets the full budget.
-    pub headroom: f64,
 }
 
 impl Default for AdaptOptions {
     fn default() -> Self {
-        AdaptOptions { drift_threshold: 0.25, max_switches: 8, max_pace: 100, headroom: 0.8 }
+        AdaptOptions { max_switches: 8, max_pace: 100 }
     }
 }
 
@@ -74,24 +75,12 @@ impl AdaptOptions {
     /// Options that never trigger: drift is still measured (metrics), but no
     /// re-optimization ever runs. Used by the adaptation-invariance tests.
     pub fn disabled() -> Self {
-        AdaptOptions { drift_threshold: f64::INFINITY, ..AdaptOptions::default() }
+        AdaptOptions { max_switches: 0, ..AdaptOptions::default() }
     }
 
     fn validate(&self) -> Result<()> {
-        if self.drift_threshold.is_nan() || self.drift_threshold < 0.0 {
-            return Err(Error::InvalidConfig(format!(
-                "drift_threshold must be >= 0 (or +inf to disable), got {}",
-                self.drift_threshold
-            )));
-        }
         if self.max_pace == 0 {
             return Err(Error::InvalidConfig("max_pace must be >= 1".into()));
-        }
-        if !(self.headroom > 0.0 && self.headroom <= 1.0) {
-            return Err(Error::InvalidConfig(format!(
-                "headroom must be in (0, 1], got {}",
-                self.headroom
-            )));
         }
         Ok(())
     }
@@ -145,7 +134,7 @@ pub struct PaceSwitch {
     pub from: Vec<u32>,
     /// Paces installed by the switch.
     pub to: Vec<u32>,
-    /// Whether the re-run search believes `headroom · L(q)` is met for
+    /// Whether the re-run search believes `HEADROOM · L(q)` is met for
     /// every query.
     pub feasible: bool,
     /// Pace-search steps the re-optimization took.
@@ -306,12 +295,12 @@ impl AdaptController {
             return Ok(None);
         }
         if !self.armed {
-            if drift <= self.opts.drift_threshold * REARM_RATIO {
+            if drift <= DRIFT_THRESHOLD * REARM_RATIO {
                 self.armed = true;
             }
             return Ok(None);
         }
-        if drift < self.opts.drift_threshold || self.switches.len() >= self.opts.max_switches {
+        if drift < DRIFT_THRESHOLD || self.switches.len() >= self.opts.max_switches {
             return Ok(None);
         }
 
@@ -323,7 +312,7 @@ impl AdaptController {
             self.est.refresh_base(table, o)?;
         }
         let budgets: ConstraintMap =
-            self.constraints.iter().map(|(&q, &l)| (q, l.max(0.0) * self.opts.headroom)).collect();
+            self.constraints.iter().map(|(&q, &l)| (q, l.max(0.0) * HEADROOM)).collect();
         let outcome = find_pace_configuration(&mut self.est, &budgets, self.opts.max_pace)?;
         self.metrics.reopt_time += started.elapsed();
         self.armed = false;
@@ -452,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn infinite_threshold_never_triggers() {
+    fn disabled_options_never_trigger() {
         let (mut ctrl, initial, t) = planned_controller(0.4, AdaptOptions::disabled());
         for wf in 0..3 {
             let mut obs = drifted_obs(t, 5.0);
@@ -558,11 +547,7 @@ mod tests {
                 opts,
             )
         };
-        assert!(mk(AdaptOptions { drift_threshold: f64::NAN, ..AdaptOptions::default() }).is_err());
-        assert!(mk(AdaptOptions { drift_threshold: -0.5, ..AdaptOptions::default() }).is_err());
         assert!(mk(AdaptOptions { max_pace: 0, ..AdaptOptions::default() }).is_err());
-        assert!(mk(AdaptOptions { headroom: 0.0, ..AdaptOptions::default() }).is_err());
-        assert!(mk(AdaptOptions { headroom: f64::NAN, ..AdaptOptions::default() }).is_err());
         // Wrong pace arity.
         assert!(AdaptController::new(
             &plan,

@@ -106,8 +106,6 @@ pub struct PlannedExecution {
 pub struct PlanningOptions {
     /// Pace cap: at least 1.
     pub max_pace: u32,
-    /// Partial decomposition for the iShare variants.
-    pub partial: bool,
     /// Memoized estimation.
     pub use_memo: bool,
     /// Brute-force deadline.
@@ -116,12 +114,7 @@ pub struct PlanningOptions {
 
 impl Default for PlanningOptions {
     fn default() -> Self {
-        PlanningOptions {
-            max_pace: 100,
-            partial: true,
-            use_memo: true,
-            brute_deadline: Duration::from_secs(60),
-        }
+        PlanningOptions { max_pace: 100, use_memo: true, brute_deadline: Duration::from_secs(60) }
     }
 }
 

@@ -184,15 +184,12 @@ pub fn try_decompose_subplan(
     // of each root-anchored subtree cut off below, every piece keeping the
     // target's pace.
     let mut partials = Vec::new();
-    if opts.partial {
-        for included in
-            partial::subtree_candidates(target_sp)?.into_iter().take(MAX_PARTIAL_CANDIDATES)
-        {
-            let cut = partial::force_cut_points(current, target, &included)?;
-            if cut.plan.validate(catalog).is_ok() {
-                let paces2 = initial_paces(current, paces, &cut, &[])?;
-                partials.push((cut, paces2));
-            }
+    for included in partial::subtree_candidates(target_sp)?.into_iter().take(MAX_PARTIAL_CANDIDATES)
+    {
+        let cut = partial::force_cut_points(current, target, &included)?;
+        if cut.plan.validate(catalog).is_ok() {
+            let paces2 = initial_paces(current, paces, &cut, &[])?;
+            partials.push((cut, paces2));
         }
     }
     let root = current.roots[target.index()];

@@ -3,9 +3,9 @@
 //! Zero-dependency observability for the iShare engine: a metrics registry
 //! ([`MetricsRegistry`]) with Prometheus text exposition ([`prometheus_text`]),
 //! a bounded trace of one [`Span`] type — tick, wavefront, operator, ingest
-//! poll and adapt search — plus slack counter samples, with Chrome
-//! `trace_event` export ([`TraceBuffer`]), the per-query slack ledger
-//! ([`SlackLedger`]), and the per-run bundle the drivers hand back
+//! poll and adapt search — plus per-query charged-work counter samples,
+//! with Chrome `trace_event` export ([`TraceBuffer`]), the per-query slack
+//! ledger ([`SlackLedger`]), and the per-run bundle the drivers hand back
 //! ([`ObsReport`]).
 //!
 //! ## Design constraints
@@ -33,7 +33,7 @@ pub mod trace;
 pub use metrics::{Histogram, MetricsRegistry, DEFAULT_BUCKETS};
 pub use prom::{prom_name, prometheus_text};
 pub use report::{ExecCounts, ObsConfig, ObsReport};
-pub use slack::{FrontCharge, QuerySlack, SlackLedger, SlackSample};
+pub use slack::{QuerySlack, SlackLedger};
 pub use trace::{
     SlackPoint, Span, SpanKind, TraceBuffer, ADAPT_TID, INGEST_TID, OP_TID, WAVEFRONT_TID,
 };

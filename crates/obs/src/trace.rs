@@ -8,10 +8,10 @@
 //! a time, operator spans subdivide their tick, and polls, wavefronts and
 //! adapt evaluations follow one another at the boundary.
 //!
-//! [`SlackPoint`]s are not spans but counter samples: one per query per
-//! wavefront boundary, exported as Chrome `ph: "C"` counter events (one
-//! `slack q{i}` counter track per query) so remaining slack renders as a
-//! stepped area chart above the execution tracks.
+//! [`SlackPoint`]s are not spans but counter samples: one per budgeted
+//! query per wavefront boundary, exported as Chrome `ph: "C"` counter
+//! events (one `charged q{i}` counter track per query) so the work charged
+//! to each query renders as a rising staircase above the execution tracks.
 //!
 //! Timestamps are microsecond offsets from the start of the run.
 
@@ -148,8 +148,8 @@ impl Span {
     }
 }
 
-/// One per-query slack sample at a wavefront boundary, exported as a Chrome
-/// counter event on the query's `slack q{i}` counter track.
+/// One budgeted query's sample at a wavefront boundary, exported as a
+/// Chrome counter event on the query's `charged q{i}` counter track.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlackPoint {
     /// Query index (`QueryId.0`).
@@ -158,10 +158,9 @@ pub struct SlackPoint {
     pub wavefront: u32,
     /// Sample timestamp (end of the wavefront), microseconds from run start.
     pub ts_us: u64,
-    /// Remaining slack: `max(0, L(q) − consumed)`, work units.
-    pub remaining: f64,
-    /// Final work charged against the budget so far, work units.
-    pub consumed: f64,
+    /// Cumulative work charged to the query's subplans (incremental +
+    /// final), work units.
+    pub charged: f64,
 }
 
 /// A bounded append-only trace: spans and slack samples share one
@@ -230,8 +229,8 @@ impl TraceBuffer {
     /// (wavefronts, ticks, ingest, adapt, ops, in that order). Every span
     /// then becomes a complete (`"ph": "X"`) event with `ts`/`dur` in
     /// microseconds, in insertion order, and slack samples render last as
-    /// counter (`"ph": "C"`) events, one `slack q{i}` counter per query
-    /// with `remaining`/`consumed` series.
+    /// counter (`"ph": "C"`) events, one `charged q{i}` counter per query
+    /// with a `charged` series.
     pub fn chrome_trace(&self) -> Value {
         let mut events: Vec<Value> = Vec::with_capacity(self.spans.len() + self.slack.len() + 5);
         for (tid, name) in TRACKS {
@@ -259,9 +258,9 @@ impl TraceBuffer {
                 "ph": "C",
                 "pid": 1,
                 "ts": p.ts_us,
-                "name": format!("slack q{}", p.query),
+                "name": format!("charged q{}", p.query),
                 "cat": "slo",
-                "args": { "remaining": p.remaining, "consumed": p.consumed },
+                "args": { "charged": p.charged },
             }));
         }
         json!({ "traceEvents": events, "displayTimeUnit": "ms" })
@@ -288,7 +287,7 @@ mod tests {
     }
 
     fn slack_point(ts_us: u64) -> SlackPoint {
-        SlackPoint { query: 2, wavefront: 0, ts_us, remaining: 90.0, consumed: 10.0 }
+        SlackPoint { query: 2, wavefront: 0, ts_us, charged: 10.0 }
     }
 
     #[test]
@@ -409,10 +408,9 @@ mod tests {
         let op = events.iter().find(|e| e["cat"] == "operator").unwrap();
         assert_eq!(op["name"], "sp0 scan");
         assert_eq!(op["args"]["work"].as_f64(), Some(7.0));
-        // The slack point renders last, as a counter event with both series.
+        // The slack point renders last, as a counter event.
         let c = events.last().unwrap();
-        assert_eq!((c["ph"].as_str(), c["name"].as_str()), (Some("C"), Some("slack q2")));
-        assert_eq!(c["args"]["remaining"].as_f64(), Some(90.0));
-        assert_eq!(c["args"]["consumed"].as_f64(), Some(10.0));
+        assert_eq!((c["ph"].as_str(), c["name"].as_str()), (Some("C"), Some("charged q2")));
+        assert_eq!(c["args"]["charged"].as_f64(), Some(10.0));
     }
 }

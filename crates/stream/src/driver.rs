@@ -95,9 +95,9 @@ pub struct SourceOptions {
     pub partitions: usize,
     /// Per-query final-work budgets `L(q)` for the slack ledger. When set
     /// (and `obs` is on), the report carries a
-    /// [`SlackLedger`](ishare_obs::SlackLedger) with one sample per query
-    /// per wavefront plus `slo.*` metrics and per-query slack counter
-    /// tracks in the Chrome trace. Adaptive runs default this
+    /// [`SlackLedger`](ishare_obs::SlackLedger) with one account per query
+    /// plus `slo.*` metrics, and the Chrome trace a per-query counter track
+    /// of the work charged to it at each wavefront. Adaptive runs default this
     /// to the controller's constraints, churn runs to the live queries'
     /// resolved budgets. Purely observational: budgets never influence
     /// execution.

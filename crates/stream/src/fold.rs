@@ -13,8 +13,10 @@
 //! and each span is recorded at the boundary that measured it: the loop
 //! hands over its ingest poll ([`Fold::poll`]) and adapt evaluation
 //! ([`Fold::adapt`]) as soon as it times them, and [`Fold::front`] records
-//! the front's wavefront, tick and operator spans, tick histograms and
-//! slack counters. Nothing is kept per execution beyond the front.
+//! the front's wavefront, tick and operator spans, tick histograms and,
+//! per budgeted query, its front-work histogram and charged-work counter.
+//! Nothing is kept per execution beyond the front, and nothing per front
+//! beyond the trace and the histograms.
 
 use crate::engine::{EngineState, TickRec};
 use crate::schedule::Tick;
@@ -22,8 +24,8 @@ use ishare_common::{OpKind, QueryId, WorkBreakdown, WorkUnits};
 use ishare_core::adapt::AdaptController;
 use ishare_ingest::TopicStats;
 use ishare_obs::{
-    ExecCounts, FrontCharge, MetricsRegistry, ObsConfig, ObsReport, SlackLedger, SlackPoint, Span,
-    SpanKind, TraceBuffer,
+    ExecCounts, MetricsRegistry, ObsConfig, ObsReport, SlackLedger, SlackPoint, Span, SpanKind,
+    TraceBuffer,
 };
 use ishare_plan::SharedPlan;
 use std::collections::BTreeMap;
@@ -58,7 +60,8 @@ pub(crate) struct Fold {
     /// executions. Zero in a fixed-plan run.
     carried_breakdown: WorkBreakdown,
     carried_exec: ExecCounts,
-    /// Per-query slack ledger, sampled at every folded front.
+    /// Per-query slack ledger: charged work updated at every folded front,
+    /// final work settled at the trigger.
     pub(crate) ledger: Option<SlackLedger>,
     /// The run's trace and metrics; present iff observability is on.
     obs: Option<Recorder>,
@@ -238,32 +241,27 @@ impl Fold {
             }
         }
         let Some(mut ledger) = self.ledger.take() else { return };
-        let charges: BTreeMap<QueryId, FrontCharge> = plan
-            .queries()
-            .iter()
-            .map(|q| {
-                let charge = FrontCharge {
-                    front_work: of_query(plan, q, |i| sp_front[i]),
-                    charged_total: self.charged_total(plan, q),
-                    consumed: self.final_work(plan, q),
-                };
-                (q, charge)
-            })
-            .collect();
-        ledger.record_front(wf as u32, num, den, &charges);
-        if let Some(r) = self.obs.as_mut() {
-            for (q, qs) in ledger.queries() {
-                if let Some(s) = qs.samples.last() {
-                    r.trace.push_slack(SlackPoint {
-                        query: q.0,
-                        wavefront: wf as u32,
-                        ts_us: micros(at.end),
-                        remaining: s.remaining,
-                        consumed: s.consumed,
-                    });
-                }
+        let mut r = self.obs.take().expect("a slack ledger is kept only with obs on");
+        let (live, wavefront, ts_us) = (plan.queries(), wf as u32, micros(at.end));
+        ledger.record_front(|q, slot| {
+            // A budget for a query the plan does not run is charged nothing.
+            if !live.contains(q) {
+                return;
             }
-        }
+            let front_work = of_query(plan, q, |i| sp_front[i]);
+            r.metrics.histogram_record(&format!("slo.q{}.front_work", q.index()), front_work);
+            slot.charged_total = self.charged_total(plan, q);
+            if num == den {
+                slot.consumed = self.final_work(plan, q);
+            }
+            r.trace.push_slack(SlackPoint {
+                query: q.0,
+                wavefront,
+                ts_us,
+                charged: slot.charged_total,
+            });
+        });
+        self.obs = Some(r);
         self.ledger = Some(ledger);
     }
 

@@ -67,7 +67,5 @@ pub use driver::{
 };
 pub use ishare_exec::{ExecMode, ExecOptions};
 pub use ishare_ingest::{ChurnKind, ChurnRecord, CommitLog, Source, SourceConfig};
-pub use ishare_obs::{
-    ExecCounts, ObsConfig, ObsReport, QuerySlack, SlackLedger, SlackPoint, SlackSample,
-};
+pub use ishare_obs::{ExecCounts, ObsConfig, ObsReport, QuerySlack, SlackLedger, SlackPoint};
 pub use measure::{missed_latency_stats, MissedLatencyStats};

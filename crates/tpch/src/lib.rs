@@ -28,13 +28,11 @@
 
 pub mod datagen;
 pub mod names;
-pub mod producer;
 pub mod queries;
 pub mod updates;
 pub mod variants;
 
 pub use datagen::{calibrate, generate, TpchData};
-pub use producer::{produce_source, StreamConfig};
 pub use queries::{all_queries, query_by_name, QueryDef};
 pub use updates::{net_rows, with_updates, with_updates_windowed, UPDATE_WINDOW};
 pub use variants::variant_plan;

@@ -12,8 +12,8 @@
 //! final work, then renders the iShare run's [`ObsReport`]: the
 //! per-operator work breakdown, per-subplan execution counts, delta-buffer
 //! high-water and ingest gauges from the metrics registry, the
-//! per-dashboard slack ledger (budget vs consumed final work at every
-//! wavefront, met/missed), and per-dashboard missed-latency statistics
+//! per-dashboard slack ledger (budget vs consumed final work,
+//! met/missed), and per-dashboard missed-latency statistics
 //! against the resolved goals.
 //!
 //! [`ObsReport`]: ishare::stream::ObsReport
@@ -84,13 +84,13 @@ fn render_report(
 
     if let Some(ledger) = &report.slack {
         println!("\nslack ledger (budget L(q) vs final work consumed, per dashboard):");
-        let max = ledger.queries().map(|(_, s)| s.budget.max(s.consumed())).fold(0.0, f64::max);
+        let max = ledger.queries().map(|(_, s)| s.budget.max(s.consumed)).fold(0.0, f64::max);
         for (q, slot) in ledger.queries() {
             let (label, _, _) = dashboards[q.index()];
             println!(
                 "  {label:<32} budget {:>9.0}  consumed {:>9.0}  slack {:>9.0}  {}",
                 slot.budget,
-                slot.consumed(),
+                slot.consumed,
                 slot.remaining(),
                 if slot.met() {
                     "met".to_string()
@@ -98,7 +98,7 @@ fn render_report(
                     format!("MISS (over by {:.0})", slot.overrun())
                 },
             );
-            println!("    consumed {}", bar(slot.consumed(), max));
+            println!("    consumed {}", bar(slot.consumed, max));
             println!("    budget   {}", bar(slot.budget, max));
         }
         println!(

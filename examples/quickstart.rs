@@ -103,7 +103,13 @@ fn main() -> ishare::Result<()> {
             &catalog,
             &feeds,
             CostWeights::default(),
-            SourceOptions { obs, ..Default::default() },
+            // The observed run declares the budgets L(q): its trace gains a
+            // counter track per query and its metrics the `slo.*` family.
+            SourceOptions {
+                obs,
+                slo: obs.map(|_| planned.constraints.clone()),
+                ..Default::default()
+            },
         )?;
         println!(
             "{:<16} {:>14.0} {:>14.0} {:>14.0} {:>9.3}s   (paces {})",

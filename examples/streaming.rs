@@ -24,10 +24,9 @@
 //! [`Source`]: ishare::stream::Source
 
 use ishare::core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions};
-use ishare::stream::{execute_from_source_obs, SourceOptions, SourceOutcome};
-use ishare::tpch::{generate, produce_source, query_by_name, StreamConfig};
+use ishare::stream::{execute_from_source_obs, Source, SourceConfig, SourceOptions, SourceOutcome};
+use ishare::tpch::{generate, query_by_name, with_updates};
 use ishare_common::{CostWeights, Error, QueryId, Result};
-use ishare_ingest::SourceConfig;
 use std::collections::BTreeMap;
 
 fn main() -> Result<()> {
@@ -54,16 +53,15 @@ fn main() -> Result<()> {
 
     // 2. Arrival model: `update_frac` of fact arrivals are delete+insert
     //    updates; topics are partitioned with a bounded ring (so the
-    //    producer genuinely stalls) and jittered arrival order.
-    let cfg = StreamConfig {
-        update_frac,
-        source: SourceConfig { partitions: 2, capacity: 256, jitter, seed },
-    };
+    //    producer genuinely stalls) and jittered arrival order. The seed
+    //    drives both the update stream and the arrival permutation.
+    let feeds = with_updates(&data, update_frac, seed)?;
+    let cfg = SourceConfig { partitions: 2, capacity: 256, jitter, seed };
     println!("sf {sf}, seed {seed}, jitter {jitter}");
 
     // Every run pulls from a source rebuilt from the same seed.
     let run_once = |sopts: SourceOptions| -> Result<SourceOutcome> {
-        let mut source = produce_source(&data, cfg)?;
+        let mut source = Source::new(&feeds, cfg)?;
         execute_from_source_obs(
             &planned.plan,
             planned.paces.as_slice(),

@@ -179,7 +179,7 @@ fn all_22_tpch_queries_match_reference_under_ishare() {
     let queries: Vec<(QueryId, ishare::plan::LogicalPlan)> =
         defs.iter().enumerate().map(|(i, d)| (QueryId(i as u16), d.plan.clone())).collect();
     let cons = rel_constraints(queries.len(), 0.5);
-    let opts = PlanningOptions { max_pace: 8, partial: false, ..Default::default() };
+    let opts = PlanningOptions { max_pace: 8, ..Default::default() };
     let planned = plan_workload(Approach::IShare, &queries, &cons, &data.catalog, &opts).unwrap();
     planned.paces.respects_plan(&planned.plan).unwrap();
     let run = execute_planned(

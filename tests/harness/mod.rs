@@ -15,7 +15,8 @@ use ishare::plan::LogicalPlan;
 use ishare::stream::{
     execute_adaptive_from_source_obs, execute_from_source_obs, execute_from_source_parallel_obs,
     execute_planned_deltas_with, ChurnOutcome, ChurnRecord, CommitLog, ExecCounts, ExecMode,
-    ObsConfig, ObsReport, RunResult, Source, SourceConfig, SourceOptions, SourceOutcome,
+    ObsConfig, ObsReport, QuerySlack, RunResult, Source, SourceConfig, SourceOptions,
+    SourceOutcome,
 };
 use ishare::tpch::{generate, queries::sharing_friendly_queries, query_by_name};
 use ishare::tpch::{updates::DeltaFeed, TpchData};
@@ -29,9 +30,15 @@ use std::collections::{BTreeMap, HashMap};
 // The digest and the comparator
 // ---------------------------------------------------------------------------
 
-/// One ledger sample as bits: wavefront, num, den, then front work,
-/// charged total, consumed and remaining.
-pub type LedgerSample = [u64; 7];
+/// A slack ledger as bits: the front count; per query its budget,
+/// consumed, charged total and joined front; and the trace's per-front
+/// charged-work points as (query, wavefront, charged), timestamps left out.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LedgerBits {
+    pub fronts: usize,
+    pub accounts: Vec<(QueryId, [u64; 4])>,
+    pub charged: Vec<(u16, u32, u64)>,
+}
 
 /// Everything a run is judged by, floats as bit patterns. The optional
 /// parts exist only for runs that produce them.
@@ -46,8 +53,8 @@ pub struct Digest {
     pub log: Option<CommitLog>,
     /// Obs-on runs: per subplan, per `OpKind`.
     pub cells: Option<Vec<Vec<u64>>>,
-    /// Obs-on runs with budgets: per query, its budget and samples.
-    pub ledger: Option<Vec<(QueryId, u64, Vec<LedgerSample>)>>,
+    /// Obs-on runs with budgets.
+    pub ledger: Option<Box<LedgerBits>>,
     /// Adaptive runs.
     pub switches: Option<Vec<PaceSwitch>>,
     /// Churn runs: records, hand-off rows, reclaimed rows.
@@ -90,17 +97,18 @@ impl Digest {
     }
 }
 
-fn ledger_bits(report: &ObsReport) -> Option<Vec<(QueryId, u64, Vec<LedgerSample>)>> {
+fn ledger_bits(report: &ObsReport) -> Option<Box<LedgerBits>> {
     let ledger = report.slack.as_ref()?;
-    let samples = |s: &ishare::stream::SlackSample| {
-        let bits = [s.front_work, s.charged_total, s.consumed, s.remaining].map(f64::to_bits);
-        let [a, b, c, d] = bits;
-        [u64::from(s.wavefront), u64::from(s.num), u64::from(s.den), a, b, c, d]
+    let account = |(q, s): (QueryId, &QuerySlack)| {
+        let [budget, consumed, charged] = [s.budget, s.consumed, s.charged_total].map(f64::to_bits);
+        (q, [budget, consumed, charged, u64::from(s.joined)])
     };
-    let rows = ledger
-        .queries()
-        .map(|(q, slot)| (q, slot.budget.to_bits(), slot.samples.iter().map(samples).collect()));
-    Some(rows.collect())
+    let points = report.trace.slack_points().iter();
+    Some(Box::new(LedgerBits {
+        fronts: ledger.fronts(),
+        accounts: ledger.queries().map(account).collect(),
+        charged: points.map(|p| (p.query, p.wavefront, p.charged.to_bits())).collect(),
+    }))
 }
 
 /// Diff two digests: the core always, each optional part when both carry it.

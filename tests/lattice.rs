@@ -96,11 +96,11 @@ fn lattice_points_match_the_reference_run() {
             seen.obs[usize::from(p.obs)] += 1;
             seen.feeds[p.feed as usize] += 1;
             seen.adaptive[usize::from(p.adaptive)] += 1;
-            let ledger = got.ledger.iter().flatten();
-            let clamped = |(_, budget, samples): &(QueryId, u64, Vec<LedgerSample>)| {
-                samples.iter().any(|s| f64::from_bits(s[5]) > f64::from_bits(*budget))
+            let accounts = got.ledger.iter().flat_map(|l| &l.accounts);
+            let clamped = |(_, [budget, consumed, ..]): &&(QueryId, [u64; 4])| {
+                f64::from_bits(*consumed) > f64::from_bits(*budget)
             };
-            seen.clamped_slack += ledger.filter(|row| clamped(row)).count();
+            seen.clamped_slack += accounts.filter(clamped).count();
         }
     });
     // Every axis value was sampled, and the events the lattice exists for
@@ -349,10 +349,10 @@ fn slo_scenario_ledger_matches_golden() {
     let mut pinned = Vec::new();
     for (q, slot) in ledger.queries() {
         assert_eq!(slot.budget.to_bits(), planned.constraints[&q].to_bits(), "{q}: budget != L(q)");
-        assert_eq!(slot.consumed().to_bits(), seq.final_work[&q], "{q}: consumed != final work");
+        assert_eq!(slot.consumed.to_bits(), seq.final_work[&q], "{q}: consumed != final work");
         let gauge = |name: &str| obs.metrics.gauge(&format!("slo.q{}.{name}", q.index())).unwrap();
         let mirror = [gauge("budget"), gauge("consumed"), gauge("slack_remaining")];
-        let bits = [slot.budget, slot.consumed(), slot.remaining()].map(f64::to_bits);
+        let bits = [slot.budget, slot.consumed, slot.remaining()].map(f64::to_bits);
         assert_eq!(mirror.map(f64::to_bits), bits, "{q}: slo gauges != ledger");
         pinned.push(bits);
     }

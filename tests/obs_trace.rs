@@ -68,6 +68,7 @@ fn check_chrome_trace(trace: &serde_json::Value) {
     let events = trace["traceEvents"].as_array().expect("traceEvents array");
     assert!(!events.is_empty(), "trace must contain events");
     let mut spans_by_tid: HashMap<i64, Vec<(i64, i64)>> = HashMap::new();
+    let mut charged_by_query: HashMap<&str, f64> = HashMap::new();
     let mut saw_span = false;
     for ev in events {
         match ev["ph"].as_str().expect("ph field") {
@@ -75,13 +76,14 @@ fn check_chrome_trace(trace: &serde_json::Value) {
                 assert_eq!(ev["name"].as_str(), Some("thread_name"));
                 continue;
             }
-            // Slack counter tracks: a timestamped value series per query.
+            // Charged-work counter tracks: a timestamped series per query
+            // that never decreases.
             "C" => {
                 assert!(ev["ts"].as_i64().expect("counter ts") >= 0);
-                assert!(
-                    ev["args"]["remaining"].as_f64().is_some(),
-                    "slack counters carry `remaining`"
-                );
+                let charged = ev["args"]["charged"].as_f64().expect("counters carry `charged`");
+                let name = ev["name"].as_str().expect("counter name");
+                let last = charged_by_query.insert(name, charged).unwrap_or(0.0);
+                assert!(charged >= last, "{name}: charged work fell from {last} to {charged}");
                 continue;
             }
             "X" => {}
@@ -171,7 +173,7 @@ fn prometheus_text_is_well_formed() {
 }
 
 /// A source-fed run with SLO budgets grows the trace by the new tracks —
-/// ingest poll spans, operator spans, per-query slack counters —
+/// ingest poll spans, operator spans, per-query charged-work counters —
 /// and the whole document still satisfies the well-formedness checks.
 #[test]
 fn slo_run_adds_aux_and_slack_tracks() {
@@ -198,13 +200,20 @@ fn slo_run_adds_aux_and_slack_tracks() {
     assert_eq!(ledger.misses(), 0, "1e6 budgets are unmissable on 120 rows");
     let aux = |s: &Span| !matches!(s.kind, SpanKind::Tick { .. } | SpanKind::Wavefront { .. });
     assert!(report.trace.spans().iter().any(aux), "ingest/operator aux spans recorded");
-    assert!(!report.trace.slack_points().is_empty(), "slack counter points recorded");
+    assert!(!report.trace.slack_points().is_empty(), "charged-work counter points recorded");
+    // Each query's last counter point is what its account was charged.
+    for (q, slot) in ledger.queries() {
+        let points = report.trace.slack_points().iter();
+        let last = points.rev().find(|p| p.query == q.0).expect("a point per query");
+        assert_eq!(last.charged.to_bits(), slot.charged_total.to_bits(), "{q}: charged");
+        assert!(slot.charged_total > 0.0, "{q}: nothing charged");
+    }
 
     let doc = report.chrome_trace();
     check_chrome_trace(&doc);
     let events = doc["traceEvents"].as_array().unwrap();
     let count_ph = |ph: &str| events.iter().filter(|e| e["ph"].as_str() == Some(ph)).count();
-    assert!(count_ph("C") > 0, "trace carries slack counter events");
+    assert!(count_ph("C") > 0, "trace carries charged-work counter events");
     let cats: Vec<&str> = events.iter().filter_map(|e| e["cat"].as_str()).collect();
     for want in ["ingest", "operator", "slo"] {
         assert!(cats.contains(&want), "trace lacks category {want:?}");
@@ -213,7 +222,7 @@ fn slo_run_adds_aux_and_slack_tracks() {
 
 /// An adaptive, budgeted run pulled from a jittered source records one tick
 /// span per execution, one wavefront and one ingest-poll span per front,
-/// one adapt span per controller evaluation and one slack sample per query
+/// one adapt span per controller evaluation and one counter point per query
 /// per front — and drops nothing.
 #[test]
 fn adaptive_source_fed_run_records_each_span_once() {

@@ -1,19 +1,20 @@
-//! Final work is charged only at the trigger, and the slack ledger shows it.
+//! Final work is charged only at the trigger, and the slack ledger records
+//! it there.
 //!
-//! Every final tick sits at arrival fraction 1, so at every wavefront
-//! boundary before a query's last the ledger has `consumed == 0` and
-//! `remaining` equal to the budget, bit for bit — which is why the adapt
+//! Every final tick sits at arrival fraction 1 — which is why the adapt
 //! controller and the churn runner re-plan under the budgets `L(q)`
-//! themselves. The last front's `consumed` is the run's measured final
-//! work. One adaptive run that switches paces and one churn run that admits
-//! and removes queries are checked, each with observability on and off
-//! (which must not change a work number).
+//! themselves — and each budgeted query's account holds, as `consumed`, the
+//! run's measured final work to the bit. One adaptive run that switches
+//! paces and one churn run that admits and removes queries are checked,
+//! each with observability on and off (which must not change a work
+//! number).
 
 mod harness;
 
 use harness::{fig2_and_q6, sharing_friendly, tpch_plan};
 use ishare::core::adapt::{AdaptController, AdaptOptions};
 use ishare::core::FinalWorkConstraint;
+use ishare::obs::SpanKind;
 use ishare::plan::LogicalPlan;
 use ishare::stream::{
     execute_adaptive_from_source_obs, execute_churn_from_source, insert_feeds, ChurnEvent, ChurnOp,
@@ -23,32 +24,34 @@ use ishare::tpch::{generate, with_updates};
 use ishare_common::{CostWeights, QueryId};
 use std::collections::BTreeMap;
 
-/// Every ledger sample before a query's last front has charged no final
-/// work and keeps the whole budget; the last front is the run's last and
-/// its `consumed` is the measured final work.
+/// Every final tick in the trace ran at fraction 1, one per final execution
+/// folded; the ledger holds one account per answering query, and its
+/// `consumed` is the measured final work.
 fn assert_charged_only_at_the_trigger(run: &RunResult, label: &str) {
-    let ledger = run.obs.as_ref().unwrap().slack.as_ref().expect("obs run has a ledger");
-    ledger.verify().unwrap();
-    assert!(!ledger.is_empty(), "{label}: empty ledger");
-    for (q, slot) in ledger.queries() {
-        let (last, before) = slot.samples.split_last().expect("a query has samples");
-        for s in before {
-            assert!(
-                s.consumed == 0.0 && s.remaining.to_bits() == slot.budget.to_bits(),
-                "{label}: {q} at front {} ({}/{}) consumed {} of budget {}, remaining {}",
-                s.wavefront,
-                s.num,
-                s.den,
-                s.consumed,
-                slot.budget,
-                s.remaining,
-            );
+    let report = run.obs.as_ref().expect("an obs run has a report");
+    assert_eq!(report.trace.dropped(), 0, "{label}: the trace was cut short");
+    let mut finals = 0u64;
+    for s in report.trace.spans() {
+        if let SpanKind::Tick { num, den, is_final: true, .. } = s.kind {
+            assert_eq!(num, den, "{label}: sp{} ran a final tick at {num}/{den}", s.sp);
+            finals += 1;
         }
-        assert_eq!(last.wavefront as usize + 1, ledger.fronts(), "{label}: {q} ends early");
+    }
+    let folded: u64 = report.executions_by_subplan.iter().map(|e| e.finals).sum();
+    assert_eq!(finals, folded + report.replaced_executions.finals, "{label}: finals");
+
+    let ledger = report.slack.as_ref().expect("an obs run has a ledger");
+    ledger.verify().unwrap();
+    let accounts: Vec<QueryId> = ledger.queries().map(|(q, _)| q).collect();
+    let answered: Vec<QueryId> = run.final_work.keys().copied().collect();
+    assert_eq!(accounts, answered, "{label}: one account per answering query");
+    for (q, slot) in ledger.queries() {
         assert_eq!(
-            last.consumed.to_bits(),
+            slot.consumed.to_bits(),
             run.final_work[&q].to_bits(),
-            "{label}: {q} last front's consumed != final work"
+            "{label}: {q} consumed {} != final work {}",
+            slot.consumed,
+            run.final_work[&q]
         );
     }
 }
