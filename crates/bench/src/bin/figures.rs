@@ -17,7 +17,7 @@
 //! cheaper), all.
 //!
 //! Options: `--sf <f64>`, `--seed <u64>`, `--max-pace <u32>`,
-//! `--random-sets <n>`, `--dnf-secs <n>`.
+//! `--random-sets <n>`.
 
 use ishare_bench::experiments::{self, Params};
 
@@ -39,9 +39,6 @@ fn main() {
             "--seed" => params.seed = value(&args, &mut i, "--seed <u64>"),
             "--max-pace" => params.max_pace = value(&args, &mut i, "--max-pace <u32>"),
             "--random-sets" => params.random_sets = value(&args, &mut i, "--random-sets <n>"),
-            "--dnf-secs" => {
-                params.dnf = std::time::Duration::from_secs(value(&args, &mut i, "--dnf-secs <n>"))
-            }
             other if !other.starts_with("--") => exp = other.to_string(),
             other => {
                 eprintln!("unknown option {other}");
@@ -55,8 +52,8 @@ fn main() {
         std::process::exit(2);
     }
     println!(
-        "iShare experiment harness — sf {}, seed {}, max pace {}, DNF {:?}",
-        params.sf, params.seed, params.max_pace, params.dnf
+        "iShare experiment harness — sf {}, seed {}, max pace {}",
+        params.sf, params.seed, params.max_pace
     );
 
     let run = |name: &str, params: &Params| {

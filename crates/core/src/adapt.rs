@@ -7,9 +7,8 @@
 //! final-work constraints they were selected to meet. [`AdaptController`]
 //! closes the loop: the stream drivers hand it one [`WavefrontObservation`]
 //! per committed wavefront, it measures drift between observed and estimated
-//! base-stream statistics, and when drift crosses a threshold (with
-//! hysteresis, so one noisy front cannot cause pace thrash) it refreshes the
-//! estimator's base stats ([`ishare_cost::PlanEstimator::refresh_base`],
+//! base-stream statistics, and when drift crosses a threshold it refreshes
+//! the estimator's base stats ([`ishare_cost::PlanEstimator::refresh_base`],
 //! which keeps every memoized simulation the change cannot affect) and
 //! re-runs [`find_pace_configuration`] under `HEADROOM · L(q)`. Final work
 //! is charged only at the trigger — every final tick sits at fraction 1,
@@ -34,13 +33,10 @@ use ishare_storage::Catalog;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Relative drift at or above which a re-optimization fires (when armed).
+/// Relative drift at or above which a re-optimization fires. Drift is
+/// measured against the stats the previous trigger refreshed, so a
+/// corrected model does not fire again until the stream drifts anew.
 const DRIFT_THRESHOLD: f64 = 0.25;
-
-/// After a switch, the controller re-arms only once drift (against the
-/// *refreshed* stats) falls to `DRIFT_THRESHOLD * REARM_RATIO`: the
-/// hysteresis band that prevents pace thrash.
-const REARM_RATIO: f64 = 0.5;
 
 /// Fraction of each budget `L(q)` a re-optimization targets. Final work is
 /// charged only at the trigger, so the whole `L(q)` is unspent at every
@@ -49,10 +45,6 @@ const REARM_RATIO: f64 = 0.5;
 /// the budget either, so the search aims below it and the slack absorbs
 /// the remaining estimate-vs-measured error.
 const HEADROOM: f64 = 0.8;
-
-/// Wavefronts skipped entirely after a switch before the trigger is
-/// evaluated again (lets the refreshed estimate settle).
-const COOLDOWN_FRONTS: usize = 1;
 
 /// Knobs for the re-optimization trigger rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,8 +158,6 @@ pub struct AdaptController {
     constraints: ConstraintMap,
     opts: AdaptOptions,
     paces: PaceConfiguration,
-    armed: bool,
-    cooldown: usize,
     switches: Vec<PaceSwitch>,
     metrics: AdaptMetrics,
 }
@@ -199,8 +189,6 @@ impl AdaptController {
             constraints,
             opts,
             paces,
-            armed: true,
-            cooldown: 0,
             switches: Vec::new(),
             metrics: AdaptMetrics::default(),
         })
@@ -290,16 +278,6 @@ impl AdaptController {
         if drift > self.metrics.max_drift {
             self.metrics.max_drift = drift;
         }
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
-            return Ok(None);
-        }
-        if !self.armed {
-            if drift <= DRIFT_THRESHOLD * REARM_RATIO {
-                self.armed = true;
-            }
-            return Ok(None);
-        }
         if drift < DRIFT_THRESHOLD || self.switches.len() >= self.opts.max_switches {
             return Ok(None);
         }
@@ -315,8 +293,6 @@ impl AdaptController {
             self.constraints.iter().map(|(&q, &l)| (q, l.max(0.0) * HEADROOM)).collect();
         let outcome = find_pace_configuration(&mut self.est, &budgets, self.opts.max_pace)?;
         self.metrics.reopt_time += started.elapsed();
-        self.armed = false;
-        self.cooldown = COOLDOWN_FRONTS;
         if outcome.paces == self.paces {
             return Ok(None);
         }
@@ -478,21 +454,18 @@ mod tests {
     }
 
     #[test]
-    fn hysteresis_disarms_until_drift_subsides() {
+    fn refreshed_stats_absorb_the_drift_that_fired() {
         let (mut ctrl, _, t) = planned_controller(0.4, AdaptOptions::default());
         assert!(ctrl.observe(&drifted_obs(t, 4.0)).unwrap().is_some());
-        // Cooldown front: skipped outright.
+        // The refreshed stats make the same observation near-zero drift on
+        // the next front: no second trigger.
         let mut obs = drifted_obs(t, 4.0);
         obs.wavefront = 1;
         assert_eq!(ctrl.observe(&obs).unwrap(), None);
-        // Disarmed: the refreshed stats make the same observation near-zero
-        // drift, which re-arms but must not trigger on the same front.
-        obs.wavefront = 2;
-        assert_eq!(ctrl.observe(&obs).unwrap(), None);
         assert_eq!(ctrl.metrics().triggers, 1);
-        // Re-armed now; a fresh drift spike triggers again.
+        // A fresh drift spike against the refreshed stats triggers again.
         let mut spike = drifted_obs(t, 12.0);
-        spike.wavefront = 3;
+        spike.wavefront = 2;
         let again = ctrl.observe(&spike).unwrap();
         assert_eq!(ctrl.metrics().triggers, 2);
         // The second search may or may not move paces further, but if it
@@ -519,15 +492,10 @@ mod tests {
         let opts = AdaptOptions { max_switches: 1, ..AdaptOptions::default() };
         let (mut ctrl, _, t) = planned_controller(0.4, opts);
         assert!(ctrl.observe(&drifted_obs(t, 4.0)).unwrap().is_some());
-        // Sit out the cooldown front and re-arm on a calm one, then spike
-        // again: armed but capped, so no trigger.
-        for wavefront in 1..=2 {
-            let mut calm = drifted_obs(t, 4.0);
-            calm.wavefront = wavefront;
-            assert_eq!(ctrl.observe(&calm).unwrap(), None);
-        }
+        // Spike again on the next front: drift clears the threshold, but
+        // the cap is reached, so no trigger.
         let mut spike = drifted_obs(t, 20.0);
-        spike.wavefront = 3;
+        spike.wavefront = 1;
         assert_eq!(ctrl.observe(&spike).unwrap(), None);
         assert_eq!(ctrl.metrics().triggers, 1);
         assert_eq!(ctrl.metrics().switches, 1);

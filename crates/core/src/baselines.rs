@@ -10,7 +10,7 @@
 //! | Share-Uniform | yes | no | one per connected shared plan | no |
 //! | iShare (w/o unshare) | yes | no | one per subplan | no |
 //! | iShare (w/ unshare) | yes | no | one per subplan | clustering |
-//! | iShare (Brute-Force) | yes | no | one per subplan | exhaustive splits |
+//! | iShare (Brute-Force) | yes | no | one per subplan | exhaustive splits (≤ 12 queries) |
 //! | OneShot | no | no | none: every pace fixed at 2 | no |
 //!
 //! Every approach resolves the same final work constraints and uses the same
@@ -108,13 +108,11 @@ pub struct PlanningOptions {
     pub max_pace: u32,
     /// Memoized estimation.
     pub use_memo: bool,
-    /// Brute-force deadline.
-    pub brute_deadline: Duration,
 }
 
 impl Default for PlanningOptions {
     fn default() -> Self {
-        PlanningOptions { max_pace: 100, use_memo: true, brute_deadline: Duration::from_secs(60) }
+        PlanningOptions { max_pace: 100, use_memo: true }
     }
 }
 

@@ -3,40 +3,34 @@
 //!
 //! Enumerates *every* set partition of the queries sharing a subplan
 //! (Bell-number many), evaluating each partition at its selected pace, and
-//! returns the split with the smallest local total work. A wall-clock
-//! deadline makes the exponential blow-up observable instead of fatal —
+//! returns the split with the smallest local total work. The enumeration
+//! runs only up to [`MAX_BRUTE_QUERIES`] queries, so its exponential
+//! blow-up is bounded by the query count and its answer by nothing else —
 //! Fig. 16 plots exactly this growth against the clustering algorithm.
 
 use super::clustering::Split;
 use super::local::{LocalProblem, PartitionMemo};
 use ishare_common::{QueryId, QuerySet, Result};
-use std::time::{Duration, Instant};
 
-/// Outcome of a brute-force search.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BruteOutcome {
-    /// The optimal split found.
-    Done(Split),
-    /// The deadline expired before the enumeration finished (the paper's
-    /// DNF marker); carries the number of splits evaluated.
-    TimedOut(usize),
-}
+/// Most queries a subplan may be shared by for brute force to enumerate
+/// its splits: Bell(12) = 4 213 597, Fig. 16's largest point.
+pub const MAX_BRUTE_QUERIES: usize = 12;
 
-/// Enumerate all splits of the subplan's query set within `deadline`.
-pub fn brute_force_split(problem: &LocalProblem<'_>, deadline: Duration) -> Result<BruteOutcome> {
+/// The optimal split of the subplan's query set, or `None` without
+/// evaluating anything when more than [`MAX_BRUTE_QUERIES`] queries share
+/// it.
+pub fn brute_force_split(problem: &LocalProblem<'_>) -> Result<Option<Split>> {
     let queries: Vec<QueryId> = problem.subplan.queries.iter().collect();
     let n = queries.len();
-    let start = Instant::now();
+    if n > MAX_BRUTE_QUERIES {
+        return Ok(None);
+    }
     let mut memo = PartitionMemo::new();
     let mut best: Option<Split> = None;
-    let mut evaluated = 0usize;
 
     // Enumerate set partitions via restricted growth strings.
     let mut rgs = vec![0usize; n];
     loop {
-        if start.elapsed() > deadline {
-            return Ok(BruteOutcome::TimedOut(evaluated));
-        }
         // Materialize the partition described by `rgs`.
         let blocks = rgs.iter().copied().max().unwrap_or(0) + 1;
         let mut parts: Vec<QuerySet> = vec![QuerySet::EMPTY; blocks];
@@ -50,7 +44,6 @@ pub fn brute_force_split(problem: &LocalProblem<'_>, deadline: Duration) -> Resu
             total += eval.wpt;
             with_paces.push((*p, eval.pace));
         }
-        evaluated += 1;
         // NaN-safe: a NaN total never wins, a finite one displaces a NaN.
         debug_assert!(!total.is_nan(), "NaN local total in brute-force split");
         let better = !total.is_nan()
@@ -64,7 +57,7 @@ pub fn brute_force_split(problem: &LocalProblem<'_>, deadline: Duration) -> Resu
             break;
         }
     }
-    Ok(BruteOutcome::Done(best.expect("at least the trivial partition")))
+    Ok(Some(best.expect("at least the trivial partition")))
 }
 
 /// Advance a restricted growth string; returns `false` after the last one.
@@ -142,20 +135,18 @@ mod tests {
             max_pace: 100,
         };
         let clustered = cluster_split(&prob).unwrap();
-        match brute_force_split(&prob, Duration::from_secs(60)).unwrap() {
-            BruteOutcome::Done(best) => {
-                assert!(best.local_total <= clustered.local_total + 1e-9);
-            }
-            BruteOutcome::TimedOut(_) => panic!("3 queries cannot time out"),
-        }
+        let best = brute_force_split(&prob).unwrap().expect("3 queries are within the bound");
+        assert!(best.local_total <= clustered.local_total + 1e-9);
     }
 
     #[test]
-    fn deadline_produces_dnf() {
-        let sp = shared_agg_subplan();
+    fn over_the_bound_falls_through_without_evaluating() {
+        let mut sp = shared_agg_subplan();
         let inputs = inputs_for(&sp, 5_000.0);
-        let cons: BTreeMap<ishare_common::QueryId, f64> =
-            sp.queries.iter().map(|q| (q, f64::INFINITY)).collect();
+        sp.queries = ishare_common::QuerySet::first_n(MAX_BRUTE_QUERIES + 1);
+        // No constraints: evaluating any partition would fail on the
+        // missing local constraint, so `None` shows nothing was evaluated.
+        let cons = BTreeMap::new();
         let prob = LocalProblem {
             subplan: &sp,
             inputs: &inputs,
@@ -163,9 +154,6 @@ mod tests {
             weights: CostWeights::default(),
             max_pace: 100,
         };
-        match brute_force_split(&prob, Duration::ZERO).unwrap() {
-            BruteOutcome::TimedOut(evaluated) => assert_eq!(evaluated, 0),
-            BruteOutcome::Done(_) => panic!("zero deadline must DNF"),
-        }
+        assert!(brute_force_split(&prob).unwrap().is_none());
     }
 }

@@ -9,8 +9,9 @@
 //!   final work constraints (Sec. 4.1.1).
 //! * [`clustering`] — the sharing-benefit clustering algorithm
 //!   (Sec. 4.1.2, Eq. 4).
-//! * [`brute`] — exhaustive split enumeration with a DNF deadline (the
-//!   `iShare (Brute-Force)` variant).
+//! * [`brute`] — exhaustive split enumeration for subplans shared by at
+//!   most [`MAX_BRUTE_QUERIES`] queries (the `iShare (Brute-Force)`
+//!   variant).
 //! * [`regenerate`](mod@regenerate) — the whole split: clone the target's
 //!   and its ancestors' nodes per partition and tombstone the originals, so
 //!   the cut rule regenerates the plan; and pace initialization (Sec. 4.2).
@@ -28,7 +29,7 @@ pub mod local;
 pub mod partial;
 pub mod regenerate;
 
-pub use brute::{bell_number, brute_force_split, BruteOutcome};
+pub use brute::{bell_number, brute_force_split, MAX_BRUTE_QUERIES};
 pub use clustering::{cluster_split, Split};
 pub use local::{local_constraints_for_subplan, LocalProblem, PartitionEval};
 pub use regenerate::{initial_paces, regenerate};
@@ -155,9 +156,10 @@ pub fn decompose_plan(
 
 /// Try to decompose `target` inside `current.plan`, currently paced by
 /// `paces`/`report` (a report of `est`, an estimator of `current.plan`),
-/// splitting by clustering or, with `brute_force`, by enumeration. Returns
-/// the best profitable alternative, or `None` when keeping the shared
-/// subplan is better.
+/// splitting by clustering or, with `brute_force`, by enumeration (by
+/// clustering past [`MAX_BRUTE_QUERIES`] queries). Returns the best
+/// profitable alternative, or `None` when keeping the shared subplan is
+/// better.
 #[allow(clippy::too_many_arguments)]
 pub fn try_decompose_subplan(
     current: &DagPlan,
@@ -220,13 +222,10 @@ pub fn try_decompose_subplan(
             weights,
             max_pace: opts.max_pace,
         };
-        let split = if brute_force {
-            match brute_force_split(&problem, opts.brute_deadline)? {
-                BruteOutcome::Done(s) => s,
-                BruteOutcome::TimedOut(_) => cluster_split(&problem)?,
-            }
-        } else {
-            cluster_split(&problem)?
+        let brute = if brute_force { brute_force_split(&problem)? } else { None };
+        let split = match brute {
+            Some(split) => split,
+            None => cluster_split(&problem)?,
         };
         if split.is_trivial() {
             continue;

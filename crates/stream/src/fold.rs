@@ -84,9 +84,10 @@ impl Recorder {
         self.trace.push(Span { kind, sp, start_us, dur_us, work });
     }
 
-    /// One execution: its tick span, its operator spans — the tick's wall
-    /// interval subdivided in proportion to its per-kind work breakdown —
-    /// and its histograms.
+    /// One execution: its tick span, its operator spans — one per kind of
+    /// nonzero work, the tick's wall interval subdivided in proportion to
+    /// the per-kind work breakdown, so a sub-µs share is a zero-length
+    /// span — and its histograms.
     fn tick(&mut self, rec: &TickRec) {
         let Tick { sp, num, den, is_final, .. } = rec.tick;
         let (work, wall) = (rec.work.get(), rec.wall);
@@ -94,28 +95,23 @@ impl Recorder {
         self.span(kind, sp.0, rec.start..rec.start + wall, work);
         self.metrics.histogram_record("tick.work", work);
         self.metrics.histogram_record("tick.wall_us", wall.as_micros() as f64);
-        let (start_us, dur_total) = (micros(rec.start), micros(wall));
-        if work <= 0.0 || dur_total == 0 {
-            return;
-        }
+        let (start_us, dur_total) = (micros(rec.start), micros(wall) as f64);
         let mut cum = 0.0;
         for kind in OpKind::ALL {
             let w = rec.breakdown.get(kind);
             if w == 0.0 {
                 continue;
             }
-            let s = (dur_total as f64 * (cum / work)) as u64;
+            let s = (dur_total * (cum / work)) as u64;
             cum += w;
-            let e = (dur_total as f64 * (cum / work)) as u64;
-            if e > s {
-                self.trace.push(Span {
-                    kind: SpanKind::Operator(kind),
-                    sp: sp.0,
-                    start_us: start_us + s,
-                    dur_us: e - s,
-                    work: w,
-                });
-            }
+            let e = (dur_total * (cum / work)) as u64;
+            self.trace.push(Span {
+                kind: SpanKind::Operator(kind),
+                sp: sp.0,
+                start_us: start_us + s,
+                dur_us: e - s,
+                work: w,
+            });
         }
     }
 }

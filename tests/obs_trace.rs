@@ -9,7 +9,7 @@ use ishare::stream::{
     execute_adaptive_from_source_obs, execute_from_source_obs, execute_planned_deltas_with,
     ObsConfig, ObsReport, Source, SourceConfig, SourceOptions, SourceOutcome,
 };
-use ishare_common::{CostWeights, DataType, QueryId, QuerySet, TableId, Value};
+use ishare_common::{CostWeights, DataType, OpKind, QueryId, QuerySet, TableId, Value};
 use ishare_expr::Expr;
 use ishare_plan::{AggExpr, AggFunc, DagOp, SelectBranch, SharedDag, SharedPlan};
 use ishare_storage::{Catalog, Field, Row, Schema, TableStats};
@@ -260,6 +260,61 @@ fn adaptive_source_fed_run_records_each_span_once() {
     assert_eq!(samples, budgets.len() * fronts);
     assert_eq!(report.trace.slack_points().len(), samples);
     assert_eq!(report.trace.dropped(), 0);
+}
+
+/// Operator spans of one run, checked against the work they stand for:
+/// each tick's operator spans follow its tick span, name distinct kinds in
+/// breakdown order, each carry nonzero work and together carry the tick's
+/// work, so none is dropped however short the tick; and per kind they sum
+/// to the run's breakdown. Returns how many there are, i.e. the number of
+/// (tick, kind) pairs with nonzero work.
+fn operator_spans(report: &ObsReport) -> usize {
+    let close = |tick: Option<(f64, f64)>| {
+        if let Some((want, got)) = tick {
+            assert!((got - want).abs() <= 1e-9 * want, "tick work {want}, operator spans {got}");
+        }
+    };
+    let mut by_kind = [0.0f64; OpKind::COUNT];
+    let (mut pairs, mut tick, mut last_kind) = (0, None, None);
+    for span in report.trace.spans() {
+        match span.kind {
+            SpanKind::Operator(kind) => {
+                let (_, sum) = tick.as_mut().expect("an operator span follows its tick");
+                assert!(span.work > 0.0, "operator span without work: {span:?}");
+                assert!(last_kind < Some(kind.index()), "kind repeated or out of order");
+                last_kind = Some(kind.index());
+                *sum += span.work;
+                by_kind[kind.index()] += span.work;
+                pairs += 1;
+            }
+            SpanKind::Tick { .. } => {
+                close(tick.replace((span.work, 0.0)));
+                last_kind = None;
+            }
+            _ => close(tick.take()),
+        }
+    }
+    close(tick);
+    let breakdown = report.breakdown();
+    for kind in OpKind::ALL {
+        let (got, want) = (by_kind[kind.index()], breakdown.get(kind));
+        assert!((got - want).abs() <= 1e-9 * want, "{kind:?}: spans {got}, breakdown {want}");
+    }
+    pairs
+}
+
+/// One operator span per (tick, kind) with nonzero work, zero-length ones
+/// included, so two observed runs of one input record the same count.
+#[test]
+fn operator_spans_count_every_kind_of_work_of_every_tick() {
+    let (_, report) = run_with_obs();
+    let pairs = operator_spans(&report);
+    let doc = report.chrome_trace();
+    let events = doc["traceEvents"].as_array().unwrap();
+    let exported = events.iter().filter(|e| e["ph"] == "X" && e["cat"] == "operator").count();
+    assert_eq!(exported, pairs);
+    assert!(pairs > 0);
+    assert_eq!(operator_spans(&run_with_obs().1), pairs, "operator span count moved between runs");
 }
 
 /// The deterministic metrics snapshot must serialize to the same bytes in a
