@@ -1087,11 +1087,10 @@ pub fn adapt(p: &Params) -> Result<()> {
 /// (metrics + every span + SLO slack ledger) in `PAIRS` back-to-back
 /// pairs, alternating which mode runs first, and takes the overhead as the
 /// median over pairs of on/off − 1 of end-to-end wall clock. It fails when
-/// that overhead exceeds the gate (5% by default; `ISHARE_OBS_GATE_PCT`
-/// overrides for noisy machines) or the obs-on trace dropped anything past
-/// its one capacity budget. Work
-/// numbers are asserted bit-identical between the modes — observability can
-/// cost (bounded) time but never changes a measured quantity. Writes
+/// that overhead exceeds `GATE_PCT` = 5 % or the obs-on trace dropped
+/// anything past its one capacity budget. Work numbers are asserted
+/// bit-identical between the modes — observability can cost (bounded) time
+/// but never changes a measured quantity. Writes
 /// `results/BENCH_obs.json`.
 pub fn obs_overhead(p: &Params) -> Result<()> {
     use ishare_stream::{
@@ -1142,6 +1141,7 @@ pub fn obs_overhead(p: &Params) -> Result<()> {
     // running second. The first run of a process is up to 30 % slower than
     // the rest, so one unmeasured run goes ahead of the pairs.
     const PAIRS: usize = 25;
+    const GATE_PCT: f64 = 5.0;
     run_once(obs_opts())?;
     let mut pairs = Vec::with_capacity(PAIRS);
     let mut runs: Option<(RunResult, RunResult)> = None;
@@ -1179,14 +1179,10 @@ pub fn obs_overhead(p: &Params) -> Result<()> {
     let mut ratios: Vec<f64> = pairs.iter().map(|(off, on)| on / off - 1.0).collect();
     ratios.sort_by(f64::total_cmp);
     let overhead_pct = ratios[PAIRS / 2] * 100.0;
-    let gate_pct = std::env::var("ISHARE_OBS_GATE_PCT")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(5.0);
 
     println!(
         "obs overhead: {overhead_pct:.2}% (median of {PAIRS} off/on pairs, {:+.2}% to {:+.2}%; \
-         gate {gate_pct}%); {} spans, {} slack fronts",
+         gate {GATE_PCT}%); {} spans, {} slack fronts",
         ratios[0] * 100.0,
         ratios[PAIRS - 1] * 100.0,
         report.trace.spans().len(),
@@ -1210,7 +1206,7 @@ pub fn obs_overhead(p: &Params) -> Result<()> {
                 })
                 .collect::<Vec<_>>(),
             "overhead_pct": overhead_pct,
-            "gate_pct": gate_pct,
+            "gate_pct": GATE_PCT,
             "total_work_bits": format!("{:016x}", on_run.total_work.get().to_bits()),
             "spans": report.trace.spans().len() as u64,
             "trace_dropped": report.trace.dropped() as u64,
@@ -1224,10 +1220,10 @@ pub fn obs_overhead(p: &Params) -> Result<()> {
             report.trace.dropped()
         )));
     }
-    if overhead_pct > gate_pct {
+    if overhead_pct > GATE_PCT {
         return Err(ishare_common::Error::InvalidConfig(format!(
             "observability overhead {overhead_pct:.2}% (median over {PAIRS} pairs) exceeds \
-             the {gate_pct}% gate"
+             the {GATE_PCT}% gate"
         )));
     }
     Ok(())

@@ -31,6 +31,9 @@
 //!   replaying the source from the beginning and verifying each replayed
 //!   wavefront against the log, reproducing the uninterrupted
 //!   run's `RunResult` bit-for-bit.
+//! * **Late readers read the topic back** — [`Source::released`] returns
+//!   every row released so far, in event-time order: a query admitted
+//!   mid-run gets its base history there, so the engine keeps none.
 
 #![warn(missing_docs)]
 

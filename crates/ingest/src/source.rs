@@ -266,6 +266,19 @@ impl Source {
         }
     }
 
+    /// Every `(row, weight)` delta [`Self::advance_to`] has released for
+    /// table `t` so far, in event-time order: the topic read back from
+    /// offset 0, as a consumer that joins late reads it. The released rows
+    /// are the event times below the delivered cut, all of them among the
+    /// pushed arrivals. Empty for an unknown table.
+    pub fn released(&self, t: TableId) -> Vec<(Row, i64)> {
+        let Some(ts) = self.topics.get(&t) else { return Vec::new() };
+        let mut recs: Vec<&Record> =
+            ts.arrivals[..ts.cursor].iter().filter(|r| r.seq < ts.delivered).collect();
+        recs.sort_unstable_by_key(|r| r.seq);
+        recs.into_iter().map(|r| (r.row.clone(), r.weight)).collect()
+    }
+
     /// Commit every topic's consumer state at a wavefront boundary,
     /// appending to (and returning) the new entry of the commit log.
     /// `paces` records the pace configuration that was in effect during the
@@ -387,6 +400,25 @@ mod tests {
         let mut called = false;
         src.advance_to(TableId(9), 1, 1, |_, _| called = true).unwrap();
         assert!(!called);
+        assert!(src.released(TableId(9)).is_empty());
+    }
+
+    #[test]
+    fn released_is_everything_advance_to_handed_over() {
+        // Deletes among the inserts, so weights are compared too.
+        let mut fs = feeds(41);
+        fs.get_mut(&TableId(0)).unwrap().iter_mut().step_by(5).for_each(|(_, w)| *w = -1);
+        for (jitter, partitions) in [(0u64, 1usize), (0, 2), (9, 1), (9, 2)] {
+            let cfg = SourceConfig { partitions, capacity: 2, jitter, seed: 5 };
+            let mut src = Source::new(&fs, cfg).unwrap();
+            let mut handed = Vec::new();
+            for (num, den) in [(0u32, 1u32), (1, 7), (1, 3), (1, 3), (5, 8), (7, 9), (1, 1)] {
+                src.advance_to(TableId(0), num, den, |row, w| handed.push((row, w))).unwrap();
+                assert_eq!(src.released(TableId(0)), handed, "jitter {jitter} P{partitions}");
+            }
+            assert_eq!(handed, fs[&TableId(0)]);
+            assert!(src.stats()[0].stall_ticks > 0, "capacity 2 must stall the producer");
+        }
     }
 
     #[test]

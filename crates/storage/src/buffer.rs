@@ -99,8 +99,8 @@ impl DeltaBuffer {
     /// [`register_consumer`](Self::register_consumer) this is safe at any
     /// time, compacted or not: the cursor starts at `len()`, which is never
     /// below the compacted base. Query admission uses this to wire a new
-    /// query's private cone onto a live shared buffer whose history is
-    /// covered by state handoff instead of re-reading.
+    /// query's private cone onto a live buffer, shared subplan or base
+    /// table, whose history arrives as a seed instead of by re-reading.
     pub fn register_consumer_at_end(&mut self) -> ConsumerId {
         self.offsets.push(self.len());
         self.retired.push(false);
@@ -123,11 +123,6 @@ impl DeltaBuffer {
         Ok(())
     }
 
-    /// `true` iff the consumer was retired.
-    pub fn is_retired(&self, c: ConsumerId) -> bool {
-        self.retired.get(c.0).copied().unwrap_or(false)
-    }
-
     /// Drop every resident row (the owning subplan is being garbage
     /// collected), returning how many rows were freed. The stream position
     /// keeps counting from where it was.
@@ -136,16 +131,6 @@ impl DeltaBuffer {
         self.base += n;
         self.rows.clear();
         n
-    }
-
-    /// Add `q`'s bit to every resident row's query mask (admission of a
-    /// query onto a *base* buffer: rows not yet consumed by a shared
-    /// subplan must become visible to it). Returns rows touched.
-    pub fn widen_all(&mut self, q: QueryId) -> usize {
-        for r in &mut self.rows {
-            r.mask.insert(q);
-        }
-        self.rows.len()
     }
 
     /// Add `q_new`'s bit to every resident row whose mask contains
@@ -168,11 +153,6 @@ impl DeltaBuffer {
     /// builds the dataflow (drivers mark query-root buffers [`Retain::All`]).
     pub fn set_retention(&mut self, retention: Retain) {
         self.retention = retention;
-    }
-
-    /// The buffer's compaction policy.
-    pub fn retention(&self) -> Retain {
-        self.retention
     }
 
     /// Total rows ever appended (compacted rows included).
@@ -266,7 +246,7 @@ impl DeltaBuffer {
 
     /// Current cursor of a consumer (absolute stream position).
     pub fn offset(&self, c: ConsumerId) -> Result<usize> {
-        if self.is_retired(c) {
+        if self.retired.get(c.0) == Some(&true) {
             return Err(Error::InvalidDelta(format!("buffer consumer #{} is retired", c.0)));
         }
         self.offsets
@@ -579,7 +559,5 @@ mod tests {
         assert_eq!(b.widen_where(q0, q2), 1);
         assert!(b.all_rows()[0].mask.contains(q2));
         assert!(!b.all_rows()[1].mask.contains(q2));
-        assert_eq!(b.widen_all(q2), 2);
-        assert!(b.all_rows()[1].mask.contains(q2));
     }
 }

@@ -35,14 +35,16 @@
 //!    a fresh cone finds none and starts cold. This works because every
 //!    live non-scan node sits at exactly one position of exactly one
 //!    subplan (multi-parent nodes are cut), and the sharer never rewires an
-//!    existing node's children;
+//!    existing node's children. A leaf nothing claims reads from its
+//!    buffer's end;
 //! 4. hands existing state to the new query where subplans are shared:
 //!    the *witness query* (a query that has seen exactly the rows the new
 //!    query would have seen over the reused structure) indexes operator
 //!    state snapshots which are re-masked to the new query and seeded into
-//!    its private cone — no replay of history through shared prefixes.
-//!    Private cones over base tables replay the base buffers instead
-//!    (base buffers retain their full stream in churn mode).
+//!    its private cone — no replay of history through shared prefixes. A
+//!    private cone's base leaf is seeded with the rows the [`Source`] has
+//!    released for its table, so base buffers keep no history. Shared
+//!    subplans widen their state, in-flight input and pending seeds.
 //!
 //! ## Removal
 //!
@@ -80,7 +82,7 @@ use ishare_exec::{ExecMode, ExecOptions, SubplanExecutor};
 use ishare_ingest::{ChurnKind, ChurnRecord, Source};
 use ishare_mqo::{normalize, IncrementalSharer, MqoConfig};
 use ishare_plan::{InputSource, LogicalPlan, SharedDag, SharedPlan, TreeOp};
-use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer};
+use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer, DeltaRow};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
@@ -235,7 +237,7 @@ pub fn execute_churn_from_source(
     let outcome = search_from_batch(&plan, catalog, weights, &budgets, opts.max_pace)?;
 
     let paces = outcome.paces.as_slice();
-    let mut live = Live::new(Cow::Owned(plan), paces, catalog, weights, &opts.source, true)?;
+    let mut live = Live::new(Cow::Owned(plan), paces, catalog, weights, &opts.source)?;
     live.started = started;
     let mut runner = Runner {
         catalog,
@@ -300,12 +302,13 @@ impl Runner<'_> {
 
     /// Apply one event on the quiesced engine: edit a clone of the sharer,
     /// re-cut, re-search and validate; then reconcile `live`'s engine, hand
-    /// off (admission) or retire (removal), swap plan and paces, and tell
-    /// `fold` about the re-cut.
+    /// off (admission, reading base history back from `source`) or retire
+    /// (removal), swap plan and paces, and tell `fold` about the re-cut.
     pub(crate) fn apply(
         &mut self,
         live: &mut Live<'_>,
         fold: &mut Fold,
+        source: &Source,
         ev: ChurnEvent,
     ) -> Result<ChurnRecord> {
         // Speculate on a clone: nothing below touches live state until the
@@ -390,7 +393,7 @@ impl Runner<'_> {
         let engine = &mut live.engine;
         let reclaimed = self.reconcile(engine, trial.dag(), &plan2, &roots2)?;
         let (handoff_rows, handoff_work, reclaimed_rows) = if budget.is_some() {
-            let (rows, work) = hand_off(engine, &plan2, q, &witnesses, &fresh)?;
+            let (rows, work) = hand_off(engine, source, &plan2, q, &witnesses, &fresh)?;
             (rows, work, 0)
         } else {
             // Surviving state drops the removed query's mask column.
@@ -441,7 +444,8 @@ impl Runner<'_> {
     /// step 3): pool the old executors' operator states by node and their
     /// leaf cursors and seeds by edge, build every post-edit executor and
     /// install the pooled state at its new paths, claim cursors by edge and
-    /// register the unclaimed leaves. Returns the rows nothing claimed — a
+    /// register the unclaimed leaves at their buffers' ends (history
+    /// arrives as seeds, [`hand_off`]). Returns the rows nothing claimed — a
     /// dead cone's state, buffers and seeds — which are reclaimed.
     fn reconcile(
         &self,
@@ -504,19 +508,10 @@ impl Runner<'_> {
                         cid
                     }
                     None => match src {
-                        InputSource::Base(t) => {
-                            self.catalog.table(t)?;
-                            // Offset 0 on a base buffer, which keeps its
-                            // history in a churn run, replays every row to
-                            // an admitted query's private cone.
-                            engine.base_buffers.entry(t).or_default().register_consumer()?
-                        }
-                        // A split-off or fresh buffer is still empty, and a
-                        // carried one's history arrives as a seeded
-                        // snapshot (`hand_off`), never by replaying the
-                        // buffer (which may be compacted anyway).
-                        InputSource::Subplan(c) => sp_buffers[c.index()].register_consumer_at_end(),
-                    },
+                        InputSource::Base(t) => engine.base_buffers.entry(t).or_default(),
+                        InputSource::Subplan(c) => &mut sp_buffers[c.index()],
+                    }
+                    .register_consumer_at_end(),
                 };
                 regs.push((path, src, cid));
             }
@@ -595,13 +590,14 @@ impl Runner<'_> {
 /// The DAG edge a tree leaf reads through: (parent node, input index).
 type Edge = (NodeId, usize);
 
-/// Admission hand-off (module docs, step 4): widen shared state to `q_new`,
-/// then seed its fresh cone from witness-indexed snapshots. Every shared
-/// subplan uses its *own* witness (validated in [`Runner::apply`]), so
-/// disjoint shared cones hand off independently. Returns the rows handed
-/// off and the work charged doing so.
+/// Admission hand-off (module docs, step 4): widen shared state and pending
+/// seeds to `q_new`, then seed its fresh cone — shared children from
+/// witness-indexed snapshots (each shared subplan by its *own* witness,
+/// validated in [`Runner::apply`]), base tables from `source`. Returns the
+/// rows handed off from shared state and the work charged doing so.
 fn hand_off(
     engine: &mut EngineState,
+    source: &Source,
     plan: &SharedPlan,
     q_new: QueryId,
     witnesses: &[Option<QueryId>],
@@ -616,6 +612,13 @@ fn hand_off(
     let mut widen_child = vec![false; n];
     for j in (0..n).filter(|&j| !fresh[j] && plan.subplans[j].queries.contains(q_new)) {
         engine.executors[j].widen_query(witness(j), q_new)?;
+        // A seed an earlier admission at this boundary left is history the
+        // state has not absorbed yet.
+        for dr in engine.seeds[j].values_mut().flat_map(|b| &mut b.rows) {
+            if dr.mask.contains(witness(j)) {
+                dr.mask.insert(q_new);
+            }
+        }
         for (_, src) in engine.executors[j].leaf_paths() {
             if let InputSource::Subplan(c) = src {
                 widen_child[c.index()] = true;
@@ -626,27 +629,29 @@ fn hand_off(
     for j in (0..n).filter(|&j| widen_child[j] && Some(j) != new_root) {
         engine.sp_buffers[j].widen_where(witness(j), q_new);
     }
-    // Base buffers re-mark their whole retained stream: correct for a
-    // re-admitted id, and what the private cone's replay-from-zero cursors
-    // rely on.
-    for b in engine.base_buffers.values_mut() {
-        b.widen_all(q_new);
-    }
     let counter = WorkCounter::new();
     let mut rows = 0u64;
-    let snapshot = |engine: &EngineState, c: usize| {
-        snapshot_subplan(c, &engine.executors, &engine.base_buffers, witness(c), q_new, &counter)
+    let history = |t: TableId| {
+        let (rows, mask) = (source.released(t).into_iter(), plan.queries());
+        DeltaBatch::from_rows(rows.map(|(row, weight)| DeltaRow { row, weight, mask }).collect())
     };
-    // Seed every fresh subplan's shared-child leaves with the child's
-    // reconstructed, re-masked history.
+    let snapshot = |engine: &EngineState, c: usize| {
+        snapshot_subplan(c, engine, &history, witness(c), q_new, &counter)
+    };
+    // Seed every fresh subplan's leaves but those reading a fresh child,
+    // whose buffer is empty and fills as the child runs.
     for j in (0..n).filter(|&j| fresh[j]) {
         for (path, src) in engine.executors[j].leaf_paths() {
-            let InputSource::Subplan(c) = src else { continue };
-            if !fresh[c.index()] {
-                let batch = snapshot(engine, c.index())?;
-                rows += batch.rows.len() as u64;
-                engine.seeds[j].insert(path, batch);
-            }
+            let batch = match src {
+                InputSource::Base(t) => history(t),
+                InputSource::Subplan(c) if !fresh[c.index()] => {
+                    let batch = snapshot(engine, c.index())?;
+                    rows += batch.rows.len() as u64;
+                    batch
+                }
+                InputSource::Subplan(_) => continue,
+            };
+            engine.seeds[j].insert(path, batch);
         }
     }
     // A fully shared root: the new query's results are served by an
@@ -675,38 +680,37 @@ fn search_from_batch(
 }
 
 /// Reconstruct subplan `c`'s net witnessed history re-masked to `q_new`,
-/// recursing through stateless subplans' leaf dependencies (base buffers
-/// retain their full stream in churn mode, and churn boundaries are
-/// quiesced, so the reconstruction is exact).
+/// recursing through stateless subplans' leaf dependencies down to the
+/// base tables' released rows (churn boundaries are quiesced, so the
+/// reconstruction is exact).
 fn snapshot_subplan(
     c: usize,
-    executors: &[SubplanExecutor],
-    base_buffers: &HashMap<TableId, DeltaBuffer>,
+    engine: &EngineState,
+    base_history: &impl Fn(TableId) -> DeltaBatch,
     q_ref: QueryId,
     q_new: QueryId,
     counter: &WorkCounter,
 ) -> Result<DeltaBatch> {
     let mut history = HashMap::new();
-    for (path, src) in executors[c].snapshot_leaf_dependencies() {
+    for (path, src) in engine.executors[c].snapshot_leaf_dependencies() {
+        // A leaf with a pending seed has read nothing but that seed, which
+        // `hand_off` widened: it reaches the new query when the subplan runs.
+        if engine.seeds[c].contains_key(&path) {
+            continue;
+        }
         let batch = match src {
-            InputSource::Base(t) => DeltaBatch::from_rows(
-                base_buffers
-                    .get(&t)
-                    .ok_or_else(|| Error::NotFound(format!("base buffer {t:?}")))?
-                    .all_rows()
-                    .to_vec(),
-            ),
+            InputSource::Base(t) => base_history(t),
             InputSource::Subplan(d) => {
                 // Reconstruct the child's history under the *witness's*
                 // mask: the parent's own snapshot filters leaf rows by
                 // `q_ref` before re-masking to `q_new`, so feeding it
                 // `q_new`-masked rows would drop everything.
-                snapshot_subplan(d.index(), executors, base_buffers, q_ref, q_ref, counter)?
+                snapshot_subplan(d.index(), engine, base_history, q_ref, q_ref, counter)?
             }
         };
         history.insert(path, batch);
     }
-    executors[c].snapshot_output(q_ref, q_new, &mut history, counter)
+    engine.executors[c].snapshot_output(q_ref, q_new, &mut history, counter)
 }
 
 #[cfg(test)]
@@ -828,7 +832,7 @@ mod tests {
     #[test]
     fn admit_partial_share_splits_and_replays() {
         // The admitted query shares only the scan: the survivor splits at
-        // the attachment frontier and the private cone replays base history.
+        // the attachment frontier and the private cone is seeded from the source.
         let c = catalog();
         let f = feed(&c, 120);
         let e0 = run_logical(&q_all(&c), &c, &rows_of(&f)).unwrap();
@@ -935,9 +939,9 @@ mod tests {
     #[test]
     fn removed_id_readmits_with_another_plan() {
         // q1 leaves at 1/3 and comes back at 2/3 under a different
-        // predicate: its new private cone replays the base history, whose
-        // rows must all carry the re-admitted bit again — including those
-        // pushed while q1 was gone.
+        // predicate: its new private cone is seeded with the base history
+        // read back from the source, whose rows must all carry the
+        // re-admitted bit again — including those pushed while q1 was gone.
         let c = catalog();
         let f = feed(&c, 120);
         let q_lt70 = PlanBuilder::scan(&c, "t")

@@ -155,18 +155,15 @@ pub(crate) struct Live<'p> {
 }
 
 impl<'p> Live<'p> {
-    /// `base_history` keeps the base buffers' full stream (churn runs, see
-    /// [`EngineState::settle`]).
     pub(crate) fn new(
         plan: Cow<'p, SharedPlan>,
         paces: &[u32],
         catalog: &Catalog,
         weights: CostWeights,
         opts: &SourceOptions,
-        base_history: bool,
     ) -> Result<Live<'p>> {
         let started = Instant::now();
-        let engine = EngineState::new(&plan, catalog, weights, opts.exec_options(), base_history)?;
+        let engine = EngineState::new(&plan, catalog, weights, opts.exec_options())?;
         Ok(Live { started, plan, paces: paces.to_vec(), engine })
     }
 }
@@ -264,7 +261,7 @@ pub(crate) fn run_wavefronts(
         let mut records = Vec::new();
         if let Some(runner) = churn.as_deref_mut() {
             for ev in due {
-                records.push(runner.apply(&mut live, &mut fold, ev)?);
+                records.push(runner.apply(&mut live, &mut fold, source, ev)?);
             }
         }
         let mut reschedule = !records.is_empty();
@@ -446,7 +443,7 @@ pub fn execute_from_source_obs(
     weights: CostWeights,
     opts: SourceOptions,
 ) -> Result<SourceOutcome> {
-    let live = Live::new(Cow::Borrowed(plan), paces, catalog, weights, &opts, false)?;
+    let live = Live::new(Cow::Borrowed(plan), paces, catalog, weights, &opts)?;
     run_wavefronts(live, source, &opts, None, None)
 }
 
@@ -489,8 +486,7 @@ pub fn execute_adaptive_from_source_obs(
     opts: SourceOptions,
     ctrl: &mut AdaptController,
 ) -> Result<SourceOutcome> {
-    let live =
-        Live::new(Cow::Borrowed(plan), ctrl.current_paces(), catalog, weights, &opts, false)?;
+    let live = Live::new(Cow::Borrowed(plan), ctrl.current_paces(), catalog, weights, &opts)?;
     run_wavefronts(live, source, &opts, Some(ctrl), None)
 }
 

@@ -22,8 +22,9 @@ use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer, Retain};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// One-shot leaf input batches of a subplan, by leaf path: state handed to
-/// an admitted query, merged ahead of the pulled rows at the next execution.
+/// One-shot leaf input batches of a subplan, by leaf path: state or base
+/// history handed to an admitted query, merged ahead of the pulled rows at
+/// the next execution.
 pub(crate) type Seeds = HashMap<Vec<usize>, DeltaBatch>;
 
 /// Buffers, executors, and the consumer registrations wiring them together.
@@ -39,9 +40,6 @@ pub(crate) struct EngineState {
     /// Per subplan: pending seed batches (empty outside churn runs).
     pub(crate) seeds: Vec<Seeds>,
     pub(crate) weights: CostWeights,
-    /// Base buffers keep their whole stream: set for churn runs, whose
-    /// admitted cones replay base history from offset 0.
-    base_history: bool,
 }
 
 /// Measurement of one execution: the tick, its deterministic work numbers,
@@ -71,13 +69,11 @@ fn buffer<'e>(
 
 impl EngineState {
     /// Build executors, buffers, and consumer registrations for `plan`.
-    /// `base_history` keeps every base buffer's full stream (churn runs).
     pub(crate) fn new(
         plan: &SharedPlan,
         catalog: &Catalog,
         weights: CostWeights,
         options: ExecOptions,
-        base_history: bool,
     ) -> Result<EngineState> {
         let schemas = plan.schemas(catalog)?;
         let mut base_buffers: HashMap<TableId, DeltaBuffer> = HashMap::new();
@@ -90,12 +86,10 @@ impl EngineState {
             let mut regs = Vec::new();
             for (path, src) in ex.leaf_paths() {
                 let consumer = match src {
-                    InputSource::Base(t) => {
-                        catalog.table(t)?; // existence check
-                        base_buffers.entry(t).or_default().register_consumer()?
-                    }
-                    InputSource::Subplan(c) => sp_buffers[c.index()].register_consumer()?,
-                };
+                    InputSource::Base(t) => base_buffers.entry(t).or_default(),
+                    InputSource::Subplan(c) => &mut sp_buffers[c.index()],
+                }
+                .register_consumer()?;
                 regs.push((path, src, consumer));
             }
             executors.push(ex);
@@ -110,7 +104,6 @@ impl EngineState {
             leaf_consumers,
             seeds,
             weights,
-            base_history,
         };
         engine.settle(plan);
         Ok(engine)
@@ -119,19 +112,15 @@ impl EngineState {
     /// Settle what follows from `plan`'s wiring, after `new` builds it or a
     /// churn re-cut rebuilds it: the sorted base tables, and the one
     /// retention rule. Query roots keep their full stream ([`Retain::All`]:
-    /// it backs the final result views), so do a churn run's base buffers,
-    /// and every other buffer drops its consumed prefix on `compact`.
-    /// Retention only widens: a buffer a re-cut carries over keeps the
-    /// stream it already kept.
+    /// it backs the final result views), and every other buffer, base
+    /// buffers included, drops its consumed prefix. A consumer that joins
+    /// late gets its history as a seed instead (churn admission reads base
+    /// rows back from the source). Retention only widens: a buffer a re-cut
+    /// carries over keeps the stream it already kept.
     pub(crate) fn settle(&mut self, plan: &SharedPlan) {
         for q in plan.queries().iter() {
             if let Some(root) = plan.query_root(q) {
                 self.sp_buffers[root.index()].set_retention(Retain::All);
-            }
-        }
-        if self.base_history {
-            for b in self.base_buffers.values_mut() {
-                b.set_retention(Retain::All);
             }
         }
         self.base_tables = self.base_buffers.keys().copied().collect();
