@@ -503,9 +503,9 @@ pub fn fig15(p: &Params) -> Result<()> {
 fn report_bits(r: &CostReport) -> Vec<u64> {
     let mut bits = vec![r.total_work.get().to_bits()];
     bits.extend(r.final_work().flat_map(|(q, w)| [u64::from(q.0), w.get().to_bits()]));
-    for ((total, fin), sim) in r.subplan_total.iter().zip(&r.subplan_final).zip(&r.subplan_output) {
+    for sim in &r.subplan_output {
         let out = &sim.output;
-        bits.extend([*total, *fin, sim.private_total, sim.private_final].map(f64::to_bits));
+        bits.extend([sim.private_total, sim.private_final].map(f64::to_bits));
         bits.extend([out.rows.total, out.delete_frac].map(f64::to_bits));
         bits.extend(out.rows.per_query.iter().flat_map(|(&q, n)| [u64::from(q), n.to_bits()]));
         for c in &out.cols {

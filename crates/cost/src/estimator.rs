@@ -36,12 +36,9 @@ use std::sync::Arc;
 pub struct CostReport {
     /// Total work C_T(P): sum of every subplan's private total work.
     pub total_work: WorkUnits,
-    /// Private total work per subplan.
-    pub subplan_total: Vec<f64>,
-    /// Private final work per subplan.
-    pub subplan_final: Vec<f64>,
-    /// Simulation result per subplan, shared with the estimator's memo; its
-    /// `output` is the subplan's full-trigger output estimate.
+    /// Simulation result per subplan, shared with the estimator's memo: its
+    /// `private_total` and `private_final` are the subplan's private total
+    /// and final work, its `output` the full-trigger output estimate.
     pub subplan_output: Vec<Arc<SubplanSim>>,
     /// Final work C_F(P, q) indexed by `QueryId` — the sum of the private
     /// final work of `q`'s subplans, zero for a query the plan does not
@@ -452,9 +449,8 @@ impl PlanEstimator {
         let reuse = self.memo_enabled.then_some((base, base_paces));
         self.cost_walk(paces, reuse, self.memo_enabled)?;
         let PlanEstimator { plan, topo, sims, finals, .. } = self;
-        let total_work = sum_total(topo, |j| {
-            sims[j].as_ref().map_or(base.subplan_total[j], |sim| sim.private_total)
-        });
+        let total_work =
+            sum_total(topo, |j| sims[j].as_ref().unwrap_or(&base.subplan_output[j]).private_total);
         let costed = plan
             .subplans
             .iter()
@@ -463,7 +459,7 @@ impl PlanEstimator {
         *finals = base.finals;
         sum_finals(
             plan,
-            |j| sims[j].as_ref().map_or(base.subplan_final[j], |sim| sim.private_final),
+            |j| sims[j].as_ref().unwrap_or(&base.subplan_output[j]).private_final,
             costed,
             finals,
         );
@@ -484,13 +480,12 @@ impl PlanEstimator {
         self.check_base(base)?;
         for (i, kept) in self.kept.iter_mut().enumerate() {
             if let Some(sim) = kept.take() {
-                base.subplan_total[i] = sim.private_total;
-                base.subplan_final[i] = sim.private_final;
                 base.subplan_output[i] = sim;
             }
         }
-        base.total_work = sum_total(&self.topo, |j| base.subplan_total[j]);
-        sum_finals(&self.plan, |j| base.subplan_final[j], self.plan.queries(), &mut base.finals);
+        let sims = &base.subplan_output;
+        base.total_work = sum_total(&self.topo, |j| sims[j].private_total);
+        sum_finals(&self.plan, |j| sims[j].private_final, self.plan.queries(), &mut base.finals);
         Ok(())
     }
 
@@ -512,10 +507,7 @@ impl PlanEstimator {
                 "base report predates a refresh of the base streams".into(),
             ));
         }
-        if [base.subplan_total.len(), base.subplan_final.len(), base.subplan_output.len()]
-            .iter()
-            .any(|&len| len != n)
-        {
+        if base.subplan_output.len() != n {
             return Err(Error::InvalidConfig(format!("base report is not of a {n}-subplan plan")));
         }
         Ok(())
@@ -526,15 +518,11 @@ impl PlanEstimator {
         self.cost_walk(paces, None, use_memo)?;
         let mut subplan_output = Vec::with_capacity(self.sims.len());
         subplan_output.extend(self.sims.iter_mut().filter_map(Option::take));
-        let subplan_total: Vec<f64> = subplan_output.iter().map(|sim| sim.private_total).collect();
-        let subplan_final: Vec<f64> = subplan_output.iter().map(|sim| sim.private_final).collect();
         let queries = self.plan.queries();
         let mut finals = [0.0; QuerySet::MAX_QUERIES];
-        sum_finals(&self.plan, |j| subplan_final[j], queries, &mut finals);
+        sum_finals(&self.plan, |j| subplan_output[j].private_final, queries, &mut finals);
         Ok(CostReport {
-            total_work: sum_total(&self.topo, |j| subplan_total[j]),
-            subplan_total,
-            subplan_final,
+            total_work: sum_total(&self.topo, |j| subplan_output[j].private_total),
             subplan_output,
             finals,
             queries,
@@ -820,8 +808,8 @@ mod tests {
         assert!(rep.total_work.get() > 0.0);
         assert_eq!(rep.final_work().count(), 2);
         // Batch execution: final work equals total work per subplan.
-        for i in 0..plan.len() {
-            assert!((rep.subplan_total[i] - rep.subplan_final[i]).abs() < 1e-9);
+        for sim in &rep.subplan_output {
+            assert!((sim.private_total - sim.private_final).abs() < 1e-9);
         }
     }
 
@@ -837,12 +825,13 @@ mod tests {
         let eager = est.estimate(&paces).unwrap();
         assert!(eager.total_work > lazy.total_work);
         // The eager subplan's own final execution is cheaper…
-        assert!(eager.subplan_final[0] < lazy.subplan_final[0]);
+        let fin = |r: &CostReport, i: usize| r.subplan_output[i].private_final;
+        assert!(fin(&eager, 0) < fin(&lazy, 0));
         // …but its churn inflates the lazy parents' inputs: q1's parent
         // (a MAX aggregate) sees retractions and its final work grows. This
         // is exactly the eager-execution overhead the paper optimizes away.
         let q1_root = plan.query_root(QueryId(1)).unwrap();
-        assert!(eager.subplan_final[q1_root.index()] > lazy.subplan_final[q1_root.index()]);
+        assert!(fin(&eager, q1_root.index()) > fin(&lazy, q1_root.index()));
     }
 
     #[test]
@@ -991,9 +980,7 @@ mod tests {
         let mut bits = vec![r.total_work.get().to_bits()];
         bits.extend(r.final_work().flat_map(|(q, w)| [u64::from(q.0), w.get().to_bits()]));
         bits.extend(r.finals.map(f64::to_bits));
-        for (i, sim) in r.subplan_output.iter().enumerate() {
-            assert_eq!(r.subplan_total[i].to_bits(), sim.private_total.to_bits());
-            assert_eq!(r.subplan_final[i].to_bits(), sim.private_final.to_bits());
+        for sim in &r.subplan_output {
             bits.extend([sim.private_total, sim.private_final].map(f64::to_bits));
             let out = &sim.output;
             bits.extend([out.rows.total, out.delete_frac].map(f64::to_bits));
@@ -1163,7 +1150,8 @@ mod tests {
         assert!(shared.delete_frac > 0.0, "pace 2 aggregate churns");
         // Final work sums subplans per query.
         let q1_subplans: Vec<_> = plan.subplans_of_query(QueryId(1));
-        let sum: f64 = q1_subplans.iter().map(|id| rep.subplan_final[id.index()]).sum();
+        let sum: f64 =
+            q1_subplans.iter().map(|id| rep.subplan_output[id.index()].private_final).sum();
         assert!((rep.final_of(QueryId(1)).get() - sum).abs() < 1e-9);
     }
 

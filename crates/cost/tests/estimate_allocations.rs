@@ -74,9 +74,9 @@ const PARENT_ONE_CHANGE: usize = 278;
 /// The ratchet: at most this many allocations to build the estimator…
 const NEW: usize = 1643;
 /// …for a memo hit…
-const MEMO_HIT: usize = 3;
+const MEMO_HIT: usize = 1;
 /// …and for a one-subplan pace change.
-const ONE_CHANGE: usize = 65;
+const ONE_CHANGE: usize = 63;
 /// The ratchet for a candidate one subplan's pace away from its base (one
 /// whose changed subplan hits the memo allocates nothing).
 const CANDIDATE_CHANGE: usize = 6;

@@ -57,4 +57,4 @@ pub mod reference;
 pub mod result;
 
 pub use executor::{ExecMode, ExecOptions, SubplanExecutor};
-pub use result::{approx_result_eq, query_result, QueryResult};
+pub use result::{approx_result_eq, fold_result, query_result, QueryResult};

@@ -2,23 +2,44 @@
 
 use ishare_common::QueryId;
 use ishare_storage::{DeltaRow, Row};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// A query's materialized result: row → multiplicity.
 pub type QueryResult = HashMap<Row, i64>;
 
-/// Consolidate the delta rows valid for query `q` into its final result
-/// multiset. This is what a dashboard reading query `q`'s output buffer
-/// observes after the final incremental execution.
+/// Consolidate the delta rows valid for query `q` into its result
+/// multiset, all at once.
 pub fn query_result<'a>(rows: impl IntoIterator<Item = &'a DeltaRow>, q: QueryId) -> QueryResult {
     let mut out = QueryResult::new();
-    for r in rows {
-        if r.mask.contains(q) {
-            *out.entry(r.row.clone()).or_insert(0) += r.weight;
+    fold_result(&mut out, rows, q);
+    out
+}
+
+/// Fold the delta rows valid for query `q` into its result `view`, dropping
+/// a row whose multiplicity reaches 0: [`query_result`] one batch at a
+/// time. The engine maintains each query's result this way as its root
+/// emits, so no buffer keeps the root's stream.
+pub fn fold_result<'a>(
+    view: &mut QueryResult,
+    rows: impl IntoIterator<Item = &'a DeltaRow>,
+    q: QueryId,
+) {
+    for r in rows.into_iter().filter(|r| r.mask.contains(q)) {
+        match view.entry(r.row.clone()) {
+            Entry::Occupied(mut e) => {
+                *e.get_mut() += r.weight;
+                if *e.get() == 0 {
+                    e.remove();
+                }
+            }
+            Entry::Vacant(e) => {
+                if r.weight != 0 {
+                    e.insert(r.weight);
+                }
+            }
         }
     }
-    out.retain(|_, w| *w != 0);
-    out
 }
 
 /// Compare two result multisets with relative tolerance on float columns.

@@ -11,7 +11,7 @@
 //! cursors, which exercises the same pull-new-since-offset code path.
 
 use crate::row::{DeltaBatch, DeltaRow};
-use ishare_common::{Error, QueryId, Result};
+use ishare_common::{Error, Result};
 
 /// Identifies one registered consumer (parent subplan) of a buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,9 +23,10 @@ pub struct ConsumerId(usize);
 /// are safe to trim.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Retain {
-    /// Keep the full stream: `compact` is a no-op. Query-root buffers use
-    /// this — their whole stream backs the final result views
-    /// ([`all_rows`](DeltaBuffer::all_rows)).
+    /// Keep the full stream: `compact` is a no-op, and
+    /// [`all_rows`](DeltaBuffer::all_rows) can re-read it. The engine sets
+    /// no buffer to this (query results are views it folds per tick); the
+    /// benchmark's shadow loop does.
     All,
     /// Keep only what some registered consumer still has to read; the
     /// fully-consumed prefix is dropped on `compact`, and by a pull that
@@ -133,24 +134,8 @@ impl DeltaBuffer {
         n
     }
 
-    /// Add `q_new`'s bit to every resident row whose mask contains
-    /// `q_ref` (admission onto a *shared subplan* buffer: the witness
-    /// query `q_ref` has seen exactly the rows `q_new` would have, so
-    /// pending rows visible to the witness become visible to the new
-    /// query too). Returns rows widened.
-    pub fn widen_where(&mut self, q_ref: QueryId, q_new: QueryId) -> usize {
-        let mut n = 0;
-        for r in &mut self.rows {
-            if r.mask.contains(q_ref) {
-                r.mask.insert(q_new);
-                n += 1;
-            }
-        }
-        n
-    }
-
     /// Set the compaction policy. Called once at wiring time by whoever
-    /// builds the dataflow (drivers mark query-root buffers [`Retain::All`]).
+    /// builds the dataflow.
     pub fn set_retention(&mut self, retention: Retain) {
         self.retention = retention;
     }
@@ -205,10 +190,9 @@ impl DeltaBuffer {
         self.extend(batch.clone());
     }
 
-    /// All rows appended so far (used by batch/one-shot execution, final
-    /// query views, and tests). Only callable while the full stream is still
-    /// resident — i.e. on buffers that were never compacted, such as query
-    /// root buffers (no consumers) and batch-mode buffers.
+    /// All rows appended so far. Only callable while the full stream is
+    /// still resident — i.e. on buffers that were never compacted, such as
+    /// [`Retain::All`] buffers and buffers without consumers.
     pub fn all_rows(&self) -> &[DeltaRow] {
         assert_eq!(self.base, 0, "all_rows() on a compacted buffer would miss dropped rows");
         &self.rows
@@ -546,18 +530,5 @@ mod tests {
         assert_eq!(b.len(), 2, "stream position keeps counting");
         b.push(dr(3));
         assert_eq!(b.len(), 3);
-    }
-
-    #[test]
-    fn widen_adds_query_bits() {
-        let q0 = QueryId(0);
-        let q1 = QueryId(1);
-        let q2 = QueryId(2);
-        let mut b = DeltaBuffer::new();
-        b.push(DeltaRow::insert(Row::new(vec![Value::Int(1)]), QuerySet::single(q0)));
-        b.push(DeltaRow::insert(Row::new(vec![Value::Int(2)]), QuerySet::single(q1)));
-        assert_eq!(b.widen_where(q0, q2), 1);
-        assert!(b.all_rows()[0].mask.contains(q2));
-        assert!(!b.all_rows()[1].mask.contains(q2));
     }
 }

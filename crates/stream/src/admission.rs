@@ -43,8 +43,12 @@
 //!    state snapshots which are re-masked to the new query and seeded into
 //!    its private cone — no replay of history through shared prefixes. A
 //!    private cone's base leaf is seeded with the rows the [`Source`] has
-//!    released for its table, so base buffers keep no history. Shared
-//!    subplans widen their state, in-flight input and pending seeds.
+//!    released for its table, so base buffers keep no history. A new
+//!    query whose root is fully shared starts its result view from the
+//!    root's snapshot. Shared subplans widen their state and pending seeds;
+//!    their buffers hold no rows to widen, because the quiesce sweep
+//!    empties every buffer another subplan reads and the engine never
+//!    writes one that nothing reads.
 //!
 //! ## Removal
 //!
@@ -53,8 +57,8 @@
 //! empty, and the same reconciliation counts whatever no live node or edge
 //! claims — a dead cone's operator state, buffers and seeds — as
 //! `churn.reclaimed_rows`. Surviving operator state drops the query's mask
-//! column via `retire_query`, and the query's slack-ledger entry is
-//! released.
+//! column via `retire_query`, and the query's result view and slack-ledger
+//! entry are released.
 //!
 //! ## Determinism
 //!
@@ -78,7 +82,7 @@ use ishare_core::pace_search::SearchOutcome;
 use ishare_core::{find_pace_configuration, resolve_constraints, FinalWorkConstraint};
 use ishare_cost::PlanEstimator;
 use ishare_exec::executor::{OperatorState, StateBundle};
-use ishare_exec::{ExecMode, ExecOptions, SubplanExecutor};
+use ishare_exec::{fold_result, ExecMode, ExecOptions, SubplanExecutor};
 use ishare_ingest::{ChurnKind, ChurnRecord, Source};
 use ishare_mqo::{normalize, IncrementalSharer, MqoConfig};
 use ishare_plan::{InputSource, LogicalPlan, SharedDag, SharedPlan, TreeOp};
@@ -593,8 +597,10 @@ type Edge = (NodeId, usize);
 /// Admission hand-off (module docs, step 4): widen shared state and pending
 /// seeds to `q_new`, then seed its fresh cone — shared children from
 /// witness-indexed snapshots (each shared subplan by its *own* witness,
-/// validated in [`Runner::apply`]), base tables from `source`. Returns the
-/// rows handed off from shared state and the work charged doing so.
+/// validated in [`Runner::apply`]), base tables from `source` — or, on a
+/// fully shared root, fold the root's snapshot into `q_new`'s result view.
+/// Returns the rows handed off from shared state and the work charged doing
+/// so.
 fn hand_off(
     engine: &mut EngineState,
     source: &Source,
@@ -605,11 +611,6 @@ fn hand_off(
 ) -> Result<(u64, f64)> {
     let witness = |j: usize| witnesses[j].expect("witness validated for shared subplan");
     let n = plan.len();
-    // Widen resident (in-flight) buffer rows only where a carried
-    // downstream cursor serving the new query will still pull them — never
-    // the new query's own root buffer, whose history is handed off as a
-    // snapshot below (widening both would double count).
-    let mut widen_child = vec![false; n];
     for j in (0..n).filter(|&j| !fresh[j] && plan.subplans[j].queries.contains(q_new)) {
         engine.executors[j].widen_query(witness(j), q_new)?;
         // A seed an earlier admission at this boundary left is history the
@@ -619,15 +620,6 @@ fn hand_off(
                 dr.mask.insert(q_new);
             }
         }
-        for (_, src) in engine.executors[j].leaf_paths() {
-            if let InputSource::Subplan(c) = src {
-                widen_child[c.index()] = true;
-            }
-        }
-    }
-    let new_root = plan.query_root(q_new).map(|r| r.index());
-    for j in (0..n).filter(|&j| widen_child[j] && Some(j) != new_root) {
-        engine.sp_buffers[j].widen_where(witness(j), q_new);
     }
     let counter = WorkCounter::new();
     let mut rows = 0u64;
@@ -655,13 +647,13 @@ fn hand_off(
         }
     }
     // A fully shared root: the new query's results are served by an
-    // existing subplan whose buffer may have compacted its history.
-    // Reconstruct the witnessed history straight into the root buffer
-    // (which is Retain::All from here on).
-    if let Some(r) = new_root.filter(|&r| !fresh[r]) {
+    // existing subplan, so its result view starts as the root's witnessed
+    // history.
+    if let Some(r) = plan.query_root(q_new).map(|r| r.index()).filter(|&r| !fresh[r]) {
         let batch = snapshot(engine, r)?;
         rows += batch.rows.len() as u64;
-        engine.sp_buffers[r].extend(batch);
+        let view = engine.results.get_mut(&q_new).expect("settled for every live query");
+        fold_result(view, &batch.rows, q_new);
     }
     Ok((rows, counter.total().get()))
 }

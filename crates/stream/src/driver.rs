@@ -24,7 +24,7 @@ use crate::fold::{adapt_gauges, engine_gauges, ingest_gauges, Fold};
 use crate::schedule::{build_schedule, front_at, reschedule_after, Tick};
 use ishare_common::{CostWeights, Error, QueryId, Result, TableId, WorkUnits};
 use ishare_core::adapt::{AdaptController, ObservedTable, WavefrontObservation};
-use ishare_exec::{query_result, ExecMode, ExecOptions, QueryResult};
+use ishare_exec::{ExecMode, ExecOptions, QueryResult};
 use ishare_ingest::{CommitLog, Source};
 use ishare_obs::{ExecCounts, ObsConfig, ObsReport};
 use ishare_plan::SharedPlan;
@@ -47,7 +47,8 @@ pub struct RunResult {
     /// Per query: wall-clock latency (Σ wall of the final executions of the
     /// query's subplans).
     pub latency: BTreeMap<QueryId, Duration>,
-    /// Final materialized result per query.
+    /// Per query: its result view, which the engine folded as the query's
+    /// root emitted.
     pub results: BTreeMap<QueryId, QueryResult>,
     /// Number of incremental executions performed.
     pub executions: usize,
@@ -345,16 +346,11 @@ pub(crate) fn run_wavefronts(
     let plan = &*live.plan;
     let mut final_work = BTreeMap::new();
     let mut latency = BTreeMap::new();
-    let mut results = BTreeMap::new();
     let mut executions_per_query = BTreeMap::new();
     for q in plan.queries().iter() {
         final_work.insert(q, fold.final_work(plan, q));
         latency.insert(q, fold.final_wall(plan, q));
         executions_per_query.insert(q, fold.exec_counts(plan, q));
-        let root = plan
-            .query_root(q)
-            .ok_or_else(|| Error::InvalidPlan(format!("query {q} has no output subplan")))?;
-        results.insert(q, query_result(live.engine.sp_buffers[root.index()].all_rows(), q));
     }
     Ok(SourceOutcome::Completed {
         result: Box::new(RunResult {
@@ -362,7 +358,7 @@ pub(crate) fn run_wavefronts(
             total_wall: fold.total_wall,
             final_work,
             latency,
-            results,
+            results: std::mem::take(&mut live.engine.results),
             executions: fold.executions,
             executions_per_query,
             elapsed: started.elapsed(),

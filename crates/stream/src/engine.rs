@@ -1,10 +1,11 @@
 //! Engine wiring and the one tick function.
 //!
 //! [`EngineState`] is the buffers, executors and consumer registrations of
-//! one shared plan. The wavefront loop ([`crate::driver`]) feeds it, runs a
-//! front's ticks through [`EngineState::run_ticks`], and compacts it; live
-//! churn ([`crate::admission`]) rebuilds it around a re-cut plan between
-//! two fronts.
+//! one shared plan, and the result view of each live query. The wavefront
+//! loop ([`crate::driver`]) feeds it, runs a front's ticks through
+//! [`EngineState::run_ticks`], and compacts it; live churn
+//! ([`crate::admission`]) rebuilds it around a re-cut plan between two
+//! fronts.
 //!
 //! # Determinism
 //!
@@ -15,11 +16,13 @@
 //! records in schedule order.
 
 use crate::schedule::Tick;
-use ishare_common::{CostWeights, OpKind, Result, TableId, WorkBreakdown, WorkCounter, WorkUnits};
-use ishare_exec::{ExecOptions, SubplanExecutor};
+use ishare_common::{
+    CostWeights, OpKind, QueryId, QuerySet, Result, TableId, WorkBreakdown, WorkCounter, WorkUnits,
+};
+use ishare_exec::{fold_result, ExecOptions, QueryResult, SubplanExecutor};
 use ishare_plan::{InputSource, SharedPlan};
-use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer, Retain};
-use std::collections::HashMap;
+use ishare_storage::{Catalog, ConsumerId, DeltaBatch, DeltaBuffer};
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 /// One-shot leaf input batches of a subplan, by leaf path: state or base
@@ -27,7 +30,8 @@ use std::time::{Duration, Instant};
 /// the next execution.
 pub(crate) type Seeds = HashMap<Vec<usize>, DeltaBatch>;
 
-/// Buffers, executors, and the consumer registrations wiring them together.
+/// Buffers, executors, the consumer registrations wiring them together, and
+/// the live queries' result views.
 pub(crate) struct EngineState {
     pub(crate) base_buffers: HashMap<TableId, DeltaBuffer>,
     /// Registered base tables in sorted order: the order the loop advances
@@ -39,6 +43,12 @@ pub(crate) struct EngineState {
     pub(crate) leaf_consumers: Vec<Vec<(Vec<usize>, InputSource, ConsumerId)>>,
     /// Per subplan: pending seed batches (empty outside churn runs).
     pub(crate) seeds: Vec<Seeds>,
+    /// Per subplan: the queries whose result it emits, and whether another
+    /// subplan reads its buffer (both set by `settle`).
+    outputs: Vec<QuerySet>,
+    read: Vec<bool>,
+    /// The result view of every live query, folded as its root emits.
+    pub(crate) results: BTreeMap<QueryId, QueryResult>,
     pub(crate) weights: CostWeights,
 }
 
@@ -103,6 +113,9 @@ impl EngineState {
             executors,
             leaf_consumers,
             seeds,
+            outputs: Vec::new(),
+            read: Vec::new(),
+            results: BTreeMap::new(),
             weights,
         };
         engine.settle(plan);
@@ -110,26 +123,27 @@ impl EngineState {
     }
 
     /// Settle what follows from `plan`'s wiring, after `new` builds it or a
-    /// churn re-cut rebuilds it: the sorted base tables, and the one
-    /// retention rule. Query roots keep their full stream ([`Retain::All`]:
-    /// it backs the final result views), and every other buffer, base
-    /// buffers included, drops its consumed prefix. A consumer that joins
-    /// late gets its history as a seed instead (churn admission reads base
-    /// rows back from the source). Retention only widens: a buffer a re-cut
-    /// carries over keeps the stream it already kept.
+    /// churn re-cut rebuilds it: the sorted base tables, which subplans emit
+    /// which queries' results and which feed another subplan, and one result
+    /// view per live query (a removed query's leaves with it; an admitted
+    /// one's starts empty). Every buffer, base buffers included, drops its
+    /// consumed prefix; a consumer that joins late gets its history as a
+    /// seed instead (churn admission reads base rows back from the source).
     pub(crate) fn settle(&mut self, plan: &SharedPlan) {
-        for q in plan.queries().iter() {
-            if let Some(root) = plan.query_root(q) {
-                self.sp_buffers[root.index()].set_retention(Retain::All);
-            }
+        self.outputs = plan.subplans.iter().map(|sp| sp.output_queries).collect();
+        self.read = plan.parents().iter().map(|p| !p.is_empty()).collect();
+        let live = plan.queries();
+        self.results.retain(|q, _| live.contains(*q));
+        for q in live.iter() {
+            self.results.entry(q).or_default();
         }
         self.base_tables = self.base_buffers.keys().copied().collect();
         self.base_tables.sort();
     }
 
     /// Reclaim fully consumed prefixes. Consumers never re-read below their
-    /// cursor, cursors are absolute, and query roots retain everything, so
-    /// this cannot change what later ticks or the result views see.
+    /// cursor and cursors are absolute, so this cannot change what later
+    /// ticks see; a buffer no subplan reads holds nothing to reclaim.
     pub(crate) fn compact(&mut self) {
         for b in self.base_buffers.values_mut().chain(self.sp_buffers.iter_mut()) {
             b.compact();
@@ -151,7 +165,9 @@ impl EngineState {
 
     /// One incremental execution of subplan `i`: pull every leaf delta
     /// (a pending seed batch goes ahead of the pulled rows), run the
-    /// subplan, charge the materialization, append the output.
+    /// subplan, charge the materialization, fold the output into the result
+    /// view of each query the subplan emits, and append it to the buffer if
+    /// another subplan reads it.
     fn run_tick(&mut self, i: usize) -> Result<(WorkUnits, Duration, WorkBreakdown)> {
         let counter = WorkCounter::new();
         let started = Instant::now();
@@ -168,7 +184,13 @@ impl EngineState {
         }
         let out = self.executors[i].execute(&mut inputs, &counter)?;
         counter.charge(OpKind::Materialize, self.weights.materialize, out.len());
-        self.sp_buffers[i].extend(out);
+        for q in self.outputs[i].iter() {
+            let view = self.results.get_mut(&q).expect("settled for every live query");
+            fold_result(view, &out.rows, q);
+        }
+        if self.read[i] {
+            self.sp_buffers[i].extend(out);
+        }
         Ok((counter.total(), started.elapsed(), counter.breakdown()))
     }
 

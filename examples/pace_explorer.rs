@@ -79,7 +79,7 @@ fn main() -> ishare::Result<()> {
             "  {}: pace {:>3}, est private total {:>12.0}",
             sp.id,
             outcome.paces.pace(sp.id),
-            outcome.report.subplan_total[sp.id.index()],
+            outcome.report.subplan_output[sp.id.index()].private_total,
         );
     }
 

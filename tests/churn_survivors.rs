@@ -137,6 +137,11 @@ fn survivors_and_admitted_queries_match_the_unshared_reference() {
     let delivered = gauge_sum(&report, "ingest.t", ".delivered");
     assert!(delivered > 0.0);
     assert!(high_water < delivered, "base high-water {high_water} of {delivered} delivered rows");
+    // Every subplan buffer, re-cut ones included, holds only what a reader
+    // has yet to read, and a completed run leaves nothing unread.
+    let resident =
+        gauge_sum(&report, "buffer.sp", ".len") - gauge_sum(&report, "buffer.sp", ".compacted");
+    assert_eq!(resident, 0.0, "subplan buffer rows resident after the run");
 }
 
 #[test]
@@ -229,5 +234,51 @@ fn two_admissions_at_one_boundary_see_the_whole_history() {
                 assert_eq!(out.run.results[&QueryId(q)], expect, "{label}: q{q}");
             }
         }
+    }
+}
+
+#[test]
+fn readmitting_onto_a_shared_root_counts_its_history_once() {
+    // q0 and q1 run one plan, so they share one root. q1 leaves at 1/3 and
+    // comes back with the same plan at 2/3: its result view restarts from
+    // the root's snapshot, and none of the partial sums the root emitted
+    // for q1 before the removal (whose retractions after it carry q0's bit
+    // only) may reappear beside the current ones.
+    let (c, feed) = small_table();
+    let rows: HashMap<_, Vec<Row>> =
+        feed.iter().map(|(t, v)| (*t, v.iter().map(|(r, _)| r.clone()).collect())).collect();
+    let plan = sum_by_k(&c, false).project_cols(&["k", "s"]).unwrap().build();
+    let tight: BTreeMap<QueryId, FinalWorkConstraint> =
+        (0..2).map(|q| (QueryId(q), FinalWorkConstraint::Relative(0.5))).collect();
+    let script = ChurnScript::new(vec![
+        ChurnEvent { num: 1, den: 3, op: ChurnOp::Remove { query: QueryId(1) } },
+        ChurnEvent {
+            num: 2,
+            den: 3,
+            op: ChurnOp::Admit {
+                query: QueryId(1),
+                plan: plan.clone(),
+                constraint: FinalWorkConstraint::Relative(0.5),
+            },
+        },
+    ]);
+    let mut source = Source::in_order(&feed);
+    let out = execute_churn_from_source(
+        &[(QueryId(0), plan.clone()), (QueryId(1), plan.clone())],
+        &tight,
+        &script,
+        &c,
+        &mut source,
+        CostWeights::default(),
+        &ChurnOptions { max_pace: 4, ..Default::default() },
+    )
+    .unwrap()
+    .into_result()
+    .unwrap();
+    assert_eq!(out.churn.len(), 2, "both events apply");
+    assert_eq!(out.churn[1].nodes_created, 0, "q1 comes back onto the shared root");
+    let expect = run_logical(&plan, &c, &rows).unwrap();
+    for q in [QueryId(0), QueryId(1)] {
+        assert_eq!(out.run.results[&q], expect, "{q}");
     }
 }

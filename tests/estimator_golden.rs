@@ -16,7 +16,7 @@ use ishare::core::{
     find_pace_configuration, plan_workload, relax_pace_configuration, resolve_constraints,
     Approach, FinalWorkConstraint, PaceConfiguration, PlannedExecution, PlanningOptions,
 };
-use ishare::cost::{CostReport, PlanEstimator, StreamEstimate};
+use ishare::cost::{CostReport, PlanEstimator};
 use ishare::mqo::{build_shared_dag, normalize, MqoConfig};
 use ishare::plan::{LogicalPlan, SharedPlan};
 use ishare::tpch::queries::sharing_friendly_queries;
@@ -30,11 +30,6 @@ const MAX_PACE: u32 = 100;
 /// The mixed constraints of the benchmark's `optimizer_bound`, dealt by
 /// query position.
 const DEAL: [f64; 4] = [1.0, 0.5, 0.2, 0.1];
-
-/// One subplan's full-trigger output estimate in a report.
-fn output_of(report: &CostReport, i: usize) -> &StreamEstimate {
-    &report.subplan_output[i].output
-}
 
 /// Order-dependent FNV-1a over 64-bit words.
 struct Digest(u64);
@@ -56,10 +51,10 @@ impl Digest {
 
     /// Every field of every subplan's simulation result.
     fn report(&mut self, report: &CostReport) {
-        for i in 0..report.subplan_total.len() {
-            self.float(report.subplan_total[i]);
-            self.float(report.subplan_final[i]);
-            let out = output_of(report, i);
+        for sim in &report.subplan_output {
+            self.float(sim.private_total);
+            self.float(sim.private_final);
+            let out = &sim.output;
             self.float(out.rows.total);
             for (&q, &n) in &out.rows.per_query {
                 self.word(u64::from(q));

@@ -221,8 +221,11 @@ const CHURN: Golden = Golden {
         0x40f4_2930_0000_0000,
     ],
 };
-/// Rows handed to the admitted queries, rows reclaimed by the removal.
-const CHURN_ROWS: (u64, u64) = (10_651, 8_405);
+/// Rows handed to the admitted queries, rows reclaimed by the removal. The
+/// removed query's root buffer is never written (nothing reads it; the
+/// query's result is a view the engine folds), so the reclaimed rows are
+/// the dead cone's operator state, seeds and read buffers only.
+const CHURN_ROWS: (u64, u64) = (10_651, 8_403);
 /// Each churn record's `handoff_work_bits`, in script order (a removal
 /// hands nothing off).
 const CHURN_HANDOFF_WORK: [u64; 3] = [0x40b8_6a00_0000_0000, 0x40cd_7b00_0000_0000, 0];

@@ -135,6 +135,20 @@ fn metrics_json_roundtrips_and_sums() {
     assert!((kind_sum - total).abs() <= tol, "kind sum {kind_sum} != total {total}");
 }
 
+/// A subplan buffer holds only rows some reader has yet to read, so a
+/// completed run leaves none resident: the query roots, which nothing
+/// reads, never wrote theirs, and the shared trunk's readers took its rows.
+#[test]
+fn completed_run_leaves_no_buffered_rows() {
+    let report = run_with_obs().1;
+    let sum = |suffix: &str| -> f64 {
+        let named = |n: &str| n.starts_with("buffer.sp") && n.ends_with(suffix);
+        report.metrics.gauges().filter(|(n, _)| named(n)).map(|(_, v)| v).sum()
+    };
+    assert!(sum(".len") > 0.0, "the shared trunk's buffer carried rows");
+    assert_eq!(sum(".len") - sum(".compacted"), 0.0, "rows resident after the run");
+}
+
 /// The Prometheus exposition of a real run: every family `ishare_`-prefixed
 /// and typed by a `# TYPE` header before its first sample (histogram
 /// `_bucket` / `_sum` / `_count` series under their base family), every
